@@ -12,6 +12,13 @@ cargo fmt --all -- --check
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo check perfbench (the benchmark builds against this API)"
+# perfbench is a workspace of its own, built by path against these
+# crates; checking it here makes an API change that breaks the benchmark
+# fail CI instead of the benchmark run. Its build output goes under the
+# root target directory.
+cargo check --offline --manifest-path perfbench/Cargo.toml --target-dir target/perfbench
+
 echo "==> cargo doc --no-deps (rustdoc warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 

@@ -34,7 +34,7 @@ use crate::unbind::unbind_query;
 use uniq_plan::BoundQuery;
 
 /// Which rules run, and with which uniqueness test.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Hash)]
 pub struct OptimizerOptions {
     /// Rule 1: Theorem 1 `DISTINCT` removal.
     pub remove_redundant_distinct: bool,

@@ -14,7 +14,7 @@ use uniq_plan::BoundSpec;
 use uniq_sql::Distinct;
 
 /// Which uniqueness test(s) a rewrite may consult.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum UniquenessTest {
     /// Only the paper's Algorithm 1.
     Algorithm1,

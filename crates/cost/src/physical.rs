@@ -18,7 +18,7 @@
 use uniq_proof::Justification;
 
 /// How duplicate elimination is performed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum DistinctMethod {
     /// Sort the result and collapse adjacent `=̇`-equal runs — the
     /// strategy whose cost the paper's §1 calls "expensive". Default.
@@ -29,7 +29,7 @@ pub enum DistinctMethod {
 }
 
 /// How multi-table blocks are joined.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum JoinMethod {
     /// Build/probe hash tables on available equality conjuncts, falling
     /// back to nested loops when none apply. Default.
@@ -41,7 +41,7 @@ pub enum JoinMethod {
 
 /// Parallel degree of the morsel-driven executor: how many workers a
 /// query (or, in a cost-based plan, one operator) may use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Degree {
     /// Single-threaded row-at-a-time execution — the correctness oracle
     /// every parallel path is property-tested against. Default.

@@ -39,7 +39,7 @@ use uniq_sql::{CmpOp, SetOp};
 pub const ROWS_PER_WORKER: f64 = 512.0;
 
 /// Session-level planner configuration.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct PlannerOptions {
     /// Use collected statistics to choose per-node physical operators;
     /// when `false`, the session's static `ExecOptions` apply.

@@ -28,7 +28,7 @@ use uniq_sql::CmpOp;
 use uniq_types::{Error, Result, Tri, Value};
 
 /// Executor tuning (which physical strategies to use).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Hash)]
 pub struct ExecOptions {
     /// Duplicate-elimination strategy.
     pub distinct: DistinctMethod,

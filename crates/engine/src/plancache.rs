@@ -34,10 +34,13 @@
 //! capacity. Hit/miss/eviction/invalidation counters are atomics,
 //! accurate under concurrent load.
 
+use crate::exec::ExecOptions;
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::RwLock;
-use uniq_core::pipeline::RewriteTrace;
+use std::sync::{Arc, RwLock};
+use uniq_core::pipeline::{OptimizerOptions, RewriteTrace};
+use uniq_cost::PlannerOptions;
 use uniq_plan::BoundOutput;
 use uniq_types::{ColumnName, Fnv64};
 
@@ -55,14 +58,36 @@ pub struct CachedPlan {
     pub query: BoundOutput,
     /// The rewrite trace the optimizer produced when compiling it —
     /// steps, per-rule stats and fixpoint shape, served verbatim on
-    /// every hit so `EXPLAIN` can show what compilation did.
-    pub trace: RewriteTrace,
-    /// Output column names (derived from `query`, cached to keep the
-    /// hit path allocation-light).
-    pub columns: Vec<ColumnName>,
+    /// every hit so `EXPLAIN` can show what compilation did. Shared, so
+    /// a hit hands it out without copying its bound ASTs.
+    pub trace: Arc<RewriteTrace>,
+    /// Output column names (derived from `query`, shared with every
+    /// hit's output so the hit path copies nothing).
+    pub columns: Arc<[ColumnName]>,
     /// The cost-based physical plan, when the session planned one
     /// (`None` for sessions running on static executor options).
-    pub physical: Option<std::sync::Arc<uniq_cost::PhysicalPlan>>,
+    pub physical: Option<Arc<uniq_cost::PhysicalPlan>>,
+}
+
+/// The tag mixed into plan fingerprints so differently configured
+/// engines never share plans. It covers the optimizer knobs, the static
+/// executor strategies (parallel degree and kernel choice included — a
+/// cost-based plan compiled at degree 4 embeds per-operator `deg`s a
+/// serial engine must not reuse), the planner configuration and the
+/// statistics epoch (cached plans embed physical choices made from
+/// statistics, so re-`ANALYZE` must recompile them). The option
+/// structs are hashed field by field through their derived `Hash`, so
+/// every knob, present or future, is covered without formatting
+/// anything on the query path.
+pub fn options_tag(
+    optimizer: &OptimizerOptions,
+    exec: &ExecOptions,
+    planner: &PlannerOptions,
+    stats_epoch: u64,
+) -> u64 {
+    let mut h = Fnv64::new();
+    (optimizer, exec, planner, stats_epoch).hash(&mut h);
+    h.finish()
 }
 
 struct Entry {
@@ -74,7 +99,7 @@ struct Entry {
     /// Recency stamp from the cache-global clock (atomic so read-locked
     /// probes can update it).
     last_used: AtomicU64,
-    plan: std::sync::Arc<CachedPlan>,
+    plan: Arc<CachedPlan>,
 }
 
 /// Counter snapshot; see [`PlanCache::stats`].
@@ -211,7 +236,7 @@ impl PlanCache {
         fingerprint: u64,
         canonical: &str,
         catalog_version: u64,
-    ) -> Option<std::sync::Arc<CachedPlan>> {
+    ) -> Option<Arc<CachedPlan>> {
         if self.shard_capacity == 0 {
             self.misses.fetch_add(1, Ordering::Relaxed);
             return None;
@@ -226,7 +251,7 @@ impl PlanCache {
                         let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
                         entry.last_used.store(stamp, Ordering::Relaxed);
                         self.hits.fetch_add(1, Ordering::Relaxed);
-                        return Some(std::sync::Arc::clone(&entry.plan));
+                        return Some(Arc::clone(&entry.plan));
                     }
                     stale = true;
                 }
@@ -266,7 +291,7 @@ impl PlanCache {
             text: canonical.to_string(),
             catalog_version,
             last_used: AtomicU64::new(stamp),
-            plan: std::sync::Arc::new(plan),
+            plan: Arc::new(plan),
         };
         let shard = self.shard(fingerprint);
         let mut map = shard.write().expect("plan cache shard poisoned");
@@ -326,9 +351,9 @@ mod tests {
         let ast = uniq_sql::parse_query("SELECT S.SNO FROM SUPPLIER S").unwrap();
         let query = BoundOutput::plain(uniq_plan::bind_query(db.catalog(), &ast).unwrap());
         CachedPlan {
-            columns: query.output_names(),
+            columns: query.output_names().into(),
             query,
-            trace: RewriteTrace::default(),
+            trace: Arc::default(),
             physical: None,
         }
     }
@@ -420,6 +445,51 @@ mod tests {
         }
         // Different texts intern to different hashes.
         assert_ne!(h, PlanCache::sql_hash("SELECT 1"));
+    }
+
+    #[test]
+    fn options_tag_differs_whenever_any_option_or_the_epoch_does() {
+        use uniq_core::rewrite::distinct::UniquenessTest;
+        use uniq_cost::{Degree, DistinctMethod, JoinMethod};
+        type Options = (OptimizerOptions, ExecOptions, PlannerOptions);
+        let base: Options = (
+            OptimizerOptions::relational(),
+            ExecOptions::default(),
+            PlannerOptions::default(),
+        );
+        let flips: Vec<fn(&mut Options)> = vec![
+            |o| o.0.remove_redundant_distinct ^= true,
+            |o| o.0.subquery_to_join ^= true,
+            |o| o.0.setops_to_exists ^= true,
+            |o| o.0.join_to_subquery ^= true,
+            |o| o.0.join_elimination ^= true,
+            |o| o.0.distinct_pushdown ^= true,
+            |o| o.0.agg_elision ^= true,
+            |o| o.0.test = UniquenessTest::Algorithm1,
+            |o| o.0.test = UniquenessTest::FdClosure,
+            |o| o.0.max_steps += 1,
+            |o| o.1.distinct = DistinctMethod::Hash,
+            |o| o.1.join = JoinMethod::NestedLoop,
+            |o| o.1.degree = Degree::Auto,
+            |o| o.1.degree = Degree::Fixed(2),
+            |o| o.1.degree = Degree::Fixed(4),
+            |o| o.1.unique_kernels ^= true,
+            |o| o.1.early_stop ^= true,
+            |o| o.2.cost_based ^= true,
+            |o| o.2.degree = Degree::Fixed(2),
+            |o| o.2.columnar ^= true,
+        ];
+        let tag = |o: &Options, epoch| options_tag(&o.0, &o.1, &o.2, epoch);
+        let mut tags = vec![tag(&base, 0), tag(&base, 1), tag(&base, 2)];
+        for flip in flips {
+            let mut changed = base;
+            flip(&mut changed);
+            tags.push(tag(&changed, 0));
+        }
+        let distinct: std::collections::HashSet<u64> = tags.iter().copied().collect();
+        assert_eq!(distinct.len(), tags.len(), "every change moves the tag");
+        // Equal options give equal tags, so equal engines share plans.
+        assert_eq!(tag(&base, 3), tag(&base, 3));
     }
 
     #[test]

@@ -17,18 +17,19 @@ use uniq_core::pipeline::{Optimizer, OptimizerOptions, RewriteTrace};
 use uniq_cost::{plan_output, CardReport, PhysicalPlan, PlannerOptions, Statistics};
 use uniq_plan::{bind_output, BoundOutput, BoundQuery, HostVars};
 use uniq_sql::{parse_statement, Statement};
-use uniq_types::{fnv64, ColumnName, Error, Result};
+use uniq_types::{ColumnName, Error, Result};
 
 /// The result of one query execution.
 #[derive(Debug, Clone)]
 pub struct QueryOutput {
-    /// Output column names.
-    pub columns: Vec<ColumnName>,
+    /// Output column names (shared with the cached plan).
+    pub columns: Arc<[ColumnName]>,
     /// Result rows.
     pub rows: Vec<Row>,
     /// The rewrite trace: steps, per-rule stats, fixpoint shape. On a
-    /// plan-cache hit this is the trace recorded at compile time.
-    pub trace: RewriteTrace,
+    /// plan-cache hit this is the trace recorded at compile time,
+    /// shared with the cached plan rather than copied.
+    pub trace: Arc<RewriteTrace>,
     /// Executor work counters for this query.
     pub stats: ExecStats,
     /// Wall-clock time spent in each serving stage.
@@ -187,24 +188,10 @@ impl Session {
         self.cache.stats()
     }
 
-    /// The tag mixed into plan fingerprints so differently configured
-    /// sessions never share plans: it covers the optimizer knobs, the
-    /// static executor strategies (parallel degree and kernel choice
-    /// included — a cost-based plan compiled at degree 4 embeds
-    /// per-operator `deg`s a serial session must not reuse), the planner
-    /// configuration and the statistics epoch (cached plans embed
-    /// physical choices made from statistics, so re-`analyze` must
-    /// recompile them). All option structs are small `Copy` types, so
-    /// their `Debug` form is a faithful, cheap serialization of every
-    /// knob.
+    /// The plan-fingerprint tag of this session's options and
+    /// statistics epoch; see [`crate::plancache::options_tag`].
     fn options_tag(&self) -> u64 {
-        fnv64(
-            format!(
-                "{:?}|{:?}|{:?}|{}",
-                self.optimizer, self.exec, self.planner, self.stats_epoch
-            )
-            .as_bytes(),
-        )
+        crate::plancache::options_tag(&self.optimizer, &self.exec, &self.planner, self.stats_epoch)
     }
 
     /// Session over the paper's populated Figure 1 database.
@@ -257,9 +244,9 @@ impl Session {
                 .as_deref()
                 .map(|p| p.card_report(executor.actuals()));
             return Ok(QueryOutput {
-                columns: plan.columns.clone(),
+                columns: Arc::clone(&plan.columns),
                 rows,
-                trace: plan.trace.clone(),
+                trace: Arc::clone(&plan.trace),
                 stats: executor.stats,
                 timings,
                 cache_hit: true,
@@ -276,15 +263,16 @@ impl Session {
         let physical = self.plan_physical(&query);
         timings.optimize_ns = elapsed_ns(t);
 
-        let columns = query.output_names();
+        let columns: Arc<[ColumnName]> = query.output_names().into();
+        let trace = Arc::new(trace);
         self.cache.insert(
             fingerprint,
             &canonical,
             version,
             CachedPlan {
                 query: query.clone(),
-                trace: trace.clone(),
-                columns: columns.clone(),
+                trace: Arc::clone(&trace),
+                columns: Arc::clone(&columns),
                 physical: physical.clone(),
             },
         );
@@ -331,15 +319,15 @@ impl Session {
         let bound = bind_output(self.db.catalog(), &ast)?;
         let (query, trace) = optimize_output(&Optimizer::new(self.optimizer), &bound);
         let physical = self.plan_physical(&query);
-        let columns = query.output_names();
+        let trace = Arc::new(trace);
         self.cache.insert(
             fingerprint,
             &canonical,
             version,
             CachedPlan {
                 query: query.clone(),
-                trace: trace.clone(),
-                columns,
+                trace: Arc::clone(&trace),
+                columns: query.output_names().into(),
                 physical: physical.clone(),
             },
         );
@@ -388,9 +376,9 @@ impl Session {
             .as_deref()
             .map(|p| p.card_report(executor.actuals()));
         Ok(QueryOutput {
-            columns: query.output_names(),
+            columns: query.output_names().into(),
             rows,
-            trace: outcome.trace,
+            trace: Arc::new(outcome.trace),
             stats: executor.stats,
             timings,
             cache_hit: false,
@@ -421,9 +409,9 @@ impl Session {
         let rows = executor.run_output(&bound, None)?;
         timings.execute_ns = elapsed_ns(t);
         Ok(QueryOutput {
-            columns: bound.output_names(),
+            columns: bound.output_names().into(),
             rows,
-            trace: RewriteTrace::default(),
+            trace: Arc::default(),
             stats: executor.stats,
             timings,
             cache_hit: false,
@@ -489,7 +477,7 @@ mod tests {
             .unwrap();
         let out = s.query("SELECT A FROM T").unwrap();
         assert_eq!(out.rows, vec![vec![Value::Int(1)]]);
-        assert_eq!(out.columns, vec![ColumnName::new("A")]);
+        assert_eq!(out.columns[..], [ColumnName::new("A")]);
     }
 
     #[test]

@@ -40,7 +40,7 @@ use uniq_cost::{plan_output, PhysicalPlan, PlannerOptions, Statistics};
 use uniq_plan::{bind_output, BoundOutput, HostVars};
 use uniq_proof::ProofStatus;
 use uniq_sql::{parse_statement, Statement};
-use uniq_types::{fnv64, ColumnName, Error, Result};
+use uniq_types::{ColumnName, Error, Result};
 
 /// Statistics state: collected from one snapshot, stamped with an epoch
 /// that is mixed into plan fingerprints (re-`ANALYZE` recompiles plans).
@@ -243,18 +243,10 @@ impl SharedEngine {
         }
     }
 
-    /// The fingerprint tag: optimizer + executor + planner knobs and the
-    /// statistics epoch, exactly like
-    /// [`Session`](crate::Session)'s — differently configured engines
-    /// (or epochs) never share plans.
+    /// The plan-fingerprint tag of this engine's options at statistics
+    /// `epoch`; see [`crate::plancache::options_tag`].
     fn options_tag(&self, epoch: u64) -> u64 {
-        fnv64(
-            format!(
-                "{:?}|{:?}|{:?}|{}",
-                self.optimizer, self.exec, self.planner, epoch
-            )
-            .as_bytes(),
-        )
+        crate::plancache::options_tag(&self.optimizer, &self.exec, &self.planner, epoch)
     }
 
     fn stats_state(&self) -> (Option<Arc<Statistics>>, u64) {
@@ -450,9 +442,9 @@ impl SharedEngine {
                 .as_deref()
                 .map(|p| p.card_report(executor.actuals()));
             return Ok(QueryOutput {
-                columns: plan.columns.clone(),
+                columns: Arc::clone(&plan.columns),
                 rows,
-                trace: plan.trace.clone(),
+                trace: Arc::clone(&plan.trace),
                 stats: executor.stats,
                 timings,
                 cache_hit: true,
@@ -469,15 +461,16 @@ impl SharedEngine {
         let physical = self.plan_physical(&query, stats.as_ref());
         timings.optimize_ns = t.elapsed().as_nanos() as u64;
 
-        let columns = query.output_names();
+        let columns: Arc<[ColumnName]> = query.output_names().into();
+        let trace = Arc::new(trace);
         self.cache.insert(
             fingerprint,
             &canonical,
             version,
             CachedPlan {
                 query: query.clone(),
-                trace: trace.clone(),
-                columns: columns.clone(),
+                trace: Arc::clone(&trace),
+                columns: Arc::clone(&columns),
                 physical: physical.clone(),
             },
         );
@@ -525,15 +518,15 @@ impl SharedEngine {
         let bound = bind_output(snap.catalog(), &ast)?;
         let (query, trace) = optimize_output(&Optimizer::new(self.optimizer), &bound);
         let physical = self.plan_physical(&query, stats.as_ref());
-        let columns = query.output_names();
+        let trace = Arc::new(trace);
         self.cache.insert(
             fingerprint,
             &canonical,
             version,
             CachedPlan {
                 query: query.clone(),
-                trace: trace.clone(),
-                columns,
+                trace: Arc::clone(&trace),
+                columns: query.output_names().into(),
                 physical: physical.clone(),
             },
         );

@@ -14,7 +14,7 @@
 //!    and hold no lock while the paper's uniqueness-optimized plans
 //!    execute.
 //! 3. [`server`] / [`client`] — the `uniqd` daemon (thread per
-//!    connection, admission semaphore, bounded write queues) and the
+//!    connection, admission semaphore, bounded push queues) and the
 //!    `uniq-cli` client. Every connection's session shares one
 //!    process-wide sharded plan cache, so a plan compiled — and
 //!    *proved*, via the U-semiring checker — on one connection serves

@@ -16,6 +16,11 @@
 //! | value  | tag `0`=NULL, `1`=INT + i64, `2`=STR + string, `3`=BOOL + u8 |
 //! | row    | `u32` arity + values                                 |
 //!
+//! The server encodes the frames it sends most — `RowHeader`,
+//! `RowBatch` and `ViewDelta` — straight from borrowed rows with
+//! [`encode_row_header`], [`encode_row_batch`] and [`encode_view_delta`],
+//! byte-identical to [`Frame::encode`] of the owned frame.
+//!
 //! Decoding is total: truncated input, oversized lengths, unknown
 //! opcodes or tags, non-UTF-8 strings and trailing garbage all come
 //! back as [`WireError`], never a panic (the codec proptests assert
@@ -30,6 +35,12 @@ pub const MAX_FRAME: u32 = 16 * 1024 * 1024;
 /// Rows per [`Frame::RowBatch`] the server emits (bounds peak frame
 /// size and lets clients stream large results).
 pub const DEFAULT_BATCH_ROWS: usize = 256;
+
+// Opcodes of the frames the server also encodes from borrowed data
+// (`encode_row_header`, `encode_row_batch`, `encode_view_delta`).
+const OP_ROW_HEADER: u8 = 0x81;
+const OP_ROW_BATCH: u8 = 0x82;
+const OP_VIEW_DELTA: u8 = 0x87;
 
 /// A protocol or transport failure.
 #[derive(Debug)]
@@ -127,13 +138,13 @@ impl Frame {
             Frame::Stats => 0x05,
             Frame::Subscribe { .. } => 0x06,
             Frame::Unsubscribe { .. } => 0x07,
-            Frame::RowHeader { .. } => 0x81,
-            Frame::RowBatch { .. } => 0x82,
+            Frame::RowHeader { .. } => OP_ROW_HEADER,
+            Frame::RowBatch { .. } => OP_ROW_BATCH,
             Frame::Explained { .. } => 0x83,
             Frame::Ack { .. } => 0x84,
             Frame::StatsReply { .. } => 0x85,
             Frame::Subscribed { .. } => 0x86,
-            Frame::ViewDelta { .. } => 0x87,
+            Frame::ViewDelta { .. } => OP_VIEW_DELTA,
             Frame::Error { .. } => 0xFF,
         }
     }
@@ -141,64 +152,56 @@ impl Frame {
     /// Encode into a self-delimiting byte string (length prefix
     /// included). Infallible: frames are built from valid Rust values.
     pub fn encode(&self) -> Vec<u8> {
-        let mut body = vec![self.opcode()];
+        let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Append this frame's encoding (length prefix included) to `out`,
+    /// so many frames can share one buffer and one socket write.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        let start = open_frame(out, self.opcode());
         match self {
             Frame::Query { sql }
             | Frame::Explain { sql }
             | Frame::Exec { sql }
             | Frame::Subscribe { sql } => {
-                put_str(&mut body, sql);
+                put_str(out, sql);
             }
             Frame::Analyze | Frame::Stats => {}
-            Frame::Unsubscribe { id } => put_u64(&mut body, *id),
+            Frame::Unsubscribe { id } => put_u64(out, *id),
             Frame::Subscribed {
                 id,
                 columns,
                 mode,
                 proof,
             } => {
-                put_u64(&mut body, *id);
-                put_u32(&mut body, columns.len() as u32);
+                put_u64(out, *id);
+                put_u32(out, columns.len() as u32);
                 for c in columns {
-                    put_str(&mut body, c);
+                    put_str(out, c);
                 }
-                put_str(&mut body, mode);
-                put_str(&mut body, proof);
+                put_str(out, mode);
+                put_str(out, proof);
             }
             Frame::ViewDelta {
                 id,
                 inserted,
                 deleted,
-            } => {
-                put_u64(&mut body, *id);
-                put_rows(&mut body, inserted);
-                put_rows(&mut body, deleted);
-            }
-            Frame::RowHeader { columns, cache_hit } => {
-                put_u32(&mut body, columns.len() as u32);
-                for c in columns {
-                    put_str(&mut body, c);
-                }
-                body.push(u8::from(*cache_hit));
-            }
-            Frame::RowBatch { rows, last } => {
-                put_rows(&mut body, rows);
-                body.push(u8::from(*last));
-            }
-            Frame::Explained { text } | Frame::Ack { message: text } => put_str(&mut body, text),
+            } => put_view_delta(out, *id, inserted, deleted),
+            Frame::RowHeader { columns, cache_hit } => put_row_header(out, columns, *cache_hit),
+            Frame::RowBatch { rows, last } => put_row_batch(out, rows, *last),
+            Frame::Explained { text } | Frame::Ack { message: text } => put_str(out, text),
             Frame::StatsReply { entries } => {
-                put_u32(&mut body, entries.len() as u32);
+                put_u32(out, entries.len() as u32);
                 for (name, value) in entries {
-                    put_str(&mut body, name);
-                    body.extend_from_slice(&value.to_le_bytes());
+                    put_str(out, name);
+                    out.extend_from_slice(&value.to_le_bytes());
                 }
             }
-            Frame::Error { message } => put_str(&mut body, message),
+            Frame::Error { message } => put_str(out, message),
         }
-        let mut out = Vec::with_capacity(4 + body.len());
-        out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        out.extend_from_slice(&body);
-        out
+        close_frame(out, start);
     }
 
     /// Decode one frame body (opcode + payload, length prefix already
@@ -215,7 +218,7 @@ impl Frame {
             0x05 => Frame::Stats,
             0x06 => Frame::Subscribe { sql: cur.string()? },
             0x07 => Frame::Unsubscribe { id: cur.u64()? },
-            0x81 => {
+            OP_ROW_HEADER => {
                 let n = cur.u32()? as usize;
                 let mut columns = Vec::new();
                 for _ in 0..n {
@@ -224,7 +227,7 @@ impl Frame {
                 let cache_hit = cur.boolean()?;
                 Frame::RowHeader { columns, cache_hit }
             }
-            0x82 => {
+            OP_ROW_BATCH => {
                 let rows = cur.rows()?;
                 let last = cur.boolean()?;
                 Frame::RowBatch { rows, last }
@@ -261,7 +264,7 @@ impl Frame {
                     proof,
                 }
             }
-            0x87 => {
+            OP_VIEW_DELTA => {
                 let id = cur.u64()?;
                 let inserted = cur.rows()?;
                 let deleted = cur.rows()?;
@@ -310,6 +313,70 @@ impl Frame {
         r.read_exact(&mut body)?;
         Frame::decode(&body)
     }
+}
+
+/// Append a `RowHeader` frame straight from borrowed column names —
+/// byte-identical to encoding the owned [`Frame::RowHeader`].
+pub fn encode_row_header(out: &mut Vec<u8>, columns: &[impl AsRef<str>], cache_hit: bool) {
+    let start = open_frame(out, OP_ROW_HEADER);
+    put_row_header(out, columns, cache_hit);
+    close_frame(out, start);
+}
+
+/// Append a `RowBatch` frame straight from borrowed rows —
+/// byte-identical to encoding the owned [`Frame::RowBatch`], without
+/// copying a row.
+pub fn encode_row_batch(out: &mut Vec<u8>, rows: &[Vec<Value>], last: bool) {
+    let start = open_frame(out, OP_ROW_BATCH);
+    put_row_batch(out, rows, last);
+    close_frame(out, start);
+}
+
+/// Append a `ViewDelta` frame straight from borrowed rows —
+/// byte-identical to encoding the owned [`Frame::ViewDelta`].
+pub fn encode_view_delta(
+    out: &mut Vec<u8>,
+    id: u64,
+    inserted: &[Vec<Value>],
+    deleted: &[Vec<Value>],
+) {
+    let start = open_frame(out, OP_VIEW_DELTA);
+    put_view_delta(out, id, inserted, deleted);
+    close_frame(out, start);
+}
+
+/// Start a frame at the end of `out`: a length placeholder and the
+/// opcode. Returns where the frame starts, for [`close_frame`].
+fn open_frame(out: &mut Vec<u8>, opcode: u8) -> usize {
+    let start = out.len();
+    out.extend_from_slice(&[0; 4]);
+    out.push(opcode);
+    start
+}
+
+/// Fill in the length prefix of the frame opened at `start`.
+fn close_frame(out: &mut [u8], start: usize) {
+    let len = (out.len() - start - 4) as u32;
+    out[start..start + 4].copy_from_slice(&len.to_le_bytes());
+}
+
+fn put_row_header(out: &mut Vec<u8>, columns: &[impl AsRef<str>], cache_hit: bool) {
+    put_u32(out, columns.len() as u32);
+    for c in columns {
+        put_str(out, c.as_ref());
+    }
+    out.push(u8::from(cache_hit));
+}
+
+fn put_row_batch(out: &mut Vec<u8>, rows: &[Vec<Value>], last: bool) {
+    put_rows(out, rows);
+    out.push(u8::from(last));
+}
+
+fn put_view_delta(out: &mut Vec<u8>, id: u64, inserted: &[Vec<Value>], deleted: &[Vec<Value>]) {
+    put_u64(out, id);
+    put_rows(out, inserted);
+    put_rows(out, deleted);
 }
 
 fn put_u32(out: &mut Vec<u8>, v: u32) {

@@ -1,6 +1,6 @@
 //! Property tests for the wire codec.
 //!
-//! Two totality properties, over the vendored deterministic
+//! Totality and agreement properties, over the vendored deterministic
 //! [`proptest`] shim:
 //!
 //! * **round trip** — every frame the generator can produce decodes
@@ -9,9 +9,14 @@
 //!   strings (random garbage, and valid encodings mutated or
 //!   truncated at a random point) always returns `Ok` or a
 //!   [`WireError`], never panics, and always terminates: reads are
-//!   bounded by the declared length, which is itself capped.
+//!   bounded by the declared length, which is itself capped;
+//! * **borrowed = owned** — the encoders the server writes replies
+//!   with, straight from borrowed rows, produce exactly the bytes of
+//!   [`Frame::encode`] on the owned frame, also when appended behind
+//!   other frames in one buffer.
 
 use proptest::prelude::*;
+use uniq_server::wire::{encode_row_batch, encode_row_header, encode_view_delta};
 use uniq_server::{Frame, WireError};
 use uniq_types::Value;
 
@@ -114,6 +119,39 @@ proptest! {
         let mut r = &bytes[..];
         let back = Frame::read_from(&mut r).expect("own encoding decodes");
         prop_assert_eq!(back, frame);
+        prop_assert!(r.is_empty(), "no bytes left behind");
+    }
+
+    /// The borrowed encoders append byte-identical copies of the owned
+    /// frames' encodings to whatever the buffer already holds.
+    #[test]
+    fn borrowed_encoders_match_owned_frames(seed in 0u64..1u64 << 48) {
+        let mut mix = Mix(seed);
+        let rows = mix.rows();
+        let deleted = mix.rows();
+        let columns: Vec<String> = (0..mix.below(6)).map(|_| mix.string()).collect();
+        let (id, last, cache_hit) = (mix.next(), mix.next().is_multiple_of(2), mix.next().is_multiple_of(2));
+        let owned = [
+            Frame::RowHeader { columns: columns.clone(), cache_hit },
+            Frame::RowBatch { rows: rows.clone(), last },
+            Frame::ViewDelta { id, inserted: rows.clone(), deleted: deleted.clone() },
+        ];
+        // Start from a frame already in the buffer, as in a reply.
+        let mut borrowed = mix.frame().encode();
+        let mut expected = borrowed.clone();
+        encode_row_header(&mut borrowed, &columns, cache_hit);
+        encode_row_batch(&mut borrowed, &rows, last);
+        encode_view_delta(&mut borrowed, id, &rows, &deleted);
+        for frame in &owned {
+            expected.extend_from_slice(&frame.encode());
+        }
+        prop_assert_eq!(&borrowed, &expected);
+        // And the buffer decodes back, frame by frame.
+        let mut r = &borrowed[..];
+        Frame::read_from(&mut r).expect("leading frame decodes");
+        for frame in owned {
+            prop_assert_eq!(Frame::read_from(&mut r).expect("appended frame decodes"), frame);
+        }
         prop_assert!(r.is_empty(), "no bytes left behind");
     }
 

@@ -50,6 +50,18 @@ impl Fnv64 {
     }
 }
 
+/// Lets `#[derive(Hash)]` values feed the hasher field by field, with
+/// no formatting on the way.
+impl std::hash::Hasher for Fnv64 {
+    fn write(&mut self, bytes: &[u8]) {
+        Fnv64::write(self, bytes);
+    }
+
+    fn finish(&self) -> u64 {
+        self.state
+    }
+}
+
 /// One-shot FNV-1a 64-bit hash of `bytes`.
 pub fn fnv64(bytes: &[u8]) -> u64 {
     let mut h = Fnv64::new();
@@ -74,6 +86,14 @@ mod tests {
         let mut h = Fnv64::new();
         h.write(b"foo").write(b"bar");
         assert_eq!(h.finish(), fnv64(b"foobar"));
+    }
+
+    #[test]
+    fn std_hasher_feeds_the_same_state() {
+        use std::hash::Hasher;
+        let mut a = Fnv64::new();
+        Hasher::write(&mut a, b"foobar");
+        assert_eq!(Hasher::finish(&a), fnv64(b"foobar"));
     }
 
     #[test]
