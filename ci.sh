@@ -99,6 +99,12 @@ timeout 60 "$CLI" --addr "$UNIQD_ADDR" \
 timeout 60 "$CLI" --addr "$UNIQD_ADDR" --explain \
     "SELECT DISTINCT S.SNO, P.PNO FROM SUPPLIER S, PARTS P WHERE S.SNO = P.SNO" \
     | grep -q "proof=✓"
+# After ANALYZE the EXPLAIN served over the wire shows the cost-based
+# plan the daemon runs, with estimated and actual rows per operator.
+timeout 60 "$CLI" --addr "$UNIQD_ADDR" --analyze > /dev/null
+timeout 60 "$CLI" --addr "$UNIQD_ADDR" --explain \
+    "SELECT DISTINCT S.SNO, P.PNO FROM SUPPLIER S, PARTS P WHERE S.SNO = P.SNO" \
+    | grep -q "Cost-based plan (est/act rows)"
 # Aggregation round-trip over the wire: with the smoke INSERT above,
 # Toronto has the most suppliers, so the top GROUP BY row names it.
 timeout 60 "$CLI" --addr "$UNIQD_ADDR" \

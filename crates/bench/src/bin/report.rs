@@ -21,7 +21,7 @@ use uniqueness::core::algorithm1::{algorithm1, Algorithm1Options};
 use uniqueness::core::analysis::unique_projection;
 use uniqueness::core::pipeline::{Optimizer, OptimizerOptions};
 use uniqueness::engine::{
-    DistinctMethod, ExecStats, MaintenanceMode, Session, SharedEngine, SharedSession, StageTimings,
+    DistinctMethod, ExecStats, MaintenanceMode, Session, SharedEngine, StageTimings,
 };
 use uniqueness::ims;
 use uniqueness::oodb;
@@ -590,7 +590,6 @@ fn e22_subscriptions(m: &mut Metrics) {
     let engine = Arc::new(SharedEngine::new(
         scaled_database(&cfg).expect("scaled database"),
     ));
-    let oracle = SharedSession::new(Arc::clone(&engine));
     let parts_rows = engine
         .snapshot()
         .row_count(&TableName::from("PARTS"))
@@ -634,7 +633,7 @@ fn e22_subscriptions(m: &mut Metrics) {
     let check_all = |rec_work: &mut [u64], oracle_rounds: &mut u64, label: &str| {
         for (i, (id, _, sql)) in subs.iter().enumerate() {
             let view = engine.subscription_rows(*id).expect("subscription lives");
-            let out = oracle.query(sql).expect("recompute");
+            let out = engine.query(sql).expect("recompute");
             rec_work[i] += e22_work(&out.stats);
             let mut want = out.rows;
             want.sort();
@@ -918,14 +917,8 @@ fn e20_proof_checker(m: &mut Metrics) {
     let stats = uniqueness::cost::Statistics::collect(&db);
     let bound =
         bind_query(db.catalog(), &parse_query(E20_UNION_BOUND).expect("parse")).expect("bind");
-    let plan = uniqueness::cost::plan_query(
-        &bound,
-        &stats,
-        uniqueness::cost::PlannerOptions {
-            cost_based: true,
-            ..Default::default()
-        },
-    );
+    let plan =
+        uniqueness::cost::plan_query(&bound, &stats, uniqueness::cost::PlannerOptions::default());
     let uniqueness::cost::PhysNode::SetOp {
         id, left, right, ..
     } = &plan.root

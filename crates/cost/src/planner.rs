@@ -38,12 +38,11 @@ use uniq_sql::{CmpOp, SetOp};
 /// and result stitching all cost real time; see DESIGN.md §6).
 pub const ROWS_PER_WORKER: f64 = 512.0;
 
-/// Session-level planner configuration.
+/// Session-level planner configuration. Physical planning runs once
+/// statistics exist; until then the session's static `ExecOptions`
+/// apply.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct PlannerOptions {
-    /// Use collected statistics to choose per-node physical operators;
-    /// when `false`, the session's static `ExecOptions` apply.
-    pub cost_based: bool,
     /// Worker budget for per-operator parallel-degree choices. The
     /// planner never exceeds it and scales each operator down to the
     /// degree its estimated work (already tightened by the
@@ -963,7 +962,6 @@ mod tests {
         let sql = "SELECT S.SNO, P.PNO FROM SUPPLIER S, PARTS P WHERE S.SNO = P.SNO";
         let q = bind_query(db.catalog(), &parse_query(sql).unwrap()).unwrap();
         let budget = PlannerOptions {
-            cost_based: true,
             degree: Degree::Fixed(4),
             columnar: false,
         };

@@ -38,6 +38,7 @@ pub mod explain;
 pub mod ivm;
 pub mod parallel;
 pub mod plancache;
+mod serve;
 pub mod session;
 pub mod setops;
 pub mod shared;
@@ -50,8 +51,6 @@ pub use ivm::{MaintainOutcome, MaintenanceMode, MaterializedView, ViewDelta};
 pub use parallel::MORSEL_SIZE;
 pub use plancache::{CacheStats, CachedPlan, PlanCache};
 pub use session::{QueryOutput, Session};
-pub use shared::{
-    EngineStats, SharedEngine, SharedSession, Subscription, SubscriptionSink, SubscriptionStats,
-};
+pub use shared::{EngineStats, SharedEngine, Subscription, SubscriptionSink, SubscriptionStats};
 pub use stats::{Degree, DistinctMethod, ExecStats, JoinMethod, StageTimings};
 pub use uniq_cost::{CardReport, PhysicalPlan, PlannerOptions, QErrorStats, Statistics};

@@ -65,7 +65,7 @@ pub struct CachedPlan {
     /// hit's output so the hit path copies nothing).
     pub columns: Arc<[ColumnName]>,
     /// The cost-based physical plan, when the session planned one
-    /// (`None` for sessions running on static executor options).
+    /// (`None` before `ANALYZE`, when the static executor options apply).
     pub physical: Option<Arc<uniq_cost::PhysicalPlan>>,
 }
 
@@ -273,25 +273,27 @@ impl PlanCache {
         None
     }
 
-    /// Store a compiled plan. At capacity the shard's least-recently
-    /// used entry is evicted. A plan for the same fingerprint simply
-    /// replaces the old entry (last compilation wins).
+    /// Store a compiled plan and return it, shared with the cache entry.
+    /// At capacity the shard's least-recently used entry is evicted. A
+    /// plan for the same fingerprint simply replaces the old entry (last
+    /// compilation wins); a disabled cache stores nothing.
     pub fn insert(
         &self,
         fingerprint: u64,
         canonical: &str,
         catalog_version: u64,
         plan: CachedPlan,
-    ) {
+    ) -> Arc<CachedPlan> {
+        let plan = Arc::new(plan);
         if self.shard_capacity == 0 {
-            return;
+            return plan;
         }
         let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
         let entry = Entry {
             text: canonical.to_string(),
             catalog_version,
             last_used: AtomicU64::new(stamp),
-            plan: Arc::new(plan),
+            plan: Arc::clone(&plan),
         };
         let shard = self.shard(fingerprint);
         let mut map = shard.write().expect("plan cache shard poisoned");
@@ -306,6 +308,7 @@ impl PlanCache {
         }
         map.insert(fingerprint, entry);
         self.insertions.fetch_add(1, Ordering::Relaxed);
+        plan
     }
 
     /// Number of cached plans.
@@ -475,7 +478,6 @@ mod tests {
             |o| o.1.degree = Degree::Fixed(4),
             |o| o.1.unique_kernels ^= true,
             |o| o.1.early_stop ^= true,
-            |o| o.2.cost_based ^= true,
             |o| o.2.degree = Degree::Fixed(2),
             |o| o.2.columnar ^= true,
         ];

@@ -1,0 +1,265 @@
+//! The one serving path behind [`Session`](crate::Session) and
+//! [`SharedEngine`](crate::SharedEngine): compile once (parse →
+//! canonical fingerprint → plan-cache probe → on a miss bind, optimize,
+//! plan and insert), execute the cached plan, and `EXPLAIN` it. The
+//! callers differ only in the database they hand to [`Core`]: a
+//! session's own, or the snapshot a shared engine pinned for one query.
+//! Planning is cost-based exactly when `ANALYZE` has run; until then the
+//! executor's static [`ExecOptions`] apply.
+
+use crate::columnar::ColumnStore;
+use crate::exec::{ExecOptions, Executor};
+use crate::plancache::{options_tag, CachedPlan, PlanCache};
+use crate::session::QueryOutput;
+use crate::stats::StageTimings;
+use std::sync::Arc;
+use std::time::Instant;
+use uniq_catalog::Database;
+use uniq_core::optimize_output;
+use uniq_core::pipeline::{Optimizer, OptimizerOptions};
+use uniq_cost::{plan_output, PlannerOptions, Statistics};
+use uniq_plan::{bind_output, HostVars};
+use uniq_sql::{parse_statement, Statement};
+use uniq_types::{Error, Result};
+
+/// What `ANALYZE` collected, as one value: the statistics, the column
+/// store (built only when the planner licenses columnar blocks) and the
+/// epoch mixed into plan fingerprints, so plans chosen under older
+/// statistics are recompiled.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Analysis {
+    pub stats: Option<Arc<Statistics>>,
+    pub columns: Option<Arc<ColumnStore>>,
+    pub epoch: u64,
+}
+
+impl Analysis {
+    /// Collect from `db`. The store and the statistics come from the
+    /// same database, so the two stay in step; the executor verifies
+    /// the store's freshness per query and falls back to rows when it
+    /// has gone stale.
+    pub fn collect(db: &Database, planner: &PlannerOptions) -> Analysis {
+        Analysis {
+            stats: Some(Arc::new(Statistics::collect(db))),
+            columns: planner.columnar.then(|| Arc::new(ColumnStore::build(db))),
+            epoch: 0,
+        }
+    }
+
+    /// Replace this analysis with `next`, one epoch on.
+    pub fn advance(&mut self, next: Analysis) {
+        *self = Analysis {
+            epoch: self.epoch + 1,
+            ..next
+        };
+    }
+}
+
+/// Everything one query is served from.
+pub(crate) struct Core<'a> {
+    pub db: &'a Database,
+    pub cache: &'a PlanCache,
+    pub optimizer: OptimizerOptions,
+    pub exec: ExecOptions,
+    pub planner: PlannerOptions,
+    pub analysis: &'a Analysis,
+}
+
+/// A plan fetched from the cache or compiled into it, the canonical
+/// text it is keyed on, and the parse, bind and optimize times (the
+/// latter two zero on a hit).
+pub(crate) struct Prepared {
+    pub plan: Arc<CachedPlan>,
+    pub canonical: String,
+    pub cache_hit: bool,
+    pub timings: StageTimings,
+}
+
+pub(crate) fn elapsed_ns(t: Instant) -> u64 {
+    t.elapsed().as_nanos() as u64
+}
+
+impl Core<'_> {
+    /// Parse → canonical fingerprint → cache probe → (on a miss) bind +
+    /// optimize + plan + insert. Host-variable *values* are applied at
+    /// execution, so one plan serves every binding of the same text.
+    pub fn prepare(&self, sql: &str) -> Result<Prepared> {
+        let mut timings = StageTimings::new();
+        let t = Instant::now();
+        let Statement::Query(ast) = parse_statement(sql)? else {
+            return Err(Error::internal("expected a query; run DDL/DML as a script"));
+        };
+        let canonical = ast.to_string();
+        timings.parse_ns = elapsed_ns(t);
+
+        let epoch = self.analysis.epoch;
+        let tag = options_tag(&self.optimizer, &self.exec, &self.planner, epoch);
+        let fingerprint = PlanCache::fingerprint(&canonical, tag);
+        let version = self.db.version();
+        if let Some(plan) = self.cache.get(fingerprint, &canonical, version) {
+            return Ok(Prepared {
+                plan,
+                canonical,
+                cache_hit: true,
+                timings,
+            });
+        }
+
+        let t = Instant::now();
+        let bound = bind_output(self.db.catalog(), &ast)?;
+        timings.bind_ns = elapsed_ns(t);
+
+        let t = Instant::now();
+        let (query, trace) = optimize_output(&Optimizer::new(self.optimizer), &bound);
+        let stats = self.analysis.stats.as_deref();
+        let physical = stats.map(|s| Arc::new(plan_output(&query, s, self.planner)));
+        timings.optimize_ns = elapsed_ns(t);
+
+        let plan = CachedPlan {
+            columns: query.output_names().into(),
+            query,
+            trace: Arc::new(trace),
+            physical,
+        };
+        let plan = self.cache.insert(fingerprint, &canonical, version, plan);
+        Ok(Prepared {
+            plan,
+            canonical,
+            cache_hit: false,
+            timings,
+        })
+    }
+
+    fn executor<'e>(&'e self, hostvars: &'e HostVars) -> Executor<'e> {
+        Executor::new(self.db, hostvars, self.exec).with_columns(self.analysis.columns.as_deref())
+    }
+
+    /// Prepare `sql` and execute its plan with `hostvars`.
+    pub fn query(&self, sql: &str, hostvars: &HostVars) -> Result<QueryOutput> {
+        let mut prepared = self.prepare(sql)?;
+        let plan = &prepared.plan;
+        let physical = plan.physical.as_deref();
+        let t = Instant::now();
+        let mut executor = self.executor(hostvars);
+        let rows = executor.run_output(&plan.query, physical)?;
+        prepared.timings.execute_ns = elapsed_ns(t);
+        let cards = physical.map(|p| p.card_report(executor.actuals()));
+        Ok(QueryOutput {
+            columns: Arc::clone(&plan.columns),
+            rows,
+            trace: Arc::clone(&plan.trace),
+            stats: executor.stats,
+            timings: prepared.timings,
+            cache_hit: prepared.cache_hit,
+            cards,
+        })
+    }
+
+    /// `EXPLAIN` a prepared plan: whether it was cached, the rewrite
+    /// trace recorded when it was compiled, the static physical plan,
+    /// and — under a cost-based plan — a `Cost-based plan` section with
+    /// estimated and actual rows per operator. The actuals come from
+    /// running the plan once; `EXPLAIN` binds no host variables, so a
+    /// query that needs them renders `act=?` instead.
+    pub fn explain(&self, prepared: &Prepared) -> String {
+        let plan = &prepared.plan;
+        let status = if prepared.cache_hit {
+            "cached"
+        } else {
+            "compiled"
+        };
+        let body = crate::explain::explain_with_trace(&plan.trace, &plan.query, &self.exec);
+        let mut text = format!("Plan: {status}\n{body}");
+        if let Some(physical) = plan.physical.as_deref() {
+            let hostvars = HostVars::new();
+            let mut executor = self.executor(&hostvars);
+            let ran = executor.run_output(&plan.query, Some(physical)).is_ok();
+            let actuals = ran.then(|| executor.actuals());
+            text.push_str("Cost-based plan (est/act rows):\n");
+            text.push_str(&physical.render(1, actuals));
+        }
+        text
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::{Session, SharedEngine};
+    use uniq_plan::HostVars;
+
+    /// A key join with DISTINCT, an EXISTS, an INTERSECT, a grouped
+    /// Top-K and a host-variable query over the sample database.
+    const CORPUS: [&str; 5] = [
+        "SELECT DISTINCT P.COLOR, S.SCITY FROM PARTS P, SUPPLIER S \
+         WHERE P.SNO = S.SNO AND P.COLOR = 'RED'",
+        "SELECT S.SNO FROM SUPPLIER S WHERE EXISTS \
+         (SELECT * FROM PARTS P WHERE P.SNO = S.SNO)",
+        "SELECT ALL S.SNO FROM SUPPLIER S WHERE S.SCITY = 'Toronto' \
+         INTERSECT SELECT ALL A.SNO FROM AGENTS A",
+        "SELECT S.SCITY, COUNT(*) AS N FROM SUPPLIER S \
+         GROUP BY S.SCITY ORDER BY N DESC LIMIT 2",
+        "SELECT S.SNO, S.SNAME FROM SUPPLIER S WHERE S.SCITY = :CITY",
+    ];
+
+    /// `EXPLAIN` with the time column of the rule stats masked: the last
+    /// `/`-separated field of every line under the `Rule stats` header.
+    fn mask_rule_times(text: &str) -> String {
+        let mut in_rule_stats = false;
+        let mut out = String::new();
+        for line in text.lines() {
+            if in_rule_stats && line.starts_with("  ") {
+                let cut = line.rfind('/').map_or(line.len(), |i| i + 1);
+                out.push_str(&line[..cut]);
+                out.push_str("<time>");
+            } else {
+                in_rule_stats = line.starts_with("Rule stats");
+                out.push_str(line);
+            }
+            out.push('\n');
+        }
+        out
+    }
+
+    /// The drift guard: a `Session` and a `SharedEngine` with equal
+    /// options answer, count, estimate, cache and explain identically —
+    /// before `ANALYZE`, after it, and with columnar execution licensed.
+    #[test]
+    fn session_and_shared_engine_serve_identically() {
+        let hostvars = HostVars::new().with("CITY", "Toronto");
+        for state in ["unanalyzed", "analyzed", "columnar"] {
+            let mut session = Session::sample().unwrap();
+            let mut engine = SharedEngine::sample().unwrap();
+            if state == "columnar" {
+                session = session.with_columnar();
+                engine.planner.columnar = true;
+            } else if state == "analyzed" {
+                session = session.with_cost_based();
+            }
+            if state != "unanalyzed" {
+                engine.analyze();
+            }
+            let mut vector_ops = 0;
+            for sql in CORPUS {
+                for run in 0..2 {
+                    let a = session.query_with(sql, &hostvars).unwrap();
+                    let b = engine.query_with(sql, &hostvars).unwrap();
+                    let at = format!("{state} run {run}: {sql}");
+                    assert_eq!(a.rows, b.rows, "{at}");
+                    assert_eq!(a.stats, b.stats, "{at}");
+                    assert_eq!(a.cards, b.cards, "{at}");
+                    assert_eq!((a.cache_hit, b.cache_hit), (run == 1, run == 1), "{at}");
+                    vector_ops += b.stats.vector_ops;
+                }
+                let a = mask_rule_times(&session.explain(sql).unwrap());
+                let b = mask_rule_times(&engine.explain(sql).unwrap());
+                assert_eq!(a, b, "{state}: {sql}");
+                assert_eq!(
+                    a.contains("Cost-based plan (est/act rows):"),
+                    state != "unanalyzed",
+                    "{a}"
+                );
+            }
+            assert_eq!(vector_ops > 0, state == "columnar", "{state}");
+        }
+    }
+}

@@ -1,21 +1,22 @@
-//! A convenience façade: parse → bind → optimize → execute in one call.
+//! A single-owner engine: parse → bind → optimize → execute in one call.
 //!
 //! [`Session`] is the API the examples and benchmarks use. It owns a
-//! [`Database`], an optimizer configuration and executor options; each
-//! [`Session::query`] returns the rows together with the rewrite steps the
+//! [`Database`], an optimizer configuration and executor options, and
+//! serves through the same path as [`SharedEngine`](crate::SharedEngine):
+//! each [`Session::query`] returns the rows, the rewrite steps the
 //! optimizer applied and the executor's work counters, so callers can see
 //! *what* the paper's techniques did and *what they saved*.
 
 use crate::exec::{ExecOptions, Executor};
-use crate::plancache::{CacheStats, CachedPlan, PlanCache};
+use crate::plancache::{CacheStats, PlanCache};
+use crate::serve::{elapsed_ns, Analysis, Core};
 use crate::stats::{Degree, ExecStats, StageTimings};
 use std::sync::Arc;
 use std::time::Instant;
 use uniq_catalog::{Database, Row};
-use uniq_core::optimize_output;
-use uniq_core::pipeline::{Optimizer, OptimizerOptions, RewriteTrace};
-use uniq_cost::{plan_output, CardReport, PhysicalPlan, PlannerOptions, Statistics};
-use uniq_plan::{bind_output, BoundOutput, BoundQuery, HostVars};
+use uniq_core::pipeline::{OptimizerOptions, RewriteTrace};
+use uniq_cost::{CardReport, PlannerOptions, Statistics};
+use uniq_plan::{bind_output, HostVars};
 use uniq_sql::{parse_statement, Statement};
 use uniq_types::{ColumnName, Error, Result};
 
@@ -54,30 +55,18 @@ pub struct Session {
     pub db: Database,
     /// Rewrite configuration applied before execution.
     pub optimizer: OptimizerOptions,
-    /// Static physical execution strategies, used when cost-based
-    /// planning is off (or no statistics have been collected).
+    /// Static physical execution strategies, used until
+    /// [`Session::analyze`] has collected statistics.
     pub exec: ExecOptions,
     /// Cost-based planner configuration.
     pub planner: PlannerOptions,
     /// Compiled-plan cache consulted by [`Session::query`] /
     /// [`Session::query_with`]; see [`crate::plancache`].
     pub cache: Arc<PlanCache>,
-    /// Statistics collected by [`Session::analyze`], consumed by the
-    /// cost-based planner.
-    stats: Option<Arc<Statistics>>,
-    /// Dictionary-encoded column store built by [`Session::analyze`]
-    /// when the planner's columnar option is on; consulted by the
-    /// executor for blocks the planner licensed `exec=columnar`. Built
-    /// once per analyze — the executor verifies freshness per query and
-    /// falls back to rows when the store has gone stale.
-    columns: Option<Arc<crate::columnar::ColumnStore>>,
-    /// Bumped on every [`Session::analyze`]; mixed into plan
-    /// fingerprints so plans chosen under old statistics are recompiled.
-    stats_epoch: u64,
-}
-
-fn elapsed_ns(t: Instant) -> u64 {
-    t.elapsed().as_nanos() as u64
+    /// What the last [`Session::analyze`] collected: statistics for the
+    /// cost-based planner, the column store when the planner's columnar
+    /// option is on, and the epoch mixed into plan fingerprints.
+    analysis: Analysis,
 }
 
 impl Session {
@@ -90,40 +79,32 @@ impl Session {
             exec: ExecOptions::default(),
             planner: PlannerOptions::default(),
             cache: Arc::new(PlanCache::default()),
-            stats: None,
-            columns: None,
-            stats_epoch: 0,
+            analysis: Analysis::default(),
         }
     }
 
     /// Collect table and column statistics from the current database
-    /// contents. Bumps the statistics epoch, so plans compiled under
-    /// older statistics are recompiled on their next use.
+    /// contents — and, when the planner's columnar option is on, the
+    /// dictionary-encoded column store. Physical planning is cost-based
+    /// from then on. Bumps the statistics epoch, so plans compiled
+    /// under older statistics are recompiled on their next use.
     pub fn analyze(&mut self) {
-        self.stats = Some(Arc::new(Statistics::collect(&self.db)));
-        self.stats_epoch += 1;
-        // Rebuild the column store from the same snapshot the statistics
-        // were collected from, so the two stay in step.
-        self.columns = self
-            .planner
-            .columnar
-            .then(|| Arc::new(crate::columnar::ColumnStore::build(&self.db)));
+        let next = Analysis::collect(&self.db, &self.planner);
+        self.analysis.advance(next);
     }
 
-    /// Enable cost-based physical planning, collecting statistics first.
+    /// Enable cost-based physical planning by collecting statistics.
     pub fn with_cost_based(mut self) -> Session {
-        self.planner.cost_based = true;
         self.analyze();
         self
     }
 
-    /// Enable the vectorized columnar execution path (implies cost-based
+    /// Enable the vectorized columnar execution path (and so cost-based
     /// planning — columnar licensing is a planner decision), building
     /// the dictionary-encoded column store alongside the statistics. The
     /// row executor still serves every block the planner does not prove
     /// covered, and every covered block whose encoding has gone stale.
     pub fn with_columnar(mut self) -> Session {
-        self.planner.cost_based = true;
         self.planner.columnar = true;
         self.analyze();
         self
@@ -131,17 +112,7 @@ impl Session {
 
     /// The statistics collected by the last [`Session::analyze`], if any.
     pub fn statistics(&self) -> Option<&Statistics> {
-        self.stats.as_deref()
-    }
-
-    /// Plan the physical execution of an optimized query, when the
-    /// session is cost-based and has statistics.
-    fn plan_physical(&self, output: &BoundOutput) -> Option<Arc<PhysicalPlan>> {
-        if !self.planner.cost_based {
-            return None;
-        }
-        let stats = self.stats.as_ref()?;
-        Some(Arc::new(plan_output(output, stats, self.planner)))
+        self.analysis.stats.as_deref()
     }
 
     /// Enable morsel-driven parallel execution with one worker per
@@ -188,12 +159,6 @@ impl Session {
         self.cache.stats()
     }
 
-    /// The plan-fingerprint tag of this session's options and
-    /// statistics epoch; see [`crate::plancache::options_tag`].
-    fn options_tag(&self) -> u64 {
-        crate::plancache::options_tag(&self.optimizer, &self.exec, &self.planner, self.stats_epoch)
-    }
-
     /// Session over the paper's populated Figure 1 database.
     pub fn sample() -> Result<Session> {
         Ok(Session::new(uniq_catalog::sample::supplier_database()?))
@@ -202,6 +167,17 @@ impl Session {
     /// Run DDL/DML statements (`CREATE TABLE` / `INSERT`).
     pub fn run_script(&mut self, sql: &str) -> Result<()> {
         self.db.run_script(sql)
+    }
+
+    fn core(&self) -> Core<'_> {
+        Core {
+            db: &self.db,
+            cache: &self.cache,
+            optimizer: self.optimizer,
+            exec: self.exec,
+            planner: self.planner,
+            analysis: &self.analysis,
+        }
     }
 
     /// Parse, bind, optimize and execute a query with no host variables.
@@ -217,173 +193,23 @@ impl Session {
     /// *values* are applied at execution, so one cached plan serves
     /// every binding of the same text.
     pub fn query_with(&self, sql: &str, hostvars: &HostVars) -> Result<QueryOutput> {
-        let mut timings = StageTimings::new();
-
-        let t = Instant::now();
-        let stmt = parse_statement(sql)?;
-        let Statement::Query(ast) = stmt else {
-            return Err(Error::internal(
-                "Session::query executes queries; use run_script for DDL/DML",
-            ));
-        };
-        let canonical = ast.to_string();
-        timings.parse_ns = elapsed_ns(t);
-
-        // Hash the canonical text once; the tag mixes in O(1).
-        let sql_hash = PlanCache::sql_hash(&canonical);
-        let fingerprint = PlanCache::fingerprint_with(sql_hash, self.options_tag());
-        let version = self.db.version();
-        if let Some(plan) = self.cache.get(fingerprint, &canonical, version) {
-            let t = Instant::now();
-            let mut executor =
-                Executor::new(&self.db, hostvars, self.exec).with_columns(self.columns.as_deref());
-            let rows = executor.run_output(&plan.query, plan.physical.as_deref())?;
-            timings.execute_ns = elapsed_ns(t);
-            let cards = plan
-                .physical
-                .as_deref()
-                .map(|p| p.card_report(executor.actuals()));
-            return Ok(QueryOutput {
-                columns: Arc::clone(&plan.columns),
-                rows,
-                trace: Arc::clone(&plan.trace),
-                stats: executor.stats,
-                timings,
-                cache_hit: true,
-                cards,
-            });
-        }
-
-        let t = Instant::now();
-        let bound = bind_output(self.db.catalog(), &ast)?;
-        timings.bind_ns = elapsed_ns(t);
-
-        let t = Instant::now();
-        let (query, trace) = optimize_output(&Optimizer::new(self.optimizer), &bound);
-        let physical = self.plan_physical(&query);
-        timings.optimize_ns = elapsed_ns(t);
-
-        let columns: Arc<[ColumnName]> = query.output_names().into();
-        let trace = Arc::new(trace);
-        self.cache.insert(
-            fingerprint,
-            &canonical,
-            version,
-            CachedPlan {
-                query: query.clone(),
-                trace: Arc::clone(&trace),
-                columns: Arc::clone(&columns),
-                physical: physical.clone(),
-            },
-        );
-
-        let t = Instant::now();
-        let mut executor =
-            Executor::new(&self.db, hostvars, self.exec).with_columns(self.columns.as_deref());
-        let rows = executor.run_output(&query, physical.as_deref())?;
-        timings.execute_ns = elapsed_ns(t);
-        let cards = physical
-            .as_deref()
-            .map(|p| p.card_report(executor.actuals()));
-        Ok(QueryOutput {
-            columns,
-            rows,
-            trace,
-            stats: executor.stats,
-            timings,
-            cache_hit: false,
-            cards,
-        })
+        self.core().query(sql, hostvars)
     }
 
     /// `EXPLAIN`: render the rewrite trace (rule, theorem, per-rule
-    /// timing) and the physical plan for `sql`, without executing it.
+    /// timing) and the physical plan for `sql`. Once [`Session::analyze`]
+    /// has run, a `Cost-based plan` section follows with estimated and
+    /// actual rows per operator; the actuals come from running the plan
+    /// once (`act=?` when the query needs host variables, which
+    /// `EXPLAIN` does not bind).
     ///
     /// Follows the same serving path as [`Session::query`]: a plan-cache
     /// hit explains the cached plan with the trace recorded when it was
     /// compiled; a miss compiles (and caches) the plan first. Both paths
     /// produce the same trace sections.
     pub fn explain(&self, sql: &str) -> Result<String> {
-        let stmt = parse_statement(sql)?;
-        let Statement::Query(ast) = stmt else {
-            return Err(Error::internal("EXPLAIN applies to queries only"));
-        };
-        let canonical = ast.to_string();
-        let fingerprint = PlanCache::fingerprint(&canonical, self.options_tag());
-        let version = self.db.version();
-        if let Some(plan) = self.cache.get(fingerprint, &canonical, version) {
-            let body = crate::explain::explain_with_trace(&plan.trace, &plan.query, &self.exec);
-            let cost = self.explain_cost_section(&plan.query, plan.physical.as_deref());
-            return Ok(format!("Plan: cached\n{body}{cost}"));
-        }
-        let bound = bind_output(self.db.catalog(), &ast)?;
-        let (query, trace) = optimize_output(&Optimizer::new(self.optimizer), &bound);
-        let physical = self.plan_physical(&query);
-        let trace = Arc::new(trace);
-        self.cache.insert(
-            fingerprint,
-            &canonical,
-            version,
-            CachedPlan {
-                query: query.clone(),
-                trace: Arc::clone(&trace),
-                columns: query.output_names().into(),
-                physical: physical.clone(),
-            },
-        );
-        let body = crate::explain::explain_with_trace(&trace, &query, &self.exec);
-        let cost = self.explain_cost_section(&query, physical.as_deref());
-        Ok(format!("Plan: compiled\n{body}{cost}"))
-    }
-
-    /// The `Cost-based plan` section of `EXPLAIN`: the physical plan
-    /// with estimated and actual rows per operator. Actuals come from
-    /// executing the plan; `EXPLAIN` binds no host variables, so a query
-    /// that needs them renders `act=?` instead. Empty when the session
-    /// has no cost-based plan for the query.
-    fn explain_cost_section(&self, query: &BoundOutput, physical: Option<&PhysicalPlan>) -> String {
-        let Some(plan) = physical else {
-            return String::new();
-        };
-        let hostvars = HostVars::new();
-        let mut executor =
-            Executor::new(&self.db, &hostvars, self.exec).with_columns(self.columns.as_deref());
-        let actuals = executor
-            .run_output(query, Some(plan))
-            .ok()
-            .map(|_| executor.actuals().to_vec());
-        format!(
-            "Cost-based plan (est/act rows):\n{}",
-            plan.render(1, actuals.as_deref())
-        )
-    }
-
-    /// Optimize and execute an already-bound query (no cache involved —
-    /// there is no query text to key on).
-    pub fn execute_bound(&self, bound: &BoundQuery, hostvars: &HostVars) -> Result<QueryOutput> {
-        let mut timings = StageTimings::new();
-        let t = Instant::now();
-        let outcome = Optimizer::new(self.optimizer).optimize(bound);
-        let query = BoundOutput::plain(outcome.query);
-        let physical = self.plan_physical(&query);
-        timings.optimize_ns = elapsed_ns(t);
-        let t = Instant::now();
-        let mut executor =
-            Executor::new(&self.db, hostvars, self.exec).with_columns(self.columns.as_deref());
-        let rows = executor.run_output(&query, physical.as_deref())?;
-        timings.execute_ns = elapsed_ns(t);
-        let cards = physical
-            .as_deref()
-            .map(|p| p.card_report(executor.actuals()));
-        Ok(QueryOutput {
-            columns: query.output_names().into(),
-            rows,
-            trace: Arc::new(outcome.trace),
-            stats: executor.stats,
-            timings,
-            cache_hit: false,
-            cards,
-        })
+        let core = self.core();
+        Ok(core.explain(&core.prepare(sql)?))
     }
 
     /// Execute without any rewriting and with the early-stopping Top-K
@@ -698,7 +524,6 @@ mod tests {
     fn static_and_cost_based_sessions_do_not_share_plans() {
         let s = Session::sample().unwrap();
         let mut c = s.clone(); // shares the cache
-        c.planner.cost_based = true;
         c.analyze();
         let sql = "SELECT S.SNO FROM SUPPLIER S";
         s.query(sql).unwrap();

@@ -1,10 +1,11 @@
-//! Multi-client serving: sessions over MVCC snapshots with one shared
+//! Multi-client serving: queries over MVCC snapshots with one shared
 //! plan cache.
 //!
 //! [`Session`](crate::Session) owns its [`Database`] — good for a
 //! single-threaded driver, useless for a daemon where writers and
 //! readers interleave. [`SharedEngine`] replaces the owned database
-//! with a [`SnapshotStore`]:
+//! with a [`SnapshotStore`] and serves through the same path as
+//! `Session`, so both run the same plans and print the same `EXPLAIN`:
 //!
 //! * every query pins the head snapshot **once** at query start and
 //!   executes against that `Arc<Database>` — a consistent catalog +
@@ -18,37 +19,28 @@
 //!   and `CREATE TABLE` / `CREATE INDEX` invalidate lazily exactly as
 //!   in the single-session engine. Plain `INSERT` leaves the catalog
 //!   version alone, so cached plans keep serving across snapshots; the
-//!   executor re-verifies index freshness against the pinned snapshot
-//!   on every run.
+//!   executor re-verifies index (and column-store) freshness against
+//!   the pinned snapshot on every run.
 //!
-//! [`SharedSession`] is the per-connection view: it borrows the engine
-//! and adds a per-connection query counter, which the server's `Stats`
-//! frame reports.
+//! Per-connection state — a connection's own query counter, its
+//! subscriptions — belongs to the server, not to the engine.
 
-use crate::exec::{ExecOptions, Executor};
+use crate::exec::ExecOptions;
 use crate::ivm::{self, MaintainOutcome, MaintenanceMode, MaterializedView, ViewDelta};
-use crate::plancache::{CacheStats, CachedPlan, PlanCache};
+use crate::plancache::{CacheStats, PlanCache};
+use crate::serve::{Analysis, Core};
 use crate::session::QueryOutput;
-use crate::stats::{ExecStats, StageTimings};
+use crate::stats::ExecStats;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
-use std::time::Instant;
 use uniq_catalog::{Database, Row, SnapshotStore};
 use uniq_core::optimize_output;
 use uniq_core::pipeline::{Optimizer, OptimizerOptions};
-use uniq_cost::{plan_output, PhysicalPlan, PlannerOptions, Statistics};
-use uniq_plan::{bind_output, BoundOutput, HostVars};
+use uniq_cost::PlannerOptions;
+use uniq_plan::{bind_output, HostVars};
 use uniq_proof::ProofStatus;
 use uniq_sql::{parse_statement, Statement};
 use uniq_types::{ColumnName, Error, Result};
-
-/// Statistics state: collected from one snapshot, stamped with an epoch
-/// that is mixed into plan fingerprints (re-`ANALYZE` recompiles plans).
-#[derive(Debug, Default)]
-struct StatsState {
-    stats: Option<Arc<Statistics>>,
-    epoch: u64,
-}
 
 /// The callback a subscriber registers: called with the subscription id
 /// and each non-empty [`ViewDelta`] after a publish. Returning `false`
@@ -125,7 +117,9 @@ pub struct SharedEngine {
     /// Cost-based planner configuration; physical planning activates
     /// once [`SharedEngine::analyze`] has collected statistics.
     pub planner: PlannerOptions,
-    stats: RwLock<StatsState>,
+    /// What the last [`SharedEngine::analyze`] collected, read once per
+    /// query.
+    analysis: RwLock<Analysis>,
     queries: AtomicU64,
     subs: Mutex<SubState>,
 }
@@ -146,7 +140,8 @@ pub struct EngineStats {
     pub cache: CacheStats,
     /// Snapshots published since the engine started (chain depth).
     pub snapshot_depth: u64,
-    /// Queries served across all connections.
+    /// Query requests across all connections, failed ones included
+    /// (`EXPLAIN` is not counted).
     pub queries_total: u64,
     /// Statistics epoch (0 = never analyzed).
     pub stats_epoch: u64,
@@ -164,7 +159,7 @@ impl SharedEngine {
             optimizer: OptimizerOptions::relational(),
             exec: ExecOptions::default(),
             planner: PlannerOptions::default(),
-            stats: RwLock::new(StatsState::default()),
+            analysis: RwLock::new(Analysis::default()),
             queries: AtomicU64::new(0),
             subs: Mutex::new(SubState::default()),
         }
@@ -200,21 +195,20 @@ impl SharedEngine {
         Ok(applied)
     }
 
-    /// Collect statistics from the current head snapshot and bump the
-    /// statistics epoch. Cost-based physical planning is active from
+    /// Collect statistics from the current head snapshot — and, when
+    /// the planner's columnar option is on, the column store — and bump
+    /// the statistics epoch. Cost-based physical planning is active from
     /// the next query on; plans compiled under older statistics are
     /// recompiled lazily (the epoch is part of the fingerprint).
     /// Subscriptions are invalidated the same lazy way: every view is
     /// marked stale and rebuilt (re-bound, re-licensed) on its next
     /// maintenance round.
     pub fn analyze(&self) {
-        let snap = self.snapshot();
-        let collected = Arc::new(Statistics::collect(&snap));
-        {
-            let mut state = self.stats.write().expect("stats lock poisoned");
-            state.stats = Some(collected);
-            state.epoch += 1;
-        }
+        let next = Analysis::collect(&self.snapshot(), &self.planner);
+        self.analysis
+            .write()
+            .expect("analysis lock poisoned")
+            .advance(next);
         let mut subs = self.subs.lock().expect("subs lock poisoned");
         for entry in &mut subs.entries {
             entry.stale = true;
@@ -238,31 +232,32 @@ impl SharedEngine {
             cache: self.cache.stats(),
             snapshot_depth: self.store.depth(),
             queries_total: self.queries.load(Ordering::Relaxed),
-            stats_epoch: self.stats.read().expect("stats lock poisoned").epoch,
+            stats_epoch: self.analysis().epoch,
             subs,
         }
     }
 
-    /// The plan-fingerprint tag of this engine's options at statistics
-    /// `epoch`; see [`crate::plancache::options_tag`].
-    fn options_tag(&self, epoch: u64) -> u64 {
-        crate::plancache::options_tag(&self.optimizer, &self.exec, &self.planner, epoch)
+    fn analysis(&self) -> Analysis {
+        self.analysis
+            .read()
+            .expect("analysis lock poisoned")
+            .clone()
     }
 
-    fn stats_state(&self) -> (Option<Arc<Statistics>>, u64) {
-        let state = self.stats.read().expect("stats lock poisoned");
-        (state.stats.clone(), state.epoch)
-    }
-
-    fn plan_physical(
-        &self,
-        query: &BoundOutput,
-        stats: Option<&Arc<Statistics>>,
-    ) -> Option<Arc<PhysicalPlan>> {
-        let stats = stats?;
-        let mut planner = self.planner;
-        planner.cost_based = true;
-        Some(Arc::new(plan_output(query, stats, planner)))
+    /// Run `f` on the serving path over the head snapshot, pinned ONCE:
+    /// cache validity, binding, physical planning and execution all see
+    /// this version.
+    fn pinned<T>(&self, f: impl FnOnce(&Core) -> T) -> T {
+        let snap = self.snapshot();
+        let analysis = self.analysis();
+        f(&Core {
+            db: &snap,
+            cache: &self.cache,
+            optimizer: self.optimizer,
+            exec: self.exec,
+            planner: self.planner,
+            analysis: &analysis,
+        })
     }
 
     /// Bind, optimize, license and materialize `sql` as a view over the
@@ -406,91 +401,13 @@ impl SharedEngine {
     }
 
     /// Parse, plan (through the shared cache) and execute `sql` against
-    /// a snapshot pinned at entry. The serving path mirrors
-    /// [`Session::query_with`](crate::Session::query_with); the only
+    /// a snapshot pinned at entry. The serving path is
+    /// [`Session::query_with`](crate::Session::query_with)'s; the only
     /// difference is *which* database the plan runs on — always the
     /// snapshot pinned here, never a moving head.
     pub fn query_with(&self, sql: &str, hostvars: &HostVars) -> Result<QueryOutput> {
-        let mut timings = StageTimings::new();
-
-        let t = Instant::now();
-        let stmt = parse_statement(sql)?;
-        let Statement::Query(ast) = stmt else {
-            return Err(Error::internal(
-                "SharedEngine::query executes queries; use execute for DDL/DML",
-            ));
-        };
-        let canonical = ast.to_string();
-        timings.parse_ns = t.elapsed().as_nanos() as u64;
-
-        // Pin the snapshot ONCE; everything below — cache validity,
-        // binding, physical planning, execution — sees this version.
-        let snap = self.snapshot();
-        let (stats, epoch) = self.stats_state();
         self.queries.fetch_add(1, Ordering::Relaxed);
-
-        let sql_hash = PlanCache::sql_hash(&canonical);
-        let fingerprint = PlanCache::fingerprint_with(sql_hash, self.options_tag(epoch));
-        let version = snap.version();
-        if let Some(plan) = self.cache.get(fingerprint, &canonical, version) {
-            let t = Instant::now();
-            let mut executor = Executor::new(&snap, hostvars, self.exec);
-            let rows = executor.run_output(&plan.query, plan.physical.as_deref())?;
-            timings.execute_ns = t.elapsed().as_nanos() as u64;
-            let cards = plan
-                .physical
-                .as_deref()
-                .map(|p| p.card_report(executor.actuals()));
-            return Ok(QueryOutput {
-                columns: Arc::clone(&plan.columns),
-                rows,
-                trace: Arc::clone(&plan.trace),
-                stats: executor.stats,
-                timings,
-                cache_hit: true,
-                cards,
-            });
-        }
-
-        let t = Instant::now();
-        let bound = bind_output(snap.catalog(), &ast)?;
-        timings.bind_ns = t.elapsed().as_nanos() as u64;
-
-        let t = Instant::now();
-        let (query, trace) = optimize_output(&Optimizer::new(self.optimizer), &bound);
-        let physical = self.plan_physical(&query, stats.as_ref());
-        timings.optimize_ns = t.elapsed().as_nanos() as u64;
-
-        let columns: Arc<[ColumnName]> = query.output_names().into();
-        let trace = Arc::new(trace);
-        self.cache.insert(
-            fingerprint,
-            &canonical,
-            version,
-            CachedPlan {
-                query: query.clone(),
-                trace: Arc::clone(&trace),
-                columns: Arc::clone(&columns),
-                physical: physical.clone(),
-            },
-        );
-
-        let t = Instant::now();
-        let mut executor = Executor::new(&snap, hostvars, self.exec);
-        let rows = executor.run_output(&query, physical.as_deref())?;
-        timings.execute_ns = t.elapsed().as_nanos() as u64;
-        let cards = physical
-            .as_deref()
-            .map(|p| p.card_report(executor.actuals()));
-        Ok(QueryOutput {
-            columns,
-            rows,
-            trace,
-            stats: executor.stats,
-            timings,
-            cache_hit: false,
-            cards,
-        })
+        self.pinned(|core| core.query(sql, hostvars))
     }
 
     /// [`SharedEngine::query_with`] with no host variables.
@@ -498,40 +415,14 @@ impl SharedEngine {
         self.query_with(sql, &HostVars::new())
     }
 
-    /// `EXPLAIN` against a pinned snapshot, through the shared cache —
-    /// same trace sections as [`Session::explain`](crate::Session::explain).
+    /// `EXPLAIN` against a pinned snapshot, through the shared cache:
+    /// the text [`Session::explain`](crate::Session::explain) prints,
+    /// plus a subscription section when the query is a live view.
     pub fn explain(&self, sql: &str) -> Result<String> {
-        let stmt = parse_statement(sql)?;
-        let Statement::Query(ast) = stmt else {
-            return Err(Error::internal("EXPLAIN applies to queries only"));
-        };
-        let canonical = ast.to_string();
-        let snap = self.snapshot();
-        let (stats, epoch) = self.stats_state();
-        let fingerprint = PlanCache::fingerprint(&canonical, self.options_tag(epoch));
-        let version = snap.version();
-        let note = self.subscription_note(&canonical);
-        if let Some(plan) = self.cache.get(fingerprint, &canonical, version) {
-            let body = crate::explain::explain_with_trace(&plan.trace, &plan.query, &self.exec);
-            return Ok(format!("Plan: cached\n{body}{note}"));
-        }
-        let bound = bind_output(snap.catalog(), &ast)?;
-        let (query, trace) = optimize_output(&Optimizer::new(self.optimizer), &bound);
-        let physical = self.plan_physical(&query, stats.as_ref());
-        let trace = Arc::new(trace);
-        self.cache.insert(
-            fingerprint,
-            &canonical,
-            version,
-            CachedPlan {
-                query: query.clone(),
-                trace: Arc::clone(&trace),
-                columns: query.output_names().into(),
-                physical: physical.clone(),
-            },
-        );
-        let body = crate::explain::explain_with_trace(&trace, &query, &self.exec);
-        Ok(format!("Plan: compiled\n{body}{note}"))
+        self.pinned(|core| {
+            let prepared = core.prepare(sql)?;
+            Ok(core.explain(&prepared) + &self.subscription_note(&prepared.canonical))
+        })
     }
 
     /// A trailing `EXPLAIN` section when the query text is also a live
@@ -557,56 +448,6 @@ impl SharedEngine {
     }
 }
 
-/// A per-connection handle on a [`SharedEngine`]: same serving path,
-/// plus a private query counter for the `Stats` frame.
-#[derive(Debug)]
-pub struct SharedSession {
-    engine: Arc<SharedEngine>,
-    queries: AtomicU64,
-}
-
-impl SharedSession {
-    /// A new connection-scoped session on `engine`.
-    pub fn new(engine: Arc<SharedEngine>) -> SharedSession {
-        SharedSession {
-            engine,
-            queries: AtomicU64::new(0),
-        }
-    }
-
-    /// The engine this session serves from.
-    pub fn engine(&self) -> &Arc<SharedEngine> {
-        &self.engine
-    }
-
-    /// Queries this connection has served.
-    pub fn queries_served(&self) -> u64 {
-        self.queries.load(Ordering::Relaxed)
-    }
-
-    /// Query against a snapshot pinned at entry (shared plan cache).
-    pub fn query(&self, sql: &str) -> Result<QueryOutput> {
-        self.queries.fetch_add(1, Ordering::Relaxed);
-        self.engine.query(sql)
-    }
-
-    /// Query with host variables.
-    pub fn query_with(&self, sql: &str, hostvars: &HostVars) -> Result<QueryOutput> {
-        self.queries.fetch_add(1, Ordering::Relaxed);
-        self.engine.query_with(sql, hostvars)
-    }
-
-    /// Apply DDL/DML, publishing a new snapshot.
-    pub fn execute(&self, sql: &str) -> Result<usize> {
-        self.engine.execute(sql)
-    }
-
-    /// `EXPLAIN` through the shared cache.
-    pub fn explain(&self, sql: &str) -> Result<String> {
-        self.engine.explain(sql)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -627,8 +468,8 @@ mod tests {
     #[test]
     fn two_sessions_share_one_plan_cache() {
         let engine = Arc::new(SharedEngine::sample().unwrap());
-        let a = SharedSession::new(Arc::clone(&engine));
-        let b = SharedSession::new(Arc::clone(&engine));
+        let a = Arc::clone(&engine);
+        let b = Arc::clone(&engine);
         let sql = "SELECT DISTINCT S.SNO, P.PNO FROM SUPPLIER S, PARTS P \
                    WHERE S.SNO = P.SNO AND P.COLOR = 'RED'";
         assert!(!a.query(sql).unwrap().cache_hit);
@@ -639,15 +480,14 @@ mod tests {
         let stats = engine.stats();
         assert_eq!((stats.cache.hits, stats.cache.misses), (1, 1));
         assert!(stats.cache.hit_rate() > 0.0);
-        assert_eq!((a.queries_served(), b.queries_served()), (1, 1));
         assert_eq!(stats.queries_total, 2);
     }
 
     #[test]
     fn ddl_invalidates_shared_plans_for_everyone() {
         let engine = Arc::new(SharedEngine::sample().unwrap());
-        let reader = SharedSession::new(Arc::clone(&engine));
-        let writer = SharedSession::new(Arc::clone(&engine));
+        let reader = Arc::clone(&engine);
+        let writer = Arc::clone(&engine);
         let sql = "SELECT S.SNO FROM SUPPLIER S";
         reader.query(sql).unwrap();
         assert!(reader.query(sql).unwrap().cache_hit);
@@ -706,9 +546,8 @@ mod tests {
                 }
             });
             for _ in 0..4 {
-                let r = Arc::clone(&engine);
+                let session = Arc::clone(&engine);
                 scope.spawn(move || {
-                    let session = SharedSession::new(r);
                     for _ in 0..50 {
                         let out = session
                             .query("SELECT S.SNO, S.SNAME FROM SUPPLIER S")
@@ -912,8 +751,7 @@ mod tests {
 
     #[test]
     fn hostvars_bind_per_execution_on_the_shared_path() {
-        let engine = Arc::new(SharedEngine::sample().unwrap());
-        let s = SharedSession::new(engine);
+        let s = SharedEngine::sample().unwrap();
         let sql = "SELECT S.SNO FROM SUPPLIER S WHERE S.SCITY = :CITY";
         let a = s
             .query_with(sql, &HostVars::new().with("CITY", "Toronto"))
@@ -924,5 +762,52 @@ mod tests {
         assert!(!a.cache_hit && b.cache_hit);
         assert_ne!(a.rows, b.rows);
         assert!(a.rows.contains(&vec![Value::Int(1)]));
+    }
+
+    fn sorted(mut rows: Vec<Row>) -> Vec<Row> {
+        rows.sort();
+        rows
+    }
+
+    #[test]
+    fn columnar_runs_when_the_planner_licenses_it() {
+        let mut engine = SharedEngine::sample().unwrap();
+        engine.planner.columnar = true;
+        engine.analyze();
+        let sql = "SELECT DISTINCT P.COLOR, S.SCITY FROM PARTS P, SUPPLIER S \
+                   WHERE P.SNO = S.SNO AND P.COLOR = 'RED'";
+        let col = engine.query(sql).unwrap();
+        assert!(col.stats.vector_ops > 0, "{:?}", col.stats);
+        assert_eq!(col.stats.rows_scanned, 0, "no row-at-a-time scan");
+        let row = SharedEngine::sample().unwrap().query(sql).unwrap();
+        assert_eq!(row.stats.vector_ops, 0, "the row path");
+        assert_eq!(sorted(col.rows), sorted(row.rows));
+        // INSERT leaves the catalog version alone: the cached plan still
+        // serves, but the store no longer matches the pinned snapshot,
+        // so the executor answers from rows.
+        engine
+            .execute("INSERT INTO PARTS VALUES (4, 15, 'rod', 107, 'RED');")
+            .unwrap();
+        let stale = engine.query(sql).unwrap();
+        assert!(stale.cache_hit);
+        assert_eq!(stale.stats.vector_ops, 0, "stale store must not serve");
+        assert!(stale.stats.rows_scanned > 0);
+        // Every city already has a red part, so the new row shows in the
+        // same covered join without DISTINCT.
+        let joined = engine
+            .query(
+                "SELECT P.PNO, S.SCITY FROM PARTS P, SUPPLIER S \
+                 WHERE P.SNO = S.SNO AND P.COLOR = 'RED'",
+            )
+            .unwrap();
+        assert_eq!(joined.stats.vector_ops, 0, "{:?}", joined.stats);
+        let new_row = vec![Value::Int(15), Value::str("Toronto")];
+        assert!(joined.rows.contains(&new_row), "{:?}", joined.rows);
+        // Re-analyze rebuilds the store; the columnar path resumes.
+        engine.analyze();
+        let fresh = engine.query(sql).unwrap();
+        assert!(fresh.stats.vector_ops > 0, "{:?}", fresh.stats);
+        assert_eq!(fresh.stats.rows_scanned, 0);
+        assert_eq!(sorted(fresh.rows), sorted(stale.rows));
     }
 }

@@ -7,8 +7,9 @@
 //!   writes the connection an `Error` frame and closes it, spawning no
 //!   thread — admission control, not an unbounded queue;
 //! * each admitted connection gets a **handler thread**, which reads
-//!   request frames through a buffer, serves them from a
-//!   per-connection [`SharedSession`] and **writes its own replies**.
+//!   request frames through a buffer, serves them from the shared
+//!   engine (counting the connection's own queries for the `Stats`
+//!   frame) and **writes its own replies**.
 //!   Every frame of one response is encoded into a per-connection
 //!   buffer that goes to the socket when the response ends, or whenever
 //!   it passes [`FLUSH_BYTES`]: a small reply is one `write`, a large
@@ -46,7 +47,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use uniq_catalog::Row;
-use uniq_engine::{SharedEngine, SharedSession, ViewDelta};
+use uniq_engine::{SharedEngine, ViewDelta};
 
 /// Reply bytes a handler buffers before it writes them out in the
 /// middle of a response. A response that ends below it costs one
@@ -302,7 +303,9 @@ impl Outbound {
 /// One admitted connection, served on its handler thread.
 struct Connection {
     state: Arc<ServerState>,
-    session: SharedSession,
+    /// `Query` requests this connection has sent (`EXPLAIN` excluded),
+    /// reported as `queries.connection`.
+    queries: u64,
     out: Arc<Outbound>,
     /// The response being assembled; written out when it ends or passes
     /// [`FLUSH_BYTES`].
@@ -329,8 +332,8 @@ fn handle_connection(state: Arc<ServerState>, stream: TcpStream) {
         },
     });
     let mut conn = Connection {
-        session: SharedSession::new(Arc::clone(&state.engine)),
         state,
+        queries: 0,
         out,
         reply: Vec::new(),
         subs: Vec::new(),
@@ -388,32 +391,35 @@ impl Connection {
     /// buffer; `false` ends the connection.
     fn serve(&mut self, frame: Frame) -> bool {
         match frame {
-            Frame::Query { sql } => match self.session.query(&sql) {
-                Ok(out) => {
-                    wire::encode_row_header(&mut self.reply, &out.columns[..], out.cache_hit);
-                    self.stream_rows(&out.rows)
+            Frame::Query { sql } => {
+                self.queries += 1;
+                match self.state.engine.query(&sql) {
+                    Ok(out) => {
+                        wire::encode_row_header(&mut self.reply, &out.columns[..], out.cache_hit);
+                        self.stream_rows(&out.rows)
+                    }
+                    Err(e) => self.error(e),
                 }
-                Err(e) => self.error(e),
-            },
-            Frame::Explain { sql } => match self.session.explain(&sql) {
+            }
+            Frame::Explain { sql } => match self.state.engine.explain(&sql) {
                 Ok(text) => {
                     Frame::Explained { text }.encode_into(&mut self.reply);
                     true
                 }
                 Err(e) => self.error(e),
             },
-            Frame::Exec { sql } => match self.session.execute(&sql) {
+            Frame::Exec { sql } => match self.state.engine.execute(&sql) {
                 Ok(n) => self.ack(format!("ok: {n} statement(s) applied")),
                 Err(e) => self.error(e),
             },
             Frame::Analyze => {
-                self.session.engine().analyze();
+                self.state.engine.analyze();
                 self.ack("ok: statistics collected".into())
             }
             Frame::Subscribe { sql } => self.subscribe(&sql),
             Frame::Unsubscribe { id } => {
                 self.subs.retain(|&sid| sid != id);
-                if self.session.engine().unsubscribe(id) {
+                if self.state.engine.unsubscribe(id) {
                     self.ack(format!("ok: subscription {id} dropped"))
                 } else {
                     self.error(format!("unknown subscription id {id}"))
@@ -453,7 +459,7 @@ impl Connection {
             wire::encode_view_delta(&mut frame, id, &delta.inserted, &delta.deleted);
             out.pushes.offer(frame)
         });
-        match self.session.engine().subscribe(sql, sink) {
+        match self.state.engine.subscribe(sql, sink) {
             Ok(sub) => {
                 self.subs.push(sub.id);
                 if self.pusher.is_none() {
@@ -490,56 +496,39 @@ impl Connection {
     }
 
     fn stats(&self) -> Vec<(String, i64)> {
-        let engine = self.session.engine().stats();
+        let engine = self.state.engine.stats();
         let state = &self.state;
-        vec![
-            ("cache.hits".to_string(), engine.cache.hits as i64),
-            ("cache.misses".to_string(), engine.cache.misses as i64),
+        let counters = [
+            ("cache.hits", engine.cache.hits),
+            ("cache.misses", engine.cache.misses),
+            ("cache.insertions", engine.cache.insertions),
+            ("cache.evictions", engine.cache.evictions),
+            ("cache.invalidations", engine.cache.invalidations),
             (
-                "cache.insertions".to_string(),
-                engine.cache.insertions as i64,
+                "cache.hit_rate_bp",
+                (engine.cache.hit_rate() * 10_000.0) as u64,
             ),
-            ("cache.evictions".to_string(), engine.cache.evictions as i64),
+            ("snapshot.depth", engine.snapshot_depth),
+            ("stats.epoch", engine.stats_epoch),
+            ("queries.total", engine.queries_total),
+            ("queries.connection", self.queries),
             (
-                "cache.invalidations".to_string(),
-                engine.cache.invalidations as i64,
+                "connections.active",
+                state.active.load(Ordering::Relaxed) as u64,
             ),
-            (
-                "cache.hit_rate_bp".to_string(),
-                (engine.cache.hit_rate() * 10_000.0) as i64,
-            ),
-            ("snapshot.depth".to_string(), engine.snapshot_depth as i64),
-            ("stats.epoch".to_string(), engine.stats_epoch as i64),
-            ("queries.total".to_string(), engine.queries_total as i64),
-            (
-                "queries.connection".to_string(),
-                self.session.queries_served() as i64,
-            ),
-            (
-                "connections.active".to_string(),
-                state.active.load(Ordering::Relaxed) as i64,
-            ),
-            (
-                "connections.served".to_string(),
-                state.served.load(Ordering::Relaxed) as i64,
-            ),
-            (
-                "connections.refused".to_string(),
-                state.refused.load(Ordering::Relaxed) as i64,
-            ),
-            ("subs.active".to_string(), engine.subs.active as i64),
-            (
-                "subs.deltas_pushed".to_string(),
-                engine.subs.deltas_pushed as i64,
-            ),
-            ("subs.delta_rows".to_string(), engine.subs.delta_rows as i64),
-            (
-                "subs.view_updates".to_string(),
-                engine.subs.view_updates as i64,
-            ),
-            ("subs.rows_saved".to_string(), engine.subs.rows_saved as i64),
-            ("subs.dropped".to_string(), engine.subs.dropped as i64),
-        ]
+            ("connections.served", state.served.load(Ordering::Relaxed)),
+            ("connections.refused", state.refused.load(Ordering::Relaxed)),
+            ("subs.active", engine.subs.active),
+            ("subs.deltas_pushed", engine.subs.deltas_pushed),
+            ("subs.delta_rows", engine.subs.delta_rows),
+            ("subs.view_updates", engine.subs.view_updates),
+            ("subs.rows_saved", engine.subs.rows_saved),
+            ("subs.dropped", engine.subs.dropped),
+        ];
+        counters
+            .into_iter()
+            .map(|(name, value)| (name.to_string(), value as i64))
+            .collect()
     }
 
     /// Tear the connection down: drop its subscriptions (a closed
@@ -548,7 +537,7 @@ impl Connection {
     /// admission semaphore.
     fn close(mut self, stream: &TcpStream) {
         for &id in &self.subs {
-            self.session.engine().unsubscribe(id);
+            self.state.engine.unsubscribe(id);
         }
         self.out.pushes.close();
         if let Some(pusher) = self.pusher.take() {

@@ -262,10 +262,35 @@ fn analyze_enables_cost_based_plans_for_every_connection() {
     let text = b
         .explain("SELECT DISTINCT S.SNO FROM SUPPLIER S, PARTS P WHERE S.SNO = P.SNO")
         .unwrap();
-    assert!(
-        text.contains("Physical plan"),
-        "cost-based planning active across connections: {text}"
-    );
+    // The static `Physical plan` renders with or without ANALYZE; the
+    // cost-based section is the plan the engine actually runs.
+    let section = text
+        .split("Cost-based plan (est/act rows):")
+        .nth(1)
+        .unwrap_or_else(|| panic!("cost-based planning active across connections: {text}"));
+    for line in section.lines().filter(|l| !l.trim().is_empty()) {
+        assert!(line.contains("est=") && line.contains("act="), "{line}");
+    }
+}
+
+#[test]
+fn stats_count_queries_per_connection_and_in_total() {
+    let server = sample_server(ServerConfig::default());
+    let mut a = Client::connect(server.local_addr()).unwrap();
+    let mut b = Client::connect(server.local_addr()).unwrap();
+    let sql = "SELECT S.SNO FROM SUPPLIER S";
+    for (client, queries) in [(&mut a, 3), (&mut b, 2)] {
+        for _ in 0..queries {
+            client.query(sql).unwrap();
+        }
+        client.explain(sql).unwrap();
+    }
+    for (client, queries) in [(&mut a, 3), (&mut b, 2)] {
+        let stats = client.stats().unwrap();
+        let get = |name: &str| stats.iter().find(|(n, _)| n == name).unwrap().1;
+        assert_eq!(get("queries.connection"), queries, "EXPLAIN is not a query");
+        assert_eq!(get("queries.total"), 5);
+    }
 }
 
 /// The standard subscription under test: set-tier (PARTS' key (SNO,

@@ -74,7 +74,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     }
                 }
                 Some("analyze") => {
-                    session.planner.cost_based = true;
                     session.analyze();
                     let stats = session.statistics().expect("just collected");
                     println!(
@@ -83,7 +82,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     );
                 }
                 Some("columnar") => {
-                    session.planner.cost_based = true;
                     session.planner.columnar = true;
                     session.analyze();
                     println!(

@@ -12,7 +12,7 @@
 
 use proptest::prelude::*;
 use std::sync::Arc;
-use uniqueness::engine::{MaintenanceMode, SharedEngine, SharedSession};
+use uniqueness::engine::{MaintenanceMode, SharedEngine};
 use uniqueness::workload::rng::SplitMix64;
 use uniqueness::workload::{generate_corpus, random_instance};
 
@@ -54,7 +54,6 @@ proptest! {
         let engine = Arc::new(SharedEngine::new(
             random_instance(seed, 12, 24, 12).unwrap(),
         ));
-        let oracle = SharedSession::new(Arc::clone(&engine));
         let corpus = generate_corpus(seed, 6, 1).unwrap();
         let mut subscribed = Vec::new();
         for sql in corpus
@@ -80,7 +79,7 @@ proptest! {
                 let view = engine
                     .subscription_rows(*id)
                     .expect("subscription survives plain INSERTs");
-                let mut recompute = oracle.query(sql).unwrap().rows;
+                let mut recompute = engine.query(sql).unwrap().rows;
                 recompute.sort();
                 // View rows are already canonically sorted; corpus
                 // queries are DISTINCT blocks, so multiset == sorted ==.
