@@ -13,9 +13,9 @@ use uniq_bench::baseline::optimize_root_restart;
 use uniq_bench::{
     e15_exists_chain, e15_union_chain, e16_contenders, e16_corpus, e17_corpus, e18_contenders,
     e18_corpus, e18_work, e19_contenders, e19_corpus, e19_point_lookups, e19_work, e20_corpus,
-    fmt_duration, median_time, scaled_session, total_work, E17_UNIQUE_JOIN, E18_JOIN_DISTINCT,
-    E18_UNIQUE_PROBE, E19_INDEX_JOIN, E20_PUSHDOWN_BLOCKED, E20_PUSHDOWN_OK, E20_UNION_BOUND,
-    E2_QUERY, E4_QUERY, E5_QUERY,
+    fmt_duration, median_time, scaled_session, total_work, E18_JOIN_DISTINCT, E18_UNIQUE_PROBE,
+    E19_INDEX_JOIN, E20_PUSHDOWN_BLOCKED, E20_PUSHDOWN_OK, E20_UNION_BOUND, E2_QUERY, E4_QUERY,
+    E5_QUERY,
 };
 use uniqueness::core::algorithm1::{algorithm1, Algorithm1Options};
 use uniqueness::core::analysis::unique_projection;
@@ -137,9 +137,6 @@ fn main() {
     }
     if want("e16") {
         e16_cost_based_planning(&mut metrics);
-    }
-    if want("e17") {
-        e17_parallel_executor(runs, &mut metrics);
     }
     if want("e18") {
         e18_columnar_execution(&mut metrics);
@@ -381,10 +378,7 @@ fn e21_server(m: &mut Metrics) {
     let serial = run_batch(
         &Session::new(db.clone()),
         &corpus,
-        BatchOptions {
-            threads: 1,
-            degree: None,
-        },
+        BatchOptions { threads: 1 },
     );
     assert_eq!(serial.errors, 0, "serial driver: {:?}", serial.first_error);
 
@@ -1137,129 +1131,6 @@ fn e18_columnar_execution(m: &mut Metrics) {
     assert!(marker.contains("enc=dict"), "{explain}");
 }
 
-/// E17 — morsel-driven intra-query parallelism: serial vs parallel
-/// sessions over the large-join corpus, multiset-identical results at
-/// every degree, and the unique-key join kernel's probe-step saving.
-fn e17_parallel_executor(runs: usize, m: &mut Metrics) {
-    header(
-        "E17",
-        "morsel-driven parallel execution + unique-key join kernels",
-    );
-    let serial = scaled_session(400, 8);
-    let corpus = e17_corpus();
-    println!(
-        "corpus: {} large-join statements over a 400-supplier database",
-        corpus.len()
-    );
-
-    let sorted = |session: &Session, sql: &str| -> Vec<Vec<Value>> {
-        let mut rows = session
-            .query(sql)
-            .unwrap_or_else(|e| panic!("{sql}: {e}"))
-            .rows;
-        rows.sort_by(|a, b| uniqueness::types::value::tuple_null_cmp(a, b).unwrap());
-        rows
-    };
-
-    // Correctness before speed: every degree must return the serial
-    // multiset for every statement.
-    let sessions: Vec<(String, Session)> = [1usize, 2, 4]
-        .into_iter()
-        .map(|deg| {
-            let s = if deg == 1 {
-                serial.clone()
-            } else {
-                serial.clone().with_degree(deg)
-            };
-            (format!("degree {deg}"), s)
-        })
-        .collect();
-    for sql in &corpus {
-        let want = sorted(&sessions[0].1, sql);
-        for (name, session) in &sessions[1..] {
-            assert_eq!(
-                sorted(session, sql),
-                want,
-                "{name} multiset differs for {sql}"
-            );
-        }
-    }
-    println!("multisets: identical at every degree for every statement\n");
-
-    let batch_time = |session: &Session| {
-        median_time(runs, || {
-            for sql in &corpus {
-                session.query(sql).expect("e17 statement");
-            }
-        })
-    };
-    let base = batch_time(&sessions[0].1);
-    println!("{:>10} {:>12} {:>9}", "session", "batch", "speedup");
-    let mut speedup4 = 1.0f64;
-    for (name, session) in &sessions {
-        let t = batch_time(session);
-        let speedup = base.as_secs_f64() / t.as_secs_f64().max(f64::EPSILON);
-        if name == "degree 4" {
-            speedup4 = speedup;
-        }
-        println!("{:>10} {:>12} {:>8.2}x", name, fmt_duration(t), speedup);
-    }
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    m.push("E17", "speedup_deg4", speedup4, cores >= 4);
-    if cores >= 4 {
-        assert!(
-            speedup4 >= 2.0,
-            "4-worker speedup {speedup4:.2}x below the 2x bar on a {cores}-core host"
-        );
-        println!("4-worker speedup {speedup4:.2}x meets the 2x bar ({cores} cores)");
-    } else {
-        println!(
-            "(host exposes {cores} core(s); the 2x-at-4-workers bar needs >= 4 \
-             and is skipped — correctness asserts above still ran)"
-        );
-    }
-
-    // The unique-key kernel: SUPPLIER's PK covers the join key, so every
-    // probe costs exactly one step; the chained table pays one step per
-    // bucket entry plus the end-of-chain check.
-    let unique = serial.clone().with_degree(4);
-    let mut chained = serial.clone().with_degree(4);
-    chained.exec.unique_kernels = false;
-    let u = unique.query(E17_UNIQUE_JOIN).expect("unique kernel run");
-    let c = chained.query(E17_UNIQUE_JOIN).expect("chained kernel run");
-    assert_eq!(
-        u.rows.len(),
-        c.rows.len(),
-        "kernel choice changed the result"
-    );
-    println!(
-        "\nunique-key kernel on `{E17_UNIQUE_JOIN}`:\n\
-         {:>10} {:>12}\n{:>10} {:>12}\n{:>10} {:>12}",
-        "kernel", "probe steps", "unique", u.stats.probe_steps, "chained", c.stats.probe_steps
-    );
-    m.push(
-        "E17",
-        "unique_probe_steps",
-        u.stats.probe_steps as f64,
-        true,
-    );
-    m.push(
-        "E17",
-        "chained_probe_steps",
-        c.stats.probe_steps as f64,
-        false,
-    );
-    assert!(
-        u.stats.probe_steps < c.stats.probe_steps,
-        "unique kernel took {} probe steps, chained took {}",
-        u.stats.probe_steps,
-        c.stats.probe_steps
-    );
-    println!("unique kernel probes strictly fewer steps than the chained table");
-}
-
 /// E16 — cost-based per-node physical planning vs every static
 /// `ExecOptions` configuration, over the workload corpus.
 fn e16_cost_based_planning(m: &mut Metrics) {
@@ -1869,22 +1740,8 @@ fn e14_plan_cache(m: &mut Metrics) {
 
     let cached = scaled_session(50, 2);
     let uncached = cached.clone().with_cache_capacity(0);
-    let cold = run_batch(
-        &uncached,
-        &corpus,
-        BatchOptions {
-            threads: 1,
-            degree: None,
-        },
-    );
-    let hot = run_batch(
-        &cached,
-        &corpus,
-        BatchOptions {
-            threads: 1,
-            degree: None,
-        },
-    );
+    let cold = run_batch(&uncached, &corpus, BatchOptions { threads: 1 });
+    let hot = run_batch(&cached, &corpus, BatchOptions { threads: 1 });
     assert_eq!(cold.errors, 0, "{:?}", cold.first_error);
     assert_eq!(hot.errors, 0, "{:?}", hot.first_error);
     assert_eq!(
@@ -1956,14 +1813,7 @@ fn e14_plan_cache(m: &mut Metrics) {
     );
     for threads in [1usize, 2, 4, 8] {
         let session = cached.clone().with_cache_capacity(1024);
-        let r = run_batch(
-            &session,
-            &corpus,
-            BatchOptions {
-                threads,
-                degree: None,
-            },
-        );
+        let r = run_batch(&session, &corpus, BatchOptions { threads });
         assert_eq!(r.errors, 0, "{:?}", r.first_error);
         println!(
             "{:>8} {:>12} {:>14.0} {:>9.1}%",

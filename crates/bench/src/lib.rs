@@ -158,12 +158,11 @@ pub fn e16_contenders(db: Database) -> Vec<(&'static str, Session)> {
     out
 }
 
-/// The E17 corpus: the large-join subset of the E16 shapes — multi-table
-/// equi-joins, joins under `DISTINCT`, and set operations over join
-/// blocks — where a scan-heavy pipeline gives the morsel-parallel
-/// executor actual work to split. Single-table probes are deliberately
-/// excluded: per-morsel overhead dominates them and E17 is about the
-/// join kernels.
+/// The join-heavy corpus of the retired E17 experiment, kept because
+/// E21 serves it: the large-join subset of the E16 shapes — multi-table
+/// equi-joins, joins under `DISTINCT`, set operations over join blocks
+/// and a correlated `EXISTS` — where scans and hash joins do the work.
+/// Single-table probes are deliberately excluded.
 pub fn e17_corpus() -> Vec<String> {
     [
         "SELECT P.PNO, S.SNAME FROM PARTS P, SUPPLIER S WHERE S.SNO = P.SNO",
@@ -183,11 +182,6 @@ pub fn e17_corpus() -> Vec<String> {
     .map(String::from)
     .collect()
 }
-
-/// The E17 key-covered join: `SUPPLIER` is the build side and the join
-/// key `SNO` is its primary key, so the unique-key kernel applies.
-pub const E17_UNIQUE_JOIN: &str =
-    "SELECT P.PNO, S.SNAME FROM PARTS P, SUPPLIER S WHERE S.SNO = P.SNO";
 
 /// The E18 join+`DISTINCT` workload: dictionary-friendly (`COLOR` and
 /// `SCITY` are low-cardinality strings), selective on `PARTS` (so the
@@ -431,14 +425,7 @@ mod tests {
         let corpus = e16_corpus(7, 24);
         let mut works: Vec<(&str, u64)> = Vec::new();
         for (name, session) in e16_contenders(db) {
-            let report = run_batch(
-                &session,
-                &corpus,
-                BatchOptions {
-                    threads: 2,
-                    degree: None,
-                },
-            );
+            let report = run_batch(&session, &corpus, BatchOptions { threads: 2 });
             assert_eq!(report.errors, 0, "{name}: {:?}", report.first_error);
             if name == "cost-based" {
                 assert!(report.qerror.ops > 0, "cost-based runs measure q-error");
@@ -495,32 +482,6 @@ mod tests {
         let mut rows = out.rows;
         rows.sort_by(|a, b| uniqueness::types::value::tuple_null_cmp(a, b).unwrap());
         (rows, out.stats)
-    }
-
-    #[test]
-    fn e17_parallel_agrees_with_serial_and_unique_kernel_probes_fewer() {
-        let serial = scaled_session(120, 6);
-        let parallel = serial.clone().with_degree(4);
-        for sql in e17_corpus() {
-            let (want, _) = sorted_rows(&serial, &sql);
-            let (got, stats) = sorted_rows(&parallel, &sql);
-            assert_eq!(got, want, "parallel multiset differs for {sql}");
-            assert!(stats.morsels > 0, "no morsel dispatch for {sql}");
-        }
-
-        // The unique-key kernel: SUPPLIER's PK covers the join key, so
-        // every probe costs exactly one step instead of chain-walk + 1.
-        let mut chained = serial.clone().with_degree(4);
-        chained.exec.unique_kernels = false;
-        let (want, unique_stats) = sorted_rows(&parallel, E17_UNIQUE_JOIN);
-        let (got, chained_stats) = sorted_rows(&chained, E17_UNIQUE_JOIN);
-        assert_eq!(got, want, "kernel choice changed the result multiset");
-        assert!(
-            unique_stats.probe_steps < chained_stats.probe_steps,
-            "unique kernel took {} probe steps, chained took {}",
-            unique_stats.probe_steps,
-            chained_stats.probe_steps
-        );
     }
 
     #[test]

@@ -46,7 +46,7 @@ pub mod stats;
 pub use card::{CardReport, CardRow, QErrorStats};
 pub use estimate::Estimator;
 pub use physical::{
-    BlockPlan, Degree, DistinctMethod, DistinctStep, JoinMethod, JoinStep, OpId, OpInfo, OutputOp,
+    BlockPlan, DistinctMethod, DistinctStep, JoinMethod, JoinStep, OpId, OpInfo, OutputOp,
     PhysNode, PhysicalPlan,
 };
 pub use planner::{early_stop_license, plan_output, plan_query, PlannerOptions};

@@ -39,33 +39,6 @@ pub enum JoinMethod {
     NestedLoop,
 }
 
-/// Parallel degree of the morsel-driven executor: how many workers a
-/// query (or, in a cost-based plan, one operator) may use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Degree {
-    /// Single-threaded row-at-a-time execution — the correctness oracle
-    /// every parallel path is property-tested against. Default.
-    #[default]
-    Serial,
-    /// One worker per available core.
-    Auto,
-    /// Exactly this many workers (`0` and `1` both mean serial).
-    Fixed(usize),
-}
-
-impl Degree {
-    /// Resolve to a concrete worker count on this host, at least 1.
-    pub fn resolve(self) -> usize {
-        match self {
-            Degree::Serial => 1,
-            Degree::Auto => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-            Degree::Fixed(n) => n.max(1),
-        }
-    }
-}
-
 /// Index of an operator in [`PhysicalPlan::ops`].
 pub type OpId = usize;
 
@@ -76,9 +49,6 @@ pub struct OpInfo {
     pub label: String,
     /// Estimated output rows.
     pub est: u64,
-    /// Workers the planner assigned to this operator (1 = serial);
-    /// rendered as `deg=N` when parallel.
-    pub deg: usize,
 }
 
 /// One pipeline join step (the table it introduces is
@@ -90,12 +60,10 @@ pub struct JoinStep {
     pub method: JoinMethod,
     /// Operator slot.
     pub id: OpId,
-    /// Workers for this step's build/probe phases (1 = serial).
-    pub deg: usize,
     /// The step's equality keys cover a candidate key of the incoming
     /// table, so each outer partial matches at most one row — the
-    /// parallel executor may use the unique-key hash kernel (no bucket
-    /// chains, probe stops at the first match).
+    /// columnar executor may use its unique-key kernels (a direct-index
+    /// table on a single key, one probe step per probe otherwise).
     pub unique: bool,
     /// Probe a secondary index per outer partial instead of building a
     /// hash table, when the planner found one covering the join keys
@@ -114,8 +82,6 @@ pub struct DistinctStep {
     pub method: DistinctMethod,
     /// Operator slot.
     pub id: OpId,
-    /// Workers for partition-local duplicate elimination (1 = serial).
-    pub deg: usize,
 }
 
 /// Physical choices for one query block.
@@ -126,8 +92,6 @@ pub struct BlockPlan {
     pub order: Vec<usize>,
     /// Operator slot of the initial filtered scan (`order[0]`).
     pub scan: OpId,
-    /// Workers for the initial morselized scan (1 = serial).
-    pub scan_deg: usize,
     /// Join steps, parallel to `order[1..]`.
     pub joins: Vec<JoinStep>,
     /// Operator slot of the projection (block output).
@@ -163,8 +127,6 @@ pub enum PhysNode {
         method: DistinctMethod,
         /// Operator slot.
         id: OpId,
-        /// Workers for the partition-local counting pass (1 = serial).
-        deg: usize,
         /// Left input plan.
         left: Box<PhysNode>,
         /// Right input plan.
@@ -182,8 +144,6 @@ pub enum OutputOp {
     Agg {
         /// Operator slot.
         id: OpId,
-        /// Workers for the partial-aggregate pass (1 = serial).
-        deg: usize,
         /// Proof-gated: the grouping columns were proved duplicate-free
         /// over the body, so every row is its own group — the executor
         /// skips the hash aggregate and computes aggregates per row in
@@ -291,17 +251,12 @@ impl PhysicalPlan {
             out.push_str("  ");
         }
         let op = &self.ops[id];
-        let deg = if op.deg > 1 {
-            format!(" deg={}", op.deg)
-        } else {
-            String::new()
-        };
         match actuals.and_then(|a| a.get(id)) {
             Some(act) => out.push_str(&format!(
-                "{} est={} act={}{deg}{suffix}\n",
+                "{} est={} act={}{suffix}\n",
                 op.label, op.est, act
             )),
-            None => out.push_str(&format!("{} est={} act=?{deg}{suffix}\n", op.label, op.est)),
+            None => out.push_str(&format!("{} est={} act=?{suffix}\n", op.label, op.est)),
         }
     }
 
@@ -390,11 +345,9 @@ mod tests {
             root: PhysNode::Block(BlockPlan {
                 order: vec![0, 1],
                 scan: 0,
-                scan_deg: 1,
                 joins: vec![JoinStep {
                     method: JoinMethod::Hash,
                     id: 1,
-                    deg: 2,
                     unique: true,
                     ix: None,
                 }],
@@ -402,7 +355,6 @@ mod tests {
                 distinct: Some(DistinctStep {
                     method: DistinctMethod::Hash,
                     id: 3,
-                    deg: 1,
                 }),
                 columnar: false,
                 ixscan: None,
@@ -412,22 +364,18 @@ mod tests {
                 OpInfo {
                     label: "Scan SUPPLIER AS S".into(),
                     est: 5,
-                    deg: 1,
                 },
                 OpInfo {
                     label: "HashJoin with Scan PARTS AS P".into(),
                     est: 7,
-                    deg: 2,
                 },
                 OpInfo {
                     label: "Project [S.SNO]".into(),
                     est: 7,
-                    deg: 1,
                 },
                 OpInfo {
                     label: "HashDistinct".into(),
                     est: 4,
-                    deg: 1,
                 },
             ],
         }
@@ -440,16 +388,11 @@ mod tests {
         for needle in [
             "HashDistinct est=4 act=4",
             "Project [S.SNO] est=7 act=6",
-            "HashJoin with Scan PARTS AS P est=7 act=6 deg=2",
+            "HashJoin with Scan PARTS AS P est=7 act=6",
             "Scan SUPPLIER AS S est=5 act=5",
         ] {
             assert!(with.contains(needle), "{with}");
         }
-        // Serial operators carry no degree annotation.
-        assert!(
-            !with.contains("Scan SUPPLIER AS S est=5 act=5 deg"),
-            "{with}"
-        );
         // Distinct on top, scan at the bottom, indentation increasing.
         let lines: Vec<&str> = with.lines().collect();
         assert!(lines[0].starts_with("HashDistinct"));
@@ -501,22 +444,18 @@ mod tests {
         plan.ops.push(OpInfo {
             label: "Aggregate [S.SNO, COUNT(*)]".into(),
             est: 4,
-            deg: 1,
         });
         plan.ops.push(OpInfo {
             label: "Sort [S.SNO]".into(),
             est: 4,
-            deg: 1,
         });
         plan.ops.push(OpInfo {
             label: "Limit 2".into(),
             est: 2,
-            deg: 1,
         });
         plan.output = vec![
             OutputOp::Agg {
                 id: 4,
-                deg: 1,
                 group_elided: true,
                 count_distinct_elided: true,
             },

@@ -24,7 +24,7 @@
 
 use crate::estimate::Estimator;
 use crate::physical::{
-    BlockPlan, Degree, DistinctMethod, DistinctStep, JoinMethod, JoinStep, OpId, OpInfo, OutputOp,
+    BlockPlan, DistinctMethod, DistinctStep, JoinMethod, JoinStep, OpId, OpInfo, OutputOp,
     PhysNode, PhysicalPlan,
 };
 use crate::stats::Statistics;
@@ -32,23 +32,11 @@ use std::collections::BTreeSet;
 use uniq_plan::{AttrRef, BScalar, BoundAggItem, BoundExpr, BoundOutput, BoundQuery, BoundSpec};
 use uniq_sql::{CmpOp, SetOp};
 
-/// Per-morsel dispatch overhead expressed in row-work units: adding a
-/// worker to an operator only pays off while every worker still owns at
-/// least this much estimated work (thread hand-off, partition vectors
-/// and result stitching all cost real time; see DESIGN.md §6).
-pub const ROWS_PER_WORKER: f64 = 512.0;
-
 /// Session-level planner configuration. Physical planning runs once
 /// statistics exist; until then the session's static `ExecOptions`
 /// apply.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct PlannerOptions {
-    /// Worker budget for per-operator parallel-degree choices. The
-    /// planner never exceeds it and scales each operator down to the
-    /// degree its estimated work (already tightened by the
-    /// uniqueness-derived cardinality caps) can amortize against
-    /// [`ROWS_PER_WORKER`].
-    pub degree: Degree,
     /// License blocks for the vectorized columnar executor when every
     /// conjunct and join step is covered by its kernels (see
     /// [`BlockPlan::columnar`]). Off by default: the row executor
@@ -62,7 +50,6 @@ pub fn plan_query(query: &BoundQuery, stats: &Statistics, options: PlannerOption
     let mut planner = Planner {
         est: Estimator::new(stats),
         ops: Vec::new(),
-        max_deg: options.degree.resolve(),
         columnar: options.columnar,
     };
     let (root, _) = planner.plan_node(query);
@@ -92,7 +79,6 @@ pub fn plan_output(
     let mut planner = Planner {
         est: Estimator::new(stats),
         ops: Vec::new(),
-        max_deg: options.degree.resolve(),
         columnar: options.columnar,
     };
     let (root, body_est) = planner.plan_node(&output.body);
@@ -125,13 +111,9 @@ pub fn plan_output(
             .iter()
             .map(|item| agg_item_label(output, item))
             .collect();
-        // The aggregate touches every input row once, elided or not —
-        // that work amortizes the parallel partial-aggregate pass.
-        let deg = planner.op_degree(body_est);
-        let id = planner.op(format!("Aggregate [{}]", cols.join(", ")), est, deg);
+        let id = planner.op(format!("Aggregate [{}]", cols.join(", ")), est);
         out_ops.push(OutputOp::Agg {
             id,
-            deg,
             group_elided: agg.group_elided,
             count_distinct_elided: agg.count_distinct_elided,
         });
@@ -145,13 +127,13 @@ pub fn plan_output(
             .iter()
             .map(|(p, desc)| format!("{}{}", names[*p], if *desc { " DESC" } else { "" }))
             .collect();
-        let id = planner.op(format!("Sort [{}]", cols.join(", ")), est, 1);
+        let id = planner.op(format!("Sort [{}]", cols.join(", ")), est);
         out_ops.push(OutputOp::Sort { id });
     }
 
     if let Some(k) = output.limit {
         est = est.min(k as f64);
-        let id = planner.op(format!("Limit {k}"), est, 1);
+        let id = planner.op(format!("Limit {k}"), est);
         out_ops.push(OutputOp::Limit { id, early_stop });
     }
 
@@ -236,31 +218,17 @@ pub fn early_stop_license(output: &BoundOutput) -> Option<uniq_proof::Justificat
 struct Planner<'a> {
     est: Estimator<'a>,
     ops: Vec<OpInfo>,
-    max_deg: usize,
     columnar: bool,
 }
 
 impl Planner<'_> {
-    fn op(&mut self, label: String, est: f64, deg: usize) -> OpId {
+    fn op(&mut self, label: String, est: f64) -> OpId {
         let id = self.ops.len();
         self.ops.push(OpInfo {
             label,
             est: est.min(u64::MAX as f64).ceil() as u64,
-            deg,
         });
         id
-    }
-
-    /// Workers for an operator expected to perform `work` row-units:
-    /// one per [`ROWS_PER_WORKER`] of estimated work, clamped to the
-    /// session budget. Estimates already carry the uniqueness-derived
-    /// caps, so a key-covered join or duplicate-free block is never
-    /// over-parallelized on the strength of a loose guess.
-    fn op_degree(&self, work: f64) -> usize {
-        if self.max_deg <= 1 {
-            return 1;
-        }
-        ((work / ROWS_PER_WORKER) as usize).clamp(1, self.max_deg)
     }
 
     fn plan_node(&mut self, query: &BoundQuery) -> (PhysNode, f64) {
@@ -313,14 +281,11 @@ impl Planner<'_> {
                     }
                 };
                 let label = format!("{name}{} [{strategy}]", if *all { "All" } else { "" });
-                // UNION ALL concatenates — no counting pass to fan out.
-                let deg = if concat { 1 } else { self.op_degree(n) };
-                let id = self.op(label, est, deg);
+                let id = self.op(label, est);
                 (
                     PhysNode::SetOp {
                         method,
                         id,
-                        deg,
                         left: Box::new(l),
                         right: Box::new(r),
                     },
@@ -431,24 +396,12 @@ impl Planner<'_> {
                 (false, JoinMethod::Hash, true) => "HashJoin",
                 (false, JoinMethod::Hash, false) => "CrossJoin",
             };
-            // Degree amortized against the step's own work estimate;
-            // index probes run serially (each probe is a point lookup —
-            // there is no build side to partition).
-            let deg = if use_ix {
-                1
-            } else {
-                self.op_degree(match method {
-                    JoinMethod::NestedLoop => nl_cost,
-                    JoinMethod::Hash => hash_cost,
-                })
-            };
             let id = self.op(
                 format!(
                     "{kind} with Scan {} AS {}",
                     table.schema.name, table.binding
                 ),
                 step_est,
-                deg,
             );
             let ix = use_ix.then(|| {
                 let p = probe.as_ref().expect("use_ix implies a probe");
@@ -457,7 +410,6 @@ impl Planner<'_> {
             joins.push(JoinStep {
                 method,
                 id,
-                deg,
                 unique: covered && method == JoinMethod::Hash,
                 ix,
             });
@@ -502,16 +454,9 @@ impl Planner<'_> {
                 ));
             }
         }
-        // Index scans are point lookups — nothing to morselize — and
-        // the columnar kernels read full column vectors, so an index
-        // block stays on the serial row path.
+        // The columnar kernels read full column vectors, so an index
+        // block stays on the row path.
         columnar = columnar && ixscan.is_none();
-        // A scan's work is the raw table, whatever the filter keeps.
-        let scan_deg = if ixscan.is_some() {
-            1
-        } else {
-            self.op_degree(raw[order[0]])
-        };
         // Columnar scans over a table with string columns read
         // dictionary codes, not the strings themselves.
         let enc = if columnar
@@ -528,14 +473,13 @@ impl Planner<'_> {
         let scan = self.op(
             format!("Scan {} AS {}{enc}", t0.schema.name, t0.binding),
             scan_est,
-            scan_deg,
         );
         let cols: Vec<String> = spec
             .projection
             .iter()
             .map(|p| spec.attr_name(p.attr))
             .collect();
-        let project = self.op(format!("Project [{}]", cols.join(", ")), out_est, 1);
+        let project = self.op(format!("Project [{}]", cols.join(", ")), out_est);
 
         let distinct = (spec.distinct == uniq_sql::Distinct::Distinct).then(|| {
             // Distinct output can never exceed the projected domains.
@@ -549,11 +493,9 @@ impl Planner<'_> {
                 DistinctMethod::Sort => "SortDistinct",
                 DistinctMethod::Hash => "HashDistinct",
             };
-            let deg = self.op_degree(out_est);
             DistinctStep {
                 method,
-                id: self.op(label.to_string(), d_est, deg),
-                deg,
+                id: self.op(label.to_string(), d_est),
             }
         });
 
@@ -564,7 +506,6 @@ impl Planner<'_> {
             BlockPlan {
                 order,
                 scan,
-                scan_deg,
                 joins,
                 project,
                 distinct,
@@ -923,16 +864,6 @@ mod tests {
     }
 
     #[test]
-    fn serial_budget_never_assigns_parallel_degrees() {
-        let (p, _) = plan(
-            "SELECT DISTINCT S.SNO FROM SUPPLIER S, PARTS P WHERE S.SNO = P.SNO \
-             UNION SELECT A.SNO FROM AGENTS A",
-        );
-        assert!(p.ops.iter().all(|op| op.deg == 1), "{:?}", p.ops);
-        assert!(!p.render(0, None).contains("deg="));
-    }
-
-    #[test]
     fn key_covered_hash_join_is_marked_unique() {
         // SUPPLIER joins in by its full primary key → unique kernel.
         let (p, _) = plan(
@@ -948,46 +879,11 @@ mod tests {
         assert!(!b2.joins[0].unique, "COLOR covers no candidate key");
     }
 
-    #[test]
-    fn degrees_scale_with_estimated_work_and_respect_the_budget() {
-        use crate::physical::Degree;
-        use uniq_workload::{scaled_database, ScaleConfig};
-        let db = scaled_database(&ScaleConfig {
-            suppliers: 2400,
-            parts_per_supplier: 4,
-            ..Default::default()
-        })
-        .unwrap();
-        let stats = Statistics::collect(&db);
-        let sql = "SELECT S.SNO, P.PNO FROM SUPPLIER S, PARTS P WHERE S.SNO = P.SNO";
-        let q = bind_query(db.catalog(), &parse_query(sql).unwrap()).unwrap();
-        let budget = PlannerOptions {
-            degree: Degree::Fixed(4),
-            columnar: false,
-        };
-        let p = plan_query(&q, &stats, budget);
-        let b = block(&p);
-        // 2400 suppliers and 9600 parts amortize 4 workers everywhere.
-        assert_eq!(b.scan_deg, 4, "{:?}", p.ops);
-        assert_eq!(b.joins[0].deg, 4, "{:?}", p.ops);
-        assert!(p.render(0, None).contains("deg=4"));
-        // A tiny query under the same budget stays serial: no operator
-        // has ROWS_PER_WORKER of estimated work.
-        let tiny_db = supplier_database().unwrap();
-        let tiny_stats = Statistics::collect(&tiny_db);
-        let tq = bind_query(tiny_db.catalog(), &parse_query(sql).unwrap()).unwrap();
-        let tp = plan_query(&tq, &tiny_stats, budget);
-        assert!(tp.ops.iter().all(|op| op.deg == 1), "{:?}", tp.ops);
-    }
-
     fn plan_columnar(sql: &str) -> (PhysicalPlan, BoundQuery) {
         let db = supplier_database().unwrap();
         let stats = Statistics::collect(&db);
         let q = bind_query(db.catalog(), &parse_query(sql).unwrap()).unwrap();
-        let opts = PlannerOptions {
-            columnar: true,
-            ..PlannerOptions::default()
-        };
+        let opts = PlannerOptions { columnar: true };
         (plan_query(&q, &stats, opts), q)
     }
 
@@ -1069,7 +965,6 @@ mod tests {
             p.ops[b.scan].est, 1,
             "unique probe estimate is the hard bound 1"
         );
-        assert_eq!(b.scan_deg, 1, "point lookups have nothing to morselize");
         assert!(p.render(0, None).contains("ixscan(IDX_S_SNO, SNO=3)"));
         // Without a sargable conjunct the scan stays full.
         let p2 = plan_on(&db, "SELECT S.SNAME FROM SUPPLIER S");
@@ -1091,7 +986,6 @@ mod tests {
         let ix = b.joins[0].ix.as_ref().expect("index probe licensed");
         assert_eq!(ix.index(), Some("IDX_S_SNO"));
         assert!(ix.is_unique_index());
-        assert_eq!(b.joins[0].deg, 1);
         assert!(p.ops[b.joins[0].id]
             .label
             .contains("IxJoin with Scan SUPPLIER"));
@@ -1113,10 +1007,7 @@ mod tests {
         let sql = "SELECT S.SNO FROM SUPPLIER S, PARTS P \
                    WHERE S.SNO = P.SNO AND P.COLOR = 'RED'";
         let q = bind_query(db.catalog(), &parse_query(sql).unwrap()).unwrap();
-        let opts = PlannerOptions {
-            columnar: true,
-            ..PlannerOptions::default()
-        };
+        let opts = PlannerOptions { columnar: true };
         let p = plan_query(&q, &stats, opts);
         let b = block(&p);
         assert!(

@@ -1,10 +1,9 @@
-//! Row-path aggregation: hash grouping, the key-elided one-pass, and
-//! morsel-parallel partial aggregation.
+//! Row-path aggregation: hash grouping and the key-elided one-pass.
 //!
 //! The binder lowers an aggregate query onto a `SELECT ALL` body whose
 //! projection lays grouping columns first (positions `0 ..
 //! group_count`) followed by the aggregate argument columns, so this
-//! module only ever sees plain rows. Three execution shapes:
+//! module only ever sees plain rows. Two execution shapes:
 //!
 //! * **Hash grouping** — one table probe per input row (`hash_probes`
 //!   and `probe_steps` book one each, like the join kernels), groups
@@ -18,12 +17,6 @@
 //!   own group: each row is initialized, updated and finalized locally,
 //!   with *zero* hash operations. This is the gap experiment E23
 //!   measures against the hash path.
-//! * **Morsel-parallel partials** — rows are chunked into
-//!   [`MORSEL_SIZE`] morsels, each worker aggregates its morsel into a
-//!   partial table, and the partials merge serially in task order
-//!   (every `AggState` merge is associative: counts add, distinct
-//!   sets union, extrema fold). The elided one-pass parallelizes
-//!   embarrassingly — no merge at all.
 //!
 //! Semantics (SQL): aggregates ignore `NULL` arguments; `COUNT(*)`
 //! counts rows; `SUM`/`MIN`/`MAX`/`AVG` of no (non-null) rows is
@@ -31,7 +24,6 @@
 //! grouping treats `NULL`s as equal (`=̇`, which is exactly the derived
 //! `Eq` on [`Value`]); integer overflow wraps.
 
-use crate::parallel::{run_tasks, MORSEL_SIZE};
 use crate::stats::ExecStats;
 use std::collections::{HashMap, HashSet};
 use uniq_catalog::Row;
@@ -150,44 +142,6 @@ pub(crate) fn update_states(
     Ok(set_probes)
 }
 
-/// Merge another partial's states into this group's (associative and
-/// commutative, so morsel partials may fold in any order).
-pub(crate) fn merge_states(into: &mut [AggState], from: Vec<AggState>) -> Result<()> {
-    for (dst, src) in into.iter_mut().zip(from) {
-        match (dst, src) {
-            (AggState::Group, AggState::Group) => {}
-            (AggState::Count(a), AggState::Count(b)) => *a += b,
-            (AggState::CountDistinct(a), AggState::CountDistinct(b)) => a.extend(b),
-            (
-                AggState::Sum { sum, seen },
-                AggState::Sum {
-                    sum: s2,
-                    seen: seen2,
-                },
-            ) => {
-                *sum = sum.wrapping_add(s2);
-                *seen |= seen2;
-            }
-            (AggState::Min(a), AggState::Min(b)) => {
-                if let Some(v) = b {
-                    fold_extremum(a, v, true)?;
-                }
-            }
-            (AggState::Max(a), AggState::Max(b)) => {
-                if let Some(v) = b {
-                    fold_extremum(a, v, false)?;
-                }
-            }
-            (AggState::Avg { sum, n }, AggState::Avg { sum: s2, n: n2 }) => {
-                *sum = sum.wrapping_add(s2);
-                *n += n2;
-            }
-            _ => unreachable!("partials initialized from the same BoundAgg"),
-        }
-    }
-    Ok(())
-}
-
 /// Keep the smaller (`want_less`) or larger non-null value.
 fn fold_extremum(cur: &mut Option<Value>, v: Value, want_less: bool) -> Result<()> {
     let replace = match cur.as_ref() {
@@ -244,75 +198,11 @@ fn output_row(agg: &BoundAgg, key: &[Value], states: Vec<AggState>) -> Row {
         .collect()
 }
 
-/// A partial aggregation table: groups in first-appearance order (the
-/// index map makes probes O(1) while keeping output deterministic).
-struct Partial {
-    index: HashMap<Vec<Value>, usize>,
-    groups: Vec<(Vec<Value>, Vec<AggState>)>,
-    hash_probes: u64,
-    probe_steps: u64,
-}
-
-impl Partial {
-    fn new() -> Partial {
-        Partial {
-            index: HashMap::new(),
-            groups: Vec::new(),
-            hash_probes: 0,
-            probe_steps: 0,
-        }
-    }
-
-    fn absorb_row(&mut self, agg: &BoundAgg, row: &Row) -> Result<()> {
-        let slot = if agg.group_count == 0 {
-            // Global aggregate: one group, no key, nothing to hash.
-            if self.groups.is_empty() {
-                self.groups.push((Vec::new(), init_states(agg)));
-            }
-            0
-        } else {
-            let key: Vec<Value> = row[..agg.group_count].to_vec();
-            self.hash_probes += 1;
-            self.probe_steps += 1;
-            match self.index.get(&key) {
-                Some(&i) => i,
-                None => {
-                    let i = self.groups.len();
-                    self.index.insert(key.clone(), i);
-                    self.groups.push((key, init_states(agg)));
-                    i
-                }
-            }
-        };
-        let set_probes = update_states(&mut self.groups[slot].1, agg, &mut |p| row[p].clone())?;
-        self.hash_probes += set_probes;
-        self.probe_steps += set_probes;
-        Ok(())
-    }
-
-    fn absorb_partial(&mut self, other: Partial) -> Result<()> {
-        for (key, states) in other.groups {
-            self.hash_probes += 1;
-            self.probe_steps += 1;
-            match self.index.get(&key) {
-                Some(&i) => merge_states(&mut self.groups[i].1, states)?,
-                None => {
-                    let i = self.groups.len();
-                    self.index.insert(key.clone(), i);
-                    self.groups.push((key, states));
-                }
-            }
-        }
-        Ok(())
-    }
-}
-
-/// Aggregate the body's rows. `deg > 1` runs morsel-parallel partial
-/// aggregation; the proof-elided grouping takes the zero-hash one-pass.
+/// Aggregate the body's rows; the proof-elided grouping takes the
+/// zero-hash one-pass.
 pub(crate) fn aggregate_rows(
     agg: &BoundAgg,
     rows: Vec<Row>,
-    deg: usize,
     stats: &mut ExecStats,
 ) -> Result<Vec<Row>> {
     stats.agg_rows += rows.len() as u64;
@@ -320,69 +210,52 @@ pub(crate) fn aggregate_rows(
     // Key-elided one-pass: every row is its own group, no hash table.
     // (An un-elided `COUNT(DISTINCT)` item still books its set probes.)
     if agg.group_elided && agg.group_count > 0 {
-        let one = |row: &Row| -> Result<(Row, u64)> {
+        let mut out = Vec::with_capacity(rows.len());
+        for row in &rows {
             let mut states = init_states(agg);
             let set_probes = update_states(&mut states, agg, &mut |p| row[p].clone())?;
-            Ok((output_row(agg, &row[..agg.group_count], states), set_probes))
-        };
-        let out: Vec<(Row, u64)> = if deg > 1 && rows.len() > MORSEL_SIZE {
-            let nchunks = rows.len().div_ceil(MORSEL_SIZE);
-            let parts = run_tasks(deg, nchunks, |i| {
-                let lo = i * MORSEL_SIZE;
-                let hi = ((i + 1) * MORSEL_SIZE).min(rows.len());
-                rows[lo..hi]
-                    .iter()
-                    .map(one)
-                    .collect::<Result<Vec<(Row, u64)>>>()
-            })?;
-            stats.morsels += nchunks as u64;
-            parts.into_iter().flatten().collect()
-        } else {
-            rows.iter().map(one).collect::<Result<_>>()?
-        };
-        let set_probes: u64 = out.iter().map(|(_, p)| p).sum();
-        stats.hash_probes += set_probes;
-        stats.probe_steps += set_probes;
-        return Ok(out.into_iter().map(|(row, _)| row).collect());
+            stats.hash_probes += set_probes;
+            stats.probe_steps += set_probes;
+            out.push(output_row(agg, &row[..agg.group_count], states));
+        }
+        return Ok(out);
     }
 
-    // Hash grouping, morsel-parallel partials when the degree allows.
-    let mut table = if deg > 1 && rows.len() > MORSEL_SIZE {
-        let nchunks = rows.len().div_ceil(MORSEL_SIZE);
-        let parts = run_tasks(deg, nchunks, |i| {
-            let lo = i * MORSEL_SIZE;
-            let hi = ((i + 1) * MORSEL_SIZE).min(rows.len());
-            let mut p = Partial::new();
-            for row in &rows[lo..hi] {
-                p.absorb_row(agg, row)?;
+    // Hash grouping: groups in first-appearance order (the index map
+    // makes probes O(1) while keeping output deterministic).
+    let mut index: HashMap<Vec<Value>, usize> = HashMap::new();
+    let mut groups: Vec<(Vec<Value>, Vec<AggState>)> = Vec::new();
+    for row in &rows {
+        let slot = if agg.group_count == 0 {
+            // Global aggregate: one group, no key, nothing to hash.
+            if groups.is_empty() {
+                groups.push((Vec::new(), init_states(agg)));
             }
-            Ok(p)
-        })?;
-        stats.morsels += nchunks as u64;
-        let mut table = Partial::new();
-        for p in parts {
-            let (hp, ps) = (p.hash_probes, p.probe_steps);
-            table.absorb_partial(p)?;
-            table.hash_probes += hp;
-            table.probe_steps += ps;
-        }
-        table
-    } else {
-        let mut table = Partial::new();
-        for row in &rows {
-            table.absorb_row(agg, row)?;
-        }
-        table
-    };
+            0
+        } else {
+            let key: Vec<Value> = row[..agg.group_count].to_vec();
+            stats.hash_probes += 1;
+            stats.probe_steps += 1;
+            match index.get(&key) {
+                Some(&i) => i,
+                None => {
+                    let i = groups.len();
+                    index.insert(key.clone(), i);
+                    groups.push((key, init_states(agg)));
+                    i
+                }
+            }
+        };
+        let set_probes = update_states(&mut groups[slot].1, agg, &mut |p| row[p].clone())?;
+        stats.hash_probes += set_probes;
+        stats.probe_steps += set_probes;
+    }
     // A global aggregate (no GROUP BY) yields its one group even over
     // empty input — `SELECT COUNT(*) FROM empty` is 0, not no rows.
-    if agg.group_count == 0 && table.groups.is_empty() {
-        table.groups.push((Vec::new(), init_states(agg)));
+    if agg.group_count == 0 && groups.is_empty() {
+        groups.push((Vec::new(), init_states(agg)));
     }
-    stats.hash_probes += table.hash_probes;
-    stats.probe_steps += table.probe_steps;
-    Ok(table
-        .groups
+    Ok(groups
         .into_iter()
         .map(|(key, states)| output_row(agg, &key, states))
         .collect())
@@ -437,7 +310,7 @@ mod tests {
         );
         let rows = vec![vec![int(3)], vec![Value::Null], vec![int(8)]];
         let mut stats = ExecStats::new();
-        let out = aggregate_rows(&agg, rows, 1, &mut stats).unwrap();
+        let out = aggregate_rows(&agg, rows, &mut stats).unwrap();
         // COUNT(*)=3 counts the NULL row; every other aggregate skips it.
         assert_eq!(
             out,
@@ -446,7 +319,7 @@ mod tests {
         assert_eq!(stats.agg_rows, 3);
         assert_eq!(stats.hash_probes, 0, "the single global group never hashes");
 
-        let empty = aggregate_rows(&agg, Vec::new(), 1, &mut ExecStats::new()).unwrap();
+        let empty = aggregate_rows(&agg, Vec::new(), &mut ExecStats::new()).unwrap();
         assert_eq!(
             empty,
             vec![vec![
@@ -470,7 +343,7 @@ mod tests {
             vec![int(1), int(0)],
             vec![Value::Null, int(0)],
         ];
-        let out = aggregate_rows(&agg, rows, 1, &mut ExecStats::new()).unwrap();
+        let out = aggregate_rows(&agg, rows, &mut ExecStats::new()).unwrap();
         assert_eq!(
             out,
             vec![vec![int(1), int(2)], vec![Value::Null, int(2)]],
@@ -488,7 +361,7 @@ mod tests {
             ],
         );
         let rows = vec![vec![int(5)], vec![int(5)], vec![Value::Null], vec![int(7)]];
-        let out = aggregate_rows(&agg, rows, 1, &mut ExecStats::new()).unwrap();
+        let out = aggregate_rows(&agg, rows, &mut ExecStats::new()).unwrap();
         assert_eq!(out, vec![vec![int(2), int(3)]]);
     }
 
@@ -506,44 +379,13 @@ mod tests {
         elided.group_elided = true;
 
         let mut hs = ExecStats::new();
-        let h = aggregate_rows(&hash, rows.clone(), 1, &mut hs).unwrap();
+        let h = aggregate_rows(&hash, rows.clone(), &mut hs).unwrap();
         let mut es = ExecStats::new();
-        let e = aggregate_rows(&elided, rows, 1, &mut es).unwrap();
+        let e = aggregate_rows(&elided, rows, &mut es).unwrap();
         assert_eq!(h, e);
         assert!(hs.hash_probes == 10 && hs.probe_steps == 10);
         assert_eq!(es.hash_probes, 0, "elided grouping performs no hash ops");
         assert_eq!(es.probe_steps, 0);
         assert_eq!(es.agg_rows, 10);
-    }
-
-    #[test]
-    fn parallel_partials_agree_with_serial() {
-        // Enough rows for several morsels; a low-cardinality group key
-        // forces real cross-morsel merging of every state kind.
-        let rows: Vec<Row> = (0..5000)
-            .map(|i| vec![int(i % 7), int(i), int(i % 13)])
-            .collect();
-        let agg = agg_of(
-            1,
-            vec![
-                group(0),
-                item(AggFunc::Count, false, None),
-                item(AggFunc::Count, true, Some(2)),
-                item(AggFunc::Sum, false, Some(1)),
-                item(AggFunc::Min, false, Some(1)),
-                item(AggFunc::Max, false, Some(1)),
-                item(AggFunc::Avg, false, Some(1)),
-            ],
-        );
-        let serial = aggregate_rows(&agg, rows.clone(), 1, &mut ExecStats::new()).unwrap();
-        let mut ps = ExecStats::new();
-        let mut par = aggregate_rows(&agg, rows, 4, &mut ps).unwrap();
-        assert!(ps.morsels >= 2, "parallel run dispatched morsels");
-        // Partial merge order may permute groups; compare as sets.
-        let mut s = serial.clone();
-        let key = |r: &Row| format!("{r:?}");
-        s.sort_by_key(&key);
-        par.sort_by_key(&key);
-        assert_eq!(s, par);
     }
 }

@@ -16,8 +16,7 @@
 //! per placed table) and late-materialize `Value` rows only at query
 //! output, which is what the `materialized_rows` counter measures.
 //!
-//! Uniqueness is the fast path throughout, extending the unique-key
-//! hash kernel of the morsel executor (see [`crate::parallel`]):
+//! Uniqueness is the fast path throughout:
 //!
 //! * when a join step's keys cover a candidate key of the build side
 //!   (the planner's `JoinStep::unique` proof), the single-column kernels
@@ -32,13 +31,12 @@
 //! columnar for shapes these kernels cover, and this module re-verifies
 //! at runtime — any unsupported conjunct, a missing or stale encoding,
 //! a keyless step — and returns `None` so the caller falls back to row
-//! execution. Column chunks go through the same morsel scheduler as row
-//! morsels (`crate::parallel::run_tasks`); each (kernel, chunk) pair
-//! counts one `vector_ops`, the columnar analogue of per-row dispatch.
+//! execution. Kernels walk their input in [`CHUNK_SIZE`]-row chunks;
+//! each (kernel, chunk) pair counts one `vector_ops`, the columnar
+//! analogue of per-row dispatch.
 
 use crate::agg::{finalize_state, init_states, update_states, AggState};
-use crate::exec::{contains_subquery, equi_join_key, map_all_attr_refs, Executor};
-use crate::parallel::{run_tasks, MORSEL_SIZE};
+use crate::exec::{contains_subquery, equi_join_key, planned_levels, Executor};
 use crate::stats::ExecStats;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use uniq_catalog::{Database, Row, TableSchema};
@@ -46,6 +44,10 @@ use uniq_cost::{BlockPlan, JoinMethod};
 use uniq_plan::{BScalar, BoundAgg, BoundAggItem, BoundExpr, BoundSpec};
 use uniq_sql::CmpOp;
 use uniq_types::{DataType, NullBitmap, Result, TableName, Value};
+
+/// Rows per column chunk: the unit of vectorized work, so one kernel
+/// pass over `n` rows books `n.div_ceil(CHUNK_SIZE)` `vector_ops`.
+pub const CHUNK_SIZE: usize = 1024;
 
 /// Largest dictionary a string column may grow before the table is left
 /// un-encoded (and every plan over it falls back to row execution). One
@@ -378,31 +380,22 @@ fn eval_pred(p: &Pred, tc: &TableColumns, r: usize) -> bool {
     }
 }
 
-/// Vectorized filter: chunk the table into column morsels, build each
-/// chunk's identity selection, then refine it predicate by predicate —
-/// rows are never copied, only the selection shrinks. One `vector_ops`
-/// per (predicate, chunk); `morsels` counts the chunks when parallel.
-fn filter_table(
-    tc: &TableColumns,
-    preds: &[Pred],
-    deg: usize,
-    stats: &mut ExecStats,
-) -> Result<Vec<u32>> {
-    let nchunks = tc.rows.div_ceil(MORSEL_SIZE);
-    let parts = run_tasks(deg, nchunks, |i| {
-        let start = i * MORSEL_SIZE;
-        let end = ((i + 1) * MORSEL_SIZE).min(tc.rows);
-        let mut sel: Vec<u32> = (start as u32..end as u32).collect();
+/// Vectorized filter: walk the table in [`CHUNK_SIZE`]-row chunks,
+/// build each chunk's identity selection, then refine it predicate by
+/// predicate — rows are never copied, only the selection shrinks. One
+/// `vector_ops` per (predicate, chunk).
+fn filter_table(tc: &TableColumns, preds: &[Pred], stats: &mut ExecStats) -> Vec<u32> {
+    let mut sel = Vec::new();
+    for start in (0..tc.rows).step_by(CHUNK_SIZE) {
+        let end = (start + CHUNK_SIZE).min(tc.rows);
+        let mut chunk: Vec<u32> = (start as u32..end as u32).collect();
         for p in preds {
-            sel.retain(|&r| eval_pred(p, tc, r as usize));
+            chunk.retain(|&r| eval_pred(p, tc, r as usize));
         }
-        Ok(sel)
-    })?;
-    stats.vector_ops += (nchunks * preds.len().max(1)) as u64;
-    if deg > 1 {
-        stats.morsels += nchunks as u64;
+        sel.extend(chunk);
     }
-    Ok(parts.into_iter().flatten().collect())
+    stats.vector_ops += (tc.rows.div_ceil(CHUNK_SIZE) * preds.len().max(1)) as u64;
+    sel
 }
 
 // --- join kernels ------------------------------------------------------
@@ -647,7 +640,7 @@ pub(crate) fn exec_block(
     for t in 0..ntuples {
         rows.push((0..bt.proj.len()).map(|p| bt.value(t, p)).collect::<Row>());
     }
-    ex.stats.vector_ops += ntuples.div_ceil(MORSEL_SIZE) as u64;
+    ex.stats.vector_ops += ntuples.div_ceil(CHUNK_SIZE) as u64;
     ex.stats.materialized_rows += ntuples as u64;
     Ok(Some(rows))
 }
@@ -734,7 +727,7 @@ pub(crate) fn exec_block_agg(
             })
             .collect()
     };
-    ex.stats.vector_ops += ntuples.div_ceil(MORSEL_SIZE) as u64;
+    ex.stats.vector_ops += ntuples.div_ceil(CHUNK_SIZE) as u64;
     ex.stats.materialized_rows += out.len() as u64;
     Ok(Some(out))
 }
@@ -767,33 +760,20 @@ fn exec_block_tuples<'a>(
         return Ok(None);
     }
 
-    // Assign conjuncts to planned levels, exactly like the row
-    // executor's planned pipeline.
+    // Assign conjuncts to planned levels with the row executor's own
+    // placement; subqueries have no vectorized kernel.
+    if spec
+        .predicate
+        .as_ref()
+        .is_some_and(|p| p.conjuncts().into_iter().any(contains_subquery))
+    {
+        return Ok(None);
+    }
+    let levels = planned_levels(spec, &bp.order);
+    // Each FROM table's planned position: its slot in the row-id tuples.
     let mut pos = vec![0usize; n];
     for (k, &t) in bp.order.iter().enumerate() {
         pos[t] = k;
-    }
-    let mut levels: Vec<Vec<&BoundExpr>> = vec![Vec::new(); n];
-    if let Some(pred) = &spec.predicate {
-        for c in pred.conjuncts() {
-            if contains_subquery(c) {
-                return Ok(None);
-            }
-            let mut level = 0usize;
-            let mut probe = c.clone();
-            map_all_attr_refs(&mut probe, &mut |depth, a| {
-                if a.up == depth {
-                    let owner = spec
-                        .from
-                        .iter()
-                        .position(|ft| ft.attr_range().contains(&a.idx));
-                    if let Some(at) = owner {
-                        level = level.max(pos[at]);
-                    }
-                }
-            });
-            levels[level].push(c);
-        }
     }
 
     // Validate the whole block before touching any counter, so a
@@ -876,7 +856,7 @@ fn exec_block_tuples<'a>(
     // Level 0: vectorized filtered scan → selection vector, no copies.
     let scan = ColumnBatch {
         table: tc0,
-        sel: filter_table(tc0, &preds0, bp.scan_deg.max(1), &mut ex.stats)?,
+        sel: filter_table(tc0, &preds0, &mut ex.stats),
     };
     ex.record(bp.scan, scan.sel.len());
 
@@ -887,10 +867,9 @@ fn exec_block_tuples<'a>(
     for (k, (preds, rkeys)) in steps.iter().enumerate() {
         let step = &bp.joins[k];
         let tcb = tables[bp.order[k + 1]];
-        let deg = step.deg.max(1);
         let build = ColumnBatch {
             table: tcb,
-            sel: filter_table(tcb, preds, deg, &mut ex.stats)?,
+            sel: filter_table(tcb, preds, &mut ex.stats),
         };
         let keys: Vec<KeyAt<'_>> = rkeys
             .iter()
@@ -912,45 +891,37 @@ fn exec_block_tuples<'a>(
             })
             .collect();
 
-        let unique = ex.opts.unique_kernels && step.unique;
-        let direct = if unique && keys.len() == 1 {
+        let direct = if step.unique && keys.len() == 1 {
             build_direct(&keys[0], &build.sel)
         } else {
             None
         };
 
-        let ntuples = tuples.len().checked_div(stride).unwrap_or(0);
-        let nchunks = ntuples.div_ceil(MORSEL_SIZE);
-        let next: Vec<(Vec<u32>, u64, u64)> = if let Some(direct) = &direct {
+        let mut joined: Vec<u32> = Vec::new();
+        let mut hash_probes = 0u64;
+        let mut probe_steps = 0u64;
+        if let Some(direct) = &direct {
             // Direct-index unique kernel: zero hash operations, one
             // array load (= one probe step) per probe.
-            run_tasks(deg, nchunks, |i| {
-                let lo = i * MORSEL_SIZE;
-                let hi = ((i + 1) * MORSEL_SIZE).min(ntuples);
-                let mut out = Vec::new();
-                let mut probes = 0u64;
-                for t in lo..hi {
-                    let tup = &tuples[t * stride..(t + 1) * stride];
-                    let key = match keys[0].probe_key(tup[keys[0].slot]) {
-                        ProbeKey::Null => continue,
-                        ProbeKey::NoMatch => {
-                            probes += 1;
-                            continue;
-                        }
-                        ProbeKey::Key(k) => k,
-                    };
-                    probes += 1;
-                    let m = direct_lookup(direct, key);
-                    if m != NONE_U32 {
-                        out.extend_from_slice(tup);
-                        out.push(m);
+            for tup in tuples.chunks_exact(stride) {
+                let key = match keys[0].probe_key(tup[keys[0].slot]) {
+                    ProbeKey::Null => continue,
+                    ProbeKey::NoMatch => {
+                        probe_steps += 1;
+                        continue;
                     }
+                    ProbeKey::Key(k) => k,
+                };
+                probe_steps += 1;
+                let m = direct_lookup(direct, key);
+                if m != NONE_U32 {
+                    joined.extend_from_slice(tup);
+                    joined.push(m);
                 }
-                Ok((out, 0u64, probes))
-            })?
+            }
         } else {
             // Hash kernel over build-space key codes. Unique steps keep
-            // the single-slot accounting of the row unique kernel.
+            // the single-slot accounting of a chain-free table.
             ex.stats.hash_joins += 1;
             let mut map: HashMap<Vec<u64>, Vec<u32>> = HashMap::new();
             'build: for &r in &build.sel {
@@ -963,53 +934,37 @@ fn exec_block_tuples<'a>(
                 }
                 map.entry(key).or_default().push(r);
             }
-            run_tasks(deg, nchunks, |i| {
-                let lo = i * MORSEL_SIZE;
-                let hi = ((i + 1) * MORSEL_SIZE).min(ntuples);
-                let mut out = Vec::new();
-                let mut hash_probes = 0u64;
-                let mut probe_steps = 0u64;
-                'probe: for t in lo..hi {
-                    let tup = &tuples[t * stride..(t + 1) * stride];
-                    let mut key = Vec::with_capacity(keys.len());
-                    let mut dead = false;
-                    for ka in &keys {
-                        match ka.probe_key(tup[ka.slot]) {
-                            ProbeKey::Null => continue 'probe,
-                            ProbeKey::NoMatch => dead = true,
-                            ProbeKey::Key(k) => key.push(k),
-                        }
-                    }
-                    hash_probes += 1;
-                    if dead {
-                        probe_steps += 1;
-                        continue;
-                    }
-                    match map.get(&key) {
-                        Some(ms) => {
-                            probe_steps += if unique { 1 } else { ms.len() as u64 + 1 };
-                            for &m in ms {
-                                out.extend_from_slice(tup);
-                                out.push(m);
-                            }
-                        }
-                        None => probe_steps += 1,
+            'probe: for tup in tuples.chunks_exact(stride) {
+                let mut key = Vec::with_capacity(keys.len());
+                let mut dead = false;
+                for ka in &keys {
+                    match ka.probe_key(tup[ka.slot]) {
+                        ProbeKey::Null => continue 'probe,
+                        ProbeKey::NoMatch => dead = true,
+                        ProbeKey::Key(k) => key.push(k),
                     }
                 }
-                Ok((out, hash_probes, probe_steps))
-            })?
-        };
-        ex.stats.vector_ops += nchunks as u64;
-        if deg > 1 {
-            ex.stats.morsels += nchunks as u64;
+                hash_probes += 1;
+                if dead {
+                    probe_steps += 1;
+                    continue;
+                }
+                match map.get(&key) {
+                    Some(ms) => {
+                        probe_steps += if step.unique { 1 } else { ms.len() as u64 + 1 };
+                        for &m in ms {
+                            joined.extend_from_slice(tup);
+                            joined.push(m);
+                        }
+                    }
+                    None => probe_steps += 1,
+                }
+            }
         }
+        ex.stats.hash_probes += hash_probes;
+        ex.stats.probe_steps += probe_steps;
+        ex.stats.vector_ops += (tuples.len() / stride).div_ceil(CHUNK_SIZE) as u64;
         stride += 1;
-        let mut joined = Vec::new();
-        for (rows, hash_probes, probe_steps) in next {
-            ex.stats.hash_probes += hash_probes;
-            ex.stats.probe_steps += probe_steps;
-            joined.extend(rows);
-        }
         tuples = joined;
         ex.record(step.id, tuples.len() / stride);
     }
@@ -1037,7 +992,7 @@ fn exec_block_tuples<'a>(
                 kept.extend_from_slice(bt.tup(t));
             }
         }
-        ex.stats.vector_ops += ntuples.div_ceil(MORSEL_SIZE) as u64;
+        ex.stats.vector_ops += ntuples.div_ceil(CHUNK_SIZE) as u64;
         bt.tuples = kept;
         ex.record(d.id, bt.len());
     }
@@ -1192,10 +1147,9 @@ mod tests {
     fn filter_kernel_counts_chunks_not_rows() {
         let tc = tiny_str_table();
         let mut stats = ExecStats::new();
-        let sel = filter_table(&tc, &[], 1, &mut stats).unwrap();
+        let sel = filter_table(&tc, &[], &mut stats);
         assert_eq!(sel, vec![0, 1, 2, 3, 4]);
         assert_eq!(stats.vector_ops, 1, "one chunk, identity kernel");
-        assert_eq!(stats.morsels, 0, "serial filter dispatches no morsels");
         assert_eq!(stats.rows_scanned, 0, "columnar scans count no rows");
     }
 

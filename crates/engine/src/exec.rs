@@ -14,7 +14,7 @@
 //! on.
 
 use crate::setops::{combine_setop, distinct};
-use crate::stats::{Degree, DistinctMethod, ExecStats, JoinMethod};
+use crate::stats::{DistinctMethod, ExecStats, JoinMethod};
 use std::collections::HashMap;
 use uniq_catalog::{Database, Row};
 use uniq_cost::{
@@ -34,15 +34,6 @@ pub struct ExecOptions {
     pub distinct: DistinctMethod,
     /// Join strategy for multi-table blocks.
     pub join: JoinMethod,
-    /// Worker budget for morsel-driven parallel execution (see
-    /// [`crate::parallel`]). The default is [`Degree::Serial`]: the
-    /// single-threaded path is the correctness oracle the parallel one
-    /// is tested against, and work counters stay exactly reproducible.
-    pub degree: Degree,
-    /// Allow the unique-key hash-join kernel when the build side's join
-    /// keys cover one of its candidate keys (no bucket chains, probe
-    /// stops at the first match). Off = always chain (ablation).
-    pub unique_kernels: bool,
     /// Allow `ORDER BY key-prefix LIMIT k` queries to walk an ordered
     /// index and stop after `k` emitted rows instead of scanning,
     /// sorting and truncating. Off = always scan + sort (the oracle the
@@ -55,8 +46,6 @@ impl Default for ExecOptions {
         ExecOptions {
             distinct: DistinctMethod::default(),
             join: JoinMethod::default(),
-            degree: Degree::Serial,
-            unique_kernels: true,
             early_stop: true,
         }
     }
@@ -143,7 +132,7 @@ impl<'a> Executor<'a> {
     ///    planner marked columnar groups on dictionary codes without
     ///    materializing body rows.
     /// 3. **Row aggregation** — hash grouping, or the proof-elided
-    ///    zero-hash one-pass, morsel-parallel above one morsel.
+    ///    zero-hash one-pass.
     ///
     /// Then sort (engine total order, `NULL`s first) and limit.
     pub fn run_output(
@@ -193,15 +182,7 @@ impl<'a> Executor<'a> {
             }
             if rows.is_none() {
                 let body = self.exec_query(&output.body, &[], plan.map(|p| &p.root))?;
-                let deg = plan
-                    .and_then(|p| {
-                        p.output.iter().find_map(|op| match op {
-                            OutputOp::Agg { deg, .. } => Some(*deg),
-                            _ => None,
-                        })
-                    })
-                    .unwrap_or_else(|| self.static_degree(&[]));
-                rows = Some(crate::agg::aggregate_rows(agg, body, deg, &mut self.stats)?);
+                rows = Some(crate::agg::aggregate_rows(agg, body, &mut self.stats)?);
             }
         }
         let mut rows = match rows {
@@ -346,29 +327,6 @@ impl<'a> Executor<'a> {
         }
     }
 
-    /// A fresh single-threaded executor over the same database, host
-    /// variables and options (degree forced to serial). Parallel workers
-    /// use one each to evaluate predicates — correlated subqueries
-    /// included — without spawning nested pools; the worker's counters
-    /// are merged back afterwards.
-    pub(crate) fn serial_worker(&self) -> Executor<'a> {
-        let mut opts = self.opts;
-        opts.degree = Degree::Serial;
-        Executor::new(self.db, self.hostvars, opts)
-    }
-
-    /// Worker budget on the static (non-cost-based) path: the session
-    /// degree at the top level, serial inside correlated evaluation
-    /// (non-empty outer scopes) — each parallel worker already owns the
-    /// subquery it is evaluating.
-    fn static_degree(&self, outer: &[Vec<Value>]) -> usize {
-        if outer.is_empty() {
-            self.opts.degree.resolve()
-        } else {
-            1
-        }
-    }
-
     fn exec_query(
         &mut self,
         query: &BoundQuery,
@@ -391,30 +349,18 @@ impl<'a> Executor<'a> {
             } => {
                 // A plan node is used only when it mirrors the query
                 // shape; a mismatch falls back to static options.
-                let (l_node, r_node, method, id, deg) = match node {
+                let (l_node, r_node, method, id) = match node {
                     Some(PhysNode::SetOp {
                         method,
                         id,
-                        deg,
                         left: l,
                         right: r,
-                    }) => (Some(l.as_ref()), Some(r.as_ref()), *method, Some(*id), *deg),
-                    _ => (
-                        None,
-                        None,
-                        self.opts.distinct,
-                        None,
-                        self.static_degree(outer),
-                    ),
+                    }) => (Some(l.as_ref()), Some(r.as_ref()), *method, Some(*id)),
+                    _ => (None, None, self.opts.distinct, None),
                 };
-                let deg = if outer.is_empty() { deg } else { 1 };
                 let l = self.exec_query(left, outer, l_node)?;
                 let r = self.exec_query(right, outer, r_node)?;
-                let out = if deg > 1 {
-                    crate::parallel::par_setop(*op, *all, l, r, method, deg, &mut self.stats)?
-                } else {
-                    combine_setop(*op, *all, l, r, method, &mut self.stats)?
-                };
+                let out = combine_setop(*op, *all, l, r, method, &mut self.stats)?;
                 if let Some(id) = id {
                     self.record(id, out.len());
                 }
@@ -456,17 +402,7 @@ impl<'a> Executor<'a> {
         if spec.distinct == uniq_sql::Distinct::Distinct {
             let step = plan.and_then(|bp| bp.distinct);
             let method = step.map(|d| d.method).unwrap_or(self.opts.distinct);
-            let deg = if outer.is_empty() {
-                step.map(|d| d.deg)
-                    .unwrap_or_else(|| self.static_degree(outer))
-            } else {
-                1
-            };
-            rows = if deg > 1 {
-                crate::parallel::par_distinct(rows, method, deg, &mut self.stats)?
-            } else {
-                distinct(rows, method, &mut self.stats)?
-            };
+            rows = distinct(rows, method, &mut self.stats)?;
             if let Some(d) = step {
                 self.record(d.id, rows.len());
             }
@@ -487,10 +423,6 @@ impl<'a> Executor<'a> {
                 return self.block_rows_planned(spec, outer, bp);
             }
         }
-        let deg = self.static_degree(outer);
-        if deg > 1 && !spec.from.is_empty() {
-            return crate::parallel::block_rows_static(self, spec, outer, deg);
-        }
         if self.opts.join == JoinMethod::Hash && spec.from.len() > 1 {
             self.block_rows_hash(spec, outer)
         } else {
@@ -510,7 +442,7 @@ impl<'a> Executor<'a> {
     // --- conjunct assignment -------------------------------------------
 
     /// Cumulative attribute width after each table position.
-    pub(crate) fn prefix_widths(spec: &BoundSpec) -> Vec<usize> {
+    fn prefix_widths(spec: &BoundSpec) -> Vec<usize> {
         let mut widths = Vec::with_capacity(spec.from.len());
         let mut acc = 0;
         for t in &spec.from {
@@ -525,8 +457,7 @@ impl<'a> Executor<'a> {
     /// correlated subqueries).
     fn required_prefix(conjunct: &BoundExpr) -> usize {
         let mut required = 0usize;
-        let mut probe = conjunct.clone();
-        crate::exec::map_all_attr_refs(&mut probe, &mut |depth, a| {
+        visit_attr_refs(conjunct, &mut |depth, a| {
             if a.up == depth {
                 required = required.max(a.idx + 1);
             }
@@ -536,10 +467,7 @@ impl<'a> Executor<'a> {
 
     /// Assign each top-level conjunct to the earliest pipeline level where
     /// it is evaluable.
-    pub(crate) fn assign_conjuncts<'e>(
-        spec: &'e BoundSpec,
-        widths: &[usize],
-    ) -> Vec<Vec<&'e BoundExpr>> {
+    fn assign_conjuncts<'e>(spec: &'e BoundSpec, widths: &[usize]) -> Vec<Vec<&'e BoundExpr>> {
         let mut levels: Vec<Vec<&BoundExpr>> = vec![Vec::new(); spec.from.len()];
         if let Some(pred) = &spec.predicate {
             for c in pred.conjuncts() {
@@ -660,11 +588,28 @@ impl<'a> Executor<'a> {
         is_placed: &dyn Fn(usize) -> bool,
     ) -> Result<Vec<Row>> {
         let range = table.attr_range();
-        let StepConjuncts {
-            self_conj,
-            join_keys,
-            residual,
-        } = classify_step_conjuncts(conjuncts, &range, is_placed);
+        let mut self_conj = Vec::new();
+        let mut join_keys = Vec::new();
+        let mut residual = Vec::new();
+        for &c in conjuncts {
+            if let Some(key) = equi_join_key(c, &range, is_placed) {
+                join_keys.push(key);
+                continue;
+            }
+            let mut only_new = true;
+            visit_attr_refs(c, &mut |depth, a| {
+                if a.up == depth && !range.contains(&a.idx) {
+                    only_new = false;
+                }
+            });
+            // Conjuncts with subqueries always go residual: their
+            // evaluation may consult any bound attribute.
+            if only_new && !contains_subquery(c) {
+                self_conj.push(c);
+            } else {
+                residual.push(c);
+            }
+        }
 
         // Build side: filtered rows of the new table, placed into an
         // otherwise-null scratch (self_conj only touches new attrs).
@@ -765,56 +710,18 @@ impl<'a> Executor<'a> {
         bp: &BlockPlan,
     ) -> Result<Vec<Row>> {
         let arity = spec.product_arity();
-        let n = spec.from.len();
+        let levels = planned_levels(spec, &bp.order);
 
-        // Assign each top-level conjunct to the earliest *planned*
-        // position at which every table it references is bound
-        // (references from nested subqueries included — they see this
-        // block's attributes as correlated outers).
-        let mut pos = vec![0usize; n];
-        for (k, &t) in bp.order.iter().enumerate() {
-            pos[t] = k;
-        }
-        let mut levels: Vec<Vec<&BoundExpr>> = vec![Vec::new(); n];
-        if let Some(pred) = &spec.predicate {
-            for c in pred.conjuncts() {
-                let mut level = 0usize;
-                let mut probe = c.clone();
-                map_all_attr_refs(&mut probe, &mut |depth, a| {
-                    if a.up == depth {
-                        let owner = spec
-                            .from
-                            .iter()
-                            .position(|ft| ft.attr_range().contains(&a.idx));
-                        if let Some(at) = owner {
-                            level = level.max(pos[at]);
-                        }
-                    }
-                });
-                levels[level].push(c);
-            }
-        }
-
-        // First table of the planned order: filtered scan. Planned
-        // degrees apply only at the top level — correlated evaluation
-        // (non-empty outer scopes) stays serial per worker.
+        // First table of the planned order: filtered scan.
         let t0 = &spec.from[bp.order[0]];
-        let scan_deg = if outer.is_empty() { bp.scan_deg } else { 1 };
         // Planned index access path: re-derive the sarg and serve the
         // scan from the index when the license still holds.
         let ix_rows = match &bp.ixscan {
-            Some(info) if scan_deg <= 1 => {
-                self.ix_scan(spec, bp.order[0], &levels[0], info, outer)?
-            }
-            _ => None,
+            Some(info) => self.ix_scan(spec, bp.order[0], &levels[0], info, outer)?,
+            None => None,
         };
         let mut partials: Vec<Row>;
         if let Some(rows) = ix_rows {
-            partials = rows;
-        } else if scan_deg > 1 {
-            let (rows, s) =
-                crate::parallel::par_scan(self, t0, &levels[0], outer, arity, scan_deg)?;
-            self.stats.merge(&s);
             partials = rows;
         } else {
             partials = Vec::new();
@@ -839,19 +746,18 @@ impl<'a> Executor<'a> {
             let step = &bp.joins[k - 1];
             let table = &spec.from[t];
             let range = table.attr_range();
-            let deg = if outer.is_empty() { step.deg } else { 1 };
             // Planned index-nested-loop probe: the plan names the index,
             // but the probe key is re-derived here and checked against
             // the live catalog — on any disagreement the step falls
             // back to its planned join method below.
             let probe = match &step.ix {
-                Some(info) if deg <= 1 => find_index_probe(spec, t, &levels[k], &|idx| {
+                Some(info) => find_index_probe(spec, t, &levels[k], &|idx| {
                     placed.iter().any(|r| r.contains(&idx))
                 })
                 .filter(|p| {
                     Some(p.index.as_str()) == info.index() && self.index_fresh(table, &p.index)
                 }),
-                _ => None,
+                None => None,
             };
             if let Some(p) = probe {
                 partials = self.ix_join_step(table, outer, partials, &levels[k], &p)?;
@@ -860,13 +766,6 @@ impl<'a> Executor<'a> {
                 continue;
             }
             match step.method {
-                JoinMethod::NestedLoop if deg > 1 => {
-                    let (next, s) = crate::parallel::par_nl_step(
-                        self, table, outer, partials, &levels[k], deg,
-                    )?;
-                    self.stats.merge(&s);
-                    partials = next;
-                }
                 JoinMethod::NestedLoop => {
                     // Re-scan the table once per outer partial; every
                     // conjunct of this level runs on the combined tuple.
@@ -886,21 +785,6 @@ impl<'a> Executor<'a> {
                             next.push(tuple);
                         }
                     }
-                    partials = next;
-                }
-                JoinMethod::Hash if deg > 1 => {
-                    let (next, s) = crate::parallel::par_hash_step(
-                        self,
-                        table,
-                        outer,
-                        partials,
-                        &levels[k],
-                        arity,
-                        &|idx| placed.iter().any(|r| r.contains(&idx)),
-                        deg,
-                        Some(step.unique),
-                    )?;
-                    self.stats.merge(&s);
                     partials = next;
                 }
                 JoinMethod::Hash => {
@@ -1228,56 +1112,6 @@ fn cmp_tri(op: CmpOp, l: &Value, r: &Value) -> Result<Tri> {
     })
 }
 
-/// One hash-pipeline step's conjuncts, split by role (shared between the
-/// serial [`Executor::hash_step`] and the partitioned parallel kernels in
-/// [`crate::parallel`]).
-pub(crate) struct StepConjuncts<'e> {
-    /// Conjuncts touching only the incoming table: filter its build side.
-    pub(crate) self_conj: Vec<&'e BoundExpr>,
-    /// Equality conjuncts linking an already-bound attribute to the new
-    /// table, as `(built attr, new attr)` pairs: the hash keys.
-    pub(crate) join_keys: Vec<(usize, usize)>,
-    /// Everything else (subqueries included): filters over the combined
-    /// tuples after the join.
-    pub(crate) residual: Vec<&'e BoundExpr>,
-}
-
-/// Split one level's conjuncts for a hash-pipeline step over the table
-/// occupying `range` (`is_placed` tells which attributes are already
-/// bound by earlier steps).
-pub(crate) fn classify_step_conjuncts<'e>(
-    conjuncts: &[&'e BoundExpr],
-    range: &std::ops::Range<usize>,
-    is_placed: &dyn Fn(usize) -> bool,
-) -> StepConjuncts<'e> {
-    let mut out = StepConjuncts {
-        self_conj: Vec::new(),
-        join_keys: Vec::new(),
-        residual: Vec::new(),
-    };
-    for &c in conjuncts {
-        if let Some((built, new)) = equi_join_key(c, range, is_placed) {
-            out.join_keys.push((built, new));
-            continue;
-        }
-        let mut only_new = true;
-        let mut probe = c.clone();
-        map_all_attr_refs(&mut probe, &mut |depth, a| {
-            if a.up == depth && !range.contains(&a.idx) {
-                only_new = false;
-            }
-        });
-        // Conjuncts with subqueries always go residual: their
-        // evaluation may consult any bound attribute.
-        if only_new && !contains_subquery(c) {
-            out.self_conj.push(c);
-        } else {
-            out.residual.push(c);
-        }
-    }
-    out
-}
-
 /// Is this conjunct `built_attr = new_attr` (either direction) linking an
 /// already-bound attribute (per `is_placed`) to the table occupying
 /// `range`? (Shared with the columnar kernels, which resolve the same
@@ -1328,20 +1162,51 @@ pub(crate) fn contains_subquery(e: &BoundExpr) -> bool {
     }
 }
 
+/// Assign each top-level conjunct of `spec` to the earliest position of
+/// the planned join `order` at which every table it references is bound
+/// (references from nested subqueries included — they see this block's
+/// attributes as correlated outers). Shared by the row executor's
+/// planned pipeline and the columnar kernels.
+pub(crate) fn planned_levels<'e>(spec: &'e BoundSpec, order: &[usize]) -> Vec<Vec<&'e BoundExpr>> {
+    let mut pos = vec![0usize; spec.from.len()];
+    for (k, &t) in order.iter().enumerate() {
+        pos[t] = k;
+    }
+    let mut levels: Vec<Vec<&BoundExpr>> = vec![Vec::new(); spec.from.len()];
+    if let Some(pred) = &spec.predicate {
+        for c in pred.conjuncts() {
+            let mut level = 0usize;
+            visit_attr_refs(c, &mut |depth, a| {
+                if a.up == depth {
+                    let owner = spec
+                        .from
+                        .iter()
+                        .position(|ft| ft.attr_range().contains(&a.idx));
+                    if let Some(at) = owner {
+                        level = level.max(pos[at]);
+                    }
+                }
+            });
+            levels[level].push(c);
+        }
+    }
+    levels
+}
+
 /// Visit every attribute reference in `e` with its subquery depth
-/// (re-exported plumbing shared with `uniq-core`'s rewrites, duplicated
-/// here to keep the engine independent of the optimizer's internals).
-pub(crate) fn map_all_attr_refs(e: &mut BoundExpr, f: &mut impl FnMut(usize, &mut AttrRef)) {
-    fn go(e: &mut BoundExpr, depth: usize, f: &mut impl FnMut(usize, &mut AttrRef)) {
-        let scalar = |s: &mut BScalar, depth: usize, f: &mut dyn FnMut(usize, &mut AttrRef)| {
+/// (plumbing shared with `uniq-core`'s rewrites, duplicated here to
+/// keep the engine independent of the optimizer's internals).
+pub(crate) fn visit_attr_refs(e: &BoundExpr, f: &mut impl FnMut(usize, &AttrRef)) {
+    fn go(e: &BoundExpr, depth: usize, f: &mut impl FnMut(usize, &AttrRef)) {
+        let mut scalar = |s: &BScalar| {
             if let BScalar::Attr(a) = s {
                 f(depth, a);
             }
         };
         match e {
             BoundExpr::Cmp { left, right, .. } => {
-                scalar(left, depth, f);
-                scalar(right, depth, f);
+                scalar(left);
+                scalar(right);
             }
             BoundExpr::Between {
                 scalar: s,
@@ -1349,21 +1214,21 @@ pub(crate) fn map_all_attr_refs(e: &mut BoundExpr, f: &mut impl FnMut(usize, &mu
                 high,
                 ..
             } => {
-                scalar(s, depth, f);
-                scalar(low, depth, f);
-                scalar(high, depth, f);
+                scalar(s);
+                scalar(low);
+                scalar(high);
             }
             BoundExpr::InList {
                 scalar: s, list, ..
             } => {
-                scalar(s, depth, f);
+                scalar(s);
                 for item in list {
-                    scalar(item, depth, f);
+                    scalar(item);
                 }
             }
-            BoundExpr::IsNull { scalar: s, .. } => scalar(s, depth, f),
+            BoundExpr::IsNull { scalar: s, .. } => scalar(s),
             BoundExpr::Exists { subquery, .. } => {
-                if let Some(p) = &mut subquery.predicate {
+                if let Some(p) = &subquery.predicate {
                     go(p, depth + 1, f);
                 }
             }
@@ -1372,8 +1237,8 @@ pub(crate) fn map_all_attr_refs(e: &mut BoundExpr, f: &mut impl FnMut(usize, &mu
                 subquery,
                 ..
             } => {
-                scalar(s, depth, f);
-                if let Some(p) = &mut subquery.predicate {
+                scalar(s);
+                if let Some(p) = &subquery.predicate {
                     go(p, depth + 1, f);
                 }
             }

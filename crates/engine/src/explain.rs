@@ -141,7 +141,6 @@ fn explain_output_ops(
         if agg.count_distinct_elided {
             out.push_str(" count-distinct-elided");
         }
-        out.push_str(&deg_suffix(opts));
         out.push('\n');
         depth += 1;
     }
@@ -164,19 +163,6 @@ fn indent(out: &mut String, depth: usize) {
     }
 }
 
-/// ` deg=N` when the session executes morsel-parallel (the static path
-/// applies one degree to the whole pipeline; per-operator degrees are
-/// the cost-based planner's refinement, rendered by
-/// [`uniq_cost::PhysicalPlan::render`]).
-fn deg_suffix(opts: &ExecOptions) -> String {
-    let deg = opts.degree.resolve();
-    if deg > 1 {
-        format!(" deg={deg}")
-    } else {
-        String::new()
-    }
-}
-
 fn explain_query(q: &BoundQuery, opts: &ExecOptions, depth: usize, out: &mut String) {
     match q {
         BoundQuery::Spec(spec) => explain_spec(spec, opts, depth, out),
@@ -196,14 +182,8 @@ fn explain_query(q: &BoundQuery, opts: &ExecOptions, depth: usize, out: &mut Str
                 SetOp::Except => "Except",
                 SetOp::Union => "Union",
             };
-            // UNION ALL is pure concatenation; it never partitions.
-            let deg = if *op == SetOp::Union && *all {
-                String::new()
-            } else {
-                deg_suffix(opts)
-            };
             out.push_str(&format!(
-                "{name}{} [{method}]{deg}\n",
+                "{name}{} [{method}]\n",
                 if *all { "All" } else { "" }
             ));
             explain_query(left, opts, depth + 1, out);
@@ -219,7 +199,6 @@ fn explain_spec(spec: &BoundSpec, opts: &ExecOptions, depth: usize, out: &mut St
             DistinctMethod::Sort => "SortDistinct",
             DistinctMethod::Hash => "HashDistinct",
         });
-        out.push_str(&deg_suffix(opts));
         out.push('\n');
         return explain_projection(spec, opts, depth + 1, out);
     }
@@ -249,10 +228,8 @@ fn explain_pipeline(spec: &BoundSpec, opts: &ExecOptions, depth: usize, out: &mu
         indent(out, depth);
         if level == 0 {
             out.push_str(&format!(
-                "Scan {} AS {}{}\n",
-                table.schema.name,
-                table.binding,
-                deg_suffix(opts)
+                "Scan {} AS {}\n",
+                table.schema.name, table.binding
             ));
         } else {
             let range = table.attr_range();
@@ -273,10 +250,8 @@ fn explain_pipeline(spec: &BoundSpec, opts: &ExecOptions, depth: usize, out: &mu
                 "NestedLoop"
             };
             out.push_str(&format!(
-                "{method} with Scan {} AS {}{}\n",
-                table.schema.name,
-                table.binding,
-                deg_suffix(opts)
+                "{method} with Scan {} AS {}\n",
+                table.schema.name, table.binding
             ));
         }
     }
@@ -464,36 +439,6 @@ mod tests {
         assert_eq!(fmt_ns(50), "50ns");
         assert_eq!(fmt_ns(2_500), "2.5µs");
         assert_eq!(fmt_ns(3_000_000), "3.0ms");
-    }
-
-    #[test]
-    fn parallel_session_annotates_operators_with_degree() {
-        let opts = ExecOptions {
-            degree: crate::stats::Degree::Fixed(4),
-            ..Default::default()
-        };
-        let p = plan(
-            "SELECT DISTINCT S.SNO, P.PNO FROM SUPPLIER S, PARTS P WHERE S.SNO = P.SNO",
-            opts,
-        );
-        assert!(p.contains("SortDistinct deg=4"), "{p}");
-        assert!(p.contains("HashJoin with Scan PARTS AS P deg=4"), "{p}");
-        assert!(p.contains("Scan SUPPLIER AS S deg=4"), "{p}");
-        // Serial plans carry no degree annotation anywhere.
-        let serial = plan(
-            "SELECT DISTINCT S.SNO, P.PNO FROM SUPPLIER S, PARTS P WHERE S.SNO = P.SNO",
-            ExecOptions::default(),
-        );
-        assert!(!serial.contains("deg="), "{serial}");
-        // UNION ALL is concatenation — never annotated.
-        let union_all = plan(
-            "SELECT S.SNO FROM SUPPLIER S UNION ALL SELECT A.SNO FROM AGENTS A",
-            opts,
-        );
-        assert!(
-            !union_all.lines().next().unwrap().contains("deg="),
-            "{union_all}"
-        );
     }
 
     #[test]

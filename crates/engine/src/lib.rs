@@ -36,7 +36,6 @@ pub mod columnar;
 pub mod exec;
 pub mod explain;
 pub mod ivm;
-pub mod parallel;
 pub mod plancache;
 mod serve;
 pub mod session;
@@ -48,9 +47,8 @@ pub use columnar::{ColumnBatch, ColumnData, ColumnStore, TableColumns, DEFAULT_D
 pub use exec::{ExecOptions, Executor};
 pub use explain::{explain, explain_with_trace, render_trace};
 pub use ivm::{MaintainOutcome, MaintenanceMode, MaterializedView, ViewDelta};
-pub use parallel::MORSEL_SIZE;
 pub use plancache::{CacheStats, CachedPlan, PlanCache};
 pub use session::{QueryOutput, Session};
 pub use shared::{EngineStats, SharedEngine, Subscription, SubscriptionSink, SubscriptionStats};
-pub use stats::{Degree, DistinctMethod, ExecStats, JoinMethod, StageTimings};
+pub use stats::{DistinctMethod, ExecStats, JoinMethod, StageTimings};
 pub use uniq_cost::{CardReport, PhysicalPlan, PlannerOptions, QErrorStats, Statistics};

@@ -71,14 +71,11 @@ pub struct CachedPlan {
 
 /// The tag mixed into plan fingerprints so differently configured
 /// engines never share plans. It covers the optimizer knobs, the static
-/// executor strategies (parallel degree and kernel choice included — a
-/// cost-based plan compiled at degree 4 embeds per-operator `deg`s a
-/// serial engine must not reuse), the planner configuration and the
-/// statistics epoch (cached plans embed physical choices made from
-/// statistics, so re-`ANALYZE` must recompile them). The option
-/// structs are hashed field by field through their derived `Hash`, so
-/// every knob, present or future, is covered without formatting
-/// anything on the query path.
+/// executor strategies, the planner configuration and the statistics
+/// epoch (cached plans embed physical choices made from statistics, so
+/// re-`ANALYZE` must recompile them). The option structs are hashed
+/// field by field through their derived `Hash`, so every knob, present
+/// or future, is covered without formatting anything on the query path.
 pub fn options_tag(
     optimizer: &OptimizerOptions,
     exec: &ExecOptions,
@@ -453,7 +450,7 @@ mod tests {
     #[test]
     fn options_tag_differs_whenever_any_option_or_the_epoch_does() {
         use uniq_core::rewrite::distinct::UniquenessTest;
-        use uniq_cost::{Degree, DistinctMethod, JoinMethod};
+        use uniq_cost::{DistinctMethod, JoinMethod};
         type Options = (OptimizerOptions, ExecOptions, PlannerOptions);
         let base: Options = (
             OptimizerOptions::relational(),
@@ -473,12 +470,7 @@ mod tests {
             |o| o.0.max_steps += 1,
             |o| o.1.distinct = DistinctMethod::Hash,
             |o| o.1.join = JoinMethod::NestedLoop,
-            |o| o.1.degree = Degree::Auto,
-            |o| o.1.degree = Degree::Fixed(2),
-            |o| o.1.degree = Degree::Fixed(4),
-            |o| o.1.unique_kernels ^= true,
             |o| o.1.early_stop ^= true,
-            |o| o.2.degree = Degree::Fixed(2),
             |o| o.2.columnar ^= true,
         ];
         let tag = |o: &Options, epoch| options_tag(&o.0, &o.1, &o.2, epoch);

@@ -10,7 +10,7 @@
 use crate::exec::{ExecOptions, Executor};
 use crate::plancache::{CacheStats, PlanCache};
 use crate::serve::{elapsed_ns, Analysis, Core};
-use crate::stats::{Degree, ExecStats, StageTimings};
+use crate::stats::{ExecStats, StageTimings};
 use std::sync::Arc;
 use std::time::Instant;
 use uniq_catalog::{Database, Row};
@@ -113,24 +113,6 @@ impl Session {
     /// The statistics collected by the last [`Session::analyze`], if any.
     pub fn statistics(&self) -> Option<&Statistics> {
         self.analysis.stats.as_deref()
-    }
-
-    /// Enable morsel-driven parallel execution with one worker per
-    /// available core ([`Degree::Auto`]), for both the static executor
-    /// and the cost-based planner's per-operator degree choice.
-    pub fn with_parallel(self) -> Session {
-        self.with_exec_degree(Degree::Auto)
-    }
-
-    /// Enable morsel-driven parallel execution with exactly `n` workers.
-    pub fn with_degree(self, n: usize) -> Session {
-        self.with_exec_degree(Degree::Fixed(n))
-    }
-
-    fn with_exec_degree(mut self, degree: Degree) -> Session {
-        self.exec.degree = degree;
-        self.planner.degree = degree;
-        self
     }
 
     /// Toggle the uniqueness-powered aggregation / Top-K fast paths:
@@ -528,52 +510,6 @@ mod tests {
         let sql = "SELECT S.SNO FROM SUPPLIER S";
         s.query(sql).unwrap();
         assert!(!c.query(sql).unwrap().cache_hit);
-    }
-
-    #[test]
-    fn serial_and_parallel_sessions_do_not_share_plans() {
-        let serial = Session::sample().unwrap();
-        let parallel = serial.clone().with_degree(2); // shares the cache
-        let sql = "SELECT DISTINCT S.SNO FROM SUPPLIER S, PARTS P WHERE S.SNO = P.SNO";
-        serial.query(sql).unwrap();
-        assert!(
-            !parallel.query(sql).unwrap().cache_hit,
-            "degrees must not share plans"
-        );
-        // And a differently-sized pool is a third configuration.
-        let wider = serial.clone().with_degree(4);
-        assert!(!wider.query(sql).unwrap().cache_hit);
-    }
-
-    #[test]
-    fn parallel_rows_match_serial() {
-        let serial = Session::sample().unwrap();
-        let parallel = serial.clone().with_degree(3).with_cache_capacity(64);
-        for sql in [
-            "SELECT DISTINCT S.SNO, P.PNO, P.PNAME FROM SUPPLIER S, PARTS P \
-             WHERE S.SNO = P.SNO AND P.COLOR = 'RED'",
-            "SELECT S.SNO FROM SUPPLIER S WHERE EXISTS \
-             (SELECT * FROM PARTS P WHERE P.SNO = S.SNO)",
-            "SELECT S.SNO, A.ANO FROM SUPPLIER S, AGENTS A",
-            "SELECT ALL S.SNO FROM SUPPLIER S WHERE S.SCITY = 'Toronto' \
-             INTERSECT SELECT ALL A.SNO FROM AGENTS A",
-        ] {
-            let a = serial.query(sql).unwrap();
-            let b = parallel.query(sql).unwrap();
-            assert_eq!(multiset(&a.rows), multiset(&b.rows), "{sql}");
-        }
-    }
-
-    #[test]
-    fn parallel_cost_based_session_plans_with_degrees() {
-        let s = Session::sample().unwrap().with_degree(4).with_cost_based();
-        // The sample DB is tiny, so every operator stays deg=1 under the
-        // work budget — but the session must still run and agree.
-        let out = s
-            .query("SELECT DISTINCT S.SNO FROM SUPPLIER S, PARTS P WHERE S.SNO = P.SNO")
-            .unwrap();
-        assert_eq!(out.rows.len(), 4);
-        assert!(out.cards.is_some());
     }
 
     #[test]

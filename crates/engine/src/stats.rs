@@ -4,7 +4,7 @@
 //! them per node); they are re-exported here so existing imports keep
 //! working.
 
-pub use uniq_cost::{Degree, DistinctMethod, JoinMethod};
+pub use uniq_cost::{DistinctMethod, JoinMethod};
 
 /// Work counters maintained by every operator.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -39,15 +39,12 @@ pub struct ExecStats {
     pub subquery_evals: u64,
     /// Hash joins executed.
     pub hash_joins: u64,
-    /// Morsels (scan ranges and partition tasks) dispatched to parallel
-    /// workers; zero on the serial path.
-    pub morsels: u64,
     /// Vectorized kernel invocations on the columnar path: one per
     /// (kernel, column chunk) pair, regardless of how many rows the
     /// chunk holds. This is the columnar analogue of per-row operator
     /// dispatch — the whole point of vectorization is that this counter
-    /// grows with `rows / MORSEL_SIZE` where the row path's
-    /// `rows_scanned` grows with `rows`.
+    /// grows with `rows /` [`CHUNK_SIZE`](crate::columnar::CHUNK_SIZE)
+    /// where the row path's `rows_scanned` grows with `rows`.
     pub vector_ops: u64,
     /// Rows converted back from column codes to `Value` tuples by late
     /// materialization. Only query output is ever materialized; counted
@@ -83,11 +80,10 @@ impl ExecStats {
 
     /// Accumulate another stats block into this one. Counters are all
     /// sums, so merging is associative and commutative — the batch
-    /// driver folds per-worker tallies and the parallel executor folds
-    /// per-morsel tallies through this one function. The exhaustive
-    /// destructuring means a newly added counter cannot be silently
-    /// dropped here: the compiler rejects the pattern until it is
-    /// merged too.
+    /// driver folds per-worker tallies through this one function. The
+    /// exhaustive destructuring means a newly added counter cannot be
+    /// silently dropped here: the compiler rejects the pattern until it
+    /// is merged too.
     pub fn merge(&mut self, other: &ExecStats) {
         let ExecStats {
             rows_scanned,
@@ -100,7 +96,6 @@ impl ExecStats {
             ix_probes,
             subquery_evals,
             hash_joins,
-            morsels,
             vector_ops,
             materialized_rows,
             delta_rows,
@@ -119,7 +114,6 @@ impl ExecStats {
         self.ix_probes += ix_probes;
         self.subquery_evals += subquery_evals;
         self.hash_joins += hash_joins;
-        self.morsels += morsels;
         self.vector_ops += vector_ops;
         self.materialized_rows += materialized_rows;
         self.delta_rows += delta_rows;
@@ -198,7 +192,6 @@ mod tests {
             rows_scanned: 10,
             hash_probes: 5,
             probe_steps: 7,
-            morsels: 3,
             vector_ops: 6,
             materialized_rows: 8,
             delta_rows: 4,
@@ -213,7 +206,6 @@ mod tests {
         assert_eq!(a.sorts, 2);
         assert_eq!(a.hash_probes, 5);
         assert_eq!(a.probe_steps, 7);
-        assert_eq!(a.morsels, 3);
         assert_eq!(a.vector_ops, 6);
         assert_eq!(a.materialized_rows, 8);
         assert_eq!(a.delta_rows, 4);
@@ -233,7 +225,7 @@ mod tests {
             },
             ExecStats {
                 probe_steps: 9,
-                morsels: 2,
+                vector_ops: 2,
                 ..ExecStats::new()
             },
             ExecStats {

@@ -13,21 +13,14 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
-use uniq_engine::{CacheStats, Degree, ExecStats, QErrorStats, Session, StageTimings};
+use uniq_engine::{CacheStats, ExecStats, QErrorStats, Session, StageTimings};
 
 /// Knobs for [`run_batch`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct BatchOptions {
     /// Worker threads. `0` (the default) means one worker per available
-    /// core — divided by the per-query parallel degree when one is in
-    /// effect, so intra-query workers and batch workers don't
-    /// oversubscribe the machine together.
+    /// core.
     pub threads: usize,
-    /// Override the session's intra-query parallel degree for this batch
-    /// (`None` keeps the session's own setting). The batch runs on a
-    /// clone sharing the plan cache; the degree enters the plan
-    /// fingerprint, so serial and parallel runs never share an entry.
-    pub degree: Option<Degree>,
 }
 
 /// Aggregated outcome of one batch run.
@@ -133,36 +126,14 @@ fn cache_delta(after: &CacheStats, before: &CacheStats) -> CacheStats {
 /// atomic cursor, so the distribution is dynamic — fast workers take
 /// more work.
 pub fn run_batch(session: &Session, queries: &[String], options: BatchOptions) -> BatchReport {
-    // A per-batch degree override runs on a clone: it shares the plan
-    // cache (the degree is part of the fingerprint, so entries stay
-    // separate) but not the session's own executor settings.
-    let session = match options.degree {
-        Some(degree) => {
-            let mut s = session.clone();
-            s.exec.degree = degree;
-            s.planner.degree = degree;
-            Some(s)
-        }
-        None => None,
-    }
-    .map_or_else(
-        || std::borrow::Cow::Borrowed(session),
-        std::borrow::Cow::Owned,
-    );
-    let per_query = session.exec.degree.resolve();
     let threads = if options.threads == 0 {
-        // Auto: split the cores between batch workers and each query's
-        // own worker pool.
-        (std::thread::available_parallelism()
+        std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1)
-            / per_query)
-            .max(1)
     } else {
         options.threads
     }
     .min(queries.len().max(1));
-    let session: &Session = &session;
 
     let cache_before = session.cache_stats();
     let cursor = AtomicUsize::new(0);
@@ -235,14 +206,7 @@ mod tests {
     fn single_worker_batch_hits_after_first_round() {
         let session = Session::new(supplier_database().unwrap());
         let corpus = repeated_corpus(10);
-        let report = run_batch(
-            &session,
-            &corpus,
-            BatchOptions {
-                threads: 1,
-                degree: None,
-            },
-        );
+        let report = run_batch(&session, &corpus, BatchOptions { threads: 1 });
         assert_eq!(report.queries, 30);
         assert_eq!(report.errors, 0, "{:?}", report.first_error);
         // Three distinct statements compile once each; the rest hit.
@@ -261,14 +225,7 @@ mod tests {
     fn shared_cache_counters_survive_concurrency() {
         let session = Session::new(supplier_database().unwrap());
         let corpus = repeated_corpus(40);
-        let report = run_batch(
-            &session,
-            &corpus,
-            BatchOptions {
-                threads: 8,
-                degree: None,
-            },
-        );
+        let report = run_batch(&session, &corpus, BatchOptions { threads: 8 });
         assert_eq!(report.queries, 120);
         assert_eq!(report.errors, 0, "{:?}", report.first_error);
         // Every probe is either a hit or a miss — no lost updates.
@@ -287,28 +244,14 @@ mod tests {
     fn cost_based_batch_reports_qerror() {
         let session = Session::new(supplier_database().unwrap()).with_cost_based();
         let corpus = repeated_corpus(4);
-        let report = run_batch(
-            &session,
-            &corpus,
-            BatchOptions {
-                threads: 2,
-                degree: None,
-            },
-        );
+        let report = run_batch(&session, &corpus, BatchOptions { threads: 2 });
         assert_eq!(report.errors, 0, "{:?}", report.first_error);
         assert!(report.qerror.ops > 0, "cost-based plans are measured");
         assert!(report.qerror.max >= 1.0);
         assert!(report.qerror.mean() >= 1.0);
         // A static session measures nothing.
         let session = Session::new(supplier_database().unwrap());
-        let report = run_batch(
-            &session,
-            &corpus,
-            BatchOptions {
-                threads: 1,
-                degree: None,
-            },
-        );
+        let report = run_batch(&session, &corpus, BatchOptions { threads: 1 });
         assert_eq!(report.qerror.ops, 0);
     }
 
@@ -319,14 +262,7 @@ mod tests {
             "SELECT S.SNO FROM SUPPLIER S".to_string(),
             "SELECT NO_SUCH.COL FROM NOWHERE N".to_string(),
         ];
-        let report = run_batch(
-            &session,
-            &corpus,
-            BatchOptions {
-                threads: 1,
-                degree: None,
-            },
-        );
+        let report = run_batch(&session, &corpus, BatchOptions { threads: 1 });
         assert_eq!(report.queries, 2);
         assert_eq!(report.errors, 1);
         assert!(report.first_error.unwrap().contains("NOWHERE"));
@@ -339,81 +275,5 @@ mod tests {
         let report = run_batch(&session, &corpus, BatchOptions::default());
         assert!(report.threads >= 1);
         assert_eq!(report.queries, 6);
-    }
-
-    #[test]
-    fn parallel_degree_batch_agrees_with_serial_totals() {
-        let session = Session::new(supplier_database().unwrap());
-        let corpus = repeated_corpus(5);
-        let serial = run_batch(
-            &session,
-            &corpus,
-            BatchOptions {
-                threads: 1,
-                degree: None,
-            },
-        );
-        let parallel = run_batch(
-            &session,
-            &corpus,
-            BatchOptions {
-                threads: 1,
-                degree: Some(Degree::Fixed(3)),
-            },
-        );
-        assert_eq!(parallel.errors, 0, "{:?}", parallel.first_error);
-        assert_eq!(parallel.queries, serial.queries);
-        assert_eq!(parallel.rows, serial.rows, "same result multisets");
-        assert!(serial.exec.morsels == 0, "serial runs dispatch no morsels");
-        assert!(parallel.exec.morsels > 0, "parallel runs count morsels");
-    }
-
-    #[test]
-    fn serial_and_parallel_batches_do_not_share_cached_plans() {
-        let session = Session::new(supplier_database().unwrap());
-        let corpus = repeated_corpus(1);
-        run_batch(
-            &session,
-            &corpus,
-            BatchOptions {
-                threads: 1,
-                degree: None,
-            },
-        );
-        let parallel = run_batch(
-            &session,
-            &corpus,
-            BatchOptions {
-                threads: 1,
-                degree: Some(Degree::Fixed(2)),
-            },
-        );
-        assert_eq!(
-            parallel.cache.hits, 0,
-            "a parallel batch must compile its own plans"
-        );
-        assert_eq!(session.cache.len(), 6, "3 serial + 3 parallel entries");
-    }
-
-    #[test]
-    fn auto_threads_divide_cores_by_query_degree() {
-        let session = Session::new(supplier_database().unwrap());
-        let corpus = repeated_corpus(40);
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        let report = run_batch(
-            &session,
-            &corpus,
-            BatchOptions {
-                threads: 0,
-                degree: Some(Degree::Fixed(cores * 2)),
-            },
-        );
-        assert_eq!(
-            report.threads, 1,
-            "degree ≥ cores leaves one batch worker, not cores"
-        );
-        assert_eq!(report.errors, 0, "{:?}", report.first_error);
     }
 }

@@ -87,24 +87,19 @@ pub fn random_instance(
 }
 
 /// A row-oracle / columnar session pair over the *same* random
-/// instance: the first is the serial row executor (the correctness
-/// oracle), the second runs cost-based columnar execution at the given
-/// parallel degree over a dictionary-encoded copy of the instance. The
-/// fixture every columnar agreement property test starts from.
+/// instance: the first is the row executor (the correctness oracle),
+/// the second runs cost-based columnar execution over a
+/// dictionary-encoded copy of the instance. The fixture every columnar
+/// agreement property test starts from.
 pub fn columnar_session_pair(
     seed: u64,
     suppliers: usize,
     parts: usize,
     agents: usize,
-    degree: usize,
 ) -> Result<(Session, Session)> {
     let db = random_instance(seed, suppliers, parts, agents)?;
     let oracle = Session::new(db.clone());
-    let mut columnar = Session::new(db);
-    if degree > 1 {
-        columnar = columnar.with_degree(degree);
-    }
-    Ok((oracle, columnar.with_columnar()))
+    Ok((oracle, Session::new(db).with_columnar()))
 }
 
 #[cfg(test)]
@@ -136,7 +131,7 @@ mod tests {
 
     #[test]
     fn columnar_pair_shares_the_instance_and_licenses_columnar() {
-        let (oracle, columnar) = columnar_session_pair(11, 10, 20, 10, 1).unwrap();
+        let (oracle, columnar) = columnar_session_pair(11, 10, 20, 10).unwrap();
         let sql = "SELECT DISTINCT P.COLOR, S.SCITY FROM PARTS P, SUPPLIER S \
                    WHERE P.SNO = S.SNO AND P.COLOR = 'RED'";
         let a = oracle.query(sql).unwrap();

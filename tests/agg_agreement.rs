@@ -4,13 +4,13 @@
 //! `GROUP BY` / aggregate / `ORDER BY` / `LIMIT` queries, every
 //! execution configuration must produce the same answer:
 //!
-//! * the **un-elided serial row oracle** (`with_agg_elision(false)`):
+//! * the **un-elided row oracle** (`with_agg_elision(false)`):
 //!   hash grouping, distinct sets, and full scan-sort-limit, paid in
 //!   full;
 //! * the **elided row path** (session defaults): proof-gated `GROUP BY`
 //!   key elision, `COUNT(DISTINCT)` degradation, and the early-stopping
 //!   ordered-index Top-K walk;
-//! * the **cost-based columnar path** at parallel degrees 1–4.
+//! * the **cost-based row and columnar paths**.
 //!
 //! Comparisons are multiset comparisons. When a `LIMIT` is generated,
 //! the query's `ORDER BY` covers *all* output columns, so the surviving
@@ -229,12 +229,8 @@ fn sessions(seed: u64) -> (Session, Vec<(&'static str, Session)>) {
     let mut variants = vec![
         ("row-elided", Session::new(db.clone())),
         ("row-cost-based", Session::new(db.clone()).with_cost_based()),
-        ("row-parallel-3", Session::new(db.clone()).with_degree(3)),
+        ("columnar", Session::new(db.clone()).with_columnar()),
     ];
-    for deg in 1..=4usize {
-        let s = Session::new(db.clone()).with_degree(deg).with_columnar();
-        variants.push(("columnar", s));
-    }
     for (_, s) in variants.iter_mut() {
         s.run_script(&index_ddl).unwrap();
         // CREATE INDEX bumps the catalog; refresh cost-based statistics.

@@ -13,7 +13,7 @@
 //! * a fixed *fallback* list of shapes the planner must refuse to
 //!   license (OR, BETWEEN, subqueries, Cartesian products, same-table
 //!   comparisons), which must run on the row path and still agree;
-//! * property tests over random database instances × degrees 1–4.
+//! * property tests over random database instances.
 
 use proptest::prelude::*;
 use uniqueness::engine::Session;
@@ -101,7 +101,7 @@ fn assert_agreement(oracle: &Session, columnar: &Session, statements: &[&str], l
 /// silent fallback cannot masquerade as kernel coverage.
 #[test]
 fn covered_statements_agree_and_use_the_kernels() {
-    let (oracle, columnar) = columnar_session_pair(42, 30, 60, 30, 1).unwrap();
+    let (oracle, columnar) = columnar_session_pair(42, 30, 60, 30).unwrap();
     for sql in covered_statements() {
         assert_eq!(
             sorted_rows(&columnar, sql),
@@ -117,7 +117,7 @@ fn covered_statements_agree_and_use_the_kernels() {
 /// CI fast lane: unlicensed shapes stay on the row path and agree.
 #[test]
 fn fallback_statements_agree_on_the_row_path() {
-    let (oracle, columnar) = columnar_session_pair(42, 30, 60, 30, 1).unwrap();
+    let (oracle, columnar) = columnar_session_pair(42, 30, 60, 30).unwrap();
     for sql in fallback_statements() {
         assert_eq!(
             sorted_rows(&columnar, sql),
@@ -138,17 +138,16 @@ fn fallback_statements_agree_on_the_row_path() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Random instances × degrees 1–4: the columnar session returns the
-    /// row oracle's multiset for every covered and fallback statement.
+    /// Random instances: the columnar session returns the row oracle's
+    /// multiset for every covered and fallback statement.
     #[test]
     fn columnar_matches_row_oracle_on_random_instances(
         seed in 0u64..1_000,
-        degree in 1usize..5,
         suppliers in 5usize..40,
         parts in 5usize..80,
     ) {
         let (oracle, columnar) =
-            columnar_session_pair(seed, suppliers, parts, suppliers, degree).unwrap();
+            columnar_session_pair(seed, suppliers, parts, suppliers).unwrap();
         let statements: Vec<&str> = covered_statements()
             .into_iter()
             .chain(fallback_statements())
@@ -158,7 +157,7 @@ proptest! {
             prop_assert_eq!(
                 sorted_rows(&columnar, sql),
                 sorted_rows(&oracle, sql),
-                "degree {} differs for {}", degree, sql
+                "seed {} differs for {}", seed, sql
             );
         }
     }
@@ -169,9 +168,8 @@ proptest! {
     #[test]
     fn stale_store_falls_back_and_still_agrees(
         seed in 0u64..1_000,
-        degree in 1usize..5,
     ) {
-        let (mut oracle, mut columnar) = columnar_session_pair(seed, 20, 40, 20, degree).unwrap();
+        let (mut oracle, mut columnar) = columnar_session_pair(seed, 20, 40, 20).unwrap();
         // SNO 21 lies outside the generator's 1..=20 domain, so the
         // insert can never clash with an existing candidate-key value.
         let insert = "INSERT INTO SUPPLIER VALUES (21, 'Late', 'Toronto', 3, 'Active');";

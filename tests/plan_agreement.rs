@@ -1,0 +1,109 @@
+//! Planned/unoptimized agreement on random instances.
+//!
+//! A cost-based session (`with_cost_based()`: statistics collected, so
+//! every query runs rewritten and under a `PhysicalPlan` — join order,
+//! join and distinct methods, index access paths) must return the
+//! multiset `Session::query_unoptimized` returns: the bound query with
+//! no rewrites, run by the executor without a plan. Without an
+//! ORDER BY a result is a multiset, so both sides are sorted with the
+//! null-aware tuple comparator before comparison.
+//!
+//! Coverage:
+//! * a fixed statement list exercising every physical operator (joins,
+//!   Cartesian products, DISTINCT, EXISTS / NOT EXISTS / IN subqueries,
+//!   INTERSECT [ALL], EXCEPT [ALL], UNION [ALL]) over random instances;
+//! * the labelled corpus generator's statements.
+
+use proptest::prelude::*;
+use uniqueness::engine::Session;
+use uniqueness::plan::HostVars;
+use uniqueness::types::value::tuple_null_cmp;
+use uniqueness::types::Value;
+use uniqueness::workload::{generate_corpus, random_instance};
+
+/// Statements spanning every physical operator. None carry an
+/// ORDER BY, so results are multisets by contract.
+const FIXED_STATEMENTS: &[&str] = &[
+    // plain scans and filters
+    "SELECT S.SNO, S.SNAME FROM SUPPLIER S WHERE S.SCITY = 'Toronto'",
+    "SELECT ALL P.PNO, P.COLOR FROM PARTS P WHERE P.COLOR = 'RED'",
+    // equi-joins and a three-way join
+    "SELECT S.SNO, P.PNO FROM SUPPLIER S, PARTS P WHERE S.SNO = P.SNO",
+    "SELECT P.PNO, S.SNAME FROM PARTS P, SUPPLIER S \
+     WHERE S.SNO = P.SNO AND P.COLOR = 'RED'",
+    "SELECT S.SNO, P.PNO, A.ANO FROM SUPPLIER S, PARTS P, AGENTS A \
+     WHERE S.SNO = P.SNO AND S.SNO = A.SNO",
+    // Cartesian product
+    "SELECT S.SNO, A.ANO FROM SUPPLIER S, AGENTS A",
+    // duplicate elimination
+    "SELECT DISTINCT S.SCITY FROM SUPPLIER S",
+    "SELECT DISTINCT S.SCITY, P.COLOR FROM SUPPLIER S, PARTS P \
+     WHERE S.SNO = P.SNO",
+    // correlated and uncorrelated subqueries
+    "SELECT S.SNO FROM SUPPLIER S WHERE EXISTS \
+     (SELECT * FROM PARTS P WHERE P.SNO = S.SNO AND P.COLOR = 'RED')",
+    "SELECT S.SNO FROM SUPPLIER S WHERE NOT EXISTS \
+     (SELECT * FROM PARTS P WHERE P.SNO = S.SNO)",
+    "SELECT P.PNO FROM PARTS P WHERE P.SNO IN \
+     (SELECT S.SNO FROM SUPPLIER S WHERE S.SCITY = 'Toronto')",
+    // set operations, both DISTINCT and ALL flavours
+    "SELECT ALL S.SNO FROM SUPPLIER S \
+     INTERSECT SELECT ALL A.SNO FROM AGENTS A",
+    "SELECT ALL S.SNO FROM SUPPLIER S \
+     INTERSECT ALL SELECT ALL P.SNO FROM PARTS P",
+    "SELECT ALL P.SNO FROM PARTS P \
+     EXCEPT SELECT ALL A.SNO FROM AGENTS A WHERE A.ACITY = 'Ottawa'",
+    "SELECT ALL P.SNO FROM PARTS P \
+     EXCEPT ALL SELECT ALL A.SNO FROM AGENTS A",
+    "SELECT S.SNO FROM SUPPLIER S \
+     UNION SELECT A.SNO FROM AGENTS A",
+    "SELECT ALL S.SNO FROM SUPPLIER S \
+     UNION ALL SELECT ALL A.SNO FROM AGENTS A",
+];
+
+fn sorted(mut rows: Vec<Vec<Value>>) -> Vec<Vec<Value>> {
+    rows.sort_by(|a, b| tuple_null_cmp(a, b).unwrap());
+    rows
+}
+
+/// `sql` through the planned path and through the unoptimized oracle,
+/// each reduced to its canonical sorted multiset.
+fn both_ways(session: &Session, sql: &str) -> (Vec<Vec<Value>>, Vec<Vec<Value>>) {
+    let planned = session.query(sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
+    let oracle = session
+        .query_unoptimized(sql, &HostVars::new())
+        .unwrap_or_else(|e| panic!("{sql}: {e}"));
+    (sorted(planned.rows), sorted(oracle.rows))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Random instances: the planned session returns the oracle's
+    /// multiset for every fixed statement.
+    #[test]
+    fn planned_matches_unoptimized_on_random_instances(
+        seed in 0u64..1_000,
+        suppliers in 5usize..40,
+        parts in 5usize..80,
+    ) {
+        let db = random_instance(seed, suppliers, parts, suppliers).unwrap();
+        let session = Session::new(db).with_cost_based();
+        for sql in FIXED_STATEMENTS {
+            let (planned, oracle) = both_ways(&session, sql);
+            prop_assert_eq!(planned, oracle, "seed {} differs for {}", seed, sql);
+        }
+    }
+
+    /// Random instances over the generated corpus.
+    #[test]
+    fn planned_matches_unoptimized_on_corpus(seed in 0u64..1_000) {
+        let db = random_instance(seed, 20, 40, 20).unwrap();
+        let session = Session::new(db).with_cost_based();
+        let corpus = generate_corpus(seed, 16, 1).expect("corpus generation");
+        for q in corpus {
+            let (planned, oracle) = both_ways(&session, &q.sql);
+            prop_assert_eq!(planned, oracle, "seed {} differs for {}", seed, q.sql);
+        }
+    }
+}
