@@ -34,6 +34,9 @@ cargo test -q -p uniq-core pipeline
 echo "==> fast lane: cost model tests"
 cargo test -q -p uniq-cost
 
+echo "==> fast lane: physical planning (fixed plans keep their work, cost-based plans do no more)"
+cargo test -q -p uniq-bench e16
+
 echo "==> fast lane: columnar kernels and columnar/row agreement"
 cargo test -q -p uniq-engine columnar
 cargo test -q -p uniqueness --test columnar_agreement
@@ -94,15 +97,22 @@ wait "$WRITER" "$READER1" "$READER2"
 # EXPLAIN served over the same wire.
 timeout 60 "$CLI" --addr "$UNIQD_ADDR" \
     -e "SELECT S.SNAME FROM SUPPLIER S WHERE S.SNO = 401" | grep -q Smoke
-timeout 60 "$CLI" --addr "$UNIQD_ADDR" --explain \
-    "SELECT DISTINCT S.SNO, P.PNO FROM SUPPLIER S, PARTS P WHERE S.SNO = P.SNO" \
-    | grep -q "proof=✓"
+EXPLAIN_OUT="$(timeout 60 "$CLI" --addr "$UNIQD_ADDR" --explain \
+    "SELECT DISTINCT S.SNO, P.PNO FROM SUPPLIER S, PARTS P WHERE S.SNO = P.SNO")"
+grep -q "proof=✓" <<< "$EXPLAIN_OUT"
+# Before ANALYZE the one plan section is the fixed plan, labels only.
+grep -q "Physical plan:" <<< "$EXPLAIN_OUT"
 # After ANALYZE the EXPLAIN served over the wire shows the cost-based
-# plan the daemon runs, with estimated and actual rows per operator.
+# plan the daemon runs, with estimated and actual rows per operator,
+# and no second plan section.
 timeout 60 "$CLI" --addr "$UNIQD_ADDR" --analyze > /dev/null
-timeout 60 "$CLI" --addr "$UNIQD_ADDR" --explain \
-    "SELECT DISTINCT S.SNO, P.PNO FROM SUPPLIER S, PARTS P WHERE S.SNO = P.SNO" \
-    | grep -q "Cost-based plan (est/act rows)"
+EXPLAIN_OUT="$(timeout 60 "$CLI" --addr "$UNIQD_ADDR" --explain \
+    "SELECT DISTINCT S.SNO, P.PNO FROM SUPPLIER S, PARTS P WHERE S.SNO = P.SNO")"
+grep -q "Cost-based plan (est/act rows)" <<< "$EXPLAIN_OUT"
+if grep -q "Physical plan:" <<< "$EXPLAIN_OUT"; then
+    echo "error: EXPLAIN after ANALYZE prints a second plan section" >&2
+    exit 1
+fi
 # Aggregation round-trip over the wire: with the smoke INSERT above,
 # Toronto has the most suppliers, so the top GROUP BY row names it.
 timeout 60 "$CLI" --addr "$UNIQD_ADDR" \

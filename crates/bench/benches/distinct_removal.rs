@@ -38,7 +38,7 @@ fn bench_distinct_methods(c: &mut Criterion) {
             ("hash", DistinctMethod::Hash),
         ] {
             let mut session = scaled_session(suppliers, 5);
-            session.exec.distinct = method;
+            session.planner.distinct = method;
             group.bench_with_input(BenchmarkId::new(name, suppliers), &suppliers, |b, _| {
                 b.iter(|| session.query_unoptimized(sql, &hv).unwrap())
             });

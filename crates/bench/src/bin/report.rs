@@ -911,8 +911,11 @@ fn e20_proof_checker(m: &mut Metrics) {
     let stats = uniqueness::cost::Statistics::collect(&db);
     let bound =
         bind_query(db.catalog(), &parse_query(E20_UNION_BOUND).expect("parse")).expect("bind");
-    let plan =
-        uniqueness::cost::plan_query(&bound, &stats, uniqueness::cost::PlannerOptions::default());
+    let plan = uniqueness::cost::plan_query(
+        &bound,
+        Some(&stats),
+        uniqueness::cost::PlannerOptions::default(),
+    );
     let uniqueness::cost::PhysNode::SetOp {
         id, left, right, ..
     } = &plan.root
@@ -1131,13 +1134,10 @@ fn e18_columnar_execution(m: &mut Metrics) {
     assert!(marker.contains("enc=dict"), "{explain}");
 }
 
-/// E16 — cost-based per-node physical planning vs every static
-/// `ExecOptions` configuration, over the workload corpus.
+/// E16 — cost-based per-node physical planning vs every fixed plan's
+/// join/distinct method combination, over the workload corpus.
 fn e16_cost_based_planning(m: &mut Metrics) {
-    header(
-        "E16",
-        "cost-based physical planning vs static executor options",
-    );
+    header("E16", "cost-based physical planning vs fixed plans");
     let cfg = uniqueness::workload::ScaleConfig {
         suppliers: 60,
         parts_per_supplier: 5,
@@ -1843,10 +1843,10 @@ fn e12_distinct_methods(runs: usize) {
         let mut session = scaled_session(suppliers, 5);
         session.optimizer = OptimizerOptions::disabled();
         let hv = HostVars::new();
-        session.exec.distinct = DistinctMethod::Sort;
+        session.planner.distinct = DistinctMethod::Sort;
         let sort_out = session.query_unoptimized(sql, &hv).unwrap();
         let t_sort = median_time(runs, || session.query_unoptimized(sql, &hv).unwrap());
-        session.exec.distinct = DistinctMethod::Hash;
+        session.planner.distinct = DistinctMethod::Hash;
         let hash_out = session.query_unoptimized(sql, &hv).unwrap();
         let t_hash = median_time(runs, || session.query_unoptimized(sql, &hv).unwrap());
         let a: HashMap<_, usize> = sort_out.rows.iter().fold(HashMap::new(), |mut m, r| {

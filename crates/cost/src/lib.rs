@@ -17,10 +17,11 @@
 //!   duplicate-free emits at most the product of its projected columns'
 //!   domains; a join whose keys cover a candidate key of the inner table
 //!   emits at most the outer side).
-//! * [`planner`] — a cost-based physical planner replacing the
-//!   session-global `ExecOptions` defaults with per-node choices: hash
-//!   vs. sort distinct, hash vs. nested-loop join, and join input
-//!   ordering by estimated size.
+//! * [`planner`] — the physical planner, the one place physical
+//!   choices are made. With statistics it chooses per node: hash vs.
+//!   sort distinct, hash vs. nested-loop join, and join input ordering
+//!   by estimated size. Without them it builds the fixed plan: `FROM`
+//!   order and the [`PlannerOptions`] methods everywhere.
 //! * [`physical`] — the physical-plan IR the executor consumes, with an
 //!   operator registry carrying estimates so `EXPLAIN` can print
 //!   `est=… act=…` per operator.
@@ -49,7 +50,7 @@ pub use physical::{
     BlockPlan, DistinctMethod, DistinctStep, JoinMethod, JoinStep, OpId, OpInfo, OutputOp,
     PhysNode, PhysicalPlan,
 };
-pub use planner::{early_stop_license, plan_output, plan_query, PlannerOptions};
+pub use planner::{plan_output, plan_query, PlannerOptions};
 pub use sarg::{find_index_probe, find_index_sarg, IndexProbe, IndexSarg, ProbeSource};
 pub use stats::{ColumnStats, Statistics, TableStats};
 pub use uniq_proof::{Justification, ProofStatus};

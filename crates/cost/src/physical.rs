@@ -1,6 +1,8 @@
 //! The physical-plan IR the executor consumes.
 //!
-//! A [`PhysicalPlan`] mirrors the shape of the optimized
+//! Every query runs under a [`PhysicalPlan`], built by
+//! [`crate::planner`], which is the only place physical choices are
+//! made. A plan mirrors the shape of the optimized
 //! [`BoundQuery`](uniq_plan::BoundQuery) it was planned for — one
 //! [`BlockPlan`] per query block, one [`PhysNode::SetOp`] per set
 //! operation — and records the planner's per-node choices: join input
@@ -9,7 +11,8 @@
 //! registry carrying its display label and estimated output
 //! cardinality; the executor fills a parallel `actuals` array, which is
 //! how `EXPLAIN` prints `est=… act=…` per operator and how q-error is
-//! measured.
+//! measured. A fixed plan, built without statistics, has no estimates
+//! and renders its labels only.
 //!
 //! The method enums live here (re-exported by `uniq-engine` for
 //! compatibility) so the planner can be expressed without depending on
@@ -196,12 +199,16 @@ pub struct PhysicalPlan {
     pub output: Vec<OutputOp>,
     /// Flat operator registry, indexed by [`OpId`].
     pub ops: Vec<OpInfo>,
+    /// Planned against statistics, so every [`OpInfo::est`] is an
+    /// estimate. False for a fixed plan, whose `est` fields are zero.
+    pub estimated: bool,
 }
 
 impl PhysicalPlan {
-    /// Render the plan as an indented tree, one operator per line, each
-    /// annotated `est=… act=…` (`act=?` when no actuals are supplied,
-    /// e.g. the query needs host variables that EXPLAIN cannot bind).
+    /// Render the plan as an indented tree, one operator per line. An
+    /// estimated plan annotates each line `est=… act=…` (`act=?` when no
+    /// actuals are supplied, e.g. the query needs host variables that
+    /// EXPLAIN cannot bind); a fixed plan prints its labels only.
     pub fn render(&self, depth: usize, actuals: Option<&[u64]>) -> String {
         let mut out = String::new();
         let mut depth = depth;
@@ -228,18 +235,14 @@ impl PhysicalPlan {
                     None => String::new(),
                 },
             };
-            self.line_sfx(op.id(), depth, actuals, &suffix, &mut out);
+            self.line(op.id(), depth, actuals, &suffix, &mut out);
             depth += 1;
         }
         self.render_node(&self.root, depth, actuals, &mut out);
         out
     }
 
-    fn line(&self, id: OpId, depth: usize, actuals: Option<&[u64]>, out: &mut String) {
-        self.line_sfx(id, depth, actuals, "", out);
-    }
-
-    fn line_sfx(
+    fn line(
         &self,
         id: OpId,
         depth: usize,
@@ -251,13 +254,15 @@ impl PhysicalPlan {
             out.push_str("  ");
         }
         let op = &self.ops[id];
-        match actuals.and_then(|a| a.get(id)) {
-            Some(act) => out.push_str(&format!(
-                "{} est={} act={}{suffix}\n",
-                op.label, op.est, act
-            )),
-            None => out.push_str(&format!("{} est={} act=?{suffix}\n", op.label, op.est)),
+        out.push_str(&op.label);
+        if self.estimated {
+            let act = actuals
+                .and_then(|a| a.get(id))
+                .map_or("?".into(), u64::to_string);
+            out.push_str(&format!(" est={} act={act}", op.est));
         }
+        out.push_str(suffix);
+        out.push('\n');
     }
 
     fn render_node(
@@ -271,13 +276,12 @@ impl PhysicalPlan {
             PhysNode::Block(block) => {
                 let mut depth = depth;
                 if let Some(d) = &block.distinct {
-                    self.line(d.id, depth, actuals, out);
+                    self.line(d.id, depth, actuals, "", out);
                     depth += 1;
                 }
-                self.line(block.project, depth, actuals, out);
-                // Pipeline steps, deepest-first like the executor's
-                // static EXPLAIN: the last join on top, the initial
-                // scan at the bottom.
+                self.line(block.project, depth, actuals, "", out);
+                // Pipeline steps, deepest-first: the last join on top,
+                // the initial scan at the bottom.
                 for step in block.joins.iter().rev() {
                     let suffix = match &step.ix {
                         Some(ix) => format!(
@@ -287,7 +291,7 @@ impl PhysicalPlan {
                         ),
                         None => String::new(),
                     };
-                    self.line_sfx(step.id, depth + 1, actuals, &suffix, out);
+                    self.line(step.id, depth + 1, actuals, &suffix, out);
                 }
                 let mut suffix = String::new();
                 if let Some(ix) = &block.ixscan {
@@ -300,12 +304,12 @@ impl PhysicalPlan {
                 if block.columnar {
                     suffix.push_str(" exec=columnar");
                 }
-                self.line_sfx(block.scan, depth + 1, actuals, &suffix, out);
+                self.line(block.scan, depth + 1, actuals, &suffix, out);
             }
             PhysNode::SetOp {
                 id, left, right, ..
             } => {
-                self.line(*id, depth, actuals, out);
+                self.line(*id, depth, actuals, "", out);
                 self.render_node(left, depth + 1, actuals, out);
                 self.render_node(right, depth + 1, actuals, out);
             }
@@ -360,6 +364,7 @@ mod tests {
                 ixscan: None,
             }),
             output: Vec::new(),
+            estimated: true,
             ops: vec![
                 OpInfo {
                     label: "Scan SUPPLIER AS S".into(),
@@ -496,6 +501,18 @@ mod tests {
         assert!(
             rendered.contains("Limit 2 est=2 act=? early-stop(IDX_SNO)"),
             "{rendered}"
+        );
+    }
+
+    #[test]
+    fn fixed_plans_render_labels_only() {
+        let mut plan = tiny_plan();
+        plan.estimated = false;
+        let rendered = plan.render(0, Some(&[5, 6, 6, 4]));
+        assert_eq!(
+            rendered,
+            "HashDistinct\n  Project [S.SNO]\n    HashJoin with Scan PARTS AS P\n    \
+             Scan SUPPLIER AS S\n"
         );
     }
 

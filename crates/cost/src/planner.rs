@@ -1,10 +1,12 @@
-//! The cost-based physical planner.
+//! The physical planner: the one place physical choices are made. The
+//! executor runs whatever [`PhysicalPlan`] this module hands it.
 //!
-//! For every query block the planner chooses a join input order
-//! (greedy: start from the smallest filtered table, then repeatedly add
-//! the table minimizing the estimated intermediate size) and, per
-//! pipeline step, a physical method. Costs are expressed in the
-//! executor's own counters so the model is falsifiable:
+//! With collected [`Statistics`] the planner is cost-based. For every
+//! query block it chooses a join input order (greedy: start from the
+//! smallest filtered table, then repeatedly add the table minimizing the
+//! estimated intermediate size) and, per pipeline step, a physical
+//! method. Costs are expressed in the executor's own counters so the
+//! model is falsifiable:
 //!
 //! * a nested-loop step re-scans its table once per outer partial →
 //!   `outer × rows` scans;
@@ -21,6 +23,12 @@
 //! proved duplicate-free by Algorithm 1 / the FD test emits at most the
 //! product of its projected columns' active domains
 //! ([`Estimator::unique_output_bound`]).
+//!
+//! Without statistics (before `ANALYZE`) the planner builds the *fixed*
+//! plan: the `FROM` order, [`PlannerOptions::join`] on every join step,
+//! [`PlannerOptions::distinct`] for every `DISTINCT` and set operation,
+//! and no index or columnar license. A fixed plan carries no estimates
+//! ([`PhysicalPlan::estimated`] is false).
 
 use crate::estimate::Estimator;
 use crate::physical::{
@@ -32,55 +40,71 @@ use std::collections::BTreeSet;
 use uniq_plan::{AttrRef, BScalar, BoundAggItem, BoundExpr, BoundOutput, BoundQuery, BoundSpec};
 use uniq_sql::{CmpOp, SetOp};
 
-/// Session-level planner configuration. Physical planning runs once
-/// statistics exist; until then the session's static `ExecOptions`
-/// apply.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
+/// Session-level planner configuration: the four physical knobs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PlannerOptions {
     /// License blocks for the vectorized columnar executor when every
     /// conjunct and join step is covered by its kernels (see
-    /// [`BlockPlan::columnar`]). Off by default: the row executor
-    /// remains the oracle every columnar plan is checked against.
+    /// [`BlockPlan::columnar`]). Only cost-based plans carry the
+    /// license. Off by default: the row executor remains the oracle
+    /// every columnar plan is checked against.
     pub columnar: bool,
+    /// The join method of every step of a fixed plan. The cost-based
+    /// planner chooses per step instead.
+    pub join: JoinMethod,
+    /// The duplicate-elimination method of every `DISTINCT` and set
+    /// operation of a fixed plan. The cost-based planner chooses per
+    /// node instead.
+    pub distinct: DistinctMethod,
+    /// Grant the `ORDER BY key-prefix LIMIT k` early-stop license (see
+    /// [`OutputOp::Limit`]), with or without statistics. Off = always
+    /// scan, sort and cut: the oracle the early-stopping path is tested
+    /// against, and the E23 baseline.
+    pub early_stop: bool,
 }
 
-/// Plan a bound (typically optimizer-rewritten) query against collected
-/// statistics.
-pub fn plan_query(query: &BoundQuery, stats: &Statistics, options: PlannerOptions) -> PhysicalPlan {
-    let mut planner = Planner {
-        est: Estimator::new(stats),
-        ops: Vec::new(),
-        columnar: options.columnar,
-    };
-    let (root, _) = planner.plan_node(query);
-    PhysicalPlan {
-        root,
-        output: Vec::new(),
-        ops: planner.ops,
+impl Default for PlannerOptions {
+    fn default() -> PlannerOptions {
+        PlannerOptions {
+            columnar: false,
+            join: JoinMethod::default(),
+            distinct: DistinctMethod::default(),
+            early_stop: true,
+        }
     }
 }
 
+/// Plan a bound (typically optimizer-rewritten) query: cost-based
+/// against `stats`, or the fixed plan when there are none.
+pub fn plan_query(
+    query: &BoundQuery,
+    stats: Option<&Statistics>,
+    options: PlannerOptions,
+) -> PhysicalPlan {
+    let mut planner = Planner::new(stats, options);
+    let (root, _) = planner.plan_node(query);
+    planner.finish(root, Vec::new())
+}
+
 /// Plan a full (optimizer-rewritten) query — body plus aggregation /
-/// `ORDER BY` / `LIMIT` output operators — against collected statistics.
+/// `ORDER BY` / `LIMIT` output operators — cost-based against `stats`,
+/// or the fixed plan when there are none.
 ///
 /// Output-operator estimates carry the uniqueness-derived hard bounds:
 /// an aggregate can emit at most `min(input, Π dom(group col))` groups
 /// — and *exactly* its input when the grouping was proof-elided (every
-/// row is its own group); a limit emits at most `k`. When the `ORDER
-/// BY` columns are an ascending prefix of an ordered index on a plain
-/// single-table block, the sort is dropped entirely and the limit
-/// carries an early-stop license: the executor walks the index in order
-/// and stops after `k` emitted rows.
+/// row is its own group); a limit emits at most `k`. When
+/// [`PlannerOptions::early_stop`] is set and the `ORDER BY` columns are
+/// an ascending prefix of an ordered index on a plain single-table
+/// block, the sort is dropped entirely and the limit carries an
+/// early-stop license: the executor walks the index in order and stops
+/// after `k` emitted rows.
 pub fn plan_output(
     output: &BoundOutput,
-    stats: &Statistics,
+    stats: Option<&Statistics>,
     options: PlannerOptions,
 ) -> PhysicalPlan {
-    let mut planner = Planner {
-        est: Estimator::new(stats),
-        ops: Vec::new(),
-        columnar: options.columnar,
-    };
+    let mut planner = Planner::new(stats, options);
     let (root, body_est) = planner.plan_node(&output.body);
     let mut est = body_est;
     let mut out_ops: Vec<OutputOp> = Vec::new();
@@ -95,12 +119,12 @@ pub fn plan_output(
         } else if agg.group_elided {
             body_est
         } else {
-            let dom = output
-                .body
-                .as_spec()
-                .map(|spec| {
+            let dom = planner
+                .est
+                .zip(output.body.as_spec())
+                .map(|(estimator, spec)| {
                     (0..agg.group_count)
-                        .map(|p| planner.est.attr_domain(spec, spec.projection[p].attr))
+                        .map(|p| estimator.attr_domain(spec, spec.projection[p].attr))
                         .product::<f64>()
                 })
                 .unwrap_or(f64::INFINITY);
@@ -119,7 +143,7 @@ pub fn plan_output(
         });
     }
 
-    let early_stop = early_stop_license(output);
+    let early_stop = early_stop_license(output).filter(|_| options.early_stop);
     if !output.order_by.is_empty() && early_stop.is_none() {
         let names = output.output_names();
         let cols: Vec<String> = output
@@ -137,11 +161,7 @@ pub fn plan_output(
         out_ops.push(OutputOp::Limit { id, early_stop });
     }
 
-    PhysicalPlan {
-        root,
-        output: out_ops,
-        ops: planner.ops,
-    }
+    planner.finish(root, out_ops)
 }
 
 /// Display label of one aggregate output item, e.g. `SNO`,
@@ -176,12 +196,7 @@ fn agg_item_label(output: &BoundOutput, item: &BoundAggItem) -> String {
 /// index in canonical order (`NULL`s first, matching the engine's total
 /// order) yields rows already sorted, so the scan may stop as soon as
 /// `k` rows pass the residual filter.
-///
-/// Public because the license is re-derived: the executor calls this
-/// again at run time against the (possibly newer) bound schema and only
-/// takes the early-stop path when the re-derivation still names the
-/// planned index — a cached plan can outlive an index drop.
-pub fn early_stop_license(output: &BoundOutput) -> Option<uniq_proof::Justification> {
+fn early_stop_license(output: &BoundOutput) -> Option<uniq_proof::Justification> {
     output.limit?;
     if output.agg.is_some() || output.order_by.is_empty() {
         return None;
@@ -216,12 +231,30 @@ pub fn early_stop_license(output: &BoundOutput) -> Option<uniq_proof::Justificat
 }
 
 struct Planner<'a> {
-    est: Estimator<'a>,
+    /// `None` builds the fixed plan.
+    est: Option<Estimator<'a>>,
     ops: Vec<OpInfo>,
-    columnar: bool,
+    options: PlannerOptions,
 }
 
-impl Planner<'_> {
+impl<'a> Planner<'a> {
+    fn new(stats: Option<&'a Statistics>, options: PlannerOptions) -> Planner<'a> {
+        Planner {
+            est: stats.map(Estimator::new),
+            ops: Vec::new(),
+            options,
+        }
+    }
+
+    fn finish(self, root: PhysNode, output: Vec<OutputOp>) -> PhysicalPlan {
+        PhysicalPlan {
+            root,
+            output,
+            ops: self.ops,
+            estimated: self.est.is_some(),
+        }
+    }
+
     fn op(&mut self, label: String, est: f64) -> OpId {
         let id = self.ops.len();
         self.ops.push(OpInfo {
@@ -234,7 +267,10 @@ impl Planner<'_> {
     fn plan_node(&mut self, query: &BoundQuery) -> (PhysNode, f64) {
         match query {
             BoundQuery::Spec(spec) => {
-                let (block, est) = self.plan_block(spec);
+                let (block, est) = match self.est {
+                    Some(estimator) => self.plan_block(estimator, spec),
+                    None => (self.fixed_block(spec), 0.0),
+                };
                 (PhysNode::Block(block), est)
             }
             BoundQuery::SetOp {
@@ -255,14 +291,16 @@ impl Planner<'_> {
                 // UNION-aware hard cap: a distinct set operation can
                 // never emit more than its merged output domains admit,
                 // whatever the operand estimates say.
-                if let Some(bound) = self.est.query_hard_bound(query) {
+                if let Some(bound) = self.est.and_then(|e| e.query_hard_bound(query)) {
                     est = est.min(bound);
                 }
                 let concat = *op == SetOp::Union && *all;
                 // Hash counting costs n probes; sort-merge costs about
                 // n·log₂n comparisons — hash wins beyond tiny inputs.
                 let n = l_est + r_est;
-                let method = if concat || sort_cost(n) <= n {
+                let method = if self.est.is_none() {
+                    self.options.distinct
+                } else if concat || sort_cost(n) <= n {
                     DistinctMethod::Sort
                 } else {
                     DistinctMethod::Hash
@@ -295,7 +333,90 @@ impl Planner<'_> {
         }
     }
 
-    fn plan_block(&mut self, spec: &BoundSpec) -> (BlockPlan, f64) {
+    /// The fixed plan of a block: the `FROM` order,
+    /// [`PlannerOptions::join`] on every step and
+    /// [`PlannerOptions::distinct`] for `DISTINCT`, with no index or
+    /// columnar license.
+    fn fixed_block(&mut self, spec: &BoundSpec) -> BlockPlan {
+        let method = self.options.join;
+        let joins = (1..spec.from.len())
+            .map(|t| {
+                // The executor keys a hash step on the equalities between
+                // this table and the tables before it; without one the
+                // step is a cross product.
+                let range = spec.from[t].attr_range();
+                let has_keys = (spec.predicate.iter().flat_map(|p| p.conjuncts()))
+                    .any(|c| equi_key_attr(c, &range, |idx| idx < range.start).is_some());
+                JoinStep {
+                    method,
+                    id: self.join_op(spec, t, join_kind(method, has_keys, false), 0.0),
+                    unique: false,
+                    ix: None,
+                }
+            })
+            .collect();
+        let scan = self.scan_op(spec, 0, "", 0.0);
+        let distinct =
+            (spec.distinct == uniq_sql::Distinct::Distinct).then_some((self.options.distinct, 0.0));
+        let (project, distinct) = self.output_ops(spec, 0.0, distinct);
+        BlockPlan {
+            order: (0..spec.from.len()).collect(),
+            scan,
+            joins,
+            project,
+            distinct,
+            columnar: false,
+            ixscan: None,
+        }
+    }
+
+    /// Register the operator of the join step introducing `FROM`
+    /// position `t`, labelled with the kind of step that runs.
+    fn join_op(&mut self, spec: &BoundSpec, t: usize, kind: &str, est: f64) -> OpId {
+        let table = &spec.from[t];
+        let label = format!(
+            "{kind} with Scan {} AS {}",
+            table.schema.name, table.binding
+        );
+        self.op(label, est)
+    }
+
+    /// Register the initial scan of `FROM` position `t`.
+    fn scan_op(&mut self, spec: &BoundSpec, t: usize, marker: &str, est: f64) -> OpId {
+        let table = &spec.from[t];
+        let label = format!("Scan {} AS {}{marker}", table.schema.name, table.binding);
+        self.op(label, est)
+    }
+
+    /// Register a block's projection and, when `distinct` names a method
+    /// and estimate, its duplicate elimination.
+    fn output_ops(
+        &mut self,
+        spec: &BoundSpec,
+        est: f64,
+        distinct: Option<(DistinctMethod, f64)>,
+    ) -> (OpId, Option<DistinctStep>) {
+        let cols: Vec<String> = spec
+            .projection
+            .iter()
+            .map(|p| spec.attr_name(p.attr))
+            .collect();
+        let project = self.op(format!("Project [{}]", cols.join(", ")), est);
+        let distinct = distinct.map(|(method, d_est)| {
+            let label = match method {
+                DistinctMethod::Sort => "SortDistinct",
+                DistinctMethod::Hash => "HashDistinct",
+            };
+            DistinctStep {
+                method,
+                id: self.op(label.to_string(), d_est),
+            }
+        });
+        (project, distinct)
+    }
+
+    /// The cost-based plan of a block.
+    fn plan_block(&mut self, est: Estimator, spec: &BoundSpec) -> (BlockPlan, f64) {
         let n = spec.from.len();
         let conjuncts: Vec<&BoundExpr> = spec
             .predicate
@@ -307,21 +428,18 @@ impl Planner<'_> {
         let raw: Vec<f64> = spec
             .from
             .iter()
-            .map(|t| self.est.table_rows(&t.schema.name))
+            .map(|t| est.table_rows(&t.schema.name))
             .collect();
+        let filtered = |t: usize| filtered_rows(est, spec, t, &conjuncts, &owners, raw[t]);
 
         // Greedy join ordering: start from the smallest filtered table.
         let first = (0..n)
-            .min_by(|&a, &b| {
-                let fa = self.filtered_rows(spec, a, &conjuncts, &owners, raw[a]);
-                let fb = self.filtered_rows(spec, b, &conjuncts, &owners, raw[b]);
-                fa.total_cmp(&fb)
-            })
+            .min_by(|&a, &b| filtered(a).total_cmp(&filtered(b)))
             .expect("block with empty FROM clause");
         let mut order = vec![first];
         let mut placed: BTreeSet<usize> = BTreeSet::from([first]);
         let mut applied = vec![false; conjuncts.len()];
-        let mut cur = self.filtered_rows(spec, first, &conjuncts, &owners, raw[first]);
+        let mut cur = filtered(first);
         for (i, o) in owners.iter().enumerate() {
             if o.iter().all(|t| placed.contains(t)) {
                 applied[i] = true;
@@ -333,7 +451,8 @@ impl Planner<'_> {
         // be a keyed hash join (the columnar executor has no nested-loop
         // or cross kernel). Tracked alongside the greedy loop so the
         // verdict reflects the order actually chosen.
-        let mut columnar = self.columnar && conjuncts.iter().all(|c| columnar_conjunct(spec, c));
+        let mut columnar =
+            self.options.columnar && conjuncts.iter().all(|c| columnar_conjunct(spec, c));
 
         let mut joins: Vec<JoinStep> = Vec::new();
         while placed.len() < n {
@@ -341,10 +460,10 @@ impl Planner<'_> {
             let (next, step_est, has_keys, covered) = (0..n)
                 .filter(|t| !placed.contains(t))
                 .map(|t| {
-                    let (est, keys, covered) = self.step_estimate(
-                        spec, t, &placed, &conjuncts, &owners, &applied, cur, raw[t],
+                    let (step, keys, covered) = step_estimate(
+                        est, spec, t, &placed, &conjuncts, &owners, &applied, cur, raw[t],
                     );
-                    (t, est, keys, covered)
+                    (t, step, keys, covered)
                 })
                 .min_by(|a, b| a.1.total_cmp(&b.1))
                 .expect("unplaced table exists");
@@ -389,20 +508,7 @@ impl Planner<'_> {
             }
             let ix_cost = cur + step_est;
             let use_ix = probe.is_some() && ix_cost < hash_cost && ix_cost < nl_cost;
-            let table = &spec.from[next];
-            let kind = match (use_ix, method, has_keys) {
-                (true, _, _) => "IxJoin",
-                (false, JoinMethod::NestedLoop, _) => "NestedLoop",
-                (false, JoinMethod::Hash, true) => "HashJoin",
-                (false, JoinMethod::Hash, false) => "CrossJoin",
-            };
-            let id = self.op(
-                format!(
-                    "{kind} with Scan {} AS {}",
-                    table.schema.name, table.binding
-                ),
-                step_est,
-            );
+            let id = self.join_op(spec, next, join_kind(method, has_keys, use_ix), step_est);
             let ix = use_ix.then(|| {
                 let p = probe.as_ref().expect("use_ix implies a probe");
                 uniq_proof::Justification::ix_join(&p.index, p.unique)
@@ -426,12 +532,12 @@ impl Planner<'_> {
 
         // Uniqueness-derived hard cap on the block output.
         let mut out_est = cur;
-        if let Some(bound) = self.est.unique_output_bound(spec) {
+        if let Some(bound) = est.unique_output_bound(spec) {
             out_est = out_est.min(bound);
         }
 
         let t0 = &spec.from[order[0]];
-        let mut scan_est = self.filtered_rows(spec, order[0], &conjuncts, &owners, raw[order[0]]);
+        let mut scan_est = filtered(order[0]);
         // Sargable index on the first table: serve the scan by a point
         // probe / range scan instead of reading every row. A unique
         // fully-bound probe returns at most one row — a hard bound the
@@ -470,34 +576,18 @@ impl Planner<'_> {
         } else {
             ""
         };
-        let scan = self.op(
-            format!("Scan {} AS {}{enc}", t0.schema.name, t0.binding),
-            scan_est,
-        );
-        let cols: Vec<String> = spec
-            .projection
-            .iter()
-            .map(|p| spec.attr_name(p.attr))
-            .collect();
-        let project = self.op(format!("Project [{}]", cols.join(", ")), out_est);
+        let scan = self.scan_op(spec, order[0], enc, scan_est);
 
         let distinct = (spec.distinct == uniq_sql::Distinct::Distinct).then(|| {
-            // Distinct output can never exceed the projected domains.
-            let d_est = out_est.min(self.est.projection_domain(spec));
             let method = if sort_cost(out_est) <= out_est {
                 DistinctMethod::Sort
             } else {
                 DistinctMethod::Hash
             };
-            let label = match method {
-                DistinctMethod::Sort => "SortDistinct",
-                DistinctMethod::Hash => "HashDistinct",
-            };
-            DistinctStep {
-                method,
-                id: self.op(label.to_string(), d_est),
-            }
+            // Distinct output can never exceed the projected domains.
+            (method, out_est.min(est.projection_domain(spec)))
         });
+        let (project, distinct) = self.output_ops(spec, out_est, distinct);
 
         let final_est = distinct
             .map(|d| self.ops[d.id].est as f64)
@@ -515,67 +605,76 @@ impl Planner<'_> {
             final_est,
         )
     }
+}
 
-    /// Estimated rows of table `t` after its table-local conjuncts.
-    fn filtered_rows(
-        &self,
-        spec: &BoundSpec,
-        t: usize,
-        conjuncts: &[&BoundExpr],
-        owners: &[BTreeSet<usize>],
-        raw: f64,
-    ) -> f64 {
-        let sel: f64 = conjuncts
-            .iter()
-            .zip(owners)
-            .filter(|(_, o)| o.iter().all(|&x| x == t))
-            .map(|(c, _)| self.est.selectivity(spec, c))
-            .product();
-        raw * sel
+/// The label of a join step: the kind of step the executor runs.
+fn join_kind(method: JoinMethod, has_keys: bool, use_ix: bool) -> &'static str {
+    match (use_ix, method, has_keys) {
+        (true, _, _) => "IxJoin",
+        (false, JoinMethod::NestedLoop, _) => "NestedLoop",
+        (false, JoinMethod::Hash, true) => "HashJoin",
+        (false, JoinMethod::Hash, false) => "CrossJoin",
     }
+}
 
-    /// Estimated output of joining `t` onto the current prefix, plus
-    /// whether the newly applicable conjuncts contain equality keys
-    /// usable by a hash join and whether those keys cover a candidate
-    /// key of `t` (licensing the unique-key kernel and the outer-side
-    /// cardinality cap).
-    #[allow(clippy::too_many_arguments)]
-    fn step_estimate(
-        &self,
-        spec: &BoundSpec,
-        t: usize,
-        placed: &BTreeSet<usize>,
-        conjuncts: &[&BoundExpr],
-        owners: &[BTreeSet<usize>],
-        applied: &[bool],
-        cur: f64,
-        raw: f64,
-    ) -> (f64, bool, bool) {
-        let range = spec.from[t].attr_range();
-        let mut est = cur * raw;
-        let mut key_columns: BTreeSet<usize> = BTreeSet::new();
-        for ((c, o), done) in conjuncts.iter().zip(owners).zip(applied) {
-            if *done || !o.iter().all(|x| placed.contains(x) || *x == t) {
-                continue;
-            }
-            est *= self.est.selectivity(spec, c);
-            if let Some(new_attr) = equi_key_attr(c, &range, |idx| {
-                placed.contains(&table_of(spec, idx).unwrap_or(usize::MAX))
-            }) {
-                key_columns.insert(new_attr - range.start);
-            }
+/// Estimated rows of table `t` after its table-local conjuncts.
+fn filtered_rows(
+    est: Estimator,
+    spec: &BoundSpec,
+    t: usize,
+    conjuncts: &[&BoundExpr],
+    owners: &[BTreeSet<usize>],
+    raw: f64,
+) -> f64 {
+    let sel: f64 = conjuncts
+        .iter()
+        .zip(owners)
+        .filter(|(_, o)| o.iter().all(|&x| x == t))
+        .map(|(c, _)| est.selectivity(spec, c))
+        .product();
+    raw * sel
+}
+
+/// Estimated output of joining `t` onto the current prefix, plus
+/// whether the newly applicable conjuncts contain equality keys usable
+/// by a hash join and whether those keys cover a candidate key of `t`
+/// (licensing the unique-key kernel and the outer-side cardinality cap).
+#[allow(clippy::too_many_arguments)]
+fn step_estimate(
+    est: Estimator,
+    spec: &BoundSpec,
+    t: usize,
+    placed: &BTreeSet<usize>,
+    conjuncts: &[&BoundExpr],
+    owners: &[BTreeSet<usize>],
+    applied: &[bool],
+    cur: f64,
+    raw: f64,
+) -> (f64, bool, bool) {
+    let range = spec.from[t].attr_range();
+    let mut out = cur * raw;
+    let mut key_columns: BTreeSet<usize> = BTreeSet::new();
+    for ((c, o), done) in conjuncts.iter().zip(owners).zip(applied) {
+        if *done || !o.iter().all(|x| placed.contains(x) || *x == t) {
+            continue;
         }
-        // Key coverage: each outer partial matches at most one row of a
-        // table whose candidate key the join keys cover.
-        let covered = spec.from[t]
-            .schema
-            .candidate_keys()
-            .any(|k| k.columns.iter().all(|c| key_columns.contains(c)));
-        if covered {
-            est = est.min(cur);
+        out *= est.selectivity(spec, c);
+        if let Some(new_attr) = equi_key_attr(c, &range, |idx| {
+            placed.contains(&table_of(spec, idx).unwrap_or(usize::MAX))
+        }) {
+            key_columns.insert(new_attr - range.start);
         }
-        (est, !key_columns.is_empty(), covered)
     }
+    // Key coverage: each outer partial matches at most one row of a
+    // table whose candidate key the join keys cover.
+    let covered = spec.from[t]
+        .schema
+        .candidate_keys()
+        .any(|k| k.columns.iter().all(|c| key_columns.contains(c)));
+    if covered {
+        out = out.min(cur);
+    }
+    (out, !key_columns.is_empty(), covered)
 }
 
 /// `n·log₂n` — the comparison cost of sorting `n` rows.
@@ -734,7 +833,7 @@ mod tests {
         let db = supplier_database().unwrap();
         let stats = Statistics::collect(&db);
         let q = bind_query(db.catalog(), &parse_query(sql).unwrap()).unwrap();
-        (plan_query(&q, &stats, PlannerOptions::default()), q)
+        (plan_query(&q, Some(&stats), PlannerOptions::default()), q)
     }
 
     fn block(p: &PhysicalPlan) -> &BlockPlan {
@@ -883,8 +982,11 @@ mod tests {
         let db = supplier_database().unwrap();
         let stats = Statistics::collect(&db);
         let q = bind_query(db.catalog(), &parse_query(sql).unwrap()).unwrap();
-        let opts = PlannerOptions { columnar: true };
-        (plan_query(&q, &stats, opts), q)
+        let opts = PlannerOptions {
+            columnar: true,
+            ..Default::default()
+        };
+        (plan_query(&q, Some(&stats), opts), q)
     }
 
     #[test]
@@ -950,7 +1052,7 @@ mod tests {
     fn plan_on(db: &uniq_catalog::Database, sql: &str) -> PhysicalPlan {
         let stats = Statistics::collect(db);
         let q = bind_query(db.catalog(), &parse_query(sql).unwrap()).unwrap();
-        plan_query(&q, &stats, PlannerOptions::default())
+        plan_query(&q, Some(&stats), PlannerOptions::default())
     }
 
     #[test]
@@ -1007,8 +1109,11 @@ mod tests {
         let sql = "SELECT S.SNO FROM SUPPLIER S, PARTS P \
                    WHERE S.SNO = P.SNO AND P.COLOR = 'RED'";
         let q = bind_query(db.catalog(), &parse_query(sql).unwrap()).unwrap();
-        let opts = PlannerOptions { columnar: true };
-        let p = plan_query(&q, &stats, opts);
+        let opts = PlannerOptions {
+            columnar: true,
+            ..Default::default()
+        };
+        let p = plan_query(&q, Some(&stats), opts);
         let b = block(&p);
         assert!(
             b.ixscan.is_some() || b.joins.iter().any(|j| j.ix.is_some()),
@@ -1018,6 +1123,58 @@ mod tests {
             !b.columnar,
             "index access paths run on the serial row pipeline"
         );
+    }
+
+    #[test]
+    fn fixed_plans_keep_from_order_and_the_forced_methods() {
+        let db = indexed_supplier_db();
+        let fixed = |sql: &str, options: PlannerOptions| {
+            let ast = uniq_sql::parse_full_query(sql).unwrap();
+            let q = uniq_plan::bind_output(db.catalog(), &ast).unwrap();
+            plan_output(&q, None, options)
+        };
+        // The cost-based plan scans the filtered PARTS first and probes
+        // IDX_S_SNO; the fixed plan keeps FROM order and licenses nothing.
+        let sql = "SELECT DISTINCT S.SNO FROM SUPPLIER S, PARTS P \
+                   WHERE S.SNO = P.SNO AND P.COLOR = 'RED'";
+        let options = PlannerOptions {
+            columnar: true,
+            join: JoinMethod::NestedLoop,
+            distinct: DistinctMethod::Hash,
+            early_stop: true,
+        };
+        let p = fixed(sql, options);
+        let b = block(&p);
+        assert!(!p.estimated);
+        assert_eq!(b.order, vec![0, 1]);
+        assert_eq!(b.joins[0].method, JoinMethod::NestedLoop);
+        assert!(b.joins[0].ix.is_none() && b.ixscan.is_none() && !b.columnar);
+        assert_eq!(b.distinct.unwrap().method, DistinctMethod::Hash);
+        assert!(p.ops.iter().all(|op| op.est == 0), "{:?}", p.ops);
+        // The early-stop license follows the option, statistics or not.
+        let top_k = "SELECT S.SNO FROM SUPPLIER S ORDER BY S.SNO LIMIT 2";
+        let licensed = |p: &PhysicalPlan| {
+            p.output.iter().any(|op| {
+                matches!(
+                    op,
+                    OutputOp::Limit {
+                        early_stop: Some(_),
+                        ..
+                    }
+                )
+            })
+        };
+        assert!(licensed(&fixed(top_k, PlannerOptions::default())));
+        let off = PlannerOptions {
+            early_stop: false,
+            ..Default::default()
+        };
+        let p = fixed(top_k, off);
+        assert!(!licensed(&p));
+        assert!(p
+            .output
+            .iter()
+            .any(|op| matches!(op, OutputOp::Sort { .. })));
     }
 
     #[test]

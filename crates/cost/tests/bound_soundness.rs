@@ -20,7 +20,7 @@
 use proptest::prelude::*;
 use std::collections::HashSet;
 use uniq_cost::{Estimator, Statistics};
-use uniq_engine::{ExecOptions, Executor};
+use uniq_engine::Executor;
 use uniq_plan::{bind_query, BoundQuery, HostVars};
 use uniq_sql::{parse_query, Distinct};
 use uniq_workload::{generate_corpus, random_instance};
@@ -32,7 +32,7 @@ fn run_counted(db: &uniq_catalog::Database, sql: &str, distinct: Distinct) -> us
         spec.distinct = distinct;
     }
     let hv = HostVars::new();
-    let mut ex = Executor::new(db, &hv, ExecOptions::default());
+    let mut ex = Executor::new(db, &hv);
     ex.run(&bound).unwrap().len()
 }
 

@@ -1,25 +1,29 @@
-//! The block executor.
+//! The block executor. It runs [`PhysicalPlan`]s and makes no physical
+//! choice of its own: join order, join and distinct methods, index
+//! access and the early stop all come from the plan.
 //!
 //! A bound block `π_d[A](σ[C](T0 × T1 × …))` executes as a left-deep
-//! pipeline over the `FROM` tables. Each top-level conjunct of `C` is
-//! assigned to the earliest pipeline position at which all the attributes
-//! it references are bound, so selections are pushed down as far as the
-//! conjunct structure allows. When two consecutive positions are linked by
-//! an equality conjunct and [`JoinMethod::Hash`] is selected, the join
-//! runs as a build/probe hash join (`NULL` join keys excluded on both
-//! sides, per `WHERE`-clause `=` semantics); otherwise nested loops.
+//! pipeline over the `FROM` tables in the plan's join order. Each
+//! top-level conjunct of `C` is assigned to the earliest pipeline
+//! position at which all the attributes it references are bound, so
+//! selections are pushed down as far as the conjunct structure allows.
+//! A hash step builds on the equality conjuncts linking the new table to
+//! the bound ones (`NULL` join keys excluded on both sides, per
+//! `WHERE`-clause `=` semantics) and is a cross product when there are
+//! none; a nested-loop step re-scans the table per partial tuple.
 //!
-//! `EXISTS` evaluation uses the same machinery with a row limit of one —
-//! first-match early exit, the behaviour §6's navigational arguments rely
-//! on.
+//! Subquery blocks have no plan node. They run as nested loops through
+//! `Executor::enumerate`, `EXISTS` with a row limit of one —
+//! first-match early exit, the behaviour §6's navigational arguments
+//! rely on.
 
 use crate::setops::{combine_setop, distinct};
-use crate::stats::{DistinctMethod, ExecStats, JoinMethod};
+use crate::stats::{ExecStats, JoinMethod};
 use std::collections::HashMap;
 use uniq_catalog::{Database, Row};
 use uniq_cost::{
     find_index_probe, find_index_sarg, BlockPlan, IndexProbe, Justification, OutputOp, PhysNode,
-    PhysicalPlan, ProbeSource,
+    PhysicalPlan, PlannerOptions, ProbeSource,
 };
 use uniq_plan::{
     AttrRef, BScalar, BoundExpr, BoundOutput, BoundQuery, BoundSpec, FromTable, HostVars,
@@ -27,35 +31,10 @@ use uniq_plan::{
 use uniq_sql::CmpOp;
 use uniq_types::{Error, Result, Tri, Value};
 
-/// Executor tuning (which physical strategies to use).
-#[derive(Debug, Clone, Copy, Hash)]
-pub struct ExecOptions {
-    /// Duplicate-elimination strategy.
-    pub distinct: DistinctMethod,
-    /// Join strategy for multi-table blocks.
-    pub join: JoinMethod,
-    /// Allow `ORDER BY key-prefix LIMIT k` queries to walk an ordered
-    /// index and stop after `k` emitted rows instead of scanning,
-    /// sorting and truncating. Off = always scan + sort (the oracle the
-    /// early-stopping path is tested against, and the E23 baseline).
-    pub early_stop: bool,
-}
-
-impl Default for ExecOptions {
-    fn default() -> ExecOptions {
-        ExecOptions {
-            distinct: DistinctMethod::default(),
-            join: JoinMethod::default(),
-            early_stop: true,
-        }
-    }
-}
-
 /// Executes bound queries against a database.
 pub struct Executor<'a> {
     pub(crate) db: &'a Database,
     pub(crate) hostvars: &'a HostVars,
-    pub(crate) opts: ExecOptions,
     /// Columnar encodings of the database, when the session built them
     /// (see [`crate::columnar::ColumnStore`]). Blocks the planner marked
     /// columnar execute on the vectorized kernels when the store is
@@ -65,17 +44,16 @@ pub struct Executor<'a> {
     /// Work counters, accumulated across the whole run.
     pub stats: ExecStats,
     /// Per-operator output counts, parallel to the physical plan's
-    /// operator registry (empty when running without a plan).
+    /// operator registry.
     actuals: Vec<u64>,
 }
 
 impl<'a> Executor<'a> {
     /// A fresh executor.
-    pub fn new(db: &'a Database, hostvars: &'a HostVars, opts: ExecOptions) -> Executor<'a> {
+    pub fn new(db: &'a Database, hostvars: &'a HostVars) -> Executor<'a> {
         Executor {
             db,
             hostvars,
-            opts,
             columns: None,
             stats: ExecStats::new(),
             actuals: Vec::new(),
@@ -93,40 +71,33 @@ impl<'a> Executor<'a> {
         self
     }
 
-    /// Execute a query, returning its result rows. Physical strategies
-    /// come from the session-static [`ExecOptions`].
+    /// Execute a query under its default fixed plan (the planner's
+    /// choice without statistics, for default [`PlannerOptions`]),
+    /// returning its result rows.
     pub fn run(&mut self, query: &BoundQuery) -> Result<Vec<Row>> {
-        self.run_with_plan(query, None)
+        let plan = uniq_cost::plan_query(query, None, PlannerOptions::default());
+        self.run_with_plan(query, &plan)
     }
 
-    /// Execute a query, taking per-node physical choices (join order,
-    /// join method, distinct method) from `plan` when one is supplied
-    /// and recording each operator's actual output cardinality (see
-    /// [`Executor::actuals`]). Without a plan, behaves like
-    /// [`Executor::run`].
-    pub fn run_with_plan(
-        &mut self,
-        query: &BoundQuery,
-        plan: Option<&PhysicalPlan>,
-    ) -> Result<Vec<Row>> {
-        if let Some(p) = plan {
-            self.actuals = vec![0; p.ops.len()];
-        }
-        let rows = self.exec_query(query, &[], plan.map(|p| &p.root))?;
+    /// Execute a query under `plan`, recording each operator's actual
+    /// output cardinality (see [`Executor::actuals`]). A plan that does
+    /// not mirror the query's shape is an internal error.
+    pub fn run_with_plan(&mut self, query: &BoundQuery, plan: &PhysicalPlan) -> Result<Vec<Row>> {
+        self.actuals = vec![0; plan.ops.len()];
+        let rows = self.exec_query(query, &[], &plan.root)?;
         self.stats.rows_output += rows.len() as u64;
         Ok(rows)
     }
 
     /// Execute a full query — body plus aggregation / `ORDER BY` /
-    /// `LIMIT` output clauses — optionally under a physical plan whose
-    /// [`OutputOp`]s get their actual
-    /// cardinalities recorded.
+    /// `LIMIT` output clauses — under `plan`, recording the actual
+    /// cardinalities of its [`OutputOp`]s too.
     ///
     /// Fast paths, in order:
     ///
-    /// 1. **Early-stop Top-K** — a plain `ORDER BY key-prefix LIMIT k`
-    ///    whose license re-derives against the live catalog walks the
-    ///    ordered index and stops after `k` emitted rows (books
+    /// 1. **Early-stop Top-K** — when the plan's `Limit` carries an
+    ///    early-stop license whose index is still live, walk the
+    ///    ordered index and stop after `k` emitted rows (books
     ///    `early_stops` / `topk_rows_examined`).
     /// 2. **Columnar aggregation** — an aggregate over a block the
     ///    planner marked columnar groups on dictionary codes without
@@ -135,116 +106,80 @@ impl<'a> Executor<'a> {
     ///    zero-hash one-pass.
     ///
     /// Then sort (engine total order, `NULL`s first) and limit.
-    pub fn run_output(
-        &mut self,
-        output: &BoundOutput,
-        plan: Option<&PhysicalPlan>,
-    ) -> Result<Vec<Row>> {
+    pub fn run_output(&mut self, output: &BoundOutput, plan: &PhysicalPlan) -> Result<Vec<Row>> {
         if let Some(plain) = output.as_plain() {
             return self.run_with_plan(plain, plan);
         }
-        if let Some(p) = plan {
-            self.actuals = vec![0; p.ops.len()];
-        }
+        self.actuals = vec![0; plan.ops.len()];
 
-        // Early-stop Top-K. The license is re-derived from the bound
-        // output (cheap — pure catalog inspection) rather than trusted
-        // from the plan, and `early_stop_topk` still verifies the
-        // named index against the live catalog before probing.
-        if self.opts.early_stop {
-            if let (Some(k), Some(license)) = (output.limit, uniq_cost::early_stop_license(output))
-            {
-                if let Some(rows) = self.early_stop_topk(output, &license, k)? {
-                    if let Some(p) = plan {
-                        for op in &p.output {
-                            if let OutputOp::Limit { id, .. } = op {
-                                self.record(*id, rows.len());
-                            }
-                        }
-                    }
-                    self.stats.rows_output += rows.len() as u64;
-                    return Ok(rows);
-                }
-            }
+        if let Some(rows) = self.early_stop_topk(output, plan)? {
+            self.record_output(plan, |op| matches!(op, OutputOp::Limit { .. }), rows.len());
+            self.stats.rows_output += rows.len() as u64;
+            return Ok(rows);
         }
 
         let mut rows = None;
         if let Some(agg) = &output.agg {
             // Columnar aggregate: dictionary-coded group keys, no body
             // materialization. Same coverage gate as the plain path.
-            if let (Some(spec), Some(store), Some(p)) = (output.body.as_spec(), self.columns, plan)
+            if let (Some(spec), Some(store), PhysNode::Block(bp)) =
+                (output.body.as_spec(), self.columns, &plan.root)
             {
-                if let PhysNode::Block(bp) = &p.root {
-                    if bp.columnar && plan_matches(bp, spec) {
-                        rows = crate::columnar::exec_block_agg(self, store, spec, bp, agg)?;
-                    }
+                if bp.columnar && plan_matches(bp, spec) {
+                    rows = crate::columnar::exec_block_agg(self, store, spec, bp, agg)?;
                 }
             }
             if rows.is_none() {
-                let body = self.exec_query(&output.body, &[], plan.map(|p| &p.root))?;
+                let body = self.exec_query(&output.body, &[], &plan.root)?;
                 rows = Some(crate::agg::aggregate_rows(agg, body, &mut self.stats)?);
             }
         }
         let mut rows = match rows {
             Some(r) => r,
-            None => self.exec_query(&output.body, &[], plan.map(|p| &p.root))?,
+            None => self.exec_query(&output.body, &[], &plan.root)?,
         };
-        if output.agg.is_some() {
-            if let Some(p) = plan {
-                for op in &p.output {
-                    if let OutputOp::Agg { id, .. } = op {
-                        self.record(*id, rows.len());
-                    }
-                }
-            }
-        }
+        self.record_output(plan, |op| matches!(op, OutputOp::Agg { .. }), rows.len());
 
         if !output.order_by.is_empty() {
             self.sort_rows(&mut rows, &output.order_by)?;
-            if let Some(p) = plan {
-                for op in &p.output {
-                    if let OutputOp::Sort { id } = op {
-                        self.record(*id, rows.len());
-                    }
-                }
-            }
+            self.record_output(plan, |op| matches!(op, OutputOp::Sort { .. }), rows.len());
         }
 
         if let Some(k) = output.limit {
             rows.truncate(k.min(usize::MAX as u64) as usize);
-            if let Some(p) = plan {
-                for op in &p.output {
-                    if let OutputOp::Limit { id, .. } = op {
-                        self.record(*id, rows.len());
-                    }
-                }
-            }
+            self.record_output(plan, |op| matches!(op, OutputOp::Limit { .. }), rows.len());
         }
 
         self.stats.rows_output += rows.len() as u64;
         Ok(rows)
     }
 
-    /// Serve `ORDER BY key-prefix LIMIT k` by walking the licensed
-    /// ordered index in canonical key order (`NULL`s first — exactly
-    /// the engine's sort order) and stopping as soon as `k` rows pass
-    /// the residual filter. `Ok(None)` means the license no longer
-    /// holds against the live catalog: the caller scans, sorts and
-    /// truncates instead, so a dropped index costs speed, never rows.
+    /// Serve `ORDER BY key-prefix LIMIT k` by walking the ordered index
+    /// the plan's `Limit` licenses, in canonical key order (`NULL`s
+    /// first — exactly the engine's sort order), and stopping as soon as
+    /// `k` rows pass the residual filter. `Ok(None)` means the plan
+    /// grants no license or it no longer holds against the live
+    /// catalog: the caller scans, sorts and truncates instead, so a
+    /// dropped index costs speed, never rows.
     fn early_stop_topk(
         &mut self,
         output: &BoundOutput,
-        license: &Justification,
-        k: u64,
+        plan: &PhysicalPlan,
     ) -> Result<Option<Vec<Row>>> {
-        let Some(spec) = output.body.as_spec() else {
+        let index = plan.output.iter().find_map(|op| match op {
+            OutputOp::Limit {
+                early_stop: Some(license),
+                ..
+            } => license.index(),
+            _ => None,
+        });
+        let (Some(k), Some(index), Some(spec), PhysNode::Block(bp)) =
+            (output.limit, index, output.body.as_spec(), &plan.root)
+        else {
             return Ok(None);
         };
         let table = &spec.from[0];
-        let Some(index) = license.index() else {
-            return Ok(None);
-        };
-        if !self.index_fresh(table, index) {
+        if !plan_matches(bp, spec) || !self.index_fresh(table, index) {
             return Ok(None);
         }
         let db = self.db;
@@ -268,12 +203,7 @@ impl<'a> Executor<'a> {
                     continue;
                 }
             }
-            out.push(
-                spec.projection
-                    .iter()
-                    .map(|p| tuple[p.attr].clone())
-                    .collect(),
-            );
+            out.push(project(spec, tuple));
             if out.len() as u64 >= k {
                 break;
             }
@@ -282,6 +212,10 @@ impl<'a> Executor<'a> {
         if (examined as usize) < ids.len() {
             self.stats.early_stops += 1;
         }
+        // The scan stopped at the k-th row it emitted, so the scan and
+        // the projection emitted exactly the rows returned.
+        self.record(bp.scan, out.len());
+        self.record(bp.project, out.len());
         Ok(Some(out))
     }
 
@@ -314,9 +248,8 @@ impl<'a> Executor<'a> {
         }
     }
 
-    /// Measured per-operator output cardinalities of the last
-    /// [`Executor::run_with_plan`] call, indexed by the plan's
-    /// [`OpId`](uniq_cost::OpId)s (empty when no plan was supplied).
+    /// Measured per-operator output cardinalities of the last run,
+    /// indexed by the plan's [`OpId`](uniq_cost::OpId)s.
     pub fn actuals(&self) -> &[u64] {
         &self.actuals
     }
@@ -327,45 +260,43 @@ impl<'a> Executor<'a> {
         }
     }
 
+    /// Record `count` on the plan's output operator that `kind` selects,
+    /// if it has one.
+    fn record_output(&mut self, plan: &PhysicalPlan, kind: fn(&OutputOp) -> bool, count: usize) {
+        if let Some(op) = plan.output.iter().find(|op| kind(op)) {
+            self.record(op.id(), count);
+        }
+    }
+
     fn exec_query(
         &mut self,
         query: &BoundQuery,
         outer: &[Vec<Value>],
-        node: Option<&PhysNode>,
+        node: &PhysNode,
     ) -> Result<Vec<Row>> {
-        match query {
-            BoundQuery::Spec(spec) => {
-                let block = match node {
-                    Some(PhysNode::Block(b)) => Some(b),
-                    _ => None,
-                };
-                self.exec_spec(spec, outer, block)
-            }
-            BoundQuery::SetOp {
-                op,
-                all,
-                left,
-                right,
-            } => {
-                // A plan node is used only when it mirrors the query
-                // shape; a mismatch falls back to static options.
-                let (l_node, r_node, method, id) = match node {
-                    Some(PhysNode::SetOp {
-                        method,
-                        id,
-                        left: l,
-                        right: r,
-                    }) => (Some(l.as_ref()), Some(r.as_ref()), *method, Some(*id)),
-                    _ => (None, None, self.opts.distinct, None),
-                };
+        match (query, node) {
+            (BoundQuery::Spec(spec), PhysNode::Block(bp)) => self.exec_spec(spec, outer, bp),
+            (
+                BoundQuery::SetOp {
+                    op,
+                    all,
+                    left,
+                    right,
+                },
+                PhysNode::SetOp {
+                    method,
+                    id,
+                    left: l_node,
+                    right: r_node,
+                },
+            ) => {
                 let l = self.exec_query(left, outer, l_node)?;
                 let r = self.exec_query(right, outer, r_node)?;
-                let out = combine_setop(*op, *all, l, r, method, &mut self.stats)?;
-                if let Some(id) = id {
-                    self.record(id, out.len());
-                }
+                let out = combine_setop(*op, *all, l, r, *method, &mut self.stats)?;
+                self.record(*id, out.len());
                 Ok(out)
             }
+            _ => Err(plan_mismatch()),
         }
     }
 
@@ -373,117 +304,38 @@ impl<'a> Executor<'a> {
         &mut self,
         spec: &BoundSpec,
         outer: &[Vec<Value>],
-        plan: Option<&BlockPlan>,
+        bp: &BlockPlan,
     ) -> Result<Vec<Row>> {
+        if !plan_matches(bp, spec) {
+            return Err(plan_mismatch());
+        }
         // Columnar fast path: only for top-level blocks the planner
         // marked columnar, and only when the store covers the block and
         // is fresh — `exec_block` returning `None` means "not covered",
         // and the row pipeline below handles the block as always.
-        if let (Some(bp), Some(store)) = (plan, self.columns) {
-            if bp.columnar && outer.is_empty() && plan_matches(bp, spec) {
+        if let Some(store) = self.columns {
+            if bp.columnar && outer.is_empty() {
                 if let Some(rows) = crate::columnar::exec_block(self, store, spec, bp)? {
                     return Ok(rows);
                 }
             }
         }
-        let product = self.block_rows(spec, outer, plan)?;
-        let mut rows: Vec<Row> = product
-            .into_iter()
-            .map(|tuple| {
-                spec.projection
-                    .iter()
-                    .map(|p| tuple[p.attr].clone())
-                    .collect()
-            })
-            .collect();
-        if let Some(bp) = plan {
-            self.record(bp.project, rows.len());
-        }
-        if spec.distinct == uniq_sql::Distinct::Distinct {
-            let step = plan.and_then(|bp| bp.distinct);
-            let method = step.map(|d| d.method).unwrap_or(self.opts.distinct);
-            rows = distinct(rows, method, &mut self.stats)?;
-            if let Some(d) = step {
-                self.record(d.id, rows.len());
-            }
+        let product = self.block_rows_planned(spec, outer, bp)?;
+        // Consuming the product frees each tuple once it is projected.
+        let mut rows: Vec<Row> = product.into_iter().map(|t| project(spec, &t)).collect();
+        self.record(bp.project, rows.len());
+        if let Some(d) = bp.distinct {
+            rows = distinct(rows, d.method, &mut self.stats)?;
+            self.record(d.id, rows.len());
         }
         Ok(rows)
     }
 
-    /// Materialize the filtered Cartesian product of a block (full-arity
-    /// tuples, before projection).
-    fn block_rows(
-        &mut self,
-        spec: &BoundSpec,
-        outer: &[Vec<Value>],
-        plan: Option<&BlockPlan>,
-    ) -> Result<Vec<Row>> {
-        if let Some(bp) = plan {
-            if plan_matches(bp, spec) {
-                return self.block_rows_planned(spec, outer, bp);
-            }
-        }
-        if self.opts.join == JoinMethod::Hash && spec.from.len() > 1 {
-            self.block_rows_hash(spec, outer)
-        } else {
-            let mut out = Vec::new();
-            self.enumerate(spec, outer, None, &mut out)?;
-            Ok(out)
-        }
-    }
-
-    /// Does the block produce at least one row? First-match early exit.
-    fn block_exists(&mut self, spec: &BoundSpec, outer: &[Vec<Value>]) -> Result<bool> {
-        let mut out = Vec::new();
-        self.enumerate(spec, outer, Some(1), &mut out)?;
-        Ok(!out.is_empty())
-    }
-
-    // --- conjunct assignment -------------------------------------------
-
-    /// Cumulative attribute width after each table position.
-    fn prefix_widths(spec: &BoundSpec) -> Vec<usize> {
-        let mut widths = Vec::with_capacity(spec.from.len());
-        let mut acc = 0;
-        for t in &spec.from {
-            acc += t.schema.arity();
-            widths.push(acc);
-        }
-        widths
-    }
-
-    /// The smallest bound-attribute prefix a conjunct needs before it can
-    /// be evaluated (0 = no local references at all, including through
-    /// correlated subqueries).
-    fn required_prefix(conjunct: &BoundExpr) -> usize {
-        let mut required = 0usize;
-        visit_attr_refs(conjunct, &mut |depth, a| {
-            if a.up == depth {
-                required = required.max(a.idx + 1);
-            }
-        });
-        required
-    }
-
-    /// Assign each top-level conjunct to the earliest pipeline level where
-    /// it is evaluable.
-    fn assign_conjuncts<'e>(spec: &'e BoundSpec, widths: &[usize]) -> Vec<Vec<&'e BoundExpr>> {
-        let mut levels: Vec<Vec<&BoundExpr>> = vec![Vec::new(); spec.from.len()];
-        if let Some(pred) = &spec.predicate {
-            for c in pred.conjuncts() {
-                let req = Self::required_prefix(c);
-                let level = widths
-                    .iter()
-                    .position(|&w| w >= req)
-                    .unwrap_or(spec.from.len() - 1);
-                levels[level].push(c);
-            }
-        }
-        levels
-    }
-
     // --- nested-loop enumeration ---------------------------------------
 
+    /// Nested loops over a subquery block's `FROM` tables in order,
+    /// collecting up to `limit` full-arity tuples that pass its
+    /// conjuncts.
     fn enumerate(
         &mut self,
         spec: &BoundSpec,
@@ -494,8 +346,8 @@ impl<'a> Executor<'a> {
         if spec.from.is_empty() {
             return Err(Error::internal("block with empty FROM clause"));
         }
-        let widths = Self::prefix_widths(spec);
-        let levels = Self::assign_conjuncts(spec, &widths);
+        let order: Vec<usize> = (0..spec.from.len()).collect();
+        let levels = planned_levels(spec, &order);
         let mut scratch = vec![Value::Null; spec.product_arity()];
         self.enumerate_level(spec, outer, &levels, 0, &mut scratch, limit, out)
     }
@@ -536,43 +388,10 @@ impl<'a> Executor<'a> {
         Ok(())
     }
 
-    // --- hash-join pipeline ---------------------------------------------
+    // --- hash join step ----------------------------------------------------
 
-    fn block_rows_hash(&mut self, spec: &BoundSpec, outer: &[Vec<Value>]) -> Result<Vec<Row>> {
-        let widths = Self::prefix_widths(spec);
-        let levels = Self::assign_conjuncts(spec, &widths);
-        let arity = spec.product_arity();
-
-        // Level 0: filtered scan.
-        let t0 = &spec.from[0];
-        let mut partials: Vec<Row> = Vec::new();
-        {
-            let db = self.db;
-            let rows = db.rows(&t0.schema.name)?;
-            let mut scratch = vec![Value::Null; arity];
-            'rows: for row in rows {
-                self.stats.rows_scanned += 1;
-                scratch[t0.offset..t0.offset + row.len()].clone_from_slice(row);
-                for c in &levels[0] {
-                    if !self.eval(c, outer, &scratch)?.false_interpreted() {
-                        continue 'rows;
-                    }
-                }
-                partials.push(scratch.clone());
-            }
-        }
-
-        for (level, table) in spec.from.iter().enumerate().skip(1) {
-            let range = table.attr_range();
-            partials = self.hash_step(table, outer, partials, &levels[level], arity, &|idx| {
-                idx < range.start
-            })?;
-        }
-        Ok(partials)
-    }
-
-    /// One step of the hash pipeline: join `table` onto `partials` using
-    /// this level's conjuncts. Equality conjuncts linking an
+    /// One hash join step: join `table` onto `partials` using this
+    /// level's conjuncts. Equality conjuncts linking an
     /// already-bound attribute (per `is_placed`) to the new table become
     /// hash keys; conjuncts touching only the new table filter its build
     /// side; the rest run as residual filters over the combined tuples.
@@ -698,10 +517,10 @@ impl<'a> Executor<'a> {
         Ok(next)
     }
 
-    // --- cost-based pipeline ---------------------------------------------
+    // --- planned pipeline -------------------------------------------------
 
-    /// Execute a block following a cost-based [`BlockPlan`]: the
-    /// planner's join input order, its per-step join methods, and
+    /// Execute a block following its [`BlockPlan`]: the planner's join
+    /// input order, its per-step join methods and index licenses, and
     /// per-operator actual-output recording.
     fn block_rows_planned(
         &mut self,
@@ -1050,8 +869,10 @@ impl<'a> Executor<'a> {
                 self.stats.subquery_evals += 1;
                 let mut scopes: Vec<Vec<Value>> = outer.to_vec();
                 scopes.push(current.to_vec());
-                let found = self.block_exists(subquery, &scopes)?;
-                Ok(Tri::from_bool(found != *negated))
+                // First-match early exit: one row decides.
+                let mut found = Vec::new();
+                self.enumerate(subquery, &scopes, Some(1), &mut found)?;
+                Ok(Tri::from_bool(found.is_empty() == *negated))
             }
             BoundExpr::InSubquery {
                 scalar,
@@ -1062,14 +883,18 @@ impl<'a> Executor<'a> {
                 let v = self.scalar(scalar, outer, current)?;
                 let mut scopes: Vec<Vec<Value>> = outer.to_vec();
                 scopes.push(current.to_vec());
-                let rows = self.exec_spec(subquery, &scopes, None)?;
+                // The block's DISTINCT, if any, is not evaluated: it
+                // cannot change the outcome of an IN test.
+                let mut tuples = Vec::new();
+                self.enumerate(subquery, &scopes, None, &mut tuples)?;
+                let attr = subquery.projection[0].attr;
                 // SQL IN semantics: true if any comparison is true;
                 // otherwise unknown if any comparison is unknown (or the
                 // tested value is NULL and the set is non-empty); false
                 // otherwise (including the empty set).
                 let mut t = Tri::False;
-                for row in &rows {
-                    t = t.or(cmp_tri(CmpOp::Eq, &v, &row[0])?);
+                for tuple in &tuples {
+                    t = t.or(cmp_tri(CmpOp::Eq, &v, &tuple[attr])?);
                     if t == Tri::True {
                         break;
                     }
@@ -1140,17 +965,31 @@ pub(crate) fn equi_join_key(
     }
 }
 
-/// Does `bp` still describe this block's shape? Guards against a stale
-/// cached plan being applied after a rewrite changed the block.
+/// Does `bp` describe this block's shape? Guards against running a plan
+/// made for a different query.
 fn plan_matches(bp: &BlockPlan, spec: &BoundSpec) -> bool {
     let n = spec.from.len();
-    if n == 0 || bp.order.len() != n || bp.joins.len() != n - 1 {
+    let distinct = spec.distinct == uniq_sql::Distinct::Distinct;
+    if n == 0 || bp.order.len() != n || bp.joins.len() != n - 1 || bp.distinct.is_some() != distinct
+    {
         return false;
     }
     let mut seen = vec![false; n];
     bp.order
         .iter()
         .all(|&t| t < n && !std::mem::replace(&mut seen[t], true))
+}
+
+/// The block's output row for one full-arity tuple.
+pub(crate) fn project(spec: &BoundSpec, tuple: &[Value]) -> Row {
+    spec.projection
+        .iter()
+        .map(|p| tuple[p.attr].clone())
+        .collect()
+}
+
+fn plan_mismatch() -> Error {
+    Error::internal("physical plan does not match its query")
 }
 
 pub(crate) fn contains_subquery(e: &BoundExpr) -> bool {
@@ -1259,16 +1098,17 @@ mod tests {
     use uniq_plan::bind_query;
     use uniq_sql::parse_query;
 
-    fn run_opts(sql: &str, hv: &HostVars, opts: ExecOptions) -> (Vec<Row>, ExecStats) {
+    fn run_opts(sql: &str, hv: &HostVars, opts: PlannerOptions) -> (Vec<Row>, ExecStats) {
         let db = supplier_database().unwrap();
         let q = bind_query(db.catalog(), &parse_query(sql).unwrap()).unwrap();
-        let mut ex = Executor::new(&db, hv, opts);
-        let rows = ex.run(&q).unwrap();
+        let plan = uniq_cost::plan_query(&q, None, opts);
+        let mut ex = Executor::new(&db, hv);
+        let rows = ex.run_with_plan(&q, &plan).unwrap();
         (rows, ex.stats)
     }
 
     fn run(sql: &str) -> Vec<Row> {
-        run_opts(sql, &HostVars::new(), ExecOptions::default()).0
+        run_opts(sql, &HostVars::new(), PlannerOptions::default()).0
     }
 
     fn sorted(mut rows: Vec<Row>) -> Vec<Row> {
@@ -1305,7 +1145,7 @@ mod tests {
         let (h, hs) = run_opts(
             sql,
             &hv,
-            ExecOptions {
+            PlannerOptions {
                 join: JoinMethod::Hash,
                 ..Default::default()
             },
@@ -1313,7 +1153,7 @@ mod tests {
         let (n, ns) = run_opts(
             sql,
             &hv,
-            ExecOptions {
+            PlannerOptions {
                 join: JoinMethod::NestedLoop,
                 ..Default::default()
             },
@@ -1350,7 +1190,7 @@ mod tests {
         )
         .unwrap();
         let hv = HostVars::new();
-        let mut ex = Executor::new(&db, &hv, ExecOptions::default());
+        let mut ex = Executor::new(&db, &hv);
         let rows = ex.run(&q).unwrap();
         assert_eq!(rows.len(), 2);
     }
@@ -1362,7 +1202,7 @@ mod tests {
             "SELECT ALL S.SNO, SNAME, P.PNO, PNAME FROM SUPPLIER S, PARTS P \
              WHERE P.SNO = :SUPPLIER-NO AND S.SNO = P.SNO",
             &hv,
-            ExecOptions::default(),
+            PlannerOptions::default(),
         );
         assert_eq!(rows.len(), 2); // supplier 3 supplies parts 10 and 13
     }
@@ -1376,7 +1216,7 @@ mod tests {
         )
         .unwrap();
         let hv = HostVars::new();
-        let mut ex = Executor::new(&db, &hv, ExecOptions::default());
+        let mut ex = Executor::new(&db, &hv);
         assert!(matches!(ex.run(&q), Err(Error::UnboundHostVar(_))));
     }
 
@@ -1417,7 +1257,7 @@ mod tests {
             &parse_query("SELECT X FROM L WHERE X IN (SELECT Y FROM R2)").unwrap(),
         )
         .unwrap();
-        let mut ex = Executor::new(&db, &hv, ExecOptions::default());
+        let mut ex = Executor::new(&db, &hv);
         assert_eq!(ex.run(&q_in).unwrap(), vec![vec![Value::Int(1)]]);
 
         let q_not_in = bind_query(
@@ -1425,7 +1265,7 @@ mod tests {
             &parse_query("SELECT X FROM L WHERE X NOT IN (SELECT Y FROM R2)").unwrap(),
         )
         .unwrap();
-        let mut ex = Executor::new(&db, &hv, ExecOptions::default());
+        let mut ex = Executor::new(&db, &hv);
         assert_eq!(
             ex.run(&q_not_in).unwrap(),
             Vec::<Row>::new(),
@@ -1440,7 +1280,7 @@ mod tests {
             "SELECT S.SNO FROM SUPPLIER S WHERE EXISTS \
              (SELECT * FROM PARTS P WHERE P.SNO = S.SNO)",
             &hv,
-            ExecOptions::default(),
+            PlannerOptions::default(),
         );
         // 5 suppliers scanned + early-exit scans of PARTS (7 rows): if
         // every EXISTS scanned all of PARTS we'd see 5 + 35; early exit
@@ -1489,7 +1329,7 @@ mod tests {
 
     fn cost_plan(db: &Database, q: &BoundQuery) -> PhysicalPlan {
         let stats = uniq_cost::Statistics::collect(db);
-        uniq_cost::plan_query(q, &stats, uniq_cost::PlannerOptions::default())
+        uniq_cost::plan_query(q, Some(&stats), PlannerOptions::default())
     }
 
     #[test]
@@ -1500,9 +1340,9 @@ mod tests {
         let q = bind_query(db.catalog(), &parse_query(sql).unwrap()).unwrap();
         let plan = cost_plan(&db, &q);
         let hv = HostVars::new();
-        let mut via_ix = Executor::new(&db, &hv, ExecOptions::default());
-        let ix_rows = via_ix.run_with_plan(&q, Some(&plan)).unwrap();
-        let mut oracle = Executor::new(&db, &hv, ExecOptions::default());
+        let mut via_ix = Executor::new(&db, &hv);
+        let ix_rows = via_ix.run_with_plan(&q, &plan).unwrap();
+        let mut oracle = Executor::new(&db, &hv);
         let expect = oracle.run(&q).unwrap();
         assert_eq!(sorted(ix_rows), sorted(expect));
         // 1 ixscan probe of IDX_P_COLOR + one IxJoin probe per red part.
@@ -1529,8 +1369,8 @@ mod tests {
         .unwrap();
         let plan = cost_plan(&db, &q);
         let hv = HostVars::new();
-        let mut ex = Executor::new(&db, &hv, ExecOptions::default());
-        let rows = ex.run_with_plan(&q, Some(&plan)).unwrap();
+        let mut ex = Executor::new(&db, &hv);
+        let rows = ex.run_with_plan(&q, &plan).unwrap();
         assert_eq!(rows.len(), 1);
         assert_eq!(ex.stats.ix_probes, 1);
         assert_eq!(ex.stats.probe_steps, 1, "guaranteed one-row lookup");
@@ -1552,12 +1392,26 @@ mod tests {
         // re-verification fails and the full scan answers, correctly.
         let plain = supplier_database().unwrap();
         let hv = HostVars::new();
-        let mut ex = Executor::new(&plain, &hv, ExecOptions::default());
-        let rows = ex.run_with_plan(&q, Some(&plan)).unwrap();
-        let mut oracle = Executor::new(&plain, &hv, ExecOptions::default());
+        let mut ex = Executor::new(&plain, &hv);
+        let rows = ex.run_with_plan(&q, &plan).unwrap();
+        let mut oracle = Executor::new(&plain, &hv);
         assert_eq!(rows, oracle.run(&q).unwrap());
         assert_eq!(ex.stats.ix_probes, 0, "fallback never touches an index");
         assert_eq!(ex.stats.rows_scanned, 5, "full scan of SUPPLIER");
+    }
+
+    #[test]
+    fn a_plan_for_another_query_is_an_internal_error() {
+        let db = supplier_database().unwrap();
+        let bind = |sql: &str| bind_query(db.catalog(), &parse_query(sql).unwrap()).unwrap();
+        let one = bind("SELECT S.SNO FROM SUPPLIER S");
+        let two = bind("SELECT S.SNO FROM SUPPLIER S, AGENTS A WHERE S.SNO = A.SNO");
+        let plan = uniq_cost::plan_query(&one, None, PlannerOptions::default());
+        let hv = HostVars::new();
+        let mut ex = Executor::new(&db, &hv);
+        let err = ex.run_with_plan(&two, &plan).unwrap_err();
+        assert!(err.to_string().contains("does not match"), "{err}");
+        assert_eq!(ex.stats.rows_scanned, 0, "nothing runs");
     }
 
     #[test]
@@ -1571,9 +1425,9 @@ mod tests {
         let plan = cost_plan(&db, &q);
         for n in [1i64, 3, 99] {
             let hv = HostVars::new().with("N", n);
-            let mut ex = Executor::new(&db, &hv, ExecOptions::default());
-            let rows = ex.run_with_plan(&q, Some(&plan)).unwrap();
-            let mut oracle = Executor::new(&db, &hv, ExecOptions::default());
+            let mut ex = Executor::new(&db, &hv);
+            let rows = ex.run_with_plan(&q, &plan).unwrap();
+            let mut oracle = Executor::new(&db, &hv);
             assert_eq!(rows, oracle.run(&q).unwrap(), "N = {n}");
             assert_eq!(ex.stats.ix_probes, 1);
         }

@@ -36,13 +36,14 @@
 //! the stale proof, and key-probe shortcuts consult the *live*
 //! snapshot's catalog exactly like the executor's `index_fresh` check.
 
-use crate::exec::{equi_join_key, ExecOptions, Executor};
+use crate::exec::{equi_join_key, project, Executor};
 use crate::setops::output_count;
 use crate::stats::ExecStats;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use uniq_catalog::{Database, Row};
 use uniq_core::analysis::unique_projection;
+use uniq_cost::{plan_output, PhysicalPlan, PlannerOptions};
 use uniq_plan::{BoundExpr, BoundOutput, BoundQuery, BoundSpec, HostVars};
 use uniq_proof::{check_equiv, ProofStatus};
 use uniq_sql::{Distinct, SetOp};
@@ -152,7 +153,9 @@ pub struct MaterializedView {
     state: ViewState,
     /// The snapshot the state is consistent with.
     base: Arc<Database>,
-    exec: ExecOptions,
+    /// The fixed plan of `query`, built once: the set tier's initial
+    /// materialization and every recompute run it.
+    plan: PhysicalPlan,
     /// Cumulative maintenance work since subscribe.
     stats: ExecStats,
 }
@@ -362,41 +365,27 @@ fn license_body(query: &BoundQuery) -> (MaintenanceMode, ProofStatus) {
     )
 }
 
-/// Run `query` (as bound) against `db`, booking work into `stats`.
-fn run_query(
-    query: &BoundQuery,
-    db: &Database,
-    exec: ExecOptions,
-    stats: &mut ExecStats,
-) -> Result<Vec<Row>> {
-    let hostvars = HostVars::new();
-    let mut executor = Executor::new(db, &hostvars, exec);
-    let rows = executor.run(query)?;
-    stats.merge(&executor.stats);
-    Ok(rows)
-}
-
-/// [`run_query`] for a full output (aggregation / `ORDER BY` / `LIMIT`
-/// included) — the recompute tier's evaluator.
+/// Run `query` under `plan` against `db`, booking work into `stats`.
 fn run_output_query(
     query: &BoundOutput,
+    plan: &PhysicalPlan,
     db: &Database,
-    exec: ExecOptions,
     stats: &mut ExecStats,
 ) -> Result<Vec<Row>> {
     let hostvars = HostVars::new();
-    let mut executor = Executor::new(db, &hostvars, exec);
-    let rows = executor.run_output(query, None)?;
+    let mut executor = Executor::new(db, &hostvars);
+    let rows = executor.run_output(query, plan)?;
     stats.merge(&executor.stats);
     Ok(rows)
 }
 
 impl NodeState {
-    /// Materialize the initial state bottom-up from `db`.
+    /// Materialize the initial state bottom-up from `db`, each block
+    /// under its fixed plan.
     fn init(
         query: &BoundQuery,
         db: &Database,
-        exec: ExecOptions,
+        planner: PlannerOptions,
         stats: &mut ExecStats,
     ) -> Result<NodeState> {
         match query {
@@ -405,7 +394,9 @@ impl NodeState {
                 // output applies the block's DISTINCT on read.
                 let mut as_all = (**spec).clone();
                 as_all.distinct = Distinct::All;
-                let rows = run_query(&BoundQuery::Spec(Box::new(as_all)), db, exec, stats)?;
+                let as_all = BoundOutput::plain(BoundQuery::Spec(Box::new(as_all)));
+                let plan = plan_output(&as_all, None, planner);
+                let rows = run_output_query(&as_all, &plan, db, stats)?;
                 Ok(NodeState::Spec {
                     spec: (**spec).clone(),
                     counts: count_rows(rows),
@@ -417,8 +408,8 @@ impl NodeState {
                 left,
                 right,
             } => {
-                let lstate = NodeState::init(left, db, exec, stats)?;
-                let rstate = NodeState::init(right, db, exec, stats)?;
+                let lstate = NodeState::init(left, db, planner, stats)?;
+                let rstate = NodeState::init(right, db, planner, stats)?;
                 let lcounts = lstate.output();
                 let rcounts = rstate.output();
                 Ok(NodeState::SetOp {
@@ -474,12 +465,11 @@ impl NodeState {
         &mut self,
         old: &Database,
         new: &Database,
-        exec: ExecOptions,
         stats: &mut ExecStats,
     ) -> Result<HashMap<Row, i64>> {
         match self {
             NodeState::Spec { spec, counts } => {
-                let derivations = spec_delta(spec, old, new, exec, stats)?;
+                let derivations = spec_delta(spec, old, new, stats)?;
                 let mut out: HashMap<Row, i64> = HashMap::new();
                 for row in derivations {
                     let n = counts.entry(row.clone()).or_insert(0);
@@ -504,8 +494,8 @@ impl NodeState {
                 lcounts,
                 rcounts,
             } => {
-                let ldelta = left.delta(old, new, exec, stats)?;
-                let rdelta = right.delta(old, new, exec, stats)?;
+                let ldelta = left.delta(old, new, stats)?;
+                let rdelta = right.delta(old, new, stats)?;
                 let mut out: HashMap<Row, i64> = HashMap::new();
                 for row in ldelta.keys().chain(rdelta.keys()) {
                     if out.contains_key(row) {
@@ -549,7 +539,6 @@ fn spec_delta(
     spec: &BoundSpec,
     old: &Database,
     new: &Database,
-    exec: ExecOptions,
     stats: &mut ExecStats,
 ) -> Result<Vec<Row>> {
     let n = spec.from.len();
@@ -559,7 +548,7 @@ fn spec_delta(
         .map(|p| p.conjuncts().into_iter().cloned().collect())
         .unwrap_or_default();
     let hostvars = HostVars::new();
-    let mut evaluator = Executor::new(new, &hostvars, exec);
+    let mut evaluator = Executor::new(new, &hostvars);
     let mut out = Vec::new();
 
     // Extract every table's delta up front; a table can appear several
@@ -615,14 +604,7 @@ fn spec_delta(
                 &mut evaluator,
             )?;
         }
-        for tuple in partials {
-            out.push(
-                spec.projection
-                    .iter()
-                    .map(|p| tuple[p.attr].clone())
-                    .collect(),
-            );
-        }
+        out.extend(partials.into_iter().map(|t| project(spec, &t)));
     }
     stats.merge(&evaluator.stats);
     Ok(out)
@@ -765,29 +747,31 @@ fn extend_over(
 impl MaterializedView {
     /// Materialize `query` against `base` and pick its maintenance
     /// tier. `sql` is the canonical text (kept for rebuilds and
-    /// EXPLAIN); `columns` the output header.
+    /// EXPLAIN); `columns` the output header; `planner` the options of
+    /// the fixed plans the view runs.
     pub fn new(
         sql: String,
         query: BoundOutput,
         columns: Vec<ColumnName>,
         base: Arc<Database>,
-        exec: ExecOptions,
+        planner: PlannerOptions,
     ) -> Result<MaterializedView> {
         let (mode, license) = license_view(&query);
+        let plan = plan_output(&query, None, planner);
         let mut stats = ExecStats::new();
         // The delta tiers are only ever granted for plain outputs, so
         // they may read `query.body` as the whole query.
         let state = match mode {
             MaintenanceMode::Set => {
-                let rows = run_query(&query.body, &base, exec, &mut stats)?;
+                let rows = run_output_query(&query, &plan, &base, &mut stats)?;
                 let set: HashSet<Row> = rows.into_iter().collect();
                 ViewState::Set(set)
             }
             MaintenanceMode::Counting => {
-                ViewState::Counting(NodeState::init(&query.body, &base, exec, &mut stats)?)
+                ViewState::Counting(NodeState::init(&query.body, &base, planner, &mut stats)?)
             }
             MaintenanceMode::Recompute => {
-                let rows = run_output_query(&query, &base, exec, &mut stats)?;
+                let rows = run_output_query(&query, &plan, &base, &mut stats)?;
                 ViewState::Full(count_rows(rows))
             }
         };
@@ -799,7 +783,7 @@ impl MaterializedView {
             license,
             state,
             base,
-            exec,
+            plan,
             stats,
         })
     }
@@ -874,7 +858,7 @@ impl MaterializedView {
                 let BoundQuery::Spec(spec) = &self.query.body else {
                     return Err(Error::internal("set-tier view must be a single block"));
                 };
-                let derivations = spec_delta(spec, &self.base, head, self.exec, &mut work)?;
+                let derivations = spec_delta(spec, &self.base, head, &mut work)?;
                 let mut inserted = Vec::new();
                 for row in derivations {
                     // Under a valid 0/1 license every new derivation is
@@ -893,11 +877,11 @@ impl MaterializedView {
                 }
             }
             ViewState::Counting(node) => {
-                let signed = node.delta(&self.base, head, self.exec, &mut work)?;
+                let signed = node.delta(&self.base, head, &mut work)?;
                 signed_to_delta(signed)
             }
             ViewState::Full(counts) => {
-                let rows = run_output_query(&self.query, head, self.exec, &mut work)?;
+                let rows = run_output_query(&self.query, &self.plan, head, &mut work)?;
                 let after = count_rows(rows);
                 let signed = multiset_diff(counts, &after);
                 *counts = after;
@@ -937,7 +921,7 @@ mod tests {
             query,
             columns,
             Arc::clone(db),
-            ExecOptions::default(),
+            PlannerOptions::default(),
         )
         .unwrap()
     }
@@ -954,8 +938,9 @@ mod tests {
 
     fn oracle(db: &Database, sql: &str) -> Vec<Row> {
         let (query, _) = bind(db, sql);
+        let plan = plan_output(&query, None, PlannerOptions::default());
         let mut stats = ExecStats::new();
-        let mut rows = run_output_query(&query, db, ExecOptions::default(), &mut stats).unwrap();
+        let mut rows = run_output_query(&query, &plan, db, &mut stats).unwrap();
         rows.sort();
         rows
     }
@@ -1085,7 +1070,7 @@ mod tests {
             bound,
             columns,
             Arc::clone(&db),
-            ExecOptions::default(),
+            PlannerOptions::default(),
         )
         .unwrap();
         assert_eq!(v.mode(), MaintenanceMode::Counting);

@@ -44,8 +44,8 @@ pub mod shared;
 pub mod stats;
 
 pub use columnar::{ColumnBatch, ColumnData, ColumnStore, TableColumns, DEFAULT_DICT_LIMIT};
-pub use exec::{ExecOptions, Executor};
-pub use explain::{explain, explain_with_trace, render_trace};
+pub use exec::Executor;
+pub use explain::render_trace;
 pub use ivm::{MaintainOutcome, MaintenanceMode, MaterializedView, ViewDelta};
 pub use plancache::{CacheStats, CachedPlan, PlanCache};
 pub use session::{QueryOutput, Session};

@@ -34,7 +34,6 @@
 //! capacity. Hit/miss/eviction/invalidation counters are atomics,
 //! accurate under concurrent load.
 
-use crate::exec::ExecOptions;
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -64,26 +63,25 @@ pub struct CachedPlan {
     /// Output column names (derived from `query`, shared with every
     /// hit's output so the hit path copies nothing).
     pub columns: Arc<[ColumnName]>,
-    /// The cost-based physical plan, when the session planned one
-    /// (`None` before `ANALYZE`, when the static executor options apply).
-    pub physical: Option<Arc<uniq_cost::PhysicalPlan>>,
+    /// The physical plan every execution of `query` runs: cost-based
+    /// after `ANALYZE`, the fixed plan before it.
+    pub physical: Arc<uniq_cost::PhysicalPlan>,
 }
 
 /// The tag mixed into plan fingerprints so differently configured
-/// engines never share plans. It covers the optimizer knobs, the static
-/// executor strategies, the planner configuration and the statistics
-/// epoch (cached plans embed physical choices made from statistics, so
-/// re-`ANALYZE` must recompile them). The option structs are hashed
-/// field by field through their derived `Hash`, so every knob, present
-/// or future, is covered without formatting anything on the query path.
+/// engines never share plans. It covers the optimizer knobs, the planner
+/// configuration and the statistics epoch (cached plans embed physical
+/// choices made from statistics, so re-`ANALYZE` must recompile them).
+/// The option structs are hashed field by field through their derived
+/// `Hash`, so every knob, present or future, is covered without
+/// formatting anything on the query path.
 pub fn options_tag(
     optimizer: &OptimizerOptions,
-    exec: &ExecOptions,
     planner: &PlannerOptions,
     stats_epoch: u64,
 ) -> u64 {
     let mut h = Fnv64::new();
-    (optimizer, exec, planner, stats_epoch).hash(&mut h);
+    (optimizer, planner, stats_epoch).hash(&mut h);
     h.finish()
 }
 
@@ -350,11 +348,12 @@ mod tests {
         let db = uniq_catalog::sample::supplier_database().unwrap();
         let ast = uniq_sql::parse_query("SELECT S.SNO FROM SUPPLIER S").unwrap();
         let query = BoundOutput::plain(uniq_plan::bind_query(db.catalog(), &ast).unwrap());
+        let physical = uniq_cost::plan_output(&query, None, PlannerOptions::default());
         CachedPlan {
             columns: query.output_names().into(),
             query,
             trace: Arc::default(),
-            physical: None,
+            physical: Arc::new(physical),
         }
     }
 
@@ -451,12 +450,8 @@ mod tests {
     fn options_tag_differs_whenever_any_option_or_the_epoch_does() {
         use uniq_core::rewrite::distinct::UniquenessTest;
         use uniq_cost::{DistinctMethod, JoinMethod};
-        type Options = (OptimizerOptions, ExecOptions, PlannerOptions);
-        let base: Options = (
-            OptimizerOptions::relational(),
-            ExecOptions::default(),
-            PlannerOptions::default(),
-        );
+        type Options = (OptimizerOptions, PlannerOptions);
+        let base: Options = (OptimizerOptions::relational(), PlannerOptions::default());
         let flips: Vec<fn(&mut Options)> = vec![
             |o| o.0.remove_redundant_distinct ^= true,
             |o| o.0.subquery_to_join ^= true,
@@ -471,9 +466,9 @@ mod tests {
             |o| o.1.distinct = DistinctMethod::Hash,
             |o| o.1.join = JoinMethod::NestedLoop,
             |o| o.1.early_stop ^= true,
-            |o| o.2.columnar ^= true,
+            |o| o.1.columnar ^= true,
         ];
-        let tag = |o: &Options, epoch| options_tag(&o.0, &o.1, &o.2, epoch);
+        let tag = |o: &Options, epoch| options_tag(&o.0, &o.1, epoch);
         let mut tags = vec![tag(&base, 0), tag(&base, 1), tag(&base, 2)];
         for flip in flips {
             let mut changed = base;

@@ -4,11 +4,13 @@
 //! plan and insert), execute the cached plan, and `EXPLAIN` it. The
 //! callers differ only in the database they hand to [`Core`]: a
 //! session's own, or the snapshot a shared engine pinned for one query.
-//! Planning is cost-based exactly when `ANALYZE` has run; until then the
-//! executor's static [`ExecOptions`] apply.
+//! Every query runs a [`PhysicalPlan`](uniq_cost::PhysicalPlan): the
+//! cost-based plan once `ANALYZE` has run, the fixed plan of the
+//! [`PlannerOptions`] until then.
 
 use crate::columnar::ColumnStore;
-use crate::exec::{ExecOptions, Executor};
+use crate::exec::Executor;
+use crate::explain::render_trace;
 use crate::plancache::{options_tag, CachedPlan, PlanCache};
 use crate::session::QueryOutput;
 use crate::stats::StageTimings;
@@ -60,7 +62,6 @@ pub(crate) struct Core<'a> {
     pub db: &'a Database,
     pub cache: &'a PlanCache,
     pub optimizer: OptimizerOptions,
-    pub exec: ExecOptions,
     pub planner: PlannerOptions,
     pub analysis: &'a Analysis,
 }
@@ -93,7 +94,7 @@ impl Core<'_> {
         timings.parse_ns = elapsed_ns(t);
 
         let epoch = self.analysis.epoch;
-        let tag = options_tag(&self.optimizer, &self.exec, &self.planner, epoch);
+        let tag = options_tag(&self.optimizer, &self.planner, epoch);
         let fingerprint = PlanCache::fingerprint(&canonical, tag);
         let version = self.db.version();
         if let Some(plan) = self.cache.get(fingerprint, &canonical, version) {
@@ -112,7 +113,7 @@ impl Core<'_> {
         let t = Instant::now();
         let (query, trace) = optimize_output(&Optimizer::new(self.optimizer), &bound);
         let stats = self.analysis.stats.as_deref();
-        let physical = stats.map(|s| Arc::new(plan_output(&query, s, self.planner)));
+        let physical = Arc::new(plan_output(&query, stats, self.planner));
         timings.optimize_ns = elapsed_ns(t);
 
         let plan = CachedPlan {
@@ -131,19 +132,21 @@ impl Core<'_> {
     }
 
     fn executor<'e>(&'e self, hostvars: &'e HostVars) -> Executor<'e> {
-        Executor::new(self.db, hostvars, self.exec).with_columns(self.analysis.columns.as_deref())
+        Executor::new(self.db, hostvars).with_columns(self.analysis.columns.as_deref())
     }
 
     /// Prepare `sql` and execute its plan with `hostvars`.
     pub fn query(&self, sql: &str, hostvars: &HostVars) -> Result<QueryOutput> {
         let mut prepared = self.prepare(sql)?;
         let plan = &prepared.plan;
-        let physical = plan.physical.as_deref();
+        let physical = &plan.physical;
         let t = Instant::now();
         let mut executor = self.executor(hostvars);
         let rows = executor.run_output(&plan.query, physical)?;
         prepared.timings.execute_ns = elapsed_ns(t);
-        let cards = physical.map(|p| p.card_report(executor.actuals()));
+        let cards = physical
+            .estimated
+            .then(|| physical.card_report(executor.actuals()));
         Ok(QueryOutput {
             columns: Arc::clone(&plan.columns),
             rows,
@@ -156,27 +159,31 @@ impl Core<'_> {
     }
 
     /// `EXPLAIN` a prepared plan: whether it was cached, the rewrite
-    /// trace recorded when it was compiled, the static physical plan,
-    /// and — under a cost-based plan — a `Cost-based plan` section with
-    /// estimated and actual rows per operator. The actuals come from
-    /// running the plan once; `EXPLAIN` binds no host variables, so a
-    /// query that needs them renders `act=?` instead.
+    /// trace recorded when it was compiled, and the one physical plan
+    /// the query runs. Before `ANALYZE` that is a `Physical plan` section
+    /// of labels, and the query is not executed. After it, a `Cost-based
+    /// plan` section shows estimated and actual rows per operator; the
+    /// actuals come from running the plan once. `EXPLAIN` binds no host
+    /// variables, so a query that needs them renders `act=?` instead.
     pub fn explain(&self, prepared: &Prepared) -> String {
         let plan = &prepared.plan;
+        let physical = &plan.physical;
         let status = if prepared.cache_hit {
             "cached"
         } else {
             "compiled"
         };
-        let body = crate::explain::explain_with_trace(&plan.trace, &plan.query, &self.exec);
-        let mut text = format!("Plan: {status}\n{body}");
-        if let Some(physical) = plan.physical.as_deref() {
+        let mut text = format!("Plan: {status}\n{}", render_trace(&plan.trace));
+        if physical.estimated {
             let hostvars = HostVars::new();
             let mut executor = self.executor(&hostvars);
-            let ran = executor.run_output(&plan.query, Some(physical)).is_ok();
+            let ran = executor.run_output(&plan.query, physical).is_ok();
             let actuals = ran.then(|| executor.actuals());
             text.push_str("Cost-based plan (est/act rows):\n");
             text.push_str(&physical.render(1, actuals));
+        } else {
+            text.push_str("Physical plan:\n");
+            text.push_str(&physical.render(1, None));
         }
         text
     }

@@ -1,13 +1,13 @@
 //! A single-owner engine: parse → bind → optimize → execute in one call.
 //!
 //! [`Session`] is the API the examples and benchmarks use. It owns a
-//! [`Database`], an optimizer configuration and executor options, and
+//! [`Database`], an optimizer configuration and planner options, and
 //! serves through the same path as [`SharedEngine`](crate::SharedEngine):
 //! each [`Session::query`] returns the rows, the rewrite steps the
 //! optimizer applied and the executor's work counters, so callers can see
 //! *what* the paper's techniques did and *what they saved*.
 
-use crate::exec::{ExecOptions, Executor};
+use crate::exec::Executor;
 use crate::plancache::{CacheStats, PlanCache};
 use crate::serve::{elapsed_ns, Analysis, Core};
 use crate::stats::{ExecStats, StageTimings};
@@ -15,7 +15,7 @@ use std::sync::Arc;
 use std::time::Instant;
 use uniq_catalog::{Database, Row};
 use uniq_core::pipeline::{OptimizerOptions, RewriteTrace};
-use uniq_cost::{CardReport, PlannerOptions, Statistics};
+use uniq_cost::{plan_output, CardReport, PlannerOptions, Statistics};
 use uniq_plan::{bind_output, HostVars};
 use uniq_sql::{parse_statement, Statement};
 use uniq_types::{ColumnName, Error, Result};
@@ -38,11 +38,12 @@ pub struct QueryOutput {
     /// Whether the plan came from the session's plan cache.
     pub cache_hit: bool,
     /// Per-operator estimated vs. actual cardinalities, when the query
-    /// ran under a cost-based physical plan (`None` on the static path).
+    /// ran under a cost-based physical plan (`None` before `ANALYZE`,
+    /// when the fixed plan has no estimates).
     pub cards: Option<CardReport>,
 }
 
-/// A database handle with optimizer and executor settings.
+/// A database handle with optimizer and planner settings.
 ///
 /// Sessions are `Sync`: `query` takes `&self`, so one session can serve
 /// a whole worker pool (see `uniq_workload::driver`). Cloning shares
@@ -55,10 +56,9 @@ pub struct Session {
     pub db: Database,
     /// Rewrite configuration applied before execution.
     pub optimizer: OptimizerOptions,
-    /// Static physical execution strategies, used until
-    /// [`Session::analyze`] has collected statistics.
-    pub exec: ExecOptions,
-    /// Cost-based planner configuration.
+    /// Physical planner configuration: the fixed plan's methods until
+    /// [`Session::analyze`] has collected statistics, the columnar and
+    /// early-stop licenses throughout.
     pub planner: PlannerOptions,
     /// Compiled-plan cache consulted by [`Session::query`] /
     /// [`Session::query_with`]; see [`crate::plancache`].
@@ -76,7 +76,6 @@ impl Session {
         Session {
             db,
             optimizer: OptimizerOptions::relational(),
-            exec: ExecOptions::default(),
             planner: PlannerOptions::default(),
             cache: Arc::new(PlanCache::default()),
             analysis: Analysis::default(),
@@ -125,7 +124,7 @@ impl Session {
     /// cached plans.
     pub fn with_agg_elision(mut self, on: bool) -> Session {
         self.optimizer.agg_elision = on;
-        self.exec.early_stop = on;
+        self.planner.early_stop = on;
         self
     }
 
@@ -156,7 +155,6 @@ impl Session {
             db: &self.db,
             cache: &self.cache,
             optimizer: self.optimizer,
-            exec: self.exec,
             planner: self.planner,
             analysis: &self.analysis,
         }
@@ -179,11 +177,13 @@ impl Session {
     }
 
     /// `EXPLAIN`: render the rewrite trace (rule, theorem, per-rule
-    /// timing) and the physical plan for `sql`. Once [`Session::analyze`]
-    /// has run, a `Cost-based plan` section follows with estimated and
-    /// actual rows per operator; the actuals come from running the plan
-    /// once (`act=?` when the query needs host variables, which
-    /// `EXPLAIN` does not bind).
+    /// timing) and the one physical plan `sql` runs. Before
+    /// [`Session::analyze`] that is a `Physical plan` section of
+    /// operator labels, and the query is not executed. After it, a
+    /// `Cost-based plan` section shows estimated and actual rows per
+    /// operator; the actuals come from running the plan once (`act=?`
+    /// when the query needs host variables, which `EXPLAIN` does not
+    /// bind).
     ///
     /// Follows the same serving path as [`Session::query`]: a plan-cache
     /// hit explains the cached plan with the trace recorded when it was
@@ -194,9 +194,10 @@ impl Session {
         Ok(core.explain(&core.prepare(sql)?))
     }
 
-    /// Execute without any rewriting and with the early-stopping Top-K
-    /// path off (baseline for experiments: every hash op and sort
-    /// comparison the elisions avoid is paid here in full).
+    /// Execute without any rewriting, under the fixed plan with the
+    /// early-stopping Top-K path off (baseline for experiments: every
+    /// hash op and sort comparison the elisions avoid is paid here in
+    /// full).
     pub fn query_unoptimized(&self, sql: &str, hostvars: &HostVars) -> Result<QueryOutput> {
         let mut timings = StageTimings::new();
         let t = Instant::now();
@@ -209,12 +210,13 @@ impl Session {
         let bound = bind_output(self.db.catalog(), &ast)?;
         timings.bind_ns = elapsed_ns(t);
         let t = Instant::now();
-        let exec = ExecOptions {
+        let options = PlannerOptions {
             early_stop: false,
-            ..self.exec
+            ..self.planner
         };
-        let mut executor = Executor::new(&self.db, hostvars, exec);
-        let rows = executor.run_output(&bound, None)?;
+        let plan = plan_output(&bound, None, options);
+        let mut executor = Executor::new(&self.db, hostvars);
+        let rows = executor.run_output(&bound, &plan)?;
         timings.execute_ns = elapsed_ns(t);
         Ok(QueryOutput {
             columns: bound.output_names().into(),
@@ -516,7 +518,7 @@ mod tests {
     fn exec_options_separate_cached_plans() {
         let sort = Session::sample().unwrap();
         let mut hash = sort.clone(); // shares the cache
-        hash.exec.distinct = crate::stats::DistinctMethod::Hash;
+        hash.planner.distinct = crate::stats::DistinctMethod::Hash;
         let sql = "SELECT DISTINCT S.SNO FROM SUPPLIER S";
         sort.query(sql).unwrap();
         assert!(!hash.query(sql).unwrap().cache_hit);
@@ -535,7 +537,7 @@ mod tests {
             assert!(line.contains("act="), "{line}");
         }
         assert!(!section.contains("act=?"), "actuals were measured: {out}");
-        // The static session's EXPLAIN has no cost section.
+        // An unanalyzed session's EXPLAIN has no cost section.
         let plain = Session::sample().unwrap().explain(sql).unwrap();
         assert!(!plain.contains("Cost-based plan"), "{plain}");
     }
@@ -606,7 +608,7 @@ mod tests {
             .unwrap();
         assert_eq!(joined.stats.hash_probes, 0, "{:?}", joined.stats);
         assert!(joined.stats.probe_steps > 0, "{:?}", joined.stats);
-        // A static session never touches the vectorized kernels.
+        // An unanalyzed session never touches the vectorized kernels.
         let s = Session::sample().unwrap();
         let plain = s.query("SELECT S.SNO FROM SUPPLIER S").unwrap();
         assert_eq!(plain.stats.vector_ops, 0);
@@ -796,6 +798,78 @@ mod tests {
         assert!(plain.contains("Limit 2\n"), "{plain}");
         assert!(plain.contains("Sort [BUDGET]"), "{plain}");
         assert!(!plain.contains("early-stop"), "{plain}");
+    }
+
+    #[test]
+    fn analyzed_oracle_sorts_and_claims_no_early_stop() {
+        let mut s = Session::sample().unwrap();
+        s.run_script("CREATE INDEX IDX_S_BUDGET ON SUPPLIER (BUDGET);")
+            .unwrap();
+        let oracle = s.with_agg_elision(false).with_cost_based();
+        let sql = "SELECT S.SNO, S.BUDGET FROM SUPPLIER S ORDER BY S.BUDGET LIMIT 2";
+        let out = oracle.query(sql).unwrap();
+        assert_eq!((out.stats.sorts, out.stats.early_stops), (1, 0));
+        let cards = out.cards.expect("cost-based run reports cardinalities");
+        assert!(
+            cards.rows.iter().any(|r| r.op == "Sort [BUDGET]"),
+            "{cards:?}"
+        );
+        let text = oracle.explain(sql).unwrap();
+        let section = text
+            .split("Cost-based plan (est/act rows):")
+            .nth(1)
+            .expect("cost section present");
+        assert!(section.contains("Sort [BUDGET]"), "{text}");
+        assert!(!section.contains("early-stop"), "{text}");
+    }
+
+    #[test]
+    fn early_stopped_top_k_reports_the_rows_its_scan_emitted() {
+        let mut s = Session::sample().unwrap();
+        s.run_script("CREATE INDEX IDX_S_BUDGET ON SUPPLIER (BUDGET);")
+            .unwrap();
+        s.analyze();
+        let sql = "SELECT S.SNO, S.BUDGET FROM SUPPLIER S ORDER BY S.BUDGET LIMIT 2";
+        assert_eq!(s.query(sql).unwrap().stats.early_stops, 1);
+        let text = s.explain(sql).unwrap();
+        assert!(text.contains("early-stop(IDX_S_BUDGET)"), "{text}");
+        assert!(!text.contains("act=0"), "{text}");
+        for op in ["Project [S.SNO, S.BUDGET]", "Scan SUPPLIER AS S"] {
+            let line = text.lines().find(|l| l.contains(op)).expect(&text);
+            assert!(line.contains("act=2"), "{text}");
+        }
+    }
+
+    #[test]
+    fn explain_labels_each_join_step_as_it_runs() {
+        let s = Session::sample().unwrap();
+        // A keyless step is a cross product whose build side is read
+        // once: 5 + 5 rows scanned, where a nested loop would read 30.
+        let sql = "SELECT S.SNO, A.ANO FROM SUPPLIER S, AGENTS A";
+        let text = s.explain(sql).unwrap();
+        assert!(text.contains("CrossJoin with Scan AGENTS AS A"), "{text}");
+        assert!(!text.contains("NestedLoop"), "{text}");
+        assert_eq!(s.query(sql).unwrap().stats.rows_scanned, 10);
+        // AGENTS has no key to SUPPLIER, so only PARTS joins by hash.
+        let sql = "SELECT S.SNO, A.ANO, P.PNO FROM SUPPLIER S, AGENTS A, PARTS P \
+                   WHERE A.SNO = P.SNO AND S.SNO = P.SNO";
+        let text = s.explain(sql).unwrap();
+        let hash_lines = text.matches("HashJoin").count() as u64;
+        assert_eq!(hash_lines, s.query(sql).unwrap().stats.hash_joins, "{text}");
+        assert!(text.contains("CrossJoin with Scan AGENTS AS A"), "{text}");
+    }
+
+    #[test]
+    fn explain_prints_exactly_one_plan_section() {
+        let s = Session::sample().unwrap();
+        let sql = "SELECT S.SNO, A.ANO FROM SUPPLIER S, AGENTS A WHERE S.SNO = A.SNO";
+        let before = s.explain(sql).unwrap();
+        assert!(before.contains("Physical plan:"), "{before}");
+        assert!(!before.contains("Cost-based plan"), "{before}");
+        assert!(!before.contains("est="), "a fixed plan has no estimates");
+        let after = s.with_cost_based().explain(sql).unwrap();
+        assert!(after.contains("Cost-based plan (est/act rows):"), "{after}");
+        assert!(!after.contains("Physical plan:"), "{after}");
     }
 
     #[test]

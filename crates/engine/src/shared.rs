@@ -25,7 +25,6 @@
 //! Per-connection state — a connection's own query counter, its
 //! subscriptions — belongs to the server, not to the engine.
 
-use crate::exec::ExecOptions;
 use crate::ivm::{self, MaintainOutcome, MaintenanceMode, MaterializedView, ViewDelta};
 use crate::plancache::{CacheStats, PlanCache};
 use crate::serve::{Analysis, Core};
@@ -104,7 +103,7 @@ pub struct SubscriptionStats {
 }
 
 /// A process-wide engine: MVCC snapshot chain + shared plan cache +
-/// one fixed optimizer/executor configuration for every connection.
+/// one fixed optimizer/planner configuration for every connection.
 #[derive(Debug)]
 pub struct SharedEngine {
     store: SnapshotStore,
@@ -112,10 +111,8 @@ pub struct SharedEngine {
     /// Rewrite configuration (identical for all connections, so plans
     /// are shareable by construction).
     pub optimizer: OptimizerOptions,
-    /// Static executor strategies.
-    pub exec: ExecOptions,
-    /// Cost-based planner configuration; physical planning activates
-    /// once [`SharedEngine::analyze`] has collected statistics.
+    /// Physical planner configuration; planning turns cost-based once
+    /// [`SharedEngine::analyze`] has collected statistics.
     pub planner: PlannerOptions,
     /// What the last [`SharedEngine::analyze`] collected, read once per
     /// query.
@@ -157,7 +154,6 @@ impl SharedEngine {
             store: SnapshotStore::new(db),
             cache: Arc::new(PlanCache::default()),
             optimizer: OptimizerOptions::relational(),
-            exec: ExecOptions::default(),
             planner: PlannerOptions::default(),
             analysis: RwLock::new(Analysis::default()),
             queries: AtomicU64::new(0),
@@ -254,7 +250,6 @@ impl SharedEngine {
             db: &snap,
             cache: &self.cache,
             optimizer: self.optimizer,
-            exec: self.exec,
             planner: self.planner,
             analysis: &analysis,
         })
@@ -272,7 +267,7 @@ impl SharedEngine {
         let bound = bind_output(snap.catalog(), &ast)?;
         let (query, _trace) = optimize_output(&Optimizer::new(self.optimizer), &bound);
         let columns = query.output_names();
-        MaterializedView::new(canonical, query, columns, snap, self.exec)
+        MaterializedView::new(canonical, query, columns, snap, self.planner)
     }
 
     /// Register `sql` as a live subscription: the query is optimized,

@@ -262,8 +262,9 @@ fn analyze_enables_cost_based_plans_for_every_connection() {
     let text = b
         .explain("SELECT DISTINCT S.SNO FROM SUPPLIER S, PARTS P WHERE S.SNO = P.SNO")
         .unwrap();
-    // The static `Physical plan` renders with or without ANALYZE; the
-    // cost-based section is the plan the engine actually runs.
+    // After ANALYZE the one plan section is the cost-based plan the
+    // engine runs.
+    assert!(!text.contains("Physical plan:"), "{text}");
     let section = text
         .split("Cost-based plan (est/act rows):")
         .nth(1)

@@ -19,7 +19,7 @@ use crate::rng::SplitMix64;
 use std::collections::HashMap;
 use uniq_core::algorithm1::{algorithm1, Algorithm1Options};
 use uniq_core::analysis::unique_projection;
-use uniq_engine::{ExecOptions, Executor};
+use uniq_engine::Executor;
 use uniq_plan::{bind_query, BoundQuery, HostVars};
 use uniq_sql::{parse_query, Distinct};
 use uniq_types::Result;
@@ -201,7 +201,7 @@ fn has_duplicates(db: &uniq_catalog::Database, bound: &BoundQuery) -> Result<boo
         spec.distinct = Distinct::All;
     }
     let hv = HostVars::new();
-    let mut ex = Executor::new(db, &hv, ExecOptions::default());
+    let mut ex = Executor::new(db, &hv);
     let rows = ex.run(&all)?;
     let mut counts: HashMap<Vec<uniq_types::Value>, usize> = HashMap::new();
     for r in rows {

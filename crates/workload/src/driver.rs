@@ -48,8 +48,8 @@ pub struct BatchReport {
     /// this reflects what the *served* plans did, not just compilations.
     pub rule_fires: BTreeMap<String, u64>,
     /// Cardinality-estimation accuracy (q-error) aggregated over every
-    /// operator of every cost-based plan served; empty when the session
-    /// runs on static executor options.
+    /// operator of every cost-based plan served; empty before `ANALYZE`,
+    /// when the fixed plans carry no estimates.
     pub qerror: QErrorStats,
     /// Elapsed wall-clock time for the whole batch.
     pub elapsed: Duration,

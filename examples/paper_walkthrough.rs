@@ -39,19 +39,11 @@ fn show(session: &Session, title: &str, sql: &str, hv: &HostVars, opts: Optimize
     }
     // Execute both forms and confirm equivalence.
     let base = {
-        let mut ex = uniqueness::engine::Executor::new(
-            &session.db,
-            hv,
-            uniqueness::engine::ExecOptions::default(),
-        );
+        let mut ex = uniqueness::engine::Executor::new(&session.db, hv);
         ex.run(&bound).expect("execute original")
     };
     let opt = {
-        let mut ex = uniqueness::engine::Executor::new(
-            &session.db,
-            hv,
-            uniqueness::engine::ExecOptions::default(),
-        );
+        let mut ex = uniqueness::engine::Executor::new(&session.db, hv);
         ex.run(&outcome.query).expect("execute rewritten")
     };
     let canon = |mut rows: Vec<Vec<uniqueness::types::Value>>| {

@@ -7,7 +7,7 @@ use std::collections::HashMap;
 use uniqueness::catalog::Row;
 use uniqueness::core::algorithm1::{algorithm1, Algorithm1Options};
 use uniqueness::core::analysis::{single_tuple_condition, unique_projection};
-use uniqueness::engine::{ExecOptions, Executor};
+use uniqueness::engine::Executor;
 use uniqueness::plan::{bind_query, BoundExpr, HostVars};
 use uniqueness::sql::{parse_query, Distinct};
 use uniqueness::workload::{generate_corpus, random_instance};
@@ -18,7 +18,7 @@ fn has_duplicates(db: &uniqueness::catalog::Database, sql: &str) -> bool {
         spec.distinct = Distinct::All;
     }
     let hv = HostVars::new();
-    let mut ex = Executor::new(db, &hv, ExecOptions::default());
+    let mut ex = Executor::new(db, &hv);
     let rows = ex.run(&bound).unwrap();
     let mut seen: HashMap<Row, usize> = HashMap::new();
     for r in rows {

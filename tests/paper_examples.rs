@@ -5,7 +5,7 @@
 use std::collections::HashMap;
 use uniqueness::catalog::Row;
 use uniqueness::core::pipeline::{Optimizer, OptimizerOptions};
-use uniqueness::engine::{ExecOptions, Executor, Session};
+use uniqueness::engine::{Executor, Session};
 use uniqueness::plan::{bind_query, HostVars};
 use uniqueness::sql::parse_query;
 use uniqueness::types::Value;
@@ -35,9 +35,9 @@ fn check(
         "for {sql}\nsteps: {:#?}",
         outcome.trace.steps
     );
-    let mut ex = Executor::new(&session.db, hv, ExecOptions::default());
+    let mut ex = Executor::new(&session.db, hv);
     let original = ex.run(&bound).unwrap();
-    let mut ex = Executor::new(&session.db, hv, ExecOptions::default());
+    let mut ex = Executor::new(&session.db, hv);
     let rewritten = ex.run(&outcome.query).unwrap();
     assert_eq!(
         multiset(&original),

@@ -12,7 +12,7 @@
 
 use std::collections::HashMap;
 use uniqueness::catalog::Row;
-use uniqueness::engine::{ExecOptions, Executor};
+use uniqueness::engine::Executor;
 use uniqueness::plan::{bind_query, BoundQuery, HostVars};
 use uniqueness::proof::{check_equiv, Verdict};
 use uniqueness::sql::parse_query;
@@ -125,7 +125,7 @@ fn multiset(rows: &[Row]) -> HashMap<Row, usize> {
 
 fn run(db: &uniqueness::catalog::Database, q: &BoundQuery) -> Vec<Row> {
     let hv = HostVars::new();
-    let mut ex = Executor::new(db, &hv, ExecOptions::default());
+    let mut ex = Executor::new(db, &hv);
     ex.run(q).expect("execution succeeds")
 }
 

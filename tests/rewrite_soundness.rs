@@ -9,7 +9,7 @@ use proptest::prelude::*;
 use std::collections::HashMap;
 use uniqueness::catalog::Row;
 use uniqueness::core::pipeline::{Optimizer, OptimizerOptions};
-use uniqueness::engine::{DistinctMethod, ExecOptions, Executor, JoinMethod};
+use uniqueness::engine::{DistinctMethod, Executor, JoinMethod, PlannerOptions};
 use uniqueness::plan::{bind_query, HostVars};
 use uniqueness::sql::parse_query;
 use uniqueness::workload::{generate_corpus, random_instance};
@@ -25,11 +25,12 @@ fn multiset(rows: &[Row]) -> HashMap<Row, usize> {
 fn run(
     db: &uniqueness::catalog::Database,
     q: &uniqueness::plan::BoundQuery,
-    exec: ExecOptions,
+    options: PlannerOptions,
 ) -> Vec<Row> {
     let hv = HostVars::new();
-    let mut ex = Executor::new(db, &hv, exec);
-    ex.run(q).expect("execution succeeds")
+    let plan = uniqueness::cost::plan_query(q, None, options);
+    let mut ex = Executor::new(db, &hv);
+    ex.run_with_plan(q, &plan).expect("execution succeeds")
 }
 
 proptest! {
@@ -46,8 +47,8 @@ proptest! {
         for q in &corpus {
             let bound = bind_query(db.catalog(), &parse_query(&q.sql).unwrap()).unwrap();
             let outcome = optimizer.optimize(&bound);
-            let base = run(&db, &bound, ExecOptions::default());
-            let opt = run(&db, &outcome.query, ExecOptions::default());
+            let base = run(&db, &bound, PlannerOptions::default());
+            let opt = run(&db, &outcome.query, PlannerOptions::default());
             prop_assert_eq!(
                 multiset(&base),
                 multiset(&opt),
@@ -69,8 +70,8 @@ proptest! {
         for q in &corpus {
             let bound = bind_query(db.catalog(), &parse_query(&q.sql).unwrap()).unwrap();
             let outcome = optimizer.optimize(&bound);
-            let base = run(&db, &bound, ExecOptions::default());
-            let opt = run(&db, &outcome.query, ExecOptions::default());
+            let base = run(&db, &bound, PlannerOptions::default());
+            let opt = run(&db, &outcome.query, PlannerOptions::default());
             prop_assert_eq!(multiset(&base), multiset(&opt), "{}", q.sql);
         }
     }
@@ -82,10 +83,10 @@ proptest! {
         let db = random_instance(iseed, 9, 18, 9).unwrap();
         for q in &corpus {
             let bound = bind_query(db.catalog(), &parse_query(&q.sql).unwrap()).unwrap();
-            let reference = run(&db, &bound, ExecOptions::default());
+            let reference = run(&db, &bound, PlannerOptions::default());
             for join in [JoinMethod::Hash, JoinMethod::NestedLoop] {
                 for distinct in [DistinctMethod::Sort, DistinctMethod::Hash] {
-                    let rows = run(&db, &bound, ExecOptions { join, distinct, ..Default::default() });
+                    let rows = run(&db, &bound, PlannerOptions { join, distinct, ..Default::default() });
                     prop_assert_eq!(
                         multiset(&reference),
                         multiset(&rows),
@@ -132,8 +133,8 @@ fn handwritten_exists_shapes_preserve_semantics() {
     ] {
         let bound = bind_query(db.catalog(), &parse_query(sql).unwrap()).unwrap();
         let outcome = optimizer.optimize(&bound);
-        let base = run(&db, &bound, ExecOptions::default());
-        let opt = run(&db, &outcome.query, ExecOptions::default());
+        let base = run(&db, &bound, PlannerOptions::default());
+        let opt = run(&db, &outcome.query, PlannerOptions::default());
         assert_eq!(
             multiset(&base),
             multiset(&opt),
@@ -214,8 +215,8 @@ fn every_trace_step_executes_equivalently() {
                     continue;
                 }
                 for db in &instances {
-                    let b = run(db, &step.before, ExecOptions::default());
-                    let a = run(db, &step.after, ExecOptions::default());
+                    let b = run(db, &step.before, PlannerOptions::default());
+                    let a = run(db, &step.after, PlannerOptions::default());
                     assert_eq!(
                         multiset(&b),
                         multiset(&a),
@@ -273,8 +274,8 @@ fn proved_steps_are_execution_equivalent() {
                 for step in outcome.trace.steps.iter().filter(|s| s.proof.is_proved()) {
                     proved += 1;
                     for db in &instances {
-                        let b = run(db, &step.before, ExecOptions::default());
-                        let a = run(db, &step.after, ExecOptions::default());
+                        let b = run(db, &step.before, PlannerOptions::default());
+                        let a = run(db, &step.after, PlannerOptions::default());
                         assert_eq!(
                             multiset(&b),
                             multiset(&a),
@@ -316,7 +317,7 @@ fn nested_correlation_merge_is_sound() {
         "expected a merge: {:#?}",
         outcome.trace.steps
     );
-    let base = run(&db, &bound, ExecOptions::default());
-    let opt = run(&db, &outcome.query, ExecOptions::default());
+    let base = run(&db, &bound, PlannerOptions::default());
+    let opt = run(&db, &outcome.query, PlannerOptions::default());
     assert_eq!(multiset(&base), multiset(&opt));
 }
