@@ -37,8 +37,22 @@ cargo test -q -p uniq-cost
 echo "==> fast lane: physical planning (fixed plans keep their work, cost-based plans do no more)"
 cargo test -q -p uniq-bench e16
 
-echo "==> fast lane: columnar kernels and columnar/row agreement"
+echo "==> fast lane: columnar kernels, the store kept current across writes, columnar/row agreement"
 cargo test -q -p uniq-engine columnar
+# The column store is refreshed by every write, DDL included, so the
+# kernels keep serving without a second ANALYZE; a reader pinned to an
+# older snapshot falls back to rows; one panicking subscription sink
+# drops only itself and leaves the write path working.
+cargo test -q -p uniq-engine -- \
+    refresh_matches_a_rebuild_and_shares_untouched_tables \
+    refresh_past_the_dict_limit_leaves_the_table_unencoded \
+    column_store_stays_current_across_inserts \
+    create_index_keeps_other_tables_columnar \
+    create_table_keeps_columnar_and_encodes_the_new_table \
+    new_dictionary_strings_keep_string_comparisons_exact \
+    a_snapshot_older_than_the_store_runs_on_rows \
+    concurrent_readers_of_a_covered_aggregate_see_published_states \
+    a_panicking_sink_drops_only_its_subscription
 cargo test -q -p uniqueness --test columnar_agreement
 cargo test -q -p uniq-bench e18
 
@@ -104,11 +118,14 @@ grep -q "proof=✓" <<< "$EXPLAIN_OUT"
 grep -q "Physical plan:" <<< "$EXPLAIN_OUT"
 # After ANALYZE the EXPLAIN served over the wire shows the cost-based
 # plan the daemon runs, with estimated and actual rows per operator,
-# and no second plan section.
+# and no second plan section. ANALYZE builds the column store and the
+# daemon licenses the columnar kernels with no flag, so the covered
+# join block runs columnar.
 timeout 60 "$CLI" --addr "$UNIQD_ADDR" --analyze > /dev/null
 EXPLAIN_OUT="$(timeout 60 "$CLI" --addr "$UNIQD_ADDR" --explain \
     "SELECT DISTINCT S.SNO, P.PNO FROM SUPPLIER S, PARTS P WHERE S.SNO = P.SNO")"
 grep -q "Cost-based plan (est/act rows)" <<< "$EXPLAIN_OUT"
+grep -q "exec=columnar" <<< "$EXPLAIN_OUT"
 if grep -q "Physical plan:" <<< "$EXPLAIN_OUT"; then
     echo "error: EXPLAIN after ANALYZE prints a second plan section" >&2
     exit 1

@@ -104,7 +104,8 @@ pub struct BlockPlan {
     /// The planner proved every conjunct and join step of this block is
     /// covered by the vectorized columnar kernels, so the executor may
     /// run it on dictionary codes with late materialization (rendered
-    /// as `exec=columnar` on the scan line). The executor re-verifies
+    /// as `exec=columnar` on the scan line). Every cost-based plan sets
+    /// it on each covered block; fixed plans never do. The executor re-verifies
     /// at runtime and falls back to row execution if the encoding is
     /// missing or stale — the flag is a license, not a promise.
     pub columnar: bool,

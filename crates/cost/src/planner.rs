@@ -40,15 +40,13 @@ use std::collections::BTreeSet;
 use uniq_plan::{AttrRef, BScalar, BoundAggItem, BoundExpr, BoundOutput, BoundQuery, BoundSpec};
 use uniq_sql::{CmpOp, SetOp};
 
-/// Session-level planner configuration: the four physical knobs.
+/// Session-level planner configuration: the three physical knobs.
+///
+/// The columnar license is not among them: every cost-based plan
+/// licenses each block the vectorized kernels cover (see
+/// [`BlockPlan::columnar`]), and fixed plans never carry it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PlannerOptions {
-    /// License blocks for the vectorized columnar executor when every
-    /// conjunct and join step is covered by its kernels (see
-    /// [`BlockPlan::columnar`]). Only cost-based plans carry the
-    /// license. Off by default: the row executor remains the oracle
-    /// every columnar plan is checked against.
-    pub columnar: bool,
     /// The join method of every step of a fixed plan. The cost-based
     /// planner chooses per step instead.
     pub join: JoinMethod,
@@ -66,7 +64,6 @@ pub struct PlannerOptions {
 impl Default for PlannerOptions {
     fn default() -> PlannerOptions {
         PlannerOptions {
-            columnar: false,
             join: JoinMethod::default(),
             distinct: DistinctMethod::default(),
             early_stop: true,
@@ -450,9 +447,10 @@ impl<'a> Planner<'a> {
         // or code-equality kernel, and every join step chosen below must
         // be a keyed hash join (the columnar executor has no nested-loop
         // or cross kernel). Tracked alongside the greedy loop so the
-        // verdict reflects the order actually chosen.
-        let mut columnar =
-            self.options.columnar && conjuncts.iter().all(|c| columnar_conjunct(spec, c));
+        // verdict reflects the order actually chosen; the verdict never
+        // feeds back into order or method, so a plan is the same whether
+        // or not a column store serves it.
+        let mut columnar = conjuncts.iter().all(|c| columnar_conjunct(spec, c));
 
         let mut joins: Vec<JoinStep> = Vec::new();
         while placed.len() < n {
@@ -978,22 +976,11 @@ mod tests {
         assert!(!b2.joins[0].unique, "COLOR covers no candidate key");
     }
 
-    fn plan_columnar(sql: &str) -> (PhysicalPlan, BoundQuery) {
-        let db = supplier_database().unwrap();
-        let stats = Statistics::collect(&db);
-        let q = bind_query(db.catalog(), &parse_query(sql).unwrap()).unwrap();
-        let opts = PlannerOptions {
-            columnar: true,
-            ..Default::default()
-        };
-        (plan_query(&q, Some(&stats), opts), q)
-    }
-
     #[test]
     fn covered_blocks_are_licensed_columnar() {
         let sql = "SELECT S.SNO FROM SUPPLIER S, PARTS P \
                    WHERE S.SNO = P.SNO AND P.COLOR = 'RED'";
-        let (p, _) = plan_columnar(sql);
+        let (p, q) = plan(sql);
         let b = block(&p);
         assert!(b.columnar, "keyed hash join + str literal is covered");
         // PARTS scans first and carries string columns → dict marker.
@@ -1003,8 +990,8 @@ mod tests {
             p.ops
         );
         assert!(p.render(0, None).contains("exec=columnar"));
-        // Same query without the option: row plan, no markers.
-        let (p2, _) = plan(sql);
+        // The fixed plan (no statistics) never carries the license.
+        let p2 = plan_query(&q, None, PlannerOptions::default());
         let b2 = block(&p2);
         assert!(!b2.columnar);
         assert!(!p2.ops[b2.scan].label.contains("enc=dict"), "{:?}", p2.ops);
@@ -1028,14 +1015,14 @@ mod tests {
             // Same-table column comparison is not a join key.
             "SELECT P.PNO FROM PARTS P WHERE P.PNO = P.SNO",
         ] {
-            let (p, _) = plan_columnar(sql);
+            let (p, _) = plan(sql);
             let b = block(&p);
             assert!(!b.columnar, "{sql} must not be columnar");
             assert!(!p.render(0, None).contains("exec=columnar"), "{sql}");
         }
         // A NULL-literal comparison compiles (to the empty range) and
         // keeps the block columnar when it is the only predicate.
-        let (p, _) = plan_columnar("SELECT S.SNO FROM SUPPLIER S WHERE S.SNAME = NULL");
+        let (p, _) = plan("SELECT S.SNO FROM SUPPLIER S WHERE S.SNAME = NULL");
         assert!(block(&p).columnar, "NULL literal compiles to Never");
     }
 
@@ -1109,11 +1096,7 @@ mod tests {
         let sql = "SELECT S.SNO FROM SUPPLIER S, PARTS P \
                    WHERE S.SNO = P.SNO AND P.COLOR = 'RED'";
         let q = bind_query(db.catalog(), &parse_query(sql).unwrap()).unwrap();
-        let opts = PlannerOptions {
-            columnar: true,
-            ..Default::default()
-        };
-        let p = plan_query(&q, Some(&stats), opts);
+        let p = plan_query(&q, Some(&stats), PlannerOptions::default());
         let b = block(&p);
         assert!(
             b.ixscan.is_some() || b.joins.iter().any(|j| j.ix.is_some()),
@@ -1138,7 +1121,6 @@ mod tests {
         let sql = "SELECT DISTINCT S.SNO FROM SUPPLIER S, PARTS P \
                    WHERE S.SNO = P.SNO AND P.COLOR = 'RED'";
         let options = PlannerOptions {
-            columnar: true,
             join: JoinMethod::NestedLoop,
             distinct: DistinctMethod::Hash,
             early_stop: true,

@@ -5,10 +5,14 @@
 //! dictionary-encoded into dense `u32` codes (one sorted dictionary per
 //! column, so code order coincides with string order and every
 //! comparison predicate compiles to a code-range test). The store is
-//! built once — at `ANALYZE` time, alongside the statistics — and is
-//! consulted again only if it is provably fresh: the catalog version
-//! must match and every scanned table's row count must equal the
-//! encoded count, so codes from a stale encoding are never read.
+//! built at `ANALYZE` time, alongside the statistics, and every write
+//! served after that brings it up to the new database state by
+//! encoding only the appended rows and new tables
+//! ([`ColumnStore::refresh`]). A block reads it only if it is provably
+//! fresh for the database the query runs on: the catalog version must
+//! match and every scanned table's row count must equal the encoded
+//! count, so codes from a stale encoding — or rows a pinned snapshot
+//! cannot see — are never read.
 //!
 //! Execution walks [`ColumnBatch`]es: a batch is a table reference plus
 //! a *selection vector* of qualifying row ids, so filters refine the
@@ -39,6 +43,7 @@ use crate::agg::{finalize_state, init_states, update_states, AggState};
 use crate::exec::{contains_subquery, equi_join_key, planned_levels, Executor};
 use crate::stats::ExecStats;
 use std::collections::{BTreeSet, HashMap, HashSet};
+use std::sync::Arc;
 use uniq_catalog::{Database, Row, TableSchema};
 use uniq_cost::{BlockPlan, JoinMethod};
 use uniq_plan::{BScalar, BoundAgg, BoundAggItem, BoundExpr, BoundSpec};
@@ -138,10 +143,17 @@ pub struct ColumnBatch<'a> {
 
 /// Column-wise encodings of every encodable table of one database
 /// snapshot, keyed by table name.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+///
+/// Each encoding sits behind an `Arc`, so a [`ColumnStore::refresh`]
+/// shares every table it does not touch with the store it started from.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ColumnStore {
-    tables: HashMap<TableName, TableColumns>,
+    /// Every table of the encoded snapshot: its encoding, or `None` when
+    /// it cannot be encoded. That verdict is final, because tables are
+    /// insert-only and DDL never changes an existing table's columns.
+    tables: HashMap<TableName, Option<Arc<TableColumns>>>,
     catalog_version: u64,
+    dict_limit: usize,
 }
 
 impl ColumnStore {
@@ -158,25 +170,56 @@ impl ColumnStore {
     /// the row executor). Exposed for tests; production use is
     /// [`DEFAULT_DICT_LIMIT`], the `u32` code-space guard.
     pub fn build_with_dict_limit(db: &Database, limit: usize) -> ColumnStore {
-        let limit = limit.min(DEFAULT_DICT_LIMIT);
-        let mut tables = HashMap::new();
+        let mut store = ColumnStore {
+            tables: HashMap::new(),
+            catalog_version: db.version(),
+            dict_limit: limit.min(DEFAULT_DICT_LIMIT),
+        };
+        store.refresh(db);
+        store
+    }
+
+    /// Bring the store up to `db`, a later state of the database it
+    /// encodes, by encoding only what is new. Tables are insert-only, so
+    /// an encoded table's rows are a prefix of its rows in `db`:
+    ///
+    /// * a table with the encoded row count keeps sharing its encoding;
+    /// * a grown table has its new rows appended to its encoding (to a
+    ///   copy when another store still shares it). A string new to a
+    ///   column's sorted dictionary re-codes that column, so every
+    ///   comparison stays a code-range test;
+    /// * a table the store has not seen (`CREATE TABLE`) is encoded.
+    ///
+    /// Then the store is re-stamped with `db`'s catalog version, which
+    /// is sound because DDL never changes an existing table's columns.
+    pub fn refresh(&mut self, db: &Database) {
+        let limit = self.dict_limit;
+        let mut tables = HashMap::with_capacity(self.tables.len() + 1);
         for schema in db.catalog().tables() {
             let Ok(rows) = db.rows(&schema.name) else {
                 continue;
             };
-            if let Some(tc) = encode_table(schema, rows, limit) {
-                tables.insert(schema.name.clone(), tc);
-            }
+            let encoded = match self.tables.remove(&schema.name) {
+                Some(None) => None,
+                Some(Some(tc)) if tc.rows == rows.len() => Some(tc),
+                Some(Some(mut tc)) if tc.rows < rows.len() => {
+                    let at = tc.rows;
+                    Arc::make_mut(&mut tc)
+                        .append(&rows[at..], limit)
+                        .then_some(tc)
+                }
+                // Unseen, or not a later state of the encoded table.
+                _ => encode_table(schema, rows, limit).map(Arc::new),
+            };
+            tables.insert(schema.name.clone(), encoded);
         }
-        ColumnStore {
-            tables,
-            catalog_version: db.version(),
-        }
+        self.tables = tables;
+        self.catalog_version = db.version();
     }
 
     /// The encoding of `name`, if the table was encodable.
     pub fn table(&self, name: &TableName) -> Option<&TableColumns> {
-        self.tables.get(name)
+        self.tables.get(name)?.as_deref()
     }
 
     /// The catalog version the store was built against; a mismatch with
@@ -187,80 +230,140 @@ impl ColumnStore {
 
     /// Number of encoded tables.
     pub fn len(&self) -> usize {
-        self.tables.len()
+        self.tables.values().flatten().count()
     }
 
     /// Whether no table could be encoded.
     pub fn is_empty(&self) -> bool {
-        self.tables.is_empty()
+        self.len() == 0
     }
 }
 
 fn encode_table(schema: &TableSchema, rows: &[Row], limit: usize) -> Option<TableColumns> {
-    let nrows = rows.len();
-    if nrows > NONE_U32 as usize {
-        return None;
+    let cols = schema
+        .columns
+        .iter()
+        .map(|def| match def.data_type {
+            DataType::Int => Some(ColumnData::Int {
+                values: Vec::with_capacity(rows.len()),
+                nulls: NullBitmap::with_capacity(rows.len()),
+            }),
+            DataType::Str => Some(ColumnData::Str {
+                codes: Vec::with_capacity(rows.len()),
+                nulls: NullBitmap::with_capacity(rows.len()),
+                dict: Vec::new(),
+            }),
+            _ => None,
+        })
+        .collect::<Option<Vec<_>>>()?;
+    let mut tc = TableColumns { rows: 0, cols };
+    tc.append(rows, limit).then_some(tc)
+}
+
+impl TableColumns {
+    /// Encode `rows` after the encoded ones. Returns `false` (leaving the
+    /// encoding unusable) when they cannot be encoded: a value of the
+    /// wrong type, a row count beyond `u32`, or a dictionary beyond
+    /// `limit`.
+    fn append(&mut self, rows: &[Row], limit: usize) -> bool {
+        if self.rows + rows.len() > NONE_U32 as usize {
+            return false;
+        }
+        for (c, col) in self.cols.iter_mut().enumerate() {
+            let fits = match col {
+                ColumnData::Int { values, nulls } => rows.iter().all(|row| match &row[c] {
+                    Value::Null => {
+                        values.push(0);
+                        nulls.push(true);
+                        true
+                    }
+                    Value::Int(i) => {
+                        values.push(*i);
+                        nulls.push(false);
+                        true
+                    }
+                    _ => false,
+                }),
+                ColumnData::Str { codes, nulls, dict } => {
+                    extend_dict(dict, codes, nulls, rows, c, limit)
+                        && rows.iter().all(|row| match &row[c] {
+                            Value::Null => {
+                                codes.push(0);
+                                nulls.push(true);
+                                true
+                            }
+                            Value::Str(s) => {
+                                let code = dict.binary_search(s).expect("dictionary extended");
+                                codes.push(code as u32);
+                                nulls.push(false);
+                                true
+                            }
+                            _ => false,
+                        })
+                }
+            };
+            if !fits {
+                return false;
+            }
+        }
+        self.rows += rows.len();
+        true
     }
-    let mut cols = Vec::with_capacity(schema.arity());
-    for (c, def) in schema.columns.iter().enumerate() {
-        match def.data_type {
-            DataType::Int => {
-                let mut values = Vec::with_capacity(nrows);
-                let mut nulls = NullBitmap::with_capacity(nrows);
-                for row in rows {
-                    match &row[c] {
-                        Value::Null => {
-                            values.push(0);
-                            nulls.push(true);
-                        }
-                        Value::Int(i) => {
-                            values.push(*i);
-                            nulls.push(false);
-                        }
-                        _ => return None,
-                    }
+}
+
+/// Merge the strings of column `c` of `rows` that `dict` lacks into it,
+/// keeping it sorted, and re-code the encoded `codes` when an insertion
+/// shifts them. `false` when a value is not a string or the dictionary
+/// would outgrow `limit`.
+fn extend_dict(
+    dict: &mut Vec<String>,
+    codes: &mut [u32],
+    nulls: &NullBitmap,
+    rows: &[Row],
+    c: usize,
+    limit: usize,
+) -> bool {
+    let mut fresh: BTreeSet<&str> = BTreeSet::new();
+    for row in rows {
+        match &row[c] {
+            Value::Null => {}
+            Value::Str(s) => {
+                if dict.binary_search(s).is_err() {
+                    fresh.insert(s);
                 }
-                cols.push(ColumnData::Int { values, nulls });
             }
-            DataType::Str => {
-                let mut set: BTreeSet<&str> = BTreeSet::new();
-                for row in rows {
-                    match &row[c] {
-                        Value::Null => {}
-                        Value::Str(s) => {
-                            set.insert(s);
-                        }
-                        _ => return None,
-                    }
-                }
-                if set.len() > limit {
-                    return None;
-                }
-                let dict: Vec<String> = set.into_iter().map(str::to_string).collect();
-                let mut codes = Vec::with_capacity(nrows);
-                let mut nulls = NullBitmap::with_capacity(nrows);
-                for row in rows {
-                    match &row[c] {
-                        Value::Null => {
-                            codes.push(0);
-                            nulls.push(true);
-                        }
-                        Value::Str(s) => {
-                            let code = dict
-                                .binary_search(s)
-                                .expect("dictionary built from these rows");
-                            codes.push(code as u32);
-                            nulls.push(false);
-                        }
-                        _ => return None,
-                    }
-                }
-                cols.push(ColumnData::Str { codes, nulls, dict });
-            }
-            _ => return None,
+            _ => return false,
         }
     }
-    Some(TableColumns { rows: nrows, cols })
+    if fresh.is_empty() {
+        return true;
+    }
+    if dict.len() + fresh.len() > limit {
+        return false;
+    }
+    // Old code → new code, increasing, so code order stays string order.
+    let mut merged = Vec::with_capacity(dict.len() + fresh.len());
+    let mut remap = Vec::with_capacity(dict.len());
+    let mut fresh = fresh.into_iter().peekable();
+    for old in dict.drain(..) {
+        while let Some(s) = fresh.next_if(|s| *s < old.as_str()) {
+            merged.push(s.to_string());
+        }
+        remap.push(merged.len() as u32);
+        merged.push(old);
+    }
+    merged.extend(fresh.map(str::to_string));
+    *dict = merged;
+    // An increasing map that ends at its own last index is the identity:
+    // every new string sorted after every old one.
+    if remap.last().is_some_and(|&l| l as usize != remap.len() - 1) {
+        for (r, code) in codes.iter_mut().enumerate() {
+            if !nulls.is_null(r) {
+                *code = remap[*code as usize];
+            }
+        }
+    }
+    true
 }
 
 // --- vectorizable predicates -------------------------------------------
@@ -1080,6 +1183,55 @@ mod tests {
         let full = ColumnStore::build(&db);
         assert!(full.table(&"SUPPLIER".into()).is_some());
         assert_eq!(full.catalog_version(), db.version());
+    }
+
+    #[test]
+    fn refresh_matches_a_rebuild_and_shares_untouched_tables() {
+        let (mut db, cs) = store();
+        // New SNAMEs sorting first and last, a NULL city, and a new
+        // table with a NULL row: appends, re-codes and a fresh encoding.
+        db.run_script(
+            "INSERT INTO SUPPLIER VALUES (6, 'Aaron', 'Toronto', 10, 'Active'),
+               (7, 'Zed', NULL, 10, 'Active'), (8, 'Hooli', 'Chicago', 10, 'Active');
+             CREATE TABLE DEPOT (DNO INTEGER, DCITY VARCHAR);
+             INSERT INTO DEPOT VALUES (1, 'Hull'), (NULL, NULL);",
+        )
+        .unwrap();
+        let mut refreshed = cs.clone();
+        refreshed.refresh(&db);
+        assert_eq!(refreshed, ColumnStore::build(&db));
+        assert_eq!(refreshed.catalog_version(), db.version());
+        assert_eq!(refreshed.len(), 4);
+        let parts: &TableName = &"PARTS".into();
+        assert!(
+            Arc::ptr_eq(
+                cs.tables[parts].as_ref().unwrap(),
+                refreshed.tables[parts].as_ref().unwrap()
+            ),
+            "an untouched table is shared, not copied"
+        );
+        assert_eq!(
+            cs.table(&"SUPPLIER".into()).unwrap().rows(),
+            5,
+            "a store still shared keeps its encoding"
+        );
+    }
+
+    #[test]
+    fn refresh_past_the_dict_limit_leaves_the_table_unencoded() {
+        let (mut db, _) = store();
+        // SUPPLIER's widest dictionary (SNAME) has 4 values, PARTS' 5.
+        let mut cs = ColumnStore::build_with_dict_limit(&db, 5);
+        assert!(cs.table(&"SUPPLIER".into()).is_some());
+        db.run_script(
+            "INSERT INTO SUPPLIER VALUES (6, 'Aaron', 'Toronto', 10, 'Active'),
+               (7, 'Zed', 'Toronto', 10, 'Active');",
+        )
+        .unwrap();
+        cs.refresh(&db);
+        assert!(cs.table(&"SUPPLIER".into()).is_none(), "6 names > 5");
+        assert!(cs.table(&"PARTS".into()).is_some());
+        assert_eq!(cs, ColumnStore::build_with_dict_limit(&db, 5));
     }
 
     fn tiny_str_table() -> TableColumns {

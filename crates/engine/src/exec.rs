@@ -35,7 +35,7 @@ use uniq_types::{Error, Result, Tri, Value};
 pub struct Executor<'a> {
     pub(crate) db: &'a Database,
     pub(crate) hostvars: &'a HostVars,
-    /// Columnar encodings of the database, when the session built them
+    /// Columnar encodings of the database, once `ANALYZE` has built them
     /// (see [`crate::columnar::ColumnStore`]). Blocks the planner marked
     /// columnar execute on the vectorized kernels when the store is
     /// fresh; everything else (and every run without a store) uses the

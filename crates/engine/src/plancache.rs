@@ -466,7 +466,6 @@ mod tests {
             |o| o.1.distinct = DistinctMethod::Hash,
             |o| o.1.join = JoinMethod::NestedLoop,
             |o| o.1.early_stop ^= true,
-            |o| o.1.columnar ^= true,
         ];
         let tag = |o: &Options, epoch| options_tag(&o.0, &o.1, epoch);
         let mut tags = vec![tag(&base, 0), tag(&base, 1), tag(&base, 2)];

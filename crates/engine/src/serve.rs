@@ -25,9 +25,10 @@ use uniq_sql::{parse_statement, Statement};
 use uniq_types::{Error, Result};
 
 /// What `ANALYZE` collected, as one value: the statistics, the column
-/// store (built only when the planner licenses columnar blocks) and the
-/// epoch mixed into plan fingerprints, so plans chosen under older
-/// statistics are recompiled.
+/// store and the epoch mixed into plan fingerprints, so plans chosen
+/// under older statistics are recompiled. Writes keep the column store
+/// current ([`Analysis::refresh`]); the statistics and the epoch stay
+/// until the next `ANALYZE`, so cached plans keep serving.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Analysis {
     pub stats: Option<Arc<Statistics>>,
@@ -36,14 +37,11 @@ pub(crate) struct Analysis {
 }
 
 impl Analysis {
-    /// Collect from `db`. The store and the statistics come from the
-    /// same database, so the two stay in step; the executor verifies
-    /// the store's freshness per query and falls back to rows when it
-    /// has gone stale.
-    pub fn collect(db: &Database, planner: &PlannerOptions) -> Analysis {
+    /// Collect statistics and the column store from `db`.
+    pub fn collect(db: &Database) -> Analysis {
         Analysis {
             stats: Some(Arc::new(Statistics::collect(db))),
-            columns: planner.columnar.then(|| Arc::new(ColumnStore::build(db))),
+            columns: Some(Arc::new(ColumnStore::build(db))),
             epoch: 0,
         }
     }
@@ -54,6 +52,16 @@ impl Analysis {
             epoch: self.epoch + 1,
             ..next
         };
+    }
+
+    /// Bring the column store up to `db` after a write, encoding only
+    /// the new rows and tables (see [`ColumnStore::refresh`]). The store
+    /// is copied first only while a running query still shares it.
+    /// Before the first `ANALYZE` there is no store to refresh.
+    pub fn refresh(&mut self, db: &Database) {
+        if let Some(columns) = &mut self.columns {
+            Arc::make_mut(columns).refresh(db);
+        }
     }
 }
 
@@ -229,21 +237,22 @@ mod tests {
 
     /// The drift guard: a `Session` and a `SharedEngine` with equal
     /// options answer, count, estimate, cache and explain identically —
-    /// before `ANALYZE`, after it, and with columnar execution licensed.
+    /// before `ANALYZE`, after it (the columnar kernels licensed), and
+    /// after a write that the column store was refreshed across.
     #[test]
     fn session_and_shared_engine_serve_identically() {
         let hostvars = HostVars::new().with("CITY", "Toronto");
-        for state in ["unanalyzed", "analyzed", "columnar"] {
+        let write = "INSERT INTO PARTS VALUES (4, 15, 'rod', 107, 'RED');";
+        for state in ["unanalyzed", "analyzed", "written"] {
             let mut session = Session::sample().unwrap();
-            let mut engine = SharedEngine::sample().unwrap();
-            if state == "columnar" {
-                session = session.with_columnar();
-                engine.planner.columnar = true;
-            } else if state == "analyzed" {
-                session = session.with_cost_based();
-            }
+            let engine = SharedEngine::sample().unwrap();
             if state != "unanalyzed" {
+                session.analyze();
                 engine.analyze();
+            }
+            if state == "written" {
+                session.run_script(write).unwrap();
+                engine.execute(write).unwrap();
             }
             let mut vector_ops = 0;
             for sql in CORPUS {
@@ -266,7 +275,7 @@ mod tests {
                     "{a}"
                 );
             }
-            assert_eq!(vector_ops > 0, state == "columnar", "{state}");
+            assert_eq!(vector_ops > 0, state != "unanalyzed", "{state}");
         }
     }
 }

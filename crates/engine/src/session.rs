@@ -52,20 +52,25 @@ pub struct QueryOutput {
 /// on clones that share a cache is unsupported.
 #[derive(Debug, Clone, Default)]
 pub struct Session {
-    /// The database queried by this session.
+    /// The database queried by this session. Write through
+    /// [`Session::run_script`] to keep the column store current: a
+    /// direct change sends covered blocks on the changed tables to the
+    /// row path until the next `run_script` or [`Session::analyze`], and
+    /// a replacement by an unrelated database needs a new `analyze`.
     pub db: Database,
     /// Rewrite configuration applied before execution.
     pub optimizer: OptimizerOptions,
     /// Physical planner configuration: the fixed plan's methods until
-    /// [`Session::analyze`] has collected statistics, the columnar and
-    /// early-stop licenses throughout.
+    /// [`Session::analyze`] has collected statistics, the early-stop
+    /// license throughout.
     pub planner: PlannerOptions,
     /// Compiled-plan cache consulted by [`Session::query`] /
     /// [`Session::query_with`]; see [`crate::plancache`].
     pub cache: Arc<PlanCache>,
     /// What the last [`Session::analyze`] collected: statistics for the
-    /// cost-based planner, the column store when the planner's columnar
-    /// option is on, and the epoch mixed into plan fingerprints.
+    /// cost-based planner, the column store (kept current by
+    /// [`Session::run_script`]) and the epoch mixed into plan
+    /// fingerprints.
     analysis: Analysis,
 }
 
@@ -82,29 +87,23 @@ impl Session {
         }
     }
 
-    /// Collect table and column statistics from the current database
-    /// contents — and, when the planner's columnar option is on, the
-    /// dictionary-encoded column store. Physical planning is cost-based
-    /// from then on. Bumps the statistics epoch, so plans compiled
-    /// under older statistics are recompiled on their next use.
+    /// Collect table and column statistics and the dictionary-encoded
+    /// column store from the current database contents. Physical
+    /// planning is cost-based from then on, and every block the
+    /// vectorized kernels cover runs on them. Bumps the statistics
+    /// epoch, so plans compiled under older statistics are recompiled
+    /// on their next use.
     pub fn analyze(&mut self) {
-        let next = Analysis::collect(&self.db, &self.planner);
+        let next = Analysis::collect(&self.db);
         self.analysis.advance(next);
     }
 
-    /// Enable cost-based physical planning by collecting statistics.
+    /// [`Session::analyze`] once: cost-based planning, with the columnar
+    /// kernels serving every block they cover. The row executor serves
+    /// every other block, and every covered block whose encoding does
+    /// not match the database (after a direct change to
+    /// [`Session::db`]).
     pub fn with_cost_based(mut self) -> Session {
-        self.analyze();
-        self
-    }
-
-    /// Enable the vectorized columnar execution path (and so cost-based
-    /// planning — columnar licensing is a planner decision), building
-    /// the dictionary-encoded column store alongside the statistics. The
-    /// row executor still serves every block the planner does not prove
-    /// covered, and every covered block whose encoding has gone stale.
-    pub fn with_columnar(mut self) -> Session {
-        self.planner.columnar = true;
         self.analyze();
         self
     }
@@ -145,9 +144,15 @@ impl Session {
         Ok(Session::new(uniq_catalog::sample::supplier_database()?))
     }
 
-    /// Run DDL/DML statements (`CREATE TABLE` / `INSERT`).
+    /// Run DDL/DML statements (`CREATE TABLE` / `CREATE INDEX` /
+    /// `INSERT`), then bring the column store up to the database by
+    /// encoding only the new rows and tables. A failing script keeps the
+    /// statements before the failure, so the store is refreshed either
+    /// way. Statistics and the epoch stay, so cached plans keep serving.
     pub fn run_script(&mut self, sql: &str) -> Result<()> {
-        self.db.run_script(sql)
+        let applied = self.db.run_script(sql);
+        self.analysis.refresh(&self.db);
+        applied
     }
 
     fn core(&self) -> Core<'_> {
@@ -174,6 +179,22 @@ impl Session {
     /// every binding of the same text.
     pub fn query_with(&self, sql: &str, hostvars: &HostVars) -> Result<QueryOutput> {
         self.core().query(sql, hostvars)
+    }
+
+    /// [`Session::query_with`] with no column store attached: the same
+    /// cached plan, run by the row executor. The columnar license is
+    /// not a promise, so every block takes the row pipeline the kernels
+    /// fall back to — the baseline the kernels are measured against.
+    pub fn query_row_path(&self, sql: &str, hostvars: &HostVars) -> Result<QueryOutput> {
+        let analysis = Analysis {
+            columns: None,
+            ..self.analysis.clone()
+        };
+        Core {
+            analysis: &analysis,
+            ..self.core()
+        }
+        .query(sql, hostvars)
     }
 
     /// `EXPLAIN`: render the rewrite trace (rule, theorem, per-rule
@@ -555,7 +576,7 @@ mod tests {
     #[test]
     fn columnar_rows_match_static_execution() {
         let s = Session::sample().unwrap();
-        let c = s.clone().with_columnar();
+        let c = s.clone().with_cost_based();
         for sql in [
             // Covered: keyed joins, literal filters, DISTINCT.
             "SELECT DISTINCT P.COLOR, S.SCITY FROM PARTS P, SUPPLIER S \
@@ -583,7 +604,7 @@ mod tests {
 
     #[test]
     fn columnar_session_counts_vector_ops_not_scans() {
-        let c = Session::sample().unwrap().with_columnar();
+        let c = Session::sample().unwrap().with_cost_based();
         let out = c
             .query(
                 "SELECT DISTINCT P.COLOR, S.SCITY FROM PARTS P, SUPPLIER S \
@@ -615,37 +636,122 @@ mod tests {
     }
 
     #[test]
-    fn stale_column_store_falls_back_until_reanalyzed() {
-        let mut c = Session::sample().unwrap().with_columnar();
-        let sql = "SELECT DISTINCT P.COLOR, S.SCITY FROM PARTS P, SUPPLIER S \
+    fn column_store_stays_current_across_inserts() {
+        let mut c = Session::sample().unwrap().with_cost_based();
+        let sql = "SELECT P.PNO, S.SCITY FROM PARTS P, SUPPLIER S \
                    WHERE P.SNO = S.SNO AND P.COLOR = 'RED'";
         assert!(c.query(sql).unwrap().stats.vector_ops > 0);
-        // INSERT does not bump the catalog version: the cached plan
-        // still serves, but the executor detects the row-count drift and
-        // answers from the row path — stale codes are never read.
+        // INSERT leaves the catalog version and the statistics alone, so
+        // the cached plan still serves, and the refreshed store holds the
+        // new row: the kernels keep running, with no second ANALYZE.
         c.run_script("INSERT INTO PARTS VALUES (4, 15, 'rod', 107, 'RED');")
+            .unwrap();
+        let fresh = c.query(sql).unwrap();
+        assert!(fresh.cache_hit, "plain INSERT does not invalidate plans");
+        assert!(fresh.stats.vector_ops > 0, "{:?}", fresh.stats);
+        assert_eq!(fresh.stats.rows_scanned, 0, "{:?}", fresh.stats);
+        let new_row = vec![Value::Int(15), Value::str("Toronto")];
+        assert!(fresh.rows.contains(&new_row), "{:?}", fresh.rows);
+        // A change made to the database directly bypasses the refresh:
+        // the executor sees the row-count drift and answers from rows,
+        // so stale codes are never read.
+        c.db.run_script("INSERT INTO PARTS VALUES (4, 16, 'pin', 108, 'RED');")
             .unwrap();
         let stale = c.query(sql).unwrap();
         assert_eq!(stale.stats.vector_ops, 0, "stale store must not serve");
         assert!(stale.stats.rows_scanned > 0);
-        assert!(
-            stale
-                .rows
-                .iter()
-                .any(|r| r[1] == Value::str("Toronto") && r[0] == Value::str("RED")),
-            "fallback sees the new row: {:?}",
-            stale.rows
+        let pin = vec![Value::Int(16), Value::str("Toronto")];
+        assert!(stale.rows.contains(&pin), "{:?}", stale.rows);
+        // The next refresh catches up on both rows.
+        c.run_script("").unwrap();
+        let caught_up = c.query(sql).unwrap();
+        assert!(caught_up.stats.vector_ops > 0);
+        assert_eq!(multiset(&stale.rows), multiset(&caught_up.rows));
+    }
+
+    /// A covered query on SUPPLIER, and whether it ran on the kernels
+    /// without a row-at-a-time scan.
+    fn supplier_scan_is_vectorized(s: &Session) -> bool {
+        let sql = "SELECT S.SNO, S.SNAME FROM SUPPLIER S WHERE S.SCITY = 'Toronto'";
+        let out = s.query(sql).unwrap();
+        assert_eq!(out.rows.len(), 2, "{:?}", out.rows);
+        out.stats.vector_ops > 0 && out.stats.rows_scanned == 0
+    }
+
+    #[test]
+    fn create_index_keeps_other_tables_columnar() {
+        let mut c = Session::sample().unwrap().with_cost_based();
+        assert!(supplier_scan_is_vectorized(&c));
+        // DDL bumps the catalog version; the refresh re-stamps the store,
+        // so blocks on untouched tables stay on the kernels.
+        c.run_script("CREATE INDEX IX_A_CITY ON AGENTS (ACITY);")
+            .unwrap();
+        assert!(supplier_scan_is_vectorized(&c));
+        let explain = c
+            .explain("SELECT S.SNO, S.SNAME FROM SUPPLIER S WHERE S.SCITY = 'Toronto'")
+            .unwrap();
+        assert!(explain.contains("exec=columnar"), "{explain}");
+    }
+
+    #[test]
+    fn create_table_keeps_columnar_and_encodes_the_new_table() {
+        let mut c = Session::sample().unwrap().with_cost_based();
+        c.run_script(
+            "CREATE TABLE DEPOT (DNO INTEGER, DCITY VARCHAR, PRIMARY KEY (DNO));
+             INSERT INTO DEPOT VALUES (1, 'Toronto'), (2, 'Hull'), (3, 'Toronto');",
+        )
+        .unwrap();
+        assert!(supplier_scan_is_vectorized(&c));
+        let out = c
+            .query("SELECT D.DNO FROM DEPOT D WHERE D.DCITY = 'Toronto'")
+            .unwrap();
+        assert_eq!(multiset(&out.rows).len(), 2, "{:?}", out.rows);
+        assert!(out.stats.vector_ops > 0, "{:?}", out.stats);
+        assert_eq!(out.stats.rows_scanned, 0, "{:?}", out.stats);
+    }
+
+    #[test]
+    fn new_dictionary_strings_keep_string_comparisons_exact() {
+        let mut c = Session::sample().unwrap().with_cost_based();
+        // 'Aaron' sorts before every SNAME, 'Hooli' between two, and
+        // 'Zed' after all: each re-codes or extends SNAME's dictionary.
+        c.run_script(
+            "INSERT INTO SUPPLIER VALUES (6, 'Aaron', 'Toronto', 10, 'Active'),
+               (7, 'Hooli', 'Chicago', 10, 'Active'), (8, 'Zed', NULL, 10, 'Active');",
+        )
+        .unwrap();
+        for lit in ["Aaron", "Acme", "Hooli", "Initech", "Zed", "Mu"] {
+            for op in ["=", "<", ">="] {
+                let sql = format!("SELECT S.SNO FROM SUPPLIER S WHERE S.SNAME {op} '{lit}'");
+                let got = c.query(&sql).unwrap();
+                assert!(got.stats.vector_ops > 0, "{sql}: {:?}", got.stats);
+                assert_eq!(got.stats.rows_scanned, 0, "{sql}");
+                let want = c.query_unoptimized(&sql, &HostVars::new()).unwrap();
+                assert_eq!(multiset(&got.rows), multiset(&want.rows), "{sql}");
+            }
+        }
+    }
+
+    #[test]
+    fn row_path_runs_the_same_plan_without_the_kernels() {
+        let c = Session::sample().unwrap().with_cost_based();
+        let sql = "SELECT DISTINCT P.COLOR, S.SCITY FROM PARTS P, SUPPLIER S \
+                   WHERE P.SNO = S.SNO AND P.COLOR = 'RED'";
+        let col = c.query(sql).unwrap();
+        let row = c.query_row_path(sql, &HostVars::new()).unwrap();
+        assert!(row.cache_hit, "the row path serves the cached plan");
+        assert!(col.stats.vector_ops > 0 && row.stats.vector_ops == 0);
+        assert!(row.stats.rows_scanned > 0);
+        assert_eq!(multiset(&col.rows), multiset(&row.rows));
+        assert_eq!(
+            col.cards.map(|c| c.rows.len()),
+            row.cards.map(|c| c.rows.len())
         );
-        // Re-analyze rebuilds the store; the columnar path resumes.
-        c.analyze();
-        let fresh = c.query(sql).unwrap();
-        assert!(fresh.stats.vector_ops > 0);
-        assert_eq!(multiset(&stale.rows), multiset(&fresh.rows));
     }
 
     #[test]
     fn explain_renders_columnar_markers() {
-        let c = Session::sample().unwrap().with_columnar();
+        let c = Session::sample().unwrap().with_cost_based();
         let out = c
             .explain(
                 "SELECT DISTINCT P.COLOR, S.SCITY FROM PARTS P, SUPPLIER S \
@@ -659,20 +765,6 @@ mod tests {
             .unwrap();
         assert!(!plain.contains("exec=columnar"), "{plain}");
         assert!(!plain.contains("enc=dict"), "{plain}");
-    }
-
-    #[test]
-    fn columnar_and_row_sessions_do_not_share_plans() {
-        let row = Session::sample().unwrap().with_cost_based();
-        let mut col = row.clone(); // shares the cache
-        col.planner.columnar = true;
-        col.analyze();
-        let sql = "SELECT S.SNO FROM SUPPLIER S WHERE S.SCITY = 'Toronto'";
-        row.query(sql).unwrap();
-        assert!(
-            !col.query(sql).unwrap().cache_hit,
-            "columnar license must not leak into row sessions"
-        );
     }
 
     #[test]
@@ -909,7 +1001,7 @@ mod tests {
     #[test]
     fn columnar_aggregates_match_the_row_path() {
         let s = Session::sample().unwrap();
-        let c = s.clone().with_columnar();
+        let c = s.clone().with_cost_based();
         for sql in [
             "SELECT S.SCITY, COUNT(*) AS N, MAX(S.BUDGET) AS M \
              FROM SUPPLIER S GROUP BY S.SCITY",

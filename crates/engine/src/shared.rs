@@ -20,7 +20,11 @@
 //!   in the single-session engine. Plain `INSERT` leaves the catalog
 //!   version alone, so cached plans keep serving across snapshots; the
 //!   executor re-verifies index (and column-store) freshness against
-//!   the pinned snapshot on every run.
+//!   the pinned snapshot on every run;
+//! * after every publish the column store is brought up to the new head
+//!   (see [`ColumnStore::refresh`](crate::ColumnStore::refresh)), so the
+//!   columnar kernels keep serving through writes. A query pinned to an
+//!   older snapshot sees a store that does not match it and runs on rows.
 //!
 //! Per-connection state — a connection's own query counter, its
 //! subscriptions — belongs to the server, not to the engine.
@@ -30,8 +34,9 @@ use crate::plancache::{CacheStats, PlanCache};
 use crate::serve::{Analysis, Core};
 use crate::session::QueryOutput;
 use crate::stats::ExecStats;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 use uniq_catalog::{Database, Row, SnapshotStore};
 use uniq_core::optimize_output;
 use uniq_core::pipeline::{Optimizer, OptimizerOptions};
@@ -77,11 +82,8 @@ struct SubEntry {
 struct SubState {
     entries: Vec<SubEntry>,
     next_id: u64,
-    deltas_pushed: u64,
-    delta_rows: u64,
-    view_updates: u64,
-    rows_saved: u64,
-    dropped: u64,
+    /// Cumulative counters; `active` is filled in when reported.
+    stats: SubscriptionStats,
 }
 
 /// Subscription counters for the stats report.
@@ -98,7 +100,8 @@ pub struct SubscriptionStats {
     /// Cumulative base rows a per-publish full recompute would have
     /// scanned minus what delta maintenance actually touched.
     pub rows_saved: u64,
-    /// Subscriptions dropped because their sink refused a delta.
+    /// Subscriptions dropped because their sink refused a delta, or
+    /// because maintaining the view or calling its sink panicked.
     pub dropped: u64,
 }
 
@@ -115,7 +118,7 @@ pub struct SharedEngine {
     /// [`SharedEngine::analyze`] has collected statistics.
     pub planner: PlannerOptions,
     /// What the last [`SharedEngine::analyze`] collected, read once per
-    /// query.
+    /// query; every publish refreshes its column store.
     analysis: RwLock<Analysis>,
     queries: AtomicU64,
     subs: Mutex<SubState>,
@@ -182,46 +185,71 @@ impl SharedEngine {
     }
 
     /// Apply a DDL/DML script copy-on-write and publish one new
-    /// snapshot (atomic: a failure publishes nothing), then run one
-    /// incremental maintenance round so every subscription sees the
-    /// write. Returns the number of statements applied.
+    /// snapshot (atomic: a failure publishes nothing), bring the column
+    /// store up to it, then run one incremental maintenance round so
+    /// every subscription sees the write. Returns the number of
+    /// statements applied.
     pub fn execute(&self, sql: &str) -> Result<usize> {
         let applied = self.store.run_script(sql)?;
+        self.refresh_columns();
         self.maintain_subscriptions();
         Ok(applied)
     }
 
-    /// Collect statistics from the current head snapshot — and, when
-    /// the planner's columnar option is on, the column store — and bump
-    /// the statistics epoch. Cost-based physical planning is active from
-    /// the next query on; plans compiled under older statistics are
-    /// recompiled lazily (the epoch is part of the fingerprint).
-    /// Subscriptions are invalidated the same lazy way: every view is
-    /// marked stale and rebuilt (re-bound, re-licensed) on its next
-    /// maintenance round.
+    /// Collect statistics and the column store from the current head
+    /// snapshot and bump the statistics epoch. Cost-based physical
+    /// planning, with the columnar kernels on every block they cover,
+    /// is active from the next query on; plans compiled under older
+    /// statistics are recompiled lazily (the epoch is part of the
+    /// fingerprint). Subscriptions are invalidated the same lazy way:
+    /// every view is marked stale and rebuilt (re-bound, re-licensed)
+    /// on its next maintenance round.
     pub fn analyze(&self) {
-        let next = Analysis::collect(&self.snapshot(), &self.planner);
-        self.analysis
-            .write()
-            .expect("analysis lock poisoned")
-            .advance(next);
-        let mut subs = self.subs.lock().expect("subs lock poisoned");
-        for entry in &mut subs.entries {
+        let next = Analysis::collect(&self.snapshot());
+        {
+            let mut analysis = self
+                .analysis
+                .write()
+                .unwrap_or_else(PoisonError::into_inner);
+            analysis.advance(next);
+            // Writes published while the store was built move it on.
+            analysis.refresh(&self.snapshot());
+        }
+        for entry in &mut self.subs().entries {
             entry.stale = true;
         }
+    }
+
+    /// Bring the column store up to the head snapshot. The head is
+    /// pinned under the `analysis` write lock, so concurrent writers
+    /// refresh in turn, each from a head no older than the last: the
+    /// store only moves forward. A refresh cut short by a panic leaves
+    /// tables missing or the old catalog stamp, which the executor's
+    /// freshness check turns into row-path runs, so the poisoned lock is
+    /// recovered.
+    fn refresh_columns(&self) {
+        let mut analysis = self
+            .analysis
+            .write()
+            .unwrap_or_else(PoisonError::into_inner);
+        analysis.refresh(&self.snapshot());
+    }
+
+    /// The subscription registry. A panic while it was held (none is
+    /// expected: view maintenance and sinks run under `catch_unwind`)
+    /// does not disable it: every update outside those calls leaves the
+    /// registry valid, so the poisoned lock is recovered.
+    fn subs(&self) -> MutexGuard<'_, SubState> {
+        self.subs.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Counter snapshot for the `Stats` frame.
     pub fn stats(&self) -> EngineStats {
         let subs = {
-            let s = self.subs.lock().expect("subs lock poisoned");
+            let s = self.subs();
             SubscriptionStats {
                 active: s.entries.len() as u64,
-                deltas_pushed: s.deltas_pushed,
-                delta_rows: s.delta_rows,
-                view_updates: s.view_updates,
-                rows_saved: s.rows_saved,
-                dropped: s.dropped,
+                ..s.stats
             }
         };
         EngineStats {
@@ -236,7 +264,7 @@ impl SharedEngine {
     fn analysis(&self) -> Analysis {
         self.analysis
             .read()
-            .expect("analysis lock poisoned")
+            .unwrap_or_else(PoisonError::into_inner)
             .clone()
     }
 
@@ -277,7 +305,7 @@ impl SharedEngine {
     /// receives each non-empty delta; returning `false` unsubscribes.
     pub fn subscribe(&self, sql: &str, sink: SubscriptionSink) -> Result<Subscription> {
         let view = self.build_view(sql)?;
-        let mut subs = self.subs.lock().expect("subs lock poisoned");
+        let mut subs = self.subs();
         subs.next_id += 1;
         let id = subs.next_id;
         let reply = Subscription {
@@ -298,7 +326,7 @@ impl SharedEngine {
 
     /// Remove a subscription. Returns whether the id was registered.
     pub fn unsubscribe(&self, id: u64) -> bool {
-        let mut subs = self.subs.lock().expect("subs lock poisoned");
+        let mut subs = self.subs();
         let before = subs.entries.len();
         subs.entries.retain(|e| e.id != id);
         subs.entries.len() != before
@@ -306,8 +334,8 @@ impl SharedEngine {
 
     /// A registered view's current contents (tests and tooling).
     pub fn subscription_rows(&self, id: u64) -> Option<Vec<Row>> {
-        let subs = self.subs.lock().expect("subs lock poisoned");
-        subs.entries
+        self.subs()
+            .entries
             .iter()
             .find(|e| e.id == id)
             .map(|e| e.view.rows())
@@ -315,8 +343,8 @@ impl SharedEngine {
 
     /// A registered view's cumulative maintenance work.
     pub fn subscription_work(&self, id: u64) -> Option<ExecStats> {
-        let subs = self.subs.lock().expect("subs lock poisoned");
-        subs.entries
+        self.subs()
+            .entries
             .iter()
             .find(|e| e.id == id)
             .map(|e| e.view.work())
@@ -327,72 +355,81 @@ impl SharedEngine {
     /// Views the catalog moved under (DDL) or that were marked stale by
     /// `ANALYZE` are rebuilt — re-bound and re-licensed against the
     /// live catalog — and the reconciliation delta is pushed. A sink
-    /// that refuses a delta drops its subscription on the spot.
+    /// that refuses a delta drops its subscription on the spot, and so
+    /// does a panic while maintaining a view or calling its sink: the
+    /// other subscriptions and every later write go on.
     fn maintain_subscriptions(&self) {
         let head = self.snapshot();
-        let mut subs = self.subs.lock().expect("subs lock poisoned");
-        let state = &mut *subs;
+        let mut subs = self.subs();
+        let SubState { entries, stats, .. } = &mut *subs;
         let mut dropped: Vec<u64> = Vec::new();
-        for entry in &mut state.entries {
-            let outcome = if entry.stale {
-                MaintainOutcome::NeedsRebuild
-            } else {
-                match entry.view.maintain(&head) {
-                    Ok(outcome) => outcome,
-                    // A maintenance error (e.g. a snapshot pair that is
-                    // not insert-only) is never fatal: rebuild.
-                    Err(_) => MaintainOutcome::NeedsRebuild,
-                }
-            };
-            let delta = match outcome {
-                MaintainOutcome::Unchanged => continue,
-                MaintainOutcome::Delta { delta, work } => {
-                    state.delta_rows += work.delta_rows;
-                    state.view_updates += work.view_updates;
-                    // What a per-publish full recompute would have
-                    // scanned, minus what delta maintenance touched.
-                    let naive: u64 = entry
-                        .view
-                        .tables()
-                        .iter()
-                        .map(|t| head.row_count(t).unwrap_or(0) as u64)
-                        .sum();
-                    let touched = work.rows_scanned + work.delta_rows + work.probe_steps;
-                    state.rows_saved += naive.saturating_sub(touched);
-                    delta
-                }
-                MaintainOutcome::NeedsRebuild => {
-                    let before = entry.view.rows();
-                    match self.build_view(entry.view.sql()) {
-                        Ok(rebuilt) => {
-                            entry.view = rebuilt;
-                            entry.stale = false;
-                            let after = entry.view.rows();
-                            let delta = ivm::diff_rows(before, after);
-                            state.view_updates += delta.len() as u64;
-                            delta
-                        }
-                        Err(_) => {
-                            // The view's SQL no longer binds (table
-                            // dropped by a future DDL form): drop it.
-                            dropped.push(entry.id);
-                            continue;
-                        }
-                    }
-                }
-            };
-            if delta.is_empty() {
-                continue;
-            }
-            state.deltas_pushed += 1;
-            if !(entry.sink)(entry.id, &delta) {
+        for entry in entries.iter_mut() {
+            let kept = catch_unwind(AssertUnwindSafe(|| self.maintain_one(entry, &head, stats)));
+            if !kept.unwrap_or(false) {
                 dropped.push(entry.id);
             }
         }
         if !dropped.is_empty() {
-            state.dropped += dropped.len() as u64;
-            state.entries.retain(|e| !dropped.contains(&e.id));
+            stats.dropped += dropped.len() as u64;
+            entries.retain(|e| !dropped.contains(&e.id));
         }
+    }
+
+    /// Advance one view to `head` and push its delta, counting into
+    /// `stats`. Returns whether the subscription stays registered.
+    fn maintain_one(
+        &self,
+        entry: &mut SubEntry,
+        head: &Arc<Database>,
+        stats: &mut SubscriptionStats,
+    ) -> bool {
+        let outcome = if entry.stale {
+            MaintainOutcome::NeedsRebuild
+        } else {
+            match entry.view.maintain(head) {
+                Ok(outcome) => outcome,
+                // A maintenance error (e.g. a snapshot pair that is
+                // not insert-only) is never fatal: rebuild.
+                Err(_) => MaintainOutcome::NeedsRebuild,
+            }
+        };
+        let delta = match outcome {
+            MaintainOutcome::Unchanged => return true,
+            MaintainOutcome::Delta { delta, work } => {
+                stats.delta_rows += work.delta_rows;
+                stats.view_updates += work.view_updates;
+                // What a per-publish full recompute would have
+                // scanned, minus what delta maintenance touched.
+                let naive: u64 = entry
+                    .view
+                    .tables()
+                    .iter()
+                    .map(|t| head.row_count(t).unwrap_or(0) as u64)
+                    .sum();
+                let touched = work.rows_scanned + work.delta_rows + work.probe_steps;
+                stats.rows_saved += naive.saturating_sub(touched);
+                delta
+            }
+            MaintainOutcome::NeedsRebuild => {
+                let before = entry.view.rows();
+                // A view whose SQL no longer binds (table dropped by a
+                // future DDL form) is dropped.
+                let Ok(rebuilt) = self.build_view(entry.view.sql()) else {
+                    return false;
+                };
+                entry.view = rebuilt;
+                entry.stale = false;
+                let after = entry.view.rows();
+                let delta = ivm::diff_rows(before, after);
+                stats.view_updates += delta.len() as u64;
+                delta
+            }
+        };
+        if delta.is_empty() {
+            return true;
+        }
+        stats.deltas_pushed += 1;
+        (entry.sink)(entry.id, &delta)
     }
 
     /// Parse, plan (through the shared cache) and execute `sql` against
@@ -424,8 +461,8 @@ impl SharedEngine {
     /// subscription: tier, license marker, and the view's cumulative
     /// `delta_rows` / `view_updates` counters.
     fn subscription_note(&self, canonical: &str) -> String {
-        let subs = self.subs.lock().expect("subs lock poisoned");
-        subs.entries
+        self.subs()
+            .entries
             .iter()
             .find(|e| e.view.sql() == canonical)
             .map(|e| {
@@ -446,6 +483,7 @@ impl SharedEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Session;
     use uniq_types::Value;
 
     #[test]
@@ -766,43 +804,144 @@ mod tests {
 
     #[test]
     fn columnar_runs_when_the_planner_licenses_it() {
-        let mut engine = SharedEngine::sample().unwrap();
-        engine.planner.columnar = true;
+        let engine = SharedEngine::sample().unwrap();
         engine.analyze();
-        let sql = "SELECT DISTINCT P.COLOR, S.SCITY FROM PARTS P, SUPPLIER S \
+        let sql = "SELECT P.PNO, S.SCITY FROM PARTS P, SUPPLIER S \
                    WHERE P.SNO = S.SNO AND P.COLOR = 'RED'";
         let col = engine.query(sql).unwrap();
         assert!(col.stats.vector_ops > 0, "{:?}", col.stats);
         assert_eq!(col.stats.rows_scanned, 0, "no row-at-a-time scan");
         let row = SharedEngine::sample().unwrap().query(sql).unwrap();
-        assert_eq!(row.stats.vector_ops, 0, "the row path");
+        assert_eq!(row.stats.vector_ops, 0, "an unanalyzed engine runs rows");
         assert_eq!(sorted(col.rows), sorted(row.rows));
-        // INSERT leaves the catalog version alone: the cached plan still
-        // serves, but the store no longer matches the pinned snapshot,
-        // so the executor answers from rows.
+        // INSERT leaves the catalog version alone, so the cached plan
+        // still serves, and the publish refreshed the store: the kernels
+        // see the new row with no second ANALYZE.
         engine
             .execute("INSERT INTO PARTS VALUES (4, 15, 'rod', 107, 'RED');")
             .unwrap();
-        let stale = engine.query(sql).unwrap();
-        assert!(stale.cache_hit);
-        assert_eq!(stale.stats.vector_ops, 0, "stale store must not serve");
-        assert!(stale.stats.rows_scanned > 0);
-        // Every city already has a red part, so the new row shows in the
-        // same covered join without DISTINCT.
-        let joined = engine
-            .query(
-                "SELECT P.PNO, S.SCITY FROM PARTS P, SUPPLIER S \
-                 WHERE P.SNO = S.SNO AND P.COLOR = 'RED'",
-            )
-            .unwrap();
-        assert_eq!(joined.stats.vector_ops, 0, "{:?}", joined.stats);
-        let new_row = vec![Value::Int(15), Value::str("Toronto")];
-        assert!(joined.rows.contains(&new_row), "{:?}", joined.rows);
-        // Re-analyze rebuilds the store; the columnar path resumes.
-        engine.analyze();
         let fresh = engine.query(sql).unwrap();
+        assert!(fresh.cache_hit);
         assert!(fresh.stats.vector_ops > 0, "{:?}", fresh.stats);
-        assert_eq!(fresh.stats.rows_scanned, 0);
-        assert_eq!(sorted(fresh.rows), sorted(stale.rows));
+        assert_eq!(fresh.stats.rows_scanned, 0, "{:?}", fresh.stats);
+        let new_row = vec![Value::Int(15), Value::str("Toronto")];
+        assert!(fresh.rows.contains(&new_row), "{:?}", fresh.rows);
+        // DDL on another table re-stamps the store instead of staling it.
+        engine
+            .execute("CREATE INDEX IX_A_CITY ON AGENTS (ACITY);")
+            .unwrap();
+        let after_ddl = engine.query(sql).unwrap();
+        assert!(!after_ddl.cache_hit, "DDL recompiles");
+        assert!(after_ddl.stats.vector_ops > 0, "{:?}", after_ddl.stats);
+        assert_eq!(after_ddl.stats.rows_scanned, 0);
+        assert_eq!(sorted(after_ddl.rows), sorted(fresh.rows));
+    }
+
+    #[test]
+    fn a_snapshot_older_than_the_store_runs_on_rows() {
+        let engine = SharedEngine::sample().unwrap();
+        engine.analyze();
+        let sql = "SELECT S.SNO FROM SUPPLIER S WHERE S.SCITY = 'Toronto'";
+        let old = engine.snapshot();
+        engine
+            .execute("INSERT INTO SUPPLIER VALUES (9, 'Nine', 'Toronto', 1, 'Active');")
+            .unwrap();
+        // A reader still pinned to the old snapshot must not read codes
+        // for a row it cannot see.
+        let analysis = engine.analysis();
+        let core = Core {
+            db: &old,
+            cache: &engine.cache,
+            optimizer: engine.optimizer,
+            planner: engine.planner,
+            analysis: &analysis,
+        };
+        let out = core.query(sql, &HostVars::new()).unwrap();
+        assert_eq!(out.stats.vector_ops, 0, "{:?}", out.stats);
+        assert_eq!(
+            sorted(out.rows),
+            vec![vec![Value::Int(1)], vec![Value::Int(4)]]
+        );
+        let head = engine.query(sql).unwrap();
+        assert!(head.stats.vector_ops > 0, "{:?}", head.stats);
+        assert_eq!(head.rows.len(), 3);
+    }
+
+    #[test]
+    fn concurrent_readers_of_a_covered_aggregate_see_published_states() {
+        let engine = Arc::new(SharedEngine::sample().unwrap());
+        engine.analyze();
+        let sql = "SELECT S.SCITY, COUNT(*) AS N FROM SUPPLIER S \
+                   WHERE S.SCITY >= 'D' GROUP BY S.SCITY";
+        const WRITES: usize = 24;
+        let script = |i: usize| {
+            let city = ["Toronto", "New York", "Chicago"][i % 3];
+            format!(
+                "INSERT INTO SUPPLIER VALUES ({}, 'W{i}', '{city}', 1, 'Active');",
+                100 + i
+            )
+        };
+        // The oracle's answer at every state the writer will publish.
+        let mut oracle = Session::sample().unwrap();
+        let mut published = Vec::with_capacity(WRITES + 1);
+        for i in 0..=WRITES {
+            let out = oracle.query_unoptimized(sql, &HostVars::new()).unwrap();
+            published.push(sorted(out.rows));
+            if i < WRITES {
+                oracle.run_script(&script(i)).unwrap();
+            }
+        }
+        let vectorized = AtomicU64::new(0);
+        std::thread::scope(|scope| {
+            let writer = scope.spawn(|| {
+                for i in 0..WRITES {
+                    engine.execute(&script(i)).unwrap();
+                }
+            });
+            for _ in 0..3 {
+                scope.spawn(|| {
+                    for _ in 0..40 {
+                        let out = engine.query(sql).unwrap();
+                        if out.stats.vector_ops > 0 {
+                            vectorized.fetch_add(1, Ordering::Relaxed);
+                        }
+                        let rows = sorted(out.rows);
+                        assert!(published.contains(&rows), "unpublished answer {rows:?}");
+                    }
+                });
+            }
+            writer.join().unwrap();
+        });
+        let last = engine.query(sql).unwrap();
+        assert!(last.stats.vector_ops > 0, "{:?}", last.stats);
+        assert_eq!(sorted(last.rows), published[WRITES]);
+        assert!(vectorized.load(Ordering::Relaxed) > 0);
+    }
+
+    #[test]
+    fn a_panicking_sink_drops_only_its_subscription() {
+        let engine = SharedEngine::sample().unwrap();
+        engine.analyze();
+        let sql = "SELECT DISTINCT S.SNO FROM SUPPLIER S";
+        let panicking: SubscriptionSink = Box::new(|_, _| panic!("sink failure"));
+        engine.subscribe(sql, panicking).unwrap();
+        let (sink, log) = collecting_sink();
+        engine.subscribe(sql, sink).unwrap();
+        engine
+            .execute("INSERT INTO SUPPLIER VALUES (9, 'Nine', 'Toronto', 1, 'Active');")
+            .unwrap();
+        let stats = engine.stats().subs;
+        assert_eq!((stats.active, stats.dropped), (1, 1), "{stats:?}");
+        assert_eq!(log.lock().unwrap().len(), 1, "the other view got its delta");
+        // Later writes, stats and deltas all still work.
+        engine
+            .execute("INSERT INTO SUPPLIER VALUES (10, 'Ten', 'Chicago', 1, 'Active');")
+            .unwrap();
+        assert_eq!(engine.stats().subs.active, 1);
+        let deltas = log.lock().unwrap().clone();
+        assert_eq!(deltas.len(), 2);
+        assert_eq!(deltas[1].inserted, vec![vec![Value::Int(10)]]);
+        let out = engine.query("SELECT S.SNO FROM SUPPLIER S").unwrap();
+        assert_eq!(out.rows.len(), 7);
     }
 }

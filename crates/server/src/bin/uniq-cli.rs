@@ -3,7 +3,7 @@
 //! ```text
 //! uniq-cli [--addr HOST:PORT] -e SQL        # SELECT … or DDL/DML
 //! uniq-cli [--addr HOST:PORT] --explain SQL # rendered plan + proofs
-//! uniq-cli [--addr HOST:PORT] --analyze     # collect statistics
+//! uniq-cli [--addr HOST:PORT] --analyze     # collect statistics + column store
 //! uniq-cli [--addr HOST:PORT] --stats       # server counters
 //! uniq-cli [--addr HOST:PORT] --subscribe SQL --deltas N [--timeout-ms MS]
 //! ```

@@ -83,7 +83,8 @@ pub enum Frame {
     Explain { sql: String },
     /// Run a DDL/DML script (publishes one MVCC snapshot); `Ack`ed.
     Exec { sql: String },
-    /// Collect statistics server-side (enables cost-based planning).
+    /// Collect statistics and the column store server-side (enables
+    /// cost-based planning, with covered blocks on the columnar kernels).
     Analyze,
     /// Ask for server counters; answered with `StatsReply`.
     Stats,

@@ -87,10 +87,11 @@ pub fn random_instance(
 }
 
 /// A row-oracle / columnar session pair over the *same* random
-/// instance: the first is the row executor (the correctness oracle),
-/// the second runs cost-based columnar execution over a
-/// dictionary-encoded copy of the instance. The fixture every columnar
-/// agreement property test starts from.
+/// instance: the first is the unanalyzed row executor (the correctness
+/// oracle), the second is analyzed, so its cost-based plans run every
+/// covered block on the columnar kernels over a dictionary-encoded copy
+/// of the instance. The fixture every columnar agreement property test
+/// starts from.
 pub fn columnar_session_pair(
     seed: u64,
     suppliers: usize,
@@ -99,7 +100,7 @@ pub fn columnar_session_pair(
 ) -> Result<(Session, Session)> {
     let db = random_instance(seed, suppliers, parts, agents)?;
     let oracle = Session::new(db.clone());
-    Ok((oracle, Session::new(db).with_columnar()))
+    Ok((oracle, Session::new(db).with_cost_based()))
 }
 
 #[cfg(test)]

@@ -9,8 +9,8 @@
 //! \set NAME value            bind a host variable (:NAME)
 //! \explain SQL               show the rewrite trace and physical plan
 //! \profile rel|nav|off       choose the optimizer profile
-//! \analyze                   collect statistics, enable cost-based planning
-//! \columnar                  build the column store, license vectorized kernels
+//! \analyze                   collect statistics and the column store:
+//!                            cost-based planning, vectorized kernels
 //! \q                         quit
 //! ```
 
@@ -27,9 +27,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut out = std::io::stdout();
 
     println!("uniqueness SQL shell — Figure 1 supplier database loaded.");
-    println!(
-        "Type SQL, or \\d, \\set NAME value, \\profile rel|nav|off, \\analyze, \\columnar, \\q."
-    );
+    println!("Type SQL, or \\d, \\set NAME value, \\profile rel|nav|off, \\analyze, \\q.");
     loop {
         print!("sql> ");
         out.flush()?;
@@ -77,16 +75,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     session.analyze();
                     let stats = session.statistics().expect("just collected");
                     println!(
-                        "  statistics collected for {} table(s); cost-based planning on",
+                        "  statistics and column store collected for {} table(s); \
+                         cost-based planning on, covered blocks vectorized",
                         stats.len()
-                    );
-                }
-                Some("columnar") => {
-                    session.planner.columnar = true;
-                    session.analyze();
-                    println!(
-                        "  column store built; vectorized execution licensed \
-                         (row path still serves uncovered shapes)"
                     );
                 }
                 Some("profile") => match words.next() {

@@ -10,7 +10,9 @@
 //! * the **elided row path** (session defaults): proof-gated `GROUP BY`
 //!   key elision, `COUNT(DISTINCT)` degradation, and the early-stopping
 //!   ordered-index Top-K walk;
-//! * the **cost-based row and columnar paths**.
+//! * the **cost-based columnar and row paths**: an analyzed session's
+//!   served answer (covered blocks on the kernels) and the same plan
+//!   run with no column store (`Session::query_row_path`).
 //!
 //! Comparisons are multiset comparisons. When a `LIMIT` is generated,
 //! the query's `ORDER BY` covers *all* output columns, so the surviving
@@ -23,6 +25,7 @@ use proptest::prelude::*;
 use std::collections::HashMap;
 use uniqueness::catalog::Row;
 use uniqueness::engine::Session;
+use uniqueness::plan::HostVars;
 use uniqueness::workload::random_instance;
 use uniqueness::workload::rng::SplitMix64;
 
@@ -228,8 +231,7 @@ fn sessions(seed: u64) -> (Session, Vec<(&'static str, Session)>) {
     oracle.run_script(&index_ddl).unwrap();
     let mut variants = vec![
         ("row-elided", Session::new(db.clone())),
-        ("row-cost-based", Session::new(db.clone()).with_cost_based()),
-        ("columnar", Session::new(db.clone()).with_columnar()),
+        ("cost-based", Session::new(db.clone()).with_cost_based()),
     ];
     for (_, s) in variants.iter_mut() {
         s.run_script(&index_ddl).unwrap();
@@ -260,16 +262,19 @@ proptest! {
             }
             let want = multiset(&base.rows);
             for (tag, s) in &variants {
-                let got = s
-                    .query(&q.sql)
-                    .unwrap_or_else(|e| panic!("{tag} failed on {}: {e}", q.sql));
-                assert_eq!(
-                    multiset(&got.rows),
-                    want,
-                    "{tag} disagrees with the oracle on {}",
-                    q.sql
-                );
-                assert_sorted(&got.rows, &q.order_by, &q.sql);
+                let served = s.query(&q.sql);
+                let row_path = s.query_row_path(&q.sql, &HostVars::new());
+                for (path, got) in [("served", served), ("row path", row_path)] {
+                    let got = got
+                        .unwrap_or_else(|e| panic!("{tag} {path} failed on {}: {e}", q.sql));
+                    assert_eq!(
+                        multiset(&got.rows),
+                        want,
+                        "{tag} {path} disagrees with the oracle on {}",
+                        q.sql
+                    );
+                    assert_sorted(&got.rows, &q.order_by, &q.sql);
+                }
             }
         }
     }

@@ -162,9 +162,11 @@ proptest! {
         }
     }
 
-    /// Mutation after analyze: an INSERT makes the column store stale,
-    /// so covered statements must transparently fall back to the row
-    /// path — and still agree with an oracle that sees the new row.
+    /// Mutation behind the session's back: an INSERT applied to
+    /// `Session::db` directly skips the column-store refresh, so the
+    /// store goes stale and covered statements must transparently fall
+    /// back to the row path — and still agree with an oracle that sees
+    /// the new row.
     #[test]
     fn stale_store_falls_back_and_still_agrees(
         seed in 0u64..1_000,
@@ -174,7 +176,7 @@ proptest! {
         // insert can never clash with an existing candidate-key value.
         let insert = "INSERT INTO SUPPLIER VALUES (21, 'Late', 'Toronto', 3, 'Active');";
         oracle.run_script(insert).unwrap();
-        columnar.run_script(insert).unwrap();
+        columnar.db.run_script(insert).unwrap();
         for sql in covered_statements() {
             prop_assert_eq!(
                 sorted_rows(&columnar, sql),
@@ -187,6 +189,48 @@ proptest! {
                 let out = columnar.query(sql).unwrap();
                 prop_assert_eq!(out.stats.vector_ops, 0, "stale store still vectorized {}", sql);
             }
+        }
+    }
+
+    /// Writes through `Session::run_script` refresh the column store: a
+    /// covered statement keeps running on the kernels after an INSERT,
+    /// with no second ANALYZE. The inserted strings are new to their
+    /// dictionaries and sort before, between or after the existing
+    /// ones, so string comparisons on re-coded columns are checked too.
+    #[test]
+    fn refreshed_store_stays_vectorized_and_agrees(
+        seed in 0u64..1_000,
+        pick in 0usize..3,
+    ) {
+        let (mut oracle, mut columnar) = columnar_session_pair(seed, 20, 40, 20).unwrap();
+        let name = ["Aaron", "Hooli", "Zed"][pick];
+        let color = ["AMBER", "ORANGE", "YELLOW"][pick];
+        // Keys outside the generator's domains cannot clash.
+        let insert = format!(
+            "INSERT INTO SUPPLIER VALUES (21, '{name}', 'Toronto', 3, 'Active');
+             INSERT INTO PARTS VALUES (21, 7, 'part9', 999, '{color}');"
+        );
+        oracle.run_script(&insert).unwrap();
+        columnar.run_script(&insert).unwrap();
+        let mut comparisons = Vec::new();
+        for (col, lit) in [("S.SNAME", name), ("S.SNAME", "Globex"), ("P.COLOR", color)] {
+            let table = if col.starts_with("S.") { "SUPPLIER S" } else { "PARTS P" };
+            for op in ["=", "<", ">="] {
+                comparisons.push(format!("SELECT {col} FROM {table} WHERE {col} {op} '{lit}'"));
+            }
+        }
+        let statements = covered_statements()
+            .into_iter()
+            .chain(comparisons.iter().map(String::as_str));
+        for sql in statements {
+            prop_assert_eq!(
+                sorted_rows(&columnar, sql),
+                sorted_rows(&oracle, sql),
+                "refreshed store differs for {}", sql
+            );
+            let out = columnar.query(sql).unwrap();
+            prop_assert!(out.stats.vector_ops > 0, "row-path fallback for {}", sql);
+            prop_assert_eq!(out.stats.rows_scanned, 0, "row scan leaked into {}", sql);
         }
     }
 }

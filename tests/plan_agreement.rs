@@ -1,12 +1,16 @@
 //! Planned/unoptimized agreement on random instances.
 //!
-//! A cost-based session (`with_cost_based()`: statistics collected, so
-//! every query runs rewritten and under a `PhysicalPlan` — join order,
-//! join and distinct methods, index access paths) must return the
-//! multiset `Session::query_unoptimized` returns: the bound query with
-//! no rewrites, run by the executor without a plan. Without an
-//! ORDER BY a result is a multiset, so both sides are sorted with the
-//! null-aware tuple comparator before comparison.
+//! A cost-based session (`with_cost_based()`: statistics and the column
+//! store collected, so every query runs rewritten and under a
+//! cost-based `PhysicalPlan` — join order, join and distinct methods,
+//! index access paths, the columnar license) must return the multiset
+//! `Session::query_unoptimized` returns: the bound query with no
+//! rewrites, run under the fixed plan. Each plan is checked twice: as
+//! served (covered blocks on the columnar kernels) and with no column
+//! store attached (`Session::query_row_path`), so the row pipeline the
+//! kernels fall back to stays property-tested too. Without an ORDER BY
+//! a result is a multiset, so every side is sorted with the null-aware
+//! tuple comparator before comparison.
 //!
 //! Coverage:
 //! * a fixed statement list exercising every physical operator (joins,
@@ -66,14 +70,19 @@ fn sorted(mut rows: Vec<Vec<Value>>) -> Vec<Vec<Value>> {
     rows
 }
 
-/// `sql` through the planned path and through the unoptimized oracle,
-/// each reduced to its canonical sorted multiset.
-fn both_ways(session: &Session, sql: &str) -> (Vec<Vec<Value>>, Vec<Vec<Value>>) {
+/// `sql` through the planned path as served, the same plan on the row
+/// executor, and the unoptimized oracle, each reduced to its canonical
+/// sorted multiset.
+fn three_ways(session: &Session, sql: &str) -> [Vec<Vec<Value>>; 3] {
+    let hostvars = HostVars::new();
     let planned = session.query(sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
-    let oracle = session
-        .query_unoptimized(sql, &HostVars::new())
+    let row_path = session
+        .query_row_path(sql, &hostvars)
         .unwrap_or_else(|e| panic!("{sql}: {e}"));
-    (sorted(planned.rows), sorted(oracle.rows))
+    let oracle = session
+        .query_unoptimized(sql, &hostvars)
+        .unwrap_or_else(|e| panic!("{sql}: {e}"));
+    [planned.rows, row_path.rows, oracle.rows].map(sorted)
 }
 
 proptest! {
@@ -90,8 +99,9 @@ proptest! {
         let db = random_instance(seed, suppliers, parts, suppliers).unwrap();
         let session = Session::new(db).with_cost_based();
         for sql in FIXED_STATEMENTS {
-            let (planned, oracle) = both_ways(&session, sql);
-            prop_assert_eq!(planned, oracle, "seed {} differs for {}", seed, sql);
+            let [planned, row_path, oracle] = three_ways(&session, sql);
+            prop_assert_eq!(&planned, &oracle, "seed {} differs for {}", seed, sql);
+            prop_assert_eq!(row_path, oracle, "seed {} row path differs for {}", seed, sql);
         }
     }
 
@@ -102,8 +112,9 @@ proptest! {
         let session = Session::new(db).with_cost_based();
         let corpus = generate_corpus(seed, 16, 1).expect("corpus generation");
         for q in corpus {
-            let (planned, oracle) = both_ways(&session, &q.sql);
-            prop_assert_eq!(planned, oracle, "seed {} differs for {}", seed, q.sql);
+            let [planned, row_path, oracle] = three_ways(&session, &q.sql);
+            prop_assert_eq!(&planned, &oracle, "seed {} differs for {}", seed, q.sql);
+            prop_assert_eq!(row_path, oracle, "seed {} row path differs for {}", seed, q.sql);
         }
     }
 }
