@@ -6,6 +6,26 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# Run one filtered test lane: `lane <cargo test arguments>`. A filter
+# that matches nothing (a renamed or moved test) makes cargo print
+# "running 0 tests" and succeed, so a lane fails when it ran no test, or
+# fewer tests than the names it lists after `--`.
+lane() {
+    local out ran names=0 after=0 arg
+    for arg in "$@"; do
+        if [ "$after" = 1 ]; then names=$((names + 1)); fi
+        if [ "$arg" = "--" ]; then after=1; fi
+    done
+    out="$(cargo test -q "$@" 2>&1)" || { printf '%s\n' "$out"; return 1; }
+    printf '%s\n' "$out"
+    ran="$(sed -n 's/^test result: ok\. \([0-9]*\) passed.*/\1/p' <<< "$out" |
+        awk '{ s += $1 } END { print s + 0 }')"
+    if [ "$ran" -eq 0 ] || [ "$ran" -lt "$names" ]; then
+        echo "error: 'cargo test $*' ran $ran test(s) for $names name(s)" >&2
+        return 1
+    fi
+}
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
@@ -29,21 +49,21 @@ if [ -n "$(git ls-files target/)" ]; then
 fi
 
 echo "==> fast lane: optimizer pipeline tests"
-cargo test -q -p uniq-core pipeline
+lane -p uniq-core pipeline
 
 echo "==> fast lane: cost model tests"
 cargo test -q -p uniq-cost
 
 echo "==> fast lane: physical planning (fixed plans keep their work, cost-based plans do no more)"
-cargo test -q -p uniq-bench e16
+lane -p uniq-bench e16
 
 echo "==> fast lane: columnar kernels, the store kept current across writes, columnar/row agreement"
-cargo test -q -p uniq-engine columnar
+lane -p uniq-engine columnar
 # The column store is refreshed by every write, DDL included, so the
 # kernels keep serving without a second ANALYZE; a reader pinned to an
 # older snapshot falls back to rows; one panicking subscription sink
 # drops only itself and leaves the write path working.
-cargo test -q -p uniq-engine -- \
+lane -p uniq-engine -- \
     refresh_matches_a_rebuild_and_shares_untouched_tables \
     refresh_past_the_dict_limit_leaves_the_table_unencoded \
     column_store_stays_current_across_inserts \
@@ -54,14 +74,14 @@ cargo test -q -p uniq-engine -- \
     concurrent_readers_of_a_covered_aggregate_see_published_states \
     a_panicking_sink_drops_only_its_subscription
 cargo test -q -p uniqueness --test columnar_agreement
-cargo test -q -p uniq-bench e18
+lane -p uniq-bench e18
 
 echo "==> fast lane: secondary indexes (sarg extraction, index paths, agreement)"
-cargo test -q -p uniq-cost sarg
-cargo test -q -p uniq-catalog index
-cargo test -q -p uniq-engine index
+lane -p uniq-cost sarg
+lane -p uniq-catalog index
+lane -p uniq-engine index
 cargo test -q -p uniqueness --test index_agreement
-cargo test -q -p uniq-bench e19
+lane -p uniq-bench e19
 
 echo "==> fast lane: U-semiring proof checker (soundness + adversarial corpus)"
 cargo test -q -p uniq-proof
@@ -71,9 +91,9 @@ echo "==> fast lane: planned/unoptimized agreement on random instances"
 cargo test -q -p uniqueness --test plan_agreement
 
 echo "==> fast lane: aggregation / Top-K (elision kernels + agreement suite)"
-cargo test -q -p uniq-engine agg
+lane -p uniq-engine agg
 cargo test -q -p uniqueness --test agg_agreement
-cargo test -q -p uniq-bench e23
+lane -p uniq-bench e23
 
 echo "==> fast lane: wire codec + server end-to-end tests"
 cargo test -q -p uniq-server

@@ -157,14 +157,21 @@ fn main() {
         e23_agg_topk(&mut metrics);
     }
 
-    if !metrics.rows.is_empty() {
-        let path = "BENCH_E23.json";
-        // The metric file is cumulative across experiments; the
-        // previous artifact name is retired with it.
-        let _ = std::fs::remove_file("BENCH_E22.json");
-        std::fs::write(path, metrics.to_json()).expect("write metric rows");
-        println!("\nwrote {} metric row(s) to {path}", metrics.rows.len());
+    if metrics.rows.is_empty() {
+        return;
     }
+    let path = "BENCH_E23.json";
+    if !args.is_empty() {
+        // The metric file holds every experiment's rows, so a subset run
+        // would drop the others: it prints its rows instead.
+        print!("\n{}", metrics.to_json());
+        println!("subset run: {path} left unchanged");
+        return;
+    }
+    // The previous artifact name is retired with the cumulative file.
+    let _ = std::fs::remove_file("BENCH_E22.json");
+    std::fs::write(path, metrics.to_json()).expect("write metric rows");
+    println!("\nwrote {} metric row(s) to {path}", metrics.rows.len());
 }
 
 /// E23 — uniqueness-elided aggregation & Top-K: the three proof-gated

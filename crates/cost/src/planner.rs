@@ -37,7 +37,7 @@ use crate::physical::{
 };
 use crate::stats::Statistics;
 use std::collections::BTreeSet;
-use uniq_plan::{AttrRef, BScalar, BoundAggItem, BoundExpr, BoundOutput, BoundQuery, BoundSpec};
+use uniq_plan::{BScalar, BoundAggItem, BoundExpr, BoundOutput, BoundQuery, BoundSpec};
 use uniq_sql::{CmpOp, SetOp};
 
 /// Session-level planner configuration: the three physical knobs.
@@ -343,7 +343,7 @@ impl<'a> Planner<'a> {
                 // step is a cross product.
                 let range = spec.from[t].attr_range();
                 let has_keys = (spec.predicate.iter().flat_map(|p| p.conjuncts()))
-                    .any(|c| equi_key_attr(c, &range, |idx| idx < range.start).is_some());
+                    .any(|c| c.equi_join_key(&range, |idx| idx < range.start).is_some());
                 JoinStep {
                     method,
                     id: self.join_op(spec, t, join_kind(method, has_keys, false), 0.0),
@@ -497,7 +497,7 @@ impl<'a> Planner<'a> {
                 .map(|((c, _), _)| *c)
                 .collect();
             let probe = crate::sarg::find_index_probe(spec, next, &step_conjuncts, &|idx| {
-                table_of(spec, idx).is_some_and(|t| placed.contains(&t))
+                spec.table_of(idx).is_some_and(|t| placed.contains(&t))
             });
             let mut step_est = step_est;
             if probe.as_ref().is_some_and(|p| p.unique) {
@@ -657,8 +657,8 @@ fn step_estimate(
             continue;
         }
         out *= est.selectivity(spec, c);
-        if let Some(new_attr) = equi_key_attr(c, &range, |idx| {
-            placed.contains(&table_of(spec, idx).unwrap_or(usize::MAX))
+        if let Some((_, new_attr)) = c.equi_join_key(&range, |idx| {
+            spec.table_of(idx).is_some_and(|t| placed.contains(&t))
         }) {
             key_columns.insert(new_attr - range.start);
         }
@@ -684,51 +684,19 @@ fn sort_cost(n: f64) -> f64 {
     }
 }
 
-/// The `FROM` position owning product attribute `idx`.
-fn table_of(spec: &BoundSpec, idx: usize) -> Option<usize> {
-    spec.from.iter().position(|t| t.attr_range().contains(&idx))
-}
-
 /// The set of `FROM` positions a conjunct references at its own block
 /// level, including references made from inside nested subqueries
 /// (which see the block's attributes as correlated outers).
 fn owner_tables(spec: &BoundSpec, conjunct: &BoundExpr) -> BTreeSet<usize> {
     let mut owners = BTreeSet::new();
-    visit_attrs(conjunct, 0, &mut |depth, a: &AttrRef| {
+    conjunct.visit_attrs(&mut |depth, a| {
         if a.up == depth {
-            if let Some(t) = table_of(spec, a.idx) {
+            if let Some(t) = spec.table_of(a.idx) {
                 owners.insert(t);
             }
         }
     });
     owners
-}
-
-/// If `c` is `placed_attr = new_attr` (either direction) with the new
-/// side inside `range` and the other side satisfying `is_placed`, the
-/// new-side attribute index.
-fn equi_key_attr(
-    c: &BoundExpr,
-    range: &std::ops::Range<usize>,
-    is_placed: impl Fn(usize) -> bool,
-) -> Option<usize> {
-    let BoundExpr::Cmp {
-        op: CmpOp::Eq,
-        left,
-        right,
-    } = c
-    else {
-        return None;
-    };
-    let (a, b) = match (left, right) {
-        (BScalar::Attr(a), BScalar::Attr(b)) if a.is_local() && b.is_local() => (a.idx, b.idx),
-        _ => return None,
-    };
-    match (range.contains(&a), range.contains(&b)) {
-        (false, true) if is_placed(a) => Some(b),
-        (true, false) if is_placed(b) => Some(a),
-        _ => None,
-    }
 }
 
 /// Whether a conjunct is covered by the columnar kernels: a comparison
@@ -744,13 +712,13 @@ fn columnar_conjunct(spec: &BoundSpec, c: &BoundExpr) -> bool {
     };
     match (left, right) {
         (BScalar::Attr(a), BScalar::Attr(b)) if a.is_local() && b.is_local() => {
-            let (ta, tb) = (table_of(spec, a.idx), table_of(spec, b.idx));
+            let (ta, tb) = (spec.table_of(a.idx), spec.table_of(b.idx));
             *op == CmpOp::Eq && ta.is_some() && tb.is_some() && ta != tb
         }
         (BScalar::Attr(a), BScalar::Literal(v)) | (BScalar::Literal(v), BScalar::Attr(a))
             if a.is_local() =>
         {
-            let Some(t) = table_of(spec, a.idx) else {
+            let Some(t) = spec.table_of(a.idx) else {
                 return false;
             };
             let col = a.idx - spec.from[t].attr_range().start;
@@ -763,60 +731,6 @@ fn columnar_conjunct(spec: &BoundSpec, c: &BoundExpr) -> bool {
             }
         }
         _ => false,
-    }
-}
-
-/// Visit every attribute reference with its subquery depth.
-fn visit_attrs(e: &BoundExpr, depth: usize, f: &mut impl FnMut(usize, &AttrRef)) {
-    let scalar = |s: &BScalar, f: &mut dyn FnMut(usize, &AttrRef)| {
-        if let BScalar::Attr(a) = s {
-            f(depth, a);
-        }
-    };
-    match e {
-        BoundExpr::Cmp { left, right, .. } => {
-            scalar(left, f);
-            scalar(right, f);
-        }
-        BoundExpr::Between {
-            scalar: s,
-            low,
-            high,
-            ..
-        } => {
-            scalar(s, f);
-            scalar(low, f);
-            scalar(high, f);
-        }
-        BoundExpr::InList {
-            scalar: s, list, ..
-        } => {
-            scalar(s, f);
-            for item in list {
-                scalar(item, f);
-            }
-        }
-        BoundExpr::IsNull { scalar: s, .. } => scalar(s, f),
-        BoundExpr::Exists { subquery, .. } => {
-            if let Some(p) = &subquery.predicate {
-                visit_attrs(p, depth + 1, f);
-            }
-        }
-        BoundExpr::InSubquery {
-            scalar: s,
-            subquery,
-            ..
-        } => {
-            scalar(s, f);
-            if let Some(p) = &subquery.predicate {
-                visit_attrs(p, depth + 1, f);
-            }
-        }
-        BoundExpr::And(a, b) | BoundExpr::Or(a, b) => {
-            visit_attrs(a, depth, f);
-            visit_attrs(b, depth, f);
-        }
-        BoundExpr::Not(a) => visit_attrs(a, depth, f),
     }
 }
 

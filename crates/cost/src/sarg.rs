@@ -259,33 +259,6 @@ pub fn find_index_sarg(spec: &BoundSpec, t: usize, conjuncts: &[&BoundExpr]) -> 
     best.map(|(s, _)| s)
 }
 
-/// Is `c` an equality conjunct `placed_attr = new_attr` (either
-/// direction) over the table occupying `range`? Returns
-/// `(placed attr, new table-local column)`.
-fn equi_probe_key(
-    c: &BoundExpr,
-    range: &std::ops::Range<usize>,
-    is_placed: &dyn Fn(usize) -> bool,
-) -> Option<(usize, usize)> {
-    let BoundExpr::Cmp {
-        op: CmpOp::Eq,
-        left,
-        right,
-    } = c
-    else {
-        return None;
-    };
-    let (a, b) = match (left, right) {
-        (BScalar::Attr(a), BScalar::Attr(b)) if a.is_local() && b.is_local() => (a.idx, b.idx),
-        _ => return None,
-    };
-    match (range.contains(&a), range.contains(&b)) {
-        (false, true) if is_placed(a) => Some((a, b - range.start)),
-        (true, false) if is_placed(b) => Some((b, a - range.start)),
-        _ => None,
-    }
-}
-
 /// Find an index of table `t` every column of which is supplied by this
 /// level's conjuncts — join equalities against already-placed tables
 /// (`is_placed`) or point constants — with at least one join equality
@@ -301,8 +274,10 @@ pub fn find_index_probe(
     let range = spec.from[t].attr_range();
     let mut supplied: BTreeMap<usize, ProbeSource> = BTreeMap::new();
     for c in conjuncts {
-        if let Some((built, col)) = equi_probe_key(c, &range, is_placed) {
-            supplied.entry(col).or_insert(ProbeSource::Outer(built));
+        if let Some((built, new)) = c.equi_join_key(&range, is_placed) {
+            supplied
+                .entry(new - range.start)
+                .or_insert(ProbeSource::Outer(built));
         }
     }
     for (col, b) in collect_bounds(spec, t, conjuncts) {

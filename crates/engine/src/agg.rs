@@ -1,9 +1,12 @@
-//! Row-path aggregation: hash grouping and the key-elided one-pass.
+//! Aggregation: hash grouping and the key-elided one-pass.
 //!
 //! The binder lowers an aggregate query onto a `SELECT ALL` body whose
 //! projection lays grouping columns first (positions `0 ..
-//! group_count`) followed by the aggregate argument columns, so this
-//! module only ever sees plain rows. Two execution shapes:
+//! group_count`) followed by the aggregate argument columns. One
+//! grouping function serves both access methods of the block pipeline:
+//! it reads body tuples through a key and a value function, so the rows
+//! access groups borrowed rows and the encoded access groups code words.
+//! Two execution shapes:
 //!
 //! * **Hash grouping** — one table probe per input row (`hash_probes`
 //!   and `probe_steps` book one each, like the join kernels), groups
@@ -26,6 +29,7 @@
 
 use crate::stats::ExecStats;
 use std::collections::{HashMap, HashSet};
+use std::hash::Hash;
 use uniq_catalog::Row;
 use uniq_plan::{BoundAgg, BoundAggItem};
 use uniq_sql::AggFunc;
@@ -75,8 +79,8 @@ pub(crate) fn init_states(agg: &BoundAgg) -> Vec<AggState> {
         .collect()
 }
 
-/// Fold one body row into the group's states. `get(p)` reads position
-/// `p` of the body projection — a closure so the columnar path can
+/// Fold one body tuple into the group's states. `get(p)` reads position
+/// `p` of the body projection — a closure so the encoded access can
 /// decode argument cells lazily instead of materializing whole rows.
 ///
 /// Returns the number of distinct-set probes performed (one per
@@ -85,7 +89,7 @@ pub(crate) fn init_states(agg: &BoundAgg) -> Vec<AggState> {
 pub(crate) fn update_states(
     states: &mut [AggState],
     agg: &BoundAgg,
-    get: &mut dyn FnMut(usize) -> Value,
+    get: &mut impl FnMut(usize) -> Value,
 ) -> Result<u64> {
     let mut set_probes = 0;
     for (st, item) in states.iter_mut().zip(&agg.items) {
@@ -185,79 +189,81 @@ pub(crate) fn finalize_state(st: AggState) -> Value {
     }
 }
 
-/// One finished group → one output row, items in `SELECT`-list order:
-/// grouping items read the key, aggregate items finalize their state.
-fn output_row(agg: &BoundAgg, key: &[Value], states: Vec<AggState>) -> Row {
-    agg.items
-        .iter()
-        .zip(states)
-        .map(|(item, st)| match item {
-            BoundAggItem::Group { pos, .. } => key[*pos].clone(),
-            BoundAggItem::Agg { .. } => finalize_state(st),
-        })
-        .collect()
-}
-
-/// Aggregate the body's rows; the proof-elided grouping takes the
-/// zero-hash one-pass.
-pub(crate) fn aggregate_rows(
+/// Aggregate `n` body tuples, in input order, the one way both access
+/// methods share. `key(t)` is tuple `t`'s grouping key — borrowed values
+/// under the rows access, code words under the encoded one — and
+/// `value(t, p)` its body projection position `p`.
+///
+/// The proof-elided grouping takes the zero-hash one-pass: every tuple
+/// is its own group. Otherwise groups are hashed and kept in
+/// first-appearance order, so output is deterministic, and each group's
+/// first tuple supplies its grouping columns. A global aggregate (no
+/// `GROUP BY`) folds into its single group without hashing.
+pub(crate) fn aggregate<K: Eq + Hash>(
     agg: &BoundAgg,
-    rows: Vec<Row>,
+    n: usize,
+    key: impl Fn(usize) -> K,
+    value: impl Fn(usize, usize) -> Value,
     stats: &mut ExecStats,
 ) -> Result<Vec<Row>> {
-    stats.agg_rows += rows.len() as u64;
+    stats.agg_rows += n as u64;
+    // One finished group → one output row, items in `SELECT`-list
+    // order: grouping items read the representative, aggregate items
+    // finalize their state.
+    let output_row = |rep: usize, states: Vec<AggState>| -> Row {
+        (agg.items.iter().zip(states))
+            .map(|(item, st)| match item {
+                BoundAggItem::Group { pos, .. } => value(rep, *pos),
+                BoundAggItem::Agg { .. } => finalize_state(st),
+            })
+            .collect()
+    };
+    let mut fold = |states: &mut [AggState], t: usize| -> Result<()> {
+        // An un-elided `COUNT(DISTINCT)` item books its set probes.
+        let set_probes = update_states(states, agg, &mut |p| value(t, p))?;
+        stats.hash_probes += set_probes;
+        stats.probe_steps += set_probes;
+        Ok(())
+    };
 
-    // Key-elided one-pass: every row is its own group, no hash table.
-    // (An un-elided `COUNT(DISTINCT)` item still books its set probes.)
     if agg.group_elided && agg.group_count > 0 {
-        let mut out = Vec::with_capacity(rows.len());
-        for row in &rows {
+        let mut out = Vec::with_capacity(n);
+        for t in 0..n {
             let mut states = init_states(agg);
-            let set_probes = update_states(&mut states, agg, &mut |p| row[p].clone())?;
-            stats.hash_probes += set_probes;
-            stats.probe_steps += set_probes;
-            out.push(output_row(agg, &row[..agg.group_count], states));
+            fold(&mut states, t)?;
+            out.push(output_row(t, states));
         }
         return Ok(out);
     }
 
-    // Hash grouping: groups in first-appearance order (the index map
-    // makes probes O(1) while keeping output deterministic).
-    let mut index: HashMap<Vec<Value>, usize> = HashMap::new();
-    let mut groups: Vec<(Vec<Value>, Vec<AggState>)> = Vec::new();
-    for row in &rows {
+    let mut index: HashMap<K, usize> = HashMap::new();
+    let mut groups: Vec<(usize, Vec<AggState>)> = Vec::new();
+    let mut group_probes = 0;
+    for t in 0..n {
         let slot = if agg.group_count == 0 {
-            // Global aggregate: one group, no key, nothing to hash.
             if groups.is_empty() {
-                groups.push((Vec::new(), init_states(agg)));
+                groups.push((t, init_states(agg)));
             }
             0
         } else {
-            let key: Vec<Value> = row[..agg.group_count].to_vec();
-            stats.hash_probes += 1;
-            stats.probe_steps += 1;
-            match index.get(&key) {
-                Some(&i) => i,
-                None => {
-                    let i = groups.len();
-                    index.insert(key.clone(), i);
-                    groups.push((key, init_states(agg)));
-                    i
-                }
-            }
+            group_probes += 1;
+            *index.entry(key(t)).or_insert_with(|| {
+                groups.push((t, init_states(agg)));
+                groups.len() - 1
+            })
         };
-        let set_probes = update_states(&mut groups[slot].1, agg, &mut |p| row[p].clone())?;
-        stats.hash_probes += set_probes;
-        stats.probe_steps += set_probes;
+        fold(&mut groups[slot].1, t)?;
     }
-    // A global aggregate (no GROUP BY) yields its one group even over
-    // empty input — `SELECT COUNT(*) FROM empty` is 0, not no rows.
+    stats.hash_probes += group_probes;
+    stats.probe_steps += group_probes;
+    // A global aggregate yields its one group even over empty input —
+    // `SELECT COUNT(*) FROM empty` is 0, not no rows (no grouping item,
+    // so the representative is never read).
     if agg.group_count == 0 && groups.is_empty() {
-        groups.push((Vec::new(), init_states(agg)));
+        groups.push((0, init_states(agg)));
     }
-    Ok(groups
-        .into_iter()
-        .map(|(key, states)| output_row(agg, &key, states))
+    Ok((groups.into_iter())
+        .map(|(rep, states)| output_row(rep, states))
         .collect())
 }
 
@@ -293,6 +299,12 @@ mod tests {
 
     fn int(i: i64) -> Value {
         Value::Int(i)
+    }
+
+    /// Group plain rows on their leading columns, as the rows access does.
+    fn aggregate_rows(agg: &BoundAgg, rows: Vec<Row>, stats: &mut ExecStats) -> Result<Vec<Row>> {
+        let key = |t: usize| &rows[t][..agg.group_count];
+        aggregate(agg, rows.len(), key, |t, p| rows[t][p].clone(), stats)
     }
 
     #[test]

@@ -14,11 +14,13 @@
 //! count, so codes from a stale encoding — or rows a pinned snapshot
 //! cannot see — are never read.
 //!
-//! Execution walks [`ColumnBatch`]es: a batch is a table reference plus
-//! a *selection vector* of qualifying row ids, so filters refine the
-//! selection without copying rows. Joins carry tuples of row ids (one
-//! per placed table) and late-materialize `Value` rows only at query
-//! output, which is what the `materialized_rows` counter measures.
+//! The store is the *encoded access* of the executor's one block
+//! pipeline (see [`crate::exec`]): `Encoded` compiles a licensed
+//! block against it, and the pipeline carries the same flat row-id
+//! tuples through either access. A scan or build side is a *selection
+//! vector* of qualifying row ids, refined predicate by predicate without
+//! copying rows; `Value` rows are materialized only at query output,
+//! which is what the `materialized_rows` counter measures.
 //!
 //! Uniqueness is the fast path throughout:
 //!
@@ -29,24 +31,24 @@
 //!   row ids, one array load per probe, `hash_probes == 0`;
 //! * blocks the optimizer proved duplicate-free never reach the
 //!   distinct kernel at all (the rewrite removed the `DISTINCT`), so
-//!   the columnar path inherits that saving for free.
+//!   the encoded access inherits that saving for free.
 //!
-//! The row executor remains the oracle: the planner only marks a block
-//! columnar for shapes these kernels cover, and this module re-verifies
-//! at runtime — any unsupported conjunct, a missing or stale encoding,
-//! a keyless step — and returns `None` so the caller falls back to row
-//! execution. Kernels walk their input in [`CHUNK_SIZE`]-row chunks;
-//! each (kernel, chunk) pair counts one `vector_ops`, the columnar
-//! analogue of per-row dispatch.
+//! The planner licenses a block only for shapes these kernels cover,
+//! and `Encoded::compile` re-verifies the license before any counter
+//! moves — an unsupported conjunct, a missing or stale encoding, or a
+//! keyless step — so the block reads the stored rows instead. The rows
+//! access stays the reference the agreement suites check this one
+//! against. Kernels walk their input in [`CHUNK_SIZE`]-row chunks; each
+//! (kernel, chunk) pair counts one `vector_ops`, the columnar analogue
+//! of per-row dispatch.
 
-use crate::agg::{finalize_state, init_states, update_states, AggState};
-use crate::exec::{contains_subquery, equi_join_key, planned_levels, Executor};
+use crate::exec::{hash_join, Probe};
 use crate::stats::ExecStats;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 use uniq_catalog::{Database, Row, TableSchema};
 use uniq_cost::{BlockPlan, JoinMethod};
-use uniq_plan::{BScalar, BoundAgg, BoundAggItem, BoundExpr, BoundSpec};
+use uniq_plan::{BScalar, BoundAgg, BoundExpr, BoundSpec};
 use uniq_sql::CmpOp;
 use uniq_types::{DataType, NullBitmap, Result, TableName, Value};
 
@@ -55,7 +57,7 @@ use uniq_types::{DataType, NullBitmap, Result, TableName, Value};
 pub const CHUNK_SIZE: usize = 1024;
 
 /// Largest dictionary a string column may grow before the table is left
-/// un-encoded (and every plan over it falls back to row execution). One
+/// un-encoded (and every plan over it reads the stored rows). One
 /// below `u32::MAX` so a code never collides with the kernels' `MAX`
 /// "empty slot" sentinel.
 pub const DEFAULT_DICT_LIMIT: usize = (u32::MAX - 1) as usize;
@@ -130,17 +132,6 @@ impl TableColumns {
     }
 }
 
-/// A table reference plus a selection vector of qualifying row ids —
-/// the unit the vectorized filter kernel produces and refines. Filters
-/// shrink `sel`; they never copy rows.
-#[derive(Debug)]
-pub struct ColumnBatch<'a> {
-    /// The encoded table the selection indexes into.
-    pub table: &'a TableColumns,
-    /// Qualifying row ids, ascending.
-    pub sel: Vec<u32>,
-}
-
 /// Column-wise encodings of every encodable table of one database
 /// snapshot, keyed by table name.
 ///
@@ -166,8 +157,8 @@ impl ColumnStore {
 
     /// Like [`ColumnStore::build`] with an explicit dictionary-size
     /// guard: a string column with more than `limit` distinct values
-    /// leaves its whole table un-encoded (queries over it fall back to
-    /// the row executor). Exposed for tests; production use is
+    /// leaves its whole table un-encoded (queries over it read the stored
+    /// rows). Exposed for tests; production use is
     /// [`DEFAULT_DICT_LIMIT`], the `u32` code-space guard.
     pub fn build_with_dict_limit(db: &Database, limit: usize) -> ColumnStore {
         let mut store = ColumnStore {
@@ -401,7 +392,7 @@ fn flip_op(op: CmpOp) -> CmpOp {
 
 /// Compile one conjunct into a vectorizable predicate over the table
 /// occupying `range`, or `None` when the shape is not covered (the
-/// caller then falls back to row execution).
+/// block then reads the stored rows).
 fn compile_pred(c: &BoundExpr, range: &std::ops::Range<usize>, tc: &TableColumns) -> Option<Pred> {
     let BoundExpr::Cmp { op, left, right } = c else {
         return None;
@@ -503,16 +494,6 @@ fn filter_table(tc: &TableColumns, preds: &[Pred], stats: &mut ExecStats) -> Vec
 
 // --- join kernels ------------------------------------------------------
 
-/// One resolved equi-join key of a step: where the probe side reads its
-/// value (`slot` into the tuple of placed row ids, then `probe_col` of
-/// that table) and which build-side column it must equal.
-#[derive(Debug, Clone, Copy)]
-struct ResolvedKey {
-    slot: usize,
-    probe_col: usize,
-    build_col: usize,
-}
-
 /// A key with its per-step probe/build column data. For string keys,
 /// `trans` maps probe-dictionary codes into the build dictionary
 /// (`NONE_U32` = the probe string does not occur on the build side), so
@@ -523,17 +504,6 @@ struct KeyAt<'a> {
     probe: &'a ColumnData,
     build: &'a ColumnData,
     trans: Option<Vec<u32>>,
-}
-
-enum ProbeKey {
-    /// NULL key component: the probe row can never match (`WHERE =`),
-    /// and is skipped without counting, like the row kernels.
-    Null,
-    /// The probe string does not exist in the build dictionary: a
-    /// counted probe that is guaranteed to miss.
-    NoMatch,
-    /// Comparable key in build space.
-    Key(u64),
 }
 
 fn translation(probe_dict: &[String], build_dict: &[String]) -> Vec<u32> {
@@ -547,24 +517,25 @@ fn translation(probe_dict: &[String], build_dict: &[String]) -> Vec<u32> {
 }
 
 impl KeyAt<'_> {
-    fn probe_key(&self, r: u32) -> ProbeKey {
+    /// The probe row's key in build space.
+    fn probe_key(&self, r: u32) -> Probe<u64> {
         let r = r as usize;
         match self.probe {
             ColumnData::Int { values, nulls } => {
                 if nulls.is_null(r) {
-                    ProbeKey::Null
+                    Probe::Null
                 } else {
-                    ProbeKey::Key(values[r] as u64)
+                    Probe::Key(values[r] as u64)
                 }
             }
             ColumnData::Str { codes, nulls, .. } => {
                 if nulls.is_null(r) {
-                    return ProbeKey::Null;
+                    return Probe::Null;
                 }
                 let trans = self.trans.as_ref().expect("string key has translation");
                 match trans[codes[r] as usize] {
-                    NONE_U32 => ProbeKey::NoMatch,
-                    c => ProbeKey::Key(c as u64),
+                    NONE_U32 => Probe::Miss,
+                    c => Probe::Key(c as u64),
                 }
             }
         }
@@ -658,328 +629,125 @@ fn direct_lookup(d: &Direct, key: u64) -> u32 {
     }
 }
 
-// --- the columnar block executor ---------------------------------------
+// --- the encoded access ------------------------------------------------
 
-/// The code-space result of one planned block: joined row-id tuples
-/// plus the projection mapping — everything a consumer needs either to
-/// late-materialize output rows ([`exec_block`]) or to aggregate on
-/// dictionary codes without materializing at all ([`exec_block_agg`]).
-struct BlockTuples<'a> {
-    /// Encoded tables by pipeline slot (`ordered[slot]` is the table
-    /// occupying tuple slot `slot`).
-    ordered: Vec<&'a TableColumns>,
-    /// Projection items as (tuple slot, table-local column).
-    proj: Vec<(usize, usize)>,
-    /// Flat row-id tuples, `stride` slots each.
-    tuples: Vec<u32>,
-    /// Slots per tuple (= tables placed).
-    stride: usize,
+/// One resolved equi-join key of a step: where the probe side reads its
+/// value (`slot` into the tuple of placed row ids, then `probe_col` of
+/// that table) and which build-side column it must equal.
+#[derive(Debug, Clone, Copy)]
+struct ResolvedKey {
+    slot: usize,
+    probe_col: usize,
+    build_col: usize,
 }
 
-impl BlockTuples<'_> {
-    fn len(&self) -> usize {
-        self.tuples.len() / self.stride
-    }
+/// A block compiled for the encoded access: each tuple slot's encoding,
+/// per pipeline level the compiled predicates of its table (and, for a
+/// join step, its resolved keys), and the projection as (tuple slot,
+/// table-local column) pairs.
+pub(crate) struct Encoded<'a> {
+    tables: Vec<&'a TableColumns>,
+    levels: Vec<(Vec<Pred>, Vec<ResolvedKey>)>,
+    proj: Vec<(usize, usize)>,
+}
 
-    fn tup(&self, t: usize) -> &[u32] {
-        &self.tuples[t * self.stride..(t + 1) * self.stride]
-    }
-
-    /// Decode projection position `p` of tuple `t` (late
-    /// materialization — one cell, not a row).
-    fn value(&self, t: usize, p: usize) -> Value {
-        let (slot, col) = self.proj[p];
-        self.ordered[slot].value_at(col, self.tup(t)[slot] as usize)
-    }
-
-    /// Encoded key of the first `n` projection positions of tuple `t`:
-    /// per column a (null, code/value) word pair — exact under `=̇`
-    /// because codes within one column are injective. This is the
-    /// dictionary-coded group key: strings group by `u32` code, never
-    /// by string compare.
-    fn key_words(&self, t: usize, n: usize) -> Vec<u64> {
-        let tup = self.tup(t);
-        let mut key = Vec::with_capacity(n * 2);
-        for &(slot, col) in &self.proj[..n] {
-            let r = tup[slot] as usize;
-            match self.ordered[slot].column(col) {
-                ColumnData::Int { values, nulls } => {
-                    if nulls.is_null(r) {
-                        key.extend([1, 0]);
-                    } else {
-                        key.extend([0, values[r] as u64]);
-                    }
-                }
-                ColumnData::Str { codes, nulls, .. } => {
-                    if nulls.is_null(r) {
-                        key.extend([1, 0]);
-                    } else {
-                        key.extend([0, codes[r] as u64]);
-                    }
-                }
+impl<'a> Encoded<'a> {
+    /// Compile a block the plan licenses for the encoded access, given
+    /// its conjuncts by pipeline level and where each attribute lives
+    /// (`attrs[idx]` = tuple slot, table-local column). `None` — with no
+    /// counter touched — when the store is stale for `db` (the catalog
+    /// moved, or a table's row count differs from its encoding: `INSERT`
+    /// does not bump the catalog version), a join step is not a keyed
+    /// hash step, or a conjunct does not compile.
+    pub(crate) fn compile(
+        store: &'a ColumnStore,
+        db: &Database,
+        spec: &BoundSpec,
+        bp: &BlockPlan,
+        levels: &[Vec<&BoundExpr>],
+        attrs: &[(usize, usize)],
+    ) -> Result<Option<Encoded<'a>>> {
+        if store.catalog_version != db.version()
+            || bp.joins.iter().any(|j| j.method != JoinMethod::Hash)
+            || levels.iter().flatten().any(|c| c.has_subquery())
+        {
+            return Ok(None);
+        }
+        let mut tables = Vec::with_capacity(bp.order.len());
+        for &t in &bp.order {
+            let name = &spec.from[t].schema.name;
+            match store.table(name) {
+                Some(tc) if tc.rows == db.row_count(name)? => tables.push(tc),
+                _ => return Ok(None),
             }
         }
-        key
-    }
-}
-
-/// Execute one planned block entirely on the columnar kernels, or
-/// return `None` when anything about the block is not covered — a
-/// missing/stale table encoding, an uncompilable conjunct, a keyless or
-/// non-hash join step — in which case the caller falls back to the row
-/// executor with no counters touched.
-pub(crate) fn exec_block(
-    ex: &mut Executor<'_>,
-    store: &ColumnStore,
-    spec: &BoundSpec,
-    bp: &BlockPlan,
-) -> Result<Option<Vec<Row>>> {
-    let Some(bt) = exec_block_tuples(ex, store, spec, bp)? else {
-        return Ok(None);
-    };
-    // Late materialization: only final output tuples become `Value`s.
-    let ntuples = bt.len();
-    let mut rows = Vec::with_capacity(ntuples);
-    for t in 0..ntuples {
-        rows.push((0..bt.proj.len()).map(|p| bt.value(t, p)).collect::<Row>());
-    }
-    ex.stats.vector_ops += ntuples.div_ceil(CHUNK_SIZE) as u64;
-    ex.stats.materialized_rows += ntuples as u64;
-    Ok(Some(rows))
-}
-
-/// Aggregate one planned block on the columnar kernels: group keys stay
-/// dictionary codes end-to-end (a `(null, code)` word pair per grouping
-/// column), and only aggregate *argument* cells and the surviving group
-/// representatives are ever decoded. A proof-elided grouping takes the
-/// zero-hash one-pass here too. `None` falls back to row execution
-/// exactly like [`exec_block`].
-pub(crate) fn exec_block_agg(
-    ex: &mut Executor<'_>,
-    store: &ColumnStore,
-    spec: &BoundSpec,
-    bp: &BlockPlan,
-    agg: &BoundAgg,
-) -> Result<Option<Vec<Row>>> {
-    let Some(bt) = exec_block_tuples(ex, store, spec, bp)? else {
-        return Ok(None);
-    };
-    let ntuples = bt.len();
-    ex.stats.agg_rows += ntuples as u64;
-    let item_value =
-        |bt: &BlockTuples<'_>, rep: usize, item: &BoundAggItem, st: AggState| match item {
-            BoundAggItem::Group { pos, .. } => bt.value(rep, *pos),
-            BoundAggItem::Agg { .. } => finalize_state(st),
-        };
-
-    let out: Vec<Row> = if agg.group_elided && agg.group_count > 0 {
-        // Key-elided one-pass: every tuple is its own group, no hashing.
-        let mut rows = Vec::with_capacity(ntuples);
-        for t in 0..ntuples {
-            let mut states = init_states(agg);
-            let set_probes = update_states(&mut states, agg, &mut |p| bt.value(t, p))?;
-            ex.stats.hash_probes += set_probes;
-            ex.stats.probe_steps += set_probes;
-            rows.push(
-                agg.items
-                    .iter()
-                    .zip(states)
-                    .map(|(item, st)| item_value(&bt, t, item, st))
-                    .collect::<Row>(),
-            );
-        }
-        rows
-    } else {
-        // Hash grouping on encoded key words; each group remembers a
-        // representative tuple so grouping columns decode exactly once.
-        let mut index: HashMap<Vec<u64>, usize> = HashMap::new();
-        let mut groups: Vec<(usize, Vec<AggState>)> = Vec::new();
-        for t in 0..ntuples {
-            let slot = if agg.group_count == 0 {
-                // Global aggregate: one group, no key, nothing to hash.
-                if groups.is_empty() {
-                    groups.push((t, init_states(agg)));
-                }
-                0
-            } else {
-                let key = bt.key_words(t, agg.group_count);
-                ex.stats.hash_probes += 1;
-                ex.stats.probe_steps += 1;
-                *index.entry(key).or_insert_with(|| {
-                    groups.push((t, init_states(agg)));
-                    groups.len() - 1
-                })
-            };
-            let set_probes = update_states(&mut groups[slot].1, agg, &mut |p| bt.value(t, p))?;
-            ex.stats.hash_probes += set_probes;
-            ex.stats.probe_steps += set_probes;
-        }
-        // The global aggregate's one group exists even over empty input
-        // (no grouping items, so the representative is never read).
-        if agg.group_count == 0 && groups.is_empty() {
-            groups.push((0, init_states(agg)));
-        }
-        groups
-            .into_iter()
-            .map(|(rep, states)| {
-                agg.items
-                    .iter()
-                    .zip(states)
-                    .map(|(item, st)| item_value(&bt, rep, item, st))
-                    .collect::<Row>()
-            })
-            .collect()
-    };
-    ex.stats.vector_ops += ntuples.div_ceil(CHUNK_SIZE) as u64;
-    ex.stats.materialized_rows += out.len() as u64;
-    Ok(Some(out))
-}
-
-/// The shared block pipeline in code space: validate coverage, then
-/// scan → join → (planned distinct), returning joined row-id tuples.
-fn exec_block_tuples<'a>(
-    ex: &mut Executor<'_>,
-    store: &'a ColumnStore,
-    spec: &BoundSpec,
-    bp: &BlockPlan,
-) -> Result<Option<BlockTuples<'a>>> {
-    let n = spec.from.len();
-
-    // Freshness: the catalog must not have moved since the encoding was
-    // built, and every scanned table must hold exactly the encoded rows
-    // (INSERT does not bump the catalog version, so stale codes are
-    // caught here by row count).
-    if store.catalog_version != ex.db.version() {
-        return Ok(None);
-    }
-    let mut tables: Vec<&TableColumns> = Vec::with_capacity(n);
-    for ft in &spec.from {
-        match store.table(&ft.schema.name) {
-            Some(tc) if tc.rows == ex.db.row_count(&ft.schema.name)? => tables.push(tc),
-            _ => return Ok(None),
-        }
-    }
-    if bp.joins.iter().any(|j| j.method != JoinMethod::Hash) {
-        return Ok(None);
-    }
-
-    // Assign conjuncts to planned levels with the row executor's own
-    // placement; subqueries have no vectorized kernel.
-    if spec
-        .predicate
-        .as_ref()
-        .is_some_and(|p| p.conjuncts().into_iter().any(contains_subquery))
-    {
-        return Ok(None);
-    }
-    let levels = planned_levels(spec, &bp.order);
-    // Each FROM table's planned position: its slot in the row-id tuples.
-    let mut pos = vec![0usize; n];
-    for (k, &t) in bp.order.iter().enumerate() {
-        pos[t] = k;
-    }
-
-    // Validate the whole block before touching any counter, so a
-    // fallback never leaves half-counted work behind.
-    let range0 = spec.from[bp.order[0]].attr_range();
-    let tc0 = tables[bp.order[0]];
-    let mut preds0 = Vec::with_capacity(levels[0].len());
-    for c in &levels[0] {
-        match compile_pred(c, &range0, tc0) {
-            Some(p) => preds0.push(p),
-            None => return Ok(None),
-        }
-    }
-    let mut steps: Vec<(Vec<Pred>, Vec<ResolvedKey>)> = Vec::with_capacity(n.saturating_sub(1));
-    let mut placed_ranges = vec![range0];
-    for k in 1..n {
-        let table = &spec.from[bp.order[k]];
-        let tc = tables[bp.order[k]];
-        let range = table.attr_range();
-        let mut preds = Vec::new();
-        let mut keys = Vec::new();
-        for c in &levels[k] {
-            let placed = |idx: usize| placed_ranges.iter().any(|r| r.contains(&idx));
-            if let Some((built, new)) = equi_join_key(c, &range, &placed) {
-                let Some(from_pos) = spec
-                    .from
-                    .iter()
-                    .position(|ft| ft.attr_range().contains(&built))
-                else {
-                    return Ok(None);
-                };
-                let rk = ResolvedKey {
-                    slot: pos[from_pos],
-                    probe_col: built - spec.from[from_pos].attr_range().start,
-                    build_col: new - range.start,
-                };
-                // Kernel keys compare codes, so both sides must carry
-                // the same physical encoding.
-                let same_kind = matches!(
-                    (
-                        tables[bp.order[rk.slot]].column(rk.probe_col),
-                        tc.column(rk.build_col)
-                    ),
-                    (ColumnData::Int { .. }, ColumnData::Int { .. })
-                        | (ColumnData::Str { .. }, ColumnData::Str { .. })
-                );
-                if !same_kind {
+        let mut compiled = Vec::with_capacity(levels.len());
+        for (k, conjuncts) in levels.iter().enumerate() {
+            let range = spec.from[bp.order[k]].attr_range();
+            let mut preds = Vec::new();
+            let mut keys = Vec::new();
+            for c in conjuncts {
+                if let Some((built, new)) = c.equi_join_key(&range, |idx| attrs[idx].0 < k) {
+                    let (slot, probe_col) = attrs[built];
+                    let build_col = new - range.start;
+                    // Kernel keys compare codes, so both sides must carry
+                    // the same physical encoding.
+                    let same_kind = matches!(
+                        (tables[slot].column(probe_col), tables[k].column(build_col)),
+                        (ColumnData::Int { .. }, ColumnData::Int { .. })
+                            | (ColumnData::Str { .. }, ColumnData::Str { .. })
+                    );
+                    if !same_kind {
+                        return Ok(None);
+                    }
+                    keys.push(ResolvedKey {
+                        slot,
+                        probe_col,
+                        build_col,
+                    });
+                } else if let Some(p) = compile_pred(c, &range, tables[k]) {
+                    preds.push(p);
+                } else {
                     return Ok(None);
                 }
-                keys.push(rk);
-            } else if let Some(p) = compile_pred(c, &range, tc) {
-                preds.push(p);
-            } else {
+            }
+            if k > 0 && keys.is_empty() {
                 return Ok(None);
             }
+            compiled.push((preds, keys));
         }
-        if keys.is_empty() {
-            return Ok(None);
-        }
-        placed_ranges.push(range);
-        steps.push((preds, keys));
-    }
-    let mut proj: Vec<(usize, usize)> = Vec::with_capacity(spec.projection.len());
-    for p in &spec.projection {
-        let Some(from_pos) = spec
-            .from
-            .iter()
-            .position(|ft| ft.attr_range().contains(&p.attr))
-        else {
-            return Ok(None);
-        };
-        proj.push((
-            pos[from_pos],
-            p.attr - spec.from[from_pos].attr_range().start,
-        ));
+        let proj = spec.projection.iter().map(|p| attrs[p.attr]).collect();
+        Ok(Some(Encoded {
+            tables,
+            levels: compiled,
+            proj,
+        }))
     }
 
-    // --- execution -----------------------------------------------------
+    /// The scan: a vectorized filter of the first table's selection.
+    pub(crate) fn scan(&self, stats: &mut ExecStats) -> Vec<u32> {
+        filter_table(self.tables[0], &self.levels[0].0, stats)
+    }
 
-    // Level 0: vectorized filtered scan → selection vector, no copies.
-    let scan = ColumnBatch {
-        table: tc0,
-        sel: filter_table(tc0, &preds0, &mut ex.stats),
-    };
-    ex.record(bp.scan, scan.sel.len());
-
-    // Tuples of row ids, flat with one slot per placed table.
-    let mut stride = 1usize;
-    let mut tuples: Vec<u32> = scan.sel;
-
-    for (k, (preds, rkeys)) in steps.iter().enumerate() {
-        let step = &bp.joins[k];
-        let tcb = tables[bp.order[k + 1]];
-        let build = ColumnBatch {
-            table: tcb,
-            sel: filter_table(tcb, preds, &mut ex.stats),
-        };
-        let keys: Vec<KeyAt<'_>> = rkeys
-            .iter()
+    /// Join step `k`: filter the build side, then probe it once per
+    /// tuple. A `unique` step on one key uses the direct-index table
+    /// (zero hash operations, one probe step per probe); anything else
+    /// hashes build-space key words.
+    pub(crate) fn join(
+        &self,
+        k: usize,
+        unique: bool,
+        tuples: &[u32],
+        stats: &mut ExecStats,
+    ) -> Result<Vec<u32>> {
+        let (preds, resolved) = &self.levels[k];
+        let table = self.tables[k];
+        let build = filter_table(table, preds, stats);
+        let keys: Vec<KeyAt<'_>> = (resolved.iter())
             .map(|rk| {
-                let probe = tables[bp.order[rk.slot]].column(rk.probe_col);
-                let build_col = tcb.column(rk.build_col);
-                let trans = match (probe, build_col) {
+                let probe = self.tables[rk.slot].column(rk.probe_col);
+                let build = table.column(rk.build_col);
+                let trans = match (probe, build) {
                     (ColumnData::Str { dict: pd, .. }, ColumnData::Str { dict: bd, .. }) => {
                         Some(translation(pd, bd))
                     }
@@ -988,119 +756,148 @@ fn exec_block_tuples<'a>(
                 KeyAt {
                     slot: rk.slot,
                     probe,
-                    build: build_col,
+                    build,
                     trans,
                 }
             })
             .collect();
-
-        let direct = if step.unique && keys.len() == 1 {
-            build_direct(&keys[0], &build.sel)
-        } else {
-            None
+        let direct = match keys.as_slice() {
+            [key] if unique => build_direct(key, &build).map(|d| (key, d)),
+            _ => None,
         };
-
-        let mut joined: Vec<u32> = Vec::new();
-        let mut hash_probes = 0u64;
-        let mut probe_steps = 0u64;
-        if let Some(direct) = &direct {
-            // Direct-index unique kernel: zero hash operations, one
-            // array load (= one probe step) per probe.
-            for tup in tuples.chunks_exact(stride) {
-                let key = match keys[0].probe_key(tup[keys[0].slot]) {
-                    ProbeKey::Null => continue,
-                    ProbeKey::NoMatch => {
-                        probe_steps += 1;
-                        continue;
-                    }
-                    ProbeKey::Key(k) => k,
+        let mut out = Vec::new();
+        if let Some((key, direct)) = direct {
+            for tuple in tuples.chunks_exact(k) {
+                let m = match key.probe_key(tuple[key.slot]) {
+                    Probe::Null => continue,
+                    Probe::Miss => NONE_U32,
+                    Probe::Key(code) => direct_lookup(&direct, code),
                 };
-                probe_steps += 1;
-                let m = direct_lookup(direct, key);
+                stats.probe_steps += 1;
                 if m != NONE_U32 {
-                    joined.extend_from_slice(tup);
-                    joined.push(m);
+                    out.extend_from_slice(tuple);
+                    out.push(m);
                 }
             }
         } else {
-            // Hash kernel over build-space key codes. Unique steps keep
-            // the single-slot accounting of a chain-free table.
-            ex.stats.hash_joins += 1;
-            let mut map: HashMap<Vec<u64>, Vec<u32>> = HashMap::new();
-            'build: for &r in &build.sel {
-                let mut key = Vec::with_capacity(keys.len());
-                for ka in &keys {
-                    match ka.build_key(r) {
-                        Some(c) => key.push(c),
-                        None => continue 'build,
-                    }
-                }
-                map.entry(key).or_default().push(r);
-            }
-            'probe: for tup in tuples.chunks_exact(stride) {
-                let mut key = Vec::with_capacity(keys.len());
-                let mut dead = false;
-                for ka in &keys {
-                    match ka.probe_key(tup[ka.slot]) {
-                        ProbeKey::Null => continue 'probe,
-                        ProbeKey::NoMatch => dead = true,
-                        ProbeKey::Key(k) => key.push(k),
-                    }
-                }
-                hash_probes += 1;
-                if dead {
-                    probe_steps += 1;
-                    continue;
-                }
-                match map.get(&key) {
-                    Some(ms) => {
-                        probe_steps += if step.unique { 1 } else { ms.len() as u64 + 1 };
-                        for &m in ms {
-                            joined.extend_from_slice(tup);
-                            joined.push(m);
+            stats.hash_joins += 1;
+            let (probes, steps) = hash_join(
+                tuples,
+                k,
+                &build,
+                |r| {
+                    keys.iter()
+                        .map(|key| key.build_key(r))
+                        .collect::<Option<Vec<u64>>>()
+                },
+                |tuple| {
+                    let mut words = Vec::with_capacity(keys.len());
+                    let mut miss = false;
+                    for key in &keys {
+                        match key.probe_key(tuple[key.slot]) {
+                            Probe::Null => return Probe::Null,
+                            Probe::Miss => miss = true,
+                            Probe::Key(w) => words.push(w),
                         }
                     }
-                    None => probe_steps += 1,
-                }
-            }
+                    if miss {
+                        Probe::Miss
+                    } else {
+                        Probe::Key(words)
+                    }
+                },
+                unique,
+                |tuple, m| {
+                    out.extend_from_slice(tuple);
+                    out.push(m);
+                    Ok(())
+                },
+            )?;
+            stats.hash_probes += probes;
+            stats.probe_steps += steps;
         }
-        ex.stats.hash_probes += hash_probes;
-        ex.stats.probe_steps += probe_steps;
-        ex.stats.vector_ops += (tuples.len() / stride).div_ceil(CHUNK_SIZE) as u64;
-        stride += 1;
-        tuples = joined;
-        ex.record(step.id, tuples.len() / stride);
+        stats.vector_ops += (tuples.len() / k).div_ceil(CHUNK_SIZE) as u64;
+        Ok(out)
     }
 
-    // Projection over code tuples (still no materialization).
-    let ntuples = tuples.len() / stride;
-    ex.record(bp.project, ntuples);
-
-    let mut bt = BlockTuples {
-        ordered: bp.order.iter().map(|&t| tables[t]).collect(),
-        proj,
-        tuples,
-        stride,
-    };
-
-    // Distinct on encoded keys, exact under `=̇` (see
-    // [`BlockTuples::key_words`]). Blocks the optimizer proved
-    // duplicate-free carry no distinct step and skip this entirely.
-    if let Some(d) = bp.distinct {
-        let mut seen: HashSet<Vec<u64>> = HashSet::with_capacity(ntuples);
-        let mut kept: Vec<u32> = Vec::new();
-        for t in 0..ntuples {
-            ex.stats.hash_probes += 1;
-            if seen.insert(bt.key_words(t, bt.proj.len())) {
-                kept.extend_from_slice(bt.tup(t));
+    /// `DISTINCT` on encoded keys: keep each tuple whose projected code
+    /// words have not been seen. Exact under `=̇` (see
+    /// [`Encoded::key_words`]).
+    pub(crate) fn distinct(&self, ids: Vec<u32>, stats: &mut ExecStats) -> Vec<u32> {
+        let n = ids.len() / self.tables.len();
+        let mut seen: HashSet<Vec<u64>> = HashSet::with_capacity(n);
+        let mut kept = Vec::new();
+        for tuple in ids.chunks_exact(self.tables.len()) {
+            stats.hash_probes += 1;
+            if seen.insert(self.key_words(tuple, self.proj.len())) {
+                kept.extend_from_slice(tuple);
             }
         }
-        ex.stats.vector_ops += ntuples.div_ceil(CHUNK_SIZE) as u64;
-        bt.tuples = kept;
-        ex.record(d.id, bt.len());
+        stats.vector_ops += n.div_ceil(CHUNK_SIZE) as u64;
+        kept
     }
 
-    Ok(Some(bt))
+    /// Late materialization: decode the projection of every tuple.
+    pub(crate) fn materialize(&self, ids: &[u32], stats: &mut ExecStats) -> Vec<Row> {
+        let rows: Vec<Row> = (ids.chunks_exact(self.tables.len()))
+            .map(|tuple| (0..self.proj.len()).map(|p| self.value(tuple, p)).collect())
+            .collect();
+        stats.vector_ops += rows.len().div_ceil(CHUNK_SIZE) as u64;
+        stats.materialized_rows += rows.len() as u64;
+        rows
+    }
+
+    /// Aggregate the tuples with group keys kept as code words end to
+    /// end: only aggregate arguments and each group's representative
+    /// cells are decoded.
+    pub(crate) fn aggregate(
+        &self,
+        agg: &BoundAgg,
+        ids: &[u32],
+        stats: &mut ExecStats,
+    ) -> Result<Vec<Row>> {
+        let stride = self.tables.len();
+        let tuple = |t: usize| &ids[t * stride..(t + 1) * stride];
+        let n = ids.len() / stride;
+        let out = crate::agg::aggregate(
+            agg,
+            n,
+            |t| self.key_words(tuple(t), agg.group_count),
+            |t, p| self.value(tuple(t), p),
+            stats,
+        )?;
+        stats.vector_ops += n.div_ceil(CHUNK_SIZE) as u64;
+        stats.materialized_rows += out.len() as u64;
+        Ok(out)
+    }
+
+    /// Decode projection position `p` of one tuple (one cell, not a row).
+    fn value(&self, tuple: &[u32], p: usize) -> Value {
+        let (slot, col) = self.proj[p];
+        self.tables[slot].value_at(col, tuple[slot] as usize)
+    }
+
+    /// Encoded key of the first `n` projection positions of one tuple:
+    /// per column a (null, code/value) word pair — exact under `=̇`
+    /// because codes within one column are injective. This is the
+    /// dictionary-coded group and distinct key: strings compare by `u32`
+    /// code, never by string compare.
+    fn key_words(&self, tuple: &[u32], n: usize) -> Vec<u64> {
+        let mut key = Vec::with_capacity(n * 2);
+        for &(slot, col) in &self.proj[..n] {
+            let r = tuple[slot] as usize;
+            let (nulls, word) = match self.tables[slot].column(col) {
+                ColumnData::Int { values, nulls } => (nulls, values[r] as u64),
+                ColumnData::Str { codes, nulls, .. } => (nulls, codes[r] as u64),
+            };
+            if nulls.is_null(r) {
+                key.extend([1, 0]);
+            } else {
+                key.extend([0, word]);
+            }
+        }
+        key
+    }
 }
 
 #[cfg(test)]

@@ -1,51 +1,75 @@
-//! The block executor. It runs [`PhysicalPlan`]s and makes no physical
+//! The executor. It runs [`PhysicalPlan`]s and makes no physical
 //! choice of its own: join order, join and distinct methods, index
 //! access and the early stop all come from the plan.
 //!
-//! A bound block `π_d[A](σ[C](T0 × T1 × …))` executes as a left-deep
-//! pipeline over the `FROM` tables in the plan's join order. Each
-//! top-level conjunct of `C` is assigned to the earliest pipeline
-//! position at which all the attributes it references are bound, so
-//! selections are pushed down as far as the conjunct structure allows.
-//! A hash step builds on the equality conjuncts linking the new table to
-//! the bound ones (`NULL` join keys excluded on both sides, per
-//! `WHERE`-clause `=` semantics) and is a cross product when there are
-//! none; a nested-loop step re-scans the table per partial tuple.
+//! Every planned block runs through one pipeline. A bound block
+//! `π_d[A](σ[C](T0 × T1 × …))` executes left-deep over the `FROM`
+//! tables in the plan's join order and carries tuples of row ids: one
+//! `u32` per placed table, in plan order, stored flat. Each top-level
+//! conjunct of `C` is assigned to the earliest pipeline position at
+//! which every table it references is placed. The pipeline reads the
+//! block's tables through one of two access methods, chosen per block:
+//!
+//! * **encoded** — the column store's encodings, when the plan licenses
+//!   the block, the store is fresh and every conjunct compiles (see
+//!   [`crate::columnar`]). Scans and build sides are vectorized
+//!   filters, join keys are dictionary codes or integers, `DISTINCT`
+//!   and grouping hash code words, and only output rows are decoded;
+//! * **rows** — the stored rows, otherwise. The scan may go through a
+//!   planned index; a join step probes an index, re-scans the table
+//!   (nested loop), hashes borrowed values or forms a cross product;
+//!   every conjunct is evaluated on the rows the tuple's ids point to,
+//!   and only output rows are copied. This access is the reference the
+//!   agreement suites check the encoded one against.
+//!
+//! A hash step keys on the equality conjuncts linking the new table to
+//! the placed ones (`NULL` join keys excluded on both sides, per
+//! `WHERE`-clause `=` semantics). Conjuncts over the new table alone
+//! filter its build side; the rest run on the joined tuples.
 //!
 //! Subquery blocks have no plan node. They run as nested loops through
-//! `Executor::enumerate`, `EXISTS` with a row limit of one —
-//! first-match early exit, the behaviour §6's navigational arguments
-//! rely on.
+//! `Executor::enumerate`, over borrowed rows, and see the enclosing
+//! blocks' tuples by reference. `EXISTS` stops at its first match — the
+//! behaviour §6's navigational arguments rely on.
 
+use crate::agg::aggregate;
+use crate::columnar::{ColumnStore, Encoded};
 use crate::setops::{combine_setop, distinct};
 use crate::stats::{ExecStats, JoinMethod};
 use std::collections::HashMap;
+use std::hash::Hash;
 use uniq_catalog::{Database, Row};
 use uniq_cost::{
-    find_index_probe, find_index_sarg, BlockPlan, IndexProbe, Justification, OutputOp, PhysNode,
+    find_index_probe, find_index_sarg, BlockPlan, JoinStep, Justification, OutputOp, PhysNode,
     PhysicalPlan, PlannerOptions, ProbeSource,
 };
 use uniq_plan::{
-    AttrRef, BScalar, BoundExpr, BoundOutput, BoundQuery, BoundSpec, FromTable, HostVars,
+    AttrRef, BScalar, BoundAgg, BoundExpr, BoundOutput, BoundQuery, BoundSpec, FromTable, HostVars,
 };
 use uniq_sql::CmpOp;
 use uniq_types::{Error, Result, Tri, Value};
 
 /// Executes bound queries against a database.
 pub struct Executor<'a> {
-    pub(crate) db: &'a Database,
-    pub(crate) hostvars: &'a HostVars,
+    db: &'a Database,
+    hostvars: &'a HostVars,
     /// Columnar encodings of the database, once `ANALYZE` has built them
     /// (see [`crate::columnar::ColumnStore`]). Blocks the planner marked
-    /// columnar execute on the vectorized kernels when the store is
-    /// fresh; everything else (and every run without a store) uses the
-    /// row pipeline below, which remains the oracle.
-    columns: Option<&'a crate::columnar::ColumnStore>,
+    /// columnar read them when the store is fresh; every other block,
+    /// and every run without a store, reads the stored rows.
+    columns: Option<&'a ColumnStore>,
     /// Work counters, accumulated across the whole run.
     pub stats: ExecStats,
     /// Per-operator output counts, parallel to the physical plan's
     /// operator registry.
     actuals: Vec<u64>,
+}
+
+/// A block's output: the encoded access keeps its row-id tuples until a
+/// consumer decodes them; the rows access has projected its rows.
+enum Block<'a> {
+    Encoded(Encoded<'a>, Vec<u32>),
+    Rows(Vec<Row>),
 }
 
 impl<'a> Executor<'a> {
@@ -63,10 +87,7 @@ impl<'a> Executor<'a> {
     /// Attach a columnar store for this run. Only blocks whose
     /// [`BlockPlan::columnar`] flag is set consult it, and only after
     /// the store proves fresh against the live database.
-    pub fn with_columns(
-        mut self,
-        columns: Option<&'a crate::columnar::ColumnStore>,
-    ) -> Executor<'a> {
+    pub fn with_columns(mut self, columns: Option<&'a ColumnStore>) -> Executor<'a> {
         self.columns = columns;
         self
     }
@@ -84,7 +105,7 @@ impl<'a> Executor<'a> {
     /// not mirror the query's shape is an internal error.
     pub fn run_with_plan(&mut self, query: &BoundQuery, plan: &PhysicalPlan) -> Result<Vec<Row>> {
         self.actuals = vec![0; plan.ops.len()];
-        let rows = self.exec_query(query, &[], &plan.root)?;
+        let rows = self.exec_query(query, &plan.root)?;
         self.stats.rows_output += rows.len() as u64;
         Ok(rows)
     }
@@ -93,19 +114,13 @@ impl<'a> Executor<'a> {
     /// `LIMIT` output clauses — under `plan`, recording the actual
     /// cardinalities of its [`OutputOp`]s too.
     ///
-    /// Fast paths, in order:
-    ///
-    /// 1. **Early-stop Top-K** — when the plan's `Limit` carries an
-    ///    early-stop license whose index is still live, walk the
-    ///    ordered index and stop after `k` emitted rows (books
-    ///    `early_stops` / `topk_rows_examined`).
-    /// 2. **Columnar aggregation** — an aggregate over a block the
-    ///    planner marked columnar groups on dictionary codes without
-    ///    materializing body rows.
-    /// 3. **Row aggregation** — hash grouping, or the proof-elided
-    ///    zero-hash one-pass.
-    ///
-    /// Then sort (engine total order, `NULL`s first) and limit.
+    /// An `ORDER BY key-prefix LIMIT k` whose plan carries a live
+    /// early-stop license walks the ordered index and stops after `k`
+    /// emitted rows (booking `early_stops` / `topk_rows_examined`).
+    /// Otherwise the body runs, an aggregate groups it — on code words
+    /// under the encoded access, with the proof-elided zero-hash
+    /// one-pass where licensed — and the rows are sorted (engine total
+    /// order, `NULL`s first) and cut.
     pub fn run_output(&mut self, output: &BoundOutput, plan: &PhysicalPlan) -> Result<Vec<Row>> {
         if let Some(plain) = output.as_plain() {
             return self.run_with_plan(plain, plan);
@@ -118,25 +133,15 @@ impl<'a> Executor<'a> {
             return Ok(rows);
         }
 
-        let mut rows = None;
-        if let Some(agg) = &output.agg {
-            // Columnar aggregate: dictionary-coded group keys, no body
-            // materialization. Same coverage gate as the plain path.
-            if let (Some(spec), Some(store), PhysNode::Block(bp)) =
-                (output.body.as_spec(), self.columns, &plan.root)
-            {
-                if bp.columnar && plan_matches(bp, spec) {
-                    rows = crate::columnar::exec_block_agg(self, store, spec, bp, agg)?;
-                }
+        let mut rows = match &output.agg {
+            Some(agg) => {
+                let body = match (output.body.as_spec(), &plan.root) {
+                    (Some(spec), PhysNode::Block(bp)) => self.block(spec, bp)?,
+                    _ => Block::Rows(self.exec_query(&output.body, &plan.root)?),
+                };
+                self.aggregate(agg, body)?
             }
-            if rows.is_none() {
-                let body = self.exec_query(&output.body, &[], &plan.root)?;
-                rows = Some(crate::agg::aggregate_rows(agg, body, &mut self.stats)?);
-            }
-        }
-        let mut rows = match rows {
-            Some(r) => r,
-            None => self.exec_query(&output.body, &[], &plan.root)?,
+            None => self.exec_query(&output.body, &plan.root)?,
         };
         self.record_output(plan, |op| matches!(op, OutputOp::Agg { .. }), rows.len());
 
@@ -191,19 +196,19 @@ impl<'a> Executor<'a> {
             std::ops::Bound::Unbounded,
         )?;
         self.stats.ix_probes += 1;
-        let all = db.rows(&table.schema.name)?;
+        let rows = Rows::new(db, spec, &bp.order)?;
         let mut out: Vec<Row> = Vec::new();
         let mut examined = 0u64;
         for &r in &ids {
-            let tuple = &all[r];
+            let tuple = [r as u32];
             examined += 1;
             self.stats.rows_scanned += 1;
             if let Some(pred) = &spec.predicate {
-                if self.eval(pred, &[], tuple)? != Tri::True {
+                if self.eval(pred, &rows.scope(&tuple, None))? != Tri::True {
                     continue;
                 }
             }
-            out.push(project(spec, tuple));
+            out.push(rows.project(spec, &tuple)?);
             if out.len() as u64 >= k {
                 break;
             }
@@ -254,7 +259,7 @@ impl<'a> Executor<'a> {
         &self.actuals
     }
 
-    pub(crate) fn record(&mut self, id: usize, count: usize) {
+    fn record(&mut self, id: usize, count: usize) {
         if let Some(slot) = self.actuals.get_mut(id) {
             *slot = count as u64;
         }
@@ -268,14 +273,12 @@ impl<'a> Executor<'a> {
         }
     }
 
-    fn exec_query(
-        &mut self,
-        query: &BoundQuery,
-        outer: &[Vec<Value>],
-        node: &PhysNode,
-    ) -> Result<Vec<Row>> {
+    fn exec_query(&mut self, query: &BoundQuery, node: &PhysNode) -> Result<Vec<Row>> {
         match (query, node) {
-            (BoundQuery::Spec(spec), PhysNode::Block(bp)) => self.exec_spec(spec, outer, bp),
+            (BoundQuery::Spec(spec), PhysNode::Block(bp)) => Ok(match self.block(spec, bp)? {
+                Block::Encoded(enc, ids) => enc.materialize(&ids, &mut self.stats),
+                Block::Rows(rows) => rows,
+            }),
             (
                 BoundQuery::SetOp {
                     op,
@@ -290,8 +293,8 @@ impl<'a> Executor<'a> {
                     right: r_node,
                 },
             ) => {
-                let l = self.exec_query(left, outer, l_node)?;
-                let r = self.exec_query(right, outer, r_node)?;
+                let l = self.exec_query(left, l_node)?;
+                let r = self.exec_query(right, r_node)?;
                 let out = combine_setop(*op, *all, l, r, *method, &mut self.stats)?;
                 self.record(*id, out.len());
                 Ok(out)
@@ -300,323 +303,314 @@ impl<'a> Executor<'a> {
         }
     }
 
-    fn exec_spec(
-        &mut self,
-        spec: &BoundSpec,
-        outer: &[Vec<Value>],
-        bp: &BlockPlan,
-    ) -> Result<Vec<Row>> {
+    /// Group a body's output. Hash grouping keys on code words under the
+    /// encoded access and on borrowed values otherwise.
+    fn aggregate(&mut self, agg: &BoundAgg, body: Block<'_>) -> Result<Vec<Row>> {
+        match body {
+            Block::Encoded(enc, ids) => enc.aggregate(agg, &ids, &mut self.stats),
+            Block::Rows(rows) => aggregate(
+                agg,
+                rows.len(),
+                |t| &rows[t][..agg.group_count],
+                |t, p| rows[t][p].clone(),
+                &mut self.stats,
+            ),
+        }
+    }
+
+    // --- the block pipeline ------------------------------------------------
+
+    /// Run one planned block: the scan, each join step, the projection
+    /// and `DISTINCT`, through the encoded access when the block's
+    /// license, the store and its conjuncts allow it, through the stored
+    /// rows otherwise. The choice is made before any counter moves.
+    fn block(&mut self, spec: &BoundSpec, bp: &BlockPlan) -> Result<Block<'a>> {
         if !plan_matches(bp, spec) {
             return Err(plan_mismatch());
         }
-        // Columnar fast path: only for top-level blocks the planner
-        // marked columnar, and only when the store covers the block and
-        // is fresh — `exec_block` returning `None` means "not covered",
-        // and the row pipeline below handles the block as always.
-        if let Some(store) = self.columns {
-            if bp.columnar && outer.is_empty() {
-                if let Some(rows) = crate::columnar::exec_block(self, store, spec, bp)? {
-                    return Ok(rows);
+        let rows = Rows::new(self.db, spec, &bp.order)?;
+        let levels = planned_levels(spec, &rows.attrs);
+        let encoded = match self.columns {
+            Some(store) if bp.columnar => {
+                Encoded::compile(store, self.db, spec, bp, &levels, &rows.attrs)?
+            }
+            _ => None,
+        };
+
+        let mut ids = match &encoded {
+            Some(enc) => enc.scan(&mut self.stats),
+            None => self.scan(spec, bp, &rows, &levels[0])?,
+        };
+        self.record(bp.scan, ids.len());
+        for (k, step) in (1..).zip(&bp.joins) {
+            ids = match &encoded {
+                Some(enc) => enc.join(k, step.unique, &ids, &mut self.stats)?,
+                None => self.join(spec, &rows, k, bp.order[k], step, &levels[k], &ids)?,
+            };
+            self.record(step.id, ids.len() / (k + 1));
+        }
+        let stride = bp.order.len();
+        self.record(bp.project, ids.len() / stride);
+
+        // Duplicate elimination: on code words under the encoded access,
+        // by the plan's method on projected rows under the rows access.
+        // Blocks the optimizer proved duplicate-free carry no step.
+        match encoded {
+            Some(enc) => {
+                if let Some(d) = bp.distinct {
+                    ids = enc.distinct(ids, &mut self.stats);
+                    self.record(d.id, ids.len() / stride);
                 }
+                Ok(Block::Encoded(enc, ids))
+            }
+            None => {
+                let mut out = (ids.chunks_exact(stride))
+                    .map(|tuple| rows.project(spec, tuple))
+                    .collect::<Result<Vec<Row>>>()?;
+                if let Some(d) = bp.distinct {
+                    out = distinct(out, d.method, &mut self.stats)?;
+                    self.record(d.id, out.len());
+                }
+                Ok(Block::Rows(out))
             }
         }
-        let product = self.block_rows_planned(spec, outer, bp)?;
-        // Consuming the product frees each tuple once it is projected.
-        let mut rows: Vec<Row> = product.into_iter().map(|t| project(spec, &t)).collect();
-        self.record(bp.project, rows.len());
-        if let Some(d) = bp.distinct {
-            rows = distinct(rows, d.method, &mut self.stats)?;
-            self.record(d.id, rows.len());
-        }
-        Ok(rows)
     }
 
-    // --- nested-loop enumeration ---------------------------------------
-
-    /// Nested loops over a subquery block's `FROM` tables in order,
-    /// collecting up to `limit` full-arity tuples that pass its
-    /// conjuncts.
-    fn enumerate(
+    /// The rows access's scan: the planned index scan while its license
+    /// holds, every stored row otherwise. The level's conjuncts filter
+    /// either way; the index only narrows which rows are visited.
+    fn scan(
         &mut self,
         spec: &BoundSpec,
-        outer: &[Vec<Value>],
-        limit: Option<usize>,
-        out: &mut Vec<Row>,
-    ) -> Result<()> {
-        if spec.from.is_empty() {
-            return Err(Error::internal("block with empty FROM clause"));
-        }
-        let order: Vec<usize> = (0..spec.from.len()).collect();
-        let levels = planned_levels(spec, &order);
-        let mut scratch = vec![Value::Null; spec.product_arity()];
-        self.enumerate_level(spec, outer, &levels, 0, &mut scratch, limit, out)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn enumerate_level(
-        &mut self,
-        spec: &BoundSpec,
-        outer: &[Vec<Value>],
-        levels: &[Vec<&BoundExpr>],
-        level: usize,
-        scratch: &mut Vec<Value>,
-        limit: Option<usize>,
-        out: &mut Vec<Row>,
-    ) -> Result<()> {
-        if level == spec.from.len() {
-            out.push(scratch.clone());
-            return Ok(());
-        }
-        let table = &spec.from[level];
-        let db = self.db;
-        let rows = db.rows(&table.schema.name)?;
-        let offset = table.offset;
-        'rows: for row in rows {
-            if limit.is_some_and(|l| out.len() >= l) {
-                return Ok(());
-            }
-            self.stats.rows_scanned += 1;
-            scratch[offset..offset + row.len()].clone_from_slice(row);
-            for conjunct in &levels[level] {
-                let t = self.eval(conjunct, outer, scratch)?;
-                if !t.false_interpreted() {
-                    continue 'rows;
-                }
-            }
-            self.enumerate_level(spec, outer, levels, level + 1, scratch, limit, out)?;
-        }
-        Ok(())
-    }
-
-    // --- hash join step ----------------------------------------------------
-
-    /// One hash join step: join `table` onto `partials` using this
-    /// level's conjuncts. Equality conjuncts linking an
-    /// already-bound attribute (per `is_placed`) to the new table become
-    /// hash keys; conjuncts touching only the new table filter its build
-    /// side; the rest run as residual filters over the combined tuples.
-    /// Without any key the step degrades to a Cartesian product with the
-    /// (still filtered, still materialized-once) build side.
-    fn hash_step(
-        &mut self,
-        table: &FromTable,
-        outer: &[Vec<Value>],
-        partials: Vec<Row>,
+        bp: &BlockPlan,
+        rows: &Rows<'_>,
         conjuncts: &[&BoundExpr],
-        arity: usize,
-        is_placed: &dyn Fn(usize) -> bool,
-    ) -> Result<Vec<Row>> {
+    ) -> Result<Vec<u32>> {
+        let candidates = match &bp.ixscan {
+            Some(info) => self.ix_scan(spec, bp.order[0], conjuncts, info)?,
+            None => None,
+        };
+        let n = candidates.as_ref().map_or(rows.tables[0].len(), Vec::len);
+        let mut out = Vec::new();
+        for i in 0..n {
+            let r = candidates.as_ref().map_or(i, |c| c[i]);
+            self.stats.rows_scanned += 1;
+            self.extend(rows, &mut out, &[], r as u32, conjuncts)?;
+        }
+        Ok(out)
+    }
+
+    /// One join step of the rows access: join table `t`, at pipeline
+    /// position `k`, onto `tuples`. A planned index probe runs while its
+    /// license holds; otherwise the step's method does. Every conjunct
+    /// of the level holds on each tuple emitted.
+    #[allow(clippy::too_many_arguments)]
+    fn join(
+        &mut self,
+        spec: &BoundSpec,
+        rows: &Rows<'a>,
+        k: usize,
+        t: usize,
+        step: &JoinStep,
+        conjuncts: &[&BoundExpr],
+        tuples: &[u32],
+    ) -> Result<Vec<u32>> {
+        let table = &spec.from[t];
+        let placed = |idx: usize| rows.attrs[idx].0 < k;
+        let mut out = Vec::new();
+        // The plan names the index, but the probe key is re-derived here
+        // and checked against the live catalog; on any disagreement the
+        // step runs its planned method instead.
+        let probe = step.ix.as_ref().and_then(|info| {
+            find_index_probe(spec, t, conjuncts, &placed).filter(|p| {
+                Some(p.index.as_str()) == info.index() && self.index_fresh(table, &p.index)
+            })
+        });
+        if let Some(p) = probe {
+            // One probe per tuple, key assembled from placed attributes
+            // and constants; a unique index costs exactly one step.
+            let db = self.db;
+            'probe: for tuple in tuples.chunks_exact(k) {
+                let scope = rows.scope(tuple, None);
+                let mut key = Vec::with_capacity(p.sources.len());
+                for src in &p.sources {
+                    let v = match src {
+                        ProbeSource::Outer(idx) => scope.attr(*idx)?,
+                        ProbeSource::Const(s) => scalar(self.hostvars, s, &scope)?,
+                    };
+                    if v.is_null() {
+                        continue 'probe; // `=` never matches NULL
+                    }
+                    key.push(v.clone());
+                }
+                self.stats.ix_probes += 1;
+                let positions = db.index_probe(&table.schema.name, &p.index, &key)?;
+                self.stats.probe_steps += if p.unique {
+                    1
+                } else {
+                    positions.len() as u64 + 1
+                };
+                for &r in positions {
+                    self.extend(rows, &mut out, tuple, r as u32, conjuncts)?;
+                }
+            }
+            return Ok(out);
+        }
+        let new_rows = rows.tables[k];
+        if step.method == JoinMethod::NestedLoop {
+            // Re-scan the table once per tuple.
+            for tuple in tuples.chunks_exact(k) {
+                for r in 0..new_rows.len() {
+                    self.stats.rows_scanned += 1;
+                    self.extend(rows, &mut out, tuple, r as u32, conjuncts)?;
+                }
+            }
+            return Ok(out);
+        }
+
+        // Hash step. Equalities linking a placed attribute to the new
+        // table are keys, as (placed slot and column, new column).
         let range = table.attr_range();
-        let mut self_conj = Vec::new();
-        let mut join_keys = Vec::new();
+        let mut keys = Vec::new();
+        let mut own = Vec::new();
         let mut residual = Vec::new();
         for &c in conjuncts {
-            if let Some(key) = equi_join_key(c, &range, is_placed) {
-                join_keys.push(key);
+            if let Some((built, new)) = c.equi_join_key(&range, placed) {
+                keys.push((rows.attrs[built], new - range.start));
                 continue;
             }
             let mut only_new = true;
-            visit_attr_refs(c, &mut |depth, a| {
+            c.visit_attrs(&mut |depth, a| {
                 if a.up == depth && !range.contains(&a.idx) {
                     only_new = false;
                 }
             });
             // Conjuncts with subqueries always go residual: their
             // evaluation may consult any bound attribute.
-            if only_new && !contains_subquery(c) {
-                self_conj.push(c);
+            if only_new && !c.has_subquery() {
+                own.push(c);
             } else {
                 residual.push(c);
             }
         }
-
-        // Build side: filtered rows of the new table, placed into an
-        // otherwise-null scratch (self_conj only touches new attrs).
-        let mut build: Vec<Row> = Vec::new();
-        {
-            let db = self.db;
-            let rows = db.rows(&table.schema.name)?;
-            let mut scratch = vec![Value::Null; arity];
-            'rows: for row in rows {
-                self.stats.rows_scanned += 1;
-                scratch[range.start..range.end].clone_from_slice(row);
-                for c in &self_conj {
-                    if !self.eval(c, outer, &scratch)?.false_interpreted() {
-                        continue 'rows;
-                    }
-                }
-                build.push(row.clone());
+        // Build side: the new table's rows that pass its own conjuncts
+        // (evaluated with only its slot bound).
+        let mut alone = vec![u32::MAX; k + 1];
+        let mut build = Vec::new();
+        for r in 0..new_rows.len() as u32 {
+            self.stats.rows_scanned += 1;
+            alone[k] = r;
+            if self.keep(&own, &rows.scope(&alone, None))? {
+                build.push(r);
             }
         }
-
-        let mut next: Vec<Row> = Vec::new();
-        if join_keys.is_empty() {
-            // Cartesian with the build side.
-            for partial in &partials {
-                for row in &build {
-                    let mut tuple = partial.clone();
-                    tuple[range.start..range.end].clone_from_slice(row);
-                    next.push(tuple);
+        if keys.is_empty() {
+            // Cross product with the build side.
+            for tuple in tuples.chunks_exact(k) {
+                for &b in &build {
+                    self.extend(rows, &mut out, tuple, b, &residual)?;
                 }
             }
-        } else {
-            self.stats.hash_joins += 1;
-            // Hash the build side on its key columns; NULL keys never
-            // match under WHERE `=` and are excluded.
-            let mut table_map: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
-            'build: for (i, row) in build.iter().enumerate() {
-                let mut key = Vec::with_capacity(join_keys.len());
-                for &(_, new_attr) in &join_keys {
-                    let v = &row[new_attr - range.start];
-                    if v.is_null() {
-                        continue 'build;
-                    }
-                    key.push(v.clone());
-                }
-                table_map.entry(key).or_default().push(i);
-            }
-            'probe: for partial in &partials {
-                let mut key = Vec::with_capacity(join_keys.len());
-                for &(built_attr, _) in &join_keys {
-                    let v = &partial[built_attr];
-                    if v.is_null() {
-                        continue 'probe;
-                    }
-                    key.push(v.clone());
-                }
-                self.stats.hash_probes += 1;
-                match table_map.get(&key) {
-                    Some(matches) => {
-                        // Chained bucket: one step per entry plus the
-                        // end-of-chain check.
-                        self.stats.probe_steps += matches.len() as u64 + 1;
-                        for &i in matches {
-                            let mut tuple = partial.clone();
-                            tuple[range.start..range.end].clone_from_slice(&build[i]);
-                            next.push(tuple);
-                        }
-                    }
-                    None => self.stats.probe_steps += 1,
-                }
-            }
+            return Ok(out);
         }
-
-        // Residual conjuncts.
-        if !residual.is_empty() {
-            let mut filtered = Vec::with_capacity(next.len());
-            'tuples: for tuple in next {
-                for c in &residual {
-                    if !self.eval(c, outer, &tuple)?.false_interpreted() {
-                        continue 'tuples;
-                    }
-                }
-                filtered.push(tuple);
-            }
-            next = filtered;
-        }
-        Ok(next)
+        self.stats.hash_joins += 1;
+        let (probes, steps) = hash_join(
+            tuples,
+            k,
+            &build,
+            |r| {
+                let row = &new_rows[r as usize];
+                keys.iter().map(|&(_, col)| non_null(&row[col])).collect()
+            },
+            |tuple| {
+                let cell =
+                    |(slot, col): (usize, usize)| &rows.tables[slot][tuple[slot] as usize][col];
+                let key: Option<Vec<_>> = keys.iter().map(|&(at, _)| non_null(cell(at))).collect();
+                key.map_or(Probe::Null, Probe::Key)
+            },
+            false,
+            |tuple, m| self.extend(rows, &mut out, tuple, m, &residual),
+        )?;
+        self.stats.hash_probes += probes;
+        self.stats.probe_steps += steps;
+        Ok(out)
     }
 
-    // --- planned pipeline -------------------------------------------------
+    /// Append `tuple` extended by row `r` to `out` when every conjunct
+    /// holds on it.
+    fn extend(
+        &mut self,
+        rows: &Rows<'_>,
+        out: &mut Vec<u32>,
+        tuple: &[u32],
+        r: u32,
+        conjuncts: &[&BoundExpr],
+    ) -> Result<()> {
+        let at = out.len();
+        out.extend_from_slice(tuple);
+        out.push(r);
+        if !self.keep(conjuncts, &rows.scope(&out[at..], None))? {
+            out.truncate(at);
+        }
+        Ok(())
+    }
 
-    /// Execute a block following its [`BlockPlan`]: the planner's join
-    /// input order, its per-step join methods and index licenses, and
-    /// per-operator actual-output recording.
-    fn block_rows_planned(
+    /// Do all `conjuncts` hold on `scope`, false-interpreted (`⌊P⌋`)?
+    /// Stops at the first that does not.
+    fn keep(&mut self, conjuncts: &[&BoundExpr], scope: &Scope<'_>) -> Result<bool> {
+        for c in conjuncts {
+            if !self.eval(c, scope)?.false_interpreted() {
+                return Ok(false);
+            }
+        }
+        Ok(true)
+    }
+
+    // --- nested-loop enumeration ---------------------------------------
+
+    /// Nested loops over a subquery block's `FROM` tables in order,
+    /// calling `on` with each tuple that passes its conjuncts until `on`
+    /// returns `true`. `outer` is the enclosing block's tuple.
+    fn enumerate(
         &mut self,
         spec: &BoundSpec,
-        outer: &[Vec<Value>],
-        bp: &BlockPlan,
-    ) -> Result<Vec<Row>> {
-        let arity = spec.product_arity();
-        let levels = planned_levels(spec, &bp.order);
+        outer: &Scope<'_>,
+        on: &mut impl FnMut(&Scope<'_>) -> Result<bool>,
+    ) -> Result<()> {
+        if spec.from.is_empty() {
+            return Err(Error::internal("block with empty FROM clause"));
+        }
+        let order: Vec<usize> = (0..spec.from.len()).collect();
+        let rows = Rows::new(self.db, spec, &order)?;
+        let levels = planned_levels(spec, &rows.attrs);
+        let mut ids = vec![0; order.len()];
+        self.enumerate_level(&rows, &levels, 0, &mut ids, outer, on)?;
+        Ok(())
+    }
 
-        // First table of the planned order: filtered scan.
-        let t0 = &spec.from[bp.order[0]];
-        // Planned index access path: re-derive the sarg and serve the
-        // scan from the index when the license still holds.
-        let ix_rows = match &bp.ixscan {
-            Some(info) => self.ix_scan(spec, bp.order[0], &levels[0], info, outer)?,
-            None => None,
+    /// Level `level` of [`Executor::enumerate`]; `true` once `on` stops.
+    fn enumerate_level(
+        &mut self,
+        rows: &Rows<'_>,
+        levels: &[Vec<&BoundExpr>],
+        level: usize,
+        ids: &mut [u32],
+        outer: &Scope<'_>,
+        on: &mut impl FnMut(&Scope<'_>) -> Result<bool>,
+    ) -> Result<bool> {
+        let Some(table) = rows.tables.get(level) else {
+            return on(&rows.scope(ids, Some(outer)));
         };
-        let mut partials: Vec<Row>;
-        if let Some(rows) = ix_rows {
-            partials = rows;
-        } else {
-            partials = Vec::new();
-            let db = self.db;
-            let rows = db.rows(&t0.schema.name)?;
-            let mut scratch = vec![Value::Null; arity];
-            'rows: for row in rows {
-                self.stats.rows_scanned += 1;
-                scratch[t0.offset..t0.offset + row.len()].clone_from_slice(row);
-                for c in &levels[0] {
-                    if !self.eval(c, outer, &scratch)?.false_interpreted() {
-                        continue 'rows;
-                    }
-                }
-                partials.push(scratch.clone());
+        for r in 0..table.len() {
+            self.stats.rows_scanned += 1;
+            ids[level] = r as u32;
+            if self.keep(&levels[level], &rows.scope(&ids[..=level], Some(outer)))?
+                && self.enumerate_level(rows, levels, level + 1, ids, outer, on)?
+            {
+                return Ok(true);
             }
         }
-        self.record(bp.scan, partials.len());
-
-        let mut placed: Vec<std::ops::Range<usize>> = vec![t0.attr_range()];
-        for (k, &t) in bp.order.iter().enumerate().skip(1) {
-            let step = &bp.joins[k - 1];
-            let table = &spec.from[t];
-            let range = table.attr_range();
-            // Planned index-nested-loop probe: the plan names the index,
-            // but the probe key is re-derived here and checked against
-            // the live catalog — on any disagreement the step falls
-            // back to its planned join method below.
-            let probe = match &step.ix {
-                Some(info) => find_index_probe(spec, t, &levels[k], &|idx| {
-                    placed.iter().any(|r| r.contains(&idx))
-                })
-                .filter(|p| {
-                    Some(p.index.as_str()) == info.index() && self.index_fresh(table, &p.index)
-                }),
-                None => None,
-            };
-            if let Some(p) = probe {
-                partials = self.ix_join_step(table, outer, partials, &levels[k], &p)?;
-                placed.push(range);
-                self.record(step.id, partials.len());
-                continue;
-            }
-            match step.method {
-                JoinMethod::NestedLoop => {
-                    // Re-scan the table once per outer partial; every
-                    // conjunct of this level runs on the combined tuple.
-                    let db = self.db;
-                    let rows = db.rows(&table.schema.name)?;
-                    let mut next = Vec::new();
-                    for partial in &partials {
-                        'rows: for row in rows {
-                            self.stats.rows_scanned += 1;
-                            let mut tuple = partial.clone();
-                            tuple[range.start..range.end].clone_from_slice(row);
-                            for c in &levels[k] {
-                                if !self.eval(c, outer, &tuple)?.false_interpreted() {
-                                    continue 'rows;
-                                }
-                            }
-                            next.push(tuple);
-                        }
-                    }
-                    partials = next;
-                }
-                JoinMethod::Hash => {
-                    partials =
-                        self.hash_step(table, outer, partials, &levels[k], arity, &|idx| {
-                            placed.iter().any(|r| r.contains(&idx))
-                        })?;
-                }
-            }
-            placed.push(range);
-            self.record(step.id, partials.len());
-        }
-        Ok(partials)
+        Ok(false)
     }
 
     // --- index access paths ----------------------------------------------
@@ -635,24 +629,21 @@ impl<'a> Executor<'a> {
         planned.is_some() && planned == live
     }
 
-    /// Serve a block's initial scan through a planned secondary index.
+    /// The positions a planned secondary index serves a block's scan
+    /// from.
     ///
     /// The plan's [`Justification::IndexAccess`] is a license, not a
-    /// promise: the sarg
-    /// is re-derived from the spec and checked against the live catalog
-    /// before any probe. `Ok(None)` means the license no longer holds —
-    /// the caller runs the ordinary full filtered scan, so a dropped or
-    /// re-shaped index costs speed, never rows. Every conjunct of the
-    /// level is still evaluated over the returned rows; the index only
-    /// narrows which rows are visited.
+    /// promise: the sarg is re-derived from the spec and checked against
+    /// the live catalog before any probe. `Ok(None)` means the license
+    /// no longer holds — the caller scans every row, so a dropped or
+    /// re-shaped index costs speed, never rows.
     fn ix_scan(
         &mut self,
         spec: &BoundSpec,
         t: usize,
         conjuncts: &[&BoundExpr],
         info: &Justification,
-        outer: &[Vec<Value>],
-    ) -> Result<Option<Vec<Row>>> {
+    ) -> Result<Option<Vec<usize>>> {
         let Some(sarg) = find_index_sarg(spec, t, conjuncts) else {
             return Ok(None);
         };
@@ -668,18 +659,19 @@ impl<'a> Executor<'a> {
 
         // Resolve the probe scalars (host variables bind now). A NULL
         // component never satisfies `=` or a range bound: empty scan.
+        let constant = |s: &BScalar| scalar(self.hostvars, s, &Scope::EMPTY).cloned();
         let mut prefix = Vec::with_capacity(sarg.prefix.len());
         for s in &sarg.prefix {
-            let v = self.scalar(s, outer, &[])?;
+            let v = constant(s)?;
             if v.is_null() {
                 return Ok(Some(Vec::new()));
             }
             prefix.push(v);
         }
-        let resolve_bound = |s: &Option<(uniq_plan::BScalar, bool)>| -> Result<_> {
+        let resolve_bound = |s: &Option<(BScalar, bool)>| -> Result<_> {
             Ok(match s {
                 Some((s, inc)) => {
-                    let v = self.scalar(s, outer, &[])?;
+                    let v = constant(s)?;
                     if v.is_null() {
                         None // `col >= NULL` is unknown for every row
                     } else {
@@ -717,208 +709,213 @@ impl<'a> Executor<'a> {
         } else {
             positions.len() as u64 + 1
         };
-
-        let rows = db.rows(name)?;
-        let mut scratch = vec![Value::Null; spec.product_arity()];
-        let mut out = Vec::new();
-        'rows: for &p in &positions {
-            let row = &rows[p];
-            self.stats.rows_scanned += 1;
-            scratch[table.offset..table.offset + row.len()].clone_from_slice(row);
-            for c in conjuncts {
-                if !self.eval(c, outer, &scratch)?.false_interpreted() {
-                    continue 'rows;
-                }
-            }
-            out.push(scratch.clone());
-        }
-        Ok(Some(out))
-    }
-
-    /// One index-nested-loop join step: probe the named index once per
-    /// outer partial — key assembled from already-bound attributes and
-    /// constants — and join the matched rows. The probed table is never
-    /// scanned and no hash table is built; a unique index makes every
-    /// probe a guaranteed one-row lookup costing exactly one probe
-    /// step. All level conjuncts are re-evaluated over the combined
-    /// tuples, so the probe can only skip work, never change results.
-    fn ix_join_step(
-        &mut self,
-        table: &FromTable,
-        outer: &[Vec<Value>],
-        partials: Vec<Row>,
-        conjuncts: &[&BoundExpr],
-        probe: &IndexProbe,
-    ) -> Result<Vec<Row>> {
-        let range = table.attr_range();
-        let db = self.db;
-        let name = &table.schema.name;
-        let rows = db.rows(name)?;
-        let mut next = Vec::new();
-        'probe: for partial in &partials {
-            let mut key = Vec::with_capacity(probe.sources.len());
-            for src in &probe.sources {
-                let v = match src {
-                    ProbeSource::Outer(idx) => partial[*idx].clone(),
-                    ProbeSource::Const(s) => self.scalar(s, outer, partial)?,
-                };
-                if v.is_null() {
-                    continue 'probe; // `=` never matches NULL
-                }
-                key.push(v);
-            }
-            self.stats.ix_probes += 1;
-            let positions = db.index_probe(name, &probe.index, &key)?;
-            self.stats.probe_steps += if probe.unique {
-                1
-            } else {
-                positions.len() as u64 + 1
-            };
-            'matches: for &p in positions {
-                let row = &rows[p];
-                let mut tuple = partial.clone();
-                tuple[range.start..range.end].clone_from_slice(row);
-                for c in conjuncts {
-                    if !self.eval(c, outer, &tuple)?.false_interpreted() {
-                        continue 'matches;
-                    }
-                }
-                next.push(tuple);
-            }
-        }
-        Ok(next)
+        Ok(Some(positions))
     }
 
     // --- expression evaluation -------------------------------------------
 
-    fn resolve<'v>(
-        &self,
-        a: &AttrRef,
-        outer: &'v [Vec<Value>],
-        current: &'v [Value],
-    ) -> Result<&'v Value> {
-        if a.up == 0 {
-            current
-                .get(a.idx)
-                .ok_or_else(|| Error::internal(format!("attr #{} out of range", a.idx)))
-        } else {
-            let scope = outer
-                .len()
-                .checked_sub(a.up)
-                .and_then(|i| outer.get(i))
-                .ok_or_else(|| {
-                    Error::internal(format!("correlated ref up={} escapes scope", a.up))
-                })?;
-            scope
-                .get(a.idx)
-                .ok_or_else(|| Error::internal(format!("outer attr #{} out of range", a.idx)))
-        }
-    }
-
-    fn scalar(&self, s: &BScalar, outer: &[Vec<Value>], current: &[Value]) -> Result<Value> {
-        Ok(match s {
-            BScalar::Literal(v) => v.clone(),
-            BScalar::HostVar(h) => self.hostvars.get(h)?.clone(),
-            BScalar::Attr(a) => self.resolve(a, outer, current)?.clone(),
-        })
-    }
-
-    /// Evaluate a predicate under three-valued logic.
-    pub(crate) fn eval(
-        &mut self,
-        e: &BoundExpr,
-        outer: &[Vec<Value>],
-        current: &[Value],
-    ) -> Result<Tri> {
+    /// Evaluate a predicate under three-valued logic on `scope`.
+    pub(crate) fn eval(&mut self, e: &BoundExpr, scope: &Scope<'_>) -> Result<Tri> {
+        let hv = self.hostvars;
         match e {
             BoundExpr::Cmp { op, left, right } => {
-                let l = self.scalar(left, outer, current)?;
-                let r = self.scalar(right, outer, current)?;
-                cmp_tri(*op, &l, &r)
+                cmp_tri(*op, scalar(hv, left, scope)?, scalar(hv, right, scope)?)
             }
             BoundExpr::Between {
-                scalar,
+                scalar: s,
                 low,
                 high,
                 negated,
             } => {
-                let v = self.scalar(scalar, outer, current)?;
-                let lo = self.scalar(low, outer, current)?;
-                let hi = self.scalar(high, outer, current)?;
-                let t = cmp_tri(CmpOp::Ge, &v, &lo)?.and(cmp_tri(CmpOp::Le, &v, &hi)?);
+                let v = scalar(hv, s, scope)?;
+                let lo = cmp_tri(CmpOp::Ge, v, scalar(hv, low, scope)?)?;
+                let t = lo.and(cmp_tri(CmpOp::Le, v, scalar(hv, high, scope)?)?);
                 Ok(if *negated { t.not() } else { t })
             }
             BoundExpr::InList {
-                scalar,
+                scalar: s,
                 list,
                 negated,
             } => {
-                let v = self.scalar(scalar, outer, current)?;
+                let v = scalar(hv, s, scope)?;
                 let mut t = Tri::False;
                 for item in list {
-                    let i = self.scalar(item, outer, current)?;
-                    t = t.or(cmp_tri(CmpOp::Eq, &v, &i)?);
+                    t = t.or(cmp_tri(CmpOp::Eq, v, scalar(hv, item, scope)?)?);
                 }
                 Ok(if *negated { t.not() } else { t })
             }
-            BoundExpr::IsNull { scalar, negated } => {
-                let v = self.scalar(scalar, outer, current)?;
-                Ok(Tri::from_bool(v.is_null() != *negated))
+            BoundExpr::IsNull { scalar: s, negated } => {
+                Ok(Tri::from_bool(scalar(hv, s, scope)?.is_null() != *negated))
             }
             BoundExpr::Exists { negated, subquery } => {
                 self.stats.subquery_evals += 1;
-                let mut scopes: Vec<Vec<Value>> = outer.to_vec();
-                scopes.push(current.to_vec());
                 // First-match early exit: one row decides.
-                let mut found = Vec::new();
-                self.enumerate(subquery, &scopes, Some(1), &mut found)?;
-                Ok(Tri::from_bool(found.is_empty() == *negated))
+                let mut found = false;
+                self.enumerate(subquery, scope, &mut |_| {
+                    found = true;
+                    Ok(true)
+                })?;
+                Ok(Tri::from_bool(found != *negated))
             }
             BoundExpr::InSubquery {
-                scalar,
+                scalar: s,
                 subquery,
                 negated,
             } => {
                 self.stats.subquery_evals += 1;
-                let v = self.scalar(scalar, outer, current)?;
-                let mut scopes: Vec<Vec<Value>> = outer.to_vec();
-                scopes.push(current.to_vec());
-                // The block's DISTINCT, if any, is not evaluated: it
-                // cannot change the outcome of an IN test.
-                let mut tuples = Vec::new();
-                self.enumerate(subquery, &scopes, None, &mut tuples)?;
+                let v = scalar(hv, s, scope)?;
                 let attr = subquery.projection[0].attr;
                 // SQL IN semantics: true if any comparison is true;
                 // otherwise unknown if any comparison is unknown (or the
                 // tested value is NULL and the set is non-empty); false
-                // otherwise (including the empty set).
+                // otherwise (including the empty set). The whole block is
+                // enumerated; its DISTINCT, if any, is not evaluated: it
+                // cannot change the outcome of an IN test.
                 let mut t = Tri::False;
-                for tuple in &tuples {
-                    t = t.or(cmp_tri(CmpOp::Eq, &v, &tuple[attr])?);
-                    if t == Tri::True {
-                        break;
+                self.enumerate(subquery, scope, &mut |inner| {
+                    if t != Tri::True {
+                        t = t.or(cmp_tri(CmpOp::Eq, v, inner.attr(attr)?)?);
                     }
-                }
+                    Ok(false)
+                })?;
                 Ok(if *negated { t.not() } else { t })
             }
             BoundExpr::And(a, b) => {
                 // Short-circuit: false dominates regardless of the other
                 // operand (including unknown).
-                let l = self.eval(a, outer, current)?;
+                let l = self.eval(a, scope)?;
                 if l == Tri::False {
                     return Ok(Tri::False);
                 }
-                Ok(l.and(self.eval(b, outer, current)?))
+                Ok(l.and(self.eval(b, scope)?))
             }
             BoundExpr::Or(a, b) => {
-                let l = self.eval(a, outer, current)?;
+                let l = self.eval(a, scope)?;
                 if l == Tri::True {
                     return Ok(Tri::True);
                 }
-                Ok(l.or(self.eval(b, outer, current)?))
+                Ok(l.or(self.eval(b, scope)?))
             }
-            BoundExpr::Not(a) => Ok(self.eval(a, outer, current)?.not()),
+            BoundExpr::Not(a) => Ok(self.eval(a, scope)?.not()),
         }
+    }
+}
+
+/// The stored rows a block reads, by tuple slot, and where each of its
+/// attributes lives: `attrs[idx]` is (tuple slot, table-local column).
+struct Rows<'r> {
+    tables: Vec<&'r [Row]>,
+    attrs: Vec<(usize, usize)>,
+}
+
+impl<'r> Rows<'r> {
+    /// `spec`'s tables laid out in `order`.
+    fn new(db: &'r Database, spec: &BoundSpec, order: &[usize]) -> Result<Rows<'r>> {
+        let mut slot = vec![0; spec.from.len()];
+        for (k, &t) in order.iter().enumerate() {
+            slot[t] = k;
+        }
+        let mut attrs = vec![(0, 0); spec.product_arity()];
+        for (t, ft) in spec.from.iter().enumerate() {
+            for (c, a) in ft.attr_range().enumerate() {
+                attrs[a] = (slot[t], c);
+            }
+        }
+        let tables = (order.iter())
+            .map(|&t| db.rows(&spec.from[t].schema.name))
+            .collect::<Result<_>>()?;
+        Ok(Rows { tables, attrs })
+    }
+
+    /// The tuple `ids` as an evaluation scope.
+    fn scope<'s>(&'s self, ids: &'s [u32], outer: Option<&'s Scope<'s>>) -> Scope<'s> {
+        Scope {
+            tables: &self.tables,
+            attrs: &self.attrs,
+            ids,
+            outer,
+        }
+    }
+
+    /// The block's output row for one tuple: each projected attribute
+    /// copied out of its stored row.
+    fn project(&self, spec: &BoundSpec, tuple: &[u32]) -> Result<Row> {
+        let scope = self.scope(tuple, None);
+        (spec.projection.iter())
+            .map(|p| scope.attr(p.attr).cloned())
+            .collect()
+    }
+}
+
+/// The tuple an expression is evaluated on: one row id per placed table,
+/// each naming a borrowed stored row, with the enclosing block's tuple
+/// reachable by reference for correlated attributes.
+#[derive(Clone, Copy)]
+pub(crate) struct Scope<'s> {
+    /// Stored rows by tuple slot.
+    tables: &'s [&'s [Row]],
+    /// Attribute → (tuple slot, table-local column).
+    attrs: &'s [(usize, usize)],
+    /// The tuple: one row id per placed slot.
+    ids: &'s [u32],
+    /// The enclosing block's tuple (`AttrRef::up == 1`).
+    outer: Option<&'s Scope<'s>>,
+}
+
+impl Scope<'static> {
+    /// A scope that binds no attribute: constants only.
+    const EMPTY: Scope<'static> = Scope {
+        tables: &[],
+        attrs: &[],
+        ids: &[],
+        outer: None,
+    };
+}
+
+impl<'s> Scope<'s> {
+    /// A top-level tuple over `tables`, laid out as `attrs` says.
+    pub(crate) fn new(
+        tables: &'s [&'s [Row]],
+        attrs: &'s [(usize, usize)],
+        ids: &'s [u32],
+    ) -> Scope<'s> {
+        Scope {
+            tables,
+            attrs,
+            ids,
+            outer: None,
+        }
+    }
+
+    /// This block's attribute `idx`.
+    fn attr(&self, idx: usize) -> Result<&'s Value> {
+        let &(slot, col) = (self.attrs.get(idx))
+            .ok_or_else(|| Error::internal(format!("attr #{idx} out of range")))?;
+        (self.ids.get(slot))
+            .and_then(|&r| self.tables[slot].get(r as usize))
+            .map(|row| &row[col])
+            .ok_or_else(|| Error::internal(format!("attr #{idx} is not bound")))
+    }
+
+    /// The attribute `a` names, `a.up` blocks out.
+    fn value(&self, a: &AttrRef) -> Result<&'s Value> {
+        let mut scope = self;
+        for _ in 0..a.up {
+            scope = scope.outer.ok_or_else(|| {
+                Error::internal(format!("correlated ref up={} escapes scope", a.up))
+            })?;
+        }
+        scope.attr(a.idx)
+    }
+}
+
+/// An operand's value: a literal, a host variable's binding, or an
+/// attribute of `scope`.
+fn scalar<'v>(hostvars: &'v HostVars, s: &'v BScalar, scope: &Scope<'v>) -> Result<&'v Value> {
+    match s {
+        BScalar::Literal(v) => Ok(v),
+        BScalar::HostVar(h) => hostvars.get(h),
+        BScalar::Attr(a) => scope.value(a),
     }
 }
 
@@ -937,32 +934,62 @@ fn cmp_tri(op: CmpOp, l: &Value, r: &Value) -> Result<Tri> {
     })
 }
 
-/// Is this conjunct `built_attr = new_attr` (either direction) linking an
-/// already-bound attribute (per `is_placed`) to the table occupying
-/// `range`? (Shared with the columnar kernels, which resolve the same
-/// keys against encoded columns.)
-pub(crate) fn equi_join_key(
-    c: &BoundExpr,
-    range: &std::ops::Range<usize>,
-    is_placed: &dyn Fn(usize) -> bool,
-) -> Option<(usize, usize)> {
-    let BoundExpr::Cmp {
-        op: CmpOp::Eq,
-        left,
-        right,
-    } = c
-    else {
-        return None;
-    };
-    let (a, b) = match (left, right) {
-        (BScalar::Attr(a), BScalar::Attr(b)) if a.is_local() && b.is_local() => (a.idx, b.idx),
-        _ => return None,
-    };
-    match (range.contains(&a), range.contains(&b)) {
-        (false, true) if is_placed(a) => Some((a, b)),
-        (true, false) if is_placed(b) => Some((b, a)),
-        _ => None,
+/// `v`, unless it is `NULL`: a join key that can match.
+fn non_null(v: &Value) -> Option<&Value> {
+    (!v.is_null()).then_some(v)
+}
+
+/// One tuple's hash-join probe key.
+pub(crate) enum Probe<K> {
+    /// A `NULL` component: the tuple cannot match under `=`, and books no
+    /// probe.
+    Null,
+    /// A key no build row can hold (a string the build dictionary
+    /// lacks): a counted probe that misses.
+    Miss,
+    /// A key to look up.
+    Key(K),
+}
+
+/// One hash join, shared by both access methods: hash the `build` row
+/// ids on `build_key` (`None`, a `NULL` component, never matches), then
+/// probe once per tuple of `tuples` (`stride` ids each) and `emit` the
+/// tuple with each matching build row. A `unique` step books one probe
+/// step per hit, any other walks its chain (matches + 1); a miss books
+/// one. Returns the (hash probes, probe steps) booked.
+pub(crate) fn hash_join<K: Hash + Eq>(
+    tuples: &[u32],
+    stride: usize,
+    build: &[u32],
+    build_key: impl Fn(u32) -> Option<K>,
+    probe_key: impl Fn(&[u32]) -> Probe<K>,
+    unique: bool,
+    mut emit: impl FnMut(&[u32], u32) -> Result<()>,
+) -> Result<(u64, u64)> {
+    let mut map: HashMap<K, Vec<u32>> = HashMap::new();
+    for &r in build {
+        if let Some(key) = build_key(r) {
+            map.entry(key).or_default().push(r);
+        }
     }
+    let (mut probes, mut steps) = (0, 0);
+    for tuple in tuples.chunks_exact(stride) {
+        let hits = match probe_key(tuple) {
+            Probe::Null => continue,
+            Probe::Miss => None,
+            Probe::Key(key) => map.get(&key),
+        };
+        probes += 1;
+        let Some(hits) = hits else {
+            steps += 1;
+            continue;
+        };
+        steps += if unique { 1 } else { hits.len() as u64 + 1 };
+        for &m in hits {
+            emit(tuple, m)?;
+        }
+    }
+    Ok((probes, steps))
 }
 
 /// Does `bp` describe this block's shape? Guards against running a plan
@@ -980,115 +1007,25 @@ fn plan_matches(bp: &BlockPlan, spec: &BoundSpec) -> bool {
         .all(|&t| t < n && !std::mem::replace(&mut seen[t], true))
 }
 
-/// The block's output row for one full-arity tuple.
-pub(crate) fn project(spec: &BoundSpec, tuple: &[Value]) -> Row {
-    spec.projection
-        .iter()
-        .map(|p| tuple[p.attr].clone())
-        .collect()
-}
-
 fn plan_mismatch() -> Error {
     Error::internal("physical plan does not match its query")
 }
 
-pub(crate) fn contains_subquery(e: &BoundExpr) -> bool {
-    match e {
-        BoundExpr::Exists { .. } | BoundExpr::InSubquery { .. } => true,
-        BoundExpr::And(a, b) | BoundExpr::Or(a, b) => contains_subquery(a) || contains_subquery(b),
-        BoundExpr::Not(a) => contains_subquery(a),
-        _ => false,
-    }
-}
-
-/// Assign each top-level conjunct of `spec` to the earliest position of
-/// the planned join `order` at which every table it references is bound
-/// (references from nested subqueries included — they see this block's
-/// attributes as correlated outers). Shared by the row executor's
-/// planned pipeline and the columnar kernels.
-pub(crate) fn planned_levels<'e>(spec: &'e BoundSpec, order: &[usize]) -> Vec<Vec<&'e BoundExpr>> {
-    let mut pos = vec![0usize; spec.from.len()];
-    for (k, &t) in order.iter().enumerate() {
-        pos[t] = k;
-    }
+/// Assign each top-level conjunct of `spec` to the earliest pipeline
+/// position (tuple slot, per `attrs`) at which every table it references
+/// is placed. References from nested subqueries count: they see this
+/// block's attributes as correlated outers.
+fn planned_levels<'e>(spec: &'e BoundSpec, attrs: &[(usize, usize)]) -> Vec<Vec<&'e BoundExpr>> {
     let mut levels: Vec<Vec<&BoundExpr>> = vec![Vec::new(); spec.from.len()];
-    if let Some(pred) = &spec.predicate {
-        for c in pred.conjuncts() {
-            let mut level = 0usize;
-            visit_attr_refs(c, &mut |depth, a| {
-                if a.up == depth {
-                    let owner = spec
-                        .from
-                        .iter()
-                        .position(|ft| ft.attr_range().contains(&a.idx));
-                    if let Some(at) = owner {
-                        level = level.max(pos[at]);
-                    }
-                }
-            });
-            levels[level].push(c);
-        }
+    for c in spec.predicate.iter().flat_map(|p| p.conjuncts()) {
+        let mut level = 0;
+        c.visit_attrs(&mut |depth, a| match attrs.get(a.idx) {
+            Some(&(slot, _)) if a.up == depth => level = level.max(slot),
+            _ => {}
+        });
+        levels[level].push(c);
     }
     levels
-}
-
-/// Visit every attribute reference in `e` with its subquery depth
-/// (plumbing shared with `uniq-core`'s rewrites, duplicated here to
-/// keep the engine independent of the optimizer's internals).
-pub(crate) fn visit_attr_refs(e: &BoundExpr, f: &mut impl FnMut(usize, &AttrRef)) {
-    fn go(e: &BoundExpr, depth: usize, f: &mut impl FnMut(usize, &AttrRef)) {
-        let mut scalar = |s: &BScalar| {
-            if let BScalar::Attr(a) = s {
-                f(depth, a);
-            }
-        };
-        match e {
-            BoundExpr::Cmp { left, right, .. } => {
-                scalar(left);
-                scalar(right);
-            }
-            BoundExpr::Between {
-                scalar: s,
-                low,
-                high,
-                ..
-            } => {
-                scalar(s);
-                scalar(low);
-                scalar(high);
-            }
-            BoundExpr::InList {
-                scalar: s, list, ..
-            } => {
-                scalar(s);
-                for item in list {
-                    scalar(item);
-                }
-            }
-            BoundExpr::IsNull { scalar: s, .. } => scalar(s),
-            BoundExpr::Exists { subquery, .. } => {
-                if let Some(p) = &subquery.predicate {
-                    go(p, depth + 1, f);
-                }
-            }
-            BoundExpr::InSubquery {
-                scalar: s,
-                subquery,
-                ..
-            } => {
-                scalar(s);
-                if let Some(p) = &subquery.predicate {
-                    go(p, depth + 1, f);
-                }
-            }
-            BoundExpr::And(a, b) | BoundExpr::Or(a, b) => {
-                go(a, depth, f);
-                go(b, depth, f);
-            }
-            BoundExpr::Not(a) => go(a, depth, f),
-        }
-    }
-    go(e, 0, f);
 }
 
 #[cfg(test)]

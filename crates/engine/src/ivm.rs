@@ -36,7 +36,7 @@
 //! the stale proof, and key-probe shortcuts consult the *live*
 //! snapshot's catalog exactly like the executor's `index_fresh` check.
 
-use crate::exec::{equi_join_key, project, Executor};
+use crate::exec::{Executor, Scope};
 use crate::setops::output_count;
 use crate::stats::ExecStats;
 use std::collections::{HashMap, HashSet};
@@ -238,16 +238,8 @@ fn count_rows(rows: Vec<Row>) -> HashMap<Row, i64> {
 /// the query potentially non-monotone (`NOT EXISTS`), and their
 /// evaluation consults whole tables — both disqualify delta tiers.
 fn query_has_subquery(query: &BoundQuery) -> bool {
-    fn expr_has(e: &BoundExpr) -> bool {
-        match e {
-            BoundExpr::Exists { .. } | BoundExpr::InSubquery { .. } => true,
-            BoundExpr::And(a, b) | BoundExpr::Or(a, b) => expr_has(a) || expr_has(b),
-            BoundExpr::Not(a) => expr_has(a),
-            _ => false,
-        }
-    }
     match query {
-        BoundQuery::Spec(spec) => spec.predicate.as_ref().is_some_and(expr_has),
+        BoundQuery::Spec(spec) => spec.predicate.as_ref().is_some_and(|p| p.has_subquery()),
         BoundQuery::SetOp { left, right, .. } => {
             query_has_subquery(left) || query_has_subquery(right)
         }
@@ -610,6 +602,14 @@ fn spec_delta(
     Ok(out)
 }
 
+/// The block's output row for one full-arity tuple.
+fn project(spec: &BoundSpec, tuple: &[Value]) -> Row {
+    spec.projection
+        .iter()
+        .map(|p| tuple[p.attr].clone())
+        .collect()
+}
+
 /// Evaluate (once) every conjunct newly covered by the placed tables,
 /// dropping partial tuples the predicate does not definitely accept.
 fn apply_covered(
@@ -620,6 +620,8 @@ fn apply_covered(
     partials: &mut Vec<Row>,
     evaluator: &mut Executor<'_>,
 ) -> Result<()> {
+    // A partial tuple is one full-arity row: attribute `i` is column `i`.
+    let flat: Vec<(usize, usize)> = (0..spec.product_arity()).map(|i| (0, i)).collect();
     for (c, done) in conjuncts.iter().zip(applied.iter_mut()) {
         if *done {
             continue;
@@ -643,8 +645,9 @@ fn apply_covered(
         *done = true;
         let mut kept = Vec::with_capacity(partials.len());
         for tuple in partials.drain(..) {
+            let tables = [std::slice::from_ref(&tuple)];
             // False-interpreted (⌊·⌋): Unknown rejects, as in the executor.
-            if evaluator.eval(c, &[], &tuple)?.false_interpreted() {
+            if (evaluator.eval(c, &Scope::new(&tables, &flat, &[0]))?).false_interpreted() {
                 kept.push(tuple);
             }
         }
@@ -675,7 +678,7 @@ fn extend_over(
     // Equi-join pairs (placed attr, column of table j) available now.
     let mut pairs: Vec<(usize, usize)> = Vec::new();
     for c in conjuncts {
-        if let Some((built, new_attr)) = equi_join_key(c, &range, &is_placed) {
+        if let Some((built, new_attr)) = c.equi_join_key(&range, is_placed) {
             pairs.push((built, new_attr - range.start));
         }
     }

@@ -43,7 +43,7 @@ pub mod setops;
 pub mod shared;
 pub mod stats;
 
-pub use columnar::{ColumnBatch, ColumnData, ColumnStore, TableColumns, DEFAULT_DICT_LIMIT};
+pub use columnar::{ColumnData, ColumnStore, TableColumns, DEFAULT_DICT_LIMIT};
 pub use exec::Executor;
 pub use explain::render_trace;
 pub use ivm::{MaintainOutcome, MaintenanceMode, MaterializedView, ViewDelta};

@@ -238,11 +238,17 @@ mod tests {
     /// The drift guard: a `Session` and a `SharedEngine` with equal
     /// options answer, count, estimate, cache and explain identically —
     /// before `ANALYZE`, after it (the columnar kernels licensed), and
-    /// after a write that the column store was refreshed across.
+    /// after a write that the column store was refreshed across, followed
+    /// by a script that fails on a duplicate key and so writes nothing
+    /// on either, not even the row before the duplicate.
     #[test]
     fn session_and_shared_engine_serve_identically() {
         let hostvars = HostVars::new().with("CITY", "Toronto");
         let write = "INSERT INTO PARTS VALUES (4, 15, 'rod', 107, 'RED');";
+        // Supplier 5 has no part, so the first row would change the
+        // EXISTS query's answer; the second repeats its key.
+        let failing = "INSERT INTO PARTS VALUES (5, 16, 'cog', 108, 'RED'); \
+                       INSERT INTO PARTS VALUES (5, 16, 'cog', 109, 'RED');";
         for state in ["unanalyzed", "analyzed", "written"] {
             let mut session = Session::sample().unwrap();
             let engine = SharedEngine::sample().unwrap();
@@ -253,6 +259,8 @@ mod tests {
             if state == "written" {
                 session.run_script(write).unwrap();
                 engine.execute(write).unwrap();
+                assert!(session.run_script(failing).is_err());
+                assert!(engine.execute(failing).is_err());
             }
             let mut vector_ops = 0;
             for sql in CORPUS {

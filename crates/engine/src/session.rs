@@ -145,14 +145,21 @@ impl Session {
     }
 
     /// Run DDL/DML statements (`CREATE TABLE` / `CREATE INDEX` /
-    /// `INSERT`), then bring the column store up to the database by
-    /// encoding only the new rows and tables. A failing script keeps the
-    /// statements before the failure, so the store is refreshed either
-    /// way. Statistics and the epoch stay, so cached plans keep serving.
+    /// `INSERT`) as one unit, like [`SharedEngine::execute`]: the script
+    /// runs on a structural clone of the database, which replaces it only
+    /// if every statement succeeds, so a failing script changes nothing.
+    /// The clone copies each table the script writes. On success the
+    /// column store is brought up to the database by encoding only the
+    /// new rows and tables. Statistics and the epoch stay, so cached
+    /// plans keep serving.
+    ///
+    /// [`SharedEngine::execute`]: crate::SharedEngine::execute
     pub fn run_script(&mut self, sql: &str) -> Result<()> {
-        let applied = self.db.run_script(sql);
+        let mut scratch = self.db.clone();
+        scratch.run_script(sql)?;
+        self.db = scratch;
         self.analysis.refresh(&self.db);
-        applied
+        Ok(())
     }
 
     fn core(&self) -> Core<'_> {

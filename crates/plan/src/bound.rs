@@ -178,48 +178,112 @@ impl BoundExpr {
         out
     }
 
+    /// Visit every attribute reference in this expression with the
+    /// subquery depth it occurs at: 0 in this block, 1 inside one of its
+    /// subqueries, and so on. A reference with `up == depth` names an
+    /// attribute of this block, also from inside a nested subquery,
+    /// where it is a correlated outer.
+    pub fn visit_attrs(&self, f: &mut impl FnMut(usize, &AttrRef)) {
+        fn go(e: &BoundExpr, depth: usize, f: &mut impl FnMut(usize, &AttrRef)) {
+            let mut scalar = |s: &BScalar| {
+                if let BScalar::Attr(a) = s {
+                    f(depth, a);
+                }
+            };
+            match e {
+                BoundExpr::Cmp { left, right, .. } => {
+                    scalar(left);
+                    scalar(right);
+                }
+                BoundExpr::Between {
+                    scalar: s,
+                    low,
+                    high,
+                    ..
+                } => {
+                    scalar(s);
+                    scalar(low);
+                    scalar(high);
+                }
+                BoundExpr::InList {
+                    scalar: s, list, ..
+                } => {
+                    scalar(s);
+                    for item in list {
+                        scalar(item);
+                    }
+                }
+                BoundExpr::IsNull { scalar: s, .. } => scalar(s),
+                BoundExpr::Exists { subquery, .. } => {
+                    if let Some(p) = &subquery.predicate {
+                        go(p, depth + 1, f);
+                    }
+                }
+                BoundExpr::InSubquery {
+                    scalar: s,
+                    subquery,
+                    ..
+                } => {
+                    scalar(s);
+                    if let Some(p) = &subquery.predicate {
+                        go(p, depth + 1, f);
+                    }
+                }
+                BoundExpr::And(a, b) | BoundExpr::Or(a, b) => {
+                    go(a, depth, f);
+                    go(b, depth, f);
+                }
+                BoundExpr::Not(a) => go(a, depth, f),
+            }
+        }
+        go(self, 0, f);
+    }
+
     /// Visit every local attribute reference (`up == 0`) in this
     /// expression, *not* descending into subqueries (whose local space is
     /// different).
     pub fn visit_local_attrs(&self, f: &mut impl FnMut(usize)) {
-        let mut scalar = |s: &BScalar| {
-            if let BScalar::Attr(a) = s {
-                if a.is_local() {
-                    f(a.idx);
-                }
+        self.visit_attrs(&mut |depth, a| {
+            if depth == 0 && a.is_local() {
+                f(a.idx);
             }
-        };
+        });
+    }
+
+    /// Does the expression contain an `EXISTS` or `IN` subquery?
+    pub fn has_subquery(&self) -> bool {
         match self {
-            BoundExpr::Cmp { left, right, .. } => {
-                scalar(left);
-                scalar(right);
-            }
-            BoundExpr::Between {
-                scalar: s,
-                low,
-                high,
-                ..
-            } => {
-                scalar(s);
-                scalar(low);
-                scalar(high);
-            }
-            BoundExpr::InList {
-                scalar: s, list, ..
-            } => {
-                scalar(s);
-                for item in list {
-                    scalar(item);
-                }
-            }
-            BoundExpr::IsNull { scalar: s, .. } => scalar(s),
-            BoundExpr::InSubquery { scalar: s, .. } => scalar(s),
-            BoundExpr::Exists { .. } => {}
-            BoundExpr::And(a, b) | BoundExpr::Or(a, b) => {
-                a.visit_local_attrs(f);
-                b.visit_local_attrs(f);
-            }
-            BoundExpr::Not(a) => a.visit_local_attrs(f),
+            BoundExpr::Exists { .. } | BoundExpr::InSubquery { .. } => true,
+            BoundExpr::And(a, b) | BoundExpr::Or(a, b) => a.has_subquery() || b.has_subquery(),
+            BoundExpr::Not(a) => a.has_subquery(),
+            _ => false,
+        }
+    }
+
+    /// If this is an equality `placed = new` (either direction) between
+    /// two local attributes, one accepted by `is_placed` and the other
+    /// inside `range`, the pair `(placed, new)`: an equi-join key that
+    /// links already-joined tables to the table occupying `range`.
+    pub fn equi_join_key(
+        &self,
+        range: &std::ops::Range<usize>,
+        is_placed: impl Fn(usize) -> bool,
+    ) -> Option<(usize, usize)> {
+        let BoundExpr::Cmp {
+            op: CmpOp::Eq,
+            left: BScalar::Attr(a),
+            right: BScalar::Attr(b),
+        } = self
+        else {
+            return None;
+        };
+        if !a.is_local() || !b.is_local() {
+            return None;
+        }
+        match (range.contains(&a.idx), range.contains(&b.idx)) {
+            (false, true) if is_placed(a.idx) => Some((a.idx, b.idx)),
+            (true, false) if is_placed(b.idx) => Some((b.idx, a.idx)),
+            _ => None,
         }
     }
 }
@@ -271,12 +335,15 @@ impl BoundSpec {
         self.from.iter().map(|t| t.schema.arity()).sum()
     }
 
+    /// The `FROM` position of the table that owns attribute `idx`.
+    pub fn table_of(&self, idx: usize) -> Option<usize> {
+        self.from.iter().position(|t| t.attr_range().contains(&idx))
+    }
+
     /// The table that owns attribute `idx`, with its local column index.
     pub fn attr_owner(&self, idx: usize) -> Option<(&FromTable, usize)> {
-        self.from
-            .iter()
-            .find(|t| t.attr_range().contains(&idx))
-            .map(|t| (t, idx - t.offset))
+        let t = &self.from[self.table_of(idx)?];
+        Some((t, idx - t.offset))
     }
 
     /// Output data type of each projected column.

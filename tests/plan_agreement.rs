@@ -63,6 +63,18 @@ const FIXED_STATEMENTS: &[&str] = &[
      UNION SELECT A.SNO FROM AGENTS A",
     "SELECT ALL S.SNO FROM SUPPLIER S \
      UNION ALL SELECT ALL A.SNO FROM AGENTS A",
+    // an attribute two scopes up (a positive EXISTS would be merged
+    // into a join), three-valued NOT IN over a nullable column, an
+    // analyzed join block the column kernels do not cover (OR,
+    // BETWEEN), and a cross product with a residual conjunct
+    "SELECT S.SNO FROM SUPPLIER S WHERE NOT EXISTS \
+     (SELECT * FROM PARTS P WHERE P.SNO = S.SNO AND NOT EXISTS \
+     (SELECT * FROM AGENTS A WHERE A.SNO = S.SNO AND A.ANO = P.PNO))",
+    "SELECT P.PNO FROM PARTS P WHERE P.OEM-PNO NOT IN \
+     (SELECT Q.OEM-PNO FROM PARTS Q WHERE Q.COLOR = 'RED')",
+    "SELECT S.SNO, P.PNO FROM SUPPLIER S, PARTS P WHERE S.SNO = P.SNO \
+     AND (P.COLOR = 'RED' OR S.SCITY = 'Toronto') AND P.PNO BETWEEN 1 AND 3",
+    "SELECT S.SNO, A.ANO FROM SUPPLIER S, AGENTS A WHERE S.SNO < A.SNO",
 ];
 
 fn sorted(mut rows: Vec<Vec<Value>>) -> Vec<Vec<Value>> {
@@ -83,6 +95,29 @@ fn three_ways(session: &Session, sql: &str) -> [Vec<Vec<Value>>; 3] {
         .query_unoptimized(sql, &hostvars)
         .unwrap_or_else(|e| panic!("{sql}: {e}"));
     [planned.rows, row_path.rows, oracle.rows].map(sorted)
+}
+
+/// The last four fixed statements guard outer-scope resolution, the
+/// three-valued `IN` and residual conjuncts on the rows access; each
+/// must keep taking the path it guards.
+#[test]
+fn row_access_shapes_take_the_paths_they_guard() {
+    let n = FIXED_STATEMENTS.len();
+    let &[two_up, not_in, uncovered, cross] = &FIXED_STATEMENTS[n - 4..] else {
+        unreachable!("four statements")
+    };
+    for seed in 1..=3 {
+        let db = random_instance(seed, 20, 40, 20).unwrap();
+        let session = Session::new(db).with_cost_based();
+        for sql in [two_up, not_in] {
+            let stats = session.query(sql).unwrap().stats;
+            assert!(stats.subquery_evals > 0, "seed {seed}: {sql}");
+        }
+        let stats = session.query(uncovered).unwrap().stats;
+        assert_eq!(stats.vector_ops, 0, "seed {seed}: {uncovered}");
+        let plan = session.explain(cross).unwrap();
+        assert!(plan.contains("CrossJoin"), "seed {seed}: {plan}");
+    }
 }
 
 proptest! {
