@@ -95,6 +95,11 @@ lane -p uniq-engine agg
 cargo test -q -p uniqueness --test agg_agreement
 lane -p uniq-bench e23
 
+echo "==> fast lane: subscriptions (delta terms on the block pipeline, tiers, snapshot deltas)"
+lane -p uniq-engine ivm
+cargo test -q -p uniqueness --test ivm_agreement
+cargo test -q -p uniqueness --test snapshot_delta
+
 echo "==> fast lane: wire codec + server end-to-end tests"
 cargo test -q -p uniq-server
 
@@ -176,6 +181,17 @@ rm -f "$SMOKE_LOG"
 
 echo "==> cargo build --release"
 cargo build --release
+
+echo "==> E22 in release: subscription oracle rounds and maintenance work bars"
+# Every view equals a full recompute after every statement, and set-tier
+# maintenance work stays >= 10x under recompute and flat when the tables
+# double; the binary asserts both. An experiment name report does not
+# know must fail instead of running nothing.
+./target/release/report e22
+if ./target/release/report e99 > /dev/null 2>&1; then
+    echo "error: 'report e99' exited 0 for an unknown experiment" >&2
+    exit 1
+fi
 
 echo "==> cargo test --workspace"
 cargo test --workspace --quiet

@@ -8,7 +8,7 @@
 
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use uniq_bench::baseline::optimize_root_restart;
 use uniq_bench::{
     e15_exists_chain, e15_union_chain, e16_contenders, e16_corpus, e17_corpus, e18_corpus,
@@ -84,77 +84,57 @@ impl Metrics {
     }
 }
 
+/// Repetitions of the timed E2–E15 measurements.
+const RUNS: usize = 5;
+
+/// One experiment: it prints its table and pushes its metric rows.
+type Experiment = fn(&mut Metrics);
+
+/// Every experiment, by the name `report` takes, in run order.
+const EXPERIMENTS: [(&str, Experiment); 22] = [
+    ("e1", |_| e1_paper_examples()),
+    ("e2", |_| e2_distinct_removal(RUNS)),
+    ("e3", |_| e3_corpus()),
+    ("e4", |_| e4_subquery_to_join(RUNS)),
+    ("e5", |_| e5_corollary_1(RUNS)),
+    ("e6", |_| e6_intersect(RUNS)),
+    ("e7", |_| e7_ims_key()),
+    ("e8", |_| e8_ims_nonkey()),
+    ("e9", |_| e9_oodb()),
+    ("e10", |_| e10_analysis_cost()),
+    ("e11", |_| e11_setop_semantics()),
+    ("e12", |_| e12_distinct_methods(RUNS)),
+    ("e13", |_| e13_join_elimination(RUNS)),
+    ("e14", e14_plan_cache),
+    ("e15", |m| e15_optimizer_driver(RUNS, m)),
+    ("e16", e16_cost_based_planning),
+    ("e18", e18_columnar_execution),
+    ("e19", e19_index_access),
+    ("e20", e20_proof_checker),
+    ("e21", e21_server),
+    ("e22", e22_subscriptions),
+    ("e23", e23_agg_topk),
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).map(|a| a.to_lowercase()).collect();
-    let want = |name: &str| args.is_empty() || args.iter().any(|a| a == name);
-    let runs = 5;
+    let known = |a: &String| EXPERIMENTS.iter().any(|(name, _)| name == a);
+    // A mistyped or retired name must not pass for a run that found
+    // nothing wrong: reject it before any experiment runs.
+    let unknown: Vec<&String> = args.iter().filter(|a| !known(a)).collect();
+    if !unknown.is_empty() {
+        let names: Vec<&str> = EXPERIMENTS.iter().map(|(name, _)| *name).collect();
+        eprintln!(
+            "unknown experiment(s): {unknown:?}; known: {}",
+            names.join(" ")
+        );
+        std::process::exit(2);
+    }
     let mut metrics = Metrics::default();
-
-    if want("e1") {
-        e1_paper_examples();
-    }
-    if want("e2") {
-        e2_distinct_removal(runs);
-    }
-    if want("e3") {
-        e3_corpus();
-    }
-    if want("e4") {
-        e4_subquery_to_join(runs);
-    }
-    if want("e5") {
-        e5_corollary_1(runs);
-    }
-    if want("e6") {
-        e6_intersect(runs);
-    }
-    if want("e7") {
-        e7_ims_key();
-    }
-    if want("e8") {
-        e8_ims_nonkey();
-    }
-    if want("e9") {
-        e9_oodb();
-    }
-    if want("e10") {
-        e10_analysis_cost();
-    }
-    if want("e11") {
-        e11_setop_semantics();
-    }
-    if want("e12") {
-        e12_distinct_methods(runs);
-    }
-    if want("e13") {
-        e13_join_elimination(runs);
-    }
-    if want("e14") {
-        e14_plan_cache(&mut metrics);
-    }
-    if want("e15") {
-        e15_optimizer_driver(runs, &mut metrics);
-    }
-    if want("e16") {
-        e16_cost_based_planning(&mut metrics);
-    }
-    if want("e18") {
-        e18_columnar_execution(&mut metrics);
-    }
-    if want("e19") {
-        e19_index_access(&mut metrics);
-    }
-    if want("e20") {
-        e20_proof_checker(&mut metrics);
-    }
-    if want("e21") {
-        e21_server(&mut metrics);
-    }
-    if want("e22") {
-        e22_subscriptions(&mut metrics);
-    }
-    if want("e23") {
-        e23_agg_topk(&mut metrics);
+    for (name, run) in EXPERIMENTS {
+        if args.is_empty() || args.iter().any(|a| a == name) {
+            run(&mut metrics);
+        }
     }
 
     if metrics.rows.is_empty() {
@@ -168,8 +148,6 @@ fn main() {
         println!("subset run: {path} left unchanged");
         return;
     }
-    // The previous artifact name is retired with the cumulative file.
-    let _ = std::fs::remove_file("BENCH_E22.json");
     std::fs::write(path, metrics.to_json()).expect("write metric rows");
     println!("\nwrote {} metric row(s) to {path}", metrics.rows.len());
 }
@@ -1070,13 +1048,43 @@ fn e18_columnar_execution(m: &mut Metrics) {
         rows.sort_by(|a, b| uniqueness::types::value::tuple_null_cmp(a, b).unwrap());
         (rows, out.stats)
     };
-    // p50 wall clock of `run` over `sqls`, each run once per sample.
-    let p50 = |run: Runner, sqls: &[&str]| {
-        median_time(9, || {
-            for sql in sqls {
-                run(&session, sql).expect("query");
-            }
-        })
+    // Wall clock of one pass of `run` over `sqls`.
+    let time = |run: Runner, sqls: &[&str]| {
+        let t = Instant::now();
+        for sql in sqls {
+            run(&session, sql).expect("query");
+        }
+        t.elapsed()
+    };
+    // 21 pairs of the row baseline and the served plan, alternating
+    // which side runs first: each side's median time and the per-pair
+    // `row / served` ratio's first quartile, median and third quartile.
+    let paired = |sqls: &[&str]| {
+        let pairs: Vec<(Duration, Duration)> = (0..21)
+            .map(|k| {
+                if k % 2 == 0 {
+                    let r = time(row, sqls);
+                    (r, time(col, sqls))
+                } else {
+                    let c = time(col, sqls);
+                    (time(row, sqls), c)
+                }
+            })
+            .collect();
+        let median = |mut v: Vec<Duration>| {
+            v.sort();
+            v[v.len() / 2]
+        };
+        let mut ratios: Vec<f64> = (pairs.iter())
+            .map(|(r, c)| r.as_secs_f64() / c.as_secs_f64().max(1e-9))
+            .collect();
+        ratios.sort_by(f64::total_cmp);
+        let n = ratios.len();
+        (
+            median(pairs.iter().map(|p| p.0).collect()),
+            median(pairs.iter().map(|p| p.1).collect()),
+            [ratios[n / 4], ratios[n / 2], ratios[3 * n / 4]],
+        )
     };
 
     let corpus = e18_corpus();
@@ -1107,11 +1115,10 @@ fn e18_columnar_execution(m: &mut Metrics) {
         "session", "scans", "probes", "steps", "sortcmp", "vecops", "mat", "work", "p50"
     );
     let mut works = Vec::new();
-    let mut times = Vec::new();
-    for (name, run) in E18_CONTENDERS {
+    let (row_time, col_time, ratio_q) = paired(&[E18_JOIN_DISTINCT]);
+    for ((name, run), time) in E18_CONTENDERS.into_iter().zip([row_time, col_time]) {
         let (_, stats) = sorted(run, E18_JOIN_DISTINCT);
         let work = e18_work(&stats);
-        let time = p50(run, &[E18_JOIN_DISTINCT]);
         println!(
             "{:<16} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>10}",
             name,
@@ -1125,7 +1132,6 @@ fn e18_columnar_execution(m: &mut Metrics) {
             fmt_duration(time)
         );
         works.push(work);
-        times.push(time);
     }
     let (row_work, col_work) = (works[0], works[1]);
     let ratio = row_work as f64 / col_work.max(1) as f64;
@@ -1136,25 +1142,27 @@ fn e18_columnar_execution(m: &mut Metrics) {
         2 * col_work <= row_work,
         "columnar work {col_work} not 2x under row work {row_work}"
     );
-    let time_ratio = times[0].as_secs_f64() / times[1].as_secs_f64().max(1e-9);
-    m.push("E18", "row_p50_us", micros(times[0]), false);
-    m.push("E18", "columnar_p50_us", micros(times[1]), false);
-    m.push("E18", "time_ratio", time_ratio, false);
+    m.push("E18", "row_p50_us", micros(row_time), false);
+    m.push("E18", "columnar_p50_us", micros(col_time), false);
+    push_quartiles(m, "time_ratio", ratio_q);
     println!(
         "columnar does {ratio:.1}x fewer work units (bar: >= 2x) and runs \
-         {time_ratio:.1}x faster at the p50 (not asserted)"
+         {:.1}x faster, median of 21 paired runs (quartiles {:.1}-{:.1}x; not asserted)",
+        ratio_q[1], ratio_q[0], ratio_q[2]
     );
 
     let sqls: Vec<&str> = corpus.iter().map(String::as_str).collect();
-    let (row_time, col_time) = (p50(row, &sqls), p50(col, &sqls));
-    let corpus_ratio = row_time.as_secs_f64() / col_time.as_secs_f64().max(1e-9);
+    let (row_time, col_time, corpus_q) = paired(&sqls);
     m.push("E18", "corpus_row_p50_us", micros(row_time), false);
     m.push("E18", "corpus_columnar_p50_us", micros(col_time), false);
-    m.push("E18", "corpus_time_ratio", corpus_ratio, false);
+    push_quartiles(m, "corpus_time_ratio", corpus_q);
     println!(
-        "whole corpus, p50 of one pass: row {} vs columnar {} ({corpus_ratio:.1}x)",
+        "whole corpus, p50 of one pass: row {} vs columnar {} ({:.1}x, quartiles {:.1}-{:.1}x)",
         fmt_duration(row_time),
-        fmt_duration(col_time)
+        fmt_duration(col_time),
+        corpus_q[1],
+        corpus_q[0],
+        corpus_q[2]
     );
 
     let (_, probe) = sorted(col, E18_UNIQUE_PROBE);
@@ -1178,6 +1186,14 @@ fn e18_columnar_execution(m: &mut Metrics) {
 
 fn micros(d: Duration) -> f64 {
     d.as_secs_f64() * 1e6
+}
+
+/// Push an E18 ratio's median as `name` and its quartiles beside it as
+/// `name_q1` and `name_q3`.
+fn push_quartiles(m: &mut Metrics, name: &str, [q1, median, q3]: [f64; 3]) {
+    m.push("E18", name, median, false);
+    m.push("E18", &format!("{name}_q1"), q1, false);
+    m.push("E18", &format!("{name}_q3"), q3, false);
 }
 
 /// E16 — cost-based per-node physical planning vs every fixed plan's

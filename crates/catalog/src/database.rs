@@ -506,14 +506,15 @@ impl Database {
             .ok_or_else(|| Error::UnknownTable(table.to_string()))
     }
 
-    /// Look up a row by candidate-key value. `key_columns` must be one of
-    /// the table's candidate keys (sorted positions).
+    /// The position of the row whose candidate key equals `key_values`.
+    /// `key_columns` must be one of the table's candidate keys (sorted
+    /// positions), and `key_values` follows that order.
     pub fn lookup_by_key(
         &self,
         table: &TableName,
         key_columns: &[usize],
         key_values: &[Value],
-    ) -> Result<Option<&Row>> {
+    ) -> Result<Option<usize>> {
         let schema = self.catalog.table(table)?;
         let data = self
             .data
@@ -525,9 +526,7 @@ impl Database {
             .ok_or_else(|| {
                 Error::internal(format!("{table} has no candidate key {key_columns:?}"))
             })?;
-        Ok(data.key_indexes[key_idx]
-            .get(key_values)
-            .map(|&pos| &data.rows[pos]))
+        Ok(data.key_indexes[key_idx].get(key_values).copied())
     }
 
     /// Number of rows in a table.
@@ -745,11 +744,11 @@ mod tests {
              INSERT INTO T VALUES (1, 'x'), (2, 'y');",
         )
         .unwrap();
-        let row = db
+        let pos = db
             .lookup_by_key(&"T".into(), &[0], &[Value::Int(2)])
             .unwrap()
             .unwrap();
-        assert_eq!(row[1], Value::str("y"));
+        assert_eq!(db.rows(&"T".into()).unwrap()[pos][1], Value::str("y"));
         assert!(db
             .lookup_by_key(&"T".into(), &[0], &[Value::Int(99)])
             .unwrap()

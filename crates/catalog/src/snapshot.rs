@@ -307,13 +307,11 @@ mod tests {
                 .unwrap();
         }
         // The pinned snapshot still answers point lookups consistently.
-        assert_eq!(
-            pinned
-                .lookup_by_key(&"T".into(), &[0], &[Value::Int(2)])
-                .unwrap()
-                .unwrap(),
-            &vec![Value::Int(2)]
-        );
+        let pos = pinned
+            .lookup_by_key(&"T".into(), &[0], &[Value::Int(2)])
+            .unwrap()
+            .unwrap();
+        assert_eq!(pinned.rows(&"T".into()).unwrap()[pos], vec![Value::Int(2)]);
         assert!(pinned
             .lookup_by_key(&"T".into(), &[0], &[Value::Int(12)])
             .unwrap()

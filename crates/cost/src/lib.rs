@@ -50,7 +50,7 @@ pub use physical::{
     BlockPlan, DistinctMethod, DistinctStep, JoinMethod, JoinStep, OpId, OpInfo, OutputOp,
     PhysNode, PhysicalPlan,
 };
-pub use planner::{plan_output, plan_query, PlannerOptions};
+pub use planner::{plan_delta, plan_output, plan_query, PlannerOptions};
 pub use sarg::{find_index_probe, find_index_sarg, IndexProbe, IndexSarg, ProbeSource};
 pub use stats::{ColumnStats, Statistics, TableStats};
 pub use uniq_proof::{Justification, ProofStatus};

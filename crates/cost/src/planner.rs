@@ -161,6 +161,19 @@ pub fn plan_output(
     planner.finish(root, out_ops)
 }
 
+/// Plan the delta term ΔQᵢ of a block that incremental view maintenance
+/// evaluates: `FROM` position `i`, which reads the rows a write
+/// appended, first, then the other positions in `FROM` order. A step
+/// probes when the equalities linking its table to the placed ones,
+/// plus constants, cover a secondary index or a declared candidate key
+/// (unique targets first; each outer tuple then matches at most one
+/// row); otherwise it runs [`PlannerOptions::join`]. The plan has no
+/// `DISTINCT`, no columnar license and no estimates. Only delta plans
+/// probe declared keys: the executor re-derives a probe the same way.
+pub fn plan_delta(spec: &BoundSpec, i: usize, options: PlannerOptions) -> BlockPlan {
+    Planner::new(None, options).fixed_block(spec, Some(i))
+}
+
 /// Display label of one aggregate output item, e.g. `SNO`,
 /// `COUNT(DISTINCT S.SNO)`, `SUM(P.WEIGHT)`, `COUNT(*)`.
 fn agg_item_label(output: &BoundOutput, item: &BoundAggItem) -> String {
@@ -266,7 +279,7 @@ impl<'a> Planner<'a> {
             BoundQuery::Spec(spec) => {
                 let (block, est) = match self.est {
                     Some(estimator) => self.plan_block(estimator, spec),
-                    None => (self.fixed_block(spec), 0.0),
+                    None => (self.fixed_block(spec, None), 0.0),
                 };
                 (PhysNode::Block(block), est)
             }
@@ -333,31 +346,53 @@ impl<'a> Planner<'a> {
     /// The fixed plan of a block: the `FROM` order,
     /// [`PlannerOptions::join`] on every step and
     /// [`PlannerOptions::distinct`] for `DISTINCT`, with no index or
-    /// columnar license.
-    fn fixed_block(&mut self, spec: &BoundSpec) -> BlockPlan {
+    /// columnar license. The plan of delta term `delta` (see
+    /// [`plan_delta`]) starts at that position, has no `DISTINCT` and
+    /// probes on every step whose equalities cover an index or a key.
+    fn fixed_block(&mut self, spec: &BoundSpec, delta: Option<usize>) -> BlockPlan {
         let method = self.options.join;
-        let joins = (1..spec.from.len())
-            .map(|t| {
+        let first = delta.unwrap_or(0);
+        let order: Vec<usize> = std::iter::once(first)
+            .chain((0..spec.from.len()).filter(|&t| t != first))
+            .collect();
+        let conjuncts: Vec<&BoundExpr> = (spec.predicate.iter())
+            .flat_map(|p| p.conjuncts())
+            .collect();
+        let joins = (1..order.len())
+            .map(|k| {
+                let t = order[k];
+                let placed = |idx| spec.table_of(idx).is_some_and(|o| order[..k].contains(&o));
                 // The executor keys a hash step on the equalities between
                 // this table and the tables before it; without one the
                 // step is a cross product.
                 let range = spec.from[t].attr_range();
-                let has_keys = (spec.predicate.iter().flat_map(|p| p.conjuncts()))
-                    .any(|c| c.equi_join_key(&range, |idx| idx < range.start).is_some());
+                let has_keys =
+                    (conjuncts.iter()).any(|c| c.equi_join_key(&range, placed).is_some());
+                let probe = delta.and_then(|_| {
+                    // The step's level: the conjuncts its table completes.
+                    let level: Vec<&BoundExpr> = (conjuncts.iter().copied())
+                        .filter(|c| {
+                            let owners = owner_tables(spec, c);
+                            owners.contains(&t) && owners.iter().all(|o| order[..=k].contains(o))
+                        })
+                        .collect();
+                    crate::sarg::find_index_probe(spec, t, &level, &placed, true)
+                });
+                let kind = join_kind(method, has_keys, probe.is_some());
                 JoinStep {
                     method,
-                    id: self.join_op(spec, t, join_kind(method, has_keys, false), 0.0),
+                    id: self.join_op(spec, t, kind, 0.0),
                     unique: false,
-                    ix: None,
+                    ix: probe.map(|p| uniq_proof::Justification::ix_join(p.index, p.unique)),
                 }
             })
             .collect();
-        let scan = self.scan_op(spec, 0, "", 0.0);
-        let distinct =
-            (spec.distinct == uniq_sql::Distinct::Distinct).then_some((self.options.distinct, 0.0));
+        let scan = self.scan_op(spec, order[0], "", 0.0);
+        let distinct = (delta.is_none() && spec.distinct == uniq_sql::Distinct::Distinct)
+            .then_some((self.options.distinct, 0.0));
         let (project, distinct) = self.output_ops(spec, 0.0, distinct);
         BlockPlan {
-            order: (0..spec.from.len()).collect(),
+            order,
             scan,
             joins,
             project,
@@ -496,9 +531,13 @@ impl<'a> Planner<'a> {
                 })
                 .map(|((c, _), _)| *c)
                 .collect();
-            let probe = crate::sarg::find_index_probe(spec, next, &step_conjuncts, &|idx| {
-                spec.table_of(idx).is_some_and(|t| placed.contains(&t))
-            });
+            let probe = crate::sarg::find_index_probe(
+                spec,
+                next,
+                &step_conjuncts,
+                &|idx| spec.table_of(idx).is_some_and(|t| placed.contains(&t)),
+                false,
+            );
             let mut step_est = step_est;
             if probe.as_ref().is_some_and(|p| p.unique) {
                 // Each probe of a unique index matches at most one row.

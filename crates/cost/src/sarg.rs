@@ -74,13 +74,17 @@ pub enum ProbeSource {
 /// index is supplied per outer row, at least one from the outer side.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IndexProbe {
-    /// Name of the probed index.
+    /// Name of the probed index; for a declared candidate key, a label
+    /// naming its columns (`KEY(SNO,PNO)`).
     pub index: String,
     /// The probed index is unique: each probe matches at most one row,
     /// costing exactly one probe step (no chain to walk).
     pub unique: bool,
     /// Per index column (declaration order), its probe-key source.
     pub sources: Vec<ProbeSource>,
+    /// The columns of the probed declared candidate key, when the probe
+    /// targets a key rather than a secondary index.
+    pub key: Option<Vec<usize>>,
 }
 
 /// Per-column constraints accumulated from one table's conjuncts.
@@ -262,13 +266,16 @@ pub fn find_index_sarg(spec: &BoundSpec, t: usize, conjuncts: &[&BoundExpr]) -> 
 /// Find an index of table `t` every column of which is supplied by this
 /// level's conjuncts — join equalities against already-placed tables
 /// (`is_placed`) or point constants — with at least one join equality
-/// (otherwise an [`IndexSarg`] scan applies, not a join probe). Prefers
-/// a unique index: its probes are guaranteed one-row lookups.
+/// (otherwise an [`IndexSarg`] scan applies, not a join probe). With
+/// `keys`, the table's declared candidate keys are targets too, after
+/// its indexes. Prefers a unique target: its probes are guaranteed
+/// one-row lookups.
 pub fn find_index_probe(
     spec: &BoundSpec,
     t: usize,
     conjuncts: &[&BoundExpr],
     is_placed: &dyn Fn(usize) -> bool,
+    keys: bool,
 ) -> Option<IndexProbe> {
     let schema = &spec.from[t].schema;
     let range = spec.from[t].attr_range();
@@ -285,25 +292,31 @@ pub fn find_index_probe(
             supplied.entry(col).or_insert(ProbeSource::Const(p));
         }
     }
-    let mut best: Option<(IndexProbe, (bool, usize))> = None;
-    for def in &schema.indexes {
-        let sources: Option<Vec<ProbeSource>> = def
-            .columns
-            .iter()
-            .map(|c| supplied.get(c).cloned())
+    let indexes = (schema.indexes.iter()).map(|d| (d.name.clone(), &d.columns, d.unique, false));
+    let declared = (schema.candidate_keys().filter(|_| keys)).map(|k| {
+        let names: Vec<&str> = (k.columns.iter())
+            .map(|&c| schema.columns[c].name.as_str())
             .collect();
+        (format!("KEY({})", names.join(",")), &k.columns, true, true)
+    });
+    let mut best: Option<(IndexProbe, (bool, usize))> = None;
+    for (index, columns, unique, key) in indexes.chain(declared) {
+        let sources: Option<Vec<ProbeSource>> =
+            columns.iter().map(|c| supplied.get(c).cloned()).collect();
         let Some(sources) = sources else { continue };
         if !sources.iter().any(|s| matches!(s, ProbeSource::Outer(_))) {
             continue;
         }
-        // Prefer unique indexes, then narrow probe keys.
-        let score = (def.unique, usize::MAX - sources.len());
+        // Prefer unique targets, then narrow probe keys.
+        let score = (unique, usize::MAX - sources.len());
         if best.as_ref().is_none_or(|(_, s)| score > *s) {
+            let key = key.then(|| columns.clone());
             best = Some((
                 IndexProbe {
-                    index: def.name.clone(),
-                    unique: def.unique,
+                    index,
+                    unique,
                     sources,
+                    key,
                 },
                 score,
             ));
@@ -430,13 +443,14 @@ mod tests {
         let spec = q.as_spec().unwrap();
         let conjuncts = spec.predicate.as_ref().map(|p| p.conjuncts()).unwrap();
         let u_range = spec.from[0].attr_range();
-        let probe = find_index_probe(spec, 1, &conjuncts, &|idx| u_range.contains(&idx)).unwrap();
+        let probe =
+            find_index_probe(spec, 1, &conjuncts, &|idx| u_range.contains(&idx), false).unwrap();
         // The unique one-column index wins over the wider composite.
         assert_eq!(probe.index, "IDX_B");
         assert!(probe.unique);
         assert!(matches!(probe.sources[0], ProbeSource::Outer(_)));
         // Constants alone (no join equality) never form a join probe.
-        let none = find_index_probe(spec, 1, &conjuncts, &|_| false);
+        let none = find_index_probe(spec, 1, &conjuncts, &|_| false, false);
         assert!(none.is_none());
     }
 }

@@ -31,6 +31,17 @@
 //! `Executor::enumerate`, over borrowed rows, and see the enclosing
 //! blocks' tuples by reference. `EXISTS` stops at its first match — the
 //! behaviour §6's navigational arguments rely on.
+//!
+//! The same pipeline evaluates the delta terms of incremental view
+//! maintenance ([`crate::ivm`]). A delta term runs on the rows access
+//! under a plan from [`uniq_cost::plan_delta`], and each `FROM` position
+//! reads a slice of the head snapshot's rows instead of the whole table:
+//! the first position the rows a write appended, scanned and booked as
+//! `delta_rows` rather than `rows_scanned`, the others a prefix of their
+//! stored rows. An index or candidate-key probe drops positions past the
+//! end of its step's slice. Only delta terms probe declared candidate
+//! keys ([`Database::lookup_by_key`]); other plans probe secondary
+//! indexes alone.
 
 use crate::agg::aggregate;
 use crate::columnar::{ColumnStore, Encoded};
@@ -136,7 +147,7 @@ impl<'a> Executor<'a> {
         let mut rows = match &output.agg {
             Some(agg) => {
                 let body = match (output.body.as_spec(), &plan.root) {
-                    (Some(spec), PhysNode::Block(bp)) => self.block(spec, bp)?,
+                    (Some(spec), PhysNode::Block(bp)) => self.block(spec, bp, None)?,
                     _ => Block::Rows(self.exec_query(&output.body, &plan.root)?),
                 };
                 self.aggregate(agg, body)?
@@ -196,7 +207,7 @@ impl<'a> Executor<'a> {
             std::ops::Bound::Unbounded,
         )?;
         self.stats.ix_probes += 1;
-        let rows = Rows::new(db, spec, &bp.order)?;
+        let rows = Rows::new(db, spec, &bp.order, None)?;
         let mut out: Vec<Row> = Vec::new();
         let mut examined = 0u64;
         for &r in &ids {
@@ -275,10 +286,7 @@ impl<'a> Executor<'a> {
 
     fn exec_query(&mut self, query: &BoundQuery, node: &PhysNode) -> Result<Vec<Row>> {
         match (query, node) {
-            (BoundQuery::Spec(spec), PhysNode::Block(bp)) => Ok(match self.block(spec, bp)? {
-                Block::Encoded(enc, ids) => enc.materialize(&ids, &mut self.stats),
-                Block::Rows(rows) => rows,
-            }),
+            (BoundQuery::Spec(spec), PhysNode::Block(bp)) => self.block_rows(spec, bp, None),
             (
                 BoundQuery::SetOp {
                     op,
@@ -320,15 +328,38 @@ impl<'a> Executor<'a> {
 
     // --- the block pipeline ------------------------------------------------
 
+    /// [`Executor::block`]'s output rows, decoded. With `slices` the block
+    /// is a delta term planned by [`uniq_cost::plan_delta`]: `FROM`
+    /// position `t` reads `slices[t]`, a prefix of its stored rows,
+    /// except the plan's first position, which reads the rows a write
+    /// appended and books them as `delta_rows`.
+    pub(crate) fn block_rows(
+        &mut self,
+        spec: &BoundSpec,
+        bp: &BlockPlan,
+        slices: Option<&[&'a [Row]]>,
+    ) -> Result<Vec<Row>> {
+        Ok(match self.block(spec, bp, slices)? {
+            Block::Encoded(enc, ids) => enc.materialize(&ids, &mut self.stats),
+            Block::Rows(rows) => rows,
+        })
+    }
+
     /// Run one planned block: the scan, each join step, the projection
     /// and `DISTINCT`, through the encoded access when the block's
     /// license, the store and its conjuncts allow it, through the stored
     /// rows otherwise. The choice is made before any counter moves.
-    fn block(&mut self, spec: &BoundSpec, bp: &BlockPlan) -> Result<Block<'a>> {
+    /// `slices` makes the block a delta term (see [`Executor::block_rows`]).
+    fn block(
+        &mut self,
+        spec: &BoundSpec,
+        bp: &BlockPlan,
+        slices: Option<&[&'a [Row]]>,
+    ) -> Result<Block<'a>> {
         if !plan_matches(bp, spec) {
             return Err(plan_mismatch());
         }
-        let rows = Rows::new(self.db, spec, &bp.order)?;
+        let rows = Rows::new(self.db, spec, &bp.order, slices)?;
         let levels = planned_levels(spec, &rows.attrs);
         let encoded = match self.columns {
             Some(store) if bp.columnar => {
@@ -394,16 +425,20 @@ impl<'a> Executor<'a> {
         let mut out = Vec::new();
         for i in 0..n {
             let r = candidates.as_ref().map_or(i, |c| c[i]);
-            self.stats.rows_scanned += 1;
+            if rows.delta {
+                self.stats.delta_rows += 1;
+            } else {
+                self.stats.rows_scanned += 1;
+            }
             self.extend(rows, &mut out, &[], r as u32, conjuncts)?;
         }
         Ok(out)
     }
 
     /// One join step of the rows access: join table `t`, at pipeline
-    /// position `k`, onto `tuples`. A planned index probe runs while its
-    /// license holds; otherwise the step's method does. Every conjunct
-    /// of the level holds on each tuple emitted.
+    /// position `k`, onto `tuples`. A planned index or key probe runs
+    /// while its license holds; otherwise the step's method does. Every
+    /// conjunct of the level holds on each tuple emitted.
     #[allow(clippy::too_many_arguments)]
     fn join(
         &mut self,
@@ -416,19 +451,29 @@ impl<'a> Executor<'a> {
         tuples: &[u32],
     ) -> Result<Vec<u32>> {
         let table = &spec.from[t];
+        let name = &table.schema.name;
         let placed = |idx: usize| rows.attrs[idx].0 < k;
+        let new_rows = rows.tables[k];
         let mut out = Vec::new();
-        // The plan names the index, but the probe key is re-derived here
-        // and checked against the live catalog; on any disagreement the
-        // step runs its planned method instead.
+        // The plan names the index or key, but the probe key is
+        // re-derived here and checked against the live catalog; on any
+        // disagreement the step runs its planned method instead. Only a
+        // delta term probes declared keys.
         let probe = step.ix.as_ref().and_then(|info| {
-            find_index_probe(spec, t, conjuncts, &placed).filter(|p| {
-                Some(p.index.as_str()) == info.index() && self.index_fresh(table, &p.index)
+            find_index_probe(spec, t, conjuncts, &placed, rows.delta).filter(|p| {
+                let fresh = match &p.key {
+                    Some(key) => (self.db.catalog().table(name).ok())
+                        .is_some_and(|live| live.candidate_keys().any(|k| &k.columns == key)),
+                    None => self.index_fresh(table, &p.index),
+                };
+                Some(p.index.as_str()) == info.index() && fresh
             })
         });
         if let Some(p) = probe {
             // One probe per tuple, key assembled from placed attributes
-            // and constants; a unique index costs exactly one step.
+            // and constants; a unique target costs exactly one step.
+            // Positions past the end of the slice the step reads are
+            // rows this tuple may not see.
             let db = self.db;
             'probe: for tuple in tuples.chunks_exact(k) {
                 let scope = rows.scope(tuple, None);
@@ -444,19 +489,25 @@ impl<'a> Executor<'a> {
                     key.push(v.clone());
                 }
                 self.stats.ix_probes += 1;
-                let positions = db.index_probe(&table.schema.name, &p.index, &key)?;
+                let hit;
+                let positions = match &p.key {
+                    Some(columns) => {
+                        hit = db.lookup_by_key(name, columns, &key)?;
+                        hit.as_slice()
+                    }
+                    None => db.index_probe(name, &p.index, &key)?,
+                };
                 self.stats.probe_steps += if p.unique {
                     1
                 } else {
                     positions.len() as u64 + 1
                 };
-                for &r in positions {
+                for &r in positions.iter().filter(|&&r| r < new_rows.len()) {
                     self.extend(rows, &mut out, tuple, r as u32, conjuncts)?;
                 }
             }
             return Ok(out);
         }
-        let new_rows = rows.tables[k];
         if step.method == JoinMethod::NestedLoop {
             // Re-scan the table once per tuple.
             for tuple in tuples.chunks_exact(k) {
@@ -581,7 +632,7 @@ impl<'a> Executor<'a> {
             return Err(Error::internal("block with empty FROM clause"));
         }
         let order: Vec<usize> = (0..spec.from.len()).collect();
-        let rows = Rows::new(self.db, spec, &order)?;
+        let rows = Rows::new(self.db, spec, &order, None)?;
         let levels = planned_levels(spec, &rows.attrs);
         let mut ids = vec![0; order.len()];
         self.enumerate_level(&rows, &levels, 0, &mut ids, outer, on)?;
@@ -715,7 +766,7 @@ impl<'a> Executor<'a> {
     // --- expression evaluation -------------------------------------------
 
     /// Evaluate a predicate under three-valued logic on `scope`.
-    pub(crate) fn eval(&mut self, e: &BoundExpr, scope: &Scope<'_>) -> Result<Tri> {
+    fn eval(&mut self, e: &BoundExpr, scope: &Scope<'_>) -> Result<Tri> {
         let hv = self.hostvars;
         match e {
             BoundExpr::Cmp { op, left, right } => {
@@ -806,11 +857,20 @@ impl<'a> Executor<'a> {
 struct Rows<'r> {
     tables: Vec<&'r [Row]>,
     attrs: Vec<(usize, usize)>,
+    /// A delta term: slot 0 reads appended rows, and join steps may
+    /// probe declared keys.
+    delta: bool,
 }
 
 impl<'r> Rows<'r> {
-    /// `spec`'s tables laid out in `order`.
-    fn new(db: &'r Database, spec: &BoundSpec, order: &[usize]) -> Result<Rows<'r>> {
+    /// `spec`'s tables laid out in `order`: their stored rows, or, in a
+    /// delta term, `FROM` position `t`'s slice `slices[t]`.
+    fn new(
+        db: &'r Database,
+        spec: &BoundSpec,
+        order: &[usize],
+        slices: Option<&[&'r [Row]]>,
+    ) -> Result<Rows<'r>> {
         let mut slot = vec![0; spec.from.len()];
         for (k, &t) in order.iter().enumerate() {
             slot[t] = k;
@@ -822,9 +882,16 @@ impl<'r> Rows<'r> {
             }
         }
         let tables = (order.iter())
-            .map(|&t| db.rows(&spec.from[t].schema.name))
+            .map(|&t| match slices {
+                Some(slices) => Ok(slices[t]),
+                None => db.rows(&spec.from[t].schema.name),
+            })
             .collect::<Result<_>>()?;
-        Ok(Rows { tables, attrs })
+        Ok(Rows {
+            tables,
+            attrs,
+            delta: slices.is_some(),
+        })
     }
 
     /// The tuple `ids` as an evaluation scope.
@@ -851,7 +918,7 @@ impl<'r> Rows<'r> {
 /// each naming a borrowed stored row, with the enclosing block's tuple
 /// reachable by reference for correlated attributes.
 #[derive(Clone, Copy)]
-pub(crate) struct Scope<'s> {
+struct Scope<'s> {
     /// Stored rows by tuple slot.
     tables: &'s [&'s [Row]],
     /// Attribute → (tuple slot, table-local column).
@@ -873,20 +940,6 @@ impl Scope<'static> {
 }
 
 impl<'s> Scope<'s> {
-    /// A top-level tuple over `tables`, laid out as `attrs` says.
-    pub(crate) fn new(
-        tables: &'s [&'s [Row]],
-        attrs: &'s [(usize, usize)],
-        ids: &'s [u32],
-    ) -> Scope<'s> {
-        Scope {
-            tables,
-            attrs,
-            ids,
-            outer: None,
-        }
-    }
-
     /// This block's attribute `idx`.
     fn attr(&self, idx: usize) -> Result<&'s Value> {
         let &(slot, col) = (self.attrs.get(idx))

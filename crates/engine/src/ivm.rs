@@ -11,8 +11,17 @@
 //! ΔQ = Σᵢ Q(T₁ⁿᵉʷ, …, Tᵢ₋₁ⁿᵉʷ, ΔTᵢ, Tᵢ₊₁ᵒˡᵈ, …, Tₙᵒˡᵈ)
 //! ```
 //!
-//! so per-write work scales with `|Δ|`, not table size. Three tiers,
-//! in decreasing strength of what the catalog lets us prove:
+//! so per-write work scales with `|Δ|`, not table size. Each term ΔQᵢ of
+//! a block is planned once per view ([`plan_delta`]) and runs on the
+//! executor's block pipeline, where every `FROM` position reads a slice
+//! of the head snapshot's rows: position `i` the rows the write
+//! appended, positions before it the whole table, positions after it
+//! the old prefix. The delta scan is booked as `delta_rows`. A join step
+//! probes a secondary index or a declared candidate key its equalities
+//! cover (through a key, each delta row matches at most one row) and
+//! runs the planner's join method otherwise. This module only extracts
+//! the deltas and keeps each tier's state. Three tiers, in decreasing
+//! strength of what the catalog lets us prove:
 //!
 //! * **Set** (refcount-free fast path): licensed only when Algorithm 1
 //!   (`unique_projection`) *and* the U-semiring checker
@@ -33,21 +42,22 @@
 //! License-not-promise: the tier is chosen at subscribe time but
 //! re-verified on every round — a catalog version change (DDL,
 //! `TRUNCATE`) makes `maintain` demand a rebuild instead of trusting
-//! the stale proof, and key-probe shortcuts consult the *live*
-//! snapshot's catalog exactly like the executor's `index_fresh` check.
+//! the stale proof, and the executor re-checks a delta plan's index or
+//! key probe against the *live* catalog, as it does every index probe.
 
-use crate::exec::{Executor, Scope};
+use crate::exec::Executor;
 use crate::setops::output_count;
 use crate::stats::ExecStats;
+use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use uniq_catalog::{Database, Row};
 use uniq_core::analysis::unique_projection;
-use uniq_cost::{plan_output, PhysicalPlan, PlannerOptions};
+use uniq_cost::{plan_delta, plan_output, BlockPlan, PhysicalPlan, PlannerOptions};
 use uniq_plan::{BoundExpr, BoundOutput, BoundQuery, BoundSpec, HostVars};
 use uniq_proof::{check_equiv, ProofStatus};
 use uniq_sql::{Distinct, SetOp};
-use uniq_types::{ColumnName, Error, Result, TableName, Value};
+use uniq_types::{ColumnName, Error, Result, TableName};
 
 /// One maintenance round's net effect on a view, rows sorted in
 /// `Value`'s canonical order so pushed frames are deterministic.
@@ -120,7 +130,8 @@ enum NodeState {
     /// A block: multiset of *pre-distinct* projected rows. The
     /// node's output applies the block's own `DISTINCT` on top.
     Spec {
-        spec: BoundSpec,
+        distinct: Distinct,
+        terms: DeltaTerms,
         counts: HashMap<Row, i64>,
     },
     /// A set operation over two child states, caching each child's
@@ -162,25 +173,16 @@ pub struct MaterializedView {
 
 #[derive(Debug)]
 enum ViewState {
-    Set(HashSet<Row>),
+    Set(HashSet<Row>, DeltaTerms),
     Counting(NodeState),
     Full(HashMap<Row, i64>),
 }
 
-/// Sort rows in `Value`'s canonical total order (refines `=̇`).
-fn sort_canonical(rows: &mut [Row]) {
-    rows.sort();
-}
-
 /// Expand a signed multiset into its non-negative rows.
 fn expand(counts: &HashMap<Row, i64>) -> Vec<Row> {
-    let mut out = Vec::new();
-    for (row, &n) in counts {
-        for _ in 0..n.max(0) {
-            out.push(row.clone());
-        }
-    }
-    out
+    (counts.iter())
+        .flat_map(|(row, &n)| std::iter::repeat_n(row.clone(), n.max(0) as usize))
+        .collect()
 }
 
 /// Diff `after − before` as a signed multiset.
@@ -200,22 +202,20 @@ fn multiset_diff(before: &HashMap<Row, i64>, after: &HashMap<Row, i64>) -> HashM
     delta
 }
 
-/// Turn a signed output delta into a sorted [`ViewDelta`].
+/// Turn a signed output delta into a [`ViewDelta`], each side sorted in
+/// `Value`'s canonical total order (refines `=̇`).
 fn signed_to_delta(signed: HashMap<Row, i64>) -> ViewDelta {
     let mut delta = ViewDelta::default();
     for (row, n) in signed {
-        if n > 0 {
-            for _ in 0..n {
-                delta.inserted.push(row.clone());
-            }
+        let side = if n > 0 {
+            &mut delta.inserted
         } else {
-            for _ in 0..-n {
-                delta.deleted.push(row.clone());
-            }
-        }
+            &mut delta.deleted
+        };
+        side.extend(std::iter::repeat_n(row, n.unsigned_abs() as usize));
     }
-    sort_canonical(&mut delta.inserted);
-    sort_canonical(&mut delta.deleted);
+    delta.inserted.sort();
+    delta.deleted.sort();
     delta
 }
 
@@ -384,13 +384,13 @@ impl NodeState {
             BoundQuery::Spec(spec) => {
                 // The node tracks the *pre-distinct* multiset; its
                 // output applies the block's DISTINCT on read.
-                let mut as_all = (**spec).clone();
-                as_all.distinct = Distinct::All;
-                let as_all = BoundOutput::plain(BoundQuery::Spec(Box::new(as_all)));
+                let terms = DeltaTerms::new(spec, planner);
+                let as_all = BoundOutput::plain(BoundQuery::Spec(Box::new(terms.spec.clone())));
                 let plan = plan_output(&as_all, None, planner);
                 let rows = run_output_query(&as_all, &plan, db, stats)?;
                 Ok(NodeState::Spec {
-                    spec: (**spec).clone(),
+                    distinct: spec.distinct,
+                    terms,
                     counts: count_rows(rows),
                 })
             }
@@ -419,7 +419,9 @@ impl NodeState {
     /// The node's current output multiset.
     fn output(&self) -> HashMap<Row, i64> {
         match self {
-            NodeState::Spec { spec, counts } => match spec.distinct {
+            NodeState::Spec {
+                distinct, counts, ..
+            } => match distinct {
                 Distinct::All => counts.clone(),
                 Distinct::Distinct => counts
                     .iter()
@@ -460,15 +462,18 @@ impl NodeState {
         stats: &mut ExecStats,
     ) -> Result<HashMap<Row, i64>> {
         match self {
-            NodeState::Spec { spec, counts } => {
-                let derivations = spec_delta(spec, old, new, stats)?;
+            NodeState::Spec {
+                distinct,
+                terms,
+                counts,
+            } => {
                 let mut out: HashMap<Row, i64> = HashMap::new();
-                for row in derivations {
+                for row in terms.eval(old, new, stats)? {
                     let n = counts.entry(row.clone()).or_insert(0);
                     *n += 1;
                     // A subquery-free block is monotone: derivations
                     // only ever add. DISTINCT emits on the 0→1 edge.
-                    let emits = match spec.distinct {
+                    let emits = match distinct {
                         Distinct::All => 1,
                         Distinct::Distinct => i64::from(*n == 1),
                     };
@@ -516,242 +521,67 @@ impl NodeState {
     }
 }
 
-/// Evaluate the delta of a subquery-free block between two adjacent
-/// snapshots: the multiset of *new derivations* of projected rows.
-///
-/// The telescoping sum runs one pass per table with a non-empty delta:
-/// partial tuples start from that table's delta rows and are extended
-/// across the remaining tables — earlier tables from the *new*
-/// snapshot, later ones from the *old* — so no derivation is counted
-/// twice. Each extension step prefers a candidate-key probe
-/// (`lookup_by_key`, one `probe_step`) when the placed equi-join keys
-/// cover a key of the table being joined *in the live catalog*; the
-/// honest fallback is a nested-loop scan with every row booked.
-fn spec_delta(
-    spec: &BoundSpec,
-    old: &Database,
-    new: &Database,
-    stats: &mut ExecStats,
-) -> Result<Vec<Row>> {
-    let n = spec.from.len();
-    let conjuncts: Vec<BoundExpr> = spec
-        .predicate
-        .as_ref()
-        .map(|p| p.conjuncts().into_iter().cloned().collect())
-        .unwrap_or_default();
-    let hostvars = HostVars::new();
-    let mut evaluator = Executor::new(new, &hostvars);
-    let mut out = Vec::new();
-
-    // Extract every table's delta up front; a table can appear several
-    // times in FROM (self-join), and each occurrence telescopes.
-    let mut deltas: Vec<&[Row]> = Vec::with_capacity(n);
-    for ft in &spec.from {
-        let delta = old
-            .table_delta(new, &ft.schema.name)
-            .ok_or_else(|| Error::internal("snapshot pair is not insert-only"))?;
-        deltas.push(delta);
-    }
-
-    for i in 0..n {
-        if deltas[i].is_empty() {
-            continue;
-        }
-        stats.delta_rows += deltas[i].len() as u64;
-        let arity = spec.product_arity();
-        let range_i = spec.from[i].attr_range();
-        // Partial tuples: full-width, Null where a table is unplaced.
-        let mut partials: Vec<Row> = Vec::with_capacity(deltas[i].len());
-        for row in deltas[i] {
-            let mut tuple = vec![Value::Null; arity];
-            tuple[range_i.clone()].clone_from_slice(row);
-            partials.push(tuple);
-        }
-        let mut placed: Vec<bool> = vec![false; n];
-        placed[i] = true;
-        let mut applied: Vec<bool> = vec![false; conjuncts.len()];
-        apply_covered(
-            &conjuncts,
-            &mut applied,
-            spec,
-            &placed,
-            &mut partials,
-            &mut evaluator,
-        )?;
-        // Extend over the remaining tables in FROM order; the
-        // telescoping convention picks which snapshot each reads.
-        for j in (0..n).filter(|&j| j != i) {
-            if partials.is_empty() {
-                break;
-            }
-            let db: &Database = if j < i { new } else { old };
-            partials = extend_over(spec, j, db, &conjuncts, &placed, partials, stats)?;
-            placed[j] = true;
-            apply_covered(
-                &conjuncts,
-                &mut applied,
-                spec,
-                &placed,
-                &mut partials,
-                &mut evaluator,
-            )?;
-        }
-        out.extend(partials.into_iter().map(|t| project(spec, &t)));
-    }
-    stats.merge(&evaluator.stats);
-    Ok(out)
+/// A block's delta terms, each planned once by [`plan_delta`]: term `i`
+/// is the summand ΔQᵢ whose `FROM` position `i` reads the rows a publish
+/// appended.
+#[derive(Debug)]
+struct DeltaTerms {
+    /// The block without its `DISTINCT`: the terms yield derivations.
+    spec: BoundSpec,
+    plans: Vec<BlockPlan>,
 }
 
-/// The block's output row for one full-arity tuple.
-fn project(spec: &BoundSpec, tuple: &[Value]) -> Row {
-    spec.projection
-        .iter()
-        .map(|p| tuple[p.attr].clone())
-        .collect()
-}
+impl DeltaTerms {
+    fn new(spec: &BoundSpec, planner: PlannerOptions) -> DeltaTerms {
+        let mut spec = spec.clone();
+        spec.distinct = Distinct::All;
+        let plans = (0..spec.from.len())
+            .map(|i| plan_delta(&spec, i, planner))
+            .collect();
+        DeltaTerms { spec, plans }
+    }
 
-/// Evaluate (once) every conjunct newly covered by the placed tables,
-/// dropping partial tuples the predicate does not definitely accept.
-fn apply_covered(
-    conjuncts: &[BoundExpr],
-    applied: &mut [bool],
-    spec: &BoundSpec,
-    placed: &[bool],
-    partials: &mut Vec<Row>,
-    evaluator: &mut Executor<'_>,
-) -> Result<()> {
-    // A partial tuple is one full-arity row: attribute `i` is column `i`.
-    let flat: Vec<(usize, usize)> = (0..spec.product_arity()).map(|i| (0, i)).collect();
-    for (c, done) in conjuncts.iter().zip(applied.iter_mut()) {
-        if *done {
-            continue;
+    /// The new derivations of the block's projected rows between two
+    /// adjacent snapshots. Term `i` runs when position `i`'s table grew;
+    /// positions before `i` read the whole new table, positions after it
+    /// the old one, which [`Database::table_delta`] guarantees is a
+    /// prefix of the new. So no derivation is counted twice.
+    fn eval(&self, old: &Database, new: &Database, stats: &mut ExecStats) -> Result<Vec<Row>> {
+        // Each position's rows in `new` and its row count in `old`.
+        let mut tables = Vec::with_capacity(self.plans.len());
+        for ft in &self.spec.from {
+            let rows = new.rows(&ft.schema.name)?;
+            let delta = (old.table_delta(new, &ft.schema.name))
+                .ok_or_else(|| Error::internal("snapshot pair is not insert-only"))?;
+            tables.push((rows, rows.len() - delta.len()));
         }
-        let mut covered = true;
-        c.visit_local_attrs(&mut |idx| {
-            if let Some((ft, _)) = spec.attr_owner(idx) {
-                let t = spec
-                    .from
-                    .iter()
-                    .position(|f| f.offset == ft.offset)
-                    .unwrap_or(usize::MAX);
-                if t == usize::MAX || !placed[t] {
-                    covered = false;
-                }
+        let hostvars = HostVars::new();
+        let mut executor = Executor::new(new, &hostvars);
+        let mut out = Vec::new();
+        for (i, plan) in self.plans.iter().enumerate() {
+            let (rows, old_len) = tables[i];
+            if rows.len() == old_len {
+                continue; // nothing appended: the term is empty
             }
-        });
-        if !covered {
-            continue;
+            let slices: Vec<&[Row]> = (tables.iter().enumerate())
+                .map(|(t, &(rows, old_len))| match t.cmp(&i) {
+                    Ordering::Less => rows,
+                    Ordering::Equal => &rows[old_len..],
+                    Ordering::Greater => &rows[..old_len],
+                })
+                .collect();
+            out.extend(executor.block_rows(&self.spec, plan, Some(&slices))?);
         }
-        *done = true;
-        let mut kept = Vec::with_capacity(partials.len());
-        for tuple in partials.drain(..) {
-            let tables = [std::slice::from_ref(&tuple)];
-            // False-interpreted (⌊·⌋): Unknown rejects, as in the executor.
-            if (evaluator.eval(c, &Scope::new(&tables, &flat, &[0]))?).false_interpreted() {
-                kept.push(tuple);
-            }
-        }
-        *partials = kept;
+        stats.merge(&executor.stats);
+        Ok(out)
     }
-    Ok(())
-}
-
-/// Join the partial tuples with table `j` read from `db`: candidate-key
-/// probe when the placed equi-join keys cover a key in `db`'s *live*
-/// catalog, nested-loop scan otherwise.
-fn extend_over(
-    spec: &BoundSpec,
-    j: usize,
-    db: &Database,
-    conjuncts: &[BoundExpr],
-    placed: &[bool],
-    partials: Vec<Row>,
-    stats: &mut ExecStats,
-) -> Result<Vec<Row>> {
-    let ft = &spec.from[j];
-    let range = ft.attr_range();
-    let is_placed = |idx: usize| {
-        spec.attr_owner(idx)
-            .and_then(|(owner, _)| spec.from.iter().position(|f| f.offset == owner.offset))
-            .is_some_and(|t| placed[t])
-    };
-    // Equi-join pairs (placed attr, column of table j) available now.
-    let mut pairs: Vec<(usize, usize)> = Vec::new();
-    for c in conjuncts {
-        if let Some((built, new_attr)) = c.equi_join_key(&range, is_placed) {
-            pairs.push((built, new_attr - range.start));
-        }
-    }
-    // License-not-promise: the probe key must be a candidate key of the
-    // *live* table, not of the schema snapshot bound into the plan.
-    let probe_key = db.catalog().table(&ft.schema.name).ok().and_then(|live| {
-        live.candidate_keys()
-            .find(|k| {
-                k.columns
-                    .iter()
-                    .all(|c| pairs.iter().any(|&(_, col)| col == *c))
-            })
-            .map(|k| k.columns.clone())
-    });
-    let mut out = Vec::new();
-    match probe_key {
-        Some(key_columns) => {
-            for tuple in partials {
-                let key_values: Vec<Value> = key_columns
-                    .iter()
-                    .map(|col| {
-                        let built = pairs
-                            .iter()
-                            .find(|&&(_, c)| c == *col)
-                            .map(|&(b, _)| b)
-                            .expect("probe key covered by pairs");
-                        tuple[built].clone()
-                    })
-                    .collect();
-                stats.ix_probes += 1;
-                stats.probe_steps += 1;
-                // A NULL key value matches nothing under `=` (the probe
-                // implements plain equality, and `=̇` never reaches
-                // join conjuncts produced by the binder).
-                if key_values.iter().any(Value::is_null) {
-                    continue;
-                }
-                if let Some(row) = db.lookup_by_key(&ft.schema.name, &key_columns, &key_values)? {
-                    let mut extended = tuple;
-                    extended[range.clone()].clone_from_slice(row);
-                    out.push(extended);
-                }
-            }
-        }
-        None => {
-            let rows = db.rows(&ft.schema.name)?;
-            for tuple in partials {
-                stats.rows_scanned += rows.len() as u64;
-                'rows: for row in rows {
-                    // Pre-filter on the equi pairs before cloning; the
-                    // full conjuncts re-run after placement anyway.
-                    for &(built, col) in &pairs {
-                        let l = &tuple[built];
-                        let r = &row[col];
-                        if l.is_null() || r.is_null() || l != r {
-                            continue 'rows;
-                        }
-                    }
-                    let mut extended = tuple.clone();
-                    extended[range.clone()].clone_from_slice(row);
-                    out.push(extended);
-                }
-            }
-        }
-    }
-    Ok(out)
 }
 
 impl MaterializedView {
     /// Materialize `query` against `base` and pick its maintenance
     /// tier. `sql` is the canonical text (kept for rebuilds and
     /// EXPLAIN); `columns` the output header; `planner` the options of
-    /// the fixed plans the view runs.
+    /// the fixed and delta plans the view runs.
     pub fn new(
         sql: String,
         query: BoundOutput,
@@ -766,9 +596,10 @@ impl MaterializedView {
         // they may read `query.body` as the whole query.
         let state = match mode {
             MaintenanceMode::Set => {
+                let spec = (query.body.as_spec())
+                    .ok_or_else(|| Error::internal("set-tier view must be a single block"))?;
                 let rows = run_output_query(&query, &plan, &base, &mut stats)?;
-                let set: HashSet<Row> = rows.into_iter().collect();
-                ViewState::Set(set)
+                ViewState::Set(rows.into_iter().collect(), DeltaTerms::new(spec, planner))
             }
             MaintenanceMode::Counting => {
                 ViewState::Counting(NodeState::init(&query.body, &base, planner, &mut stats)?)
@@ -830,11 +661,11 @@ impl MaterializedView {
     /// The view's current contents as a multiset, canonically sorted.
     pub fn rows(&self) -> Vec<Row> {
         let mut rows = match &self.state {
-            ViewState::Set(set) => set.iter().cloned().collect(),
+            ViewState::Set(rows, _) => rows.iter().cloned().collect(),
             ViewState::Counting(node) => expand(&node.output()),
             ViewState::Full(counts) => expand(counts),
         };
-        sort_canonical(&mut rows);
+        rows.sort();
         rows
     }
 
@@ -857,23 +688,19 @@ impl MaterializedView {
         }
         let mut work = ExecStats::new();
         let delta = match &mut self.state {
-            ViewState::Set(set) => {
-                let BoundQuery::Spec(spec) = &self.query.body else {
-                    return Err(Error::internal("set-tier view must be a single block"));
-                };
-                let derivations = spec_delta(spec, &self.base, head, &mut work)?;
+            ViewState::Set(rows, terms) => {
                 let mut inserted = Vec::new();
-                for row in derivations {
+                for row in terms.eval(&self.base, head, &mut work)? {
                     // Under a valid 0/1 license every new derivation is
                     // a new view row; a collision would mean the proof
                     // was wrong, so it is surfaced loudly in debug.
-                    let fresh = set.insert(row.clone());
+                    let fresh = rows.insert(row.clone());
                     debug_assert!(fresh, "0/1-multiplicity license violated for {row:?}");
                     if fresh {
                         inserted.push(row);
                     }
                 }
-                sort_canonical(&mut inserted);
+                inserted.sort();
                 ViewDelta {
                     inserted,
                     deleted: Vec::new(),
@@ -905,6 +732,7 @@ mod tests {
     use uniq_core::pipeline::{Optimizer, OptimizerOptions};
     use uniq_plan::bind_output;
     use uniq_sql::{parse_statement, Statement};
+    use uniq_types::Value;
 
     fn bind(db: &Database, sql: &str) -> (BoundOutput, Vec<ColumnName>) {
         let Statement::Query(ast) = parse_statement(sql).unwrap() else {
@@ -1001,6 +829,67 @@ mod tests {
             "no table scan on the key-probe path: {work:?}"
         );
         assert!(before.len() + 1 == v.rows().len());
+        assert_eq!(v.rows(), oracle(&head, sql));
+    }
+
+    #[test]
+    fn delta_terms_probe_a_covering_index() {
+        // A SUPPLIER insert joins PARTS through IDX_P_SNO on both delta
+        // tiers instead of scanning PARTS.
+        let db = advance(&sample(), "CREATE INDEX IDX_P_SNO ON PARTS (SNO);");
+        let head = advance(
+            &db,
+            "INSERT INTO SUPPLIER VALUES (9, 'Nine', 'Toronto', 1, 'Active');",
+        );
+        for (mode, sql) in [
+            (
+                MaintenanceMode::Set,
+                "SELECT DISTINCT S.SNO, P.PNO FROM SUPPLIER S, PARTS P WHERE S.SNO = P.SNO",
+            ),
+            (
+                MaintenanceMode::Counting,
+                "SELECT DISTINCT P.COLOR, S.SCITY FROM PARTS P, SUPPLIER S WHERE P.SNO = S.SNO",
+            ),
+        ] {
+            let mut v = view(&db, sql);
+            assert_eq!(v.mode(), mode, "{sql}");
+            let MaintainOutcome::Delta { work, .. } = v.maintain(&head).unwrap() else {
+                panic!("expected a delta round");
+            };
+            assert!(work.ix_probes >= 1, "{sql}: {work:?}");
+            assert_eq!(work.rows_scanned, 0, "{sql}: {work:?}");
+            assert_eq!(v.rows(), oracle(&head, sql), "{sql}");
+        }
+    }
+
+    #[test]
+    fn null_delta_keys_join_nothing_and_book_no_probe() {
+        // R joins K through K's nullable UNIQUE key A, which holds a NULL.
+        let db = advance(
+            &sample(),
+            "CREATE TABLE K (A INTEGER, B INTEGER, UNIQUE (A));
+             CREATE TABLE R (X INTEGER, Y INTEGER);
+             INSERT INTO K VALUES (1, 10), (NULL, 20);
+             INSERT INTO R VALUES (1, 5), (NULL, 6);",
+        );
+        let sql = "SELECT R.Y, K.B FROM R R, K K WHERE R.X = K.A";
+        let mut v = view(&db, sql);
+        let head = advance(&db, "INSERT INTO R VALUES (NULL, 7);");
+        let MaintainOutcome::Delta { delta, work } = v.maintain(&head).unwrap() else {
+            panic!("expected a delta round");
+        };
+        assert!(delta.is_empty(), "NULL = NULL is not true: {delta:?}");
+        let booked = (work.delta_rows, work.ix_probes, work.probe_steps);
+        assert_eq!(booked, (1, 0, 0), "{work:?}");
+        assert_eq!(v.rows(), oracle(&head, sql));
+        // A non-NULL key probes the declared key once.
+        let head = advance(&head, "INSERT INTO R VALUES (1, 8);");
+        let MaintainOutcome::Delta { delta, work } = v.maintain(&head).unwrap() else {
+            panic!("expected a delta round");
+        };
+        assert_eq!(delta.inserted, vec![vec![Value::Int(8), Value::Int(10)]]);
+        let booked = (work.ix_probes, work.probe_steps, work.rows_scanned);
+        assert_eq!(booked, (1, 1, 0), "{work:?}");
         assert_eq!(v.rows(), oracle(&head, sql));
     }
 

@@ -304,8 +304,15 @@ impl SharedEngine {
     /// then on maintained incrementally after every publish. `sink`
     /// receives each non-empty delta; returning `false` unsubscribes.
     pub fn subscribe(&self, sql: &str, sink: SubscriptionSink) -> Result<Subscription> {
-        let view = self.build_view(sql)?;
+        let mut view = self.build_view(sql)?;
         let mut subs = self.subs();
+        // A write published and maintained since the view was built never
+        // reached it: catch it up to the head while no maintenance round
+        // can run, rebuilding it if DDL intervened.
+        match view.maintain(&self.snapshot()) {
+            Ok(MaintainOutcome::NeedsRebuild) | Err(_) => view = self.build_view(sql)?,
+            Ok(_) => {}
+        }
         subs.next_id += 1;
         let id = subs.next_id;
         let reply = Subscription {
@@ -780,6 +787,33 @@ mod tests {
             "key-probe round scans no table"
         );
         assert!(engine.stats().subs.rows_saved > 0);
+    }
+
+    #[test]
+    fn views_subscribed_during_writes_see_every_write() {
+        // A writer inserts while the main thread subscribes: every view,
+        // whenever it registered, must end equal to a fresh query.
+        let sql = "SELECT DISTINCT S.SNO, P.PNO FROM SUPPLIER S, PARTS P WHERE S.SNO = P.SNO";
+        let mut stale = 0;
+        for _ in 0..20 {
+            let engine = SharedEngine::sample().unwrap();
+            let ids: Vec<u64> = std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    for p in 100..120 {
+                        let part = format!("INSERT INTO PARTS VALUES (1, {p}, 'w', {p}0, 'RED');");
+                        engine.execute(&part).unwrap();
+                    }
+                });
+                (0..20)
+                    .map(|_| engine.subscribe(sql, Box::new(|_, _| true)).unwrap().id)
+                    .collect()
+            });
+            let want = sorted(engine.query(sql).unwrap().rows);
+            stale += (ids.iter())
+                .filter(|&&id| engine.subscription_rows(id).unwrap() != want)
+                .count();
+        }
+        assert_eq!(stale, 0, "views that missed a write");
     }
 
     #[test]
