@@ -76,6 +76,23 @@ lane -p uniq-engine -- \
 cargo test -q -p uniqueness --test columnar_agreement
 lane -p uniq-bench e18
 
+echo "==> fast lane: snapshot storage (shared row chunks, index overlays, no snapshot chain)"
+# A write appends into row chunks the snapshots share and copies only
+# small index overlays, never the whole table; every snapshot, pinned or
+# not, answers like a database rebuilt from its own rows across chunk
+# boundaries and overlay folds, and the store keeps no replaced snapshot
+# alive.
+lane -p uniq-catalog -- \
+    views_index_iterate_and_range_across_chunks \
+    clones_share_chunks_and_copy_one_only_when_they_diverge \
+    a_shared_base_takes_no_write_until_the_overlay_folds \
+    keys_and_parents_only_in_the_overlay_are_enforced \
+    insert_unchecked_keeps_the_first_row_across_base_and_overlay \
+    table_delta_spanning_a_seal_is_the_appended_rows \
+    a_pinned_snapshot_keeps_no_later_snapshot_alive
+cargo test -q -p uniqueness --test index_agreement
+cargo test -q -p uniqueness --test snapshot_delta
+
 echo "==> fast lane: secondary indexes (sarg extraction, index paths, agreement)"
 lane -p uniq-cost sarg
 lane -p uniq-catalog index
@@ -182,11 +199,12 @@ rm -f "$SMOKE_LOG"
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> E22 in release: subscription oracle rounds and maintenance work bars"
-# Every view equals a full recompute after every statement, and set-tier
+echo "==> E22 in release: subscription oracle rounds, maintenance work bars, publish time"
+# Every view equals a full recompute after every statement, set-tier
 # maintenance work stays >= 10x under recompute and flat when the tables
-# double; the binary asserts both. An experiment name report does not
-# know must fail instead of running nothing.
+# double, and a one-row INSERT publishes within 1.5x when its table
+# doubles; the binary asserts all three. An experiment name report does
+# not know must fail instead of running nothing.
 ./target/release/report e22
 if ./target/release/report e99 > /dev/null 2>&1; then
     echo "error: 'report e99' exited 0 for an unknown experiment" >&2

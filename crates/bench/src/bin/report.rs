@@ -17,6 +17,7 @@ use uniq_bench::{
     E18_UNIQUE_PROBE, E19_INDEX_JOIN, E20_PUSHDOWN_BLOCKED, E20_PUSHDOWN_OK, E20_UNION_BOUND,
     E2_QUERY, E4_QUERY, E5_QUERY,
 };
+use uniqueness::catalog::SnapshotStore;
 use uniqueness::core::algorithm1::{algorithm1, Algorithm1Options};
 use uniqueness::core::analysis::unique_projection;
 use uniqueness::core::pipeline::{Optimizer, OptimizerOptions};
@@ -31,7 +32,7 @@ use uniqueness::sql::parse_query;
 use uniqueness::types::{TableName, Value};
 use uniqueness::workload::{
     generate_corpus, run_batch, run_client_batch, scaled_database, BatchOptions, CorpusStats,
-    ScaleConfig,
+    ScaleConfig, INDEX_DDL,
 };
 
 /// Machine-readable metric rows collected while the experiments print
@@ -326,8 +327,8 @@ fn e23_agg_topk(m: &mut Metrics) {
 /// E21 — the multi-client daemon end to end: sustained QPS at
 /// N ∈ {1, 2, 4, 8} concurrent TCP clients against an in-process
 /// `uniqd` vs the serial in-process batch driver, the process-wide
-/// shared plan cache observed over the wire, and the MVCC snapshot
-/// chain (a pinned reader never observes a concurrent `INSERT` or
+/// shared plan cache observed over the wire, and the MVCC snapshots
+/// (a pinned reader never observes a concurrent `INSERT` or
 /// `CREATE INDEX` that a fresh snapshot does). Asserts (1) N=4
 /// multi-client QPS ≥ the serial driver's on a ≥4-core host, (2) a
 /// second connection hits on a plan the first compiled, and (3) the
@@ -468,7 +469,7 @@ fn e21_server(m: &mut Metrics) {
     // CREATE INDEX through a writer connection. The pinned snapshot's
     // row count and catalog version are untouched; a fresh snapshot
     // sees both; the untouched PARTS table shares storage across the
-    // chain instead of being copied.
+    // snapshots instead of being copied.
     let engine = server.engine();
     let supplier = TableName::new("SUPPLIER");
     let parts = TableName::new("PARTS");
@@ -503,12 +504,12 @@ fn e21_server(m: &mut Metrics) {
     );
     assert!(
         pinned.shares_storage(&fresh, &parts),
-        "untouched PARTS storage must be shared across the chain, not copied"
+        "untouched PARTS storage must be shared across snapshots, not copied"
     );
     let depth = engine.stats().snapshot_depth;
     println!(
         "snapshot isolation: pinned snapshot holds {rows_before} rows @ catalog v{version_before}; \
-         fresh sees {} rows @ v{} (chain depth {depth}); PARTS storage shared",
+         fresh sees {} rows @ v{} ({depth} snapshots published); PARTS storage shared",
         rows_before + 1,
         fresh.version()
     );
@@ -790,6 +791,60 @@ fn e22_subscriptions(m: &mut Metrics) {
     );
     m.push("E22", "rows_saved", stats.rows_saved as f64, false);
     m.push("E22", "deltas_pushed", stats.deltas_pushed as f64, false);
+    e22_publish_time(m);
+}
+
+/// E22's publish rows: the wall clock of a one-row `PARTS` INSERT
+/// published through `SnapshotStore::run_script`, on perfbench-sized
+/// data (2,000 suppliers × 10 parts with `INDEX_DDL` and `IDX_P_SNO`:
+/// 20,000 `PARTS` rows) and on its double. A write copies the touched
+/// table's open tail chunk and index overlays, not the table, so
+/// doubling the table must leave the median publish within 1.5×.
+fn e22_publish_time(m: &mut Metrics) {
+    let stores = [2_000, 4_000].map(|suppliers| {
+        let cfg = ScaleConfig {
+            suppliers,
+            parts_per_supplier: 10,
+            ..Default::default()
+        };
+        let mut db = scaled_database(&cfg).expect("scaled database");
+        db.run_script(INDEX_DDL)
+            .and_then(|()| db.run_script("CREATE INDEX IDX_P_SNO ON PARTS (SNO);"))
+            .expect("index set");
+        SnapshotStore::new(db)
+    });
+    // 21 pairs, alternating which size runs first; each insert is a
+    // fresh part of supplier 1 with a fresh OEM-PNO.
+    let mut samples = [Vec::new(), Vec::new()];
+    for k in 0..21i64 {
+        let order = if k % 2 == 0 { [0, 1] } else { [1, 0] };
+        for i in order {
+            let sql = format!(
+                "INSERT INTO PARTS VALUES (1, {}, 'timed', {}, 'RED');",
+                1_000 + k,
+                9_000_000 + k
+            );
+            let t = Instant::now();
+            stores[i].run_script(&sql).expect("insert part");
+            samples[i].push(micros(t.elapsed()));
+        }
+    }
+    let [p20, p40] = samples.map(|mut v| {
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    });
+    let growth = p40 / p20;
+    println!(
+        "\npublish of a one-row PARTS INSERT (SnapshotStore::run_script, 21 pairs): \
+         p50 {p20:.1} µs at 20,000 rows, {p40:.1} µs at 40,000 rows ({growth:.2}x)"
+    );
+    assert!(
+        growth <= 1.5,
+        "publish time grew {growth:.2}x when the table doubled: a write copies the table"
+    );
+    m.push("E22", "publish_p50_us_20k", p20, false);
+    m.push("E22", "publish_p50_us_40k", p40, false);
+    m.push("E22", "publish_growth_on_2x_table", growth, true);
 }
 
 /// E20 — the U-semiring proof checker over the standard rewrite corpus:

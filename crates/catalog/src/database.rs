@@ -1,15 +1,21 @@
 //! A database: catalog plus validated in-memory row storage.
 //!
-//! Storage keeps one B-tree index per candidate key (keyed by the key's
+//! Storage keeps one sorted index per candidate key (keyed by the key's
 //! value tuple under `Value`'s canonical order, whose `Equal` coincides
 //! with `=̇`), so key-uniqueness validation and foreign-key lookups are
-//! `O(log n)` per row rather than a scan — instances of benchmark size
-//! load in linear-log time.
+//! `O(log n)` per row rather than a scan.
+//!
+//! Rows and indexes are laid out to be shared across snapshots (see
+//! [`crate::storage`]): a write to a table another snapshot shares
+//! appends into the shared row chunks and copies the table's small index
+//! overlays, not the table, so it costs O(Δ) plus at most √n entries per
+//! index.
 
 use crate::catalog::Catalog;
+use crate::storage::{Key, Layered, Positions, Postings, RowChunks, SortedMap, TableRows};
 use crate::table::{IndexDef, TableSchema};
 use crate::validate;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::ops::Bound;
 use std::sync::Arc;
 use uniq_sql::{CreateIndex, IndexKindAst, Insert, Statement};
@@ -18,67 +24,113 @@ use uniq_types::{Error, Result, TableName, Value};
 /// One stored row.
 pub type Row = Vec<Value>;
 
+/// A candidate key's index: key tuple → row position.
+type KeyIndex = Layered<usize>;
+
+/// The position of the row whose key tuple is `key`, base first: after
+/// an unchecked insert the first row keeps the key.
+fn key_position(index: &KeyIndex, key: &[Value]) -> Option<usize> {
+    let [base, overlay] = index.get(key);
+    base.or(overlay).copied()
+}
+
 /// One persistent secondary index structure: key tuple → positions of
 /// every row carrying that key (a unique index stores one position per
 /// tuple by construction; uniqueness itself is enforced through the
-/// candidate-key machinery the index registers).
+/// candidate-key machinery the index registers). Keys sort under
+/// `Value`'s canonical order, whose `Equal` coincides with `=̇`.
 #[derive(Debug, Clone)]
-enum SecondaryIndex {
-    /// Point probes only, O(1).
-    Hash(HashMap<Vec<Value>, Vec<usize>>),
-    /// Ordered (`BTreeMap` under `Value`'s canonical order, whose
-    /// `Equal` coincides with `=̇`): point probes and range scans.
-    Tree(BTreeMap<Vec<Value>, Vec<usize>>),
+struct SecondaryIndex {
+    /// `USING BTREE`: point probes and range scans. A hash index answers
+    /// point probes only.
+    ordered: bool,
+    ix: Layered<Postings>,
 }
 
 impl SecondaryIndex {
-    fn empty(ordered: bool) -> SecondaryIndex {
-        if ordered {
-            SecondaryIndex::Tree(BTreeMap::new())
-        } else {
-            SecondaryIndex::Hash(HashMap::new())
+    /// The index of `columns` over `rows`.
+    fn build(ordered: bool, columns: &[usize], rows: TableRows<'_>) -> SecondaryIndex {
+        let mut keyed: Vec<(Key, usize)> = (rows.iter().enumerate())
+            .map(|(pos, row)| (key_tuple(columns, row), pos))
+            .collect();
+        keyed.sort();
+        let mut entries: Vec<(Key, Postings)> = Vec::new();
+        for (key, pos) in keyed {
+            match entries.last_mut() {
+                Some((last, positions)) if *last == key => Arc::make_mut(positions).push(pos),
+                _ => entries.push((key, Arc::new(vec![pos]))),
+            }
+        }
+        SecondaryIndex {
+            ordered,
+            ix: Layered::new(SortedMap::from_sorted(entries)),
         }
     }
 
-    fn add(&mut self, key: Vec<Value>, pos: usize) {
-        match self {
-            SecondaryIndex::Hash(m) => m.entry(key).or_default().push(pos),
-            SecondaryIndex::Tree(m) => m.entry(key).or_default().push(pos),
-        }
-    }
-
-    fn get(&self, key: &[Value]) -> &[usize] {
-        match self {
-            SecondaryIndex::Hash(m) => m.get(key),
-            SecondaryIndex::Tree(m) => m.get(key),
-        }
-        .map(|v| v.as_slice())
-        .unwrap_or(&[])
-    }
-
-    fn clear(&mut self) {
-        match self {
-            SecondaryIndex::Hash(m) => m.clear(),
-            SecondaryIndex::Tree(m) => m.clear(),
-        }
+    fn get(&self, key: &[Value]) -> Positions<'_> {
+        Positions::new(self.ix.get(key))
     }
 
     fn entries(&self) -> Vec<(Vec<Value>, Vec<usize>)> {
-        let mut out: Vec<(Vec<Value>, Vec<usize>)> = match self {
-            SecondaryIndex::Hash(m) => m.iter().map(|(k, v)| (k.clone(), v.clone())).collect(),
-            SecondaryIndex::Tree(m) => m.iter().map(|(k, v)| (k.clone(), v.clone())).collect(),
-        };
-        out.sort_by(|(a, _), (b, _)| a.cmp(b));
-        out
+        let mut merged: BTreeMap<Vec<Value>, Vec<usize>> = BTreeMap::new();
+        for (key, positions) in self.ix.layers().into_iter().flat_map(SortedMap::entries) {
+            merged
+                .entry(key.to_vec())
+                .or_default()
+                .extend(positions.iter());
+        }
+        merged.into_iter().collect()
+    }
+}
+
+/// Call `each` on the groups of `tree` whose key starts with `prefix`
+/// and whose next component lies in `[low, high]`, in key order; see
+/// [`Database::index_range`].
+fn range_groups<'t>(
+    tree: &'t SortedMap<Postings>,
+    prefix: &[Value],
+    low: Bound<&Value>,
+    high: Bound<&Value>,
+    mut each: impl FnMut(&'t Key, &'t [usize]),
+) {
+    // Every stored key is longer than `prefix`, and a shorter vector
+    // sorts before all its extensions, so the range starts exactly at
+    // the prefix group.
+    for (key, positions) in tree.from(prefix) {
+        if !key.starts_with(prefix) {
+            break;
+        }
+        let c = &key[prefix.len()];
+        if c.is_null() {
+            // NULL satisfies a bound never, an unconstrained scan
+            // always; canonical order puts it first in the group.
+            if !(matches!(low, Bound::Unbounded) && matches!(high, Bound::Unbounded)) {
+                continue;
+            }
+        } else {
+            match high {
+                // Keys in one prefix group ascend by this component
+                // (NULLs first), so the first overshoot ends the scan.
+                Bound::Included(v) if c > v => break,
+                Bound::Excluded(v) if c >= v => break,
+                _ => {}
+            }
+            match low {
+                Bound::Included(v) if c < v => continue,
+                Bound::Excluded(v) if c <= v => continue,
+                _ => {}
+            }
+        }
+        each(key, positions);
     }
 }
 
 #[derive(Debug, Clone, Default)]
 struct TableData {
-    rows: Vec<Row>,
+    rows: RowChunks,
     /// One index per candidate key, parallel to
-    /// `TableSchema::candidate_keys()` order: key tuple → row position.
-    key_indexes: Vec<BTreeMap<Vec<Value>, usize>>,
+    /// `TableSchema::candidate_keys()` order.
+    key_indexes: Vec<KeyIndex>,
     /// One structure per secondary index, parallel to
     /// `TableSchema::indexes` order.
     secondary: Vec<SecondaryIndex>,
@@ -91,9 +143,10 @@ struct TableData {
 ///
 /// Table contents sit behind per-table [`Arc`]s, so `Database::clone` is
 /// a *structural-sharing* copy: it duplicates only the catalog and the
-/// table map, not the rows. A mutation on a clone copies just the
-/// touched table's storage (copy-on-write via [`Arc::make_mut`]) — the
-/// primitive the MVCC snapshot chain in [`crate::snapshot`] is built on.
+/// table map, not the rows. A write on a clone copies the touched
+/// table's small state (row count and index overlays) and shares its
+/// row chunks and index bases (copy-on-write via [`Arc::make_mut`]) —
+/// the primitive the MVCC snapshots of [`crate::snapshot`] are built on.
 #[derive(Debug, Clone, Default)]
 pub struct Database {
     catalog: Catalog,
@@ -102,7 +155,7 @@ pub struct Database {
     version: u64,
 }
 
-fn key_tuple(columns: &[usize], row: &[Value]) -> Vec<Value> {
+fn key_tuple(columns: &[usize], row: &[Value]) -> Key {
     columns.iter().map(|&c| row[c].clone()).collect()
 }
 
@@ -171,8 +224,8 @@ impl Database {
         self.data.insert(
             name,
             Arc::new(TableData {
-                rows: Vec::new(),
-                key_indexes: vec![BTreeMap::new(); n_keys],
+                rows: RowChunks::default(),
+                key_indexes: (0..n_keys).map(|_| Layered::default()).collect(),
                 secondary: Vec::new(),
             }),
         );
@@ -225,16 +278,13 @@ impl Database {
             .data
             .get(&ast.table)
             .ok_or_else(|| Error::UnknownTable(ast.table.to_string()))?;
-        let mut sec = SecondaryIndex::empty(def.ordered);
-        for (pos, row) in data.rows.iter().enumerate() {
-            sec.add(key_tuple(&def.columns, row), pos);
-        }
+        let sec = SecondaryIndex::build(def.ordered, &def.columns, data.rows.view());
         let mut sorted = def.columns.clone();
         sorted.sort_unstable();
         let needs_key = def.unique && !schema.candidate_keys().any(|k| k.columns == sorted);
-        let mut key_index: BTreeMap<Vec<Value>, usize> = BTreeMap::new();
+        let mut key_index: BTreeMap<Key, usize> = BTreeMap::new();
         if needs_key {
-            for (pos, row) in data.rows.iter().enumerate() {
+            for (pos, row) in data.rows.view().iter().enumerate() {
                 if key_index.insert(key_tuple(&sorted, row), pos).is_some() {
                     let desc: Vec<String> = sorted
                         .iter()
@@ -253,7 +303,9 @@ impl Database {
         let data = Arc::make_mut(self.data.get_mut(&ast.table).expect("checked above"));
         data.secondary.push(sec);
         if needs_key {
-            data.key_indexes.push(key_index);
+            data.key_indexes.push(Layered::new(SortedMap::from_sorted(
+                key_index.into_iter().collect(),
+            )));
         }
         self.version += 1;
         Ok(())
@@ -263,10 +315,15 @@ impl Database {
     /// A probe containing `NULL` matches nothing: no SQL comparison
     /// predicate is *true* of `NULL`, so a sargable probe cannot reach
     /// null-keyed entries.
-    pub fn index_probe(&self, table: &TableName, index: &str, key: &[Value]) -> Result<&[usize]> {
+    pub fn index_probe(
+        &self,
+        table: &TableName,
+        index: &str,
+        key: &[Value],
+    ) -> Result<Positions<'_>> {
         let (_, sec) = self.secondary_index(table, index)?;
         if key.iter().any(|v| v.is_null()) {
-            return Ok(&[]);
+            return Ok(Positions::default());
         }
         Ok(sec.get(key))
     }
@@ -277,6 +334,7 @@ impl Database {
     /// bounds unbounded this is a prefix probe (trailing columns
     /// unconstrained, so null-keyed suffixes *do* match). Range scans
     /// need an ordered index; hash indexes answer point probes only.
+    /// Positions come in key order, each key's ascending.
     pub fn index_range(
         &self,
         table: &TableName,
@@ -292,43 +350,31 @@ impl Database {
         if prefix.len() >= def.columns.len() {
             return Ok(sec.get(prefix).to_vec());
         }
-        let tree = match sec {
-            SecondaryIndex::Tree(t) => t,
-            SecondaryIndex::Hash(_) => {
-                return Err(Error::internal(format!(
-                    "index {index} is a hash index: prefix and range scans need USING BTREE"
-                )))
+        if !sec.ordered {
+            return Err(Error::internal(format!(
+                "index {index} is a hash index: prefix and range scans need USING BTREE"
+            )));
+        }
+        // Merge the overlay's groups (at most √n positions) into the
+        // base's by key; a key in both lists the base's positions first.
+        let [base, overlay] = sec.ix.layers();
+        let mut later = Vec::new();
+        range_groups(overlay, prefix, low, high, |key, positions| {
+            later.push((key, positions));
+        });
+        let (mut i, mut out) = (0, Vec::new());
+        range_groups(base, prefix, low, high, |key, positions| {
+            while i < later.len() && later[i].0 < key {
+                out.extend_from_slice(later[i].1);
+                i += 1;
             }
-        };
-        let mut out = Vec::new();
-        // Every stored key is longer than `prefix`, and a shorter vector
-        // sorts before all its extensions, so the range starts exactly at
-        // the prefix group.
-        for (key, positions) in tree.range((Bound::Included(prefix.to_vec()), Bound::Unbounded)) {
-            if !key.starts_with(prefix) {
-                break;
+            out.extend_from_slice(positions);
+            if i < later.len() && later[i].0 == key {
+                out.extend_from_slice(later[i].1);
+                i += 1;
             }
-            let c = &key[prefix.len()];
-            if c.is_null() {
-                // NULL satisfies a bound never, an unconstrained scan
-                // always; canonical order puts it first in the group.
-                if !(matches!(low, Bound::Unbounded) && matches!(high, Bound::Unbounded)) {
-                    continue;
-                }
-            } else {
-                match high {
-                    // Keys in one prefix group ascend by this component
-                    // (NULLs first), so the first overshoot ends the scan.
-                    Bound::Included(v) if c > v => break,
-                    Bound::Excluded(v) if c >= v => break,
-                    _ => {}
-                }
-                match low {
-                    Bound::Included(v) if c < v => continue,
-                    Bound::Excluded(v) if c <= v => continue,
-                    _ => {}
-                }
-            }
+        });
+        for (_, positions) in &later[i..] {
             out.extend_from_slice(positions);
         }
         Ok(out)
@@ -375,10 +421,10 @@ impl Database {
             .get(table)
             .ok_or_else(|| Error::UnknownTable(table.to_string()))?;
         let keys: Vec<_> = schema.candidate_keys().collect();
-        let mut tuples: Vec<Vec<Value>> = Vec::with_capacity(keys.len());
+        let mut tuples: Vec<Key> = Vec::with_capacity(keys.len());
         for (key, index) in keys.iter().zip(&data.key_indexes) {
             let tuple = key_tuple(&key.columns, &row);
-            if index.contains_key(&tuple) {
+            if key_position(index, &tuple).is_some() {
                 let desc: Vec<String> = key
                     .columns
                     .iter()
@@ -426,7 +472,7 @@ impl Database {
 
         // Incremental maintenance of the secondary indexes (uniqueness
         // was already enforced above through the registered keys).
-        let secondary_tuples: Vec<Vec<Value>> = schema
+        let secondary_tuples: Vec<Key> = schema
             .indexes
             .iter()
             .map(|ix| key_tuple(&ix.columns, &row))
@@ -434,10 +480,10 @@ impl Database {
         let data = Arc::make_mut(self.data.get_mut(table).expect("checked above"));
         let pos = data.rows.len();
         for (index, tuple) in data.key_indexes.iter_mut().zip(tuples) {
-            index.insert(tuple, pos);
+            index.add(tuple, pos);
         }
         for (sec, tuple) in data.secondary.iter_mut().zip(secondary_tuples) {
-            sec.add(tuple, pos);
+            sec.ix.add(tuple, pos);
         }
         data.rows.push(row);
         Ok(())
@@ -471,7 +517,7 @@ impl Database {
             .position(|k| k.columns == positions)
             .ok_or_else(|| Error::internal("FK references a non-key (checked at create)"))?;
         let probe: Vec<Value> = paired.into_iter().map(|(_, v)| v.clone()).collect();
-        Ok(data.key_indexes[key_idx].contains_key(&probe))
+        Ok(key_position(&data.key_indexes[key_idx], &probe).is_some())
     }
 
     /// Insert one row *without* validation.
@@ -489,20 +535,23 @@ impl Database {
         );
         let pos = data.rows.len();
         for (key, index) in schema.candidate_keys().zip(data.key_indexes.iter_mut()) {
-            index.entry(key_tuple(&key.columns, &row)).or_insert(pos);
+            let tuple = key_tuple(&key.columns, &row);
+            if key_position(index, &tuple).is_none() {
+                index.add(tuple, pos);
+            }
         }
         for (ix, sec) in schema.indexes.iter().zip(data.secondary.iter_mut()) {
-            sec.add(key_tuple(&ix.columns, &row), pos);
+            sec.ix.add(key_tuple(&ix.columns, &row), pos);
         }
         data.rows.push(row);
         Ok(())
     }
 
     /// All rows of a table.
-    pub fn rows(&self, table: &TableName) -> Result<&[Row]> {
+    pub fn rows(&self, table: &TableName) -> Result<TableRows<'_>> {
         self.data
             .get(table)
-            .map(|d| d.rows.as_slice())
+            .map(|d| d.rows.view())
             .ok_or_else(|| Error::UnknownTable(table.to_string()))
     }
 
@@ -526,7 +575,7 @@ impl Database {
             .ok_or_else(|| {
                 Error::internal(format!("{table} has no candidate key {key_columns:?}"))
             })?;
-        Ok(data.key_indexes[key_idx].get(key_values).copied())
+        Ok(key_position(&data.key_indexes[key_idx], key_values))
     }
 
     /// Number of rows in a table.
@@ -538,9 +587,9 @@ impl Database {
     /// `table` (same `Arc`, not merely equal contents)? This is the
     /// observable face of copy-on-write cloning: after `let b =
     /// a.clone()`, every table shares storage; after a write to one
-    /// table of `b`, only that table's storage diverges. Used by the
-    /// MVCC snapshot tests to prove writes clone nothing they did not
-    /// touch.
+    /// table of `b`, only that table's storage diverges (and even then
+    /// its row chunks and index bases stay shared). Used by the MVCC
+    /// snapshot tests to prove writes clone nothing they did not touch.
     pub fn shares_storage(&self, other: &Database, table: &TableName) -> bool {
         match (self.data.get(table), other.data.get(table)) {
             (Some(a), Some(b)) => Arc::ptr_eq(a, b),
@@ -551,24 +600,26 @@ impl Database {
     /// The rows `newer` appended to `table` since `self`, if that delta
     /// can be extracted soundly:
     ///
-    /// * shared storage (`Arc::ptr_eq`) ⇒ `Some(&[])` in O(1), no row
+    /// * shared storage (`Arc::ptr_eq`) ⇒ an empty run in O(1), no row
     ///   comparison — the pointer-equality fast path for untouched
     ///   tables;
     /// * equal catalog versions with `newer` at least as long ⇒ the
-    ///   suffix `&newer.rows[self.len..]`. Plain `INSERT`s are the only
+    ///   suffix of `newer`'s rows past `self`'s row count (the rows may
+    ///   span chunks). Plain `INSERT`s are the only
     ///   mutation that leaves the version unchanged (`truncate` and all
     ///   DDL bump it), so equal versions guarantee insert-only growth
     ///   and the suffix *is* the delta;
     /// * anything else (version changed, table missing, shrunk rows) ⇒
     ///   `None` — the caller must fall back to a full recompute.
-    pub fn table_delta<'a>(&self, newer: &'a Database, table: &TableName) -> Option<&'a [Row]> {
+    pub fn table_delta<'a>(&self, newer: &'a Database, table: &TableName) -> Option<TableRows<'a>> {
         let old = self.data.get(table)?;
         let new = newer.data.get(table)?;
+        let rows = new.rows.view();
         if Arc::ptr_eq(old, new) {
-            return Some(&[]);
+            return Some(rows.range(rows.len()..));
         }
-        if self.version == newer.version && new.rows.len() >= old.rows.len() {
-            return Some(&new.rows[old.rows.len()..]);
+        if self.version == newer.version && rows.len() >= old.rows.len() {
+            return Some(rows.range(old.rows.len()..));
         }
         None
     }
@@ -579,12 +630,12 @@ impl Database {
             .get_mut(table)
             .map(Arc::make_mut)
             .map(|d| {
-                d.rows.clear();
+                d.rows = RowChunks::default();
                 for idx in &mut d.key_indexes {
-                    idx.clear();
+                    *idx = Layered::default();
                 }
                 for sec in &mut d.secondary {
-                    sec.clear();
+                    sec.ix = Layered::default();
                 }
             })
             .ok_or_else(|| Error::UnknownTable(table.to_string()))?;
@@ -666,6 +717,7 @@ impl Database {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::storage::CHUNK_ROWS;
 
     #[test]
     fn script_builds_and_populates() {
@@ -1101,6 +1153,87 @@ mod tests {
         assert_eq!(old.table_delta(&new, &"U".into()).unwrap(), &[] as &[Row]);
         // Self-delta is always empty.
         assert_eq!(new.table_delta(&new, &"T".into()).unwrap(), &[] as &[Row]);
+    }
+
+    #[test]
+    fn keys_and_parents_only_in_the_overlay_are_enforced() {
+        let mut base = Database::new();
+        base.run_script(
+            "CREATE TABLE PARENT (K INTEGER, PRIMARY KEY (K));
+             CREATE TABLE CHILD (C INTEGER, FK INTEGER,
+               PRIMARY KEY (C),
+               FOREIGN KEY (FK) REFERENCES PARENT (K));
+             INSERT INTO PARENT VALUES (1);",
+        )
+        .unwrap();
+        // `base` shares every index base, so the new key lands in the
+        // clone's overlay.
+        let mut db = base.clone();
+        db.run_script("INSERT INTO PARENT VALUES (2);").unwrap();
+        assert_eq!(db.data["PARENT"].key_indexes[0].overlay_len(), 1);
+        let err = db.run_script("INSERT INTO PARENT VALUES (2);").unwrap_err();
+        assert!(err.to_string().contains("primary key violation"), "{err}");
+        db.run_script("INSERT INTO CHILD VALUES (10, 2);").unwrap();
+        let err = db
+            .run_script("INSERT INTO CHILD VALUES (11, 3);")
+            .unwrap_err();
+        assert!(err.to_string().contains("foreign key"), "{err}");
+        assert_eq!(
+            db.lookup_by_key(&"PARENT".into(), &[0], &[Value::Int(2)])
+                .unwrap(),
+            Some(1)
+        );
+        assert!(base
+            .run_script("INSERT INTO CHILD VALUES (10, 2);")
+            .is_err());
+    }
+
+    #[test]
+    fn insert_unchecked_keeps_the_first_row_across_base_and_overlay() {
+        let mut base = Database::new();
+        base.run_script("CREATE TABLE T (A INTEGER, PRIMARY KEY (A));")
+            .unwrap();
+        let t: TableName = "T".into();
+        for a in 0..100 {
+            base.insert(&t, vec![Value::Int(a)]).unwrap();
+        }
+        let mut db = base.clone();
+        let key_of = |db: &Database, a: i64| db.lookup_by_key(&t, &[0], &[Value::Int(a)]).unwrap();
+        // Key 5 sits in the base, key 200 in the overlay; each gets a
+        // second row.
+        for a in [5, 200, 200] {
+            db.insert_unchecked(&t, vec![Value::Int(a)]).unwrap();
+        }
+        assert_eq!(db.data[&t].key_indexes[0].overlay_len(), 1);
+        assert_eq!((key_of(&db, 5), key_of(&db, 200)), (Some(5), Some(101)));
+        // Folding the overlay keeps the first rows.
+        let mut a = 1_000;
+        while db.data[&t].key_indexes[0].overlay_len() > 0 {
+            db.insert_unchecked(&t, vec![Value::Int(a)]).unwrap();
+            a += 1;
+        }
+        assert_eq!((key_of(&db, 5), key_of(&db, 200)), (Some(5), Some(101)));
+        assert_eq!(key_of(&base, 200), None);
+    }
+
+    #[test]
+    fn table_delta_spanning_a_seal_is_the_appended_rows() {
+        let mut old = Database::new();
+        old.run_script("CREATE TABLE T (A INTEGER, PRIMARY KEY (A));")
+            .unwrap();
+        let t: TableName = "T".into();
+        for a in 0..CHUNK_ROWS as i64 - 3 {
+            old.insert(&t, vec![Value::Int(a)]).unwrap();
+        }
+        let mut new = old.clone();
+        let appended: Vec<Row> = (1..=8).map(|a| vec![Value::Int(-a)]).collect();
+        for row in &appended {
+            new.insert(&t, row.clone()).unwrap();
+        }
+        assert_eq!(old.table_delta(&new, &t).unwrap(), &appended);
+        let rows = new.rows(&t).unwrap();
+        assert_eq!(rows.range(..CHUNK_ROWS - 3), old.rows(&t).unwrap());
+        assert_eq!(rows.len(), CHUNK_ROWS + 5);
     }
 
     #[test]

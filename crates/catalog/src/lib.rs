@@ -23,10 +23,12 @@ pub mod catalog;
 pub mod database;
 pub mod sample;
 pub mod snapshot;
+pub mod storage;
 pub mod table;
 pub mod validate;
 
 pub use catalog::Catalog;
 pub use database::{Database, Row};
 pub use snapshot::SnapshotStore;
+pub use storage::{Positions, TableRows, CHUNK_ROWS};
 pub use table::{ColumnDef, ForeignKey, IndexDef, Key, TableConstraint, TableSchema};

@@ -1,4 +1,4 @@
-//! MVCC snapshot chain over copy-on-write [`Database`] values.
+//! MVCC snapshots over copy-on-write [`Database`] values.
 //!
 //! [`SnapshotStore`] promotes the monotonic catalog `version` and the
 //! per-table [`std::sync::Arc`] storage of [`Database`] into real
@@ -11,11 +11,14 @@
 //! * **Writers** call [`SnapshotStore::apply`] (or
 //!   [`SnapshotStore::run_script`]). A write clones the head database
 //!   (structural sharing: only the table map and catalog are copied, no
-//!   rows), applies the mutation — [`std::sync::Arc::make_mut`] inside
-//!   [`Database`] deep-copies exactly the touched tables — and
-//!   publishes the result as the new head. Readers pinned to older
-//!   snapshots keep them alive through their `Arc`s; untouched tables
-//!   are shared by every snapshot in the chain.
+//!   rows), applies the mutation — inside [`Database`], a touched table
+//!   appends into its shared row chunks and copies only its small index
+//!   overlays, so a write costs O(Δ), not O(table) — and publishes the
+//!   result as the new head. The store
+//!   keeps only the head: readers pinned to older snapshots keep them
+//!   alive through their own `Arc`s, and a snapshot nobody pins is
+//!   freed as soon as a newer one replaces it. Untouched tables are
+//!   shared by every live snapshot.
 //! * **Atomicity**: a failed statement (constraint violation, unknown
 //!   table, …) discards the scratch clone, so the head never exposes a
 //!   partially applied write. `run_script` publishes once per script —
@@ -26,13 +29,12 @@
 //! `RwLock` write lock), and readers never block writers.
 
 use crate::database::Database;
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use uniq_sql::Statement;
 use uniq_types::Result;
 
-/// A single-writer, many-reader chain of copy-on-write database
+/// A single-writer, many-reader store of copy-on-write database
 /// snapshots. See the module docs for the protocol.
 #[derive(Debug)]
 pub struct SnapshotStore {
@@ -40,31 +42,23 @@ pub struct SnapshotStore {
     head: RwLock<Arc<Database>>,
     /// Serializes writers; never held while readers execute.
     write: Mutex<()>,
-    /// Snapshots published after the seed (the chain's depth).
+    /// Snapshots published after the seed.
     published: AtomicU64,
-    /// Retained snapshots, oldest first; the back is always the head.
-    /// Garbage-collected on every publish: dead *prefixes* — entries no
-    /// reader or subscriber pins anymore — are truncated, so sustained
-    /// writes with no pins keep the chain at O(1) length while one
-    /// pinned old snapshot keeps exactly its suffix reachable.
-    chain: Mutex<VecDeque<Arc<Database>>>,
 }
 
 impl SnapshotStore {
     /// A store seeded with `db` as the first snapshot.
     pub fn new(db: Database) -> SnapshotStore {
-        let seed = Arc::new(db);
         SnapshotStore {
-            head: RwLock::new(Arc::clone(&seed)),
+            head: RwLock::new(Arc::new(db)),
             write: Mutex::new(()),
             published: AtomicU64::new(0),
-            chain: Mutex::new(VecDeque::from([seed])),
         }
     }
 
     /// Pin the current head snapshot. The returned `Arc` stays
     /// consistent (catalog, rows, indexes, versions) no matter what
-    /// writers publish afterwards; drop it to release the chain.
+    /// writers publish afterwards; drop it to release the snapshot.
     pub fn snapshot(&self) -> Arc<Database> {
         Arc::clone(&self.head.read().expect("snapshot head poisoned"))
     }
@@ -96,14 +90,6 @@ impl SnapshotStore {
         Ok(n)
     }
 
-    /// Number of snapshots the store itself still retains (the GC'd
-    /// chain length, head included). Bounded by `1 +` the number of
-    /// publishes since the oldest still-pinned snapshot; `1` when
-    /// nothing old is pinned.
-    pub fn live_chain_len(&self) -> usize {
-        self.chain.lock().expect("snapshot chain poisoned").len()
-    }
-
     /// The writer protocol: clone the head structurally, mutate the
     /// clone, publish on success.
     fn write_with(&self, mutate: impl FnOnce(&mut Database) -> Result<()>) -> Result<()> {
@@ -112,25 +98,14 @@ impl SnapshotStore {
         // storage, so this is O(#tables), not O(rows).
         let mut scratch = (*self.snapshot()).clone();
         mutate(&mut scratch)?;
-        let published = Arc::new(scratch);
-        {
+        let replaced = {
             let mut head = self.head.write().expect("snapshot head poisoned");
-            *head = Arc::clone(&published);
-        }
+            std::mem::replace(&mut *head, Arc::new(scratch))
+        };
         self.published.fetch_add(1, Ordering::Relaxed);
-        let mut chain = self.chain.lock().expect("snapshot chain poisoned");
-        chain.push_back(published);
-        // Truncate the dead prefix: a front entry whose only owner is
-        // the chain itself can never be read again (snapshot() only
-        // hands out the head). Stop at the first pinned entry — a
-        // pinned snapshot must keep reconstruction from it possible.
-        while chain.len() > 1 {
-            let front = chain.front().expect("non-empty chain");
-            if Arc::strong_count(front) > 1 {
-                break;
-            }
-            chain.pop_front();
-        }
+        // The old head is freed here, outside the head lock, unless a
+        // reader still pins it.
+        drop(replaced);
         Ok(())
     }
 }
@@ -262,39 +237,27 @@ mod tests {
     }
 
     #[test]
-    fn chain_gc_keeps_depth_bounded_under_sustained_writes() {
-        let store = seeded();
-        assert_eq!(store.live_chain_len(), 1, "seed only");
-        for i in 3..203i64 {
-            store
-                .run_script(&format!("INSERT INTO T VALUES ({i});"))
-                .unwrap();
-            assert!(
-                store.live_chain_len() <= 2,
-                "unpinned chain grew to {} after {} writes",
-                store.live_chain_len(),
-                i - 2
-            );
-        }
-        assert_eq!(store.depth(), 200, "every publish counted");
-        assert_eq!(store.live_chain_len(), 1, "only the head survives GC");
-    }
-
-    #[test]
-    fn pinned_snapshot_holds_its_suffix_until_dropped() {
+    fn a_pinned_snapshot_keeps_no_later_snapshot_alive() {
         let store = seeded();
         let pinned = store.snapshot();
+        let mut later = Vec::new();
         for i in 3..13i64 {
             store
                 .run_script(&format!("INSERT INTO T VALUES ({i});"))
                 .unwrap();
+            later.push(Arc::downgrade(&store.snapshot()));
         }
-        // The pin sits at the front: prefix truncation cannot pass it.
-        assert_eq!(store.live_chain_len(), 11, "pin retains its suffix");
-        drop(pinned);
-        // The next publish collects the whole dead prefix at once.
-        store.run_script("INSERT INTO T VALUES (99);").unwrap();
-        assert_eq!(store.live_chain_len(), 1, "drop + publish collapses it");
+        let (head, replaced) = later.split_last().unwrap();
+        assert!(head.upgrade().is_some(), "the store holds its head");
+        assert!(
+            replaced.iter().all(|weak| weak.upgrade().is_none()),
+            "a replaced snapshot nobody pins is freed"
+        );
+        assert_eq!(store.depth(), 10, "every publish counted");
+        assert_eq!(
+            pinned.rows(&"T".into()).unwrap(),
+            &[vec![Value::Int(1)], vec![Value::Int(2)]]
+        );
     }
 
     #[test]

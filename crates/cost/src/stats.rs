@@ -55,7 +55,7 @@ impl Statistics {
     pub fn collect(db: &Database) -> Statistics {
         let mut tables = BTreeMap::new();
         for schema in db.catalog().tables() {
-            let rows = db.rows(&schema.name).unwrap_or(&[]);
+            let rows = db.rows(&schema.name).unwrap_or_default();
             let arity = schema.arity();
             // Columns that alone form a candidate key never repeat a
             // non-null value: skip the set and count exactly.

@@ -46,7 +46,7 @@ use crate::exec::{hash_join, Probe};
 use crate::stats::ExecStats;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
-use uniq_catalog::{Database, Row, TableSchema};
+use uniq_catalog::{Database, Row, TableRows, TableSchema};
 use uniq_cost::{BlockPlan, JoinMethod};
 use uniq_plan::{BScalar, BoundAgg, BoundExpr, BoundSpec};
 use uniq_sql::CmpOp;
@@ -196,7 +196,7 @@ impl ColumnStore {
                 Some(Some(mut tc)) if tc.rows < rows.len() => {
                     let at = tc.rows;
                     Arc::make_mut(&mut tc)
-                        .append(&rows[at..], limit)
+                        .append(rows.range(at..), limit)
                         .then_some(tc)
                 }
                 // Unseen, or not a later state of the encoded table.
@@ -230,7 +230,7 @@ impl ColumnStore {
     }
 }
 
-fn encode_table(schema: &TableSchema, rows: &[Row], limit: usize) -> Option<TableColumns> {
+fn encode_table(schema: &TableSchema, rows: TableRows<'_>, limit: usize) -> Option<TableColumns> {
     let cols = schema
         .columns
         .iter()
@@ -256,7 +256,7 @@ impl TableColumns {
     /// encoding unusable) when they cannot be encoded: a value of the
     /// wrong type, a row count beyond `u32`, or a dictionary beyond
     /// `limit`.
-    fn append(&mut self, rows: &[Row], limit: usize) -> bool {
+    fn append(&mut self, rows: TableRows<'_>, limit: usize) -> bool {
         if self.rows + rows.len() > NONE_U32 as usize {
             return false;
         }
@@ -310,7 +310,7 @@ fn extend_dict(
     dict: &mut Vec<String>,
     codes: &mut [u32],
     nulls: &NullBitmap,
-    rows: &[Row],
+    rows: TableRows<'_>,
     c: usize,
     limit: usize,
 ) -> bool {

@@ -49,7 +49,7 @@ use crate::setops::{combine_setop, distinct};
 use crate::stats::{ExecStats, JoinMethod};
 use std::collections::HashMap;
 use std::hash::Hash;
-use uniq_catalog::{Database, Row};
+use uniq_catalog::{Database, Positions, Row, TableRows};
 use uniq_cost::{
     find_index_probe, find_index_sarg, BlockPlan, JoinStep, Justification, OutputOp, PhysNode,
     PhysicalPlan, PlannerOptions, ProbeSource,
@@ -337,7 +337,7 @@ impl<'a> Executor<'a> {
         &mut self,
         spec: &BoundSpec,
         bp: &BlockPlan,
-        slices: Option<&[&'a [Row]]>,
+        slices: Option<&[TableRows<'a>]>,
     ) -> Result<Vec<Row>> {
         Ok(match self.block(spec, bp, slices)? {
             Block::Encoded(enc, ids) => enc.materialize(&ids, &mut self.stats),
@@ -354,7 +354,7 @@ impl<'a> Executor<'a> {
         &mut self,
         spec: &BoundSpec,
         bp: &BlockPlan,
-        slices: Option<&[&'a [Row]]>,
+        slices: Option<&[TableRows<'a>]>,
     ) -> Result<Block<'a>> {
         if !plan_matches(bp, spec) {
             return Err(plan_mismatch());
@@ -490,10 +490,10 @@ impl<'a> Executor<'a> {
                 }
                 self.stats.ix_probes += 1;
                 let hit;
-                let positions = match &p.key {
+                let positions: Positions = match &p.key {
                     Some(columns) => {
                         hit = db.lookup_by_key(name, columns, &key)?;
-                        hit.as_slice()
+                        hit.as_slice().into()
                     }
                     None => db.index_probe(name, &p.index, &key)?,
                 };
@@ -502,7 +502,7 @@ impl<'a> Executor<'a> {
                 } else {
                     positions.len() as u64 + 1
                 };
-                for &r in positions.iter().filter(|&&r| r < new_rows.len()) {
+                for r in positions.iter().filter(|&r| r < new_rows.len()) {
                     self.extend(rows, &mut out, tuple, r as u32, conjuncts)?;
                 }
             }
@@ -855,7 +855,7 @@ impl<'a> Executor<'a> {
 /// The stored rows a block reads, by tuple slot, and where each of its
 /// attributes lives: `attrs[idx]` is (tuple slot, table-local column).
 struct Rows<'r> {
-    tables: Vec<&'r [Row]>,
+    tables: Vec<TableRows<'r>>,
     attrs: Vec<(usize, usize)>,
     /// A delta term: slot 0 reads appended rows, and join steps may
     /// probe declared keys.
@@ -869,7 +869,7 @@ impl<'r> Rows<'r> {
         db: &'r Database,
         spec: &BoundSpec,
         order: &[usize],
-        slices: Option<&[&'r [Row]]>,
+        slices: Option<&[TableRows<'r>]>,
     ) -> Result<Rows<'r>> {
         let mut slot = vec![0; spec.from.len()];
         for (k, &t) in order.iter().enumerate() {
@@ -920,7 +920,7 @@ impl<'r> Rows<'r> {
 #[derive(Clone, Copy)]
 struct Scope<'s> {
     /// Stored rows by tuple slot.
-    tables: &'s [&'s [Row]],
+    tables: &'s [TableRows<'s>],
     /// Attribute → (tuple slot, table-local column).
     attrs: &'s [(usize, usize)],
     /// The tuple: one row id per placed slot.

@@ -563,11 +563,11 @@ impl DeltaTerms {
             if rows.len() == old_len {
                 continue; // nothing appended: the term is empty
             }
-            let slices: Vec<&[Row]> = (tables.iter().enumerate())
+            let slices: Vec<_> = (tables.iter().enumerate())
                 .map(|(t, &(rows, old_len))| match t.cmp(&i) {
                     Ordering::Less => rows,
-                    Ordering::Equal => &rows[old_len..],
-                    Ordering::Greater => &rows[..old_len],
+                    Ordering::Equal => rows.range(old_len..),
+                    Ordering::Greater => rows.range(..old_len),
                 })
                 .collect();
             out.extend(executor.block_rows(&self.spec, plan, Some(&slices))?);

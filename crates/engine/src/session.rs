@@ -148,10 +148,11 @@ impl Session {
     /// `INSERT`) as one unit, like [`SharedEngine::execute`]: the script
     /// runs on a structural clone of the database, which replaces it only
     /// if every statement succeeds, so a failing script changes nothing.
-    /// The clone copies each table the script writes. On success the
-    /// column store is brought up to the database by encoding only the
-    /// new rows and tables. Statistics and the epoch stay, so cached
-    /// plans keep serving.
+    /// The clone shares every table's row chunks and index bases; a table
+    /// the script writes appends into the shared chunks and copies only
+    /// its index overlays. On success the column store is brought up to the
+    /// database by encoding only the new rows and tables. Statistics and
+    /// the epoch stay, so cached plans keep serving.
     ///
     /// [`SharedEngine::execute`]: crate::SharedEngine::execute
     pub fn run_script(&mut self, sql: &str) -> Result<()> {

@@ -105,7 +105,7 @@ pub struct SubscriptionStats {
     pub dropped: u64,
 }
 
-/// A process-wide engine: MVCC snapshot chain + shared plan cache +
+/// A process-wide engine: MVCC snapshot store + shared plan cache +
 /// one fixed optimizer/planner configuration for every connection.
 #[derive(Debug)]
 pub struct SharedEngine {
@@ -138,7 +138,8 @@ impl std::fmt::Debug for SubState {
 pub struct EngineStats {
     /// Plan-cache counters, process-wide.
     pub cache: CacheStats,
-    /// Snapshots published since the engine started (chain depth).
+    /// Snapshots published since the engine started: one per successful
+    /// write, whether or not any of them is still alive.
     pub snapshot_depth: u64,
     /// Query requests across all connections, failed ones included
     /// (`EXPLAIN` is not counted).

@@ -153,9 +153,11 @@ mod tests {
         let found = (0..50).any(|seed| {
             let db = random_instance(seed, 10, 0, 0).unwrap();
             let rows = db.rows(&"SUPPLIER".into()).unwrap();
-            rows.iter()
-                .enumerate()
-                .any(|(i, r)| rows[..i].iter().any(|q| !r[1].is_null() && r[1] == q[1]))
+            rows.iter().enumerate().any(|(i, r)| {
+                rows.range(..i)
+                    .iter()
+                    .any(|q| !r[1].is_null() && r[1] == q[1])
+            })
         });
         assert!(found);
     }

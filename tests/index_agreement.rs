@@ -16,15 +16,22 @@
 //! * fixed sargable statements plus property tests over random
 //!   instances, including post-`INSERT` runs
 //!   where the cached plans must serve the new rows through the
-//!   *maintained* indexes.
+//!   *maintained* indexes;
+//! * storage shared across snapshots: every snapshot a
+//!   [`SnapshotStore`] publishes, pinned or not, answers row, key and
+//!   index lookups exactly like a database rebuilt from its own rows,
+//!   across row-chunk boundaries and index-overlay folds.
 
 use proptest::prelude::*;
-use uniqueness::catalog::Database;
+use std::ops::Bound;
+use std::sync::Arc;
+use uniqueness::catalog::{Database, SnapshotStore, CHUNK_ROWS};
 use uniqueness::engine::Session;
 use uniqueness::sql::parse_statement;
 use uniqueness::types::value::tuple_null_cmp;
-use uniqueness::types::{Error, Value};
+use uniqueness::types::{Error, TableName, Value};
 use uniqueness::workload::random_instance;
+use uniqueness::workload::rng::SplitMix64;
 
 /// The index set built over every random instance: the unique supplier
 /// key (ordered), a non-unique city index, a hash-only color index and
@@ -245,5 +252,206 @@ proptest! {
         // The new supplier is reachable through the cached point plan.
         let out = indexed.query("SELECT S.SNAME FROM SUPPLIER S WHERE S.SNO = 21").unwrap();
         prop_assert_eq!(&out.rows, &vec![vec![Value::str("Late")]]);
+    }
+}
+
+/// The schema the storage property writes through a [`SnapshotStore`]:
+/// a parent `P`, and a child `R` with two declared candidate keys (`B`
+/// nullable), a foreign key, a unique index registering a third key
+/// `(K, A)`, and ordered, hash and composite secondary indexes.
+const STORAGE_DDL: &str = "CREATE TABLE P (K INTEGER NOT NULL, PRIMARY KEY (K));
+     CREATE TABLE R (A INTEGER NOT NULL, B INTEGER, C VARCHAR, K INTEGER,
+       PRIMARY KEY (A), UNIQUE (B), FOREIGN KEY (K) REFERENCES P (K));
+     CREATE UNIQUE INDEX IDX_R_KA ON R (K, A);
+     CREATE INDEX IDX_R_C ON R (C);
+     CREATE INDEX IDX_R_C_HASH ON R (C) USING HASH;
+     CREATE INDEX IDX_R_CB ON R (C, B);";
+
+/// `R`'s candidate keys (sorted column positions) and `R`'s indexes
+/// with their columns.
+const R_KEYS: [&[usize]; 3] = [&[0], &[1], &[0, 3]];
+const R_INDEXES: [(&str, &[usize]); 4] = [
+    ("IDX_R_KA", &[3, 0]),
+    ("IDX_R_C", &[2]),
+    ("IDX_R_C_HASH", &[2]),
+    ("IDX_R_CB", &[2, 1]),
+];
+
+/// One `INSERT INTO R`: a fresh `A` (or, rarely, a taken one), a fresh
+/// `B` or `NULL` (a second `NULL` violates `UNIQUE (B)`), a `C` from a
+/// small pool, and a parent that exists, is `NULL`, or (rarely) is
+/// missing. A violation fails the whole script.
+fn random_r_row(rng: &mut SplitMix64, next: &mut i64, parents: i64) -> String {
+    *next += 1;
+    let a = if rng.gen_bool(0.02) { 1 } else { *next };
+    let b = if rng.gen_bool(0.03) {
+        "NULL".to_string()
+    } else {
+        (10_000 + *next).to_string()
+    };
+    let c = ["'x'", "'y'", "'z'", "NULL"][rng.gen_range(0..4usize)];
+    let k = match rng.gen_range(0..20u32) {
+        0 => "NULL".to_string(),
+        1 => (parents + 1).to_string(),
+        _ => rng.gen_range(1..=parents).to_string(),
+    };
+    format!("INSERT INTO R VALUES ({a}, {b}, {c}, {k});")
+}
+
+/// A database rebuilt from `snap`'s rows: the same schema, every row
+/// inserted afresh in order.
+fn rebuilt(snap: &Database) -> Database {
+    let mut db = Database::new();
+    db.run_script(STORAGE_DDL).unwrap();
+    for table in ["P", "R"] {
+        let name: TableName = table.into();
+        for row in snap.rows(&name).unwrap() {
+            db.insert(&name, row.clone()).unwrap();
+        }
+    }
+    db
+}
+
+/// `snap` answers `rows`, `lookup_by_key`, `index_probe`, `index_range`
+/// and `index_entries` exactly like `rebuilt(snap)`.
+fn assert_answers_like_a_rebuild(snap: &Database) {
+    let want = rebuilt(snap);
+    let (p, r): (TableName, TableName) = ("P".into(), "R".into());
+    let rows = snap.rows(&r).unwrap();
+    assert_eq!(rows, want.rows(&r).unwrap());
+    assert_eq!(snap.rows(&p).unwrap(), want.rows(&p).unwrap());
+    assert!((0..rows.len()).all(|i| rows[i] == want.rows(&r).unwrap()[i]));
+    let tuple = |row: &[Value], columns: &[usize]| -> Vec<Value> {
+        columns.iter().map(|&c| row[c].clone()).collect()
+    };
+    let absent = vec![
+        Value::Int(-7),
+        Value::Int(-7),
+        Value::str("w"),
+        Value::Int(-7),
+    ];
+    let probes: Vec<&[Value]> = rows
+        .iter()
+        .map(Vec::as_slice)
+        .chain([absent.as_slice()])
+        .collect();
+    for key in R_KEYS {
+        for row in &probes {
+            let k = tuple(row, key);
+            assert_eq!(
+                snap.lookup_by_key(&r, key, &k).unwrap(),
+                want.lookup_by_key(&r, key, &k).unwrap(),
+                "key {key:?} = {k:?}"
+            );
+        }
+    }
+    for row in snap.rows(&p).unwrap().iter().chain([&vec![Value::Int(-7)]]) {
+        assert_eq!(
+            snap.lookup_by_key(&p, &[0], row).unwrap(),
+            want.lookup_by_key(&p, &[0], row).unwrap()
+        );
+    }
+    for (index, columns) in R_INDEXES {
+        assert_eq!(
+            snap.index_entries(&r, index).unwrap(),
+            want.index_entries(&r, index).unwrap(),
+            "{index}"
+        );
+        for row in &probes {
+            let k = tuple(row, columns);
+            assert_eq!(
+                snap.index_probe(&r, index, &k).unwrap().to_vec(),
+                want.index_probe(&r, index, &k).unwrap().to_vec(),
+                "{index} = {k:?}"
+            );
+        }
+    }
+    // Ranges: whole ordered indexes, bounded scans on C, and prefix
+    // scans of (C, B) with bounds on B.
+    let (y, b) = (Value::str("y"), Value::Int(10_000 + rows.len() as i64 / 2));
+    let bounds = [
+        (Bound::Unbounded, Bound::Unbounded),
+        (Bound::Included(&y), Bound::Unbounded),
+        (Bound::Unbounded, Bound::Excluded(&y)),
+        (Bound::Excluded(&y), Bound::Included(&y)),
+    ];
+    for (index, prefix) in [
+        ("IDX_R_C", vec![]),
+        ("IDX_R_CB", vec![]),
+        ("IDX_R_KA", vec![]),
+    ] {
+        for (low, high) in bounds {
+            assert_eq!(
+                snap.index_range(&r, index, &prefix, low, high).unwrap(),
+                want.index_range(&r, index, &prefix, low, high).unwrap(),
+                "{index} {low:?}..{high:?}"
+            );
+        }
+    }
+    for c in ["x", "z"] {
+        let prefix = [Value::str(c)];
+        for (low, high) in [
+            (Bound::Unbounded, Bound::Unbounded),
+            (Bound::Included(&b), Bound::Unbounded),
+            (Bound::Unbounded, Bound::Excluded(&b)),
+        ] {
+            assert_eq!(
+                snap.index_range(&r, "IDX_R_CB", &prefix, low, high)
+                    .unwrap(),
+                want.index_range(&r, "IDX_R_CB", &prefix, low, high)
+                    .unwrap(),
+                "IDX_R_CB [{c}] {low:?}..{high:?}"
+            );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// Random insert scripts published through a store grow `R` from
+    /// below one full chunk to well past it; every write shares the
+    /// head's index bases, so its entries go to overlays that fold once
+    /// they pass √n. Failing scripts (duplicate keys, missing parents)
+    /// publish nothing. Every snapshot kept along the way — pinned
+    /// while later writes land — and the head answer exactly like a
+    /// rebuild from their own rows.
+    #[test]
+    fn snapshots_answer_like_a_rebuild_across_seals_and_folds(seed in 0u64..1_000) {
+        let mut rng = SplitMix64::seed_from_u64(seed);
+        let mut db = Database::new();
+        db.run_script(STORAGE_DDL).unwrap();
+        let mut parents = 8i64;
+        for k in 1..=parents {
+            db.run_script(&format!("INSERT INTO P VALUES ({k});")).unwrap();
+        }
+        let mut next = 0i64;
+        let seeded = CHUNK_ROWS - 40;
+        while db.row_count(&"R".into()).unwrap() < seeded {
+            let _ = db.run_script(&random_r_row(&mut rng, &mut next, parents));
+        }
+        let store = SnapshotStore::new(db);
+        let mut kept: Vec<Arc<Database>> = vec![store.snapshot()];
+        while store.snapshot().row_count(&"R".into()).unwrap() < CHUNK_ROWS + 60 {
+            let mut script = String::new();
+            if rng.gen_bool(0.2) {
+                script.push_str(&format!("INSERT INTO P VALUES ({});", parents + 1));
+            }
+            for _ in 0..rng.gen_range(1..8usize) {
+                script.push_str(&random_r_row(&mut rng, &mut next, parents));
+            }
+            let before = store.snapshot();
+            match store.run_script(&script) {
+                Ok(_) => parents += i64::from(script.starts_with("INSERT INTO P")),
+                Err(_) => prop_assert!(Arc::ptr_eq(&before, &store.snapshot())),
+            }
+            if rng.gen_bool(0.25) {
+                kept.push(store.snapshot());
+            }
+        }
+        kept.push(store.snapshot());
+        for snap in &kept {
+            assert_answers_like_a_rebuild(snap);
+        }
     }
 }
