@@ -89,7 +89,8 @@ lane -p uniq-catalog -- \
     keys_and_parents_only_in_the_overlay_are_enforced \
     insert_unchecked_keeps_the_first_row_across_base_and_overlay \
     table_delta_spanning_a_seal_is_the_appended_rows \
-    a_pinned_snapshot_keeps_no_later_snapshot_alive
+    a_pinned_snapshot_keeps_no_later_snapshot_alive \
+    index_walk_merges_both_layers_lazily_in_key_order
 cargo test -q -p uniqueness --test index_agreement
 cargo test -q -p uniqueness --test snapshot_delta
 
@@ -114,6 +115,14 @@ lane -p uniq-bench e23
 
 echo "==> fast lane: subscriptions (delta terms on the block pipeline, tiers, snapshot deltas)"
 lane -p uniq-engine ivm
+# A view compiles through the shared plan cache and runs every whole
+# query on the serving path: after ANALYZE its recompute round is a
+# cached columnar read with no rebuild, such a round saves no rows, and
+# ANALYZE leaves views serving while DDL rebuilds them.
+lane -p uniq-engine -- \
+    after_analyze_an_aggregate_view_recomputes_on_the_served_plan \
+    a_recompute_round_saves_no_rows_on_the_encoded_access \
+    ddl_rebuilds_views_and_analyze_leaves_them_serving
 cargo test -q -p uniqueness --test ivm_agreement
 cargo test -q -p uniqueness --test snapshot_delta
 

@@ -537,6 +537,12 @@ const E22_COUNTING_VIEW: &str =
 const E22_RECOMPUTE_VIEW: &str = "SELECT S.SNO FROM SUPPLIER S WHERE NOT EXISTS \
      (SELECT P.PNO FROM PARTS P WHERE P.SNO = S.SNO)";
 
+/// The recompute-tier view of a timed write with views: an aggregate
+/// over the join the set and counting views read, as the benchmark's
+/// `write_subscribe` workload subscribes it with those two.
+const E22_AGGREGATE_VIEW: &str = "SELECT S.SCITY, COUNT(*) AS N FROM SUPPLIER S, PARTS P \
+     WHERE S.SNO = P.SNO GROUP BY S.SCITY";
+
 /// The E22 work metric: every counter either side of the comparison is
 /// charged in — base rows scanned, delta rows consumed, probe steps,
 /// hash probes and sort comparisons. Incremental maintenance and full
@@ -794,14 +800,17 @@ fn e22_subscriptions(m: &mut Metrics) {
     e22_publish_time(m);
 }
 
-/// E22's publish rows: the wall clock of a one-row `PARTS` INSERT
+/// E22's time rows: the wall clock of a one-row `PARTS` INSERT
 /// published through `SnapshotStore::run_script`, on perfbench-sized
 /// data (2,000 suppliers × 10 parts with `INDEX_DDL` and `IDX_P_SNO`:
 /// 20,000 `PARTS` rows) and on its double. A write copies the touched
 /// table's open tail chunk and index overlays, not the table, so
-/// doubling the table must leave the median publish within 1.5×.
+/// doubling the table must leave the median publish within 1.5×. Then
+/// the same write through `SharedEngine::execute` on the 20,000-row
+/// data, `ANALYZE`d, with the set, counting and aggregate views
+/// subscribed: publish plus one maintenance round per view.
 fn e22_publish_time(m: &mut Metrics) {
-    let stores = [2_000, 4_000].map(|suppliers| {
+    let load = |suppliers| {
         let cfg = ScaleConfig {
             suppliers,
             parts_per_supplier: 10,
@@ -811,28 +820,32 @@ fn e22_publish_time(m: &mut Metrics) {
         db.run_script(INDEX_DDL)
             .and_then(|()| db.run_script("CREATE INDEX IDX_P_SNO ON PARTS (SNO);"))
             .expect("index set");
-        SnapshotStore::new(db)
-    });
-    // 21 pairs, alternating which size runs first; each insert is a
-    // fresh part of supplier 1 with a fresh OEM-PNO.
+        db
+    };
+    let stores = [2_000, 4_000].map(|suppliers| SnapshotStore::new(load(suppliers)));
+    // Each insert is a fresh part of supplier 1 with a fresh OEM-PNO.
+    let part = |k: i64| {
+        format!(
+            "INSERT INTO PARTS VALUES (1, {}, 'timed', {}, 'RED');",
+            1_000 + k,
+            9_000_000 + k
+        )
+    };
+    // 21 pairs, alternating which size runs first.
     let mut samples = [Vec::new(), Vec::new()];
     for k in 0..21i64 {
         let order = if k % 2 == 0 { [0, 1] } else { [1, 0] };
         for i in order {
-            let sql = format!(
-                "INSERT INTO PARTS VALUES (1, {}, 'timed', {}, 'RED');",
-                1_000 + k,
-                9_000_000 + k
-            );
             let t = Instant::now();
-            stores[i].run_script(&sql).expect("insert part");
+            stores[i].run_script(&part(k)).expect("insert part");
             samples[i].push(micros(t.elapsed()));
         }
     }
-    let [p20, p40] = samples.map(|mut v| {
+    let p50 = |mut v: Vec<f64>| {
         v.sort_by(f64::total_cmp);
         v[v.len() / 2]
-    });
+    };
+    let [p20, p40] = samples.map(p50);
     let growth = p40 / p20;
     println!(
         "\npublish of a one-row PARTS INSERT (SnapshotStore::run_script, 21 pairs): \
@@ -845,6 +858,25 @@ fn e22_publish_time(m: &mut Metrics) {
     m.push("E22", "publish_p50_us_20k", p20, false);
     m.push("E22", "publish_p50_us_40k", p40, false);
     m.push("E22", "publish_growth_on_2x_table", growth, true);
+
+    let engine = SharedEngine::new(load(2_000));
+    engine.analyze();
+    for sql in [E22_SET_VIEW, E22_COUNTING_VIEW, E22_AGGREGATE_VIEW] {
+        (engine.subscribe(sql, Box::new(|_, _| true))).unwrap_or_else(|e| panic!("{sql}: {e}"));
+    }
+    let writes = (0..21i64)
+        .map(|k| {
+            let t = Instant::now();
+            engine.execute(&part(k)).expect("insert part");
+            micros(t.elapsed())
+        })
+        .collect();
+    let write_p50 = p50(writes);
+    println!(
+        "the same INSERT through SharedEngine::execute, ANALYZEd, set + counting + \
+         aggregate views subscribed (21 writes): p50 {write_p50:.1} µs"
+    );
+    m.push("E22", "write_p50_us_three_views", write_p50, false);
 }
 
 /// E20 — the U-semiring proof checker over the standard rewrite corpus:

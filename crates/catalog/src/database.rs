@@ -16,7 +16,7 @@ use crate::storage::{Key, Layered, Positions, Postings, RowChunks, SortedMap, Ta
 use crate::table::{IndexDef, TableSchema};
 use crate::validate;
 use std::collections::BTreeMap;
-use std::ops::Bound;
+use std::ops::{Bound, RangeBounds};
 use std::sync::Arc;
 use uniq_sql::{CreateIndex, IndexKindAst, Insert, Statement};
 use uniq_types::{Error, Result, TableName, Value};
@@ -83,46 +83,33 @@ impl SecondaryIndex {
     }
 }
 
-/// Call `each` on the groups of `tree` whose key starts with `prefix`
-/// and whose next component lies in `[low, high]`, in key order; see
-/// [`Database::index_range`].
+/// The groups of `tree` whose key starts with `prefix` and whose next
+/// component lies in `[low, high]`, in key order; see
+/// [`Database::index_walk`]. A prefix holding `NULL` matches nothing.
 fn range_groups<'t>(
     tree: &'t SortedMap<Postings>,
-    prefix: &[Value],
-    low: Bound<&Value>,
-    high: Bound<&Value>,
-    mut each: impl FnMut(&'t Key, &'t [usize]),
-) {
-    // Every stored key is longer than `prefix`, and a shorter vector
-    // sorts before all its extensions, so the range starts exactly at
-    // the prefix group.
-    for (key, positions) in tree.from(prefix) {
-        if !key.starts_with(prefix) {
-            break;
-        }
-        let c = &key[prefix.len()];
-        if c.is_null() {
-            // NULL satisfies a bound never, an unconstrained scan
-            // always; canonical order puts it first in the group.
-            if !(matches!(low, Bound::Unbounded) && matches!(high, Bound::Unbounded)) {
-                continue;
-            }
-        } else {
-            match high {
-                // Keys in one prefix group ascend by this component
-                // (NULLs first), so the first overshoot ends the scan.
-                Bound::Included(v) if c > v => break,
-                Bound::Excluded(v) if c >= v => break,
-                _ => {}
-            }
-            match low {
-                Bound::Included(v) if c < v => continue,
-                Bound::Excluded(v) if c <= v => continue,
-                _ => {}
-            }
-        }
-        each(key, positions);
-    }
+    prefix: &'t [Value],
+    low: Bound<&'t Value>,
+    high: Bound<&'t Value>,
+) -> impl Iterator<Item = &'t (Key, Postings)> {
+    let live = !prefix.iter().any(Value::is_null);
+    let unbounded = matches!((low, high), (Bound::Unbounded, Bound::Unbounded));
+    // Every stored key is at least as long as `prefix`, and a shorter
+    // vector sorts before all its extensions, so the range starts exactly
+    // at the prefix group. Keys in one prefix group ascend by the next
+    // component (NULLs first), so the first overshoot ends the walk.
+    (tree.from(prefix).iter())
+        .take_while(move |(key, _)| {
+            let next = key.get(prefix.len());
+            live && key.starts_with(prefix)
+                && next.is_none_or(|c| c.is_null() || (Bound::Unbounded, high).contains(c))
+        })
+        // NULL satisfies a bound never, an unconstrained walk always; a
+        // prefix covering the whole key is a point probe.
+        .filter(move |(key, _)| match key.get(prefix.len()) {
+            Some(c) if c.is_null() => unbounded,
+            next => next.is_none_or(|c| (low, high).contains(c)),
+        })
 }
 
 #[derive(Debug, Clone, Default)]
@@ -334,7 +321,36 @@ impl Database {
     /// bounds unbounded this is a prefix probe (trailing columns
     /// unconstrained, so null-keyed suffixes *do* match). Range scans
     /// need an ordered index; hash indexes answer point probes only.
-    /// Positions come in key order, each key's ascending.
+    /// Positions come in key order, each key's ascending. The walk is
+    /// lazy: it merges the base's and the overlay's groups by key as it
+    /// goes (a key in both lists the base's positions first), so a
+    /// caller that stops early reads no further.
+    pub fn index_walk<'a>(
+        &'a self,
+        table: &TableName,
+        index: &str,
+        prefix: &'a [Value],
+        low: Bound<&'a Value>,
+        high: Bound<&'a Value>,
+    ) -> Result<impl Iterator<Item = usize> + 'a> {
+        let (def, sec) = self.secondary_index(table, index)?;
+        let point = prefix.len() >= def.columns.len() || prefix.iter().any(Value::is_null);
+        if !point && !sec.ordered {
+            return Err(Error::internal(format!(
+                "index {index} is a hash index: prefix and range scans need USING BTREE"
+            )));
+        }
+        let [mut base, mut overlay] =
+            (sec.ix.layers()).map(|layer| range_groups(layer, prefix, low, high).peekable());
+        let groups = std::iter::from_fn(move || match (base.peek(), overlay.peek()) {
+            (Some((b, _)), Some((o, _))) if o < b => overlay.next(),
+            (None, _) => overlay.next(),
+            _ => base.next(),
+        });
+        Ok(groups.flat_map(|(_, positions)| positions.iter().copied()))
+    }
+
+    /// [`Database::index_walk`], collected.
     pub fn index_range(
         &self,
         table: &TableName,
@@ -343,41 +359,7 @@ impl Database {
         low: Bound<&Value>,
         high: Bound<&Value>,
     ) -> Result<Vec<usize>> {
-        let (def, sec) = self.secondary_index(table, index)?;
-        if prefix.iter().any(|v| v.is_null()) {
-            return Ok(Vec::new());
-        }
-        if prefix.len() >= def.columns.len() {
-            return Ok(sec.get(prefix).to_vec());
-        }
-        if !sec.ordered {
-            return Err(Error::internal(format!(
-                "index {index} is a hash index: prefix and range scans need USING BTREE"
-            )));
-        }
-        // Merge the overlay's groups (at most √n positions) into the
-        // base's by key; a key in both lists the base's positions first.
-        let [base, overlay] = sec.ix.layers();
-        let mut later = Vec::new();
-        range_groups(overlay, prefix, low, high, |key, positions| {
-            later.push((key, positions));
-        });
-        let (mut i, mut out) = (0, Vec::new());
-        range_groups(base, prefix, low, high, |key, positions| {
-            while i < later.len() && later[i].0 < key {
-                out.extend_from_slice(later[i].1);
-                i += 1;
-            }
-            out.extend_from_slice(positions);
-            if i < later.len() && later[i].0 == key {
-                out.extend_from_slice(later[i].1);
-                i += 1;
-            }
-        });
-        for (_, positions) in &later[i..] {
-            out.extend_from_slice(positions);
-        }
-        Ok(out)
+        Ok(self.index_walk(table, index, prefix, low, high)?.collect())
     }
 
     /// The full contents of a secondary index in canonical key order —
@@ -993,6 +975,39 @@ mod tests {
             range(Bound::Unbounded, Bound::Unbounded),
             vec![3, 0, 1, 4, 2]
         );
+    }
+
+    #[test]
+    fn index_walk_merges_both_layers_lazily_in_key_order() {
+        let mut db = Database::new();
+        let mut script = String::from(
+            "CREATE TABLE T (A INTEGER, B INTEGER, PRIMARY KEY (A));
+             CREATE INDEX IDX_B ON T (B) USING BTREE;",
+        );
+        for a in 0..40 {
+            script.push_str(&format!("INSERT INTO T VALUES ({a}, {});", a % 7));
+        }
+        db.run_script(&script).unwrap();
+        // Keys that do not sort last, NULL among them, land in the
+        // overlay, between and before the base's keys.
+        db.run_script("INSERT INTO T VALUES (40, 3), (41, NULL), (42, 0), (43, 9), (44, 3);")
+            .unwrap();
+        let t: TableName = "T".into();
+        let (_, sec) = db.secondary_index(&t, "IDX_B").unwrap();
+        let [base, overlay] = sec.ix.layers().map(|layer| layer.entries().len());
+        assert!(base > 0 && overlay > 0, "base {base}, overlay {overlay}");
+        let unbounded = || db.index_walk(&t, "IDX_B", &[], Bound::Unbounded, Bound::Unbounded);
+        let walked: Vec<usize> = unbounded().unwrap().collect();
+        let all = db
+            .index_range(&t, "IDX_B", &[], Bound::Unbounded, Bound::Unbounded)
+            .unwrap();
+        assert_eq!(walked, all);
+        // Key order (NULL first), each key's positions ascending.
+        let rows = db.rows(&t).unwrap();
+        let mut want: Vec<usize> = (0..rows.len()).collect();
+        want.sort_by(|&i, &j| (&rows[i][1], i).cmp(&(&rows[j][1], j)));
+        assert_eq!(walked, want);
+        assert_eq!(unbounded().unwrap().take(3).collect::<Vec<_>>(), [41, 0, 7]);
     }
 
     #[test]

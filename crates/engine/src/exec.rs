@@ -71,9 +71,9 @@ pub struct Executor<'a> {
     columns: Option<&'a ColumnStore>,
     /// Work counters, accumulated across the whole run.
     pub stats: ExecStats,
-    /// Per-operator output counts, parallel to the physical plan's
-    /// operator registry.
-    actuals: Vec<u64>,
+    /// Measured per-operator output cardinalities of the last run,
+    /// indexed by the plan's [`OpId`](uniq_cost::OpId)s.
+    pub(crate) actuals: Vec<u64>,
 }
 
 /// A block's output: the encoded access keeps its row-id tuples until a
@@ -112,8 +112,8 @@ impl<'a> Executor<'a> {
     }
 
     /// Execute a query under `plan`, recording each operator's actual
-    /// output cardinality (see [`Executor::actuals`]). A plan that does
-    /// not mirror the query's shape is an internal error.
+    /// output cardinality. A plan that does not mirror the query's shape
+    /// is an internal error.
     pub fn run_with_plan(&mut self, query: &BoundQuery, plan: &PhysicalPlan) -> Result<Vec<Row>> {
         self.actuals = vec![0; plan.ops.len()];
         let rows = self.exec_query(query, &plan.root)?;
@@ -199,18 +199,13 @@ impl<'a> Executor<'a> {
             return Ok(None);
         }
         let db = self.db;
-        let ids = db.index_range(
-            &table.schema.name,
-            index,
-            &[],
-            std::ops::Bound::Unbounded,
-            std::ops::Bound::Unbounded,
-        )?;
+        let unbounded = std::ops::Bound::Unbounded;
+        let mut ids = db.index_walk(&table.schema.name, index, &[], unbounded, unbounded)?;
         self.stats.ix_probes += 1;
         let rows = Rows::new(db, spec, &bp.order, None)?;
         let mut out: Vec<Row> = Vec::new();
         let mut examined = 0u64;
-        for &r in &ids {
+        for r in ids.by_ref() {
             let tuple = [r as u32];
             examined += 1;
             self.stats.rows_scanned += 1;
@@ -225,7 +220,7 @@ impl<'a> Executor<'a> {
             }
         }
         self.stats.topk_rows_examined += examined;
-        if (examined as usize) < ids.len() {
+        if ids.next().is_some() {
             self.stats.early_stops += 1;
         }
         // The scan stopped at the k-th row it emitted, so the scan and
@@ -262,12 +257,6 @@ impl<'a> Executor<'a> {
             Some(e) => Err(e),
             None => Ok(()),
         }
-    }
-
-    /// Measured per-operator output cardinalities of the last run,
-    /// indexed by the plan's [`OpId`](uniq_cost::OpId)s.
-    pub fn actuals(&self) -> &[u64] {
-        &self.actuals
     }
 
     fn record(&mut self, id: usize, count: usize) {

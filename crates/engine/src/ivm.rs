@@ -1,8 +1,19 @@
 //! Incremental view maintenance over MVCC snapshots — the paper's
 //! uniqueness analysis cashed in as an *update-time* optimization.
 //!
-//! A subscribed query is kept materialized between snapshots. When the
-//! store publishes a new head, [`MaterializedView::maintain`] extracts
+//! A subscribed query is compiled once through the shared plan cache,
+//! like any read, and kept materialized between snapshots. Every run of
+//! a whole query a view needs goes through the one serving path
+//! (`serve::Core`): the set tier's initial rows run the view's cached
+//! plan, each counting-tier block's `SELECT ALL` multiset is planned
+//! with the analysis's statistics when there are any, and a recompute
+//! round is a read of the view's text, served from the plan cache. Once
+//! `ANALYZE` has run, each runs the cost-based plan with the column
+//! store attached, exactly as a client read of the same text does.
+//!
+//! What this module adds is only what uniqueness buys at update time:
+//! the tier license, each tier's state and the delta terms. When the
+//! store publishes a new head, `MaterializedView::maintain` extracts
 //! per-table insert deltas ([`Database::table_delta`]: untouched tables
 //! cost one pointer comparison) and evaluates only the *delta* of the
 //! query — the telescoping sum
@@ -19,9 +30,10 @@
 //! the old prefix. The delta scan is booked as `delta_rows`. A join step
 //! probes a secondary index or a declared candidate key its equalities
 //! cover (through a key, each delta row matches at most one row) and
-//! runs the planner's join method otherwise. This module only extracts
-//! the deltas and keeps each tier's state. Three tiers, in decreasing
-//! strength of what the catalog lets us prove:
+//! runs the planner's join method otherwise. Neither a license nor a
+//! delta plan reads statistics, so `ANALYZE` leaves a view as it is.
+//! Three tiers, in decreasing strength of what the catalog lets us
+//! prove:
 //!
 //! * **Set** (refcount-free fast path): licensed only when Algorithm 1
 //!   (`unique_projection`) *and* the U-semiring checker
@@ -35,9 +47,9 @@
 //!   `INTERSECT`/`EXCEPT`/`UNION` deltas difference the SQL2
 //!   `output_count` across the child update, which is how an
 //!   insert-only base can still *delete* view rows under `EXCEPT`.
-//! * **Recompute**: anything with subqueries (possibly non-monotone)
-//!   re-runs the query and diffs multisets — correct by construction,
-//!   with the full cost booked to the view's counters.
+//! * **Recompute**: anything with subqueries (possibly non-monotone) or
+//!   output clauses re-runs the query and diffs multisets — correct by
+//!   construction, with the full cost booked to the view's counters.
 //!
 //! License-not-promise: the tier is chosen at subscribe time but
 //! re-verified on every round — a catalog version change (DDL,
@@ -46,6 +58,8 @@
 //! key probe against the *live* catalog, as it does every index probe.
 
 use crate::exec::Executor;
+use crate::plancache::CachedPlan;
+use crate::serve::Core;
 use crate::setops::output_count;
 use crate::stats::ExecStats;
 use std::cmp::Ordering;
@@ -53,7 +67,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use uniq_catalog::{Database, Row};
 use uniq_core::analysis::unique_projection;
-use uniq_cost::{plan_delta, plan_output, BlockPlan, PhysicalPlan, PlannerOptions};
+use uniq_cost::{plan_delta, BlockPlan, PlannerOptions};
 use uniq_plan::{BoundExpr, BoundOutput, BoundQuery, BoundSpec, HostVars};
 use uniq_proof::{check_equiv, ProofStatus};
 use uniq_sql::{Distinct, SetOp};
@@ -106,9 +120,9 @@ impl MaintenanceMode {
     }
 }
 
-/// What [`MaterializedView::maintain`] decided about one publish.
+/// What `MaterializedView::maintain` decided about one publish.
 #[derive(Debug)]
-pub enum MaintainOutcome {
+pub(crate) enum MaintainOutcome {
     /// The head is the view's base (or shares every table): no work.
     Unchanged,
     /// Delta maintenance ran; the delta may still be empty (filtered
@@ -146,17 +160,20 @@ enum NodeState {
     },
 }
 
-/// A subscribed query kept incrementally materialized.
+/// A subscribed query kept incrementally materialized. It keeps no plan
+/// or executor of its own for a whole query: it holds its plan-cache
+/// entry, and every whole-query run goes through the serving path.
 #[derive(Debug)]
-pub struct MaterializedView {
-    /// Canonical SQL (the subscribe key, re-bound on rebuilds).
+pub(crate) struct MaterializedView {
+    /// Canonical SQL: the subscribe key, and the text a recompute round
+    /// reads and a rebuild compiles.
     sql: String,
-    /// The optimized bound output (body + aggregation / `ORDER BY` /
-    /// `LIMIT` clauses) the delta operators interpret. The delta tiers
-    /// require a plain body; anything with output clauses runs on the
-    /// recompute tier.
-    query: BoundOutput,
-    columns: Vec<ColumnName>,
+    /// The view's plan-cache entry: its output columns, and the optimized
+    /// query (body plus aggregation / `ORDER BY` / `LIMIT` clauses)
+    /// whose body the delta tiers interpret. The delta tiers require a
+    /// plain body; anything with output clauses runs on the recompute
+    /// tier.
+    plan: Arc<CachedPlan>,
     mode: MaintenanceMode,
     /// The proof that granted the tier: `Proved` on the set fast path,
     /// `PropertyTested` (with the obstruction) on the fallbacks.
@@ -164,9 +181,6 @@ pub struct MaterializedView {
     state: ViewState,
     /// The snapshot the state is consistent with.
     base: Arc<Database>,
-    /// The fixed plan of `query`, built once: the set tier's initial
-    /// materialization and every recompute run it.
-    plan: PhysicalPlan,
     /// Cumulative maintenance work since subscribe.
     stats: ExecStats,
 }
@@ -357,37 +371,18 @@ fn license_body(query: &BoundQuery) -> (MaintenanceMode, ProofStatus) {
     )
 }
 
-/// Run `query` under `plan` against `db`, booking work into `stats`.
-fn run_output_query(
-    query: &BoundOutput,
-    plan: &PhysicalPlan,
-    db: &Database,
-    stats: &mut ExecStats,
-) -> Result<Vec<Row>> {
-    let hostvars = HostVars::new();
-    let mut executor = Executor::new(db, &hostvars);
-    let rows = executor.run_output(query, plan)?;
-    stats.merge(&executor.stats);
-    Ok(rows)
-}
-
 impl NodeState {
-    /// Materialize the initial state bottom-up from `db`, each block
-    /// under its fixed plan.
-    fn init(
-        query: &BoundQuery,
-        db: &Database,
-        planner: PlannerOptions,
-        stats: &mut ExecStats,
-    ) -> Result<NodeState> {
+    /// Materialize the initial state bottom-up from `core`'s database,
+    /// each block as a query `core` plans and runs.
+    fn init(query: &BoundQuery, core: &Core, stats: &mut ExecStats) -> Result<NodeState> {
         match query {
             BoundQuery::Spec(spec) => {
                 // The node tracks the *pre-distinct* multiset; its
                 // output applies the block's DISTINCT on read.
-                let terms = DeltaTerms::new(spec, planner);
+                let terms = DeltaTerms::new(spec, core.planner);
                 let as_all = BoundOutput::plain(BoundQuery::Spec(Box::new(terms.spec.clone())));
-                let plan = plan_output(&as_all, None, planner);
-                let rows = run_output_query(&as_all, &plan, db, stats)?;
+                let plan = core.plan(&as_all);
+                let (rows, _) = core.run(&as_all, &plan, &HostVars::new(), stats)?;
                 Ok(NodeState::Spec {
                     distinct: spec.distinct,
                     terms,
@@ -400,8 +395,8 @@ impl NodeState {
                 left,
                 right,
             } => {
-                let lstate = NodeState::init(left, db, planner, stats)?;
-                let rstate = NodeState::init(right, db, planner, stats)?;
+                let lstate = NodeState::init(left, core, stats)?;
+                let rstate = NodeState::init(right, core, stats)?;
                 let lcounts = lstate.output();
                 let rcounts = rstate.output();
                 Ok(NodeState::SetOp {
@@ -578,19 +573,14 @@ impl DeltaTerms {
 }
 
 impl MaterializedView {
-    /// Materialize `query` against `base` and pick its maintenance
-    /// tier. `sql` is the canonical text (kept for rebuilds and
-    /// EXPLAIN); `columns` the output header; `planner` the options of
-    /// the fixed and delta plans the view runs.
-    pub fn new(
-        sql: String,
-        query: BoundOutput,
-        columns: Vec<ColumnName>,
-        base: Arc<Database>,
-        planner: PlannerOptions,
-    ) -> Result<MaterializedView> {
-        let (mode, license) = license_view(&query);
-        let plan = plan_output(&query, None, planner);
+    /// Compile `sql` through `core`'s plan cache, pick its maintenance
+    /// tier and materialize it against `base`, the database `core`
+    /// serves.
+    pub fn new(core: &Core, base: &Arc<Database>, sql: &str) -> Result<MaterializedView> {
+        let prepared = core.prepare(sql)?;
+        let plan = prepared.plan;
+        let (mode, license) = license_view(&plan.query);
+        let query = &plan.query;
         let mut stats = ExecStats::new();
         // The delta tiers are only ever granted for plain outputs, so
         // they may read `query.body` as the whole query.
@@ -598,26 +588,27 @@ impl MaterializedView {
             MaintenanceMode::Set => {
                 let spec = (query.body.as_spec())
                     .ok_or_else(|| Error::internal("set-tier view must be a single block"))?;
-                let rows = run_output_query(&query, &plan, &base, &mut stats)?;
-                ViewState::Set(rows.into_iter().collect(), DeltaTerms::new(spec, planner))
+                let (rows, _) = core.run(query, &plan.physical, &HostVars::new(), &mut stats)?;
+                ViewState::Set(
+                    rows.into_iter().collect(),
+                    DeltaTerms::new(spec, core.planner),
+                )
             }
             MaintenanceMode::Counting => {
-                ViewState::Counting(NodeState::init(&query.body, &base, planner, &mut stats)?)
+                ViewState::Counting(NodeState::init(&query.body, core, &mut stats)?)
             }
             MaintenanceMode::Recompute => {
-                let rows = run_output_query(&query, &plan, &base, &mut stats)?;
+                let (rows, _) = core.run(query, &plan.physical, &HostVars::new(), &mut stats)?;
                 ViewState::Full(count_rows(rows))
             }
         };
         Ok(MaterializedView {
-            sql,
-            query,
-            columns,
+            sql: prepared.canonical,
+            plan,
             mode,
             license,
             state,
-            base,
-            plan,
+            base: Arc::clone(base),
             stats,
         })
     }
@@ -629,7 +620,7 @@ impl MaterializedView {
 
     /// Output column names.
     pub fn columns(&self) -> &[ColumnName] {
-        &self.columns
+        &self.plan.columns
     }
 
     /// The maintenance tier in force.
@@ -648,14 +639,9 @@ impl MaterializedView {
         self.stats
     }
 
-    /// The snapshot the state is consistent with.
-    pub fn base(&self) -> &Arc<Database> {
-        &self.base
-    }
-
     /// Every base table the view reads (subquery tables included).
     pub fn tables(&self) -> Vec<TableName> {
-        base_tables(&self.query.body)
+        base_tables(&self.plan.query.body)
     }
 
     /// The view's current contents as a multiset, canonically sorted.
@@ -669,11 +655,13 @@ impl MaterializedView {
         rows
     }
 
-    /// Advance the view from its base snapshot to `head`, returning the
-    /// net change. O(1) when every table is untouched; O(|Δ|) on the
-    /// delta tiers; a catalog version change demands a rebuild instead
-    /// (the bound tree and its license no longer describe the head).
-    pub fn maintain(&mut self, head: &Arc<Database>) -> Result<MaintainOutcome> {
+    /// Advance the view from its base snapshot to `head`, the database
+    /// `core` serves, returning the net change. O(1) when every table is
+    /// untouched; O(|Δ|) on the delta tiers; a recompute round reads the
+    /// view's text through `core`; a catalog version change demands a
+    /// rebuild instead (the bound tree and its license no longer
+    /// describe the head).
+    pub fn maintain(&mut self, core: &Core, head: &Arc<Database>) -> Result<MaintainOutcome> {
         if Arc::ptr_eq(&self.base, head) {
             return Ok(MaintainOutcome::Unchanged);
         }
@@ -681,8 +669,7 @@ impl MaterializedView {
             return Ok(MaintainOutcome::NeedsRebuild);
         }
         // Pointer-equality fast path: every table untouched ⇒ no work.
-        let tables = base_tables(&self.query.body);
-        if tables.iter().all(|t| self.base.shares_storage(head, t)) {
+        if (self.tables().iter()).all(|t| self.base.shares_storage(head, t)) {
             self.base = Arc::clone(head);
             return Ok(MaintainOutcome::Unchanged);
         }
@@ -711,8 +698,9 @@ impl MaterializedView {
                 signed_to_delta(signed)
             }
             ViewState::Full(counts) => {
-                let rows = run_output_query(&self.query, &self.plan, head, &mut work)?;
-                let after = count_rows(rows);
+                let out = core.query(&self.sql, &HostVars::new())?;
+                work.merge(&out.stats);
+                let after = count_rows(out.rows);
                 let signed = multiset_diff(counts, &after);
                 *counts = after;
                 signed_to_delta(signed)
@@ -728,32 +716,37 @@ impl MaterializedView {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use uniq_core::optimize_output;
-    use uniq_core::pipeline::{Optimizer, OptimizerOptions};
-    use uniq_plan::bind_output;
-    use uniq_sql::{parse_statement, Statement};
+    use crate::plancache::PlanCache;
+    use crate::serve::Analysis;
+    use uniq_core::pipeline::OptimizerOptions;
     use uniq_types::Value;
 
-    fn bind(db: &Database, sql: &str) -> (BoundOutput, Vec<ColumnName>) {
-        let Statement::Query(ast) = parse_statement(sql).unwrap() else {
-            panic!("not a query");
-        };
-        let bound = bind_output(db.catalog(), &ast).unwrap();
-        let (query, _trace) =
-            optimize_output(&Optimizer::new(OptimizerOptions::relational()), &bound);
-        let columns = query.output_names();
-        (query, columns)
+    /// Run `f` on an unanalyzed serving path over `db` with a fresh plan
+    /// cache and `optimizer`'s rewrites.
+    fn serving<T>(db: &Database, optimizer: OptimizerOptions, f: impl FnOnce(&Core) -> T) -> T {
+        let cache = PlanCache::default();
+        f(&Core {
+            db,
+            cache: &cache,
+            optimizer,
+            planner: PlannerOptions::default(),
+            analysis: &Analysis::default(),
+        })
+    }
+
+    fn view_with(db: &Arc<Database>, sql: &str, optimizer: OptimizerOptions) -> MaterializedView {
+        serving(db, optimizer, |core| MaterializedView::new(core, db, sql)).unwrap()
     }
 
     fn view(db: &Arc<Database>, sql: &str) -> MaterializedView {
-        let (query, columns) = bind(db, sql);
-        MaterializedView::new(
-            sql.to_string(),
-            query,
-            columns,
-            Arc::clone(db),
-            PlannerOptions::default(),
-        )
+        view_with(db, sql, OptimizerOptions::relational())
+    }
+
+    /// One maintenance round of `v` to `head`.
+    fn maintain(v: &mut MaterializedView, head: &Arc<Database>) -> MaintainOutcome {
+        serving(head, OptimizerOptions::relational(), |core| {
+            v.maintain(core, head)
+        })
         .unwrap()
     }
 
@@ -768,10 +761,10 @@ mod tests {
     }
 
     fn oracle(db: &Database, sql: &str) -> Vec<Row> {
-        let (query, _) = bind(db, sql);
-        let plan = plan_output(&query, None, PlannerOptions::default());
-        let mut stats = ExecStats::new();
-        let mut rows = run_output_query(&query, &plan, db, &mut stats).unwrap();
+        let out = serving(db, OptimizerOptions::relational(), |core| {
+            core.query(sql, &HostVars::new())
+        });
+        let mut rows = out.unwrap().rows;
         rows.sort();
         rows
     }
@@ -817,7 +810,7 @@ mod tests {
             &db,
             "INSERT INTO PARTS VALUES (1, 77, 'gasket', 120, 'RED');",
         );
-        let MaintainOutcome::Delta { delta, work } = v.maintain(&head).unwrap() else {
+        let MaintainOutcome::Delta { delta, work } = maintain(&mut v, &head) else {
             panic!("expected a delta");
         };
         assert_eq!(delta.inserted, vec![vec![Value::Int(1), Value::Int(77)]]);
@@ -853,7 +846,7 @@ mod tests {
         ] {
             let mut v = view(&db, sql);
             assert_eq!(v.mode(), mode, "{sql}");
-            let MaintainOutcome::Delta { work, .. } = v.maintain(&head).unwrap() else {
+            let MaintainOutcome::Delta { work, .. } = maintain(&mut v, &head) else {
                 panic!("expected a delta round");
             };
             assert!(work.ix_probes >= 1, "{sql}: {work:?}");
@@ -875,7 +868,7 @@ mod tests {
         let sql = "SELECT R.Y, K.B FROM R R, K K WHERE R.X = K.A";
         let mut v = view(&db, sql);
         let head = advance(&db, "INSERT INTO R VALUES (NULL, 7);");
-        let MaintainOutcome::Delta { delta, work } = v.maintain(&head).unwrap() else {
+        let MaintainOutcome::Delta { delta, work } = maintain(&mut v, &head) else {
             panic!("expected a delta round");
         };
         assert!(delta.is_empty(), "NULL = NULL is not true: {delta:?}");
@@ -884,7 +877,7 @@ mod tests {
         assert_eq!(v.rows(), oracle(&head, sql));
         // A non-NULL key probes the declared key once.
         let head = advance(&head, "INSERT INTO R VALUES (1, 8);");
-        let MaintainOutcome::Delta { delta, work } = v.maintain(&head).unwrap() else {
+        let MaintainOutcome::Delta { delta, work } = maintain(&mut v, &head) else {
             panic!("expected a delta round");
         };
         assert_eq!(delta.inserted, vec![vec![Value::Int(8), Value::Int(10)]]);
@@ -901,10 +894,10 @@ mod tests {
         // AGENTS is not in the view: its insert must be a no-op round.
         let head = advance(&db, "INSERT INTO AGENTS VALUES (1, 9, 'Zed', 'Ottawa');");
         assert!(matches!(
-            v.maintain(&head).unwrap(),
+            maintain(&mut v, &head),
             MaintainOutcome::Unchanged
         ));
-        assert_eq!(v.base().version(), head.version());
+        assert_eq!(v.base.version(), head.version());
     }
 
     #[test]
@@ -913,7 +906,7 @@ mod tests {
         let mut v = view(&db, "SELECT DISTINCT S.SNO FROM SUPPLIER S");
         let head = advance(&db, "CREATE TABLE Z (A INTEGER, PRIMARY KEY (A));");
         assert!(matches!(
-            v.maintain(&head).unwrap(),
+            maintain(&mut v, &head),
             MaintainOutcome::NeedsRebuild
         ));
     }
@@ -929,7 +922,7 @@ mod tests {
             &db,
             "INSERT INTO SUPPLIER VALUES (9, 'Acme', 'Toronto', 1, 'Active');",
         );
-        let MaintainOutcome::Delta { delta, .. } = v.maintain(&head).unwrap() else {
+        let MaintainOutcome::Delta { delta, .. } = maintain(&mut v, &head) else {
             panic!("expected a delta round");
         };
         assert!(delta.is_empty(), "duplicate name adds nothing: {delta:?}");
@@ -938,7 +931,7 @@ mod tests {
             &head,
             "INSERT INTO SUPPLIER VALUES (10, 'Zeta', 'Chicago', 1, 'Active');",
         );
-        let MaintainOutcome::Delta { delta, .. } = v.maintain(&head2).unwrap() else {
+        let MaintainOutcome::Delta { delta, .. } = maintain(&mut v, &head2) else {
             panic!("expected a delta round");
         };
         assert_eq!(delta.inserted, vec![vec![Value::Str("Zeta".into())]]);
@@ -949,22 +942,10 @@ mod tests {
     fn except_view_can_delete_under_insert_only_bases() {
         let db = sample();
         let sql = "SELECT S.SNO FROM SUPPLIER S EXCEPT SELECT P.SNO FROM PARTS P";
-        // Bind without optimizing: the rewrite pipeline may turn EXCEPT
+        // Compile without rewrites: the rewrite pipeline may turn EXCEPT
         // into an anti-join subquery (Recompute tier); the raw set-op
         // tree exercises the counting delta operators.
-        let Statement::Query(ast) = parse_statement(sql).unwrap() else {
-            panic!();
-        };
-        let bound = bind_output(db.catalog(), &ast).unwrap();
-        let columns = bound.output_names();
-        let mut v = MaterializedView::new(
-            sql.to_string(),
-            bound,
-            columns,
-            Arc::clone(&db),
-            PlannerOptions::default(),
-        )
-        .unwrap();
+        let mut v = view_with(&db, sql, OptimizerOptions::disabled());
         assert_eq!(v.mode(), MaintenanceMode::Counting);
         let survivors = v.rows();
         assert!(!survivors.is_empty(), "some supplier ships nothing");
@@ -974,7 +955,7 @@ mod tests {
             &db,
             &format!("INSERT INTO PARTS VALUES ({sno}, 90, 'new', 121, 'BLUE');"),
         );
-        let MaintainOutcome::Delta { delta, .. } = v.maintain(&head).unwrap() else {
+        let MaintainOutcome::Delta { delta, .. } = maintain(&mut v, &head) else {
             panic!("expected a delta round");
         };
         assert_eq!(delta.deleted, vec![vec![Value::Int(sno)]]);
@@ -997,7 +978,7 @@ mod tests {
             &db,
             "INSERT INTO SUPPLIER VALUES (9, 'Nine', 'Toronto', 1, 'Active');",
         );
-        let MaintainOutcome::Delta { delta, .. } = v.maintain(&head).unwrap() else {
+        let MaintainOutcome::Delta { delta, .. } = maintain(&mut v, &head) else {
             panic!("expected a delta round");
         };
         // Toronto's count row is *replaced*: one delete + one insert —
@@ -1015,7 +996,7 @@ mod tests {
                    (SELECT P.PNO FROM PARTS P WHERE P.SNO = S.SNO)";
         let mut v = view(&db, sql);
         let head = advance(&db, "INSERT INTO PARTS VALUES (5, 91, 'new', 122, 'BLUE');");
-        match v.maintain(&head).unwrap() {
+        match maintain(&mut v, &head) {
             MaintainOutcome::Delta { .. } | MaintainOutcome::Unchanged => {}
             other => panic!("unexpected {other:?}"),
         }
@@ -1034,7 +1015,7 @@ mod tests {
             "INSERT INTO PARTS VALUES (1, 78, 'bolt', 123, 'RED'); \
              INSERT INTO PARTS VALUES (1, 79, 'nut', 124, 'BLUE');",
         );
-        let MaintainOutcome::Delta { .. } = v.maintain(&head).unwrap() else {
+        let MaintainOutcome::Delta { .. } = maintain(&mut v, &head) else {
             panic!("expected a delta round");
         };
         assert_eq!(v.rows(), oracle(&head, sql));

@@ -46,7 +46,7 @@ pub mod stats;
 pub use columnar::{ColumnData, ColumnStore, TableColumns, DEFAULT_DICT_LIMIT};
 pub use exec::Executor;
 pub use explain::render_trace;
-pub use ivm::{MaintainOutcome, MaintenanceMode, MaterializedView, ViewDelta};
+pub use ivm::{MaintenanceMode, ViewDelta};
 pub use plancache::{CacheStats, CachedPlan, PlanCache};
 pub use session::{QueryOutput, Session};
 pub use shared::{EngineStats, SharedEngine, Subscription, SubscriptionSink, SubscriptionStats};

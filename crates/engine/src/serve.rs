@@ -3,9 +3,10 @@
 //! canonical fingerprint → plan-cache probe → on a miss bind, optimize,
 //! plan and insert), execute the cached plan, and `EXPLAIN` it. The
 //! callers differ only in the database they hand to [`Core`]: a
-//! session's own, or the snapshot a shared engine pinned for one query.
-//! Every query runs a [`PhysicalPlan`](uniq_cost::PhysicalPlan): the
-//! cost-based plan once `ANALYZE` has run, the fixed plan of the
+//! session's own, or the snapshot a shared engine pinned for one query
+//! or one maintenance round of its subscriptions, whose views compile
+//! and run whole queries here too. Every query runs a [`PhysicalPlan`]:
+//! the cost-based plan once `ANALYZE` has run, the fixed plan of the
 //! [`PlannerOptions`] until then.
 
 use crate::columnar::ColumnStore;
@@ -13,14 +14,14 @@ use crate::exec::Executor;
 use crate::explain::render_trace;
 use crate::plancache::{options_tag, CachedPlan, PlanCache};
 use crate::session::QueryOutput;
-use crate::stats::StageTimings;
+use crate::stats::{ExecStats, StageTimings};
 use std::sync::Arc;
 use std::time::Instant;
-use uniq_catalog::Database;
+use uniq_catalog::{Database, Row};
 use uniq_core::optimize_output;
 use uniq_core::pipeline::{Optimizer, OptimizerOptions};
-use uniq_cost::{plan_output, PlannerOptions, Statistics};
-use uniq_plan::{bind_output, HostVars};
+use uniq_cost::{plan_output, PhysicalPlan, PlannerOptions, Statistics};
+use uniq_plan::{bind_output, BoundOutput, HostVars};
 use uniq_sql::{parse_statement, Statement};
 use uniq_types::{Error, Result};
 
@@ -120,8 +121,7 @@ impl Core<'_> {
 
         let t = Instant::now();
         let (query, trace) = optimize_output(&Optimizer::new(self.optimizer), &bound);
-        let stats = self.analysis.stats.as_deref();
-        let physical = Arc::new(plan_output(&query, stats, self.planner));
+        let physical = Arc::new(self.plan(&query));
         timings.optimize_ns = elapsed_ns(t);
 
         let plan = CachedPlan {
@@ -139,8 +139,29 @@ impl Core<'_> {
         })
     }
 
-    fn executor<'e>(&'e self, hostvars: &'e HostVars) -> Executor<'e> {
-        Executor::new(self.db, hostvars).with_columns(self.analysis.columns.as_deref())
+    /// The physical plan of `query`: cost-based with the analysis's
+    /// statistics when there are any, the fixed plan otherwise.
+    pub fn plan(&self, query: &BoundOutput) -> PhysicalPlan {
+        plan_output(query, self.analysis.stats.as_deref(), self.planner)
+    }
+
+    /// Run `query` under `physical` against this core's database with
+    /// the analysis's column store attached, adding its work to `stats`:
+    /// the one way a whole query runs, for a read, for `EXPLAIN`'s actual
+    /// rows and for a subscribed view's materializations. Returns the
+    /// rows and each operator's actual output count.
+    pub fn run(
+        &self,
+        query: &BoundOutput,
+        physical: &PhysicalPlan,
+        hostvars: &HostVars,
+        stats: &mut ExecStats,
+    ) -> Result<(Vec<Row>, Vec<u64>)> {
+        let columns = self.analysis.columns.as_deref();
+        let mut executor = Executor::new(self.db, hostvars).with_columns(columns);
+        let rows = executor.run_output(query, physical);
+        stats.merge(&executor.stats);
+        Ok((rows?, executor.actuals))
     }
 
     /// Prepare `sql` and execute its plan with `hostvars`.
@@ -149,17 +170,15 @@ impl Core<'_> {
         let plan = &prepared.plan;
         let physical = &plan.physical;
         let t = Instant::now();
-        let mut executor = self.executor(hostvars);
-        let rows = executor.run_output(&plan.query, physical)?;
+        let mut stats = ExecStats::new();
+        let (rows, actuals) = self.run(&plan.query, physical, hostvars, &mut stats)?;
         prepared.timings.execute_ns = elapsed_ns(t);
-        let cards = physical
-            .estimated
-            .then(|| physical.card_report(executor.actuals()));
+        let cards = physical.estimated.then(|| physical.card_report(&actuals));
         Ok(QueryOutput {
             columns: Arc::clone(&plan.columns),
             rows,
             trace: Arc::clone(&plan.trace),
-            stats: executor.stats,
+            stats,
             timings: prepared.timings,
             cache_hit: prepared.cache_hit,
             cards,
@@ -183,12 +202,15 @@ impl Core<'_> {
         };
         let mut text = format!("Plan: {status}\n{}", render_trace(&plan.trace));
         if physical.estimated {
-            let hostvars = HostVars::new();
-            let mut executor = self.executor(&hostvars);
-            let ran = executor.run_output(&plan.query, physical).is_ok();
-            let actuals = ran.then(|| executor.actuals());
+            let ran = self.run(
+                &plan.query,
+                physical,
+                &HostVars::new(),
+                &mut ExecStats::new(),
+            );
+            let actuals = ran.ok().map(|(_, actuals)| actuals);
             text.push_str("Cost-based plan (est/act rows):\n");
-            text.push_str(&physical.render(1, actuals));
+            text.push_str(&physical.render(1, actuals.as_deref()));
         } else {
             text.push_str("Physical plan:\n");
             text.push_str(&physical.render(1, None));

@@ -38,13 +38,11 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 use uniq_catalog::{Database, Row, SnapshotStore};
-use uniq_core::optimize_output;
-use uniq_core::pipeline::{Optimizer, OptimizerOptions};
+use uniq_core::pipeline::OptimizerOptions;
 use uniq_cost::PlannerOptions;
-use uniq_plan::{bind_output, HostVars};
+use uniq_plan::HostVars;
 use uniq_proof::ProofStatus;
-use uniq_sql::{parse_statement, Statement};
-use uniq_types::{ColumnName, Error, Result};
+use uniq_types::{ColumnName, Result};
 
 /// The callback a subscriber registers: called with the subscription id
 /// and each non-empty [`ViewDelta`] after a publish. Returning `false`
@@ -72,10 +70,60 @@ struct SubEntry {
     id: u64,
     view: MaterializedView,
     sink: SubscriptionSink,
-    /// Set by [`SharedEngine::analyze`] (and on maintenance errors):
-    /// the view is rebuilt from scratch on the next round, exactly as
-    /// the plan cache lazily recompiles on an epoch bump.
-    stale: bool,
+}
+
+impl SubEntry {
+    /// Advance the view to `head`, the database `core` serves, and push
+    /// its delta, counting into `stats`. Returns whether the
+    /// subscription stays registered.
+    fn maintain(
+        &mut self,
+        core: &Core,
+        head: &Arc<Database>,
+        stats: &mut SubscriptionStats,
+    ) -> bool {
+        // A maintenance error (e.g. a snapshot pair that is not
+        // insert-only) is never fatal: rebuild.
+        let outcome = self
+            .view
+            .maintain(core, head)
+            .unwrap_or(MaintainOutcome::NeedsRebuild);
+        let delta = match outcome {
+            MaintainOutcome::Unchanged => return true,
+            MaintainOutcome::Delta { delta, work } => {
+                stats.delta_rows += work.delta_rows;
+                stats.view_updates += work.view_updates;
+                // What a per-publish full recompute would have scanned,
+                // minus what delta maintenance touched. A recompute
+                // round is that full recompute, so it saves nothing.
+                if self.view.mode() != MaintenanceMode::Recompute {
+                    let naive: u64 = (self.view.tables().iter())
+                        .map(|t| head.row_count(t).unwrap_or(0) as u64)
+                        .sum();
+                    let touched = work.rows_scanned + work.delta_rows + work.probe_steps;
+                    stats.rows_saved += naive.saturating_sub(touched);
+                }
+                delta
+            }
+            MaintainOutcome::NeedsRebuild => {
+                let before = self.view.rows();
+                // A view whose SQL no longer binds (table dropped by a
+                // future DDL form) is dropped.
+                let Ok(rebuilt) = MaterializedView::new(core, head, self.view.sql()) else {
+                    return false;
+                };
+                self.view = rebuilt;
+                let delta = ivm::diff_rows(before, self.view.rows());
+                stats.view_updates += delta.len() as u64;
+                delta
+            }
+        };
+        if delta.is_empty() {
+            return true;
+        }
+        stats.deltas_pushed += 1;
+        (self.sink)(self.id, &delta)
+    }
 }
 
 #[derive(Default)]
@@ -98,7 +146,9 @@ pub struct SubscriptionStats {
     /// View rows changed (insertions + deletions) across all rounds.
     pub view_updates: u64,
     /// Cumulative base rows a per-publish full recompute would have
-    /// scanned minus what delta maintenance actually touched.
+    /// scanned minus what delta maintenance actually touched, over the
+    /// set and counting tiers' rounds. A recompute round is such a full
+    /// recompute and adds nothing, whichever access it ran on.
     pub rows_saved: u64,
     /// Subscriptions dropped because their sink refused a delta, or
     /// because maintaining the view or calling its sink panicked.
@@ -202,23 +252,19 @@ impl SharedEngine {
     /// planning, with the columnar kernels on every block they cover,
     /// is active from the next query on; plans compiled under older
     /// statistics are recompiled lazily (the epoch is part of the
-    /// fingerprint). Subscriptions are invalidated the same lazy way:
-    /// every view is marked stale and rebuilt (re-bound, re-licensed)
-    /// on its next maintenance round.
+    /// fingerprint). Subscriptions are left as they are: neither a tier
+    /// license nor a delta plan reads statistics, and a recompute round
+    /// reads the view's text through the plan cache, so from the next
+    /// write on it runs the plan a client read of that text runs.
     pub fn analyze(&self) {
         let next = Analysis::collect(&self.snapshot());
-        {
-            let mut analysis = self
-                .analysis
-                .write()
-                .unwrap_or_else(PoisonError::into_inner);
-            analysis.advance(next);
-            // Writes published while the store was built move it on.
-            analysis.refresh(&self.snapshot());
-        }
-        for entry in &mut self.subs().entries {
-            entry.stale = true;
-        }
+        let mut analysis = self
+            .analysis
+            .write()
+            .unwrap_or_else(PoisonError::into_inner);
+        analysis.advance(next);
+        // Writes published while the store was built move it on.
+        analysis.refresh(&self.snapshot());
     }
 
     /// Bring the column store up to the head snapshot. The head is
@@ -271,47 +317,35 @@ impl SharedEngine {
 
     /// Run `f` on the serving path over the head snapshot, pinned ONCE:
     /// cache validity, binding, physical planning and execution all see
-    /// this version.
-    fn pinned<T>(&self, f: impl FnOnce(&Core) -> T) -> T {
+    /// this version. `f` also gets the snapshot itself.
+    fn pinned<T>(&self, f: impl FnOnce(&Core, &Arc<Database>) -> T) -> T {
         let snap = self.snapshot();
         let analysis = self.analysis();
-        f(&Core {
+        let core = Core {
             db: &snap,
             cache: &self.cache,
             optimizer: self.optimizer,
             planner: self.planner,
             analysis: &analysis,
-        })
-    }
-
-    /// Bind, optimize, license and materialize `sql` as a view over the
-    /// current head snapshot.
-    fn build_view(&self, sql: &str) -> Result<MaterializedView> {
-        let stmt = parse_statement(sql)?;
-        let Statement::Query(ast) = stmt else {
-            return Err(Error::internal("SUBSCRIBE applies to queries only"));
         };
-        let canonical = ast.to_string();
-        let snap = self.snapshot();
-        let bound = bind_output(snap.catalog(), &ast)?;
-        let (query, _trace) = optimize_output(&Optimizer::new(self.optimizer), &bound);
-        let columns = query.output_names();
-        MaterializedView::new(canonical, query, columns, snap, self.planner)
+        f(&core, &snap)
     }
 
-    /// Register `sql` as a live subscription: the query is optimized,
-    /// licensed (set tier only with Algorithm 1 + proof-checker
-    /// certificates), materialized against the head snapshot, and from
-    /// then on maintained incrementally after every publish. `sink`
-    /// receives each non-empty delta; returning `false` unsubscribes.
+    /// Register `sql` as a live subscription: the query is compiled
+    /// through the shared plan cache, licensed (set tier only with
+    /// Algorithm 1 + proof-checker certificates), materialized against
+    /// the head snapshot on the serving path, and from then on
+    /// maintained incrementally after every publish. `sink` receives
+    /// each non-empty delta; returning `false` unsubscribes.
     pub fn subscribe(&self, sql: &str, sink: SubscriptionSink) -> Result<Subscription> {
-        let mut view = self.build_view(sql)?;
+        let build = |core: &Core, head: &Arc<Database>| MaterializedView::new(core, head, sql);
+        let mut view = self.pinned(build)?;
         let mut subs = self.subs();
         // A write published and maintained since the view was built never
         // reached it: catch it up to the head while no maintenance round
         // can run, rebuilding it if DDL intervened.
-        match view.maintain(&self.snapshot()) {
-            Ok(MaintainOutcome::NeedsRebuild) | Err(_) => view = self.build_view(sql)?,
+        match self.pinned(|core, head| view.maintain(core, head)) {
+            Ok(MaintainOutcome::NeedsRebuild) | Err(_) => view = self.pinned(build)?,
             Ok(_) => {}
         }
         subs.next_id += 1;
@@ -323,12 +357,7 @@ impl SharedEngine {
             mode: view.mode(),
             license: view.license().clone(),
         };
-        subs.entries.push(SubEntry {
-            id,
-            view,
-            sink,
-            stale: false,
-        });
+        subs.entries.push(SubEntry { id, view, sink });
         Ok(reply)
     }
 
@@ -360,84 +389,23 @@ impl SharedEngine {
 
     /// One maintenance round: advance every registered view from its
     /// base snapshot to the current head and push non-empty deltas.
-    /// Views the catalog moved under (DDL) or that were marked stale by
-    /// `ANALYZE` are rebuilt — re-bound and re-licensed against the
-    /// live catalog — and the reconciliation delta is pushed. A sink
-    /// that refuses a delta drops its subscription on the spot, and so
-    /// does a panic while maintaining a view or calling its sink: the
-    /// other subscriptions and every later write go on.
+    /// Views the catalog moved under (DDL) are rebuilt — recompiled and
+    /// re-licensed against the live catalog — and the reconciliation
+    /// delta is pushed. A sink that refuses a delta drops its
+    /// subscription on the spot, and so does a panic while maintaining a
+    /// view or calling its sink: the other subscriptions and every later
+    /// write go on.
     fn maintain_subscriptions(&self) {
-        let head = self.snapshot();
-        let mut subs = self.subs();
-        let SubState { entries, stats, .. } = &mut *subs;
-        let mut dropped: Vec<u64> = Vec::new();
-        for entry in entries.iter_mut() {
-            let kept = catch_unwind(AssertUnwindSafe(|| self.maintain_one(entry, &head, stats)));
-            if !kept.unwrap_or(false) {
-                dropped.push(entry.id);
-            }
-        }
-        if !dropped.is_empty() {
-            stats.dropped += dropped.len() as u64;
-            entries.retain(|e| !dropped.contains(&e.id));
-        }
-    }
-
-    /// Advance one view to `head` and push its delta, counting into
-    /// `stats`. Returns whether the subscription stays registered.
-    fn maintain_one(
-        &self,
-        entry: &mut SubEntry,
-        head: &Arc<Database>,
-        stats: &mut SubscriptionStats,
-    ) -> bool {
-        let outcome = if entry.stale {
-            MaintainOutcome::NeedsRebuild
-        } else {
-            match entry.view.maintain(head) {
-                Ok(outcome) => outcome,
-                // A maintenance error (e.g. a snapshot pair that is
-                // not insert-only) is never fatal: rebuild.
-                Err(_) => MaintainOutcome::NeedsRebuild,
-            }
-        };
-        let delta = match outcome {
-            MaintainOutcome::Unchanged => return true,
-            MaintainOutcome::Delta { delta, work } => {
-                stats.delta_rows += work.delta_rows;
-                stats.view_updates += work.view_updates;
-                // What a per-publish full recompute would have
-                // scanned, minus what delta maintenance touched.
-                let naive: u64 = entry
-                    .view
-                    .tables()
-                    .iter()
-                    .map(|t| head.row_count(t).unwrap_or(0) as u64)
-                    .sum();
-                let touched = work.rows_scanned + work.delta_rows + work.probe_steps;
-                stats.rows_saved += naive.saturating_sub(touched);
-                delta
-            }
-            MaintainOutcome::NeedsRebuild => {
-                let before = entry.view.rows();
-                // A view whose SQL no longer binds (table dropped by a
-                // future DDL form) is dropped.
-                let Ok(rebuilt) = self.build_view(entry.view.sql()) else {
-                    return false;
-                };
-                entry.view = rebuilt;
-                entry.stale = false;
-                let after = entry.view.rows();
-                let delta = ivm::diff_rows(before, after);
-                stats.view_updates += delta.len() as u64;
-                delta
-            }
-        };
-        if delta.is_empty() {
-            return true;
-        }
-        stats.deltas_pushed += 1;
-        (entry.sink)(entry.id, &delta)
+        self.pinned(|core, head| {
+            let mut subs = self.subs();
+            let SubState { entries, stats, .. } = &mut *subs;
+            let before = entries.len();
+            entries.retain_mut(|entry| {
+                catch_unwind(AssertUnwindSafe(|| entry.maintain(core, head, stats)))
+                    .unwrap_or(false)
+            });
+            stats.dropped += (before - entries.len()) as u64;
+        })
     }
 
     /// Parse, plan (through the shared cache) and execute `sql` against
@@ -447,7 +415,7 @@ impl SharedEngine {
     /// snapshot pinned here, never a moving head.
     pub fn query_with(&self, sql: &str, hostvars: &HostVars) -> Result<QueryOutput> {
         self.queries.fetch_add(1, Ordering::Relaxed);
-        self.pinned(|core| core.query(sql, hostvars))
+        self.pinned(|core, _| core.query(sql, hostvars))
     }
 
     /// [`SharedEngine::query_with`] with no host variables.
@@ -459,7 +427,7 @@ impl SharedEngine {
     /// the text [`Session::explain`](crate::Session::explain) prints,
     /// plus a subscription section when the query is a live view.
     pub fn explain(&self, sql: &str) -> Result<String> {
-        self.pinned(|core| {
+        self.pinned(|core, _| {
             let prepared = core.prepare(sql)?;
             Ok(core.explain(&prepared) + &self.subscription_note(&prepared.canonical))
         })
@@ -704,7 +672,7 @@ mod tests {
     }
 
     #[test]
-    fn ddl_rebuilds_views_and_analyze_marks_them_stale() {
+    fn ddl_rebuilds_views_and_analyze_leaves_them_serving() {
         let engine = SharedEngine::sample().unwrap();
         let (sink, log) = collecting_sink();
         let sub = engine
@@ -731,6 +699,54 @@ mod tests {
             7,
             "5 seed + 2 inserted suppliers"
         );
+    }
+
+    #[test]
+    fn after_analyze_an_aggregate_view_recomputes_on_the_served_plan() {
+        let engine = SharedEngine::sample().unwrap();
+        let sql = "SELECT S.SCITY, COUNT(*) AS N FROM SUPPLIER S, PARTS P \
+                   WHERE S.SNO = P.SNO GROUP BY S.SCITY";
+        let (sink, log) = collecting_sink();
+        let sub = engine.subscribe(sql, sink).unwrap();
+        assert_eq!(sub.mode, MaintenanceMode::Recompute);
+        engine.analyze();
+        assert!(log.lock().unwrap().is_empty(), "ANALYZE pushes no delta");
+        let before = engine.subscription_work(sub.id).unwrap();
+        engine
+            .execute("INSERT INTO PARTS VALUES (2, 77, 'gasket', 150, 'RED');")
+            .unwrap();
+        // The round read the view's text as a client would: the
+        // cost-based plan on the encoded columns, not a rebuilt view on
+        // the fixed rows plan.
+        let after = engine.subscription_work(sub.id).unwrap();
+        assert!(after.vector_ops > before.vector_ops, "{after:?}");
+        assert_eq!(after.rows_scanned, before.rows_scanned, "{after:?}");
+        assert_eq!(log.lock().unwrap().len(), 1, "one publish, one push");
+        let want = sorted(engine.query(sql).unwrap().rows);
+        assert_eq!(engine.subscription_rows(sub.id).unwrap(), want);
+    }
+
+    #[test]
+    fn a_recompute_round_saves_no_rows_on_the_encoded_access() {
+        let engine = SharedEngine::sample().unwrap();
+        engine.analyze();
+        let sql = "SELECT S.SCITY, COUNT(*) AS N FROM SUPPLIER S \
+                   WHERE S.SCITY >= 'D' GROUP BY S.SCITY";
+        let sub = engine.subscribe(sql, Box::new(|_, _| true)).unwrap();
+        for sno in 9..12 {
+            engine
+                .execute(&format!(
+                    "INSERT INTO SUPPLIER VALUES ({sno}, 'W', 'Toronto', 1, 'Active');"
+                ))
+                .unwrap();
+        }
+        // The rounds read every SUPPLIER row as codes and booked no row
+        // scanned, yet a recompute round is the full recompute the
+        // counter compares against.
+        let work = engine.subscription_work(sub.id).unwrap();
+        assert!(work.vector_ops > 0 && work.rows_scanned == 0, "{work:?}");
+        let stats = engine.stats().subs;
+        assert_eq!((stats.deltas_pushed, stats.rows_saved), (3, 0), "{stats:?}");
     }
 
     #[test]

@@ -8,7 +8,10 @@
 //! queries come from the standard labelled corpus (random DISTINCT
 //! blocks over the Figure 1 schema), plus a fixed `NOT EXISTS` shape
 //! that forces the honest recompute tier and can *delete* view rows
-//! under insert-only bases.
+//! under insert-only bases, and a `GROUP BY` over a join, whose rows an
+//! insert replaces. Each case runs on an unanalyzed engine and on one
+//! `ANALYZE`d before the views subscribe, where every whole-query run
+//! of a view takes the cost-based plan on the encoded columns.
 
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -20,6 +23,10 @@ use uniqueness::workload::{generate_corpus, random_instance};
 /// non-monotone, so the registry falls back to recompute-and-diff.
 const ANTI_JOIN: &str = "SELECT S.SNO FROM SUPPLIER S WHERE NOT EXISTS \
      (SELECT P.PNO FROM PARTS P WHERE P.SNO = S.SNO)";
+
+/// Recompute-tier aggregate over a join: a write changes a group's row.
+const GROUPED_JOIN: &str = "SELECT S.SCITY, COUNT(*) AS N FROM SUPPLIER S, PARTS P \
+     WHERE S.SNO = P.SNO GROUP BY S.SCITY";
 
 /// One random insert-only write against `engine` (keys outside every
 /// generator domain, supplier inserted first so FKs resolve).
@@ -45,48 +52,54 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Incremental state == full recompute, after every write, for
-    /// every subscribed corpus query, on every tier.
+    /// every subscribed corpus query, on every tier, unanalyzed and
+    /// analyzed.
     #[test]
     fn incremental_views_equal_full_recompute(
         seed in 0u64..500,
         writes in 1usize..6,
     ) {
-        let engine = Arc::new(SharedEngine::new(
-            random_instance(seed, 12, 24, 12).unwrap(),
-        ));
-        let corpus = generate_corpus(seed, 6, 1).unwrap();
-        let mut subscribed = Vec::new();
-        for sql in corpus
-            .iter()
-            .map(|q| q.sql.as_str())
-            .chain(std::iter::once(ANTI_JOIN))
-        {
-            let sub = engine
-                .subscribe(sql, Box::new(|_, _| true))
-                .unwrap_or_else(|e| panic!("{sql}: {e}"));
-            // License-not-promise: the refcount-free tier is only ever
-            // granted with a checked proof attached.
-            if sub.mode == MaintenanceMode::Set {
-                prop_assert!(sub.license.is_proved(), "unproved set tier for {}", sql);
+        for analyzed in [false, true] {
+            let engine = Arc::new(SharedEngine::new(
+                random_instance(seed, 12, 24, 12).unwrap(),
+            ));
+            if analyzed {
+                engine.analyze();
             }
-            subscribed.push((sub.id, sql.to_string()));
-        }
+            let corpus = generate_corpus(seed, 6, 1).unwrap();
+            let mut subscribed = Vec::new();
+            for sql in corpus
+                .iter()
+                .map(|q| q.sql.as_str())
+                .chain([ANTI_JOIN, GROUPED_JOIN])
+            {
+                let sub = engine
+                    .subscribe(sql, Box::new(|_, _| true))
+                    .unwrap_or_else(|e| panic!("{sql}: {e}"));
+                // License-not-promise: the refcount-free tier is only ever
+                // granted with a checked proof attached.
+                if sub.mode == MaintenanceMode::Set {
+                    prop_assert!(sub.license.is_proved(), "unproved set tier for {}", sql);
+                }
+                subscribed.push((sub.id, sql.to_string()));
+            }
 
-        let mut rng = SplitMix64::seed_from_u64(seed ^ 0xde17a);
-        for round in 0..writes {
-            apply_random_write(&engine, &mut rng, round);
-            for (id, sql) in &subscribed {
-                let view = engine
-                    .subscription_rows(*id)
-                    .expect("subscription survives plain INSERTs");
-                let mut recompute = engine.query(sql).unwrap().rows;
-                recompute.sort();
-                // View rows are already canonically sorted; corpus
-                // queries are DISTINCT blocks, so multiset == sorted ==.
-                prop_assert_eq!(
-                    &view, &recompute,
-                    "round {} diverged for {}", round, sql
-                );
+            let mut rng = SplitMix64::seed_from_u64(seed ^ 0xde17a);
+            for round in 0..writes {
+                apply_random_write(&engine, &mut rng, round);
+                for (id, sql) in &subscribed {
+                    let view = engine
+                        .subscription_rows(*id)
+                        .expect("subscription survives plain INSERTs");
+                    let mut recompute = engine.query(sql).unwrap().rows;
+                    recompute.sort();
+                    // View rows are already canonically sorted, so equal
+                    // sorted rows are equal multisets.
+                    prop_assert_eq!(
+                        &view, &recompute,
+                        "round {} diverged for {} (analyzed: {})", round, sql, analyzed
+                    );
+                }
             }
         }
     }
