@@ -59,6 +59,18 @@ lane -p uniq-bench e16
 
 echo "==> fast lane: columnar kernels, the store kept current across writes, columnar/row agreement"
 lane -p uniq-engine columnar
+# Code-word keys are exact on NULLs, '' and the i64 extremes, and past
+# the inline width; the one keyed hasher spreads keys that differ only
+# in their high bits; the set operations' hash paths keep first
+# appearances in order without copying rows; and the covered kernels
+# allocate per query, not per tuple.
+lane -p uniq-engine -- \
+    code_word_keys_are_exact_on_nulls_empty_strings_and_integer_extremes \
+    keys_wider_than_the_inline_words_spill_and_stay_exact \
+    keys_differing_only_in_high_bits_spread_over_buckets_and_tags \
+    builders_in_one_process_hash_alike \
+    hash_paths_keep_first_appearances_in_order
+cargo test -q -p uniqueness --test kernel_allocations
 # The column store is refreshed by every write, DDL included, so the
 # kernels keep serving without a second ANALYZE; a reader pinned to an
 # older snapshot falls back to rows; one panicking subscription sink

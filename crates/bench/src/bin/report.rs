@@ -88,6 +88,9 @@ impl Metrics {
 /// Repetitions of the timed E2–E15 measurements.
 const RUNS: usize = 5;
 
+/// Runs of each E21 contender.
+const E21_RUNS: usize = 5;
+
 /// One experiment: it prints its table and pushes its metric rows.
 type Experiment = fn(&mut Metrics);
 
@@ -329,11 +332,13 @@ fn e23_agg_topk(m: &mut Metrics) {
 /// `uniqd` vs the serial in-process batch driver, the process-wide
 /// shared plan cache observed over the wire, and the MVCC snapshots
 /// (a pinned reader never observes a concurrent `INSERT` or
-/// `CREATE INDEX` that a fresh snapshot does). Asserts (1) N=4
-/// multi-client QPS ≥ the serial driver's on a ≥4-core host, (2) a
-/// second connection hits on a plan the first compiled, and (3) the
-/// pinned snapshot's row count and catalog version are untouched by
-/// concurrent writes while untouched tables share storage.
+/// `CREATE INDEX` that a fresh snapshot does). Each QPS row is the
+/// median of [`E21_RUNS`] alternating runs, with its quartiles. Asserts
+/// (1) the median N=4 multi-client QPS ≥ the serial driver's on a
+/// ≥4-core host, (2) a second connection hits on a plan the first
+/// compiled, and (3) the pinned snapshot's row count and catalog
+/// version are untouched by concurrent writes while untouched tables
+/// share storage.
 fn e21_server(m: &mut Metrics) {
     header(
         "E21",
@@ -360,71 +365,88 @@ fn e21_server(m: &mut Metrics) {
         cfg.parts_per_supplier
     );
 
-    // The serial baseline: the in-process driver, one thread, no TCP.
-    let serial = run_batch(
-        &Session::new(db.clone()),
-        &corpus,
-        BatchOptions { threads: 1 },
-    );
-    assert_eq!(serial.errors, 0, "serial driver: {:?}", serial.first_error);
-
-    let engine = Arc::new(SharedEngine::new(db));
+    let engine = Arc::new(SharedEngine::new(db.clone()));
     let server =
         Server::start(engine, ("127.0.0.1", 0), ServerConfig::default()).expect("start server");
     let addr = server.local_addr().to_string();
 
-    println!(
-        "{:<22} {:>9} {:>10} {:>9}",
-        "driver", "stmts/s", "hit rate", "elapsed"
-    );
-    println!(
-        "{:<22} {:>9.0} {:>9.1}% {:>9}",
-        "serial in-process",
-        serial.throughput(),
-        100.0 * serial.hit_rate(),
-        fmt_duration(serial.elapsed)
-    );
-    m.push("E21", "qps_serial", serial.throughput(), false);
+    // Each contender runs `E21_RUNS` times, the order reversed every
+    // other round: the serial baseline (the in-process driver over one
+    // session, one thread, no TCP) and each client count against the
+    // one server. Back-to-back runs spread widely on a small host, so
+    // the rows are medians with their quartiles. `None` is the serial
+    // baseline, `Some(n)` n clients.
+    let session = Session::new(db);
+    let contenders = [None, Some(1), Some(2), Some(4), Some(8)];
+    let mut qps: [Vec<f64>; 5] = Default::default();
+    let mut hit_rates = [0.0; 5];
+    for round in 0..E21_RUNS {
+        let mut order: Vec<usize> = (0..contenders.len()).collect();
+        if round % 2 == 1 {
+            order.reverse();
+        }
+        for c in order {
+            let (throughput, hit_rate) = match contenders[c] {
+                None => {
+                    let serial = run_batch(&session, &corpus, BatchOptions { threads: 1 });
+                    assert_eq!(serial.errors, 0, "serial driver: {:?}", serial.first_error);
+                    (serial.throughput(), serial.hit_rate())
+                }
+                Some(clients) => {
+                    let report = run_client_batch(&addr, &corpus, clients);
+                    assert_eq!(
+                        report.errors, 0,
+                        "{clients} client(s): {:?}",
+                        report.first_error
+                    );
+                    assert!(
+                        report.hit_rate() > 0.0,
+                        "shared cache never hit at {clients} client(s)"
+                    );
+                    (report.throughput(), report.hit_rate())
+                }
+            };
+            qps[c].push(throughput);
+            hit_rates[c] = hit_rate;
+        }
+    }
 
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let mut qps4 = 0.0;
-    for clients in [1usize, 2, 4, 8] {
-        let report = run_client_batch(&addr, &corpus, clients);
-        assert_eq!(
-            report.errors, 0,
-            "{clients} client(s): {:?}",
-            report.first_error
-        );
-        assert!(
-            report.hit_rate() > 0.0,
-            "shared cache never hit at {clients} client(s)"
-        );
+    println!(
+        "{:<22} {:>9} {:>15} {:>10}",
+        "driver", "stmts/s", "quartiles", "hit rate"
+    );
+    let mut medians = [0.0; 5];
+    for (c, clients) in contenders.into_iter().enumerate() {
+        let q = quartiles(std::mem::take(&mut qps[c]));
+        medians[c] = q[1];
+        let (name, metric) = match clients {
+            None => ("serial in-process".to_string(), "qps_serial".to_string()),
+            Some(n) => (
+                format!("{n} client(s) over TCP"),
+                format!("qps_clients_{n}"),
+            ),
+        };
         println!(
-            "{:<22} {:>9.0} {:>9.1}% {:>9}",
-            format!("{clients} client(s) over TCP"),
-            report.throughput(),
-            100.0 * report.hit_rate(),
-            fmt_duration(report.elapsed)
+            "{name:<22} {:>9.0} {:>7.0}-{:<7.0} {:>9.1}%",
+            q[1],
+            q[0],
+            q[2],
+            100.0 * hit_rates[c]
         );
-        m.push(
-            "E21",
-            &format!("qps_clients_{clients}"),
-            report.throughput(),
-            clients == 4 && cores >= 4,
-        );
-        if clients == 4 {
-            qps4 = report.throughput();
-        }
+        push_quartiles(m, "E21", &metric, q, clients == Some(4) && cores >= 4);
     }
-    let ratio = qps4 / serial.throughput();
-    println!("\n4-client QPS / serial QPS: {ratio:.2}× on {cores} core(s)");
+    let (serial_qps, qps4) = (medians[0], medians[3]);
+    let ratio = qps4 / serial_qps;
+    println!(
+        "\nmedians of {E21_RUNS} runs each; 4-client QPS / serial QPS: {ratio:.2}× on {cores} core(s)"
+    );
     if cores >= 4 {
         assert!(
-            qps4 >= serial.throughput(),
-            "4 clients ({qps4:.0}/s) fell below the serial driver ({:.0}/s)",
-            serial.throughput()
+            qps4 >= serial_qps,
+            "4 clients ({qps4:.0}/s) fell below the serial driver ({serial_qps:.0}/s)"
         );
     } else {
         println!("(host exposes {cores} core(s); the ≥-serial assertion needs 4 and was skipped)");
@@ -810,18 +832,7 @@ fn e22_subscriptions(m: &mut Metrics) {
 /// data, `ANALYZE`d, with the set, counting and aggregate views
 /// subscribed: publish plus one maintenance round per view.
 fn e22_publish_time(m: &mut Metrics) {
-    let load = |suppliers| {
-        let cfg = ScaleConfig {
-            suppliers,
-            parts_per_supplier: 10,
-            ..Default::default()
-        };
-        let mut db = scaled_database(&cfg).expect("scaled database");
-        db.run_script(INDEX_DDL)
-            .and_then(|()| db.run_script("CREATE INDEX IDX_P_SNO ON PARTS (SNO);"))
-            .expect("index set");
-        db
-    };
+    let load = |suppliers| indexed_data(suppliers, "CREATE INDEX IDX_P_SNO ON PARTS (SNO);");
     let stores = [2_000, 4_000].map(|suppliers| SnapshotStore::new(load(suppliers)));
     // Each insert is a fresh part of supplier 1 with a fresh OEM-PNO.
     let part = |k: i64| {
@@ -877,6 +888,22 @@ fn e22_publish_time(m: &mut Metrics) {
          aggregate views subscribed (21 writes): p50 {write_p50:.1} µs"
     );
     m.push("E22", "write_p50_us_three_views", write_p50, false);
+}
+
+/// `suppliers` × 10 parts × 2 agents, perfbench's shape, with
+/// `INDEX_DDL` and then `ddl`'s join-column indexes.
+fn indexed_data(suppliers: usize, ddl: &str) -> uniqueness::catalog::Database {
+    let cfg = ScaleConfig {
+        suppliers,
+        parts_per_supplier: 10,
+        agents_per_supplier: 2,
+        ..Default::default()
+    };
+    let mut db = scaled_database(&cfg).expect("scaled database");
+    db.run_script(INDEX_DDL)
+        .and_then(|()| db.run_script(ddl))
+        .expect("index set");
+    db
 }
 
 /// E20 — the U-semiring proof checker over the standard rewrite corpus:
@@ -1162,15 +1189,13 @@ fn e18_columnar_execution(m: &mut Metrics) {
             v.sort();
             v[v.len() / 2]
         };
-        let mut ratios: Vec<f64> = (pairs.iter())
+        let ratios = (pairs.iter())
             .map(|(r, c)| r.as_secs_f64() / c.as_secs_f64().max(1e-9))
             .collect();
-        ratios.sort_by(f64::total_cmp);
-        let n = ratios.len();
         (
             median(pairs.iter().map(|p| p.0).collect()),
             median(pairs.iter().map(|p| p.1).collect()),
-            [ratios[n / 4], ratios[n / 2], ratios[3 * n / 4]],
+            quartiles(ratios),
         )
     };
 
@@ -1231,7 +1256,7 @@ fn e18_columnar_execution(m: &mut Metrics) {
     );
     m.push("E18", "row_p50_us", micros(row_time), false);
     m.push("E18", "columnar_p50_us", micros(col_time), false);
-    push_quartiles(m, "time_ratio", ratio_q);
+    push_quartiles(m, "E18", "time_ratio", ratio_q, false);
     println!(
         "columnar does {ratio:.1}x fewer work units (bar: >= 2x) and runs \
          {:.1}x faster, median of 21 paired runs (quartiles {:.1}-{:.1}x; not asserted)",
@@ -1242,7 +1267,7 @@ fn e18_columnar_execution(m: &mut Metrics) {
     let (row_time, col_time, corpus_q) = paired(&sqls);
     m.push("E18", "corpus_row_p50_us", micros(row_time), false);
     m.push("E18", "corpus_columnar_p50_us", micros(col_time), false);
-    push_quartiles(m, "corpus_time_ratio", corpus_q);
+    push_quartiles(m, "E18", "corpus_time_ratio", corpus_q, false);
     println!(
         "whole corpus, p50 of one pass: row {} vs columnar {} ({:.1}x, quartiles {:.1}-{:.1}x)",
         fmt_duration(row_time),
@@ -1269,18 +1294,84 @@ fn e18_columnar_execution(m: &mut Metrics) {
         .expect("columnar scan line");
     println!("\nEXPLAIN scan line: {}", marker.trim());
     assert!(marker.contains("enc=dict"), "{explain}");
+
+    e18_analytic_block(m);
+}
+
+/// perfbench's `analytic` statements, restated so the report does not
+/// depend on the benchmark: joins under `DISTINCT` and `GROUP BY`, set
+/// operations, a semi-join, a `COUNT(DISTINCT)` Top-K and a 20,000-row
+/// join.
+const ANALYTIC: [&str; 8] = [
+    "SELECT DISTINCT S.SCITY, P.COLOR FROM SUPPLIER S, PARTS P WHERE S.SNO = P.SNO",
+    "SELECT DISTINCT S.SCITY, P.COLOR, A.ACITY FROM SUPPLIER S, PARTS P, AGENTS A \
+     WHERE S.SNO = P.SNO AND S.SNO = A.SNO",
+    "SELECT S.SCITY, P.COLOR, COUNT(*) AS N FROM SUPPLIER S, PARTS P \
+     WHERE S.SNO = P.SNO GROUP BY S.SCITY, P.COLOR",
+    "SELECT ALL P.SNO FROM SUPPLIER S, PARTS P WHERE S.SNO = P.SNO AND P.COLOR = 'RED' \
+     INTERSECT ALL SELECT ALL A.SNO FROM AGENTS A WHERE A.ACITY = 'Ottawa'",
+    "SELECT ALL P.SNO FROM PARTS P WHERE P.COLOR = 'RED' \
+     EXCEPT ALL SELECT ALL A.SNO FROM AGENTS A WHERE A.ACITY = 'Hull'",
+    "SELECT S.SNO, S.SNAME FROM SUPPLIER S WHERE EXISTS \
+     (SELECT * FROM PARTS P WHERE P.SNO = S.SNO AND P.COLOR = 'RED')",
+    "SELECT S.SNO, COUNT(DISTINCT P.COLOR) AS C FROM SUPPLIER S, PARTS P \
+     WHERE S.SNO = P.SNO GROUP BY S.SNO ORDER BY C DESC, S.SNO LIMIT 10",
+    "SELECT S.SNAME, P.PNO, P.COLOR FROM SUPPLIER S, PARTS P WHERE S.SNO = P.SNO",
+];
+
+/// E18's time row for analytic traffic: the p50 wall clock of one
+/// block of [`ANALYTIC`] with its 20,000-row join run twice, as
+/// perfbench's block runs it, served in-process by an analyzed session
+/// over perfbench's data and index set.
+fn e18_analytic_block(m: &mut Metrics) {
+    let db = indexed_data(
+        2_000,
+        "CREATE INDEX IDX_P_SNO ON PARTS (SNO); CREATE INDEX IDX_A_SNO ON AGENTS (SNO);",
+    );
+    let session = Session::new(db).with_cost_based();
+    let block = || ANALYTIC.iter().chain(&ANALYTIC[7..]);
+    // A first pass compiles every plan; the timed ones are cache hits.
+    let block_time = || {
+        let t = Instant::now();
+        for sql in block() {
+            session.query(sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
+        }
+        micros(t.elapsed())
+    };
+    block_time();
+    let [_, p50, _] = quartiles((0..21).map(|_| block_time()).collect());
+    println!(
+        "\nanalytic block ({} statements, perfbench's data and indexes, ANALYZEd): \
+         p50 {p50:.0} µs over 21 runs",
+        block().count()
+    );
+    m.push("E18", "analytic_block_p50_us", p50, false);
 }
 
 fn micros(d: Duration) -> f64 {
     d.as_secs_f64() * 1e6
 }
 
-/// Push an E18 ratio's median as `name` and its quartiles beside it as
-/// `name_q1` and `name_q3`.
-fn push_quartiles(m: &mut Metrics, name: &str, [q1, median, q3]: [f64; 3]) {
-    m.push("E18", name, median, false);
-    m.push("E18", &format!("{name}_q1"), q1, false);
-    m.push("E18", &format!("{name}_q3"), q3, false);
+/// The first quartile, median and third quartile of `samples`.
+fn quartiles(mut samples: Vec<f64>) -> [f64; 3] {
+    samples.sort_by(f64::total_cmp);
+    let n = samples.len();
+    [samples[n / 4], samples[n / 2], samples[3 * n / 4]]
+}
+
+/// Push a measurement's median as `name` (marked `asserted` when a hard
+/// assertion guards it) and its quartiles beside it as `name_q1` and
+/// `name_q3`.
+fn push_quartiles(
+    m: &mut Metrics,
+    experiment: &str,
+    name: &str,
+    [q1, median, q3]: [f64; 3],
+    asserted: bool,
+) {
+    m.push(experiment, name, median, asserted);
+    m.push(experiment, &format!("{name}_q1"), q1, false);
+    m.push(experiment, &format!("{name}_q3"), q3, false);
 }
 
 /// E16 — cost-based per-node physical planning vs every fixed plan's

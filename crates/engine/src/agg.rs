@@ -6,7 +6,13 @@
 //! grouping function serves both access methods of the block pipeline:
 //! it reads body tuples through a key and a value function, so the rows
 //! access groups borrowed rows and the encoded access groups code words.
-//! Two execution shapes:
+//! Each tuple is read only as far as its items need: `COUNT(e)` and
+//! `COUNT(DISTINCT e)` read their argument as a distinct key (a borrowed
+//! value's clone under the rows access, a code word under the encoded
+//! one), so the only cells decoded are each group's representative and
+//! the arguments of `SUM`, `MIN`, `MAX` and `AVG`. Every table here is
+//! built with the executor's keyed hasher (the private `hasher`
+//! module). Two execution shapes:
 //!
 //! * **Hash grouping** — one table probe per input row (`hash_probes`
 //!   and `probe_steps` book one each, like the join kernels), groups
@@ -27,23 +33,27 @@
 //! grouping treats `NULL`s as equal (`=̇`, which is exactly the derived
 //! `Eq` on [`Value`]); integer overflow wraps.
 
+use crate::hasher::{HashMap, HashSet};
 use crate::stats::ExecStats;
-use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
 use uniq_catalog::Row;
 use uniq_plan::{BoundAgg, BoundAggItem};
 use uniq_sql::AggFunc;
 use uniq_types::{Result, Value};
 
-/// Running state of one aggregate item over one group.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum AggState {
+/// Running state of one aggregate item over one group; `W` is how the
+/// access reads a `COUNT(DISTINCT)` argument.
+#[derive(Debug, Clone)]
+pub(crate) enum AggState<W> {
     /// `COUNT(*)` / `COUNT(e)`: rows (with a non-null argument) seen.
     Count(i64),
-    /// `COUNT(DISTINCT e)`: distinct non-null argument values seen.
-    /// The whole point of the count-distinct elision is never to build
-    /// this set when uniqueness already proves it redundant.
-    CountDistinct(HashSet<Value>),
+    /// `COUNT(DISTINCT e)`: distinct non-null arguments seen, as
+    /// [`Value`]s under the rows access and as code words (dictionary
+    /// codes, or the `i64` itself) under the encoded one — exact, since
+    /// codes are injective within a column. The whole point of the
+    /// count-distinct elision is never to build this set when
+    /// uniqueness already proves it redundant.
+    CountDistinct(HashSet<W>),
     /// `SUM(e)`: wrapping sum, `NULL` until a non-null argument arrives.
     Sum { sum: i64, seen: bool },
     /// `MIN(e)` under the non-null order (`NULL` arguments ignored).
@@ -59,13 +69,13 @@ pub(crate) enum AggState {
 /// Fresh per-group states, one per output item (grouping items get the
 /// inert [`AggState::Group`] placeholder so states stay index-aligned
 /// with `agg.items`).
-pub(crate) fn init_states(agg: &BoundAgg) -> Vec<AggState> {
+pub(crate) fn init_states<W>(agg: &BoundAgg) -> Vec<AggState<W>> {
     agg.items
         .iter()
         .map(|item| match item {
             BoundAggItem::Group { .. } => AggState::Group,
             BoundAggItem::Agg { func, distinct, .. } => match func {
-                AggFunc::Count if *distinct => AggState::CountDistinct(HashSet::new()),
+                AggFunc::Count if *distinct => AggState::CountDistinct(HashSet::default()),
                 AggFunc::Count => AggState::Count(0),
                 AggFunc::Sum => AggState::Sum {
                     sum: 0,
@@ -79,66 +89,60 @@ pub(crate) fn init_states(agg: &BoundAgg) -> Vec<AggState> {
         .collect()
 }
 
-/// Fold one body tuple into the group's states. `get(p)` reads position
-/// `p` of the body projection — a closure so the encoded access can
-/// decode argument cells lazily instead of materializing whole rows.
+/// Fold one body tuple into the group's states. `value(p)` decodes
+/// position `p` of the body projection and `word(p)` reads it as a
+/// distinct key (`None` when it is `NULL`) — closures, so the encoded
+/// access decodes only the cells an item needs instead of whole rows.
 ///
 /// Returns the number of distinct-set probes performed (one per
 /// non-null `COUNT(DISTINCT)` argument), so callers can book the work
 /// the count-distinct elision avoids.
-pub(crate) fn update_states(
-    states: &mut [AggState],
+pub(crate) fn update_states<W: Eq + Hash>(
+    states: &mut [AggState<W>],
     agg: &BoundAgg,
-    get: &mut impl FnMut(usize) -> Value,
+    value: impl Fn(usize) -> Value,
+    word: impl Fn(usize) -> Option<W>,
 ) -> Result<u64> {
     let mut set_probes = 0;
     for (st, item) in states.iter_mut().zip(&agg.items) {
         let BoundAggItem::Agg { arg, .. } = item else {
             continue;
         };
-        let v = arg.map(&mut *get);
+        // The argument, non-null, decoded (`SUM`, `MIN`, `MAX`, `AVG`).
+        let decoded = || arg.map(&value).filter(|v| !v.is_null());
         match st {
             AggState::Group => {}
-            AggState::Count(n) => match &v {
-                Some(Value::Null) => {}
-                _ => *n += 1,
-            },
+            AggState::Count(n) => {
+                if arg.is_none_or(|p| word(p).is_some()) {
+                    *n += 1;
+                }
+            }
             AggState::CountDistinct(set) => {
-                if let Some(v) = v {
-                    if !v.is_null() {
-                        set_probes += 1;
-                        set.insert(v);
-                    }
+                if let Some(w) = arg.and_then(&word) {
+                    set_probes += 1;
+                    set.insert(w);
                 }
             }
             AggState::Sum { sum, seen } => {
-                if let Some(v) = v {
-                    if !v.is_null() {
-                        *sum = sum.wrapping_add(v.as_int()?);
-                        *seen = true;
-                    }
+                if let Some(v) = decoded() {
+                    *sum = sum.wrapping_add(v.as_int()?);
+                    *seen = true;
                 }
             }
             AggState::Min(cur) => {
-                if let Some(v) = v {
-                    if !v.is_null() {
-                        fold_extremum(cur, v, true)?;
-                    }
+                if let Some(v) = decoded() {
+                    fold_extremum(cur, v, true)?;
                 }
             }
             AggState::Max(cur) => {
-                if let Some(v) = v {
-                    if !v.is_null() {
-                        fold_extremum(cur, v, false)?;
-                    }
+                if let Some(v) = decoded() {
+                    fold_extremum(cur, v, false)?;
                 }
             }
             AggState::Avg { sum, n } => {
-                if let Some(v) = v {
-                    if !v.is_null() {
-                        *sum = sum.wrapping_add(v.as_int()?);
-                        *n += 1;
-                    }
+                if let Some(v) = decoded() {
+                    *sum = sum.wrapping_add(v.as_int()?);
+                    *n += 1;
                 }
             }
         }
@@ -166,7 +170,7 @@ fn fold_extremum(cur: &mut Option<Value>, v: Value, want_less: bool) -> Result<(
 }
 
 /// Final value of one state.
-pub(crate) fn finalize_state(st: AggState) -> Value {
+pub(crate) fn finalize_state<W>(st: AggState<W>) -> Value {
     match st {
         AggState::Group => Value::Null,
         AggState::Count(n) => Value::Int(n),
@@ -191,26 +195,29 @@ pub(crate) fn finalize_state(st: AggState) -> Value {
 
 /// Aggregate `n` body tuples, in input order, the one way both access
 /// methods share. `key(t)` is tuple `t`'s grouping key — borrowed values
-/// under the rows access, code words under the encoded one — and
-/// `value(t, p)` its body projection position `p`.
+/// under the rows access, code words under the encoded one —
+/// `value(t, p)` decodes its body projection position `p`, and
+/// `word(t, p)` reads that position as a `COUNT(DISTINCT)` key (`None`
+/// when it is `NULL`).
 ///
 /// The proof-elided grouping takes the zero-hash one-pass: every tuple
 /// is its own group. Otherwise groups are hashed and kept in
 /// first-appearance order, so output is deterministic, and each group's
 /// first tuple supplies its grouping columns. A global aggregate (no
 /// `GROUP BY`) folds into its single group without hashing.
-pub(crate) fn aggregate<K: Eq + Hash>(
+pub(crate) fn aggregate<K: Eq + Hash, W: Eq + Hash>(
     agg: &BoundAgg,
     n: usize,
     key: impl Fn(usize) -> K,
     value: impl Fn(usize, usize) -> Value,
+    word: impl Fn(usize, usize) -> Option<W>,
     stats: &mut ExecStats,
 ) -> Result<Vec<Row>> {
     stats.agg_rows += n as u64;
     // One finished group → one output row, items in `SELECT`-list
     // order: grouping items read the representative, aggregate items
     // finalize their state.
-    let output_row = |rep: usize, states: Vec<AggState>| -> Row {
+    let output_row = |rep: usize, states: Vec<AggState<W>>| -> Row {
         (agg.items.iter().zip(states))
             .map(|(item, st)| match item {
                 BoundAggItem::Group { pos, .. } => value(rep, *pos),
@@ -218,9 +225,9 @@ pub(crate) fn aggregate<K: Eq + Hash>(
             })
             .collect()
     };
-    let mut fold = |states: &mut [AggState], t: usize| -> Result<()> {
+    let mut fold = |states: &mut [AggState<W>], t: usize| -> Result<()> {
         // An un-elided `COUNT(DISTINCT)` item books its set probes.
-        let set_probes = update_states(states, agg, &mut |p| value(t, p))?;
+        let set_probes = update_states(states, agg, |p| value(t, p), |p| word(t, p))?;
         stats.hash_probes += set_probes;
         stats.probe_steps += set_probes;
         Ok(())
@@ -236,8 +243,8 @@ pub(crate) fn aggregate<K: Eq + Hash>(
         return Ok(out);
     }
 
-    let mut index: HashMap<K, usize> = HashMap::new();
-    let mut groups: Vec<(usize, Vec<AggState>)> = Vec::new();
+    let mut index: HashMap<K, usize> = HashMap::default();
+    let mut groups: Vec<(usize, Vec<AggState<W>>)> = Vec::new();
     let mut group_probes = 0;
     for t in 0..n {
         let slot = if agg.group_count == 0 {
@@ -304,7 +311,9 @@ mod tests {
     /// Group plain rows on their leading columns, as the rows access does.
     fn aggregate_rows(agg: &BoundAgg, rows: Vec<Row>, stats: &mut ExecStats) -> Result<Vec<Row>> {
         let key = |t: usize| &rows[t][..agg.group_count];
-        aggregate(agg, rows.len(), key, |t, p| rows[t][p].clone(), stats)
+        let value = |t: usize, p: usize| rows[t][p].clone();
+        let word = |t: usize, p: usize| Some(rows[t][p].clone()).filter(|v| !v.is_null());
+        aggregate(agg, rows.len(), key, value, word, stats)
     }
 
     #[test]

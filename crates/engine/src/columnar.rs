@@ -22,6 +22,17 @@
 //! copying rows; `Value` rows are materialized only at query output,
 //! which is what the `materialized_rows` counter measures.
 //!
+//! Keys are code words, built without touching the heap. A join step on
+//! one key hashes that key's build-space word alone; a multi-key step,
+//! `DISTINCT` and `GROUP BY` hash a fixed-width `CodeKey` (a join key
+//! per key column; a `(null, word)` pair per projected column), stored
+//! inline for up to four pairs and spilled to the heap only when wider.
+//! `COUNT(DISTINCT e)` collects `e`'s word. Every kernel's hash table
+//! uses the executor's one keyed hasher (the private `hasher` module).
+//! The keys make each probe cheaper, not fewer: every kernel books
+//! `hash_probes` and `probe_steps` exactly as a `Value`-keyed table
+//! would.
+//!
 //! Uniqueness is the fast path throughout:
 //!
 //! * when a join step's keys cover a candidate key of the build side
@@ -43,8 +54,10 @@
 //! of per-row dispatch.
 
 use crate::exec::{hash_join, Probe};
+use crate::hasher;
 use crate::stats::ExecStats;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap};
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 use uniq_catalog::{Database, Row, TableRows, TableSchema};
 use uniq_cost::{BlockPlan, JoinMethod};
@@ -480,13 +493,15 @@ fn eval_pred(p: &Pred, tc: &TableColumns, r: usize) -> bool {
 /// `vector_ops` per (predicate, chunk).
 fn filter_table(tc: &TableColumns, preds: &[Pred], stats: &mut ExecStats) -> Vec<u32> {
     let mut sel = Vec::new();
+    let mut chunk = Vec::with_capacity(CHUNK_SIZE.min(tc.rows));
     for start in (0..tc.rows).step_by(CHUNK_SIZE) {
         let end = (start + CHUNK_SIZE).min(tc.rows);
-        let mut chunk: Vec<u32> = (start as u32..end as u32).collect();
+        chunk.clear();
+        chunk.extend(start as u32..end as u32);
         for p in preds {
             chunk.retain(|&r| eval_pred(p, tc, r as usize));
         }
-        sel.extend(chunk);
+        sel.extend_from_slice(&chunk);
     }
     stats.vector_ops += (tc.rows.div_ceil(CHUNK_SIZE) * preds.len().max(1)) as u64;
     sel
@@ -781,38 +796,49 @@ impl<'a> Encoded<'a> {
             }
         } else {
             stats.hash_joins += 1;
-            let (probes, steps) = hash_join(
-                tuples,
-                k,
-                &build,
-                |r| {
-                    keys.iter()
-                        .map(|key| key.build_key(r))
-                        .collect::<Option<Vec<u64>>>()
-                },
-                |tuple| {
-                    let mut words = Vec::with_capacity(keys.len());
-                    let mut miss = false;
-                    for key in &keys {
-                        match key.probe_key(tuple[key.slot]) {
-                            Probe::Null => return Probe::Null,
-                            Probe::Miss => miss = true,
-                            Probe::Key(w) => words.push(w),
+            let emit = |tuple: &[u32], m: u32| {
+                out.extend_from_slice(tuple);
+                out.push(m);
+                Ok(())
+            };
+            let (probes, steps) = match keys.as_slice() {
+                // One key hashes its word alone.
+                [key] => hash_join(
+                    tuples,
+                    k,
+                    &build,
+                    |r| key.build_key(r),
+                    |tuple| key.probe_key(tuple[key.slot]),
+                    unique,
+                    emit,
+                )?,
+                _ => hash_join(
+                    tuples,
+                    k,
+                    &build,
+                    |r| {
+                        CodeKey::try_from_words(keys.len(), keys.iter().map(|key| key.build_key(r)))
+                    },
+                    |tuple| {
+                        let mut miss = false;
+                        let words = keys.iter().map(|key| match key.probe_key(tuple[key.slot]) {
+                            Probe::Null => None,
+                            Probe::Miss => {
+                                miss = true;
+                                Some(0)
+                            }
+                            Probe::Key(w) => Some(w),
+                        });
+                        match CodeKey::try_from_words(keys.len(), words) {
+                            None => Probe::Null,
+                            Some(_) if miss => Probe::Miss,
+                            Some(key) => Probe::Key(key),
                         }
-                    }
-                    if miss {
-                        Probe::Miss
-                    } else {
-                        Probe::Key(words)
-                    }
-                },
-                unique,
-                |tuple, m| {
-                    out.extend_from_slice(tuple);
-                    out.push(m);
-                    Ok(())
-                },
-            )?;
+                    },
+                    unique,
+                    emit,
+                )?,
+            };
             stats.hash_probes += probes;
             stats.probe_steps += steps;
         }
@@ -825,7 +851,7 @@ impl<'a> Encoded<'a> {
     /// [`Encoded::key_words`]).
     pub(crate) fn distinct(&self, ids: Vec<u32>, stats: &mut ExecStats) -> Vec<u32> {
         let n = ids.len() / self.tables.len();
-        let mut seen: HashSet<Vec<u64>> = HashSet::with_capacity(n);
+        let mut seen = hasher::HashSet::with_capacity_and_hasher(n, Default::default());
         let mut kept = Vec::new();
         for tuple in ids.chunks_exact(self.tables.len()) {
             stats.hash_probes += 1;
@@ -864,6 +890,7 @@ impl<'a> Encoded<'a> {
             n,
             |t| self.key_words(tuple(t), agg.group_count),
             |t, p| self.value(tuple(t), p),
+            |t, p| self.word(tuple(t), p),
             stats,
         )?;
         stats.vector_ops += n.div_ceil(CHUNK_SIZE) as u64;
@@ -877,33 +904,88 @@ impl<'a> Encoded<'a> {
         self.tables[slot].value_at(col, tuple[slot] as usize)
     }
 
+    /// Projection position `p` of one tuple as a code word: its
+    /// dictionary code or its integer, `None` when it is `NULL`. Codes
+    /// are injective within a column, so words compare like the values.
+    fn word(&self, tuple: &[u32], p: usize) -> Option<u64> {
+        let (slot, col) = self.proj[p];
+        let r = tuple[slot] as usize;
+        let (nulls, word) = match self.tables[slot].column(col) {
+            ColumnData::Int { values, nulls } => (nulls, values[r] as u64),
+            ColumnData::Str { codes, nulls, .. } => (nulls, u64::from(codes[r])),
+        };
+        (!nulls.is_null(r)).then_some(word)
+    }
+
     /// Encoded key of the first `n` projection positions of one tuple:
     /// per column a (null, code/value) word pair — exact under `=̇`
-    /// because codes within one column are injective. This is the
-    /// dictionary-coded group and distinct key: strings compare by `u32`
-    /// code, never by string compare.
-    fn key_words(&self, tuple: &[u32], n: usize) -> Vec<u64> {
-        let mut key = Vec::with_capacity(n * 2);
-        for &(slot, col) in &self.proj[..n] {
-            let r = tuple[slot] as usize;
-            let (nulls, word) = match self.tables[slot].column(col) {
-                ColumnData::Int { values, nulls } => (nulls, values[r] as u64),
-                ColumnData::Str { codes, nulls, .. } => (nulls, codes[r] as u64),
-            };
-            if nulls.is_null(r) {
-                key.extend([1, 0]);
-            } else {
-                key.extend([0, word]);
-            }
+    /// because codes within one column are injective and a `NULL`
+    /// slot's word is never read. This is the dictionary-coded group and
+    /// distinct key: strings compare by `u32` code, never by string
+    /// compare.
+    fn key_words(&self, tuple: &[u32], n: usize) -> CodeKey {
+        let words = (0..n).flat_map(|p| match self.word(tuple, p) {
+            None => [Some(1), Some(0)],
+            Some(w) => [Some(0), Some(w)],
+        });
+        CodeKey::try_from_words(2 * n, words).expect("every word is present")
+    }
+}
+
+/// Words a [`CodeKey`] holds inline: four (null, word) column pairs.
+const INLINE_WORDS: usize = 8;
+
+/// A fixed-width key of code words: up to [`INLINE_WORDS`] stored inline,
+/// so building one allocates nothing; only wider keys spill to the
+/// heap. Every key of one table has the same width.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum CodeKey {
+    /// `words[..len]`; the words past `len` stay zero.
+    Inline { len: u8, words: [u64; INLINE_WORDS] },
+    /// More than [`INLINE_WORDS`] words.
+    Spilled(Box<[u64]>),
+}
+
+impl CodeKey {
+    /// The key of `len` words, or `None` when a word is `None`.
+    fn try_from_words(len: usize, words: impl IntoIterator<Item = Option<u64>>) -> Option<CodeKey> {
+        let mut words = words.into_iter();
+        if len > INLINE_WORDS {
+            return words.collect::<Option<Box<[u64]>>>().map(CodeKey::Spilled);
         }
-        key
+        let mut inline = [0; INLINE_WORDS];
+        for slot in &mut inline[..len] {
+            *slot = words.next()??;
+        }
+        Some(CodeKey::Inline {
+            len: len as u8,
+            words: inline,
+        })
+    }
+
+    fn words(&self) -> &[u64] {
+        match self {
+            CodeKey::Inline { len, words } => &words[..*len as usize],
+            CodeKey::Spilled(words) => words,
+        }
+    }
+}
+
+impl Hash for CodeKey {
+    /// One word at a time, and only the words the key holds.
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        for &w in self.words() {
+            state.write_u64(w);
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Session;
     use uniq_catalog::sample::supplier_database;
+    use uniq_plan::HostVars;
 
     fn store() -> (Database, ColumnStore) {
         let db = supplier_database().unwrap();
@@ -1140,5 +1222,126 @@ mod tests {
         assert_eq!(direct_lookup(&d, 8), NONE_U32);
         assert_eq!(direct_lookup(&d, 9), 1);
         assert_eq!(direct_lookup(&d, 100), NONE_U32, "outside span misses");
+    }
+
+    /// An analyzed session over `E (ID, N, S)` and `F (N, S, M, T)`,
+    /// whose nullable columns hold the values key words must keep apart:
+    /// NULL beside 0, −1 and both `i64` extremes, and NULL beside `''`
+    /// and ordinary strings, each repeated. The rows go in through the
+    /// catalog API, since SQL cannot spell `i64::MIN`.
+    fn edge_session() -> Session {
+        let mut db = supplier_database().unwrap();
+        db.run_script(
+            "CREATE TABLE E (ID INTEGER, N INTEGER, S VARCHAR);
+             CREATE TABLE F (N INTEGER, S VARCHAR, M INTEGER, T VARCHAR);",
+        )
+        .unwrap();
+        let int = |n: Option<i64>| n.map_or(Value::Null, Value::Int);
+        let string = |s: Option<&str>| s.map_or(Value::Null, Value::str);
+        let (min, max) = (Some(i64::MIN), Some(i64::MAX));
+        let e = [
+            (None, None),
+            (Some(0), Some("")),
+            (Some(-1), Some("x")),
+            (min, Some("")),
+            (max, None),
+            (None, Some("x")),
+            (Some(0), Some("y")),
+            (min, Some("x")),
+            (max, Some("")),
+            (Some(-1), None),
+            (Some(0), Some("x")),
+        ];
+        for (id, (n, s)) in (1..).zip(e) {
+            let row = vec![Value::Int(id), int(n), string(s)];
+            db.insert(&"E".into(), row).unwrap();
+        }
+        let f = [
+            (Some(0), Some(""), Some(1), Some("p")),
+            (Some(0), Some(""), Some(1), Some("p")),
+            (min, Some("x"), None, Some("q")),
+            (None, None, Some(2), None),
+            (Some(-1), Some("y"), Some(2), Some("p")),
+            (max, Some(""), None, None),
+            (Some(0), Some("x"), Some(1), Some("p")),
+            (min, Some("x"), None, Some("q")),
+        ];
+        for (n, s, m, t) in f {
+            let row = vec![int(n), string(s), int(m), string(t)];
+            db.insert(&"F".into(), row).unwrap();
+        }
+        Session::new(db).with_cost_based()
+    }
+
+    /// `sql` as served on the encoded access, in sorted order, after
+    /// checking it against the same plan on the stored rows and against
+    /// the unoptimized fixed plan.
+    fn agreed(session: &Session, sql: &str) -> Vec<Row> {
+        let sorted = |mut rows: Vec<Row>| {
+            rows.sort_by(|a, b| uniq_types::value::tuple_null_cmp(a, b).unwrap());
+            rows
+        };
+        let hv = HostVars::new();
+        let served = session.query(sql).unwrap();
+        assert!(served.stats.vector_ops > 0, "{sql}: not encoded");
+        let rows = sorted(served.rows);
+        let row_path = session.query_row_path(sql, &hv).unwrap();
+        assert_eq!(row_path.stats.vector_ops, 0);
+        assert_eq!(rows, sorted(row_path.rows), "{sql}: rows access");
+        let oracle = session.query_unoptimized(sql, &hv).unwrap();
+        assert_eq!(rows, sorted(oracle.rows), "{sql}: unoptimized");
+        rows
+    }
+
+    #[test]
+    fn code_word_keys_are_exact_on_nulls_empty_strings_and_integer_extremes() {
+        let session = edge_session();
+        // N: NULL, 0, -1 and both extremes; S: NULL, '', 'x' and 'y'.
+        for (col, other, values) in [("N", "S", 5), ("S", "N", 4)] {
+            let distinct = agreed(&session, &format!("SELECT DISTINCT E.{col} FROM E"));
+            assert_eq!(distinct.len(), values, "{col}");
+            let groups = agreed(
+                &session,
+                &format!(
+                    "SELECT E.{col}, COUNT(*) AS K, COUNT(DISTINCT E.{other}) AS D, \
+                     COUNT(E.{other}) AS C FROM E GROUP BY E.{col}"
+                ),
+            );
+            assert_eq!(groups.len(), values, "{col}");
+            agreed(
+                &session,
+                &format!("SELECT COUNT(DISTINCT E.{col}) AS D, COUNT(E.{col}) AS C FROM E"),
+            );
+            let join = agreed(
+                &session,
+                &format!("SELECT E.ID, F.M, F.T FROM E, F WHERE E.{col} = F.{col}"),
+            );
+            assert!(!join.is_empty());
+            agreed(
+                &session,
+                &format!("SELECT DISTINCT E.{other}, F.T FROM E, F WHERE E.{col} = F.{col}"),
+            );
+        }
+        // Two keys: the join hashes an inline word pair per tuple.
+        let both = agreed(
+            &session,
+            "SELECT E.ID, F.M FROM E, F WHERE E.N = F.N AND E.S = F.S",
+        );
+        assert_eq!(both.len(), 6, "{both:?}");
+    }
+
+    #[test]
+    fn keys_wider_than_the_inline_words_spill_and_stay_exact() {
+        let session = edge_session();
+        let rows = agreed(
+            &session,
+            "SELECT DISTINCT E.N, E.S, F.N, F.S, F.M, F.T FROM E, F WHERE E.N = F.N",
+        );
+        assert_eq!(rows.len(), 12, "{rows:?}");
+        let key = CodeKey::try_from_words(12, (0..12).map(Some)).unwrap();
+        assert!(matches!(&key, CodeKey::Spilled(words) if words.len() == 12));
+        let narrow = CodeKey::try_from_words(2, [Some(7), Some(9)]).unwrap();
+        assert_eq!(narrow.words(), &[7, 9]);
+        assert_eq!(CodeKey::try_from_words(2, [Some(7), None]), None);
     }
 }

@@ -45,9 +45,9 @@
 
 use crate::agg::aggregate;
 use crate::columnar::{ColumnStore, Encoded};
+use crate::hasher::HashMap;
 use crate::setops::{combine_setop, distinct};
 use crate::stats::{ExecStats, JoinMethod};
-use std::collections::HashMap;
 use std::hash::Hash;
 use uniq_catalog::{Database, Positions, Row, TableRows};
 use uniq_cost::{
@@ -310,6 +310,7 @@ impl<'a> Executor<'a> {
                 rows.len(),
                 |t| &rows[t][..agg.group_count],
                 |t, p| rows[t][p].clone(),
+                |t, p| non_null(&rows[t][p]).cloned(),
                 &mut self.stats,
             ),
         }
@@ -996,9 +997,14 @@ pub(crate) enum Probe<K> {
 /// One hash join, shared by both access methods: hash the `build` row
 /// ids on `build_key` (`None`, a `NULL` component, never matches), then
 /// probe once per tuple of `tuples` (`stride` ids each) and `emit` the
-/// tuple with each matching build row. A `unique` step books one probe
-/// step per hit, any other walks its chain (matches + 1); a miss books
-/// one. Returns the (hash probes, probe steps) booked.
+/// tuple with each matching build row, in build order. A `unique` step
+/// books one probe step per hit, any other walks its postings (one step
+/// per match, plus one); a miss books one. Returns the (hash probes,
+/// probe steps) booked.
+///
+/// The table holds one slot per distinct key, under the executor's
+/// keyed hasher, and every slot's postings lie in one flat vector:
+/// counted per slot first, then filled in build order.
 pub(crate) fn hash_join<K: Hash + Eq>(
     tuples: &[u32],
     stride: usize,
@@ -1008,24 +1014,53 @@ pub(crate) fn hash_join<K: Hash + Eq>(
     unique: bool,
     mut emit: impl FnMut(&[u32], u32) -> Result<()>,
 ) -> Result<(u64, u64)> {
-    let mut map: HashMap<K, Vec<u32>> = HashMap::new();
-    for &r in build {
-        if let Some(key) = build_key(r) {
-            map.entry(key).or_default().push(r);
+    const NO_SLOT: u32 = u32::MAX;
+    let mut slots: HashMap<K, u32> = HashMap::default();
+    let mut counts: Vec<u32> = Vec::new();
+    let slot_of: Vec<u32> = (build.iter())
+        .map(|&r| {
+            let Some(key) = build_key(r) else {
+                return NO_SLOT;
+            };
+            let next = counts.len() as u32;
+            let slot = *slots.entry(key).or_insert(next);
+            if slot == next {
+                counts.push(0);
+            }
+            counts[slot as usize] += 1;
+            slot
+        })
+        .collect();
+    // `starts[s]..starts[s + 1]` is slot `s`'s postings; `counts` turns
+    // into each slot's fill cursor.
+    let mut starts = Vec::with_capacity(counts.len() + 1);
+    let mut end = 0u32;
+    for count in &mut counts {
+        starts.push(end);
+        end += std::mem::replace(count, end);
+    }
+    starts.push(end);
+    let mut postings = vec![0u32; end as usize];
+    for (&r, &slot) in build.iter().zip(&slot_of) {
+        if slot != NO_SLOT {
+            let cursor = &mut counts[slot as usize];
+            postings[*cursor as usize] = r;
+            *cursor += 1;
         }
     }
     let (mut probes, mut steps) = (0, 0);
     for tuple in tuples.chunks_exact(stride) {
-        let hits = match probe_key(tuple) {
+        let slot = match probe_key(tuple) {
             Probe::Null => continue,
             Probe::Miss => None,
-            Probe::Key(key) => map.get(&key),
+            Probe::Key(key) => slots.get(&key),
         };
         probes += 1;
-        let Some(hits) = hits else {
+        let Some(&slot) = slot else {
             steps += 1;
             continue;
         };
+        let hits = &postings[starts[slot as usize] as usize..starts[slot as usize + 1] as usize];
         steps += if unique { 1 } else { hits.len() as u64 + 1 };
         for &m in hits {
             emit(tuple, m)?;

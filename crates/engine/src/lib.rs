@@ -35,6 +35,7 @@ pub mod agg;
 pub mod columnar;
 pub mod exec;
 pub mod explain;
+mod hasher;
 pub mod ivm;
 pub mod plancache;
 mod serve;

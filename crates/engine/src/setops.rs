@@ -11,10 +11,12 @@
 //! The hash path relies on `Value`'s structural `Eq`/`Hash` coinciding
 //! with `=̇` (both treat two `NULL`s as equal and compare payloads
 //! otherwise), which is verified by tests here and property tests in the
-//! integration suite.
+//! integration suite. Its tables borrow the input rows under the
+//! executor's keyed hasher (the private `hasher` module) and copy none:
+//! kept rows are moved out of the input, first appearances first.
 
+use crate::hasher::{HashMap, HashSet};
 use crate::stats::{DistinctMethod, ExecStats};
-use std::collections::{HashMap, HashSet};
 use uniq_catalog::Row;
 use uniq_sql::SetOp;
 use uniq_types::{Result, Value};
@@ -43,15 +45,14 @@ pub fn distinct(rows: Vec<Row>, method: DistinctMethod, stats: &mut ExecStats) -
             Ok(rows)
         }
         DistinctMethod::Hash => {
-            let mut seen: HashSet<Row> = HashSet::with_capacity(rows.len());
-            let mut out = Vec::new();
-            for row in rows {
-                stats.hash_probes += 1;
-                if seen.insert(row.clone()) {
-                    out.push(row);
-                }
-            }
-            Ok(out)
+            let mut seen: HashSet<&Row> =
+                HashSet::with_capacity_and_hasher(rows.len(), Default::default());
+            let first: Vec<bool> = rows.iter().map(|row| seen.insert(row)).collect();
+            drop(seen);
+            stats.hash_probes += rows.len() as u64;
+            Ok((rows.into_iter().zip(first))
+                .filter_map(|(row, first)| first.then_some(row))
+                .collect())
         }
     }
 }
@@ -143,6 +144,10 @@ fn sort_merge(
     out
 }
 
+/// `INTERSECT` / `EXCEPT` by counting each distinct row's multiplicity
+/// on both sides. Every result row is a left row (neither operator
+/// emits more copies of a row than the left side holds), so the output
+/// copies are moved out of `left`, grouped by first appearance.
 fn hash_counting(
     op: SetOp,
     all: bool,
@@ -150,33 +155,47 @@ fn hash_counting(
     right: Vec<Row>,
     stats: &mut ExecStats,
 ) -> Vec<Row> {
-    // Structural Eq/Hash on Value coincides with =̇ (see module docs).
-    let mut counts: HashMap<Row, (usize, usize)> = HashMap::new();
-    let mut order: Vec<Row> = Vec::new();
-    for row in left {
-        stats.hash_probes += 1;
-        let e = counts.entry(row.clone()).or_insert_with(|| {
-            order.push(row);
-            (0, 0)
-        });
-        e.0 += 1;
-    }
-    for row in right {
-        stats.hash_probes += 1;
-        let e = counts.entry(row.clone()).or_insert_with(|| {
-            order.push(row);
-            (0, 0)
-        });
-        e.1 += 1;
-    }
-    let mut out = Vec::new();
-    for rep in order {
-        let (j, k) = counts[&rep];
-        for _ in 0..output_count(op, all, j, k) {
-            out.push(rep.clone());
+    // One slot per distinct left row, numbered by first appearance, with
+    // its multiplicities (j, k). A row only the right side holds yields
+    // no output, so it is looked up but never entered.
+    let mut slots: HashMap<&Row, usize> =
+        HashMap::with_capacity_and_hasher(left.len(), Default::default());
+    let mut counts: Vec<(usize, usize)> = Vec::new();
+    let slot_of: Vec<usize> = (left.iter())
+        .map(|row| {
+            let next = counts.len();
+            let slot = *slots.entry(row).or_insert(next);
+            if slot == next {
+                counts.push((0, 0));
+            }
+            counts[slot].0 += 1;
+            slot
+        })
+        .collect();
+    for row in &right {
+        if let Some(&slot) = slots.get(row) {
+            counts[slot].1 += 1;
         }
     }
-    out
+    drop(slots);
+    stats.hash_probes += (left.len() + right.len()) as u64;
+    // Each slot's output range, then its first copies in left order.
+    let mut next = Vec::with_capacity(counts.len());
+    let mut total = 0;
+    for &(j, k) in &counts {
+        let n = output_count(op, all, j, k);
+        next.push((total, total + n));
+        total += n;
+    }
+    let mut out: Vec<Option<Row>> = vec![None; total];
+    for (row, slot) in left.into_iter().zip(slot_of) {
+        let (at, end) = &mut next[slot];
+        if at < end {
+            out[*at] = Some(row);
+            *at += 1;
+        }
+    }
+    out.into_iter().flatten().collect()
 }
 
 /// Structural equality on `Value` must coincide with `=̇` for the hash
@@ -199,7 +218,7 @@ mod tests {
     }
 
     fn counts(rows: &[Row]) -> HashMap<Row, usize> {
-        let mut m = HashMap::new();
+        let mut m = HashMap::default();
         for r in rows {
             *m.entry(r.clone()).or_insert(0) += 1;
         }
@@ -318,6 +337,54 @@ mod tests {
         assert!(s1.sort_comparisons > 0);
         assert_eq!(s1.sorts, 1);
         assert_eq!(s2.hash_probes, 5);
+    }
+
+    #[test]
+    fn hash_paths_keep_first_appearances_in_order() {
+        let row = |n: Option<i64>, s: Option<&str>| -> Row {
+            vec![
+                n.map_or(Value::Null, Value::Int),
+                s.map_or(Value::Null, Value::str),
+            ]
+        };
+        let (a, nb, n2, c) = (
+            row(Some(1), Some("a")),
+            row(None, Some("b")),
+            row(Some(2), None),
+            row(Some(3), Some("c")),
+        );
+        let left = vec![
+            a.clone(),
+            nb.clone(),
+            a.clone(),
+            n2.clone(),
+            nb.clone(),
+            a.clone(),
+            c.clone(),
+        ];
+        let right = vec![
+            nb.clone(),
+            a.clone(),
+            a.clone(),
+            row(Some(4), Some("d")),
+            n2.clone(),
+            n2.clone(),
+        ];
+        let mut stats = ExecStats::new();
+        let out = distinct(left.clone(), DistinctMethod::Hash, &mut stats).unwrap();
+        assert_eq!(out, vec![a.clone(), nb.clone(), n2.clone(), c.clone()]);
+        assert_eq!(stats.hash_probes, 7);
+        let mut stats = ExecStats::new();
+        let hash = DistinctMethod::Hash;
+        let (l, r) = (left.clone(), right.clone());
+        let out = combine_setop(SetOp::Intersect, true, l, r, hash, &mut stats).unwrap();
+        // min(3, 2) copies of a, min(2, 1) of (NULL, b), min(1, 2) of (2, NULL).
+        assert_eq!(out, vec![a.clone(), a.clone(), nb.clone(), n2.clone()]);
+        assert_eq!(stats.hash_probes, 13, "one probe per input row");
+        let mut stats = ExecStats::new();
+        let out = combine_setop(SetOp::Except, true, left, right, hash, &mut stats).unwrap();
+        assert_eq!(out, vec![a, nb, c]);
+        assert_eq!(stats.hash_probes, 13);
     }
 
     #[test]
