@@ -60,13 +60,25 @@ lane -p uniq-bench e16
 echo "==> fast lane: columnar kernels, the store kept current across writes, columnar/row agreement"
 lane -p uniq-engine columnar
 # Code-word keys are exact on NULLs, '' and the i64 extremes, and past
-# the inline width; the one keyed hasher spreads keys that differ only
-# in their high bits; the set operations' hash paths keep first
-# appearances in order without copying rows; and the covered kernels
-# allocate per query, not per tuple.
+# the inline width; the dense join, group and DISTINCT tables are exact
+# on NULL beside code 0 and integer 0, '' and negative integers, leave
+# too-wide domains to the hashed tables, and follow domains an INSERT
+# moves; the direct-index kernel guards wide integer spans; aggregation
+# folds each item in its own pass over dense groups and the
+# COUNT(DISTINCT) bitmap; the one keyed hasher spreads keys that differ
+# only in their high bits; the set operations' hash paths keep first
+# appearances in order without copying rows; and the kernels allocate
+# per query, not per tuple, in tables sized by their input (the root
+# binary; perfbench's statements book the hashed tables' counters in
+# columnar_agreement below).
 lane -p uniq-engine -- \
     code_word_keys_are_exact_on_nulls_empty_strings_and_integer_extremes \
     keys_wider_than_the_inline_words_spill_and_stay_exact \
+    dense_tables_are_exact_on_nulls_empty_strings_and_negative_integers \
+    dense_tables_follow_domains_that_move_without_a_second_analyze \
+    direct_index_int_guards_wide_spans \
+    dense_groups_and_the_bitmap_fold_each_item_in_its_own_pass \
+    sum_wraps_and_avg_truncates_the_wrapped_sum \
     keys_differing_only_in_high_bits_spread_over_buckets_and_tags \
     builders_in_one_process_hash_alike \
     hash_paths_keep_first_appearances_in_order

@@ -1319,33 +1319,44 @@ const ANALYTIC: [&str; 8] = [
     "SELECT S.SNAME, P.PNO, P.COLOR FROM SUPPLIER S, PARTS P WHERE S.SNO = P.SNO",
 ];
 
-/// E18's time row for analytic traffic: the p50 wall clock of one
+/// E18's time rows for analytic traffic: the p50 wall clock of one
 /// block of [`ANALYTIC`] with its 20,000-row join run twice, as
 /// perfbench's block runs it, served in-process by an analyzed session
-/// over perfbench's data and index set.
+/// over perfbench's data and index set; and, from the same 21 runs,
+/// each statement's p50 (statement 7 over both of its runs per block).
 fn e18_analytic_block(m: &mut Metrics) {
     let db = indexed_data(
         2_000,
         "CREATE INDEX IDX_P_SNO ON PARTS (SNO); CREATE INDEX IDX_A_SNO ON AGENTS (SNO);",
     );
     let session = Session::new(db).with_cost_based();
-    let block = || ANALYTIC.iter().chain(&ANALYTIC[7..]);
-    // A first pass compiles every plan; the timed ones are cache hits.
-    let block_time = || {
+    let block = || ANALYTIC.iter().enumerate().chain([(7, &ANALYTIC[7])]);
+    // Each statement's times go to `statements[i]`.
+    let block_time = |statements: &mut [Vec<f64>]| {
         let t = Instant::now();
-        for sql in block() {
+        for (i, sql) in block() {
+            let s = Instant::now();
             session.query(sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
+            statements[i].push(micros(s.elapsed()));
         }
         micros(t.elapsed())
     };
-    block_time();
-    let [_, p50, _] = quartiles((0..21).map(|_| block_time()).collect());
+    // A first pass compiles every plan; the timed ones are cache hits.
+    let mut statements = vec![Vec::new(); ANALYTIC.len()];
+    block_time(&mut statements);
+    statements.iter_mut().for_each(Vec::clear);
+    let [_, p50, _] = quartiles((0..21).map(|_| block_time(&mut statements)).collect());
     println!(
         "\nanalytic block ({} statements, perfbench's data and indexes, ANALYZEd): \
          p50 {p50:.0} µs over 21 runs",
         block().count()
     );
     m.push("E18", "analytic_block_p50_us", p50, false);
+    for (i, samples) in statements.into_iter().enumerate() {
+        let [_, p50, _] = quartiles(samples);
+        println!("  statement {i}: p50 {p50:.0} µs");
+        m.push("E18", &format!("analytic_stmt{i}_p50_us"), p50, false);
+    }
 }
 
 fn micros(d: Duration) -> f64 {

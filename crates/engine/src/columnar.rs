@@ -22,24 +22,39 @@
 //! copying rows; `Value` rows are materialized only at query output,
 //! which is what the `materialized_rows` counter measures.
 //!
-//! Keys are code words, built without touching the heap. A join step on
-//! one key hashes that key's build-space word alone; a multi-key step,
-//! `DISTINCT` and `GROUP BY` hash a fixed-width `CodeKey` (a join key
-//! per key column; a `(null, word)` pair per projected column), stored
-//! inline for up to four pairs and spilled to the heap only when wider.
-//! `COUNT(DISTINCT e)` collects `e`'s word. Every kernel's hash table
-//! uses the executor's one keyed hasher (the private `hasher` module).
-//! The keys make each probe cheaper, not fewer: every kernel books
-//! `hash_probes` and `probe_steps` exactly as a `Value`-keyed table
-//! would.
+//! Keys are code words, built without touching the heap. When a key's
+//! domain is small, a kernel indexes its table by the code words
+//! themselves and hashes nothing. Such a *dense table* is one array,
+//! indexed by a mixed-radix slot with one digit per key column: digit 0
+//! is `NULL`, a string is its dictionary code + 1 and an integer its
+//! offset from the column minimum + 1. Domains come from the encoding,
+//! not from statistics: a string column's width is `|dict| + 1`, an
+//! integer column's `max − min + 2`, from the bounds the store keeps
+//! current across appends (a join build side uses its filtered rows'
+//! bounds). A table is dense when the product of its key columns'
+//! widths is at most four slots per input tuple or build row, with a
+//! floor of 1,024 and never more than `DIRECT_SPAN_LIMIT`. That one rule
+//! serves the join postings, the `GROUP BY` index, the `DISTINCT` set
+//! and, as one (group, word) bitmap, `COUNT(DISTINCT)`.
+//!
+//! Wider domains keep hashed tables under the executor's one keyed
+//! hasher (the private `hasher` module): a join step on one key hashes
+//! that key's build-space word alone; a multi-key step, `DISTINCT` and
+//! `GROUP BY` hash a fixed-width `CodeKey` (a join key per key column; a
+//! `(null, word)` pair per projected column), stored inline for up to
+//! four pairs and spilled to the heap only when wider; `COUNT(DISTINCT
+//! e)` hashes (group, word) pairs. Either table makes each lookup
+//! cheaper, not fewer: every kernel books `hash_probes` and
+//! `probe_steps` exactly as a `Value`-keyed hash table would, so only
+//! time tells them apart.
 //!
 //! Uniqueness is the fast path throughout:
 //!
 //! * when a join step's keys cover a candidate key of the build side
-//!   (the planner's `JoinStep::unique` proof), the single-column kernels
-//!   skip hashing entirely and use a *direct-index* table — dictionary
-//!   codes (or a bounded integer span) index straight into an array of
-//!   row ids, one array load per probe, `hash_probes == 0`;
+//!   (the planner's `JoinStep::unique` proof), a step on one key is the
+//!   *direct-index* kernel: the one-posting case of the dense table, for
+//!   any dictionary or an integer span up to `DIRECT_SPAN_LIMIT`, one
+//!   array load per probe and `hash_probes == 0`;
 //! * blocks the optimizer proved duplicate-free never reach the
 //!   distinct kernel at all (the rewrite removed the `DISTINCT`), so
 //!   the encoded access inherits that saving for free.
@@ -53,8 +68,8 @@
 //! (kernel, chunk) pair counts one `vector_ops`, the columnar analogue
 //! of per-row dispatch.
 
-use crate::exec::{hash_join, Probe};
-use crate::hasher;
+use crate::agg::{dense_distinct_counts, hashed_distinct_counts, Groups, Tuples};
+use crate::exec::{hash_join, Postings, Probe, NO_SLOT};
 use crate::stats::ExecStats;
 use std::collections::{BTreeSet, HashMap};
 use std::hash::{Hash, Hasher};
@@ -75,9 +90,17 @@ pub const CHUNK_SIZE: usize = 1024;
 /// "empty slot" sentinel.
 pub const DEFAULT_DICT_LIMIT: usize = (u32::MAX - 1) as usize;
 
-/// Largest integer key span (`max - min + 1`) the direct-index join
-/// kernel will allocate an array for; wider spans use the hash kernel.
-const DIRECT_SPAN_LIMIT: i128 = 1 << 22;
+/// Most slots a dense table may hold, and the widest integer key span
+/// (`max - min + 1`) a unique join step indexes directly; wider keys
+/// are hashed.
+const DIRECT_SPAN_LIMIT: u64 = 1 << 22;
+
+/// Slots a dense table over `n` input tuples or build rows may hold:
+/// four per input, at least 1,024 and at most [`DIRECT_SPAN_LIMIT`], so
+/// a table never outgrows its input by more than a constant factor.
+fn dense_slots(n: usize) -> u64 {
+    (4 * n as u64).clamp(1024, DIRECT_SPAN_LIMIT)
+}
 
 /// Sentinel row id / code meaning "no entry".
 const NONE_U32: u32 = u32::MAX;
@@ -92,6 +115,9 @@ pub enum ColumnData {
         values: Vec<i64>,
         /// Per-row NULL flags.
         nulls: NullBitmap,
+        /// The smallest and largest non-NULL value, `None` while there is
+        /// none: the column's dense domain, kept current by every append.
+        bounds: Option<(i64, i64)>,
     },
     /// A `VARCHAR` column, dictionary-encoded. The dictionary is sorted
     /// ascending, so codes are dense *and order-preserving*: every
@@ -127,7 +153,7 @@ impl TableColumns {
     /// Decode one cell back to a [`Value`] (late materialization).
     pub fn value_at(&self, c: usize, r: usize) -> Value {
         match &self.cols[c] {
-            ColumnData::Int { values, nulls } => {
+            ColumnData::Int { values, nulls, .. } => {
                 if nulls.is_null(r) {
                     Value::Null
                 } else {
@@ -251,6 +277,7 @@ fn encode_table(schema: &TableSchema, rows: TableRows<'_>, limit: usize) -> Opti
             DataType::Int => Some(ColumnData::Int {
                 values: Vec::with_capacity(rows.len()),
                 nulls: NullBitmap::with_capacity(rows.len()),
+                bounds: None,
             }),
             DataType::Str => Some(ColumnData::Str {
                 codes: Vec::with_capacity(rows.len()),
@@ -275,15 +302,20 @@ impl TableColumns {
         }
         for (c, col) in self.cols.iter_mut().enumerate() {
             let fits = match col {
-                ColumnData::Int { values, nulls } => rows.iter().all(|row| match &row[c] {
+                ColumnData::Int {
+                    values,
+                    nulls,
+                    bounds,
+                } => rows.iter().all(|row| match &row[c] {
                     Value::Null => {
                         values.push(0);
                         nulls.push(true);
                         true
                     }
-                    Value::Int(i) => {
-                        values.push(*i);
+                    &Value::Int(i) => {
+                        values.push(i);
                         nulls.push(false);
+                        *bounds = Some(bounds.map_or((i, i), |(lo, hi)| (lo.min(i), hi.max(i))));
                         true
                     }
                     _ => false,
@@ -453,7 +485,7 @@ fn eval_pred(p: &Pred, tc: &TableColumns, r: usize) -> bool {
     match p {
         Pred::Never => false,
         Pred::IntCmp { col, op, lit } => match tc.column(*col) {
-            ColumnData::Int { values, nulls } => {
+            ColumnData::Int { values, nulls, .. } => {
                 if nulls.is_null(r) {
                     return false;
                 }
@@ -536,7 +568,7 @@ impl KeyAt<'_> {
     fn probe_key(&self, r: u32) -> Probe<u64> {
         let r = r as usize;
         match self.probe {
-            ColumnData::Int { values, nulls } => {
+            ColumnData::Int { values, nulls, .. } => {
                 if nulls.is_null(r) {
                     Probe::Null
                 } else {
@@ -559,87 +591,157 @@ impl KeyAt<'_> {
     fn build_key(&self, r: u32) -> Option<u64> {
         let r = r as usize;
         match self.build {
-            ColumnData::Int { values, nulls } => (!nulls.is_null(r)).then(|| values[r] as u64),
+            ColumnData::Int { values, nulls, .. } => (!nulls.is_null(r)).then(|| values[r] as u64),
             ColumnData::Str { codes, nulls, .. } => (!nulls.is_null(r)).then(|| codes[r] as u64),
         }
     }
 }
 
-/// Direct-index table for a unique single-key build side: key → build
-/// row id, no hashing. Dictionary codes index straight into `index`;
-/// integer keys index by offset from the observed minimum.
-enum Direct {
-    Str {
-        index: Vec<u32>,
-    },
-    Int {
-        base: i64,
-        max: i64,
-        index: Vec<u32>,
-    },
+/// A key column's dense domain. Digit 0 is `NULL`, a string is its
+/// dictionary code + 1 and an integer its offset from `min` + 1, so
+/// `width` digits cover every value the column holds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Domain {
+    min: i64,
+    width: u64,
 }
 
-/// Build the direct-index table over the (filtered) build side, or
-/// `None` when an integer key's span is too wide to tabulate — the
-/// caller then uses the hash kernel instead.
-fn build_direct(key: &KeyAt<'_>, build_sel: &[u32]) -> Option<Direct> {
-    match key.build {
-        ColumnData::Str { codes, nulls, dict } => {
-            let mut index = vec![NONE_U32; dict.len()];
-            for &r in build_sel {
-                if !nulls.is_null(r as usize) {
-                    index[codes[r as usize] as usize] = r;
-                }
-            }
-            Some(Direct::Str { index })
-        }
-        ColumnData::Int { values, nulls } => {
-            let mut lo = i64::MAX;
-            let mut hi = i64::MIN;
-            for &r in build_sel {
-                if !nulls.is_null(r as usize) {
-                    let v = values[r as usize];
-                    lo = lo.min(v);
-                    hi = hi.max(v);
-                }
-            }
-            if lo > hi {
-                // Empty build side: every probe misses.
-                return Some(Direct::Int {
-                    base: 0,
-                    max: -1,
-                    index: Vec::new(),
-                });
-            }
-            let span = hi as i128 - lo as i128 + 1;
-            if span > DIRECT_SPAN_LIMIT {
-                return None;
-            }
-            let mut index = vec![NONE_U32; span as usize];
-            for &r in build_sel {
-                if !nulls.is_null(r as usize) {
-                    index[(values[r as usize] - lo) as usize] = r;
-                }
-            }
-            Some(Direct::Int {
-                base: lo,
-                max: hi,
-                index,
-            })
+impl Domain {
+    /// The integers `lo..=hi` (none when `bounds` is `None`), saturating
+    /// at a width no table fits.
+    fn ints(bounds: Option<(i64, i64)>) -> Domain {
+        match bounds {
+            Some((lo, hi)) => Domain {
+                min: lo,
+                width: u64::try_from(i128::from(hi) - i128::from(lo) + 2).unwrap_or(u64::MAX),
+            },
+            None => Domain { min: 0, width: 1 },
         }
     }
 }
 
-fn direct_lookup(d: &Direct, key: u64) -> u32 {
-    match d {
-        Direct::Str { index } => index.get(key as usize).copied().unwrap_or(NONE_U32),
-        Direct::Int { base, max, index } => {
-            let v = key as i64;
-            if v < *base || v > *max {
-                NONE_U32
-            } else {
-                index[(v - base) as usize]
+impl ColumnData {
+    /// The column's domain, read from its encoding: its dictionary, or
+    /// the integer bounds the store keeps.
+    fn domain(&self) -> Domain {
+        match self {
+            ColumnData::Int { bounds, .. } => Domain::ints(*bounds),
+            ColumnData::Str { dict, .. } => Domain {
+                min: 0,
+                width: dict.len() as u64 + 1,
+            },
+        }
+    }
+}
+
+/// The domain of a join step's build column over the rows `build`
+/// selects: an integer key spans only their values.
+fn build_domain(column: &ColumnData, build: &[u32]) -> Domain {
+    match column {
+        ColumnData::Int { values, nulls, .. } => {
+            let present = build.iter().filter(|&&r| !nulls.is_null(r as usize));
+            let values = present.map(|&r| values[r as usize]);
+            Domain::ints(values.fold(None, |b, v| {
+                Some(b.map_or((v, v), |(lo, hi): (i64, i64)| (lo.min(v), hi.max(v))))
+            }))
+        }
+        ColumnData::Str { .. } => column.domain(),
+    }
+}
+
+/// One column of a [`DenseKey`]: the column the row in tuple slot
+/// `slot` is read from, its domain and its place value.
+struct Digit<'a> {
+    slot: usize,
+    column: &'a ColumnData,
+    /// A join probe's codes in the build dictionary (see [`KeyAt`]).
+    trans: Option<&'a [u32]>,
+    domain: Domain,
+    stride: u64,
+}
+
+impl Digit<'_> {
+    /// The digit of `tuple`'s row, `None` when its value lies outside
+    /// the domain (a probe no build row can match).
+    fn of(&self, tuple: &[u32]) -> Option<u64> {
+        let r = tuple[self.slot] as usize;
+        match self.column {
+            ColumnData::Int { values, nulls, .. } => {
+                if nulls.is_null(r) {
+                    return Some(0);
+                }
+                let (v, min) = (values[r], self.domain.min);
+                let offset = v.wrapping_sub(min) as u64;
+                (v >= min && offset < self.domain.width - 1).then(|| offset + 1)
             }
+            ColumnData::Str { codes, nulls, .. } => {
+                if nulls.is_null(r) {
+                    return Some(0);
+                }
+                let code = self.trans.map_or(codes[r], |t| t[codes[r] as usize]);
+                (code != NONE_U32).then_some(u64::from(code) + 1)
+            }
+        }
+    }
+}
+
+/// A dense key: one digit per key column, combined into a mixed-radix
+/// slot below `slots`, the product of the columns' widths. A table over
+/// such keys is one array indexed by the slot, with no hashing: the
+/// join's [`Postings`], the group index of `GROUP BY` and `DISTINCT`.
+struct DenseKey<'a> {
+    digits: Vec<Digit<'a>>,
+    slots: usize,
+}
+
+impl<'a> DenseKey<'a> {
+    /// The key over `columns` — (tuple slot, column, probe translation,
+    /// domain) each — when the product of their widths is at most `cap`.
+    fn new(
+        columns: impl IntoIterator<Item = (usize, &'a ColumnData, Option<&'a [u32]>, Domain)>,
+        cap: u64,
+    ) -> Option<DenseKey<'a>> {
+        let mut slots = 1u64;
+        let digits = (columns.into_iter())
+            .map(|(slot, column, trans, domain)| {
+                let stride = slots;
+                slots = slots.checked_mul(domain.width).filter(|&s| s <= cap)?;
+                Some(Digit {
+                    slot,
+                    column,
+                    trans,
+                    domain,
+                    stride,
+                })
+            })
+            .collect::<Option<Vec<_>>>()?;
+        let slots = usize::try_from(slots).ok()?;
+        Some(DenseKey { digits, slots })
+    }
+
+    /// `tuple`'s slot, `NULL` counting as a value (`=̇`): the grouping
+    /// and `DISTINCT` key over the store's own domains.
+    fn slot(&self, tuple: &[u32]) -> usize {
+        (self.digits.iter())
+            .map(|d| d.of(tuple).expect("a column's values lie in its domain") * d.stride)
+            .sum::<u64>() as usize
+    }
+
+    /// `tuple`'s join probe: no probe when a key is `NULL`, a miss when
+    /// a key lies outside the build side's domain, else its slot.
+    fn probe(&self, tuple: &[u32]) -> Probe<u32> {
+        let (mut slot, mut miss) = (0, false);
+        for d in &self.digits {
+            match d.of(tuple) {
+                Some(0) => return Probe::Null,
+                Some(digit) => slot += digit * d.stride,
+                None => miss = true,
+            }
+        }
+        if miss {
+            Probe::Miss
+        } else {
+            Probe::Key(slot as u32)
         }
     }
 }
@@ -745,9 +847,12 @@ impl<'a> Encoded<'a> {
     }
 
     /// Join step `k`: filter the build side, then probe it once per
-    /// tuple. A `unique` step on one key uses the direct-index table
-    /// (zero hash operations, one probe step per probe); anything else
-    /// hashes build-space key words.
+    /// tuple. When the keys' build-side domains fit a dense table, the
+    /// key's code words index the table directly; other keys hash their
+    /// build-space words. A `unique` step on one key is the direct-index
+    /// kernel: dense for any dictionary or an integer span up to
+    /// [`DIRECT_SPAN_LIMIT`], it books no hash work and one probe step
+    /// per probe. Every other step books what a hash table would.
     pub(crate) fn join(
         &self,
         k: usize,
@@ -777,31 +882,47 @@ impl<'a> Encoded<'a> {
             })
             .collect();
         let direct = match keys.as_slice() {
-            [key] if unique => build_direct(key, &build).map(|d| (key, d)),
+            [key] if unique => Some(key),
             _ => None,
         };
+        let cap = match direct.map(|key| key.build) {
+            Some(ColumnData::Str { .. }) => u64::MAX,
+            Some(ColumnData::Int { .. }) => DIRECT_SPAN_LIMIT + 1,
+            None => dense_slots(build.len()),
+        };
+        let domains: Vec<Domain> = (keys.iter())
+            .map(|key| build_domain(key.build, &build))
+            .collect();
+        let dense = DenseKey::new(
+            (keys.iter().zip(&domains)).map(|(key, &d)| (0, key.build, None, d)),
+            cap,
+        )
+        .map(|build_key| {
+            let probe_key = DenseKey::new(
+                (keys.iter().zip(&domains))
+                    .map(|(key, &d)| (key.slot, key.probe, key.trans.as_deref(), d)),
+                cap,
+            );
+            (build_key, probe_key.expect("same widths as the build key"))
+        });
         let mut out = Vec::new();
-        if let Some((key, direct)) = direct {
-            for tuple in tuples.chunks_exact(k) {
-                let m = match key.probe_key(tuple[key.slot]) {
-                    Probe::Null => continue,
-                    Probe::Miss => NONE_U32,
-                    Probe::Key(code) => direct_lookup(&direct, code),
-                };
-                stats.probe_steps += 1;
-                if m != NONE_U32 {
-                    out.extend_from_slice(tuple);
-                    out.push(m);
-                }
+        let emit = |tuple: &[u32], m: u32| {
+            out.extend_from_slice(tuple);
+            out.push(m);
+            Ok(())
+        };
+        let (probes, steps) = match &dense {
+            Some((build_key, probe_key)) => {
+                let slot_of: Vec<u32> = (build.iter())
+                    .map(|&r| match build_key.probe(&[r]) {
+                        Probe::Key(slot) => slot,
+                        Probe::Null | Probe::Miss => NO_SLOT,
+                    })
+                    .collect();
+                let postings = Postings::new(&build, &slot_of, build_key.slots);
+                postings.probe(tuples, k, |tuple| probe_key.probe(tuple), unique, emit)?
             }
-        } else {
-            stats.hash_joins += 1;
-            let emit = |tuple: &[u32], m: u32| {
-                out.extend_from_slice(tuple);
-                out.push(m);
-                Ok(())
-            };
-            let (probes, steps) = match keys.as_slice() {
+            None => match keys.as_slice() {
                 // One key hashes its word alone.
                 [key] => hash_join(
                     tuples,
@@ -838,28 +959,29 @@ impl<'a> Encoded<'a> {
                     unique,
                     emit,
                 )?,
-            };
+            },
+        };
+        if direct.is_none() || dense.is_none() {
+            stats.hash_joins += 1;
             stats.hash_probes += probes;
-            stats.probe_steps += steps;
         }
+        stats.probe_steps += steps;
         stats.vector_ops += (tuples.len() / k).div_ceil(CHUNK_SIZE) as u64;
         Ok(out)
     }
 
-    /// `DISTINCT` on encoded keys: keep each tuple whose projected code
-    /// words have not been seen. Exact under `=̇` (see
-    /// [`Encoded::key_words`]).
+    /// `DISTINCT` on encoded keys: keep the first tuple of each group of
+    /// the whole projection (see [`EncodedTuples::groups`]), one
+    /// `hash_probes` per tuple. Exact under `=̇`.
     pub(crate) fn distinct(&self, ids: Vec<u32>, stats: &mut ExecStats) -> Vec<u32> {
-        let n = ids.len() / self.tables.len();
-        let mut seen = hasher::HashSet::with_capacity_and_hasher(n, Default::default());
-        let mut kept = Vec::new();
-        for tuple in ids.chunks_exact(self.tables.len()) {
-            stats.hash_probes += 1;
-            if seen.insert(self.key_words(tuple, self.proj.len())) {
-                kept.extend_from_slice(tuple);
-            }
-        }
-        stats.vector_ops += n.div_ceil(CHUNK_SIZE) as u64;
+        let tuples = self.tuples(&ids);
+        let groups = tuples.groups(self.proj.len());
+        let kept = (groups.first.iter())
+            .flat_map(|&t| tuples.tuple(t))
+            .copied()
+            .collect();
+        stats.hash_probes += tuples.len() as u64;
+        stats.vector_ops += tuples.len().div_ceil(CHUNK_SIZE) as u64;
         kept
     }
 
@@ -882,20 +1004,16 @@ impl<'a> Encoded<'a> {
         ids: &[u32],
         stats: &mut ExecStats,
     ) -> Result<Vec<Row>> {
-        let stride = self.tables.len();
-        let tuple = |t: usize| &ids[t * stride..(t + 1) * stride];
-        let n = ids.len() / stride;
-        let out = crate::agg::aggregate(
-            agg,
-            n,
-            |t| self.key_words(tuple(t), agg.group_count),
-            |t, p| self.value(tuple(t), p),
-            |t, p| self.word(tuple(t), p),
-            stats,
-        )?;
-        stats.vector_ops += n.div_ceil(CHUNK_SIZE) as u64;
+        let tuples = self.tuples(ids);
+        let out = crate::agg::aggregate(agg, &tuples, stats)?;
+        stats.vector_ops += tuples.len().div_ceil(CHUNK_SIZE) as u64;
         stats.materialized_rows += out.len() as u64;
         Ok(out)
+    }
+
+    /// The tuples of `ids`, as grouping and aggregation read them.
+    fn tuples<'e>(&'e self, ids: &'e [u32]) -> EncodedTuples<'e, 'a> {
+        EncodedTuples { enc: self, ids }
     }
 
     /// Decode projection position `p` of one tuple (one cell, not a row).
@@ -904,31 +1022,105 @@ impl<'a> Encoded<'a> {
         self.tables[slot].value_at(col, tuple[slot] as usize)
     }
 
-    /// Projection position `p` of one tuple as a code word: its
-    /// dictionary code or its integer, `None` when it is `NULL`. Codes
-    /// are injective within a column, so words compare like the values.
+    /// Projection position `p` of one tuple as a code word, `None` when
+    /// it is `NULL`: its dictionary code, or its integer's offset from
+    /// the column's minimum. Words are injective and order-preserving
+    /// within a column (dictionaries are sorted), and below the column's
+    /// domain width minus one.
     fn word(&self, tuple: &[u32], p: usize) -> Option<u64> {
         let (slot, col) = self.proj[p];
         let r = tuple[slot] as usize;
-        let (nulls, word) = match self.tables[slot].column(col) {
-            ColumnData::Int { values, nulls } => (nulls, values[r] as u64),
-            ColumnData::Str { codes, nulls, .. } => (nulls, u64::from(codes[r])),
-        };
-        (!nulls.is_null(r)).then_some(word)
+        match self.tables[slot].column(col) {
+            ColumnData::Int {
+                values,
+                nulls,
+                bounds,
+            } => (!nulls.is_null(r)).then(|| {
+                let min = bounds.map_or(0, |(lo, _)| lo);
+                values[r].wrapping_sub(min) as u64
+            }),
+            ColumnData::Str { codes, nulls, .. } => {
+                (!nulls.is_null(r)).then(|| u64::from(codes[r]))
+            }
+        }
     }
 
     /// Encoded key of the first `n` projection positions of one tuple:
-    /// per column a (null, code/value) word pair — exact under `=̇`
-    /// because codes within one column are injective and a `NULL`
-    /// slot's word is never read. This is the dictionary-coded group and
-    /// distinct key: strings compare by `u32` code, never by string
-    /// compare.
+    /// per column a (null, code word) pair — exact under `=̇` because
+    /// words within one column are injective and a `NULL` slot's word
+    /// is never read. This is the hashed group and distinct key, for
+    /// projections whose domains do not fit a dense table.
     fn key_words(&self, tuple: &[u32], n: usize) -> CodeKey {
         let words = (0..n).flat_map(|p| match self.word(tuple, p) {
             None => [Some(1), Some(0)],
             Some(w) => [Some(0), Some(w)],
         });
         CodeKey::try_from_words(2 * n, words).expect("every word is present")
+    }
+
+    /// The dense key of the first `n` projection positions, over the
+    /// store's own domains, when their product fits a table over
+    /// `inputs` tuples.
+    fn dense_key(&self, n: usize, inputs: usize) -> Option<DenseKey<'_>> {
+        let columns = self.proj[..n].iter().map(|&(slot, col)| {
+            let column = self.tables[slot].column(col);
+            (slot, column, None, column.domain())
+        });
+        DenseKey::new(columns, dense_slots(inputs))
+    }
+}
+
+/// Row-id tuples of an encoded block, read for `DISTINCT`, grouping and
+/// aggregation.
+struct EncodedTuples<'e, 'a> {
+    enc: &'e Encoded<'a>,
+    ids: &'e [u32],
+}
+
+impl EncodedTuples<'_, '_> {
+    fn tuple(&self, t: usize) -> &[u32] {
+        let stride = self.enc.tables.len();
+        &self.ids[t * stride..(t + 1) * stride]
+    }
+}
+
+impl Tuples for EncodedTuples<'_, '_> {
+    type Word = u64;
+
+    fn len(&self) -> usize {
+        self.ids.len() / self.enc.tables.len()
+    }
+
+    fn value(&self, t: usize, p: usize) -> Value {
+        self.enc.value(self.tuple(t), p)
+    }
+
+    fn word(&self, t: usize, p: usize) -> Option<u64> {
+        self.enc.word(self.tuple(t), p)
+    }
+
+    /// A dense slot table when the key's domains fit, else hashed
+    /// [`CodeKey`]s.
+    fn groups(&self, keys: usize) -> Groups {
+        let n = self.len();
+        match self.enc.dense_key(keys, n) {
+            Some(key) => Groups::dense(n, key.slots, |t| key.slot(self.tuple(t))),
+            None => Groups::hashed(n, |t| self.enc.key_words(self.tuple(t), keys)),
+        }
+    }
+
+    /// A flat (group, word) bitmap when groups × the argument's domain
+    /// fit a dense table, else the hashed set: words are small indices.
+    fn distinct_counts(&self, p: usize, groups: &Groups, stats: &mut ExecStats) -> Vec<i64> {
+        let (slot, col) = self.enc.proj[p];
+        let span = self.enc.tables[slot].column(col).domain().width - 1;
+        let bits = (groups.len() as u64).checked_mul(span);
+        if bits.is_some_and(|b| b <= dense_slots(self.len())) {
+            let index = |t| self.word(t, p).map(|w| w as usize);
+            dense_distinct_counts(groups, span as usize, index, stats)
+        } else {
+            hashed_distinct_counts(self, p, groups, stats)
+        }
     }
 }
 
@@ -1193,35 +1385,50 @@ mod tests {
 
     #[test]
     fn direct_index_int_guards_wide_spans() {
-        let mut nulls = NullBitmap::new();
-        nulls.push(false);
-        nulls.push(false);
-        let wide = ColumnData::Int {
-            values: vec![0, i64::MAX / 2],
-            nulls: nulls.clone(),
+        let column = |values: Vec<i64>| {
+            let mut nulls = NullBitmap::new();
+            values.iter().for_each(|_| nulls.push(false));
+            ColumnData::Int {
+                values,
+                nulls,
+                bounds: None,
+            }
         };
-        let key = KeyAt {
-            slot: 0,
-            probe: &wide,
-            build: &wide,
-            trans: None,
-        };
-        assert!(build_direct(&key, &[0, 1]).is_none(), "span too wide");
-        let narrow = ColumnData::Int {
-            values: vec![7, 9],
-            nulls,
-        };
-        let key = KeyAt {
-            slot: 0,
-            probe: &narrow,
-            build: &narrow,
-            trans: None,
-        };
-        let d = build_direct(&key, &[0, 1]).unwrap();
-        assert_eq!(direct_lookup(&d, 7), 0);
-        assert_eq!(direct_lookup(&d, 8), NONE_U32);
-        assert_eq!(direct_lookup(&d, 9), 1);
-        assert_eq!(direct_lookup(&d, 100), NONE_U32, "outside span misses");
+        let cap = DIRECT_SPAN_LIMIT + 1;
+        let wide = column(vec![0, i64::MAX / 2]);
+        let domain = build_domain(&wide, &[0, 1]);
+        assert!(
+            DenseKey::new([(0, &wide, None, domain)], cap).is_none(),
+            "span too wide"
+        );
+        let narrow = column(vec![7, 9]);
+        let domain = build_domain(&narrow, &[0, 1]);
+        assert_eq!(domain, Domain { min: 7, width: 4 }, "NULL, 7, 8 and 9");
+        let key = DenseKey::new([(0, &narrow, None, domain)], cap).unwrap();
+        let slot_of = [0, 1].map(|r| match key.probe(&[r]) {
+            Probe::Key(slot) => slot,
+            _ => NO_SLOT,
+        });
+        let table = Postings::new(&[0, 1], &slot_of, key.slots);
+        let probe = column(vec![7, 8, 9, 100, 6]);
+        let probe_key = DenseKey::new([(0, &probe, None, domain)], cap).unwrap();
+        let mut hits = Vec::new();
+        let booked = table.probe(
+            &[0, 1, 2, 3, 4],
+            1,
+            |tuple| probe_key.probe(tuple),
+            true,
+            |tuple, m| {
+                hits.push((tuple[0], m));
+                Ok(())
+            },
+        );
+        assert_eq!(hits, vec![(0, 0), (2, 1)]);
+        assert_eq!(
+            booked.unwrap(),
+            (5, 5),
+            "one step per probe, misses outside the span too"
+        );
     }
 
     /// An analyzed session over `E (ID, N, S)` and `F (N, S, M, T)`,
@@ -1328,6 +1535,116 @@ mod tests {
             "SELECT E.ID, F.M FROM E, F WHERE E.N = F.N AND E.S = F.S",
         );
         assert_eq!(both.len(), 6, "{both:?}");
+    }
+
+    /// An analyzed session over `G (K, S, V, W)` and `H (K, S, T)`.
+    /// `K` holds NULL beside 0 and negative integers, `S` NULL beside
+    /// `''` (code 0), `V` small integers, so their domains fit dense
+    /// tables; `W` holds both `i64` extremes, a domain too wide for any
+    /// table, so every key over it is hashed.
+    fn dense_session() -> Session {
+        let mut db = supplier_database().unwrap();
+        db.run_script(
+            "CREATE TABLE G (K INTEGER, S VARCHAR, V INTEGER, W INTEGER);
+             CREATE TABLE H (K INTEGER, S VARCHAR, T VARCHAR);",
+        )
+        .unwrap();
+        let int = |n: Option<i64>| n.map_or(Value::Null, Value::Int);
+        let string = |s: Option<&str>| s.map_or(Value::Null, Value::str);
+        let (min, max) = (Some(i64::MIN), Some(i64::MAX));
+        let g = [
+            (Some(0), Some(""), Some(5), min),
+            (None, None, Some(-3), max),
+            (Some(-2), Some("x"), None, Some(0)),
+            (Some(0), Some("x"), Some(7), min),
+            (None, Some(""), Some(5), None),
+            (Some(-2), None, Some(-3), max),
+            (Some(3), Some("y"), Some(0), Some(0)),
+            (Some(0), Some(""), None, min),
+            (Some(-2), Some("x"), Some(7), Some(-1)),
+        ];
+        for (k, s, v, w) in g {
+            db.insert(&"G".into(), vec![int(k), string(s), int(v), int(w)])
+                .unwrap();
+        }
+        let h = [
+            (Some(0), Some(""), "p"),
+            (Some(-2), Some("x"), "q"),
+            (None, Some(""), "r"),
+            (Some(0), Some("x"), "p"),
+            (Some(3), None, "q"),
+            (Some(-2), Some("x"), "r"),
+            (Some(5), Some("y"), "p"),
+        ];
+        for (k, s, t) in h {
+            db.insert(&"H".into(), vec![int(k), string(s), Value::str(t)])
+                .unwrap();
+        }
+        Session::new(db).with_cost_based()
+    }
+
+    /// `DISTINCT`, `GROUP BY` with every aggregate, global aggregates and
+    /// one- and two-key joins over [`dense_session`]'s tables, on dense
+    /// and on too-wide keys.
+    fn dense_statements() -> Vec<String> {
+        let mut statements: Vec<String> = [
+            "SELECT DISTINCT G.K FROM G",
+            "SELECT DISTINCT G.S FROM G",
+            "SELECT DISTINCT G.K, G.S FROM G",
+            "SELECT DISTINCT G.W FROM G",
+            "SELECT DISTINCT G.K, G.W FROM G",
+            "SELECT COUNT(DISTINCT G.K) AS D, COUNT(DISTINCT G.W) AS E, MIN(G.K) AS LO, \
+             MAX(G.W) AS HI, MIN(G.W) AS WL, SUM(G.K) AS T FROM G",
+            "SELECT G.V, H.T FROM G, H WHERE G.K = H.K",
+            "SELECT G.V, H.T FROM G, H WHERE G.S = H.S",
+            "SELECT G.W, H.T FROM G, H WHERE G.K = H.K AND G.S = H.S",
+            "SELECT DISTINCT G.S, H.T FROM G, H WHERE G.K = H.K",
+        ]
+        .map(String::from)
+        .to_vec();
+        for keys in ["G.K", "G.S", "G.W", "G.K, G.S"] {
+            statements.push(format!(
+                "SELECT {keys}, COUNT(*) AS N, COUNT(G.V) AS C, COUNT(DISTINCT G.S) AS D, \
+                 COUNT(DISTINCT G.W) AS E, SUM(G.V) AS T, MIN(G.V) AS LO, MAX(G.S) AS HI, \
+                 MIN(G.W) AS WL, MAX(G.W) AS WH FROM G GROUP BY {keys}"
+            ));
+        }
+        statements
+    }
+
+    #[test]
+    fn dense_tables_are_exact_on_nulls_empty_strings_and_negative_integers() {
+        let session = dense_session();
+        let store = ColumnStore::build(&session.db);
+        let g = store.table(&"G".into()).unwrap();
+        assert_eq!(g.column(0).domain(), Domain { min: -2, width: 7 });
+        assert_eq!(g.column(1).domain(), Domain { min: 0, width: 4 });
+        assert_eq!(g.column(3).domain().width, u64::MAX, "W is too wide");
+        let counts: Vec<usize> = (dense_statements().iter())
+            .map(|sql| agreed(&session, sql).len())
+            .collect();
+        // NULL, 0, -2 and 3; NULL, '', 'x' and 'y'; NULL, 0, -1 and both
+        // extremes.
+        assert_eq!(counts[..5], [4, 4, 7, 5, 7]);
+        assert_eq!(counts[10..], [4, 4, 5, 7], "one group per key value");
+    }
+
+    #[test]
+    fn dense_tables_follow_domains_that_move_without_a_second_analyze() {
+        let mut session = dense_session();
+        let statements = dense_statements();
+        let before: Vec<Vec<Row>> = statements.iter().map(|sql| agreed(&session, sql)).collect();
+        // 'w' sorts between '' and 'x', so S re-codes; 9 and 90 are new
+        // maxima of K and V.
+        session
+            .run_script("INSERT INTO G VALUES (9, 'w', 90, 1); INSERT INTO H VALUES (9, 'w', 's');")
+            .unwrap();
+        let store = ColumnStore::build(&session.db);
+        let g = store.table(&"G".into()).unwrap();
+        assert_eq!(g.column(0).domain(), Domain { min: -2, width: 13 });
+        for (sql, before) in statements.iter().zip(before) {
+            assert_ne!(agreed(&session, sql), before, "{sql} sees the new row");
+        }
     }
 
     #[test]

@@ -13,8 +13,10 @@
 //! * **encoded** — the column store's encodings, when the plan licenses
 //!   the block, the store is fresh and every conjunct compiles (see
 //!   [`crate::columnar`]). Scans and build sides are vectorized
-//!   filters, join keys are dictionary codes or integers, `DISTINCT`
-//!   and grouping hash code words, and only output rows are decoded;
+//!   filters, join keys are dictionary codes or integers, joins,
+//!   `DISTINCT` and grouping index a dense table by code words when the
+//!   key's domain is small and hash them otherwise, and only output
+//!   rows are decoded;
 //! * **rows** — the stored rows, otherwise. The scan may go through a
 //!   planned index; a join step probes an index, re-scans the table
 //!   (nested loop), hashes borrowed values or forms a cross product;
@@ -300,19 +302,12 @@ impl<'a> Executor<'a> {
         }
     }
 
-    /// Group a body's output. Hash grouping keys on code words under the
-    /// encoded access and on borrowed values otherwise.
+    /// Group a body's output: on code words under the encoded access, on
+    /// borrowed values otherwise.
     fn aggregate(&mut self, agg: &BoundAgg, body: Block<'_>) -> Result<Vec<Row>> {
         match body {
             Block::Encoded(enc, ids) => enc.aggregate(agg, &ids, &mut self.stats),
-            Block::Rows(rows) => aggregate(
-                agg,
-                rows.len(),
-                |t| &rows[t][..agg.group_count],
-                |t, p| rows[t][p].clone(),
-                |t, p| non_null(&rows[t][p]).cloned(),
-                &mut self.stats,
-            ),
+            Block::Rows(rows) => aggregate(agg, &rows.as_slice(), &mut self.stats),
         }
     }
 
@@ -555,23 +550,37 @@ impl<'a> Executor<'a> {
             return Ok(out);
         }
         self.stats.hash_joins += 1;
-        let (probes, steps) = hash_join(
-            tuples,
-            k,
-            &build,
-            |r| {
-                let row = &new_rows[r as usize];
-                keys.iter().map(|&(_, col)| non_null(&row[col])).collect()
-            },
-            |tuple| {
-                let cell =
-                    |(slot, col): (usize, usize)| &rows.tables[slot][tuple[slot] as usize][col];
-                let key: Option<Vec<_>> = keys.iter().map(|&(at, _)| non_null(cell(at))).collect();
-                key.map_or(Probe::Null, Probe::Key)
-            },
-            false,
-            |tuple, m| self.extend(rows, &mut out, tuple, m, &residual),
-        )?;
+        let cell = |tuple: &[u32], (slot, col): (usize, usize)| {
+            non_null(&rows.tables[slot][tuple[slot] as usize][col])
+        };
+        let emit = |tuple: &[u32], m| self.extend(rows, &mut out, tuple, m, &residual);
+        let (probes, steps) = match keys.as_slice() {
+            // One key is the borrowed value itself.
+            &[(at, col)] => hash_join(
+                tuples,
+                k,
+                &build,
+                |r| non_null(&new_rows[r as usize][col]),
+                |tuple| cell(tuple, at).map_or(Probe::Null, Probe::Key),
+                false,
+                emit,
+            )?,
+            _ => hash_join(
+                tuples,
+                k,
+                &build,
+                |r| {
+                    let row = &new_rows[r as usize];
+                    keys.iter().map(|&(_, col)| non_null(&row[col])).collect()
+                },
+                |tuple| {
+                    let key: Option<Vec<_>> = keys.iter().map(|&(at, _)| cell(tuple, at)).collect();
+                    key.map_or(Probe::Null, Probe::Key)
+                },
+                false,
+                emit,
+            )?,
+        };
         self.stats.hash_probes += probes;
         self.stats.probe_steps += steps;
         Ok(out)
@@ -994,17 +1003,85 @@ pub(crate) enum Probe<K> {
     Key(K),
 }
 
-/// One hash join, shared by both access methods: hash the `build` row
-/// ids on `build_key` (`None`, a `NULL` component, never matches), then
-/// probe once per tuple of `tuples` (`stride` ids each) and `emit` the
-/// tuple with each matching build row, in build order. A `unique` step
-/// books one probe step per hit, any other walks its postings (one step
-/// per match, plus one); a miss books one. Returns the (hash probes,
-/// probe steps) booked.
-///
-/// The table holds one slot per distinct key, under the executor's
-/// keyed hasher, and every slot's postings lie in one flat vector:
-/// counted per slot first, then filled in build order.
+/// A build row whose key holds a `NULL`: it joins nothing.
+pub(crate) const NO_SLOT: u32 = u32::MAX;
+
+/// A join's build side grouped by key slot: slot `s`'s row ids, in
+/// build order, are `ids[starts[s]..starts[s + 1]]`. The slots come from
+/// a hash map ([`hash_join`]) or, in the encoded access, straight from
+/// the key's code words (a dense table, `crate::columnar`), so both
+/// probe this one table. Under a proved-unique key each slot holds at
+/// most one row.
+pub(crate) struct Postings {
+    starts: Vec<u32>,
+    ids: Vec<u32>,
+}
+
+impl Postings {
+    /// Group the `build` row ids by `slot_of`, each build row's slot
+    /// below `slots` or [`NO_SLOT`]: counted per slot, then filled
+    /// back to front so each slot keeps build order.
+    pub(crate) fn new(build: &[u32], slot_of: &[u32], slots: usize) -> Postings {
+        let mut starts = vec![0u32; slots + 1];
+        for &slot in slot_of.iter().filter(|&&s| s != NO_SLOT) {
+            starts[slot as usize] += 1;
+        }
+        // Each slot's end; filling decrements it to the slot's start.
+        let mut end = 0;
+        for start in &mut starts {
+            end += *start;
+            *start = end;
+        }
+        let mut ids = vec![0u32; end as usize];
+        for (&r, &slot) in build.iter().zip(slot_of).rev() {
+            if slot != NO_SLOT {
+                let cursor = &mut starts[slot as usize];
+                *cursor -= 1;
+                ids[*cursor as usize] = r;
+            }
+        }
+        Postings { starts, ids }
+    }
+
+    /// Probe once per tuple of `tuples` (`stride` ids each) at the slot
+    /// `slot` gives, and `emit` the tuple with each build row of that
+    /// slot, in build order. A `unique` step books one probe step per
+    /// probe; any other walks its postings (one step per match, plus
+    /// one); a miss books one. Returns the (probes, probe steps) made.
+    pub(crate) fn probe(
+        &self,
+        tuples: &[u32],
+        stride: usize,
+        slot: impl Fn(&[u32]) -> Probe<u32>,
+        unique: bool,
+        mut emit: impl FnMut(&[u32], u32) -> Result<()>,
+    ) -> Result<(u64, u64)> {
+        let (mut probes, mut steps) = (0, 0);
+        for tuple in tuples.chunks_exact(stride) {
+            let hits = match slot(tuple) {
+                Probe::Null => continue,
+                Probe::Miss => &[][..],
+                Probe::Key(s) => {
+                    let s = s as usize;
+                    &self.ids[self.starts[s] as usize..self.starts[s + 1] as usize]
+                }
+            };
+            probes += 1;
+            steps += if unique { 1 } else { hits.len() as u64 + 1 };
+            for &m in hits {
+                emit(tuple, m)?;
+            }
+        }
+        Ok((probes, steps))
+    }
+}
+
+/// The hash join, shared by both access methods for keys without a
+/// dense domain: number the `build` row ids' distinct `build_key`s
+/// (`None`, a `NULL` component, never matches) in a hash map under the
+/// executor's keyed hasher, group them into [`Postings`], then probe
+/// once per tuple of `tuples` through the map. Booking as
+/// [`Postings::probe`]; returns the (hash probes, probe steps) booked.
 pub(crate) fn hash_join<K: Hash + Eq>(
     tuples: &[u32],
     stride: usize,
@@ -1012,61 +1089,24 @@ pub(crate) fn hash_join<K: Hash + Eq>(
     build_key: impl Fn(u32) -> Option<K>,
     probe_key: impl Fn(&[u32]) -> Probe<K>,
     unique: bool,
-    mut emit: impl FnMut(&[u32], u32) -> Result<()>,
+    emit: impl FnMut(&[u32], u32) -> Result<()>,
 ) -> Result<(u64, u64)> {
-    const NO_SLOT: u32 = u32::MAX;
     let mut slots: HashMap<K, u32> = HashMap::default();
-    let mut counts: Vec<u32> = Vec::new();
     let slot_of: Vec<u32> = (build.iter())
         .map(|&r| {
-            let Some(key) = build_key(r) else {
-                return NO_SLOT;
-            };
-            let next = counts.len() as u32;
-            let slot = *slots.entry(key).or_insert(next);
-            if slot == next {
-                counts.push(0);
-            }
-            counts[slot as usize] += 1;
-            slot
+            build_key(r).map_or(NO_SLOT, |key| {
+                let next = slots.len() as u32;
+                *slots.entry(key).or_insert(next)
+            })
         })
         .collect();
-    // `starts[s]..starts[s + 1]` is slot `s`'s postings; `counts` turns
-    // into each slot's fill cursor.
-    let mut starts = Vec::with_capacity(counts.len() + 1);
-    let mut end = 0u32;
-    for count in &mut counts {
-        starts.push(end);
-        end += std::mem::replace(count, end);
-    }
-    starts.push(end);
-    let mut postings = vec![0u32; end as usize];
-    for (&r, &slot) in build.iter().zip(&slot_of) {
-        if slot != NO_SLOT {
-            let cursor = &mut counts[slot as usize];
-            postings[*cursor as usize] = r;
-            *cursor += 1;
-        }
-    }
-    let (mut probes, mut steps) = (0, 0);
-    for tuple in tuples.chunks_exact(stride) {
-        let slot = match probe_key(tuple) {
-            Probe::Null => continue,
-            Probe::Miss => None,
-            Probe::Key(key) => slots.get(&key),
-        };
-        probes += 1;
-        let Some(&slot) = slot else {
-            steps += 1;
-            continue;
-        };
-        let hits = &postings[starts[slot as usize] as usize..starts[slot as usize + 1] as usize];
-        steps += if unique { 1 } else { hits.len() as u64 + 1 };
-        for &m in hits {
-            emit(tuple, m)?;
-        }
-    }
-    Ok((probes, steps))
+    let table = Postings::new(build, &slot_of, slots.len());
+    let slot = |tuple: &[u32]| match probe_key(tuple) {
+        Probe::Null => Probe::Null,
+        Probe::Miss => Probe::Miss,
+        Probe::Key(key) => slots.get(&key).map_or(Probe::Miss, |&s| Probe::Key(s)),
+    };
+    table.probe(tuples, stride, slot, unique, emit)
 }
 
 /// Does `bp` describe this block's shape? Guards against running a plan
@@ -1177,6 +1217,26 @@ mod tests {
         assert_eq!(ns.hash_joins, 0);
         // Hash join scans each table once; nested loop re-scans PARTS.
         assert!(hs.rows_scanned < ns.rows_scanned);
+    }
+
+    #[test]
+    fn postings_emit_in_probe_order_then_build_order() {
+        // Build rows 5, 3, 9 and 4 in slots 1, none (a NULL key), 1 and 0.
+        let table = Postings::new(&[5, 3, 9, 4], &[1, NO_SLOT, 1, 0], 2);
+        let slot = |tuple: &[u32]| match tuple[0] {
+            7 => Probe::Key(1),
+            8 => Probe::Key(0),
+            9 => Probe::Miss,
+            _ => Probe::Null,
+        };
+        let mut hits = Vec::new();
+        let booked = table.probe(&[7, 8, 9, 0], 1, slot, false, |tuple, m| {
+            hits.push((tuple[0], m));
+            Ok(())
+        });
+        assert_eq!(hits, vec![(7, 5), (7, 9), (8, 4)]);
+        // Two hits + 1, one hit + 1, a miss; a NULL key books nothing.
+        assert_eq!(booked.unwrap(), (3, 6));
     }
 
     #[test]

@@ -21,7 +21,10 @@ pub struct ExecStats {
     pub rows_sorted: u64,
     /// Number of sort operations performed.
     pub sorts: u64,
-    /// Hash-table probes performed by hash joins and hash distinct.
+    /// Hash-table probes performed by hash joins and hash distinct. A
+    /// dense table of the encoded access (indexed by code words, see
+    /// [`crate::columnar`]) books each lookup as the hash table it
+    /// replaces would.
     pub hash_probes: u64,
     /// Hash-bucket entries examined while probing joins: a chained
     /// bucket costs one step per entry plus the end-of-chain check,
