@@ -59,19 +59,22 @@ lane -p uniq-bench e16
 
 echo "==> fast lane: columnar kernels, the store kept current across writes, columnar/row agreement"
 lane -p uniq-engine columnar
-# Code-word keys are exact on NULLs, '' and the i64 extremes, and past
-# the inline width; the dense join, group and DISTINCT tables are exact
-# on NULL beside code 0 and integer 0, '' and negative integers, leave
-# too-wide domains to the hashed tables, and follow domains an INSERT
-# moves; the direct-index kernel guards wide integer spans; aggregation
-# folds each item in its own pass over dense groups and the
-# COUNT(DISTINCT) bitmap; the one keyed hasher spreads keys that differ
-# only in their high bits; the set operations' hash paths keep first
-# appearances in order without copying rows; and the kernels allocate
-# per query, not per tuple, in tables sized by their input (the root
-# binary; perfbench's statements book the hashed tables' counters in
-# columnar_agreement below).
+# Word-range filters are exact at every domain edge (the i64 extremes,
+# literals outside a column's bounds or dictionary, NULL literals and an
+# all-NULL column); code-word keys are exact on NULLs, '' and the i64
+# extremes, and past the inline width; the dense join, group and
+# DISTINCT tables are exact on NULL beside code 0 and integer 0, '' and
+# negative integers, leave too-wide domains to the hashed tables, and
+# follow domains an INSERT moves; the direct-index kernel guards wide
+# integer spans; aggregation folds each item in its own pass over dense
+# groups and the COUNT(DISTINCT) bitmap; the one keyed hasher spreads
+# keys that differ only in their high bits; the set operations' hash
+# paths keep first appearances in order without copying rows; and the
+# kernels allocate per query, not per tuple, in tables sized by their
+# input (the root binary; perfbench's statements book the hashed
+# tables' counters in columnar_agreement below).
 lane -p uniq-engine -- \
+    encoded_filters_are_exact_at_the_domain_edges \
     code_word_keys_are_exact_on_nulls_empty_strings_and_integer_extremes \
     keys_wider_than_the_inline_words_spill_and_stay_exact \
     dense_tables_are_exact_on_nulls_empty_strings_and_negative_integers \
@@ -89,7 +92,6 @@ cargo test -q -p uniqueness --test kernel_allocations
 # drops only itself and leaves the write path working.
 lane -p uniq-engine -- \
     refresh_matches_a_rebuild_and_shares_untouched_tables \
-    refresh_past_the_dict_limit_leaves_the_table_unencoded \
     column_store_stays_current_across_inserts \
     create_index_keeps_other_tables_columnar \
     create_table_keeps_columnar_and_encodes_the_new_table \
@@ -231,6 +233,9 @@ rm -f "$SMOKE_LOG"
 
 echo "==> cargo build --release"
 cargo build --release
+
+echo "==> uniq-bench unit tests in release (a timing test the optimizer folds away fails here)"
+cargo test -q --release -p uniq-bench --lib
 
 echo "==> E22 in release: subscription oracle rounds, maintenance work bars, publish time"
 # Every view equals a full recompute after every statement, set-tier

@@ -417,8 +417,11 @@ mod tests {
 
     #[test]
     fn median_time_is_monotone_in_work() {
-        let fast = median_time(3, || (0..100u64).sum::<u64>());
-        let slow = median_time(3, || (0..1_000_000u64).sum::<u64>());
+        // Opaque elements, so the optimizer cannot fold either sum to a
+        // closed form and leave two noise-level timings.
+        let sum = |n: u64| (0..n).map(std::hint::black_box).sum::<u64>();
+        let fast = median_time(3, || sum(100));
+        let slow = median_time(3, || sum(1_000_000));
         assert!(slow >= fast);
     }
 

@@ -130,21 +130,8 @@ pub fn eval_check(schema: &TableSchema, row: &[Value], expr: &Expr) -> Result<Tr
             ))),
         }
     };
-    let cmp = |op: CmpOp, l: &Value, r: &Value| -> Result<Tri> {
-        Ok(match l.sql_cmp(r)? {
-            None => Tri::Unknown,
-            Some(ord) => Tri::from_bool(match op {
-                CmpOp::Eq => ord.is_eq(),
-                CmpOp::Ne => ord.is_ne(),
-                CmpOp::Lt => ord.is_lt(),
-                CmpOp::Le => ord.is_le(),
-                CmpOp::Gt => ord.is_gt(),
-                CmpOp::Ge => ord.is_ge(),
-            }),
-        })
-    };
     match expr {
-        Expr::Cmp { op, left, right } => cmp(*op, &scalar(left)?, &scalar(right)?),
+        Expr::Cmp { op, left, right } => op.eval(&scalar(left)?, &scalar(right)?),
         Expr::Between {
             scalar: s,
             low,
@@ -152,7 +139,9 @@ pub fn eval_check(schema: &TableSchema, row: &[Value], expr: &Expr) -> Result<Tr
             negated,
         } => {
             let v = scalar(s)?;
-            let t = cmp(CmpOp::Ge, &v, &scalar(low)?)?.and(cmp(CmpOp::Le, &v, &scalar(high)?)?);
+            let t = CmpOp::Ge
+                .eval(&v, &scalar(low)?)?
+                .and(CmpOp::Le.eval(&v, &scalar(high)?)?);
             Ok(if *negated { t.not() } else { t })
         }
         Expr::InList {
@@ -163,7 +152,7 @@ pub fn eval_check(schema: &TableSchema, row: &[Value], expr: &Expr) -> Result<Tr
             let v = scalar(s)?;
             let mut t = Tri::False;
             for item in list {
-                t = t.or(cmp(CmpOp::Eq, &v, &scalar(item)?)?);
+                t = t.or(CmpOp::Eq.eval(&v, &scalar(item)?)?);
             }
             Ok(if *negated { t.not() } else { t })
         }

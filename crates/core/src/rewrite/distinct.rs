@@ -3,9 +3,9 @@
 //! A `SELECT DISTINCT` block whose result is provably duplicate-free
 //! (Theorem 1) may drop duplicate elimination — and with it, typically, a
 //! sort of the entire result. The rule consults both sufficient tests:
-//! the paper's Algorithm 1 and the FD-closure test (see
-//! [`crate::analysis`] for why they are incomparable); YES from either
-//! suffices, since both are sound.
+//! the paper's Algorithm 1 and the FD-closure test, which subsumes it
+//! (see [`crate::analysis`]); YES from either suffices, since both are
+//! sound, and [`UniquenessTest`] restricts the rule to one of them.
 
 use crate::algorithm1::{algorithm1, Algorithm1Options};
 use crate::analysis::unique_projection;

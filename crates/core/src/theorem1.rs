@@ -55,21 +55,8 @@ fn eval(e: &BoundExpr, tuple: &[Value], hv: &HostVars) -> Result<Tri> {
             )),
         }
     };
-    let cmp = |op: CmpOp, l: &Value, r: &Value| -> Result<Tri> {
-        Ok(match l.sql_cmp(r)? {
-            None => Tri::Unknown,
-            Some(o) => Tri::from_bool(match op {
-                CmpOp::Eq => o.is_eq(),
-                CmpOp::Ne => o.is_ne(),
-                CmpOp::Lt => o.is_lt(),
-                CmpOp::Le => o.is_le(),
-                CmpOp::Gt => o.is_gt(),
-                CmpOp::Ge => o.is_ge(),
-            }),
-        })
-    };
     match e {
-        BoundExpr::Cmp { op, left, right } => cmp(*op, &scalar(left)?, &scalar(right)?),
+        BoundExpr::Cmp { op, left, right } => op.eval(&scalar(left)?, &scalar(right)?),
         BoundExpr::Between {
             scalar: s,
             low,
@@ -77,7 +64,9 @@ fn eval(e: &BoundExpr, tuple: &[Value], hv: &HostVars) -> Result<Tri> {
             negated,
         } => {
             let v = scalar(s)?;
-            let t = cmp(CmpOp::Ge, &v, &scalar(low)?)?.and(cmp(CmpOp::Le, &v, &scalar(high)?)?);
+            let t = CmpOp::Ge
+                .eval(&v, &scalar(low)?)?
+                .and(CmpOp::Le.eval(&v, &scalar(high)?)?);
             Ok(if *negated { t.not() } else { t })
         }
         BoundExpr::InList {
@@ -88,7 +77,7 @@ fn eval(e: &BoundExpr, tuple: &[Value], hv: &HostVars) -> Result<Tri> {
             let v = scalar(s)?;
             let mut t = Tri::False;
             for item in list {
-                t = t.or(cmp(CmpOp::Eq, &v, &scalar(item)?)?);
+                t = t.or(CmpOp::Eq.eval(&v, &scalar(item)?)?);
             }
             Ok(if *negated { t.not() } else { t })
         }

@@ -105,9 +105,12 @@ pub struct BlockPlan {
     /// covered by the vectorized columnar kernels, so the executor may
     /// run it on dictionary codes with late materialization (rendered
     /// as `exec=columnar` on the scan line). Every cost-based plan sets
-    /// it on each covered block; fixed plans never do. The executor re-verifies
-    /// at runtime and falls back to row execution if the encoding is
-    /// missing or stale — the flag is a license, not a promise.
+    /// it on each covered block; fixed plans never do. This flag is the
+    /// one decision of coverage: the executor re-checks only that the
+    /// column store is fresh for the database, and reads the stored rows
+    /// when it is missing or stale — the flag is a license, not a
+    /// promise. A licensed block the kernels cannot compile is an
+    /// internal error.
     pub columnar: bool,
     /// Serve the initial scan through a secondary index instead of a
     /// full table scan (rendered as `ixscan(name, sarg)` on the scan

@@ -136,7 +136,7 @@ fn collect_bounds(
                         None => continue,
                     },
                     (None, Some(col)) => match const_scalar(left) {
-                        Some(v) => (col, v, flip_cmp(*op)),
+                        Some(v) => (col, v, op.flip()),
                         None => continue,
                     },
                     _ => continue,
@@ -181,17 +181,6 @@ fn collect_bounds(
         }
     }
     bounds
-}
-
-/// Mirror a comparison across `=`: `const <op> col` ⇒ `col <op'> const`.
-fn flip_cmp(op: CmpOp) -> CmpOp {
-    match op {
-        CmpOp::Lt => CmpOp::Gt,
-        CmpOp::Le => CmpOp::Ge,
-        CmpOp::Gt => CmpOp::Lt,
-        CmpOp::Ge => CmpOp::Le,
-        CmpOp::Eq | CmpOp::Ne => op,
-    }
 }
 
 /// Find the best sargable index for scanning table `t` under this

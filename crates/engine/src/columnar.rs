@@ -3,8 +3,7 @@
 //! A [`ColumnStore`] re-encodes a database's tables column-wise: `i64`
 //! columns are stored flat next to a [`NullBitmap`], string columns are
 //! dictionary-encoded into dense `u32` codes (one sorted dictionary per
-//! column, so code order coincides with string order and every
-//! comparison predicate compiles to a code-range test). The store is
+//! column, so code order coincides with string order). The store is
 //! built at `ANALYZE` time, alongside the statistics, and every write
 //! served after that brings it up to the new database state by
 //! encoding only the appended rows and new tables
@@ -22,31 +21,46 @@
 //! copying rows; `Value` rows are materialized only at query output,
 //! which is what the `materialized_rows` counter measures.
 //!
-//! Keys are code words, built without touching the heap. When a key's
-//! domain is small, a kernel indexes its table by the code words
-//! themselves and hashes nothing. Such a *dense table* is one array,
-//! indexed by a mixed-radix slot with one digit per key column: digit 0
-//! is `NULL`, a string is its dictionary code + 1 and an integer its
-//! offset from the column minimum + 1. Domains come from the encoding,
-//! not from statistics: a string column's width is `|dict| + 1`, an
-//! integer column's `max − min + 2`, from the bounds the store keeps
-//! current across appends (a join build side uses its filtered rows'
-//! bounds). A table is dense when the product of its key columns'
-//! widths is at most four slots per input tuple or build row, with a
-//! floor of 1,024 and never more than `DIRECT_SPAN_LIMIT`. That one rule
-//! serves the join postings, the `GROUP BY` index, the `DISTINCT` set
-//! and, as one (group, word) bitmap, `COUNT(DISTINCT)`.
+//! A kernel reads an encoded cell without decoding it in one place,
+//! `ColumnData::word(r, min)`: `None` for `NULL`, else the string's
+//! dictionary code or the integer's offset from `min`, modulo 2⁶⁴. For
+//! one `min` words are injective within a column and order like their
+//! values from `min` upwards, so with `min = i64::MIN` every integer word
+//! orders like its integer, and with the column's own minimum the words
+//! are small indices. Everything else is built on that reader:
+//!
+//! * a compiled filter is one inclusive word range, negated for `<>`,
+//!   for all six operators on both column types (a sorted dictionary
+//!   makes string order code order); `NULL` never qualifies;
+//! * a key column (`KeyCol`: tuple slot, column, a join probe's
+//!   translation into the build dictionary, domain) yields `NULL`, a
+//!   miss (a probe string the build side lacks) or a word. A hashed join
+//!   key is that word, or a `CodeKey` of words; the words of `GROUP BY`,
+//!   `DISTINCT` and the aggregates are key columns over the projection.
+//!
+//! Keys are built without touching the heap. When a key's domain is
+//! small, a kernel indexes its table by the words themselves and hashes
+//! nothing. Such a *dense table* is one array, indexed by a mixed-radix
+//! slot with one digit per key column: digit 0 is `NULL` and any other
+//! is the word + 1. Domains come from the encoding, not from statistics:
+//! a string column's width is `|dict| + 1`, an integer column's
+//! `max − min + 2`, from the bounds the store keeps current across
+//! appends (a join build side uses its filtered rows' bounds). A table
+//! is dense when the product of its key columns' widths is at most four
+//! slots per input tuple or build row, with a floor of 1,024 and never
+//! more than `DIRECT_SPAN_LIMIT`. That one rule serves the join
+//! postings, the `GROUP BY` index, the `DISTINCT` set and, as one
+//! (group, word) bitmap, `COUNT(DISTINCT)`.
 //!
 //! Wider domains keep hashed tables under the executor's one keyed
 //! hasher (the private `hasher` module): a join step on one key hashes
-//! that key's build-space word alone; a multi-key step, `DISTINCT` and
-//! `GROUP BY` hash a fixed-width `CodeKey` (a join key per key column; a
-//! `(null, word)` pair per projected column), stored inline for up to
-//! four pairs and spilled to the heap only when wider; `COUNT(DISTINCT
-//! e)` hashes (group, word) pairs. Either table makes each lookup
-//! cheaper, not fewer: every kernel books `hash_probes` and
-//! `probe_steps` exactly as a `Value`-keyed hash table would, so only
-//! time tells them apart.
+//! that key's word alone; a multi-key step, `DISTINCT` and `GROUP BY`
+//! hash a fixed-width `CodeKey` (a word per join key column; a `(null,
+//! word)` pair per projected column), stored inline for up to four
+//! pairs and spilled to the heap only when wider; `COUNT(DISTINCT e)`
+//! hashes (group, word) pairs. Either table makes each lookup cheaper,
+//! not fewer: every kernel books `hash_probes` and `probe_steps` exactly
+//! as a `Value`-keyed hash table would, so only time tells them apart.
 //!
 //! Uniqueness is the fast path throughout:
 //!
@@ -59,36 +73,32 @@
 //!   distinct kernel at all (the rewrite removed the `DISTINCT`), so
 //!   the encoded access inherits that saving for free.
 //!
-//! The planner licenses a block only for shapes these kernels cover,
-//! and `Encoded::compile` re-verifies the license before any counter
-//! moves — an unsupported conjunct, a missing or stale encoding, or a
-//! keyless step — so the block reads the stored rows instead. The rows
-//! access stays the reference the agreement suites check this one
-//! against. Kernels walk their input in [`CHUNK_SIZE`]-row chunks; each
-//! (kernel, chunk) pair counts one `vector_ops`, the columnar analogue
-//! of per-row dispatch.
+//! The planner's license is the one decision of which blocks these
+//! kernels cover. `Encoded::compile` re-verifies only that the store is
+//! fresh for the database, before any counter moves, and otherwise the
+//! block reads the stored rows; a licensed conjunct that does not
+//! compile is an internal error, as a plan that does not match its query
+//! is. The rows access stays the reference the agreement suites check
+//! this one against. Kernels walk their input in [`CHUNK_SIZE`]-row
+//! chunks; each (kernel, chunk) pair counts one `vector_ops`, the
+//! columnar analogue of per-row dispatch.
 
 use crate::agg::{dense_distinct_counts, hashed_distinct_counts, Groups, Tuples};
 use crate::exec::{hash_join, Postings, Probe, NO_SLOT};
 use crate::stats::ExecStats;
 use std::collections::{BTreeSet, HashMap};
 use std::hash::{Hash, Hasher};
+use std::ops::Range;
 use std::sync::Arc;
 use uniq_catalog::{Database, Row, TableRows, TableSchema};
-use uniq_cost::{BlockPlan, JoinMethod};
+use uniq_cost::BlockPlan;
 use uniq_plan::{BScalar, BoundAgg, BoundExpr, BoundSpec};
 use uniq_sql::CmpOp;
-use uniq_types::{DataType, NullBitmap, Result, TableName, Value};
+use uniq_types::{DataType, Error, NullBitmap, Result, TableName, Value};
 
 /// Rows per column chunk: the unit of vectorized work, so one kernel
 /// pass over `n` rows books `n.div_ceil(CHUNK_SIZE)` `vector_ops`.
 pub const CHUNK_SIZE: usize = 1024;
-
-/// Largest dictionary a string column may grow before the table is left
-/// un-encoded (and every plan over it reads the stored rows). One
-/// below `u32::MAX` so a code never collides with the kernels' `MAX`
-/// "empty slot" sentinel.
-pub const DEFAULT_DICT_LIMIT: usize = (u32::MAX - 1) as usize;
 
 /// Most slots a dense table may hold, and the widest integer key span
 /// (`max - min + 1`) a unique join step indexes directly; wider keys
@@ -102,7 +112,8 @@ fn dense_slots(n: usize) -> u64 {
     (4 * n as u64).clamp(1024, DIRECT_SPAN_LIMIT)
 }
 
-/// Sentinel row id / code meaning "no entry".
+/// Sentinel row id / code meaning "no entry". A table holds at most
+/// `u32::MAX` rows, so no dictionary code reaches it.
 const NONE_U32: u32 = u32::MAX;
 
 /// One encoded column.
@@ -132,6 +143,46 @@ pub enum ColumnData {
     },
 }
 
+impl ColumnData {
+    /// Row `r` as a code word, `None` when it is `NULL`: the string's
+    /// dictionary code, or the integer's offset from `min` modulo 2⁶⁴.
+    /// The one place a kernel reads a cell without decoding it.
+    #[inline]
+    fn word(&self, r: usize, min: i64) -> Option<u64> {
+        match self {
+            ColumnData::Int { values, nulls, .. } => {
+                (!nulls.is_null(r)).then(|| values[r].wrapping_sub(min) as u64)
+            }
+            ColumnData::Str { codes, nulls, .. } => {
+                (!nulls.is_null(r)).then(|| u64::from(codes[r]))
+            }
+        }
+    }
+
+    /// Row `r` decoded back to a [`Value`] (late materialization).
+    fn value(&self, r: usize) -> Value {
+        match self {
+            ColumnData::Int { values, nulls, .. } if !nulls.is_null(r) => Value::Int(values[r]),
+            ColumnData::Str { codes, nulls, dict } if !nulls.is_null(r) => {
+                Value::Str(dict[codes[r] as usize].clone())
+            }
+            _ => Value::Null,
+        }
+    }
+
+    /// The column's domain, read from its encoding: its dictionary, or
+    /// the integer bounds the store keeps.
+    fn domain(&self) -> Domain {
+        match self {
+            ColumnData::Int { bounds, .. } => Domain::ints(*bounds),
+            ColumnData::Str { dict, .. } => Domain {
+                min: 0,
+                width: dict.len() as u64 + 1,
+            },
+        }
+    }
+}
+
 /// All columns of one encoded table.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TableColumns {
@@ -152,22 +203,7 @@ impl TableColumns {
 
     /// Decode one cell back to a [`Value`] (late materialization).
     pub fn value_at(&self, c: usize, r: usize) -> Value {
-        match &self.cols[c] {
-            ColumnData::Int { values, nulls, .. } => {
-                if nulls.is_null(r) {
-                    Value::Null
-                } else {
-                    Value::Int(values[r])
-                }
-            }
-            ColumnData::Str { codes, nulls, dict } => {
-                if nulls.is_null(r) {
-                    Value::Null
-                } else {
-                    Value::Str(dict[codes[r] as usize].clone())
-                }
-            }
-        }
+        self.cols[c].value(r)
     }
 }
 
@@ -183,27 +219,15 @@ pub struct ColumnStore {
     /// insert-only and DDL never changes an existing table's columns.
     tables: HashMap<TableName, Option<Arc<TableColumns>>>,
     catalog_version: u64,
-    dict_limit: usize,
 }
 
 impl ColumnStore {
-    /// Encode every table of `db` (skipping any that cannot be encoded:
-    /// non-scalar column types, row counts beyond `u32`, or string
-    /// dictionaries beyond [`DEFAULT_DICT_LIMIT`]).
+    /// Encode every table of `db`, skipping any with more rows than
+    /// `u32` row ids address.
     pub fn build(db: &Database) -> ColumnStore {
-        ColumnStore::build_with_dict_limit(db, DEFAULT_DICT_LIMIT)
-    }
-
-    /// Like [`ColumnStore::build`] with an explicit dictionary-size
-    /// guard: a string column with more than `limit` distinct values
-    /// leaves its whole table un-encoded (queries over it read the stored
-    /// rows). Exposed for tests; production use is
-    /// [`DEFAULT_DICT_LIMIT`], the `u32` code-space guard.
-    pub fn build_with_dict_limit(db: &Database, limit: usize) -> ColumnStore {
         let mut store = ColumnStore {
             tables: HashMap::new(),
             catalog_version: db.version(),
-            dict_limit: limit.min(DEFAULT_DICT_LIMIT),
         };
         store.refresh(db);
         store
@@ -223,7 +247,6 @@ impl ColumnStore {
     /// Then the store is re-stamped with `db`'s catalog version, which
     /// is sound because DDL never changes an existing table's columns.
     pub fn refresh(&mut self, db: &Database) {
-        let limit = self.dict_limit;
         let mut tables = HashMap::with_capacity(self.tables.len() + 1);
         for schema in db.catalog().tables() {
             let Ok(rows) = db.rows(&schema.name) else {
@@ -235,11 +258,11 @@ impl ColumnStore {
                 Some(Some(mut tc)) if tc.rows < rows.len() => {
                     let at = tc.rows;
                     Arc::make_mut(&mut tc)
-                        .append(rows.range(at..), limit)
+                        .append(rows.range(at..))
                         .then_some(tc)
                 }
                 // Unseen, or not a later state of the encoded table.
-                _ => encode_table(schema, rows, limit).map(Arc::new),
+                _ => encode_table(schema, rows).map(Arc::new),
             };
             tables.insert(schema.name.clone(), encoded);
         }
@@ -269,7 +292,7 @@ impl ColumnStore {
     }
 }
 
-fn encode_table(schema: &TableSchema, rows: TableRows<'_>, limit: usize) -> Option<TableColumns> {
+fn encode_table(schema: &TableSchema, rows: TableRows<'_>) -> Option<TableColumns> {
     let cols = schema
         .columns
         .iter()
@@ -288,15 +311,14 @@ fn encode_table(schema: &TableSchema, rows: TableRows<'_>, limit: usize) -> Opti
         })
         .collect::<Option<Vec<_>>>()?;
     let mut tc = TableColumns { rows: 0, cols };
-    tc.append(rows, limit).then_some(tc)
+    tc.append(rows).then_some(tc)
 }
 
 impl TableColumns {
     /// Encode `rows` after the encoded ones. Returns `false` (leaving the
     /// encoding unusable) when they cannot be encoded: a value of the
-    /// wrong type, a row count beyond `u32`, or a dictionary beyond
-    /// `limit`.
-    fn append(&mut self, rows: TableRows<'_>, limit: usize) -> bool {
+    /// wrong type, or a row count beyond `u32`.
+    fn append(&mut self, rows: TableRows<'_>) -> bool {
         if self.rows + rows.len() > NONE_U32 as usize {
             return false;
         }
@@ -321,7 +343,7 @@ impl TableColumns {
                     _ => false,
                 }),
                 ColumnData::Str { codes, nulls, dict } => {
-                    extend_dict(dict, codes, nulls, rows, c, limit)
+                    extend_dict(dict, codes, nulls, rows, c)
                         && rows.iter().all(|row| match &row[c] {
                             Value::Null => {
                                 codes.push(0);
@@ -349,15 +371,13 @@ impl TableColumns {
 
 /// Merge the strings of column `c` of `rows` that `dict` lacks into it,
 /// keeping it sorted, and re-code the encoded `codes` when an insertion
-/// shifts them. `false` when a value is not a string or the dictionary
-/// would outgrow `limit`.
+/// shifts them. `false` when a value is not a string.
 fn extend_dict(
     dict: &mut Vec<String>,
     codes: &mut [u32],
     nulls: &NullBitmap,
     rows: TableRows<'_>,
     c: usize,
-    limit: usize,
 ) -> bool {
     let mut fresh: BTreeSet<&str> = BTreeSet::new();
     for row in rows {
@@ -373,9 +393,6 @@ fn extend_dict(
     }
     if fresh.is_empty() {
         return true;
-    }
-    if dict.len() + fresh.len() > limit {
-        return false;
     }
     // Old code → new code, increasing, so code order stays string order.
     let mut merged = Vec::with_capacity(dict.len() + fresh.len());
@@ -402,157 +419,106 @@ fn extend_dict(
     true
 }
 
-// --- vectorizable predicates -------------------------------------------
+// --- filters -----------------------------------------------------------
 
-/// A table-local conjunct compiled against one encoded table. All six
-/// comparison operators are supported on both column types: integer
-/// comparisons run on the flat values, string comparisons become
-/// code-range tests because each dictionary is sorted.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Pred {
-    /// `col ⋄ literal` on an integer column.
-    IntCmp { col: usize, op: CmpOp, lit: i64 },
-    /// Row qualifies iff non-NULL and `lo <= code < hi` (xor `negate`,
-    /// which still never admits NULL rows — `WHERE` is false-interpreted).
-    StrRange {
-        col: usize,
-        lo: u32,
-        hi: u32,
-        negate: bool,
-    },
-    /// Never matches (comparison against a NULL literal is unknown).
-    Never,
+/// A table-local conjunct compiled against one encoded table: a row
+/// qualifies iff column `col` is not `NULL` and its word from
+/// `i64::MIN`, which orders like its value, lies in `lo..=hi` (xor
+/// `negate`, for `<>`). `lo > hi` is the empty range.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Filter {
+    col: usize,
+    lo: u64,
+    hi: u64,
+    negate: bool,
 }
 
-fn flip_op(op: CmpOp) -> CmpOp {
-    match op {
-        CmpOp::Eq => CmpOp::Eq,
-        CmpOp::Ne => CmpOp::Ne,
-        CmpOp::Lt => CmpOp::Gt,
-        CmpOp::Le => CmpOp::Ge,
-        CmpOp::Gt => CmpOp::Lt,
-        CmpOp::Ge => CmpOp::Le,
-    }
-}
-
-/// Compile one conjunct into a vectorizable predicate over the table
-/// occupying `range`, or `None` when the shape is not covered (the
-/// block then reads the stored rows).
-fn compile_pred(c: &BoundExpr, range: &std::ops::Range<usize>, tc: &TableColumns) -> Option<Pred> {
-    let BoundExpr::Cmp { op, left, right } = c else {
-        return None;
-    };
-    let (attr, lit, op) = match (left, right) {
-        (BScalar::Attr(a), BScalar::Literal(v)) if a.is_local() => (a, v, *op),
-        (BScalar::Literal(v), BScalar::Attr(a)) if a.is_local() => (a, v, flip_op(*op)),
-        _ => return None,
-    };
-    if !range.contains(&attr.idx) {
-        return None;
-    }
-    let col = attr.idx - range.start;
-    if lit.is_null() {
-        return Some(Pred::Never);
-    }
-    match (tc.column(col), lit) {
-        (ColumnData::Int { .. }, Value::Int(i)) => Some(Pred::IntCmp { col, op, lit: *i }),
-        (ColumnData::Str { dict, .. }, Value::Str(s)) => {
-            // First dictionary position not below the literal; the code
-            // ranges below follow from the dictionary being sorted.
-            let pos = dict.partition_point(|d| d.as_str() < s.as_str()) as u32;
-            let hit = u32::from(dict.get(pos as usize).is_some_and(|d| d == s));
-            let len = dict.len() as u32;
-            let (lo, hi, negate) = match op {
-                CmpOp::Eq => (pos, pos + hit, false),
-                CmpOp::Ne => (pos, pos + hit, true),
-                CmpOp::Lt => (0, pos, false),
-                CmpOp::Le => (0, pos + hit, false),
-                CmpOp::Gt => (pos + hit, len, false),
-                CmpOp::Ge => (pos, len, false),
-            };
-            Some(Pred::StrRange {
+impl Filter {
+    /// Compile `col ⋄ literal` (either way round) over the table
+    /// occupying `range`, or `None` when `c` has another shape.
+    fn compile(c: &BoundExpr, range: &Range<usize>, tc: &TableColumns) -> Option<Filter> {
+        let BoundExpr::Cmp { op, left, right } = c else {
+            return None;
+        };
+        let (attr, lit, op) = match (left, right) {
+            (BScalar::Attr(a), BScalar::Literal(v)) => (a, v, *op),
+            (BScalar::Literal(v), BScalar::Attr(a)) => (a, v, op.flip()),
+            _ => return None,
+        };
+        if !attr.is_local() || !range.contains(&attr.idx) {
+            return None;
+        }
+        let col = attr.idx - range.start;
+        let empty = Filter {
+            col,
+            lo: 1,
+            hi: 0,
+            negate: false,
+        };
+        // `at` words lie below the literal, which is itself a word iff
+        // `hit` is 1. A comparison with `NULL` admits nothing.
+        let (at, hit) = match (tc.column(col), lit) {
+            (_, Value::Null) => return Some(empty),
+            (ColumnData::Int { .. }, &Value::Int(i)) => (i.wrapping_sub(i64::MIN) as u64, 1),
+            (ColumnData::Str { dict, .. }, Value::Str(s)) => {
+                let pos = dict.partition_point(|d| d < s);
+                (pos as u64, u8::from(dict.get(pos) == Some(s)))
+            }
+            _ => return None,
+        };
+        let (at, hit, top) = (i128::from(at), i128::from(hit), i128::from(u64::MAX));
+        let (lo, hi) = match op {
+            CmpOp::Eq | CmpOp::Ne => (at, at + hit - 1),
+            CmpOp::Lt => (0, at - 1),
+            CmpOp::Le => (0, at + hit - 1),
+            CmpOp::Gt => (at + hit, top),
+            CmpOp::Ge => (at, top),
+        };
+        let negate = op == CmpOp::Ne;
+        Some(match (u64::try_from(lo), u64::try_from(hi)) {
+            (Ok(lo), Ok(hi)) if lo <= hi => Filter {
                 col,
                 lo,
                 hi,
                 negate,
-            })
-        }
-        _ => None,
+            },
+            _ => Filter { negate, ..empty },
+        })
     }
-}
 
-fn eval_pred(p: &Pred, tc: &TableColumns, r: usize) -> bool {
-    match p {
-        Pred::Never => false,
-        Pred::IntCmp { col, op, lit } => match tc.column(*col) {
-            ColumnData::Int { values, nulls, .. } => {
-                if nulls.is_null(r) {
-                    return false;
-                }
-                let v = values[r];
-                match op {
-                    CmpOp::Eq => v == *lit,
-                    CmpOp::Ne => v != *lit,
-                    CmpOp::Lt => v < *lit,
-                    CmpOp::Le => v <= *lit,
-                    CmpOp::Gt => v > *lit,
-                    CmpOp::Ge => v >= *lit,
-                }
-            }
-            ColumnData::Str { .. } => false,
-        },
-        Pred::StrRange {
-            col,
-            lo,
-            hi,
-            negate,
-        } => match tc.column(*col) {
-            ColumnData::Str { codes, nulls, .. } => {
-                if nulls.is_null(r) {
-                    return false;
-                }
-                let c = codes[r];
-                (*lo <= c && c < *hi) != *negate
-            }
-            ColumnData::Int { .. } => false,
-        },
+    /// Whether row `r` of `tc` qualifies.
+    #[inline]
+    fn admits(&self, tc: &TableColumns, r: usize) -> bool {
+        let word = tc.column(self.col).word(r, i64::MIN);
+        word.is_some_and(|w| (self.lo <= w && w <= self.hi) != self.negate)
     }
 }
 
 /// Vectorized filter: walk the table in [`CHUNK_SIZE`]-row chunks,
-/// build each chunk's identity selection, then refine it predicate by
-/// predicate — rows are never copied, only the selection shrinks. One
-/// `vector_ops` per (predicate, chunk).
-fn filter_table(tc: &TableColumns, preds: &[Pred], stats: &mut ExecStats) -> Vec<u32> {
+/// build each chunk's identity selection, then refine it filter by
+/// filter — rows are never copied, only the selection shrinks. One
+/// `vector_ops` per (filter, chunk).
+fn filter_table(tc: &TableColumns, filters: &[Filter], stats: &mut ExecStats) -> Vec<u32> {
     let mut sel = Vec::new();
     let mut chunk = Vec::with_capacity(CHUNK_SIZE.min(tc.rows));
     for start in (0..tc.rows).step_by(CHUNK_SIZE) {
         let end = (start + CHUNK_SIZE).min(tc.rows);
         chunk.clear();
         chunk.extend(start as u32..end as u32);
-        for p in preds {
-            chunk.retain(|&r| eval_pred(p, tc, r as usize));
+        for f in filters {
+            chunk.retain(|&r| f.admits(tc, r as usize));
         }
         sel.extend_from_slice(&chunk);
     }
-    stats.vector_ops += (tc.rows.div_ceil(CHUNK_SIZE) * preds.len().max(1)) as u64;
+    stats.vector_ops += (tc.rows.div_ceil(CHUNK_SIZE) * filters.len().max(1)) as u64;
     sel
 }
 
-// --- join kernels ------------------------------------------------------
+// --- keys --------------------------------------------------------------
 
-/// A key with its per-step probe/build column data. For string keys,
-/// `trans` maps probe-dictionary codes into the build dictionary
-/// (`NONE_U32` = the probe string does not occur on the build side), so
-/// both kernels compare codes in *build* space — translated once per
-/// distinct probe value, not once per row.
-struct KeyAt<'a> {
-    slot: usize,
-    probe: &'a ColumnData,
-    build: &'a ColumnData,
-    trans: Option<Vec<u32>>,
-}
-
+/// Each probe-dictionary code's code in the build dictionary, `NONE_U32`
+/// where the build side lacks the string: translated once per distinct
+/// probe value, not once per row.
 fn translation(probe_dict: &[String], build_dict: &[String]) -> Vec<u32> {
     probe_dict
         .iter()
@@ -563,43 +529,9 @@ fn translation(probe_dict: &[String], build_dict: &[String]) -> Vec<u32> {
         .collect()
 }
 
-impl KeyAt<'_> {
-    /// The probe row's key in build space.
-    fn probe_key(&self, r: u32) -> Probe<u64> {
-        let r = r as usize;
-        match self.probe {
-            ColumnData::Int { values, nulls, .. } => {
-                if nulls.is_null(r) {
-                    Probe::Null
-                } else {
-                    Probe::Key(values[r] as u64)
-                }
-            }
-            ColumnData::Str { codes, nulls, .. } => {
-                if nulls.is_null(r) {
-                    return Probe::Null;
-                }
-                let trans = self.trans.as_ref().expect("string key has translation");
-                match trans[codes[r] as usize] {
-                    NONE_U32 => Probe::Miss,
-                    c => Probe::Key(c as u64),
-                }
-            }
-        }
-    }
-
-    fn build_key(&self, r: u32) -> Option<u64> {
-        let r = r as usize;
-        match self.build {
-            ColumnData::Int { values, nulls, .. } => (!nulls.is_null(r)).then(|| values[r] as u64),
-            ColumnData::Str { codes, nulls, .. } => (!nulls.is_null(r)).then(|| codes[r] as u64),
-        }
-    }
-}
-
-/// A key column's dense domain. Digit 0 is `NULL`, a string is its
-/// dictionary code + 1 and an integer its offset from `min` + 1, so
-/// `width` digits cover every value the column holds.
+/// A key column's domain: its integer words are offsets from `min`, and
+/// `width` dense digits (`NULL` and the words below `width - 1`) cover
+/// every value the column holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Domain {
     min: i64,
@@ -620,68 +552,58 @@ impl Domain {
     }
 }
 
-impl ColumnData {
-    /// The column's domain, read from its encoding: its dictionary, or
-    /// the integer bounds the store keeps.
-    fn domain(&self) -> Domain {
-        match self {
-            ColumnData::Int { bounds, .. } => Domain::ints(*bounds),
-            ColumnData::Str { dict, .. } => Domain {
-                min: 0,
-                width: dict.len() as u64 + 1,
-            },
-        }
-    }
-}
-
 /// The domain of a join step's build column over the rows `build`
 /// selects: an integer key spans only their values.
 fn build_domain(column: &ColumnData, build: &[u32]) -> Domain {
-    match column {
-        ColumnData::Int { values, nulls, .. } => {
-            let present = build.iter().filter(|&&r| !nulls.is_null(r as usize));
-            let values = present.map(|&r| values[r as usize]);
-            Domain::ints(values.fold(None, |b, v| {
-                Some(b.map_or((v, v), |(lo, hi): (i64, i64)| (lo.min(v), hi.max(v))))
-            }))
-        }
-        ColumnData::Str { .. } => column.domain(),
-    }
+    let ColumnData::Int { .. } = column else {
+        return column.domain();
+    };
+    // Words from `i64::MIN` order like the integers.
+    let words = build
+        .iter()
+        .filter_map(|&r| column.word(r as usize, i64::MIN));
+    let bounds = words.fold(None, |b, w| {
+        Some(b.map_or((w, w), |(lo, hi): (u64, u64)| (lo.min(w), hi.max(w))))
+    });
+    let int = |w| i64::MIN.wrapping_add_unsigned(w);
+    Domain::ints(bounds.map(|(lo, hi)| (int(lo), int(hi))))
 }
 
-/// One column of a [`DenseKey`]: the column the row in tuple slot
-/// `slot` is read from, its domain and its place value.
-struct Digit<'a> {
+/// One key column of a kernel's table: the column the row in tuple slot
+/// `slot` is read from, a join probe's translation of its codes into
+/// the build dictionary, and the domain its words are taken in.
+#[derive(Clone, Copy)]
+struct KeyCol<'a> {
     slot: usize,
     column: &'a ColumnData,
-    /// A join probe's codes in the build dictionary (see [`KeyAt`]).
     trans: Option<&'a [u32]>,
     domain: Domain,
-    stride: u64,
 }
 
-impl Digit<'_> {
-    /// The digit of `tuple`'s row, `None` when its value lies outside
-    /// the domain (a probe no build row can match).
-    fn of(&self, tuple: &[u32]) -> Option<u64> {
-        let r = tuple[self.slot] as usize;
-        match self.column {
-            ColumnData::Int { values, nulls, .. } => {
-                if nulls.is_null(r) {
-                    return Some(0);
-                }
-                let (v, min) = (values[r], self.domain.min);
-                let offset = v.wrapping_sub(min) as u64;
-                (v >= min && offset < self.domain.width - 1).then(|| offset + 1)
-            }
-            ColumnData::Str { codes, nulls, .. } => {
-                if nulls.is_null(r) {
-                    return Some(0);
-                }
-                let code = self.trans.map_or(codes[r], |t| t[codes[r] as usize]);
-                (code != NONE_U32).then_some(u64::from(code) + 1)
-            }
+impl KeyCol<'_> {
+    /// `tuple`'s word, `None` when it is `NULL`.
+    #[inline]
+    fn word(&self, tuple: &[u32]) -> Option<u64> {
+        self.column.word(tuple[self.slot] as usize, self.domain.min)
+    }
+
+    /// `tuple`'s key: `Null`, a `Miss` when the build dictionary lacks
+    /// the probe's string, else its word (in build space).
+    #[inline]
+    fn key(&self, tuple: &[u32]) -> Probe<u64> {
+        match (self.word(tuple), self.trans) {
+            (None, _) => Probe::Null,
+            (Some(w), None) => Probe::Key(w),
+            (Some(w), Some(trans)) => match trans[w as usize] {
+                NONE_U32 => Probe::Miss,
+                code => Probe::Key(u64::from(code)),
+            },
         }
+    }
+
+    /// `tuple`'s cell, decoded.
+    fn value(&self, tuple: &[u32]) -> Value {
+        self.column.value(tuple[self.slot] as usize)
     }
 }
 
@@ -690,29 +612,23 @@ impl Digit<'_> {
 /// such keys is one array indexed by the slot, with no hashing: the
 /// join's [`Postings`], the group index of `GROUP BY` and `DISTINCT`.
 struct DenseKey<'a> {
-    digits: Vec<Digit<'a>>,
+    /// Each key column with its place value.
+    digits: Vec<(KeyCol<'a>, u64)>,
     slots: usize,
 }
 
 impl<'a> DenseKey<'a> {
-    /// The key over `columns` — (tuple slot, column, probe translation,
-    /// domain) each — when the product of their widths is at most `cap`.
-    fn new(
-        columns: impl IntoIterator<Item = (usize, &'a ColumnData, Option<&'a [u32]>, Domain)>,
-        cap: u64,
-    ) -> Option<DenseKey<'a>> {
+    /// The key over `columns` when the product of their widths is at
+    /// most `cap`.
+    fn new(columns: impl IntoIterator<Item = KeyCol<'a>>, cap: u64) -> Option<DenseKey<'a>> {
         let mut slots = 1u64;
         let digits = (columns.into_iter())
-            .map(|(slot, column, trans, domain)| {
+            .map(|column| {
                 let stride = slots;
-                slots = slots.checked_mul(domain.width).filter(|&s| s <= cap)?;
-                Some(Digit {
-                    slot,
-                    column,
-                    trans,
-                    domain,
-                    stride,
-                })
+                slots = slots
+                    .checked_mul(column.domain.width)
+                    .filter(|&s| s <= cap)?;
+                Some((column, stride))
             })
             .collect::<Option<Vec<_>>>()?;
         let slots = usize::try_from(slots).ok()?;
@@ -720,10 +636,11 @@ impl<'a> DenseKey<'a> {
     }
 
     /// `tuple`'s slot, `NULL` counting as a value (`=̇`): the grouping
-    /// and `DISTINCT` key over the store's own domains.
+    /// and `DISTINCT` key over the store's own domains, which hold every
+    /// word.
     fn slot(&self, tuple: &[u32]) -> usize {
         (self.digits.iter())
-            .map(|d| d.of(tuple).expect("a column's values lie in its domain") * d.stride)
+            .map(|(column, stride)| column.word(tuple).map_or(0, |w| w + 1) * stride)
             .sum::<u64>() as usize
     }
 
@@ -731,11 +648,11 @@ impl<'a> DenseKey<'a> {
     /// a key lies outside the build side's domain, else its slot.
     fn probe(&self, tuple: &[u32]) -> Probe<u32> {
         let (mut slot, mut miss) = (0, false);
-        for d in &self.digits {
-            match d.of(tuple) {
-                Some(0) => return Probe::Null,
-                Some(digit) => slot += digit * d.stride,
-                None => miss = true,
+        for (column, stride) in &self.digits {
+            match column.key(tuple) {
+                Probe::Null => return Probe::Null,
+                Probe::Key(w) if w < column.domain.width - 1 => slot += (w + 1) * stride,
+                Probe::Key(_) | Probe::Miss => miss = true,
             }
         }
         if miss {
@@ -746,36 +663,48 @@ impl<'a> DenseKey<'a> {
     }
 }
 
+/// Every column's (null, word) pair: the hashed group and `DISTINCT`
+/// key, exact under `=̇` because words within one column are injective
+/// and a `NULL` cell's word is never read.
+fn group_key(columns: &[KeyCol<'_>], tuple: &[u32]) -> CodeKey {
+    let words = columns.iter().flat_map(|column| match column.word(tuple) {
+        None => [Some(1), Some(0)],
+        Some(w) => [Some(0), Some(w)],
+    });
+    CodeKey::try_from_words(2 * columns.len(), words).expect("every word is present")
+}
+
 // --- the encoded access ------------------------------------------------
 
-/// One resolved equi-join key of a step: where the probe side reads its
-/// value (`slot` into the tuple of placed row ids, then `probe_col` of
-/// that table) and which build-side column it must equal.
-#[derive(Debug, Clone, Copy)]
-struct ResolvedKey {
+/// One equi-join key of a step: the probe side's column, read from
+/// tuple slot `slot`, with its codes translated into the build side's
+/// dictionary when both are strings, and the build side's column.
+struct JoinKey<'a> {
     slot: usize,
-    probe_col: usize,
-    build_col: usize,
+    probe: &'a ColumnData,
+    build: &'a ColumnData,
+    trans: Option<Vec<u32>>,
 }
 
 /// A block compiled for the encoded access: each tuple slot's encoding,
-/// per pipeline level the compiled predicates of its table (and, for a
-/// join step, its resolved keys), and the projection as (tuple slot,
-/// table-local column) pairs.
+/// per pipeline level the compiled filters of its table (and, for a
+/// join step, its keys), and the projection as key columns.
 pub(crate) struct Encoded<'a> {
     tables: Vec<&'a TableColumns>,
-    levels: Vec<(Vec<Pred>, Vec<ResolvedKey>)>,
-    proj: Vec<(usize, usize)>,
+    levels: Vec<(Vec<Filter>, Vec<JoinKey<'a>>)>,
+    proj: Vec<KeyCol<'a>>,
 }
 
 impl<'a> Encoded<'a> {
     /// Compile a block the plan licenses for the encoded access, given
     /// its conjuncts by pipeline level and where each attribute lives
-    /// (`attrs[idx]` = tuple slot, table-local column). `None` — with no
-    /// counter touched — when the store is stale for `db` (the catalog
-    /// moved, or a table's row count differs from its encoding: `INSERT`
-    /// does not bump the catalog version), a join step is not a keyed
-    /// hash step, or a conjunct does not compile.
+    /// (`attrs[idx]` = tuple slot, table-local column). The license is
+    /// the one coverage decision, so only the store is re-verified:
+    /// `None`, with no counter touched, when it holds no current encoding
+    /// of a table the block reads (the catalog moved, or a table's row
+    /// count differs from its encoding: `INSERT` does not bump the
+    /// catalog version). A licensed conjunct that does not compile, or
+    /// join keys of different encodings, is an internal error.
     pub(crate) fn compile(
         store: &'a ColumnStore,
         db: &Database,
@@ -784,10 +713,7 @@ impl<'a> Encoded<'a> {
         levels: &[Vec<&BoundExpr>],
         attrs: &[(usize, usize)],
     ) -> Result<Option<Encoded<'a>>> {
-        if store.catalog_version != db.version()
-            || bp.joins.iter().any(|j| j.method != JoinMethod::Hash)
-            || levels.iter().flatten().any(|c| c.has_subquery())
-        {
+        if store.catalog_version != db.version() {
             return Ok(None);
         }
         let mut tables = Vec::with_capacity(bp.order.len());
@@ -801,39 +727,46 @@ impl<'a> Encoded<'a> {
         let mut compiled = Vec::with_capacity(levels.len());
         for (k, conjuncts) in levels.iter().enumerate() {
             let range = spec.from[bp.order[k]].attr_range();
-            let mut preds = Vec::new();
-            let mut keys = Vec::new();
+            let (mut filters, mut keys) = (Vec::new(), Vec::new());
             for c in conjuncts {
-                if let Some((built, new)) = c.equi_join_key(&range, |idx| attrs[idx].0 < k) {
-                    let (slot, probe_col) = attrs[built];
-                    let build_col = new - range.start;
-                    // Kernel keys compare codes, so both sides must carry
-                    // the same physical encoding.
-                    let same_kind = matches!(
-                        (tables[slot].column(probe_col), tables[k].column(build_col)),
-                        (ColumnData::Int { .. }, ColumnData::Int { .. })
-                            | (ColumnData::Str { .. }, ColumnData::Str { .. })
-                    );
-                    if !same_kind {
-                        return Ok(None);
+                let Some((built, new)) = c.equi_join_key(&range, |idx| attrs[idx].0 < k) else {
+                    let filter = Filter::compile(c, &range, tables[k]);
+                    filters.push(filter.ok_or_else(|| {
+                        Error::internal("a licensed conjunct does not compile to a filter")
+                    })?);
+                    continue;
+                };
+                let (slot, probe_col) = attrs[built];
+                let probe = tables[slot].column(probe_col);
+                let build = tables[k].column(new - range.start);
+                let trans = match (probe, build) {
+                    (ColumnData::Int { .. }, ColumnData::Int { .. }) => None,
+                    (ColumnData::Str { dict: p, .. }, ColumnData::Str { dict: b, .. }) => {
+                        Some(translation(p, b))
                     }
-                    keys.push(ResolvedKey {
-                        slot,
-                        probe_col,
-                        build_col,
-                    });
-                } else if let Some(p) = compile_pred(c, &range, tables[k]) {
-                    preds.push(p);
-                } else {
-                    return Ok(None);
-                }
+                    _ => return Err(Error::internal("join keys of different encodings")),
+                };
+                keys.push(JoinKey {
+                    slot,
+                    probe,
+                    build,
+                    trans,
+                });
             }
-            if k > 0 && keys.is_empty() {
-                return Ok(None);
-            }
-            compiled.push((preds, keys));
+            compiled.push((filters, keys));
         }
-        let proj = spec.projection.iter().map(|p| attrs[p.attr]).collect();
+        let proj = (spec.projection.iter())
+            .map(|p| {
+                let (slot, col) = attrs[p.attr];
+                let column = tables[slot].column(col);
+                KeyCol {
+                    slot,
+                    column,
+                    trans: None,
+                    domain: column.domain(),
+                }
+            })
+            .collect();
         Ok(Some(Encoded {
             tables,
             levels: compiled,
@@ -849,8 +782,8 @@ impl<'a> Encoded<'a> {
     /// Join step `k`: filter the build side, then probe it once per
     /// tuple. When the keys' build-side domains fit a dense table, the
     /// key's code words index the table directly; other keys hash their
-    /// build-space words. A `unique` step on one key is the direct-index
-    /// kernel: dense for any dictionary or an integer span up to
+    /// words. A `unique` step on one key is the direct-index kernel:
+    /// dense for any dictionary or an integer span up to
     /// [`DIRECT_SPAN_LIMIT`], it books no hash work and one probe step
     /// per probe. Every other step books what a hash table would.
     pub(crate) fn join(
@@ -860,50 +793,40 @@ impl<'a> Encoded<'a> {
         tuples: &[u32],
         stats: &mut ExecStats,
     ) -> Result<Vec<u32>> {
-        let (preds, resolved) = &self.levels[k];
-        let table = self.tables[k];
-        let build = filter_table(table, preds, stats);
-        let keys: Vec<KeyAt<'_>> = (resolved.iter())
-            .map(|rk| {
-                let probe = self.tables[rk.slot].column(rk.probe_col);
-                let build = table.column(rk.build_col);
-                let trans = match (probe, build) {
-                    (ColumnData::Str { dict: pd, .. }, ColumnData::Str { dict: bd, .. }) => {
-                        Some(translation(pd, bd))
-                    }
-                    _ => None,
+        let (filters, keys) = &self.levels[k];
+        let build = filter_table(self.tables[k], filters, stats);
+        // Both sides take an integer key's words from the build rows'
+        // minimum, so equal values have equal words.
+        let (build_key, probe_key): (Vec<KeyCol<'_>>, Vec<KeyCol<'_>>) = (keys.iter())
+            .map(|key| {
+                let domain = build_domain(key.build, &build);
+                let build = KeyCol {
+                    slot: 0,
+                    column: key.build,
+                    trans: None,
+                    domain,
                 };
-                KeyAt {
-                    slot: rk.slot,
-                    probe,
-                    build,
-                    trans,
-                }
+                let probe = KeyCol {
+                    slot: key.slot,
+                    column: key.probe,
+                    trans: key.trans.as_deref(),
+                    domain,
+                };
+                (build, probe)
             })
-            .collect();
-        let direct = match keys.as_slice() {
-            [key] if unique => Some(key),
-            _ => None,
+            .unzip();
+        let direct = unique && keys.len() == 1;
+        let cap = match build_key.first().map(|key| key.column) {
+            Some(ColumnData::Str { .. }) if direct => u64::MAX,
+            Some(ColumnData::Int { .. }) if direct => DIRECT_SPAN_LIMIT + 1,
+            _ => dense_slots(build.len()),
         };
-        let cap = match direct.map(|key| key.build) {
-            Some(ColumnData::Str { .. }) => u64::MAX,
-            Some(ColumnData::Int { .. }) => DIRECT_SPAN_LIMIT + 1,
-            None => dense_slots(build.len()),
-        };
-        let domains: Vec<Domain> = (keys.iter())
-            .map(|key| build_domain(key.build, &build))
-            .collect();
-        let dense = DenseKey::new(
-            (keys.iter().zip(&domains)).map(|(key, &d)| (0, key.build, None, d)),
-            cap,
-        )
-        .map(|build_key| {
-            let probe_key = DenseKey::new(
-                (keys.iter().zip(&domains))
-                    .map(|(key, &d)| (key.slot, key.probe, key.trans.as_deref(), d)),
-                cap,
-            );
-            (build_key, probe_key.expect("same widths as the build key"))
+        let dense = DenseKey::new(build_key.iter().copied(), cap).map(|dense_build| {
+            let dense_probe = DenseKey::new(probe_key.iter().copied(), cap);
+            (
+                dense_build,
+                dense_probe.expect("same widths as the build key"),
+            )
         });
         let mut out = Vec::new();
         let emit = |tuple: &[u32], m: u32| {
@@ -911,57 +834,53 @@ impl<'a> Encoded<'a> {
             out.push(m);
             Ok(())
         };
-        let (probes, steps) = match &dense {
-            Some((build_key, probe_key)) => {
+        let (probes, steps) = match (&dense, build_key.as_slice(), probe_key.as_slice()) {
+            (Some((dense_build, dense_probe)), _, _) => {
                 let slot_of: Vec<u32> = (build.iter())
-                    .map(|&r| match build_key.probe(&[r]) {
+                    .map(|&r| match dense_build.probe(&[r]) {
                         Probe::Key(slot) => slot,
                         Probe::Null | Probe::Miss => NO_SLOT,
                     })
                     .collect();
-                let postings = Postings::new(&build, &slot_of, build_key.slots);
-                postings.probe(tuples, k, |tuple| probe_key.probe(tuple), unique, emit)?
+                let postings = Postings::new(&build, &slot_of, dense_build.slots);
+                postings.probe(tuples, k, |tuple| dense_probe.probe(tuple), unique, emit)?
             }
-            None => match keys.as_slice() {
-                // One key hashes its word alone.
-                [key] => hash_join(
-                    tuples,
-                    k,
-                    &build,
-                    |r| key.build_key(r),
-                    |tuple| key.probe_key(tuple[key.slot]),
-                    unique,
-                    emit,
-                )?,
-                _ => hash_join(
-                    tuples,
-                    k,
-                    &build,
-                    |r| {
-                        CodeKey::try_from_words(keys.len(), keys.iter().map(|key| key.build_key(r)))
-                    },
-                    |tuple| {
-                        let mut miss = false;
-                        let words = keys.iter().map(|key| match key.probe_key(tuple[key.slot]) {
-                            Probe::Null => None,
-                            Probe::Miss => {
-                                miss = true;
-                                Some(0)
-                            }
-                            Probe::Key(w) => Some(w),
-                        });
-                        match CodeKey::try_from_words(keys.len(), words) {
-                            None => Probe::Null,
-                            Some(_) if miss => Probe::Miss,
-                            Some(key) => Probe::Key(key),
+            // One key hashes its word alone.
+            (None, [build_col], [probe_col]) => hash_join(
+                tuples,
+                k,
+                &build,
+                |r| build_col.word(&[r]),
+                |tuple| probe_col.key(tuple),
+                unique,
+                emit,
+            )?,
+            (None, _, _) => hash_join(
+                tuples,
+                k,
+                &build,
+                |r| CodeKey::try_from_words(keys.len(), build_key.iter().map(|c| c.word(&[r]))),
+                |tuple| {
+                    let mut miss = false;
+                    let words = probe_key.iter().map(|c| match c.key(tuple) {
+                        Probe::Null => None,
+                        Probe::Miss => {
+                            miss = true;
+                            Some(0)
                         }
-                    },
-                    unique,
-                    emit,
-                )?,
-            },
+                        Probe::Key(w) => Some(w),
+                    });
+                    match CodeKey::try_from_words(keys.len(), words) {
+                        None => Probe::Null,
+                        Some(_) if miss => Probe::Miss,
+                        Some(key) => Probe::Key(key),
+                    }
+                },
+                unique,
+                emit,
+            )?,
         };
-        if direct.is_none() || dense.is_none() {
+        if !direct || dense.is_none() {
             stats.hash_joins += 1;
             stats.hash_probes += probes;
         }
@@ -988,7 +907,7 @@ impl<'a> Encoded<'a> {
     /// Late materialization: decode the projection of every tuple.
     pub(crate) fn materialize(&self, ids: &[u32], stats: &mut ExecStats) -> Vec<Row> {
         let rows: Vec<Row> = (ids.chunks_exact(self.tables.len()))
-            .map(|tuple| (0..self.proj.len()).map(|p| self.value(tuple, p)).collect())
+            .map(|tuple| self.proj.iter().map(|column| column.value(tuple)).collect())
             .collect();
         stats.vector_ops += rows.len().div_ceil(CHUNK_SIZE) as u64;
         stats.materialized_rows += rows.len() as u64;
@@ -1015,63 +934,13 @@ impl<'a> Encoded<'a> {
     fn tuples<'e>(&'e self, ids: &'e [u32]) -> EncodedTuples<'e, 'a> {
         EncodedTuples { enc: self, ids }
     }
-
-    /// Decode projection position `p` of one tuple (one cell, not a row).
-    fn value(&self, tuple: &[u32], p: usize) -> Value {
-        let (slot, col) = self.proj[p];
-        self.tables[slot].value_at(col, tuple[slot] as usize)
-    }
-
-    /// Projection position `p` of one tuple as a code word, `None` when
-    /// it is `NULL`: its dictionary code, or its integer's offset from
-    /// the column's minimum. Words are injective and order-preserving
-    /// within a column (dictionaries are sorted), and below the column's
-    /// domain width minus one.
-    fn word(&self, tuple: &[u32], p: usize) -> Option<u64> {
-        let (slot, col) = self.proj[p];
-        let r = tuple[slot] as usize;
-        match self.tables[slot].column(col) {
-            ColumnData::Int {
-                values,
-                nulls,
-                bounds,
-            } => (!nulls.is_null(r)).then(|| {
-                let min = bounds.map_or(0, |(lo, _)| lo);
-                values[r].wrapping_sub(min) as u64
-            }),
-            ColumnData::Str { codes, nulls, .. } => {
-                (!nulls.is_null(r)).then(|| u64::from(codes[r]))
-            }
-        }
-    }
-
-    /// Encoded key of the first `n` projection positions of one tuple:
-    /// per column a (null, code word) pair — exact under `=̇` because
-    /// words within one column are injective and a `NULL` slot's word
-    /// is never read. This is the hashed group and distinct key, for
-    /// projections whose domains do not fit a dense table.
-    fn key_words(&self, tuple: &[u32], n: usize) -> CodeKey {
-        let words = (0..n).flat_map(|p| match self.word(tuple, p) {
-            None => [Some(1), Some(0)],
-            Some(w) => [Some(0), Some(w)],
-        });
-        CodeKey::try_from_words(2 * n, words).expect("every word is present")
-    }
-
-    /// The dense key of the first `n` projection positions, over the
-    /// store's own domains, when their product fits a table over
-    /// `inputs` tuples.
-    fn dense_key(&self, n: usize, inputs: usize) -> Option<DenseKey<'_>> {
-        let columns = self.proj[..n].iter().map(|&(slot, col)| {
-            let column = self.tables[slot].column(col);
-            (slot, column, None, column.domain())
-        });
-        DenseKey::new(columns, dense_slots(inputs))
-    }
 }
 
 /// Row-id tuples of an encoded block, read for `DISTINCT`, grouping and
-/// aggregation.
+/// aggregation through the projection's key columns. Words are
+/// injective and order-preserving within a column (an integer's is its
+/// offset from the column minimum), and below the column's domain width
+/// minus one.
 struct EncodedTuples<'e, 'a> {
     enc: &'e Encoded<'a>,
     ids: &'e [u32],
@@ -1092,28 +961,27 @@ impl Tuples for EncodedTuples<'_, '_> {
     }
 
     fn value(&self, t: usize, p: usize) -> Value {
-        self.enc.value(self.tuple(t), p)
+        self.enc.proj[p].value(self.tuple(t))
     }
 
     fn word(&self, t: usize, p: usize) -> Option<u64> {
-        self.enc.word(self.tuple(t), p)
+        self.enc.proj[p].word(self.tuple(t))
     }
 
     /// A dense slot table when the key's domains fit, else hashed
     /// [`CodeKey`]s.
     fn groups(&self, keys: usize) -> Groups {
-        let n = self.len();
-        match self.enc.dense_key(keys, n) {
+        let (n, columns) = (self.len(), &self.enc.proj[..keys]);
+        match DenseKey::new(columns.iter().copied(), dense_slots(n)) {
             Some(key) => Groups::dense(n, key.slots, |t| key.slot(self.tuple(t))),
-            None => Groups::hashed(n, |t| self.enc.key_words(self.tuple(t), keys)),
+            None => Groups::hashed(n, |t| group_key(columns, self.tuple(t))),
         }
     }
 
     /// A flat (group, word) bitmap when groups × the argument's domain
     /// fit a dense table, else the hashed set: words are small indices.
     fn distinct_counts(&self, p: usize, groups: &Groups, stats: &mut ExecStats) -> Vec<i64> {
-        let (slot, col) = self.enc.proj[p];
-        let span = self.enc.tables[slot].column(col).domain().width - 1;
+        let span = self.enc.proj[p].domain.width - 1;
         let bits = (groups.len() as u64).checked_mul(span);
         if bits.is_some_and(|b| b <= dense_slots(self.len())) {
             let index = |t| self.word(t, p).map(|w| w as usize);
@@ -1244,19 +1112,6 @@ mod tests {
     }
 
     #[test]
-    fn dict_limit_guard_leaves_table_unencoded() {
-        let (db, _) = store();
-        // SUPPLIER.SNAME has 5 distinct names; a limit of 2 must refuse
-        // the table (u32 code-space guard path) while tables whose
-        // string columns fit stay encoded.
-        let cs = ColumnStore::build_with_dict_limit(&db, 2);
-        assert!(cs.table(&"SUPPLIER".into()).is_none());
-        let full = ColumnStore::build(&db);
-        assert!(full.table(&"SUPPLIER".into()).is_some());
-        assert_eq!(full.catalog_version(), db.version());
-    }
-
-    #[test]
     fn refresh_matches_a_rebuild_and_shares_untouched_tables() {
         let (mut db, cs) = store();
         // New SNAMEs sorting first and last, a NULL city, and a new
@@ -1288,23 +1143,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn refresh_past_the_dict_limit_leaves_the_table_unencoded() {
-        let (mut db, _) = store();
-        // SUPPLIER's widest dictionary (SNAME) has 4 values, PARTS' 5.
-        let mut cs = ColumnStore::build_with_dict_limit(&db, 5);
-        assert!(cs.table(&"SUPPLIER".into()).is_some());
-        db.run_script(
-            "INSERT INTO SUPPLIER VALUES (6, 'Aaron', 'Toronto', 10, 'Active'),
-               (7, 'Zed', 'Toronto', 10, 'Active');",
-        )
-        .unwrap();
-        cs.refresh(&db);
-        assert!(cs.table(&"SUPPLIER".into()).is_none(), "6 names > 5");
-        assert!(cs.table(&"PARTS".into()).is_some());
-        assert_eq!(cs, ColumnStore::build_with_dict_limit(&db, 5));
-    }
-
     fn tiny_str_table() -> TableColumns {
         // Values: ["b", NULL, "d", "a", "d"] → dict [a, b, d].
         let mut nulls = NullBitmap::new();
@@ -1331,28 +1169,28 @@ mod tests {
             right: BScalar::Literal(Value::Str(lit.into())),
         };
         let rows_matching =
-            |p: &Pred| -> Vec<usize> { (0..5).filter(|&r| eval_pred(p, &tc, r)).collect() };
+            |f: &Filter| -> Vec<usize> { (0..5).filter(|&r| f.admits(&tc, r)).collect() };
         // "c" is absent from the dictionary: Eq matches nothing, Ne
         // matches every non-NULL row, ranges split around its position.
-        let eq = compile_pred(&pred(CmpOp::Eq, "c"), &(0..1), &tc).unwrap();
+        let eq = Filter::compile(&pred(CmpOp::Eq, "c"), &(0..1), &tc).unwrap();
         assert_eq!(rows_matching(&eq), Vec::<usize>::new());
-        let ne = compile_pred(&pred(CmpOp::Ne, "c"), &(0..1), &tc).unwrap();
+        let ne = Filter::compile(&pred(CmpOp::Ne, "c"), &(0..1), &tc).unwrap();
         assert_eq!(rows_matching(&ne), vec![0, 2, 3, 4]);
-        let lt = compile_pred(&pred(CmpOp::Lt, "c"), &(0..1), &tc).unwrap();
+        let lt = Filter::compile(&pred(CmpOp::Lt, "c"), &(0..1), &tc).unwrap();
         assert_eq!(rows_matching(&lt), vec![0, 3]);
-        let ge = compile_pred(&pred(CmpOp::Ge, "c"), &(0..1), &tc).unwrap();
+        let ge = Filter::compile(&pred(CmpOp::Ge, "c"), &(0..1), &tc).unwrap();
         assert_eq!(rows_matching(&ge), vec![2, 4]);
         // Present literal: all six operators, NULL row never qualifies.
-        let le = compile_pred(&pred(CmpOp::Le, "b"), &(0..1), &tc).unwrap();
+        let le = Filter::compile(&pred(CmpOp::Le, "b"), &(0..1), &tc).unwrap();
         assert_eq!(rows_matching(&le), vec![0, 3]);
-        let gt = compile_pred(&pred(CmpOp::Gt, "b"), &(0..1), &tc).unwrap();
+        let gt = Filter::compile(&pred(CmpOp::Gt, "b"), &(0..1), &tc).unwrap();
         assert_eq!(rows_matching(&gt), vec![2, 4]);
-        let eq_b = compile_pred(&pred(CmpOp::Eq, "b"), &(0..1), &tc).unwrap();
+        let eq_b = Filter::compile(&pred(CmpOp::Eq, "b"), &(0..1), &tc).unwrap();
         assert_eq!(rows_matching(&eq_b), vec![0]);
-        let ne_b = compile_pred(&pred(CmpOp::Ne, "b"), &(0..1), &tc).unwrap();
+        let ne_b = Filter::compile(&pred(CmpOp::Ne, "b"), &(0..1), &tc).unwrap();
         assert_eq!(rows_matching(&ne_b), vec![2, 3, 4]);
-        // NULL literal compiles to the never-matching predicate.
-        let never = compile_pred(
+        // NULL literal compiles to the empty range.
+        let never = Filter::compile(
             &BoundExpr::Cmp {
                 op: CmpOp::Eq,
                 left: BScalar::Attr(AttrRef::local(0)),
@@ -1362,8 +1200,44 @@ mod tests {
             &tc,
         )
         .unwrap();
-        assert_eq!(never, Pred::Never);
+        let empty = Filter {
+            col: 0,
+            lo: 1,
+            hi: 0,
+            negate: false,
+        };
+        assert_eq!(never, empty);
         assert_eq!(rows_matching(&never), Vec::<usize>::new());
+    }
+
+    #[test]
+    fn a_licensed_block_that_does_not_compile_is_an_internal_error() {
+        use uniq_cost::{plan_query, PhysNode, PlannerOptions, Statistics};
+        let db = supplier_database().unwrap();
+        let (store, stats, hv) = (
+            ColumnStore::build(&db),
+            Statistics::collect(&db),
+            HostVars::new(),
+        );
+        let run = |sql: &str, license: bool| {
+            let query = uniq_sql::parse_query(sql).unwrap();
+            let query = uniq_plan::bind_query(db.catalog(), &query).unwrap();
+            let mut plan = plan_query(&query, Some(&stats), PlannerOptions::default());
+            let PhysNode::Block(block) = &mut plan.root else {
+                panic!("{sql} plans one block");
+            };
+            block.columnar |= license;
+            let mut exec = crate::Executor::new(&db, &hv).with_columns(Some(&store));
+            exec.run_with_plan(&query, &plan)
+        };
+        // The planner withholds the license from an OR, which the rows
+        // access answers; forcing the license on is a broken plan.
+        let sql = "SELECT P.PNO FROM PARTS P WHERE P.COLOR = 'RED' OR P.PNO = 1";
+        assert!(run(sql, false).is_ok());
+        assert!(matches!(
+            run(sql, true),
+            Err(uniq_types::Error::Internal(_))
+        ));
     }
 
     #[test]
@@ -1394,24 +1268,30 @@ mod tests {
                 bounds: None,
             }
         };
+        let key_col = |column, domain| KeyCol {
+            slot: 0,
+            column,
+            trans: None,
+            domain,
+        };
         let cap = DIRECT_SPAN_LIMIT + 1;
         let wide = column(vec![0, i64::MAX / 2]);
         let domain = build_domain(&wide, &[0, 1]);
         assert!(
-            DenseKey::new([(0, &wide, None, domain)], cap).is_none(),
+            DenseKey::new([key_col(&wide, domain)], cap).is_none(),
             "span too wide"
         );
         let narrow = column(vec![7, 9]);
         let domain = build_domain(&narrow, &[0, 1]);
         assert_eq!(domain, Domain { min: 7, width: 4 }, "NULL, 7, 8 and 9");
-        let key = DenseKey::new([(0, &narrow, None, domain)], cap).unwrap();
+        let key = DenseKey::new([key_col(&narrow, domain)], cap).unwrap();
         let slot_of = [0, 1].map(|r| match key.probe(&[r]) {
             Probe::Key(slot) => slot,
             _ => NO_SLOT,
         });
         let table = Postings::new(&[0, 1], &slot_of, key.slots);
         let probe = column(vec![7, 8, 9, 100, 6]);
-        let probe_key = DenseKey::new([(0, &probe, None, domain)], cap).unwrap();
+        let probe_key = DenseKey::new([key_col(&probe, domain)], cap).unwrap();
         let mut hits = Vec::new();
         let booked = table.probe(
             &[0, 1, 2, 3, 4],
@@ -1645,6 +1525,66 @@ mod tests {
         for (sql, before) in statements.iter().zip(before) {
             assert_ne!(agreed(&session, sql), before, "{sql} sees the new row");
         }
+    }
+
+    #[test]
+    fn encoded_filters_are_exact_at_the_domain_edges() {
+        let mut session = dense_session();
+        session
+            .run_script(
+                "CREATE TABLE NU (A INTEGER, B VARCHAR);
+                 INSERT INTO NU VALUES (NULL, NULL), (NULL, NULL);",
+            )
+            .unwrap();
+        // G.W holds both i64 extremes; G.V spans -3..=7 beside NULLs;
+        // H.T's dictionary is p, q, r and G.S's '', x, y; NU holds only
+        // NULLs. Literals sit below, at and above each domain's ends.
+        let (lo, hi) = ("-9223372036854775808", "9223372036854775807");
+        let cases: Vec<(&str, &str, Vec<&str>)> = vec![
+            ("G", "W", vec!["0", hi, lo, "-1", "NULL"]),
+            ("G", "V", vec!["-4", "-3", "0", "7", "8", "NULL"]),
+            ("H", "T", vec!["'a'", "'p'", "'q'", "'r'", "'z'", "NULL"]),
+            ("G", "S", vec!["''", "'w'", "'y'", "'z'"]),
+            ("NU", "A", vec!["0", hi, "NULL"]),
+            ("NU", "B", vec!["''", "'x'", "NULL"]),
+        ];
+        let mut sizes = Vec::new();
+        for (table, col, literals) in cases {
+            for lit in literals {
+                for op in ["=", "<>", "<", "<=", ">", ">="] {
+                    for cmp in [
+                        format!("{table}.{col} {op} {lit}"),
+                        format!("{lit} {op} {table}.{col}"),
+                    ] {
+                        let sql = format!("SELECT {table}.{col} FROM {table} WHERE {cmp}");
+                        sizes.push((cmp, agreed(&session, &sql).len()));
+                    }
+                }
+            }
+        }
+        let size = |cmp: &str| sizes.iter().find(|(c, _)| c == cmp).map(|&(_, n)| n);
+        // MIN, MAX, 0, MIN, NULL, MAX, 0, MIN, -1: eight non-NULL rows.
+        assert_eq!(size("G.W >= 0"), Some(4));
+        assert_eq!(size("G.W > 0"), Some(2));
+        assert_eq!(size("G.W <> 0"), Some(6));
+        assert_eq!(size(&format!("G.W >= {hi}")), Some(2));
+        assert_eq!(size(&format!("G.W <= {hi}")), Some(8));
+        assert_eq!(size(&format!("G.W > {hi}")), Some(0));
+        assert_eq!(size(&format!("G.W < {lo}")), Some(0));
+        assert_eq!(size(&format!("G.W <= {lo}")), Some(3));
+        assert_eq!(size(&format!("G.W <> {lo}")), Some(5));
+        assert_eq!(size("G.V < -3"), Some(0));
+        assert_eq!(size("G.V >= -3"), Some(7));
+        assert_eq!(size("G.V > 7"), Some(0));
+        assert_eq!(size("H.T > 'z'"), Some(0));
+        assert_eq!(size("H.T <> 'a'"), Some(7));
+        assert_eq!(size("G.S >= ''"), Some(7));
+        assert!(
+            (sizes.iter())
+                .filter(|(c, _)| c.contains("NULL") || c.contains("NU."))
+                .all(|&(_, n)| n == 0),
+            "NULL never qualifies"
+        );
     }
 
     #[test]

@@ -11,12 +11,11 @@
 //! block's tables through one of two access methods, chosen per block:
 //!
 //! * **encoded** — the column store's encodings, when the plan licenses
-//!   the block, the store is fresh and every conjunct compiles (see
-//!   [`crate::columnar`]). Scans and build sides are vectorized
-//!   filters, join keys are dictionary codes or integers, joins,
-//!   `DISTINCT` and grouping index a dense table by code words when the
-//!   key's domain is small and hash them otherwise, and only output
-//!   rows are decoded;
+//!   the block and the store is fresh (see [`crate::columnar`]). Scans
+//!   and build sides are vectorized filters, join keys are code words,
+//!   joins, `DISTINCT` and grouping index a dense table by code words
+//!   when the key's domain is small and hash them otherwise, and only
+//!   output rows are decoded;
 //! * **rows** — the stored rows, otherwise. The scan may go through a
 //!   planned index; a join step probes an index, re-scans the table
 //!   (nested loop), hashes borrowed values or forms a cross product;
@@ -332,8 +331,8 @@ impl<'a> Executor<'a> {
 
     /// Run one planned block: the scan, each join step, the projection
     /// and `DISTINCT`, through the encoded access when the block's
-    /// license, the store and its conjuncts allow it, through the stored
-    /// rows otherwise. The choice is made before any counter moves.
+    /// license holds and the store is fresh, through the stored rows
+    /// otherwise. The choice is made before any counter moves.
     /// `slices` makes the block a delta term (see [`Executor::block_rows`]).
     fn block(
         &mut self,
@@ -769,7 +768,7 @@ impl<'a> Executor<'a> {
         let hv = self.hostvars;
         match e {
             BoundExpr::Cmp { op, left, right } => {
-                cmp_tri(*op, scalar(hv, left, scope)?, scalar(hv, right, scope)?)
+                op.eval(scalar(hv, left, scope)?, scalar(hv, right, scope)?)
             }
             BoundExpr::Between {
                 scalar: s,
@@ -778,8 +777,8 @@ impl<'a> Executor<'a> {
                 negated,
             } => {
                 let v = scalar(hv, s, scope)?;
-                let lo = cmp_tri(CmpOp::Ge, v, scalar(hv, low, scope)?)?;
-                let t = lo.and(cmp_tri(CmpOp::Le, v, scalar(hv, high, scope)?)?);
+                let lo = CmpOp::Ge.eval(v, scalar(hv, low, scope)?)?;
+                let t = lo.and(CmpOp::Le.eval(v, scalar(hv, high, scope)?)?);
                 Ok(if *negated { t.not() } else { t })
             }
             BoundExpr::InList {
@@ -790,7 +789,7 @@ impl<'a> Executor<'a> {
                 let v = scalar(hv, s, scope)?;
                 let mut t = Tri::False;
                 for item in list {
-                    t = t.or(cmp_tri(CmpOp::Eq, v, scalar(hv, item, scope)?)?);
+                    t = t.or(CmpOp::Eq.eval(v, scalar(hv, item, scope)?)?);
                 }
                 Ok(if *negated { t.not() } else { t })
             }
@@ -824,7 +823,7 @@ impl<'a> Executor<'a> {
                 let mut t = Tri::False;
                 self.enumerate(subquery, scope, &mut |inner| {
                     if t != Tri::True {
-                        t = t.or(cmp_tri(CmpOp::Eq, v, inner.attr(attr)?)?);
+                        t = t.or(CmpOp::Eq.eval(v, inner.attr(attr)?)?);
                     }
                     Ok(false)
                 })?;
@@ -969,21 +968,6 @@ fn scalar<'v>(hostvars: &'v HostVars, s: &'v BScalar, scope: &Scope<'v>) -> Resu
         BScalar::HostVar(h) => hostvars.get(h),
         BScalar::Attr(a) => scope.value(a),
     }
-}
-
-/// Three-valued comparison of two values.
-fn cmp_tri(op: CmpOp, l: &Value, r: &Value) -> Result<Tri> {
-    Ok(match l.sql_cmp(r)? {
-        None => Tri::Unknown,
-        Some(ord) => Tri::from_bool(match op {
-            CmpOp::Eq => ord.is_eq(),
-            CmpOp::Ne => ord.is_ne(),
-            CmpOp::Lt => ord.is_lt(),
-            CmpOp::Le => ord.is_le(),
-            CmpOp::Gt => ord.is_gt(),
-            CmpOp::Ge => ord.is_ge(),
-        }),
-    })
 }
 
 /// `v`, unless it is `NULL`: a join key that can match.

@@ -44,7 +44,7 @@ pub mod setops;
 pub mod shared;
 pub mod stats;
 
-pub use columnar::{ColumnData, ColumnStore, TableColumns, DEFAULT_DICT_LIMIT};
+pub use columnar::{ColumnData, ColumnStore, TableColumns};
 pub use exec::Executor;
 pub use explain::render_trace;
 pub use ivm::{MaintenanceMode, ViewDelta};

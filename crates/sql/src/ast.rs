@@ -5,7 +5,7 @@
 //! *query specification* ([`QuerySpec`]) or a *query expression* combining
 //! two queries with a set operator ([`QueryExpr::SetOp`]).
 
-use uniq_types::{ColRef, ColumnName, DataType, HostVarName, TableName, Value};
+use uniq_types::{ColRef, ColumnName, DataType, HostVarName, Result, TableName, Tri, Value};
 
 /// A complete SQL statement.
 #[derive(Debug, Clone, PartialEq)]
@@ -395,6 +395,23 @@ impl CmpOp {
         }
     }
 
+    /// `l op r` under three-valued logic: unknown when either side is
+    /// `NULL`, an error when [`Value::sql_cmp`] cannot compare them.
+    #[inline]
+    pub fn eval(self, l: &Value, r: &Value) -> Result<Tri> {
+        Ok(match l.sql_cmp(r)? {
+            None => Tri::Unknown,
+            Some(ord) => Tri::from_bool(match self {
+                CmpOp::Eq => ord.is_eq(),
+                CmpOp::Ne => ord.is_ne(),
+                CmpOp::Lt => ord.is_lt(),
+                CmpOp::Le => ord.is_le(),
+                CmpOp::Gt => ord.is_gt(),
+                CmpOp::Ge => ord.is_ge(),
+            }),
+        })
+    }
+
     /// The operator's logical negation (`NOT (a op b)` ≡ `a op.negate() b`).
     ///
     /// Sound under three-valued logic: when either operand is `NULL` both
@@ -575,6 +592,37 @@ mod tests {
         ] {
             assert_eq!(op.flip().flip(), op);
             assert_eq!(op.negate().negate(), op);
+        }
+    }
+
+    #[test]
+    fn cmp_op_eval_is_three_valued() {
+        use CmpOp::*;
+        let (t, f) = (Tri::True, Tri::False);
+        // Each operator on (below, equal, above) the right operand.
+        let table = [
+            (Eq, [f, t, f]),
+            (Ne, [t, f, t]),
+            (Lt, [t, f, f]),
+            (Le, [t, t, f]),
+            (Gt, [f, f, t]),
+            (Ge, [f, t, t]),
+        ];
+        let ints = [1, 2, 3].map(Value::Int);
+        let strs = ["a", "b", "c"].map(Value::str);
+        for (op, expected) in table {
+            for column in [&ints, &strs] {
+                for (l, want) in column.iter().zip(expected) {
+                    assert_eq!(op.eval(l, &column[1]).unwrap(), want, "{l:?} {op:?}");
+                    assert_eq!(op.flip().eval(&column[1], l).unwrap(), want);
+                }
+            }
+            for (l, r) in [(&Value::Null, &ints[1]), (&strs[0], &Value::Null)] {
+                assert_eq!(op.eval(l, r).unwrap(), Tri::Unknown, "{op:?}");
+            }
+            assert_eq!(op.eval(&Value::Null, &Value::Null).unwrap(), Tri::Unknown);
+            let err = ints[0].sql_cmp(&strs[0]).unwrap_err();
+            assert_eq!(op.eval(&ints[0], &strs[0]).unwrap_err(), err, "{op:?}");
         }
     }
 
