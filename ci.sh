@@ -126,6 +126,17 @@ lane -p uniq-catalog index
 lane -p uniq-engine index
 cargo test -q -p uniqueness --test index_agreement
 lane -p uniq-bench e19
+# The priced access choice: on perfbench-shaped data, unselective index
+# blocks are licensed columnar and keep their index licenses, a unique
+# point lookup keeps its index scan on rows, the early-stop block is
+# priced at the limit's rows and keeps its plan, and blocks carrying both
+# licenses answer alike served, on the row path and unoptimized, after
+# an INSERT and on a snapshot older than the column store.
+lane -p uniqueness --test index_agreement -- \
+    unselective_index_blocks_are_licensed_columnar_and_keep_their_index_licenses \
+    a_unique_point_lookup_keeps_its_index_scan_and_no_columnar_license \
+    the_early_stop_block_is_priced_at_the_limits_rows_and_keeps_its_plan \
+    blocks_with_both_licenses_agree_served_on_rows_and_unoptimized
 
 echo "==> fast lane: U-semiring proof checker (soundness + adversarial corpus)"
 cargo test -q -p uniq-proof
@@ -244,6 +255,12 @@ echo "==> E22 in release: subscription oracle rounds, maintenance work bars, pub
 # doubles; the binary asserts all three. An experiment name report does
 # not know must fail instead of running nothing.
 ./target/release/report e22
+# E24 asserts the priced access choice's plan facts on perfbench's data
+# (statements 3-5 encoded with their index licenses, the other analytic
+# statements, the oltp shapes and the views as before) and that the
+# analytic statements answer alike served, on rows and unoptimized; its
+# prices and timings are printed, not asserted.
+./target/release/report e24
 if ./target/release/report e99 > /dev/null 2>&1; then
     echo "error: 'report e99' exited 0 for an unknown experiment" >&2
     exit 1

@@ -95,7 +95,7 @@ const E21_RUNS: usize = 5;
 type Experiment = fn(&mut Metrics);
 
 /// Every experiment, by the name `report` takes, in run order.
-const EXPERIMENTS: [(&str, Experiment); 22] = [
+const EXPERIMENTS: [(&str, Experiment); 23] = [
     ("e1", |_| e1_paper_examples()),
     ("e2", |_| e2_distinct_removal(RUNS)),
     ("e3", |_| e3_corpus()),
@@ -118,6 +118,7 @@ const EXPERIMENTS: [(&str, Experiment); 22] = [
     ("e21", e21_server),
     ("e22", e22_subscriptions),
     ("e23", e23_agg_topk),
+    ("e24", e24_priced_access),
 ];
 
 fn main() {
@@ -890,16 +891,26 @@ fn e22_publish_time(m: &mut Metrics) {
     m.push("E22", "write_p50_us_three_views", write_p50, false);
 }
 
-/// `suppliers` × 10 parts × 2 agents, perfbench's shape, with
-/// `INDEX_DDL` and then `ddl`'s join-column indexes.
-fn indexed_data(suppliers: usize, ddl: &str) -> uniqueness::catalog::Database {
+/// The join-column indexes perfbench adds to `INDEX_DDL`.
+const JOIN_INDEX_DDL: &str =
+    "CREATE INDEX IDX_P_SNO ON PARTS (SNO); CREATE INDEX IDX_A_SNO ON AGENTS (SNO);";
+
+/// `suppliers` × 10 parts × 2 agents, perfbench's shape, without
+/// secondary indexes.
+fn perfbench_data(suppliers: usize) -> uniqueness::catalog::Database {
     let cfg = ScaleConfig {
         suppliers,
         parts_per_supplier: 10,
         agents_per_supplier: 2,
         ..Default::default()
     };
-    let mut db = scaled_database(&cfg).expect("scaled database");
+    scaled_database(&cfg).expect("scaled database")
+}
+
+/// [`perfbench_data`] with `INDEX_DDL` and then `ddl`'s join-column
+/// indexes.
+fn indexed_data(suppliers: usize, ddl: &str) -> uniqueness::catalog::Database {
+    let mut db = perfbench_data(suppliers);
     db.run_script(INDEX_DDL)
         .and_then(|()| db.run_script(ddl))
         .expect("index set");
@@ -1119,6 +1130,34 @@ fn e19_index_access(m: &mut Metrics) {
         lookups.len()
     );
 
+    // Time beside the work ratio: one pass over the corpus by each
+    // contender on the row path and served, 21 rounds with the four
+    // passes in a rotating order; p50 with quartiles, not asserted.
+    let passes: [(&str, &Session, Runner); 4] = [
+        ("full_row_pass", full, row_path),
+        ("indexed_row_pass", ix, row_path),
+        ("full_served_pass", full, Session::query),
+        ("indexed_served_pass", ix, Session::query),
+    ];
+    let mut samples = vec![Vec::new(); passes.len()];
+    for round in 0..21 {
+        for k in 0..passes.len() {
+            let i = (round + k) % passes.len();
+            let (_, session, run) = passes[i];
+            let t = Instant::now();
+            for sql in &corpus {
+                run(session, sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
+            }
+            samples[i].push(micros(t.elapsed()));
+        }
+    }
+    println!("\none corpus pass, p50 [quartiles] of 21 rounds (not asserted):");
+    for ((name, _, _), samples) in passes.iter().zip(samples) {
+        let q = quartiles(samples);
+        println!("  {name:<20} {:>9.1} µs [{:.1}, {:.1}]", q[1], q[0], q[2]);
+        push_quartiles(m, "E19", &format!("{name}_p50_us"), q, false);
+    }
+
     let explain = ix.explain(E19_INDEX_JOIN).expect("explain");
     let scan = explain
         .lines()
@@ -1325,10 +1364,7 @@ const ANALYTIC: [&str; 8] = [
 /// over perfbench's data and index set; and, from the same 21 runs,
 /// each statement's p50 (statement 7 over both of its runs per block).
 fn e18_analytic_block(m: &mut Metrics) {
-    let db = indexed_data(
-        2_000,
-        "CREATE INDEX IDX_P_SNO ON PARTS (SNO); CREATE INDEX IDX_A_SNO ON AGENTS (SNO);",
-    );
+    let db = indexed_data(2_000, JOIN_INDEX_DDL);
     let session = Session::new(db).with_cost_based();
     let block = || ANALYTIC.iter().enumerate().chain([(7, &ANALYTIC[7])]);
     // Each statement's times go to `statements[i]`.
@@ -1356,6 +1392,353 @@ fn e18_analytic_block(m: &mut Metrics) {
         let [_, p50, _] = quartiles(samples);
         println!("  statement {i}: p50 {p50:.0} µs");
         m.push("E18", &format!("analytic_stmt{i}_p50_us"), p50, false);
+    }
+}
+
+/// perfbench's seven `oltp` shapes, restated; `{k}` is a supplier key.
+const OLTP_SHAPES: [&str; 7] = [
+    "SELECT S.SNO, S.SNAME, S.SCITY FROM SUPPLIER S WHERE S.SNO = {k}",
+    "SELECT S.SNAME, P.PNO, P.COLOR FROM SUPPLIER S, PARTS P \
+     WHERE S.SNO = P.SNO AND S.SNO = {k}",
+    "SELECT DISTINCT S.SNO, P.PNO, P.PNAME FROM SUPPLIER S, PARTS P \
+     WHERE S.SNO = P.SNO AND S.SNO = {k}",
+    "SELECT S.SNO, S.SNAME FROM SUPPLIER S WHERE S.SNO = {k} AND EXISTS \
+     (SELECT * FROM PARTS P WHERE P.SNO = S.SNO AND P.PNO = 2)",
+    "SELECT DISTINCT S.SNO, S.SNAME FROM SUPPLIER S WHERE S.SNO = {k} AND EXISTS \
+     (SELECT * FROM PARTS P WHERE P.SNO = S.SNO AND P.PNO = 1) AND EXISTS \
+     (SELECT * FROM AGENTS A WHERE A.SNO = S.SNO AND A.ANO = 2)",
+    "SELECT S.SNO, P.PNO, COUNT(*) AS N FROM SUPPLIER S, PARTS P \
+     WHERE S.SNO = P.SNO AND S.SNO = {k} GROUP BY S.SNO, P.PNO",
+    "SELECT S.SNO, S.SNAME FROM SUPPLIER S WHERE S.SNO <= {k} ORDER BY S.SNO LIMIT 10",
+];
+
+/// perfbench's `write_subscribe` views (set, counting and recompute
+/// tiers), restated.
+const VIEWS: [&str; 3] = [
+    "SELECT DISTINCT S.SNO, P.PNO FROM SUPPLIER S, PARTS P WHERE S.SNO = P.SNO",
+    "SELECT DISTINCT P.COLOR, S.SCITY FROM PARTS P, SUPPLIER S WHERE P.SNO = S.SNO",
+    "SELECT S.SCITY, COUNT(*) AS N FROM SUPPLIER S, PARTS P \
+     WHERE S.SNO = P.SNO GROUP BY S.SCITY",
+];
+
+/// The `analytic` statements whose index plans the priced choice moves
+/// to the encoded access: the `INTERSECT ALL` and `EXCEPT ALL` over the
+/// `COLOR` index scan, and the `EXISTS` that Corollary 1 makes a join
+/// probing `IDX_P_SNO`.
+const E24_MOVED: [usize; 3] = [3, 4, 5];
+
+/// E24 — the one access choice priced in nanoseconds, on perfbench's
+/// data (2,000 suppliers × 10 parts × 2 agents, ANALYZEd), with and
+/// without its secondary indexes:
+///
+/// 1. each per-unit price of `uniq-cost`'s `price` module beside its
+///    measurement on this host, one probe statement per unit;
+/// 2. the plan facts, asserted: [`E24_MOVED`] run encoded with their
+///    index licenses kept, the other `analytic` statements plan as they
+///    do without the indexes, every `oltp` shape keeps its index plan
+///    on the rows access, and the views stay encoded and unpriced; the 8
+///    statements answer alike served, on the row path and unoptimized;
+/// 3. each `analytic` statement's p50 served and under each forced
+///    alternative (the index plan, the encoded plan, row hash), printed.
+fn e24_priced_access(m: &mut Metrics) {
+    header(
+        "E24",
+        "index operators against the encoded access, priced in ns",
+    );
+    let plain = Session::new(perfbench_data(2_000)).with_cost_based();
+    let indexed = Session::new(indexed_data(2_000, JOIN_INDEX_DDL)).with_cost_based();
+    e24_prices(m, &plain, &indexed);
+    e24_plan_facts(m, &plain, &indexed);
+    e24_times(m, &plain, &indexed);
+}
+
+/// Measure each price with one probe statement whose time its unit
+/// dominates: the probe's p50, less its other units priced at their
+/// checked-in constants, over the unit's count, taken from the probe's
+/// counters (a hash or keyed step's build rows from the data: 20,000
+/// parts, 2,000 suppliers). The probes run interleaved, 21 rounds of all
+/// of them in a rotating order, so a drifting host slows each alike.
+fn e24_prices(m: &mut Metrics, plain: &Session, indexed: &Session) {
+    use uniqueness::cost::price::PRICES;
+    // No supplier has a negative budget: PARTS is built, never probed.
+    let build_only =
+        "SELECT S.SNO, P.PNO FROM SUPPLIER S, PARTS P WHERE S.SNO = P.SNO AND S.BUDGET < 0";
+    // One part per supplier probes SUPPLIER's key; projecting a SUPPLIER
+    // column keeps the join from being eliminated.
+    let probed =
+        "SELECT P.PNO, S.BUDGET FROM PARTS P, SUPPLIER S WHERE S.SNO = P.SNO AND P.PNO = 1";
+    // A probe's units, in `PRICES` order: row read, index probe, probe
+    // step, hash build, hash probe, projected row, vector op, encoded
+    // build, encoded probe, materialized row.
+    type Counts = [u64; 10];
+    let rows_access = |s: &ExecStats, build: u64| -> Counts {
+        let out = s.rows_output;
+        let (read, ix, steps, probes) = (s.rows_scanned, s.ix_probes, s.probe_steps, s.hash_probes);
+        // A hash step's probe steps are its postings, priced with its probes.
+        let steps = if build > 0 { 0 } else { steps };
+        [read, ix, steps, build, probes, out, 0, 0, 0, 0]
+    };
+    let encoded = |s: &ExecStats, build: u64| -> Counts {
+        // A keyed step's probes: one probe step each on SUPPLIER's key.
+        let probes = if build > 0 { s.probe_steps } else { 0 };
+        [
+            0,
+            0,
+            0,
+            0,
+            0,
+            0,
+            s.vector_ops,
+            build,
+            probes,
+            s.materialized_rows,
+        ]
+    };
+    let parts_scan = "SELECT P.SNO FROM PARTS P WHERE P.PNO >= 0";
+    // (session, access, statement, build rows, the unit it measures)
+    let probes: [(&Session, bool, &str, u64, usize); 10] = [
+        (
+            plain,
+            false,
+            "SELECT P.PNO FROM PARTS P WHERE P.PNO < 0",
+            0,
+            0,
+        ),
+        (plain, false, parts_scan, 0, 5),
+        (
+            indexed,
+            false,
+            "SELECT P.PNO FROM PARTS P WHERE P.COLOR = 'RED'",
+            0,
+            2,
+        ),
+        (
+            indexed,
+            false,
+            "SELECT S.SNO FROM SUPPLIER S, PARTS P WHERE P.SNO = S.SNO AND P.PNO < 0",
+            0,
+            1,
+        ),
+        (plain, false, build_only, 20_000, 3),
+        (plain, false, probed, 2_000, 4),
+        (
+            plain,
+            true,
+            "SELECT P.PNO FROM PARTS P WHERE P.PNO >= 0 AND P.SNO >= 0 AND P.PNO < 0",
+            0,
+            6,
+        ),
+        (plain, true, parts_scan, 0, 9),
+        (plain, true, build_only, 20_000, 7),
+        (plain, true, probed, 2_000, 8),
+    ];
+    let run = |&(session, served, sql, _, _): &(&Session, bool, &str, u64, usize)| {
+        let out = if served {
+            session.query(sql)
+        } else {
+            row_path(session, sql)
+        };
+        out.unwrap_or_else(|e| panic!("{sql}: {e}"))
+    };
+    let counts: Vec<Counts> = (probes.iter())
+        .map(|p| {
+            let stats = run(p).stats;
+            if p.1 {
+                encoded(&stats, p.3)
+            } else {
+                rows_access(&stats, p.3)
+            }
+        })
+        .collect();
+    let mut samples = vec![Vec::new(); probes.len()];
+    for round in 0..21 {
+        for k in 0..probes.len() {
+            let i = (round + k) % probes.len();
+            let t = Instant::now();
+            std::hint::black_box(run(&probes[i]));
+            samples[i].push(t.elapsed().as_nanos() as f64);
+        }
+    }
+    let mut measured = [0.0; 10];
+    for ((samples, counts), probe) in samples.into_iter().zip(&counts).zip(&probes) {
+        let unit = probe.4;
+        let others: f64 = (PRICES.iter().zip(counts).enumerate())
+            .filter(|(v, _)| *v != unit)
+            .map(|(_, ((_, price), &count))| price * count as f64)
+            .sum();
+        measured[unit] = (quartiles(samples)[1] - others) / counts[unit] as f64;
+    }
+    println!(
+        "prices (ns per unit): checked-in constant beside its measurement here, \
+         each from one probe statement's p50 over 21 interleaved rounds, its other \
+         units at their constants (not asserted)"
+    );
+    println!("  {:<12} {:>9} {:>9}", "unit", "constant", "measured");
+    for ((name, constant), measured) in PRICES.iter().zip(measured) {
+        println!("  {name:<12} {constant:>9.1} {measured:>9.1}");
+        m.push("E24", &format!("price_{name}_ns"), *constant, false);
+        m.push("E24", &format!("measured_{name}_ns"), measured, false);
+    }
+}
+
+/// The cost-based plan section of `sql`'s EXPLAIN.
+fn e24_plan(session: &Session, sql: &str) -> String {
+    let explain = session
+        .explain(sql)
+        .unwrap_or_else(|e| panic!("{sql}: {e}"));
+    let (_, plan) = explain
+        .split_once("Cost-based plan (est/act rows):")
+        .unwrap_or_else(|| panic!("{sql}: no cost-based plan\n{explain}"));
+    plan.to_string()
+}
+
+/// The deterministic facts of the priced choice, asserted.
+fn e24_plan_facts(m: &mut Metrics, plain: &Session, indexed: &Session) {
+    println!("\nplans on perfbench's index set:");
+    for (i, sql) in ANALYTIC.iter().enumerate() {
+        let plan = e24_plan(indexed, sql);
+        if E24_MOVED.contains(&i) {
+            let out = indexed.query(sql).expect("query");
+            assert!(
+                out.stats.vector_ops > 0,
+                "statement {i} not encoded: {plan}"
+            );
+            assert!(
+                plan.contains("exec=columnar") && plan.contains(" price("),
+                "statement {i}: {plan}"
+            );
+            assert!(
+                plan.contains("ixscan(") || plan.contains("ixjoin("),
+                "statement {i} lost its index license: {plan}"
+            );
+            let line = plan.lines().find(|l| l.contains(" price(")).unwrap_or("");
+            println!("  statement {i}: encoded, {}", line.trim());
+        } else {
+            assert_eq!(
+                plan,
+                e24_plan(plain, sql),
+                "statement {i} plans differently with the index set"
+            );
+            assert!(!plan.contains(" price("), "statement {i}: {plan}");
+            println!("  statement {i}: the plan it has without the indexes");
+        }
+        let hv = HostVars::new();
+        let sorted = |rows: Vec<Vec<Value>>| {
+            let mut rows = rows;
+            rows.sort_by(|a, b| uniqueness::types::value::tuple_null_cmp(a, b).unwrap());
+            rows
+        };
+        let served = sorted(indexed.query(sql).expect("served").rows);
+        let on_rows = sorted(indexed.query_row_path(sql, &hv).expect("row path").rows);
+        let oracle = sorted(indexed.query_unoptimized(sql, &hv).expect("oracle").rows);
+        assert_eq!(served, on_rows, "statement {i}: served and row path differ");
+        assert_eq!(
+            served, oracle,
+            "statement {i}: served and unoptimized differ"
+        );
+    }
+    m.push(
+        "E24",
+        "moved_statements_encoded",
+        E24_MOVED.len() as f64,
+        true,
+    );
+    m.push("E24", "statements_agreeing", ANALYTIC.len() as f64, true);
+
+    for shape in OLTP_SHAPES {
+        for k in [17, 3_999] {
+            let sql = shape.replace("{k}", &k.to_string());
+            let plan = e24_plan(indexed, &sql);
+            assert!(
+                plan.contains("ixscan(") && !plan.contains("exec=columnar"),
+                "{sql} left its index plan: {plan}"
+            );
+        }
+    }
+    println!(
+        "  oltp: all {} shapes keep their index plans on the rows access",
+        OLTP_SHAPES.len()
+    );
+    m.push("E24", "oltp_shapes_indexed", OLTP_SHAPES.len() as f64, true);
+    for sql in VIEWS {
+        let plan = e24_plan(indexed, sql);
+        assert!(
+            plan.contains("exec=columnar") && !plan.contains(" price("),
+            "{sql}: {plan}"
+        );
+        assert!(
+            !plan.contains("ixscan(") && !plan.contains("ixjoin("),
+            "{sql}: {plan}"
+        );
+    }
+    println!(
+        "  views: all {} encoded, no index operator to price",
+        VIEWS.len()
+    );
+    m.push("E24", "views_encoded", VIEWS.len() as f64, true);
+}
+
+/// Each `analytic` statement served and under each forced alternative:
+/// the index plan (`query_row_path` on the indexed data), the encoded
+/// plan (served without the secondary indexes) and row hash
+/// (`query_row_path` without them). 21 rounds, the four in a rotating
+/// order; p50 with quartiles, and the served plan's p50 over the fastest
+/// alternative's, with and without the index set. Printed, not asserted.
+fn e24_times(m: &mut Metrics, plain: &Session, indexed: &Session) {
+    let contenders: [(&str, &Session, Runner); 4] = [
+        ("served", indexed, Session::query),
+        ("index", indexed, row_path),
+        ("encoded", plain, Session::query),
+        ("rowhash", plain, row_path),
+    ];
+    println!(
+        "\np50 µs [quartiles] of 21 rounds; served/fastest with the index set \
+         and without it (where the encoded plan is the served one):"
+    );
+    println!(
+        "  {:<4} {:>22} {:>22} {:>22} {:>22} {:>7} {:>7}",
+        "stmt", "served", "index", "encoded", "row hash", "ix", "no ix"
+    );
+    for (i, sql) in ANALYTIC.iter().enumerate() {
+        for (_, session, run) in contenders {
+            run(session, sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
+        }
+        let mut samples = vec![Vec::new(); contenders.len()];
+        for round in 0..21 {
+            for k in 0..contenders.len() {
+                let c = (round + k) % contenders.len();
+                let (_, session, run) = contenders[c];
+                let t = Instant::now();
+                std::hint::black_box(run(session, sql).expect("query"));
+                samples[c].push(micros(t.elapsed()));
+            }
+        }
+        let q: Vec<[f64; 3]> = samples.into_iter().map(quartiles).collect();
+        let fastest = q[1..].iter().map(|q| q[1]).fold(f64::INFINITY, f64::min);
+        let (ix_ratio, plain_ratio) = (q[0][1] / fastest, q[2][1] / fastest);
+        let cell = |q: &[f64; 3]| format!("{:.0} [{:.0}, {:.0}]", q[1], q[0], q[2]);
+        println!(
+            "  {i:<4} {:>22} {:>22} {:>22} {:>22} {ix_ratio:>6.2}x {plain_ratio:>6.2}x",
+            cell(&q[0]),
+            cell(&q[1]),
+            cell(&q[2]),
+            cell(&q[3])
+        );
+        for ((name, _, _), q) in contenders.iter().zip(&q) {
+            m.push("E24", &format!("stmt{i}_{name}_p50_us"), q[1], false);
+        }
+        m.push(
+            "E24",
+            &format!("stmt{i}_served_ix_over_fastest"),
+            ix_ratio,
+            false,
+        );
+        m.push(
+            "E24",
+            &format!("stmt{i}_served_plain_over_fastest"),
+            plain_ratio,
+            false,
+        );
     }
 }
 

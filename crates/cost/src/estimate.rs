@@ -150,13 +150,27 @@ impl<'a> Estimator<'a> {
         }
     }
 
-    /// Product of the projected columns' active domains — the largest
-    /// number of pairwise-distinct output tuples the projection admits.
+    /// The largest number of pairwise-distinct output tuples the
+    /// projection admits: the product, over the `FROM` entries, of that
+    /// entry's projected columns' active domains, each entry's factor
+    /// capped at its table's row count. The cap is a key bound (Chen and
+    /// Schneider's SPJU bounds): an output tuple's columns from one entry
+    /// come from one row of it, so they take at most as many values as
+    /// the table has rows. Two aliases of one table count separately.
     pub fn projection_domain(&self, spec: &BoundSpec) -> f64 {
-        spec.projection
-            .iter()
-            .map(|p| self.attr_domain(spec, p.attr))
-            .product()
+        let mut factors: Vec<Option<f64>> = vec![None; spec.from.len()];
+        let mut other = 1.0;
+        for p in &spec.projection {
+            let domain = self.attr_domain(spec, p.attr);
+            match spec.table_of(p.attr) {
+                Some(t) => *factors[t].get_or_insert(1.0) *= domain,
+                None => other *= domain,
+            }
+        }
+        (spec.from.iter().zip(factors))
+            .filter_map(|(t, f)| Some(f?.min(self.table_rows(&t.schema.name))))
+            .product::<f64>()
+            * other
     }
 
     /// The uniqueness-derived hard upper bound on the block's output
@@ -356,13 +370,40 @@ mod tests {
         let (stats, q) = spec_of("SELECT DISTINCT P.SNO, P.PNO FROM PARTS P");
         let est = Estimator::new(&stats);
         let bound = est.unique_output_bound(q.as_spec().unwrap()).unwrap();
-        // Domains: SNO has 4 distinct values, PNO has 5 (10..14).
-        assert_eq!(bound, 20.0);
+        // Domains: SNO has 4 distinct values, PNO has 5 (10..14), but
+        // both come from one PARTS row and the table has 7 rows.
+        assert_eq!(bound, 7.0);
 
         // Projecting COLOR alone → not provable, no bound.
         let (stats2, q2) = spec_of("SELECT DISTINCT P.COLOR FROM PARTS P");
         let est2 = Estimator::new(&stats2);
         assert!(est2.unique_output_bound(q2.as_spec().unwrap()).is_none());
+    }
+
+    #[test]
+    fn projection_domains_are_capped_by_each_entrys_rows() {
+        // Statement 5's shape after Corollary 1: SNO and SNAME have 5
+        // values each, but both come from one SUPPLIER row, and the table
+        // has 5 rows, so at most 5 distinct tuples, not 25.
+        let (stats, q) = spec_of(
+            "SELECT DISTINCT S.SNO, S.SNAME FROM SUPPLIER S, PARTS P \
+             WHERE P.SNO = S.SNO AND P.COLOR = 'RED'",
+        );
+        let est = Estimator::new(&stats);
+        assert_eq!(est.projection_domain(q.as_spec().unwrap()), 5.0);
+        // Two aliases of PARTS (7 rows) count separately: each alias's
+        // SNO × PNO domain (4 × 5 = 20) is capped at 7.
+        let (stats2, q2) =
+            spec_of("SELECT DISTINCT P.SNO, P.PNO, Q.SNO, Q.PNO FROM PARTS P, PARTS Q");
+        let est2 = Estimator::new(&stats2);
+        assert_eq!(est2.projection_domain(q2.as_spec().unwrap()), 49.0);
+        // A factor below its table's rows is left alone (3 cities × 3
+        // colors).
+        let (stats3, q3) = spec_of(
+            "SELECT DISTINCT S.SCITY, P.COLOR FROM SUPPLIER S, PARTS P WHERE S.SNO = P.SNO",
+        );
+        let est3 = Estimator::new(&stats3);
+        assert_eq!(est3.projection_domain(q3.as_spec().unwrap()), 9.0);
     }
 
     #[test]

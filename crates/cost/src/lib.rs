@@ -25,6 +25,10 @@
 //! * [`physical`] — the physical-plan IR the executor consumes, with an
 //!   operator registry carrying estimates so `EXPLAIN` can print
 //!   `est=… act=…` per operator.
+//! * [`price`] — the one choice priced in nanoseconds: a covered block
+//!   with an index operator runs on the encoded access or on the rows
+//!   access with its index, whichever the checked-in per-unit prices
+//!   make cheaper.
 //! * [`sarg`] — sargability analysis matching `WHERE` conjuncts to
 //!   secondary indexes: point/range extraction for `IxScan` access
 //!   paths and probe-key derivation for `IxJoin` steps, shared with the
@@ -32,23 +36,25 @@
 //! * [`card`] — per-operator estimated-vs-actual reports and q-error
 //!   aggregation for batch runs.
 //!
-//! Costs are expressed in the executor's own work units
+//! Every other cost is expressed in the executor's own work units
 //! (`rows_scanned`, `sort_comparisons`, `hash_probes`), so "cheaper by
 //! the model" is falsifiable against `ExecStats` — experiment E16 does
-//! exactly that.
+//! exactly that. The access choice's prices are checked against wall
+//! clock by experiment E24.
 
 pub mod card;
 pub mod estimate;
 pub mod physical;
 pub mod planner;
+pub mod price;
 pub mod sarg;
 pub mod stats;
 
 pub use card::{CardReport, CardRow, QErrorStats};
 pub use estimate::Estimator;
 pub use physical::{
-    BlockPlan, DistinctMethod, DistinctStep, JoinMethod, JoinStep, OpId, OpInfo, OutputOp,
-    PhysNode, PhysicalPlan,
+    AccessPrices, BlockPlan, DistinctMethod, DistinctStep, JoinMethod, JoinStep, OpId, OpInfo,
+    OutputOp, PhysNode, PhysicalPlan,
 };
 pub use planner::{plan_delta, plan_output, plan_query, PlannerOptions};
 pub use sarg::{find_index_probe, find_index_sarg, IndexProbe, IndexSarg, ProbeSource};

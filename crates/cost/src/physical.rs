@@ -74,7 +74,12 @@ pub struct JoinStep {
     /// [`Justification::IndexAccess`] license (no sarg): like
     /// [`BlockPlan::columnar`] it is a **license, not a promise** — the
     /// executor re-derives the probe from the spec and live catalog and
-    /// falls back to [`JoinStep::method`] on disagreement.
+    /// falls back to [`JoinStep::method`] on disagreement. It is the
+    /// rows access's choice: it stays on the plan when the block is
+    /// licensed columnar, for `query_row_path` and for a stale column
+    /// store, and the encoded access, which keys every step on its own
+    /// dense or hashed table, ignores it (the step is then labelled
+    /// `HashJoin`, with its `ixjoin(…)` marker).
     pub ix: Option<Justification>,
 }
 
@@ -104,13 +109,15 @@ pub struct BlockPlan {
     /// The planner proved every conjunct and join step of this block is
     /// covered by the vectorized columnar kernels, so the executor may
     /// run it on dictionary codes with late materialization (rendered
-    /// as `exec=columnar` on the scan line). Every cost-based plan sets
-    /// it on each covered block; fixed plans never do. This flag is the
-    /// one decision of coverage: the executor re-checks only that the
-    /// column store is fresh for the database, and reads the stored rows
-    /// when it is missing or stale — the flag is a license, not a
-    /// promise. A licensed block the kernels cannot compile is an
-    /// internal error.
+    /// as `exec=columnar` on the scan line). A cost-based plan sets it on
+    /// each covered block without an index operator, and on a covered
+    /// block with one exactly when the encoded access is the cheaper of
+    /// the two priced in [`BlockPlan::price`]; fixed plans never set it.
+    /// This flag is the one decision of coverage: the executor re-checks
+    /// only that the column store is fresh for the database, and reads
+    /// the stored rows when it is missing or stale — the flag is a
+    /// license, not a promise. A licensed block the kernels cannot
+    /// compile is an internal error.
     pub columnar: bool,
     /// Serve the initial scan through a secondary index instead of a
     /// full table scan (rendered as `ixscan(name, sarg)` on the scan
@@ -120,6 +127,39 @@ pub struct BlockPlan {
     /// estimate the hard bound 1, not a guess — and declares the
     /// candidate key the `uniq-proof` checker takes as an axiom.
     pub ixscan: Option<Justification>,
+    /// Both accesses' estimated times, when the planner priced them: on
+    /// a covered block with an index operator (rendered as
+    /// `price(enc=… ix=…)` on the scan line). `None` on every other
+    /// block.
+    pub price: Option<AccessPrices>,
+}
+
+/// The estimated time of a block on each access (see
+/// [`crate::price`]), in nanoseconds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AccessPrices {
+    /// The encoded access: full vectorized scans and keyed steps.
+    pub encoded_ns: u64,
+    /// The rows access with the block's index operators.
+    pub index_ns: u64,
+}
+
+/// `ns` as a time with two significant digits: `0.41ms`, `2.9ms`,
+/// `12ms`, or in µs below 0.1 ms (`35µs`, `0.18µs`).
+fn fmt_ns(ns: u64) -> String {
+    let (value, unit) = if ns >= 100_000 {
+        (ns as f64 / 1e6, "ms")
+    } else {
+        (ns as f64 / 1e3, "µs")
+    };
+    let digits = if value >= 10.0 {
+        0
+    } else if value >= 1.0 {
+        1
+    } else {
+        2
+    };
+    format!("{value:.digits$}{unit}")
 }
 
 /// A node of the physical plan, structurally parallel to the bound
@@ -308,6 +348,13 @@ impl PhysicalPlan {
                 if block.columnar {
                     suffix.push_str(" exec=columnar");
                 }
+                if let Some(p) = &block.price {
+                    suffix.push_str(&format!(
+                        " price(enc={} ix={})",
+                        fmt_ns(p.encoded_ns),
+                        fmt_ns(p.index_ns)
+                    ));
+                }
                 self.line(block.scan, depth + 1, actuals, &suffix, out);
             }
             PhysNode::SetOp {
@@ -366,6 +413,7 @@ mod tests {
                 }),
                 columnar: false,
                 ixscan: None,
+                price: None,
             }),
             output: Vec::new(),
             estimated: true,
@@ -445,6 +493,41 @@ mod tests {
             rendered.contains("ixjoin(IDX_PARTS) unique=yes"),
             "{rendered}"
         );
+    }
+
+    #[test]
+    fn priced_blocks_render_both_prices_on_the_scan_line() {
+        let mut plan = tiny_plan();
+        if let PhysNode::Block(b) = &mut plan.root {
+            b.columnar = true;
+            b.joins[0].ix = Some(Justification::ix_join("IDX_PARTS", false));
+            b.price = Some(AccessPrices {
+                encoded_ns: 410_000,
+                index_ns: 2_940_000,
+            });
+        }
+        let rendered = plan.render(0, None);
+        assert!(
+            rendered.contains(
+                "Scan SUPPLIER AS S est=5 act=? exec=columnar price(enc=0.41ms ix=2.9ms)"
+            ),
+            "{rendered}"
+        );
+        assert!(
+            rendered
+                .contains("HashJoin with Scan PARTS AS P est=7 act=? ixjoin(IDX_PARTS) unique=no"),
+            "{rendered}"
+        );
+        assert_eq!(rendered.matches("price(").count(), 1, "{rendered}");
+        for (ns, text) in [
+            (140, "0.14µs"),
+            (35_200, "35µs"),
+            (9_400, "9.4µs"),
+            (100_000, "0.10ms"),
+            (12_400_000, "12ms"),
+        ] {
+            assert_eq!(fmt_ns(ns), text);
+        }
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! query block it chooses a join input order (greedy: start from the
 //! smallest filtered table, then repeatedly add the table minimizing the
 //! estimated intermediate size) and, per pipeline step, a physical
-//! method. Costs are expressed in the executor's own counters so the
-//! model is falsifiable:
+//! method. These costs are expressed in the executor's own counters so
+//! the model is falsifiable:
 //!
 //! * a nested-loop step re-scans its table once per outer partial →
 //!   `outer × rows` scans;
@@ -14,15 +14,26 @@
 //!   outer partial → `rows + outer`;
 //! * a cross step (no equality keys) materializes the build side once →
 //!   `rows` scans;
+//! * an index probe step costs one probe per outer partial plus the rows
+//!   it emits, and an index scan is taken when it reads fewer rows than
+//!   the full scan;
 //! * sort-based duplicate elimination costs `n·log₂n` comparisons,
 //!   hash-based costs `n` probes.
+//!
+//! One choice is priced in nanoseconds instead ([`crate::price`]): the
+//! access of a block the encoded kernels cover. Without an index
+//! operator such a block is licensed columnar. With one, the rows access
+//! through the index and the encoded access over the same join order are
+//! both priced from the block's estimates, the license goes to the
+//! cheaper, and both prices are kept on the plan for `EXPLAIN`. The index
+//! licenses stay either way: they are the rows access's plan.
 //!
 //! Two provable caps tighten the estimates: a join whose equality keys
 //! cover a candidate key of the incoming table emits at most the outer
 //! side (each outer partial matches at most one row), and a block
 //! proved duplicate-free by Algorithm 1 / the FD test emits at most the
-//! product of its projected columns' active domains
-//! ([`Estimator::unique_output_bound`]).
+//! product of its projected columns' active domains, each table's share
+//! capped at its row count ([`Estimator::unique_output_bound`]).
 //!
 //! Without statistics (before `ANALYZE`) the planner builds the *fixed*
 //! plan: the `FROM` order, [`PlannerOptions::join`] on every join step,
@@ -32,9 +43,10 @@
 
 use crate::estimate::Estimator;
 use crate::physical::{
-    BlockPlan, DistinctMethod, DistinctStep, JoinMethod, JoinStep, OpId, OpInfo, OutputOp,
-    PhysNode, PhysicalPlan,
+    AccessPrices, BlockPlan, DistinctMethod, DistinctStep, JoinMethod, JoinStep, OpId, OpInfo,
+    OutputOp, PhysNode, PhysicalPlan,
 };
+use crate::price::{encoded_price, rows_price, Fetch, Step};
 use crate::stats::Statistics;
 use std::collections::BTreeSet;
 use uniq_plan::{BScalar, BoundAggItem, BoundExpr, BoundOutput, BoundQuery, BoundSpec};
@@ -42,9 +54,10 @@ use uniq_sql::{CmpOp, SetOp};
 
 /// Session-level planner configuration: the three physical knobs.
 ///
-/// The columnar license is not among them: every cost-based plan
-/// licenses each block the vectorized kernels cover (see
-/// [`BlockPlan::columnar`]), and fixed plans never carry it.
+/// The columnar license is not among them: a cost-based plan licenses
+/// each block the vectorized kernels cover, unless the block's index
+/// operators are priced cheaper (see [`BlockPlan::columnar`]), and fixed
+/// plans never carry it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PlannerOptions {
     /// The join method of every step of a fixed plan. The cost-based
@@ -101,7 +114,9 @@ pub fn plan_output(
     stats: Option<&Statistics>,
     options: PlannerOptions,
 ) -> PhysicalPlan {
+    let early_stop = early_stop_license(output).filter(|_| options.early_stop);
     let mut planner = Planner::new(stats, options);
+    planner.walk = early_stop.as_ref().and(output.limit).map(|k| k as f64);
     let (root, body_est) = planner.plan_node(&output.body);
     let mut est = body_est;
     let mut out_ops: Vec<OutputOp> = Vec::new();
@@ -140,7 +155,6 @@ pub fn plan_output(
         });
     }
 
-    let early_stop = early_stop_license(output).filter(|_| options.early_stop);
     if !output.order_by.is_empty() && early_stop.is_none() {
         let names = output.output_names();
         let cols: Vec<String> = output
@@ -245,6 +259,10 @@ struct Planner<'a> {
     est: Option<Estimator<'a>>,
     ops: Vec<OpInfo>,
     options: PlannerOptions,
+    /// The `Limit`'s `k` of an early-stop output: its block's rows
+    /// access walks the ordered index for at most `k` rows, which is
+    /// what its price reads.
+    walk: Option<f64>,
 }
 
 impl<'a> Planner<'a> {
@@ -253,6 +271,7 @@ impl<'a> Planner<'a> {
             est: stats.map(Estimator::new),
             ops: Vec::new(),
             options,
+            walk: None,
         }
     }
 
@@ -399,6 +418,7 @@ impl<'a> Planner<'a> {
             distinct,
             columnar: false,
             ixscan: None,
+            price: None,
         }
     }
 
@@ -448,6 +468,14 @@ impl<'a> Planner<'a> {
     }
 
     /// The cost-based plan of a block.
+    ///
+    /// The join order and each step's method follow the work-unit rules
+    /// in the module docs. A block the encoded kernels cover is licensed
+    /// columnar when no index operator was chosen for it; when one was,
+    /// both accesses are priced in nanoseconds ([`crate::price`]) and the
+    /// license goes to the encoded access exactly when it is the cheaper.
+    /// The index licenses stay on the plan either way: they are the rows
+    /// access's choice, for `query_row_path` and a stale column store.
     fn plan_block(&mut self, est: Estimator, spec: &BoundSpec) -> (BlockPlan, f64) {
         let n = spec.from.len();
         let conjuncts: Vec<&BoundExpr> = spec
@@ -462,6 +490,10 @@ impl<'a> Planner<'a> {
             .iter()
             .map(|t| est.table_rows(&t.schema.name))
             .collect();
+        let own = |t: usize| {
+            let mine = |o: &&BTreeSet<usize>| o.iter().all(|&x| x == t);
+            owners.iter().filter(mine).count()
+        };
         let filtered = |t: usize| filtered_rows(est, spec, t, &conjuncts, &owners, raw[t]);
 
         // Greedy join ordering: start from the smallest filtered table.
@@ -485,12 +517,22 @@ impl<'a> Planner<'a> {
         // verdict reflects the order actually chosen; the verdict never
         // feeds back into order or method, so a plan is the same whether
         // or not a column store serves it.
-        let mut columnar = conjuncts.iter().all(|c| columnar_conjunct(spec, c));
+        let mut covered = conjuncts.iter().all(|c| columnar_conjunct(spec, c));
 
-        let mut joins: Vec<JoinStep> = Vec::new();
+        // Each join step's choices and its estimates for the access
+        // prices; its operator is registered once the access is chosen.
+        struct Chosen {
+            method: JoinMethod,
+            has_keys: bool,
+            unique: bool,
+            est: f64,
+            ix: Option<uniq_proof::Justification>,
+            step: Step,
+        }
+        let mut steps: Vec<Chosen> = Vec::new();
         while placed.len() < n {
             // Choose the table minimizing the estimated step output.
-            let (next, step_est, has_keys, covered) = (0..n)
+            let (next, step_est, has_keys, key_covered) = (0..n)
                 .filter(|t| !placed.contains(t))
                 .map(|t| {
                     let (step, keys, covered) = step_estimate(
@@ -544,19 +586,32 @@ impl<'a> Planner<'a> {
                 step_est = step_est.min(cur);
             }
             let ix_cost = cur + step_est;
-            let use_ix = probe.is_some() && ix_cost < hash_cost && ix_cost < nl_cost;
-            let id = self.join_op(spec, next, join_kind(method, has_keys, use_ix), step_est);
-            let ix = use_ix.then(|| {
-                let p = probe.as_ref().expect("use_ix implies a probe");
-                uniq_proof::Justification::ix_join(&p.index, p.unique)
+            let probe = probe.filter(|_| ix_cost < hash_cost && ix_cost < nl_cost);
+            let fetch = probe.as_ref().map(|p| {
+                let columns =
+                    (spec.from[next].schema.index(&p.index)).map_or(&[][..], |def| &def.columns);
+                let sel = consumed_selectivity(est, spec, next, &step_conjuncts, columns, None);
+                let rows = cur * raw[next] * sel;
+                Fetch {
+                    rows: if p.unique { rows.min(cur) } else { rows },
+                    unique: p.unique,
+                }
             });
-            joins.push(JoinStep {
+            steps.push(Chosen {
                 method,
-                id,
-                unique: covered && method == JoinMethod::Hash,
-                ix,
+                has_keys,
+                unique: key_covered && method == JoinMethod::Hash,
+                est: step_est,
+                ix: probe.map(|p| uniq_proof::Justification::ix_join(&p.index, p.unique)),
+                step: Step {
+                    rows: raw[next],
+                    filters: own(next),
+                    kept: filtered(next),
+                    input: cur,
+                    index: fetch,
+                },
             });
-            columnar = columnar && !use_ix && has_keys && method == JoinMethod::Hash;
+            covered = covered && has_keys && method == JoinMethod::Hash;
             placed.insert(next);
             order.push(next);
             cur = step_est;
@@ -587,6 +642,7 @@ impl<'a> Planner<'a> {
             .map(|(c, _)| *c)
             .collect();
         let mut ixscan = None;
+        let mut scan_fetch = None;
         if let Some(s) = crate::sarg::find_index_sarg(spec, order[0], &scan_conjuncts) {
             if s.unique {
                 scan_est = scan_est.min(1.0);
@@ -595,11 +651,71 @@ impl<'a> Planner<'a> {
                 ixscan = Some(uniq_proof::Justification::ix_scan(
                     &s.index, s.unique, &s.desc,
                 ));
+                let columns = t0
+                    .schema
+                    .index(&s.index)
+                    .map_or(&[][..], |def| &def.columns);
+                let points = &columns[..s.prefix.len().min(columns.len())];
+                let range = (columns.get(s.prefix.len()).copied())
+                    .filter(|_| s.low.is_some() || s.high.is_some());
+                let sel = consumed_selectivity(est, spec, order[0], &scan_conjuncts, points, range);
+                let rows = raw[order[0]] * sel;
+                scan_fetch = Some(Fetch {
+                    rows: if s.unique { rows.min(1.0) } else { rows },
+                    unique: s.unique,
+                });
             }
         }
-        // The columnar kernels read full column vectors, so an index
-        // block stays on the row path.
-        columnar = columnar && ixscan.is_none();
+
+        let distinct = (spec.distinct == uniq_sql::Distinct::Distinct).then(|| {
+            let method = if sort_cost(out_est) <= out_est {
+                DistinctMethod::Sort
+            } else {
+                DistinctMethod::Hash
+            };
+            // Distinct output can never exceed the projected domains.
+            (method, out_est.min(est.projection_domain(spec)))
+        });
+        let materialized = distinct.map_or(out_est, |(_, d)| d);
+
+        // The access: a covered block without an index operator runs
+        // encoded; with one, the cheaper of the two prices wins.
+        let indexed = ixscan.is_some() || steps.iter().any(|c| c.ix.is_some());
+        let price = (covered && indexed).then(|| {
+            // An early-stop walk reads at most the limit's rows.
+            let walk = self.walk.unwrap_or(f64::INFINITY);
+            let scan = Step {
+                rows: raw[order[0]],
+                filters: own(order[0]),
+                kept: scan_est,
+                input: 0.0,
+                index: scan_fetch.map(|f| Fetch {
+                    rows: f.rows.min(walk),
+                    ..f
+                }),
+            };
+            let priced: Vec<Step> = std::iter::once(scan)
+                .chain(steps.iter().map(|c| c.step))
+                .collect();
+            AccessPrices {
+                encoded_ns: encoded_price(&priced, materialized).ceil() as u64,
+                index_ns: rows_price(&priced, out_est.min(walk)).ceil() as u64,
+            }
+        });
+        let columnar = covered && price.is_none_or(|p| p.encoded_ns < p.index_ns);
+
+        let joins: Vec<JoinStep> = (steps.into_iter().zip(&order[1..]))
+            .map(|(c, &t)| {
+                // The encoded access keys every step on its own table.
+                let kind = join_kind(c.method, c.has_keys, c.ix.is_some() && !columnar);
+                JoinStep {
+                    method: c.method,
+                    id: self.join_op(spec, t, kind, c.est),
+                    unique: c.unique,
+                    ix: c.ix,
+                }
+            })
+            .collect();
         // Columnar scans over a table with string columns read
         // dictionary codes, not the strings themselves.
         let enc = if columnar
@@ -614,16 +730,6 @@ impl<'a> Planner<'a> {
             ""
         };
         let scan = self.scan_op(spec, order[0], enc, scan_est);
-
-        let distinct = (spec.distinct == uniq_sql::Distinct::Distinct).then(|| {
-            let method = if sort_cost(out_est) <= out_est {
-                DistinctMethod::Sort
-            } else {
-                DistinctMethod::Hash
-            };
-            // Distinct output can never exceed the projected domains.
-            (method, out_est.min(est.projection_domain(spec)))
-        });
         let (project, distinct) = self.output_ops(spec, out_est, distinct);
 
         let final_est = distinct
@@ -638,6 +744,7 @@ impl<'a> Planner<'a> {
                 distinct,
                 columnar,
                 ixscan,
+                price,
             },
             final_est,
         )
@@ -720,6 +827,54 @@ fn sort_cost(n: f64) -> f64 {
         0.0
     } else {
         n * n.log2()
+    }
+}
+
+/// Selectivity of the conjuncts an index access on table `t` consumes:
+/// equalities on its `points` columns (to a constant or, for a probe, a
+/// placed table's attribute) and range comparisons on its `range`
+/// column. The access hands back the rows these select; the block's
+/// other conjuncts filter them afterwards.
+fn consumed_selectivity(
+    est: Estimator,
+    spec: &BoundSpec,
+    t: usize,
+    conjuncts: &[&BoundExpr],
+    points: &[usize],
+    range: Option<usize>,
+) -> f64 {
+    (conjuncts.iter())
+        .filter(|c| match constrained_column(spec, t, c) {
+            Some((col, true)) => points.contains(&col),
+            Some((col, false)) => Some(col) == range,
+            None => false,
+        })
+        .map(|c| est.selectivity(spec, c))
+        .product()
+}
+
+/// The column of table `t` (table-local position) a conjunct compares
+/// with a value from outside the table, and whether by equality: `col op
+/// scalar` with `op` not `<>`, or a non-negated `BETWEEN`.
+fn constrained_column(spec: &BoundSpec, t: usize, c: &BoundExpr) -> Option<(usize, bool)> {
+    let range = spec.from[t].attr_range();
+    let local = |s: &BScalar| match s {
+        BScalar::Attr(a) if a.is_local() && range.contains(&a.idx) => Some(a.idx - range.start),
+        _ => None,
+    };
+    match c {
+        BoundExpr::Cmp { op, left, right } if *op != CmpOp::Ne => {
+            match (local(left), local(right)) {
+                (Some(col), None) | (None, Some(col)) => Some((col, *op == CmpOp::Eq)),
+                _ => None,
+            }
+        }
+        BoundExpr::Between {
+            scalar,
+            negated: false,
+            ..
+        } => Some((local(scalar)?, false)),
+        _ => None,
     }
 }
 
@@ -1040,25 +1195,6 @@ mod tests {
              WHERE S.SNO = P.SNO AND P.COLOR = 'RED'",
         );
         assert!(block(&p2).joins[0].ix.is_none());
-    }
-
-    #[test]
-    fn index_operators_revoke_the_columnar_license() {
-        let db = indexed_supplier_db();
-        let stats = Statistics::collect(&db);
-        let sql = "SELECT S.SNO FROM SUPPLIER S, PARTS P \
-                   WHERE S.SNO = P.SNO AND P.COLOR = 'RED'";
-        let q = bind_query(db.catalog(), &parse_query(sql).unwrap()).unwrap();
-        let p = plan_query(&q, Some(&stats), PlannerOptions::default());
-        let b = block(&p);
-        assert!(
-            b.ixscan.is_some() || b.joins.iter().any(|j| j.ix.is_some()),
-            "an index operator should be chosen here"
-        );
-        assert!(
-            !b.columnar,
-            "index access paths run on the serial row pipeline"
-        );
     }
 
     #[test]

@@ -20,18 +20,28 @@
 //! * storage shared across snapshots: every snapshot a
 //!   [`SnapshotStore`] publishes, pinned or not, answers row, key and
 //!   index lookups exactly like a database rebuilt from its own rows,
-//!   across row-chunk boundaries and index-overlay folds.
+//!   across row-chunk boundaries and index-overlay folds;
+//! * the priced access choice on perfbench-shaped data: which blocks
+//!   take the encoded access while keeping their index licenses, which
+//!   keep the index on the rows access, and that blocks carrying both
+//!   licenses answer alike served (encoded), on the row path (index) and
+//!   unoptimized, on the loaded data, after an `INSERT`, and on a
+//!   snapshot older than the column store (rows access, index).
 
 use proptest::prelude::*;
 use std::ops::Bound;
 use std::sync::Arc;
 use uniqueness::catalog::{Database, SnapshotStore, CHUNK_ROWS};
-use uniqueness::engine::Session;
-use uniqueness::sql::parse_statement;
+use uniqueness::core::optimize_output;
+use uniqueness::core::pipeline::{Optimizer, OptimizerOptions};
+use uniqueness::cost::{plan_output, BlockPlan, OutputOp, PhysNode, PhysicalPlan, PlannerOptions};
+use uniqueness::engine::{Session, Statistics};
+use uniqueness::plan::{bind_output, HostVars};
+use uniqueness::sql::{parse_full_query, parse_statement};
 use uniqueness::types::value::tuple_null_cmp;
 use uniqueness::types::{Error, TableName, Value};
-use uniqueness::workload::random_instance;
 use uniqueness::workload::rng::SplitMix64;
+use uniqueness::workload::{random_instance, scaled_database, ScaleConfig};
 
 /// The index set built over every random instance: the unique supplier
 /// key (ordered), a non-unique city index, a hash-only color index and
@@ -453,5 +463,233 @@ proptest! {
         for snap in &kept {
             assert_answers_like_a_rebuild(snap);
         }
+    }
+}
+
+/// perfbench's index set: the benchmark's `INDEX_DDL` and its
+/// join-column indexes.
+const PERFBENCH_INDEX_DDL: &str = "CREATE UNIQUE INDEX IDX_S_SNO ON SUPPLIER (SNO);
+     CREATE INDEX IDX_P_COLOR ON PARTS (COLOR);
+     CREATE INDEX IDX_P_SNO ON PARTS (SNO);
+     CREATE INDEX IDX_A_SNO ON AGENTS (SNO);";
+
+/// perfbench's data shape (10 parts and 2 agents per supplier, 30% red)
+/// with its index set.
+fn perfbench_shaped(suppliers: usize) -> Database {
+    let config = ScaleConfig {
+        suppliers,
+        parts_per_supplier: 10,
+        agents_per_supplier: 2,
+        ..Default::default()
+    };
+    let mut db = scaled_database(&config).unwrap();
+    db.run_script(PERFBENCH_INDEX_DDL).unwrap();
+    db
+}
+
+/// perfbench's `analytic` statements 3, 4 and 5: `INTERSECT ALL` and
+/// `EXCEPT ALL` over the unselective `COLOR` index, and the `EXISTS`
+/// that Corollary 1 makes a join probing `IDX_P_SNO`.
+const INDEXED_ANALYTIC: [&str; 3] = [
+    "SELECT ALL P.SNO FROM SUPPLIER S, PARTS P WHERE S.SNO = P.SNO AND P.COLOR = 'RED' \
+     INTERSECT ALL SELECT ALL A.SNO FROM AGENTS A WHERE A.ACITY = 'Ottawa'",
+    "SELECT ALL P.SNO FROM PARTS P WHERE P.COLOR = 'RED' \
+     EXCEPT ALL SELECT ALL A.SNO FROM AGENTS A WHERE A.ACITY = 'Hull'",
+    "SELECT S.SNO, S.SNAME FROM SUPPLIER S WHERE EXISTS \
+     (SELECT * FROM PARTS P WHERE P.SNO = S.SNO AND P.COLOR = 'RED')",
+];
+
+/// The plan a session serves `sql` under: rewritten by the relational
+/// profile, planned against `stats`.
+fn served_plan(db: &Database, stats: &Statistics, sql: &str) -> PhysicalPlan {
+    let bound = bind_output(db.catalog(), &parse_full_query(sql).unwrap()).unwrap();
+    let (query, _) = optimize_output(&Optimizer::new(OptimizerOptions::relational()), &bound);
+    plan_output(&query, Some(stats), PlannerOptions::default())
+}
+
+/// Every block of a plan, left to right.
+fn blocks(node: &PhysNode) -> Vec<&BlockPlan> {
+    match node {
+        PhysNode::Block(b) => vec![b],
+        PhysNode::SetOp { left, right, .. } => {
+            let mut all = blocks(left);
+            all.extend(blocks(right));
+            all
+        }
+    }
+}
+
+/// On perfbench's data and index set, the blocks of `analytic`
+/// statements 3-5 that carry an index operator price the encoded access
+/// below it, so they are licensed columnar, and keep their `ixscan` /
+/// `ix` licenses for the rows access. Statement 5's probe step renders
+/// as the hash join the encoded access runs, with its index marker.
+#[test]
+fn unselective_index_blocks_are_licensed_columnar_and_keep_their_index_licenses() {
+    let db = perfbench_shaped(2_000);
+    let stats = Statistics::collect(&db);
+    for sql in INDEXED_ANALYTIC {
+        let plan = served_plan(&db, &stats, sql);
+        let indexed: Vec<&BlockPlan> = (blocks(&plan.root).into_iter())
+            .filter(|b| b.ixscan.is_some() || b.joins.iter().any(|j| j.ix.is_some()))
+            .collect();
+        assert_eq!(indexed.len(), 1, "{sql}: {plan:?}");
+        let b = indexed[0];
+        let price = b
+            .price
+            .expect("a covered block with an index operator is priced");
+        assert!(price.encoded_ns < price.index_ns, "{sql}: {price:?}");
+        assert!(b.columnar, "{sql}");
+        let rendered = plan.render(0, None);
+        assert!(rendered.contains("exec=columnar"), "{rendered}");
+        assert!(!rendered.contains("IxJoin"), "{rendered}");
+    }
+    let scans = |sql| {
+        let plan = served_plan(&db, &stats, sql);
+        blocks(&plan.root)[0].ixscan.clone()
+    };
+    for sql in &INDEXED_ANALYTIC[..2] {
+        let ix = scans(sql).expect("the COLOR scan keeps its license");
+        assert_eq!(ix.index(), Some("IDX_P_COLOR"));
+    }
+    let plan = served_plan(&db, &stats, INDEXED_ANALYTIC[2]);
+    let b = blocks(&plan.root)[0];
+    let ix = b.joins[0].ix.as_ref().expect("the probe keeps its license");
+    assert_eq!(ix.index(), Some("IDX_P_SNO"));
+    assert!(!ix.is_unique_index());
+    assert!(
+        plan.render(0, None).contains("ixjoin(IDX_P_SNO) unique=no"),
+        "{}",
+        plan.render(0, None)
+    );
+    assert!(plan.ops[b.joins[0].id]
+        .label
+        .starts_with("HashJoin with Scan PARTS AS P"));
+}
+
+/// A unique point lookup prices its one-row probe far below a full
+/// encoded scan: it keeps its `ixscan` and gets no columnar license.
+#[test]
+fn a_unique_point_lookup_keeps_its_index_scan_and_no_columnar_license() {
+    let db = perfbench_shaped(2_000);
+    let stats = Statistics::collect(&db);
+    let plan = served_plan(
+        &db,
+        &stats,
+        "SELECT S.SNO, S.SNAME, S.SCITY FROM SUPPLIER S WHERE S.SNO = 17",
+    );
+    let b = blocks(&plan.root)[0];
+    let ix = b.ixscan.as_ref().expect("unique point probe licensed");
+    assert_eq!(ix.index(), Some("IDX_S_SNO"));
+    assert!(ix.is_unique_index());
+    assert!(!b.columnar);
+    let price = b.price.expect("covered and indexed, so priced");
+    assert!(price.index_ns < price.encoded_ns, "{price:?}");
+}
+
+/// The `ORDER BY key LIMIT k` early stop walks its index before the
+/// block's access is consulted, so its block is priced at the limit's
+/// `k` rows, not the range scan's estimate: it keeps the plan it had
+/// before the choice was priced, the index scan on rows under a
+/// licensed early-stop `Limit` with no `Sort`. Without the early stop
+/// the same block is priced at its whole range and served encoded.
+#[test]
+fn the_early_stop_block_is_priced_at_the_limits_rows_and_keeps_its_plan() {
+    let db = perfbench_shaped(2_000);
+    let stats = Statistics::collect(&db);
+    let sql = "SELECT S.SNO, S.SNAME FROM SUPPLIER S WHERE S.SNO <= 17 ORDER BY S.SNO LIMIT 10";
+    let plan = served_plan(&db, &stats, sql);
+    let b = blocks(&plan.root)[0];
+    assert!(b.ixscan.is_some() && !b.columnar, "{plan:?}");
+    assert!(b.price.is_some_and(|p| p.index_ns < p.encoded_ns));
+    assert!(plan.output.iter().any(|op| matches!(
+        op,
+        OutputOp::Limit {
+            early_stop: Some(_),
+            ..
+        }
+    )));
+    assert!(!plan
+        .output
+        .iter()
+        .any(|op| matches!(op, OutputOp::Sort { .. })));
+    let bound = bind_output(db.catalog(), &parse_full_query(sql).unwrap()).unwrap();
+    let off = PlannerOptions {
+        early_stop: false,
+        ..Default::default()
+    };
+    let scanned = plan_output(&bound, Some(&stats), off);
+    let b = blocks(&scanned.root)[0];
+    assert!(b.ixscan.is_some() && b.columnar, "{scanned:?}");
+}
+
+/// Sorted rows of one statement served, on the row path and unoptimized,
+/// asserted equal; returns the served and row-path counters.
+fn agree_three_ways(
+    session: &Session,
+    sql: &str,
+) -> (uniqueness::engine::ExecStats, uniqueness::engine::ExecStats) {
+    let hv = HostVars::new();
+    let sorted = |mut rows: Vec<Vec<Value>>| {
+        rows.sort_by(|a, b| tuple_null_cmp(a, b).unwrap());
+        rows
+    };
+    let served = session.query(sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
+    let on_rows = session.query_row_path(sql, &hv).unwrap();
+    let oracle = session.query_unoptimized(sql, &hv).unwrap();
+    let want = sorted(oracle.rows);
+    assert_eq!(sorted(served.rows), want, "served: {sql}");
+    assert_eq!(sorted(on_rows.rows), want, "row path: {sql}");
+    (served.stats, on_rows.stats)
+}
+
+/// Blocks carrying both licenses answer alike served (the encoded
+/// access), through `query_row_path` (the rows access with its index)
+/// and through `query_unoptimized`: on the loaded data, after an
+/// `INSERT` the column store is refreshed across, and on a snapshot
+/// older than the store, which cannot read its encodings and takes the
+/// rows access with its index.
+#[test]
+fn blocks_with_both_licenses_agree_served_on_rows_and_unoptimized() {
+    let mut session = Session::new(perfbench_shaped(200)).with_cost_based();
+    let mut statements: Vec<&str> = INDEXED_ANALYTIC.to_vec();
+    statements.push("SELECT P.PNO, P.SNO FROM PARTS P WHERE P.COLOR = 'GREEN' AND P.PNO > 3");
+    for sql in &statements {
+        let plan = session.explain(sql).unwrap();
+        assert!(plan.contains("exec=columnar"), "{plan}");
+        assert!(
+            plan.contains("ixscan(") || plan.contains("ixjoin("),
+            "{plan}"
+        );
+        let (served, on_rows) = agree_three_ways(&session, sql);
+        assert!(served.vector_ops > 0, "{sql}: {served:?}");
+        assert!(
+            on_rows.ix_probes > 0 && on_rows.vector_ops == 0,
+            "{sql}: {on_rows:?}"
+        );
+    }
+    let old = session.db.clone();
+    session
+        .run_script(
+            "INSERT INTO SUPPLIER VALUES (901, 'Late', 'Toronto', 7, 'Active'); \
+             INSERT INTO PARTS VALUES (901, 1, 'part1', 9000001, 'RED'); \
+             INSERT INTO PARTS VALUES (901, 2, 'part2', 9000002, 'GREEN'); \
+             INSERT INTO AGENTS VALUES (901, 1, 'agent1', 'Ottawa');",
+        )
+        .unwrap();
+    for sql in &statements {
+        let (served, on_rows) = agree_three_ways(&session, sql);
+        assert!(served.vector_ops > 0, "after INSERT, {sql}: {served:?}");
+        assert!(on_rows.ix_probes > 0, "after INSERT, {sql}: {on_rows:?}");
+    }
+    // The same cached plans and the refreshed store, over the snapshot
+    // from before the INSERT: every table the blocks read has fewer rows
+    // than its encoding.
+    let mut stale = session.clone();
+    stale.db = old;
+    for sql in &statements {
+        let (served, _) = agree_three_ways(&stale, sql);
+        assert_eq!(served.vector_ops, 0, "stale store, {sql}: {served:?}");
+        assert!(served.ix_probes > 0, "stale store, {sql}: {served:?}");
     }
 }
