@@ -124,6 +124,16 @@ echo "==> fast lane: secondary indexes (sarg extraction, index paths, agreement)
 lane -p uniq-cost sarg
 lane -p uniq-catalog index
 lane -p uniq-engine index
+# The plan carries each index access; before one runs, the executor checks
+# only that the live catalog still holds the planned index, and otherwise
+# runs the planned full scan, join method or scan-sort-cut. An early-stop
+# walk under LIMIT 0 reads no row.
+lane -p uniq-engine -- \
+    stale_index_license_falls_back_to_the_full_scan \
+    a_probe_whose_index_is_gone_runs_the_planned_join_method \
+    an_index_of_the_same_name_over_other_columns_is_not_probed \
+    an_early_stop_whose_index_is_gone_scans_sorts_and_cuts \
+    order_by_index_prefix_limit_stops_early
 cargo test -q -p uniqueness --test index_agreement
 lane -p uniq-bench e19
 # The priced access choice: on perfbench-shaped data, unselective index

@@ -90,7 +90,7 @@ fn apply_first(
 ) -> Option<(BoundQuery, &'static str, &'static str, String)> {
     for rule in rules {
         if let Some((next, j)) = cx.try_rule(rule.as_ref(), node) {
-            return Some((next, rule.name(), j.theorem(), j.detail()));
+            return Some((next, rule.name(), j.theorem, j.detail));
         }
     }
     if let BoundQuery::SetOp {

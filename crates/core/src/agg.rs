@@ -149,9 +149,9 @@ fn push_step(
 ) {
     steps.push(RewriteStep {
         rule,
-        theorem: just.theorem(),
-        why: just.detail(),
-        proof: just.proof().cloned().unwrap_or_default(),
+        theorem: just.theorem,
+        why: just.detail,
+        proof: just.proof,
         sql_before: render(&before),
         sql_after: render(&after),
         before,

@@ -367,7 +367,7 @@ impl Optimizer {
                     // Every fired step gets a proof status: keep one a
                     // proof-gated rule attached, otherwise run the
                     // symbolic checker on the before/after pair now.
-                    let justification = if justification.proof().is_some_and(|p| p.is_proved()) {
+                    let justification = if justification.proof.is_proved() {
                         cx.tally_proved(rule.name());
                         justification
                     } else {
@@ -376,9 +376,9 @@ impl Optimizer {
                     };
                     steps.push(RewriteStep {
                         rule: rule.name(),
-                        theorem: justification.theorem(),
-                        why: justification.detail(),
-                        proof: justification.proof().cloned().unwrap_or_default(),
+                        theorem: justification.theorem,
+                        why: justification.detail,
+                        proof: justification.proof,
                         sql_before: wrap_sql(
                             render(&node),
                             matches!(node, BoundQuery::SetOp { .. }),

@@ -130,7 +130,7 @@ pub fn remove_redundant_distinct(
     let mut cx = RuleContext::new(test);
     DistinctRemoval
         .apply_spec(spec, &mut cx)
-        .map(|(s, j)| (s, j.detail()))
+        .map(|(s, j)| (s, j.detail))
 }
 
 #[cfg(test)]

@@ -63,7 +63,7 @@ impl RewriteRule for JoinElimination {
 /// Standalone form of [`JoinElimination`] (a shim over the one
 /// context-taking code path, for callers outside the pipeline).
 pub fn eliminate_join(spec: &BoundSpec) -> Option<(BoundSpec, String)> {
-    eliminate_join_impl(spec).map(|(s, j)| (s, j.detail()))
+    eliminate_join_impl(spec).map(|(s, j)| (s, j.detail))
 }
 
 fn eliminate_join_impl(spec: &BoundSpec) -> Option<(BoundSpec, Justification)> {

@@ -161,7 +161,7 @@ pub fn push_down_distinct(spec: &BoundSpec) -> Option<(BoundSpec, String)> {
     let mut cx = RuleContext::new(crate::rewrite::distinct::UniquenessTest::Both);
     DistinctPushdown
         .apply_spec(spec, &mut cx)
-        .map(|(s, j)| (s, j.detail()))
+        .map(|(s, j)| (s, j.detail))
 }
 
 #[cfg(test)]

@@ -290,7 +290,7 @@ pub fn intersect_to_exists(
     let mut cx = RuleContext::new(test);
     IntersectToExists
         .apply_query(query, &mut cx)
-        .map(|(q, j)| (q, j.detail()))
+        .map(|(q, j)| (q, j.detail))
 }
 
 /// Standalone form of [`ExceptToNotExists`] (a shim over the one
@@ -302,7 +302,7 @@ pub fn except_to_not_exists(
     let mut cx = RuleContext::new(test);
     ExceptToNotExists
         .apply_query(query, &mut cx)
-        .map(|(q, j)| (q, j.detail()))
+        .map(|(q, j)| (q, j.detail))
 }
 
 #[cfg(test)]

@@ -127,7 +127,7 @@ pub fn subquery_to_join(spec: &BoundSpec, test: UniquenessTest) -> Option<(Bound
     let mut cx = RuleContext::new(test);
     SubqueryToJoin
         .apply_spec(spec, &mut cx)
-        .map(|(s, j)| (s, j.detail()))
+        .map(|(s, j)| (s, j.detail))
 }
 
 /// Rule 5: push the last `FROM` table that contributes nothing to the
@@ -158,7 +158,7 @@ impl RewriteRule for JoinToSubquery {
 /// Standalone form of [`JoinToSubquery`] (a shim over the one
 /// context-taking code path, for callers outside the pipeline).
 pub fn join_to_subquery(spec: &BoundSpec) -> Option<(BoundSpec, String)> {
-    join_to_subquery_impl(spec).map(|(s, j)| (s, j.detail()))
+    join_to_subquery_impl(spec).map(|(s, j)| (s, j.detail))
 }
 
 fn join_to_subquery_impl(spec: &BoundSpec) -> Option<(BoundSpec, Justification)> {

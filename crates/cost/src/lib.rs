@@ -30,9 +30,9 @@
 //!   access with its index, whichever the checked-in per-unit prices
 //!   make cheaper.
 //! * [`sarg`] — sargability analysis matching `WHERE` conjuncts to
-//!   secondary indexes: point/range extraction for `IxScan` access
-//!   paths and probe-key derivation for `IxJoin` steps, shared with the
-//!   executor's run-time re-verification.
+//!   secondary indexes: the planner derives an [`IndexSarg`] for an
+//!   `IxScan` and an [`IndexProbe`] for an `IxJoin` step, and the plan
+//!   carries them to the executor, which runs them as planned.
 //! * [`card`] — per-operator estimated-vs-actual reports and q-error
 //!   aggregation for batch runs.
 //!
@@ -57,6 +57,5 @@ pub use physical::{
     OutputOp, PhysNode, PhysicalPlan,
 };
 pub use planner::{plan_delta, plan_output, plan_query, PlannerOptions};
-pub use sarg::{find_index_probe, find_index_sarg, IndexProbe, IndexSarg, ProbeSource};
+pub use sarg::{IndexProbe, IndexSarg, ProbeSource};
 pub use stats::{ColumnStats, Statistics, TableStats};
-pub use uniq_proof::{Justification, ProofStatus};

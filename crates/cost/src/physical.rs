@@ -7,18 +7,18 @@
 //! [`BlockPlan`] per query block, one [`PhysNode::SetOp`] per set
 //! operation — and records the planner's per-node choices: join input
 //! order, hash vs. nested-loop per join, hash vs. sort per duplicate
-//! elimination. Every operator owns a slot in the flat [`OpInfo`]
+//! elimination, and each index access, which the executor runs as
+//! planned. Every operator owns a slot in the flat [`OpInfo`]
 //! registry carrying its display label and estimated output
 //! cardinality; the executor fills a parallel `actuals` array, which is
 //! how `EXPLAIN` prints `est=… act=…` per operator and how q-error is
 //! measured. A fixed plan, built without statistics, has no estimates
 //! and renders its labels only.
 //!
-//! The method enums live here (re-exported by `uniq-engine` for
-//! compatibility) so the planner can be expressed without depending on
-//! the executor.
+//! The method enums live here so the planner can be expressed without
+//! depending on the executor.
 
-use uniq_proof::Justification;
+use crate::sarg::{IndexProbe, IndexSarg};
 
 /// How duplicate elimination is performed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -56,10 +56,10 @@ pub struct OpInfo {
 
 /// One pipeline join step (the table it introduces is
 /// `order[position + 1]` of the owning [`BlockPlan`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JoinStep {
-    /// Physical join strategy for this step (the fallback when an
-    /// index probe in `ix` fails run-time re-verification).
+    /// Physical join strategy for this step (the fallback when the
+    /// index that `ix` probes is no longer live).
     pub method: JoinMethod,
     /// Operator slot.
     pub id: OpId,
@@ -68,19 +68,18 @@ pub struct JoinStep {
     /// columnar executor may use its unique-key kernels (a direct-index
     /// table on a single key, one probe step per probe otherwise).
     pub unique: bool,
-    /// Probe a secondary index per outer partial instead of building a
-    /// hash table, when the planner found one covering the join keys
-    /// and build cost dominates. Carried as a
-    /// [`Justification::IndexAccess`] license (no sarg): like
-    /// [`BlockPlan::columnar`] it is a **license, not a promise** — the
-    /// executor re-derives the probe from the spec and live catalog and
-    /// falls back to [`JoinStep::method`] on disagreement. It is the
-    /// rows access's choice: it stays on the plan when the block is
-    /// licensed columnar, for `query_row_path` and for a stale column
-    /// store, and the encoded access, which keys every step on its own
-    /// dense or hashed table, ignores it (the step is then labelled
-    /// `HashJoin`, with its `ixjoin(…)` marker).
-    pub ix: Option<Justification>,
+    /// Probe a secondary index (or, in a delta term, a declared
+    /// candidate key) per outer partial instead of building a hash
+    /// table, when the planner found one covering the join keys and
+    /// build cost dominates. The executor runs this probe as planned
+    /// while the live catalog still holds the planned index definition
+    /// or key, and [`JoinStep::method`] otherwise. It is the rows
+    /// access's choice: it stays on the plan when the block is licensed
+    /// columnar, for `query_row_path` and for a stale column store, and
+    /// the encoded access, which keys every step on its own dense or
+    /// hashed table, ignores it (the step is then labelled `HashJoin`,
+    /// with its `ixjoin(…)` marker).
+    pub ix: Option<IndexProbe>,
 }
 
 /// The duplicate-elimination step of a `SELECT DISTINCT` block.
@@ -93,7 +92,7 @@ pub struct DistinctStep {
 }
 
 /// Physical choices for one query block.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BlockPlan {
     /// Execution order as positions into the block's `FROM` list:
     /// `order[0]` is scanned first, each later entry joins in turn.
@@ -121,12 +120,12 @@ pub struct BlockPlan {
     pub columnar: bool,
     /// Serve the initial scan through a secondary index instead of a
     /// full table scan (rendered as `ixscan(name, sarg)` on the scan
-    /// line; same license semantics as `columnar`). Carried as a
-    /// [`Justification::IndexAccess`] license with a sarg display
-    /// fragment; a *unique*, fully point-bound index makes the scan
-    /// estimate the hard bound 1, not a guess — and declares the
-    /// candidate key the `uniq-proof` checker takes as an axiom.
-    pub ixscan: Option<Justification>,
+    /// line). The executor runs this sarg as planned while the live
+    /// catalog still holds the planned index definition, and scans
+    /// every row otherwise. A *unique*, fully point-bound index makes
+    /// the scan estimate the hard bound 1, not a guess. Like
+    /// [`JoinStep::ix`], it is the rows access's choice.
+    pub ixscan: Option<IndexSarg>,
     /// Both accesses' estimated times, when the planner priced them: on
     /// a covered block with an index operator (rendered as
     /// `price(enc=… ix=…)` on the scan line). `None` on every other
@@ -164,10 +163,10 @@ fn fmt_ns(ns: u64) -> String {
 
 /// A node of the physical plan, structurally parallel to the bound
 /// query.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum PhysNode {
     /// A planned query block.
-    Block(BlockPlan),
+    Block(Box<BlockPlan>),
     /// A planned set operation.
     SetOp {
         /// Strategy for the duplicate/counting pass.
@@ -185,7 +184,7 @@ pub enum PhysNode {
 /// ordering, or a row cut. Stored in execution order (the aggregate
 /// consumes the body first, the limit cuts last); rendered top-down in
 /// reverse, above the body tree.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum OutputOp {
     /// `GROUP BY` + aggregate evaluation over the body rows.
     Agg {
@@ -212,15 +211,14 @@ pub enum OutputOp {
     Limit {
         /// Operator slot.
         id: OpId,
-        /// License: the `ORDER BY` columns are an ascending prefix of
-        /// an ordered (B-tree) index on the block's single table, so
-        /// the executor may walk the index in order and **stop after k
+        /// The ordered (B-tree) index whose columns the `ORDER BY`
+        /// columns are an ascending prefix of, on the block's single
+        /// table: the executor walks it in order and **stops after k
         /// emitted rows** instead of materializing and sorting the full
-        /// table (rendered as ` early-stop(index)`). Same semantics as
-        /// [`BlockPlan::ixscan`]: a license, not a promise — the
-        /// executor re-verifies against the live catalog and falls
-        /// back to scan + sort + limit on disagreement.
-        early_stop: Option<Justification>,
+        /// table (rendered as ` early-stop(index)`). When the live
+        /// catalog no longer holds the planned index definition, the
+        /// executor scans, sorts and cuts instead.
+        early_stop: Option<String>,
     },
 }
 
@@ -234,7 +232,7 @@ impl OutputOp {
 }
 
 /// A complete physical plan: the choice tree plus the operator registry.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PhysicalPlan {
     /// Root of the plan tree.
     pub root: PhysNode,
@@ -275,7 +273,7 @@ impl PhysicalPlan {
                 }
                 OutputOp::Sort { .. } => String::new(),
                 OutputOp::Limit { early_stop, .. } => match early_stop {
-                    Some(ix) => format!(" early-stop({})", ix.index().unwrap_or("?")),
+                    Some(index) => format!(" early-stop({index})"),
                     None => String::new(),
                 },
             };
@@ -330,8 +328,8 @@ impl PhysicalPlan {
                     let suffix = match &step.ix {
                         Some(ix) => format!(
                             " ixjoin({}) unique={}",
-                            ix.index().unwrap_or("?"),
-                            if ix.is_unique_index() { "yes" } else { "no" }
+                            ix.index,
+                            if ix.unique { "yes" } else { "no" }
                         ),
                         None => String::new(),
                     };
@@ -339,11 +337,7 @@ impl PhysicalPlan {
                 }
                 let mut suffix = String::new();
                 if let Some(ix) = &block.ixscan {
-                    suffix.push_str(&format!(
-                        " ixscan({}, {})",
-                        ix.index().unwrap_or("?"),
-                        ix.sarg().unwrap_or("")
-                    ));
+                    suffix.push_str(&format!(" ixscan({}, {})", ix.index, ix.desc));
                 }
                 if block.columnar {
                     suffix.push_str(" exec=columnar");
@@ -397,7 +391,7 @@ mod tests {
 
     fn tiny_plan() -> PhysicalPlan {
         PhysicalPlan {
-            root: PhysNode::Block(BlockPlan {
+            root: PhysNode::Block(Box::new(BlockPlan {
                 order: vec![0, 1],
                 scan: 0,
                 joins: vec![JoinStep {
@@ -414,7 +408,7 @@ mod tests {
                 columnar: false,
                 ixscan: None,
                 price: None,
-            }),
+            })),
             output: Vec::new(),
             estimated: true,
             ops: vec![
@@ -477,12 +471,28 @@ mod tests {
         );
     }
 
+    fn probe(index: &str, unique: bool) -> IndexProbe {
+        IndexProbe {
+            index: index.into(),
+            unique,
+            sources: Vec::new(),
+            key: None,
+        }
+    }
+
     #[test]
     fn index_operators_render_their_markers() {
         let mut plan = tiny_plan();
         if let PhysNode::Block(b) = &mut plan.root {
-            b.ixscan = Some(Justification::ix_scan("IDX_SNO", true, "SNO=3"));
-            b.joins[0].ix = Some(Justification::ix_join("IDX_PARTS", true));
+            b.ixscan = Some(IndexSarg {
+                index: "IDX_SNO".into(),
+                unique: true,
+                prefix: Vec::new(),
+                low: None,
+                high: None,
+                desc: "SNO=3".into(),
+            });
+            b.joins[0].ix = Some(probe("IDX_PARTS", true));
         }
         let rendered = plan.render(0, None);
         assert!(
@@ -500,7 +510,7 @@ mod tests {
         let mut plan = tiny_plan();
         if let PhysNode::Block(b) = &mut plan.root {
             b.columnar = true;
-            b.joins[0].ix = Some(Justification::ix_join("IDX_PARTS", false));
+            b.joins[0].ix = Some(probe("IDX_PARTS", false));
             b.price = Some(AccessPrices {
                 encoded_ns: 410_000,
                 index_ns: 2_940_000,
@@ -582,7 +592,7 @@ mod tests {
         // An early-stop license renders its index on the limit line.
         plan.output = vec![OutputOp::Limit {
             id: 6,
-            early_stop: Some(Justification::ix_scan("IDX_SNO", true, "SNO")),
+            early_stop: Some("IDX_SNO".into()),
         }];
         let rendered = plan.render(0, None);
         assert!(

@@ -47,6 +47,7 @@ use crate::physical::{
     OutputOp, PhysNode, PhysicalPlan,
 };
 use crate::price::{encoded_price, rows_price, Fetch, Step};
+use crate::sarg::{find_index_probe, find_index_sarg, IndexProbe};
 use crate::stats::Statistics;
 use std::collections::BTreeSet;
 use uniq_plan::{BScalar, BoundAggItem, BoundExpr, BoundOutput, BoundQuery, BoundSpec};
@@ -183,7 +184,7 @@ pub fn plan_output(
 /// (unique targets first; each outer tuple then matches at most one
 /// row); otherwise it runs [`PlannerOptions::join`]. The plan has no
 /// `DISTINCT`, no columnar license and no estimates. Only delta plans
-/// probe declared keys: the executor re-derives a probe the same way.
+/// probe declared keys.
 pub fn plan_delta(spec: &BoundSpec, i: usize, options: PlannerOptions) -> BlockPlan {
     Planner::new(None, options).fixed_block(spec, Some(i))
 }
@@ -219,8 +220,8 @@ fn agg_item_label(output: &BoundOutput, item: &BoundAggItem) -> String {
 /// prefix of an ordered (B-tree) index's column list — walking that
 /// index in canonical order (`NULL`s first, matching the engine's total
 /// order) yields rows already sorted, so the scan may stop as soon as
-/// `k` rows pass the residual filter.
-fn early_stop_license(output: &BoundOutput) -> Option<uniq_proof::Justification> {
+/// `k` rows pass the residual filter. The license is that index's name.
+fn early_stop_license(output: &BoundOutput) -> Option<String> {
     output.limit?;
     if output.agg.is_some() || output.order_by.is_empty() {
         return None;
@@ -242,16 +243,9 @@ fn early_stop_license(output: &BoundOutput) -> Option<uniq_proof::Justification>
         }
         cols.push(attr - range.start);
     }
-    table.schema.indexes.iter().find_map(|def| {
-        (def.ordered && def.columns.len() >= cols.len() && def.columns[..cols.len()] == cols[..])
-            .then(|| {
-                let desc: Vec<&str> = cols
-                    .iter()
-                    .map(|&c| table.schema.columns[c].name.as_str())
-                    .collect();
-                uniq_proof::Justification::ix_scan(&def.name, def.unique, desc.join(","))
-            })
-    })
+    (table.schema.indexes.iter())
+        .find(|def| def.ordered && def.columns.starts_with(&cols))
+        .map(|def| def.name.clone())
 }
 
 struct Planner<'a> {
@@ -300,7 +294,7 @@ impl<'a> Planner<'a> {
                     Some(estimator) => self.plan_block(estimator, spec),
                     None => (self.fixed_block(spec, None), 0.0),
                 };
-                (PhysNode::Block(block), est)
+                (PhysNode::Block(Box::new(block)), est)
             }
             BoundQuery::SetOp {
                 op,
@@ -395,14 +389,14 @@ impl<'a> Planner<'a> {
                             owners.contains(&t) && owners.iter().all(|o| order[..=k].contains(o))
                         })
                         .collect();
-                    crate::sarg::find_index_probe(spec, t, &level, &placed, true)
+                    find_index_probe(spec, t, &level, &placed, true)
                 });
                 let kind = join_kind(method, has_keys, probe.is_some());
                 JoinStep {
                     method,
                     id: self.join_op(spec, t, kind, 0.0),
                     unique: false,
-                    ix: probe.map(|p| uniq_proof::Justification::ix_join(p.index, p.unique)),
+                    ix: probe,
                 }
             })
             .collect();
@@ -526,7 +520,7 @@ impl<'a> Planner<'a> {
             has_keys: bool,
             unique: bool,
             est: f64,
-            ix: Option<uniq_proof::Justification>,
+            ix: Option<IndexProbe>,
             step: Step,
         }
         let mut steps: Vec<Chosen> = Vec::new();
@@ -573,7 +567,7 @@ impl<'a> Planner<'a> {
                 })
                 .map(|((c, _), _)| *c)
                 .collect();
-            let probe = crate::sarg::find_index_probe(
+            let probe = find_index_probe(
                 spec,
                 next,
                 &step_conjuncts,
@@ -602,7 +596,7 @@ impl<'a> Planner<'a> {
                 has_keys,
                 unique: key_covered && method == JoinMethod::Hash,
                 est: step_est,
-                ix: probe.map(|p| uniq_proof::Justification::ix_join(&p.index, p.unique)),
+                ix: probe,
                 step: Step {
                     rows: raw[next],
                     filters: own(next),
@@ -643,14 +637,11 @@ impl<'a> Planner<'a> {
             .collect();
         let mut ixscan = None;
         let mut scan_fetch = None;
-        if let Some(s) = crate::sarg::find_index_sarg(spec, order[0], &scan_conjuncts) {
+        if let Some(s) = find_index_sarg(spec, order[0], &scan_conjuncts) {
             if s.unique {
                 scan_est = scan_est.min(1.0);
             }
             if scan_est + 1.0 < raw[order[0]] {
-                ixscan = Some(uniq_proof::Justification::ix_scan(
-                    &s.index, s.unique, &s.desc,
-                ));
                 let columns = t0
                     .schema
                     .index(&s.index)
@@ -664,6 +655,7 @@ impl<'a> Planner<'a> {
                     rows: if s.unique { rows.min(1.0) } else { rows },
                     unique: s.unique,
                 });
+                ixscan = Some(s);
             }
         }
 
@@ -1156,8 +1148,8 @@ mod tests {
         let p = plan_on(&db, "SELECT S.SNAME FROM SUPPLIER S WHERE S.SNO = 3");
         let b = block(&p);
         let ix = b.ixscan.as_ref().expect("unique point probe licensed");
-        assert_eq!(ix.index(), Some("IDX_S_SNO"));
-        assert!(ix.is_unique_index());
+        assert_eq!(ix.index, "IDX_S_SNO");
+        assert!(ix.unique);
         assert_eq!(
             p.ops[b.scan].est, 1,
             "unique probe estimate is the hard bound 1"
@@ -1181,8 +1173,8 @@ mod tests {
         // probe of its unique index instead of building a hash table.
         assert_eq!(b.order[0], 1, "PARTS first");
         let ix = b.joins[0].ix.as_ref().expect("index probe licensed");
-        assert_eq!(ix.index(), Some("IDX_S_SNO"));
-        assert!(ix.is_unique_index());
+        assert_eq!(ix.index, "IDX_S_SNO");
+        assert!(ix.unique);
         assert!(p.ops[b.joins[0].id]
             .label
             .contains("IxJoin with Scan SUPPLIER"));

@@ -4,15 +4,13 @@
 //! A conjunct is *sargable* for an index when it constrains a leading
 //! index column to a constant (`col = literal`, `col = :hostvar`) or —
 //! on an ordered index — bounds the column following the point-bound
-//! prefix (`<`, `<=`, `>`, `>=`, or a non-negated `BETWEEN`). The
-//! extraction here is shared by the planner (to *choose* an
-//! `IxScan`/`IxJoin` license — a
-//! [`Justification::IndexAccess`](uniq_proof::Justification)) and by the
-//! executor
-//! (to *re-derive* the probe at run time against the live catalog: the
-//! plan's index annotation is a license, not a promise — if the
-//! re-derivation disagrees with the plan, the executor falls back to
-//! the planned scan or join method and stays correct).
+//! prefix (`<`, `<=`, `>`, `>=`, or a non-negated `BETWEEN`). Only the
+//! planner derives an index access: an [`IndexSarg`] for a block's
+//! scan, an [`IndexProbe`] for a join step. The plan carries it, and the
+//! executor runs it as planned once it has checked that the live
+//! catalog still holds the planned index definition (or, for a delta
+//! term's key probe, still declares the key); otherwise it runs the
+//! planned full scan or join method.
 //!
 //! Soundness contract: a probe or range scan built from an
 //! [`IndexSarg`] returns a **superset-free, subset-free** match — the
@@ -22,7 +20,6 @@
 //! even an imprecise extraction could only cost work, never rows.
 
 use std::collections::BTreeMap;
-use uniq_catalog::IndexDef;
 use uniq_plan::{BScalar, BoundExpr, BoundSpec};
 use uniq_sql::CmpOp;
 
@@ -32,8 +29,6 @@ use uniq_sql::CmpOp;
 pub struct IndexSarg {
     /// Name of the matched index.
     pub index: String,
-    /// The matched index is ordered (`USING BTREE`).
-    pub ordered: bool,
     /// The matched index is unique **and** fully point-bound: the probe
     /// returns at most one row (the paper's `=̇` special-value reading
     /// of `UNIQUE` makes this a hard bound, not an estimate).
@@ -50,14 +45,6 @@ pub struct IndexSarg {
     /// Human-readable predicate fragment, e.g. `SNO=3,PNO>=2` — what
     /// `EXPLAIN` prints inside `ixscan(…)`.
     pub desc: String,
-}
-
-impl IndexSarg {
-    /// Does the sarg bind every column of `def` to a point constant?
-    /// (Then a point probe suffices; otherwise a range scan runs.)
-    pub fn full_point(&self, def: &IndexDef) -> bool {
-        self.low.is_none() && self.high.is_none() && self.prefix.len() == def.columns.len()
-    }
 }
 
 /// Where one component of an index-join probe key comes from.
@@ -188,7 +175,11 @@ fn collect_bounds(
 /// fully-bound probe (hard one-row bound), then a trailing range. A
 /// hash index qualifies only when fully point-bound; an ordered index
 /// also with a shorter prefix or a leading-column range.
-pub fn find_index_sarg(spec: &BoundSpec, t: usize, conjuncts: &[&BoundExpr]) -> Option<IndexSarg> {
+pub(crate) fn find_index_sarg(
+    spec: &BoundSpec,
+    t: usize,
+    conjuncts: &[&BoundExpr],
+) -> Option<IndexSarg> {
     let schema = &spec.from[t].schema;
     let bounds = collect_bounds(spec, t, conjuncts);
     let mut best: Option<(IndexSarg, (bool, usize, bool))> = None;
@@ -238,7 +229,6 @@ pub fn find_index_sarg(spec: &BoundSpec, t: usize, conjuncts: &[&BoundExpr]) -> 
             best = Some((
                 IndexSarg {
                     index: def.name.clone(),
-                    ordered: def.ordered,
                     unique,
                     prefix,
                     low,
@@ -259,7 +249,7 @@ pub fn find_index_sarg(spec: &BoundSpec, t: usize, conjuncts: &[&BoundExpr]) -> 
 /// `keys`, the table's declared candidate keys are targets too, after
 /// its indexes. Prefers a unique target: its probes are guaranteed
 /// one-row lookups.
-pub fn find_index_probe(
+pub(crate) fn find_index_probe(
     spec: &BoundSpec,
     t: usize,
     conjuncts: &[&BoundExpr],

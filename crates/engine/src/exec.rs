@@ -17,8 +17,8 @@
 //!   when the key's domain is small and hash them otherwise, and only
 //!   output rows are decoded;
 //! * **rows** — the stored rows, otherwise. The scan may go through a
-//!   planned index; a join step probes an index, re-scans the table
-//!   (nested loop), hashes borrowed values or forms a cross product;
+//!   planned index; a join step probes a planned index, re-scans the
+//!   table (nested loop), hashes borrowed values or forms a cross product;
 //!   every conjunct is evaluated on the rows the tuple's ids point to,
 //!   and only output rows are copied. This access is the reference the
 //!   agreement suites check the encoded one against.
@@ -26,7 +26,11 @@
 //! A hash step keys on the equality conjuncts linking the new table to
 //! the placed ones (`NULL` join keys excluded on both sides, per
 //! `WHERE`-clause `=` semantics). Conjuncts over the new table alone
-//! filter its build side; the rest run on the joined tuples.
+//! filter its build side; the rest run on the joined tuples. An index
+//! access runs as the plan carries it; the one check before it is that
+//! the live catalog still holds the planned index definition (or, for
+//! a delta term's key probe, still declares the key), and without it
+//! the planned full scan, join method or sort runs instead.
 //!
 //! Subquery blocks have no plan node. They run as nested loops through
 //! `Executor::enumerate`, over borrowed rows, and see the enclosing
@@ -48,12 +52,13 @@ use crate::agg::aggregate;
 use crate::columnar::{ColumnStore, Encoded};
 use crate::hasher::HashMap;
 use crate::setops::{combine_setop, distinct};
-use crate::stats::{ExecStats, JoinMethod};
+use crate::stats::ExecStats;
 use std::hash::Hash;
+use std::ops::Bound;
 use uniq_catalog::{Database, Positions, Row, TableRows};
 use uniq_cost::{
-    find_index_probe, find_index_sarg, BlockPlan, JoinStep, Justification, OutputOp, PhysNode,
-    PhysicalPlan, PlannerOptions, ProbeSource,
+    BlockPlan, IndexSarg, JoinMethod, JoinStep, OutputOp, PhysNode, PhysicalPlan, PlannerOptions,
+    ProbeSource,
 };
 use uniq_plan::{
     AttrRef, BScalar, BoundAgg, BoundExpr, BoundOutput, BoundQuery, BoundSpec, FromTable, HostVars,
@@ -113,8 +118,9 @@ impl<'a> Executor<'a> {
     }
 
     /// Execute a query under `plan`, recording each operator's actual
-    /// output cardinality. A plan that does not mirror the query's shape
-    /// is an internal error.
+    /// output cardinality. The plan must be the one planned for this
+    /// query: its index accesses run as planned. A plan that does not
+    /// mirror the query's shape is an internal error.
     pub fn run_with_plan(&mut self, query: &BoundQuery, plan: &PhysicalPlan) -> Result<Vec<Row>> {
         self.actuals = vec![0; plan.ops.len()];
         let rows = self.exec_query(query, &plan.root)?;
@@ -123,12 +129,13 @@ impl<'a> Executor<'a> {
     }
 
     /// Execute a full query — body plus aggregation / `ORDER BY` /
-    /// `LIMIT` output clauses — under `plan`, recording the actual
-    /// cardinalities of its [`OutputOp`]s too.
+    /// `LIMIT` output clauses — under `plan`, the one planned for this
+    /// query, recording the actual cardinalities of its [`OutputOp`]s
+    /// too.
     ///
-    /// An `ORDER BY key-prefix LIMIT k` whose plan carries a live
-    /// early-stop license walks the ordered index and stops after `k`
-    /// emitted rows (booking `early_stops` / `topk_rows_examined`).
+    /// An `ORDER BY key-prefix LIMIT k` whose plan names a live index for
+    /// the early stop walks it in order and stops after `k` emitted rows
+    /// (booking `early_stops` / `topk_rows_examined`).
     /// Otherwise the body runs, an aggregate groups it — on code words
     /// under the encoded access, with the proof-elided zero-hash
     /// one-pass where licensed — and the rows are sorted (engine total
@@ -172,12 +179,12 @@ impl<'a> Executor<'a> {
     }
 
     /// Serve `ORDER BY key-prefix LIMIT k` by walking the ordered index
-    /// the plan's `Limit` licenses, in canonical key order (`NULL`s
-    /// first — exactly the engine's sort order), and stopping as soon as
-    /// `k` rows pass the residual filter. `Ok(None)` means the plan
-    /// grants no license or it no longer holds against the live
-    /// catalog: the caller scans, sorts and truncates instead, so a
-    /// dropped index costs speed, never rows.
+    /// the plan's `Limit` names, in canonical key order (`NULL`s first —
+    /// exactly the engine's sort order), and stopping as soon as `k` rows
+    /// pass the residual filter. `Ok(None)` means the plan names no index
+    /// or the live catalog no longer holds its definition: the caller
+    /// scans, sorts and truncates instead, so a dropped index costs
+    /// speed, never rows.
     fn early_stop_topk(
         &mut self,
         output: &BoundOutput,
@@ -185,9 +192,9 @@ impl<'a> Executor<'a> {
     ) -> Result<Option<Vec<Row>>> {
         let index = plan.output.iter().find_map(|op| match op {
             OutputOp::Limit {
-                early_stop: Some(license),
+                early_stop: Some(index),
                 ..
-            } => license.index(),
+            } => Some(index),
             _ => None,
         });
         let (Some(k), Some(index), Some(spec), PhysNode::Block(bp)) =
@@ -200,13 +207,14 @@ impl<'a> Executor<'a> {
             return Ok(None);
         }
         let db = self.db;
-        let unbounded = std::ops::Bound::Unbounded;
+        let unbounded = Bound::Unbounded;
         let mut ids = db.index_walk(&table.schema.name, index, &[], unbounded, unbounded)?;
         self.stats.ix_probes += 1;
         let rows = Rows::new(db, spec, &bp.order, None)?;
         let mut out: Vec<Row> = Vec::new();
         let mut examined = 0u64;
-        for r in ids.by_ref() {
+        while (out.len() as u64) < k {
+            let Some(r) = ids.next() else { break };
             let tuple = [r as u32];
             examined += 1;
             self.stats.rows_scanned += 1;
@@ -216,9 +224,6 @@ impl<'a> Executor<'a> {
                 }
             }
             out.push(rows.project(spec, &tuple)?);
-            if out.len() as u64 >= k {
-                break;
-            }
         }
         self.stats.topk_rows_examined += examined;
         if ids.next().is_some() {
@@ -391,9 +396,10 @@ impl<'a> Executor<'a> {
         }
     }
 
-    /// The rows access's scan: the planned index scan while its license
-    /// holds, every stored row otherwise. The level's conjuncts filter
-    /// either way; the index only narrows which rows are visited.
+    /// The rows access's scan: through the planned index while the live
+    /// catalog still holds its definition, over every stored row
+    /// otherwise. The level's conjuncts filter either way; the index
+    /// only narrows which rows are visited.
     fn scan(
         &mut self,
         spec: &BoundSpec,
@@ -401,28 +407,41 @@ impl<'a> Executor<'a> {
         rows: &Rows<'_>,
         conjuncts: &[&BoundExpr],
     ) -> Result<Vec<u32>> {
-        let candidates = match &bp.ixscan {
-            Some(info) => self.ix_scan(spec, bp.order[0], conjuncts, info)?,
-            None => None,
-        };
-        let n = candidates.as_ref().map_or(rows.tables[0].len(), Vec::len);
+        let table = &spec.from[bp.order[0]];
         let mut out = Vec::new();
-        for i in 0..n {
-            let r = candidates.as_ref().map_or(i, |c| c[i]);
-            if rows.delta {
-                self.stats.delta_rows += 1;
-            } else {
-                self.stats.rows_scanned += 1;
+        match (bp.ixscan.as_ref()).filter(|sarg| self.index_fresh(table, &sarg.index)) {
+            Some(sarg) => self.ix_scan(table, sarg, rows, conjuncts, &mut out)?,
+            None => {
+                for r in 0..rows.tables[0].len() {
+                    self.read(rows, &mut out, r, conjuncts)?;
+                }
             }
-            self.extend(rows, &mut out, &[], r as u32, conjuncts)?;
         }
         Ok(out)
     }
 
+    /// Read row `r` of the scanned table, booking it, and keep it in
+    /// `out` when every conjunct holds.
+    fn read(
+        &mut self,
+        rows: &Rows<'_>,
+        out: &mut Vec<u32>,
+        r: usize,
+        conjuncts: &[&BoundExpr],
+    ) -> Result<()> {
+        if rows.delta {
+            self.stats.delta_rows += 1;
+        } else {
+            self.stats.rows_scanned += 1;
+        }
+        self.extend(rows, out, &[], r as u32, conjuncts)
+    }
+
     /// One join step of the rows access: join table `t`, at pipeline
-    /// position `k`, onto `tuples`. A planned index or key probe runs
-    /// while its license holds; otherwise the step's method does. Every
-    /// conjunct of the level holds on each tuple emitted.
+    /// position `k`, onto `tuples`. The planned index or key probe runs
+    /// while the live catalog still holds that index or declares that
+    /// key; otherwise the step's method does. Every conjunct of the level
+    /// holds on each tuple emitted.
     #[allow(clippy::too_many_arguments)]
     fn join(
         &mut self,
@@ -439,19 +458,11 @@ impl<'a> Executor<'a> {
         let placed = |idx: usize| rows.attrs[idx].0 < k;
         let new_rows = rows.tables[k];
         let mut out = Vec::new();
-        // The plan names the index or key, but the probe key is
-        // re-derived here and checked against the live catalog; on any
-        // disagreement the step runs its planned method instead. Only a
-        // delta term probes declared keys.
-        let probe = step.ix.as_ref().and_then(|info| {
-            find_index_probe(spec, t, conjuncts, &placed, rows.delta).filter(|p| {
-                let fresh = match &p.key {
-                    Some(key) => (self.db.catalog().table(name).ok())
-                        .is_some_and(|live| live.candidate_keys().any(|k| &k.columns == key)),
-                    None => self.index_fresh(table, &p.index),
-                };
-                Some(p.index.as_str()) == info.index() && fresh
-            })
+        // Only a delta term probes declared keys.
+        let probe = step.ix.as_ref().filter(|p| match &p.key {
+            Some(key) => (self.db.catalog().table(name).ok())
+                .is_some_and(|live| live.candidate_keys().any(|k| &k.columns == key)),
+            None => self.index_fresh(table, &p.index),
         });
         if let Some(p) = probe {
             // One probe per tuple, key assembled from placed attributes
@@ -678,34 +689,17 @@ impl<'a> Executor<'a> {
         planned.is_some() && planned == live
     }
 
-    /// The positions a planned secondary index serves a block's scan
-    /// from.
-    ///
-    /// The plan's [`Justification::IndexAccess`] is a license, not a
-    /// promise: the sarg is re-derived from the spec and checked against
-    /// the live catalog before any probe. `Ok(None)` means the license
-    /// no longer holds — the caller scans every row, so a dropped or
-    /// re-shaped index costs speed, never rows.
+    /// Serve a block's scan through its planned index: walk the rows
+    /// the sarg's point prefix and bounds select, reading each posting in
+    /// place, into `out` like [`Executor::scan`].
     fn ix_scan(
         &mut self,
-        spec: &BoundSpec,
-        t: usize,
+        table: &FromTable,
+        sarg: &IndexSarg,
+        rows: &Rows<'_>,
         conjuncts: &[&BoundExpr],
-        info: &Justification,
-    ) -> Result<Option<Vec<usize>>> {
-        let Some(sarg) = find_index_sarg(spec, t, conjuncts) else {
-            return Ok(None);
-        };
-        let table = &spec.from[t];
-        if Some(sarg.index.as_str()) != info.index() || !self.index_fresh(table, &sarg.index) {
-            return Ok(None);
-        }
-        let Some(def) = table.schema.index(&sarg.index) else {
-            return Ok(None);
-        };
-        let full_point = sarg.full_point(def);
-        let unique = sarg.unique;
-
+        out: &mut Vec<u32>,
+    ) -> Result<()> {
         // Resolve the probe scalars (host variables bind now). A NULL
         // component never satisfies `=` or a range bound: empty scan.
         let constant = |s: &BScalar| scalar(self.hostvars, s, &Scope::EMPTY).cloned();
@@ -713,52 +707,41 @@ impl<'a> Executor<'a> {
         for s in &sarg.prefix {
             let v = constant(s)?;
             if v.is_null() {
-                return Ok(Some(Vec::new()));
+                return Ok(());
             }
             prefix.push(v);
         }
-        let resolve_bound = |s: &Option<(BScalar, bool)>| -> Result<_> {
-            Ok(match s {
-                Some((s, inc)) => {
-                    let v = constant(s)?;
-                    if v.is_null() {
-                        None // `col >= NULL` is unknown for every row
-                    } else {
-                        Some((v, *inc))
-                    }
-                }
-                None => None,
+        let bound = |b: &Option<(BScalar, bool)>| -> Result<Option<Bound<Value>>> {
+            let Some((s, inclusive)) = b else {
+                return Ok(Some(Bound::Unbounded));
+            };
+            // `col >= NULL` is unknown for every row.
+            Ok(match (constant(s)?, inclusive) {
+                (v, _) if v.is_null() => None,
+                (v, true) => Some(Bound::Included(v)),
+                (v, false) => Some(Bound::Excluded(v)),
             })
         };
-        let low = resolve_bound(&sarg.low)?;
-        let high = resolve_bound(&sarg.high)?;
-        if (sarg.low.is_some() && low.is_none()) || (sarg.high.is_some() && high.is_none()) {
-            return Ok(Some(Vec::new()));
-        }
-        fn as_bound(b: &Option<(Value, bool)>) -> std::ops::Bound<&Value> {
-            match b {
-                Some((v, true)) => std::ops::Bound::Included(v),
-                Some((v, false)) => std::ops::Bound::Excluded(v),
-                None => std::ops::Bound::Unbounded,
-            }
-        }
-
-        let db = self.db;
-        let name = &table.schema.name;
-        let positions: Vec<usize> = if full_point {
-            db.index_probe(name, &sarg.index, &prefix)?.to_vec()
+        let (Some(low), Some(high)) = (bound(&sarg.low)?, bound(&sarg.high)?) else {
+            return Ok(());
+        };
+        // A unique sarg is a fully point-bound probe, a guaranteed one-row
+        // lookup costing exactly one probe step; any other walks the
+        // index, one step per posting plus one.
+        let (db, name) = (self.db, &table.schema.name);
+        let positions: Box<dyn Iterator<Item = usize>> = if sarg.unique {
+            Box::new(db.index_probe(name, &sarg.index, &prefix)?.iter())
         } else {
-            db.index_range(name, &sarg.index, &prefix, as_bound(&low), as_bound(&high))?
+            Box::new(db.index_walk(name, &sarg.index, &prefix, low.as_ref(), high.as_ref())?)
         };
         self.stats.ix_probes += 1;
-        // A unique fully-bound probe is a guaranteed one-row lookup:
-        // exactly one probe step. Anything else walks its postings.
-        self.stats.probe_steps += if unique {
-            1
-        } else {
-            positions.len() as u64 + 1
-        };
-        Ok(Some(positions))
+        let mut fetched = 0;
+        for r in positions {
+            fetched += 1;
+            self.read(rows, out, r, conjuncts)?;
+        }
+        self.stats.probe_steps += if sarg.unique { 1 } else { fetched + 1 };
+        Ok(())
     }
 
     // --- expression evaluation -------------------------------------------
@@ -1455,6 +1438,105 @@ mod tests {
         let mut oracle = Executor::new(&plain, &hv);
         assert_eq!(rows, oracle.run(&q).unwrap());
         assert_eq!(ex.stats.ix_probes, 0, "fallback never touches an index");
+        assert_eq!(ex.stats.rows_scanned, 5, "full scan of SUPPLIER");
+    }
+
+    #[test]
+    fn a_probe_whose_index_is_gone_runs_the_planned_join_method() {
+        // Planned with IDX_S_SNO alone: PARTS scans in full, SUPPLIER
+        // joins in by probing the index…
+        let mut db = supplier_database().unwrap();
+        db.run_script("CREATE UNIQUE INDEX IDX_S_SNO ON SUPPLIER (SNO);")
+            .unwrap();
+        let sql = "SELECT P.PNO, S.SNAME FROM SUPPLIER S, PARTS P \
+                   WHERE S.SNO = P.SNO AND P.COLOR = 'RED'";
+        let q = bind_query(db.catalog(), &parse_query(sql).unwrap()).unwrap();
+        let plan = cost_plan(&db, &q);
+        let PhysNode::Block(b) = &plan.root else {
+            panic!("expected block")
+        };
+        assert!(b.ixscan.is_none() && b.joins[0].ix.is_some(), "{plan:?}");
+        assert_eq!(b.joins[0].method, JoinMethod::Hash);
+        // …then run on a database without it: the step hashes instead.
+        let plain = supplier_database().unwrap();
+        let hv = HostVars::new();
+        let mut ex = Executor::new(&plain, &hv);
+        let rows = ex.run_with_plan(&q, &plan).unwrap();
+        let mut oracle = Executor::new(&plain, &hv);
+        assert_eq!(sorted(rows), sorted(oracle.run(&q).unwrap()));
+        assert_eq!(ex.stats.ix_probes, 0, "{:?}", ex.stats);
+        assert_eq!(ex.stats.hash_joins, 1, "the planned hash join runs");
+    }
+
+    #[test]
+    fn an_index_of_the_same_name_over_other_columns_is_not_probed() {
+        // Both index names are kept, over other columns: the live
+        // definitions differ from the planned ones, so neither the scan
+        // nor the join step probes.
+        let db = indexed_supplier_db();
+        let sql = "SELECT P.PNO, S.SNAME FROM SUPPLIER S, PARTS P \
+                   WHERE S.SNO = P.SNO AND P.COLOR = 'RED'";
+        let q = bind_query(db.catalog(), &parse_query(sql).unwrap()).unwrap();
+        let plan = cost_plan(&db, &q);
+        let PhysNode::Block(b) = &plan.root else {
+            panic!("expected block")
+        };
+        assert!(b.ixscan.is_some() && b.joins[0].ix.is_some(), "{plan:?}");
+        let mut other = supplier_database().unwrap();
+        other
+            .run_script(
+                "CREATE INDEX IDX_S_SNO ON SUPPLIER (SNAME);
+                 CREATE INDEX IDX_P_COLOR ON PARTS (PNAME);",
+            )
+            .unwrap();
+        let hv = HostVars::new();
+        let mut ex = Executor::new(&other, &hv);
+        let rows = ex.run_with_plan(&q, &plan).unwrap();
+        let mut oracle = Executor::new(&other, &hv);
+        assert_eq!(sorted(rows), sorted(oracle.run(&q).unwrap()));
+        assert_eq!(ex.stats.ix_probes, 0, "{:?}", ex.stats);
+        assert_eq!(b.joins[0].method, JoinMethod::Hash);
+        assert_eq!(ex.stats.hash_joins, 1, "the planned hash join runs");
+    }
+
+    #[test]
+    fn an_early_stop_whose_index_is_gone_scans_sorts_and_cuts() {
+        let mut db = supplier_database().unwrap();
+        db.run_script("CREATE INDEX IDX_S_BUDGET ON SUPPLIER (BUDGET);")
+            .unwrap();
+        let sql = "SELECT S.SNO, S.BUDGET FROM SUPPLIER S ORDER BY S.BUDGET LIMIT 2";
+        let output =
+            uniq_plan::bind_output(db.catalog(), &uniq_sql::parse_full_query(sql).unwrap())
+                .unwrap();
+        let plan = uniq_cost::plan_output(&output, None, PlannerOptions::default());
+        let licensed = |op: &OutputOp| {
+            matches!(
+                op,
+                OutputOp::Limit {
+                    early_stop: Some(_),
+                    ..
+                }
+            )
+        };
+        assert!(plan.output.iter().any(licensed), "{plan:?}");
+        let hv = HostVars::new();
+        let mut walk = Executor::new(&db, &hv);
+        let walked = walk.run_output(&output, &plan).unwrap();
+        assert_eq!(walk.stats.early_stops, 1, "{:?}", walk.stats);
+        // The same plan on a database without the index: scan, sort, cut.
+        let plain = supplier_database().unwrap();
+        let mut ex = Executor::new(&plain, &hv);
+        let rows = ex.run_output(&output, &plan).unwrap();
+        assert_eq!(rows, walked);
+        assert_eq!(
+            rows,
+            vec![
+                vec![Value::Int(5), Value::Int(0)],
+                vec![Value::Int(4), Value::Int(300)],
+            ]
+        );
+        assert_eq!(ex.stats.early_stops, 0, "{:?}", ex.stats);
+        assert_eq!((ex.stats.ix_probes, ex.stats.sorts), (0, 1));
         assert_eq!(ex.stats.rows_scanned, 5, "full scan of SUPPLIER");
     }
 

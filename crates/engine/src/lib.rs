@@ -51,5 +51,7 @@ pub use ivm::{MaintenanceMode, ViewDelta};
 pub use plancache::{CacheStats, CachedPlan, PlanCache};
 pub use session::{QueryOutput, Session};
 pub use shared::{EngineStats, SharedEngine, Subscription, SubscriptionSink, SubscriptionStats};
-pub use stats::{DistinctMethod, ExecStats, JoinMethod, StageTimings};
-pub use uniq_cost::{CardReport, PhysicalPlan, PlannerOptions, QErrorStats, Statistics};
+pub use stats::{ExecStats, StageTimings};
+pub use uniq_cost::{
+    CardReport, DistinctMethod, JoinMethod, PhysicalPlan, PlannerOptions, QErrorStats, Statistics,
+};

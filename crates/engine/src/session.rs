@@ -547,7 +547,7 @@ mod tests {
     fn exec_options_separate_cached_plans() {
         let sort = Session::sample().unwrap();
         let mut hash = sort.clone(); // shares the cache
-        hash.planner.distinct = crate::stats::DistinctMethod::Hash;
+        hash.planner.distinct = uniq_cost::DistinctMethod::Hash;
         let sql = "SELECT DISTINCT S.SNO FROM SUPPLIER S";
         sort.query(sql).unwrap();
         assert!(!hash.query(sql).unwrap().cache_hit);
@@ -882,6 +882,12 @@ mod tests {
         assert_eq!(base.stats.early_stops, 0);
         assert!(base.stats.sorts >= 1, "{:?}", base.stats);
         assert!(base.stats.rows_scanned >= 5, "full scan under the sort");
+        // LIMIT 0: the walk stops before its first row.
+        let zero = "SELECT S.SNO, S.BUDGET FROM SUPPLIER S ORDER BY S.BUDGET LIMIT 0";
+        let opt = s.query(zero).unwrap();
+        assert!(opt.rows.is_empty(), "{:?}", opt.rows);
+        assert_eq!(opt.stats.topk_rows_examined, 0, "{:?}", opt.stats);
+        assert_eq!(opt.rows, oracle.query(zero).unwrap().rows);
     }
 
     #[test]

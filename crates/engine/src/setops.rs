@@ -16,8 +16,9 @@
 //! kept rows are moved out of the input, first appearances first.
 
 use crate::hasher::{HashMap, HashSet};
-use crate::stats::{DistinctMethod, ExecStats};
+use crate::stats::ExecStats;
 use uniq_catalog::Row;
+use uniq_cost::DistinctMethod;
 use uniq_sql::SetOp;
 use uniq_types::{Result, Value};
 

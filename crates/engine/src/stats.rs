@@ -1,10 +1,5 @@
-//! Execution statistics and executor tuning knobs.
-//!
-//! The physical-method enums moved to `uniq-cost` (the planner chooses
-//! them per node); they are re-exported here so existing imports keep
-//! working.
-
-pub use uniq_cost::{DistinctMethod, JoinMethod};
+//! Execution statistics: the executor's work counters and the serving
+//! path's stage timings.
 
 /// Work counters maintained by every operator.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -167,6 +162,7 @@ impl StageTimings {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use uniq_cost::{DistinctMethod, JoinMethod};
 
     #[test]
     fn stage_timings_absorb_and_total() {

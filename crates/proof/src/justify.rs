@@ -1,14 +1,5 @@
-//! The unified justification vocabulary.
-//!
-//! Before this crate existed, the rewrite engine (`uniq-core`) and the
-//! physical planner (`uniq-cost`) each carried their own licensing
-//! shapes: rewrite steps a `{theorem, detail}` struct, index access
-//! paths a pair of ad-hoc index-license structs. Both are the
-//! same thing — evidence that a semantic claim holds — so they now
-//! share one [`Justification`] enum. A unique index *is* a candidate
-//! key declaration, which is exactly the axiom shape the symbolic
-//! checker consumes (see [`crate::axioms`]); unifying the two keeps a
-//! planner license and a checker axiom traceable to the same source.
+//! Why a fired rewrite step is licensed: its [`Justification`] and
+//! [`ProofStatus`].
 
 use std::fmt;
 
@@ -69,139 +60,38 @@ impl fmt::Display for ProofStatus {
     }
 }
 
-/// Why a semantic claim — a rewrite step, or a physical access path —
-/// is licensed.
+/// Why a fired rewrite step is licensed: the paper theorem it
+/// instantiates, the prose account of its side conditions, and the
+/// step's proof status.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Justification {
-    /// A rewrite firing: the paper theorem it instantiates, the prose
-    /// account of its side conditions, and the step's proof status.
-    Rewrite {
-        /// The theorem or corollary from the paper (or an extension).
-        theorem: &'static str,
-        /// Why the side conditions hold for this query.
-        detail: String,
-        /// Symbolically proved, or covered by property tests.
-        proof: ProofStatus,
-    },
-    /// A planned index access path (initial sargable scan or per-outer
-    /// join probe). Like every planner license this is re-verified by
-    /// the executor at run time; a *unique* index additionally declares
-    /// a candidate key, feeding the checker's axiom set.
-    IndexAccess {
-        /// Name of the index to probe.
-        index: String,
-        /// Unique index: at most one row per key value, so the access
-        /// is a guaranteed one-row lookup (hard bound, not a guess).
-        unique: bool,
-        /// Display fragment for the sargable predicate, e.g.
-        /// `SNO=3,PNO>=2` — present for scans, absent for join probes.
-        sarg: Option<String>,
-    },
+pub struct Justification {
+    /// The theorem or corollary from the paper (or an extension).
+    pub theorem: &'static str,
+    /// Why the side conditions hold for this query.
+    pub detail: String,
+    /// Symbolically proved, or covered by property tests.
+    pub proof: ProofStatus,
 }
 
 impl Justification {
-    /// A rewrite justification, not yet symbolically checked.
+    /// A justification, not yet symbolically checked.
     pub fn new(theorem: &'static str, detail: impl Into<String>) -> Justification {
-        Justification::Rewrite {
+        Justification {
             theorem,
             detail: detail.into(),
             proof: ProofStatus::default(),
         }
     }
 
-    /// An index-scan license (`sarg` is the display form of the bound
-    /// prefix).
-    pub fn ix_scan(
-        index: impl Into<String>,
-        unique: bool,
-        sarg: impl Into<String>,
-    ) -> Justification {
-        Justification::IndexAccess {
-            index: index.into(),
-            unique,
-            sarg: Some(sarg.into()),
-        }
-    }
-
-    /// An index-nested-loop join-probe license.
-    pub fn ix_join(index: impl Into<String>, unique: bool) -> Justification {
-        Justification::IndexAccess {
-            index: index.into(),
-            unique,
-            sarg: None,
-        }
-    }
-
-    /// Attach a proof status (rewrite justifications only; a no-op for
-    /// index licenses, whose evidence is the catalog itself).
-    pub fn with_proof(mut self, status: ProofStatus) -> Justification {
-        if let Justification::Rewrite { proof, .. } = &mut self {
-            *proof = status;
-        }
-        self
-    }
-
-    /// The cited theorem (index licenses cite the index kind).
-    pub fn theorem(&self) -> &'static str {
-        match self {
-            Justification::Rewrite { theorem, .. } => theorem,
-            Justification::IndexAccess { unique: true, .. } => "unique index",
-            Justification::IndexAccess { unique: false, .. } => "index",
-        }
-    }
-
-    /// The human-readable evidence.
-    pub fn detail(&self) -> String {
-        match self {
-            Justification::Rewrite { detail, .. } => detail.clone(),
-            Justification::IndexAccess { index, sarg, .. } => match sarg {
-                Some(s) => format!("{index}, {s}"),
-                None => index.clone(),
-            },
-        }
-    }
-
-    /// The proof status, when this is a rewrite justification.
-    pub fn proof(&self) -> Option<&ProofStatus> {
-        match self {
-            Justification::Rewrite { proof, .. } => Some(proof),
-            Justification::IndexAccess { .. } => None,
-        }
-    }
-
-    /// The index name, when this is an index license.
-    pub fn index(&self) -> Option<&str> {
-        match self {
-            Justification::IndexAccess { index, .. } => Some(index),
-            Justification::Rewrite { .. } => None,
-        }
-    }
-
-    /// Whether an index license is unique (false for rewrites).
-    pub fn is_unique_index(&self) -> bool {
-        matches!(self, Justification::IndexAccess { unique: true, .. })
-    }
-
-    /// The sargable-prefix display fragment of an index-scan license.
-    pub fn sarg(&self) -> Option<&str> {
-        match self {
-            Justification::IndexAccess { sarg, .. } => sarg.as_deref(),
-            Justification::Rewrite { .. } => None,
-        }
+    /// Attach a proof status.
+    pub fn with_proof(self, proof: ProofStatus) -> Justification {
+        Justification { proof, ..self }
     }
 }
 
 impl fmt::Display for Justification {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Justification::Rewrite {
-                theorem, detail, ..
-            } => write!(f, "{theorem}: {detail}"),
-            Justification::IndexAccess { unique, .. } => {
-                let kind = if *unique { "unique index" } else { "index" };
-                write!(f, "{kind}: {}", self.detail())
-            }
-        }
+        write!(f, "{}: {}", self.theorem, self.detail)
     }
 }
 
@@ -212,30 +102,14 @@ mod tests {
     #[test]
     fn rewrite_justifications_render_theorem_and_detail() {
         let j = Justification::new("Theorem 1", "projection covers every key");
-        assert_eq!(j.theorem(), "Theorem 1");
+        assert_eq!(j.theorem, "Theorem 1");
         assert_eq!(j.to_string(), "Theorem 1: projection covers every key");
-        assert!(!j.proof().unwrap().is_proved());
+        assert!(!j.proof.is_proved());
         let j = j.with_proof(ProofStatus::Proved {
             strategy: "squash elimination",
             detail: "key(S)".into(),
         });
-        assert!(j.proof().unwrap().is_proved());
-        assert_eq!(j.proof().unwrap().marker(), "✓");
-    }
-
-    #[test]
-    fn index_licenses_share_the_enum() {
-        let scan = Justification::ix_scan("IDX_SNO", true, "SNO=3");
-        assert_eq!(scan.index(), Some("IDX_SNO"));
-        assert_eq!(scan.sarg(), Some("SNO=3"));
-        assert!(scan.is_unique_index());
-        assert_eq!(scan.theorem(), "unique index");
-        assert!(scan.proof().is_none());
-        // with_proof is a no-op on index licenses.
-        let scan = scan.with_proof(ProofStatus::default());
-        assert!(scan.proof().is_none());
-        let probe = Justification::ix_join("IDX_PARTS", false);
-        assert_eq!(probe.sarg(), None);
-        assert_eq!(probe.theorem(), "index");
+        assert!(j.proof.is_proved());
+        assert_eq!(j.proof.marker(), "✓");
     }
 }

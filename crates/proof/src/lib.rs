@@ -22,9 +22,8 @@
 //!   duplicate-free and single-tuple side-condition queries.
 //! - [`check`]: the decision procedure — [`check_equiv`] returns
 //!   [`Verdict::Proved`] or [`Verdict::Unknown`], sound and incomplete.
-//! - [`justify`]: the unified [`Justification`] vocabulary shared by
-//!   the rewrite engine and the physical planner, carrying each step's
-//!   [`ProofStatus`].
+//! - [`justify`]: a fired rewrite step's [`Justification`], carrying
+//!   its [`ProofStatus`].
 //!
 //! The checker is the rewrite engine's *independent auditor*: it
 //! depends only on the bound representation and the catalog, never on

@@ -550,13 +550,13 @@ fn unselective_index_blocks_are_licensed_columnar_and_keep_their_index_licenses(
     };
     for sql in &INDEXED_ANALYTIC[..2] {
         let ix = scans(sql).expect("the COLOR scan keeps its license");
-        assert_eq!(ix.index(), Some("IDX_P_COLOR"));
+        assert_eq!(ix.index, "IDX_P_COLOR");
     }
     let plan = served_plan(&db, &stats, INDEXED_ANALYTIC[2]);
     let b = blocks(&plan.root)[0];
     let ix = b.joins[0].ix.as_ref().expect("the probe keeps its license");
-    assert_eq!(ix.index(), Some("IDX_P_SNO"));
-    assert!(!ix.is_unique_index());
+    assert_eq!(ix.index, "IDX_P_SNO");
+    assert!(!ix.unique);
     assert!(
         plan.render(0, None).contains("ixjoin(IDX_P_SNO) unique=no"),
         "{}",
@@ -580,8 +580,8 @@ fn a_unique_point_lookup_keeps_its_index_scan_and_no_columnar_license() {
     );
     let b = blocks(&plan.root)[0];
     let ix = b.ixscan.as_ref().expect("unique point probe licensed");
-    assert_eq!(ix.index(), Some("IDX_S_SNO"));
-    assert!(ix.is_unique_index());
+    assert_eq!(ix.index, "IDX_S_SNO");
+    assert!(ix.unique);
     assert!(!b.columnar);
     let price = b.price.expect("covered and indexed, so priced");
     assert!(price.index_ns < price.encoded_ns, "{price:?}");

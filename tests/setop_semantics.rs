@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use std::collections::HashMap;
 use uniqueness::catalog::Row;
 use uniqueness::engine::setops::{combine_setop, distinct, structural_eq_matches_null_eq};
-use uniqueness::engine::stats::{DistinctMethod, ExecStats};
+use uniqueness::engine::{DistinctMethod, ExecStats};
 use uniqueness::sql::SetOp;
 use uniqueness::types::Value;
 
