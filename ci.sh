@@ -138,15 +138,24 @@ cargo test -q -p uniqueness --test index_agreement
 lane -p uniq-bench e19
 # The priced access choice: on perfbench-shaped data, unselective index
 # blocks are licensed columnar and keep their index licenses, a unique
-# point lookup keeps its index scan on rows, the early-stop block is
-# priced at the limit's rows and keeps its plan, and blocks carrying both
+# point lookup keeps its index scan on rows, the early-stop block walks
+# its own sarg on rows and is not priced, and blocks carrying both
 # licenses answer alike served, on the row path and unoptimized, after
 # an INSERT and on a snapshot older than the column store.
 lane -p uniqueness --test index_agreement -- \
     unselective_index_blocks_are_licensed_columnar_and_keep_their_index_licenses \
     a_unique_point_lookup_keeps_its_index_scan_and_no_columnar_license \
-    the_early_stop_block_is_priced_at_the_limits_rows_and_keeps_its_plan \
+    the_early_stop_block_walks_its_sarg_on_rows_and_is_not_priced \
     blocks_with_both_licenses_agree_served_on_rows_and_unoptimized
+# The early stop is the block's scan: the walk over the Limit's index,
+# bounded by the block's own sarg on it, in fixed and cost-based plans.
+# It reads only its range, EXPLAIN names it, and generated walks agree
+# with the scan-sort-cut oracle on every path.
+lane -p uniq-cost -- the_early_stop_walk_is_the_blocks_scan_bounded_by_its_own_sarg
+lane -p uniqueness --test index_agreement -- \
+    the_early_stop_walk_reads_only_its_sargs_range \
+    an_early_stop_block_explains_the_walk_it_serves
+lane -p uniqueness --test agg_agreement -- generated_early_stop_walks_agree_on_every_path
 
 echo "==> fast lane: U-semiring proof checker (soundness + adversarial corpus)"
 cargo test -q -p uniq-proof

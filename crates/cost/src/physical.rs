@@ -111,7 +111,8 @@ pub struct BlockPlan {
     /// as `exec=columnar` on the scan line). A cost-based plan sets it on
     /// each covered block without an index operator, and on a covered
     /// block with one exactly when the encoded access is the cheaper of
-    /// the two priced in [`BlockPlan::price`]; fixed plans never set it.
+    /// the two priced in [`BlockPlan::price`]; fixed plans and blocks
+    /// whose scan is an early-stop walk never set it.
     /// This flag is the one decision of coverage: the executor re-checks
     /// only that the column store is fresh for the database, and reads
     /// the stored rows when it is missing or stale — the flag is a
@@ -124,7 +125,10 @@ pub struct BlockPlan {
     /// catalog still holds the planned index definition, and scans
     /// every row otherwise. A *unique*, fully point-bound index makes
     /// the scan estimate the hard bound 1, not a guess. Like
-    /// [`JoinStep::ix`], it is the rows access's choice.
+    /// [`JoinStep::ix`], it is the rows access's choice. Under an
+    /// early-stop [`OutputOp::Limit`], in fixed plans too, it is the walk
+    /// over the `Limit`'s index: the block's sarg on it, or the whole
+    /// index (`ixscan(name)`), walked in key order until `k` rows pass.
     pub ixscan: Option<IndexSarg>,
     /// Both accesses' estimated times, when the planner priced them: on
     /// a covered block with an index operator (rendered as
@@ -201,8 +205,8 @@ pub enum OutputOp {
         count_distinct_elided: bool,
     },
     /// `ORDER BY` sort over the output rows. Absent when an early-stop
-    /// license on the [`OutputOp::Limit`] serves the order from an
-    /// ordered index instead.
+    /// license on the [`OutputOp::Limit`] serves the order from the
+    /// block's walk over an ordered index instead.
     Sort {
         /// Operator slot.
         id: OpId,
@@ -213,10 +217,10 @@ pub enum OutputOp {
         id: OpId,
         /// The ordered (B-tree) index whose columns the `ORDER BY`
         /// columns are an ascending prefix of, on the block's single
-        /// table: the executor walks it in order and **stops after k
-        /// emitted rows** instead of materializing and sorting the full
-        /// table (rendered as ` early-stop(index)`). When the live
-        /// catalog no longer holds the planned index definition, the
+        /// table: the block's scan ([`BlockPlan::ixscan`]) walks it in
+        /// order and **stops after k rows pass** instead of scanning and
+        /// sorting the table (rendered as ` early-stop(index)`). When the
+        /// live catalog no longer holds the planned index definition, the
         /// executor scans, sorts and cuts instead.
         early_stop: Option<String>,
     },
@@ -337,7 +341,8 @@ impl PhysicalPlan {
                 }
                 let mut suffix = String::new();
                 if let Some(ix) = &block.ixscan {
-                    suffix.push_str(&format!(" ixscan({}, {})", ix.index, ix.desc));
+                    let sep = if ix.desc.is_empty() { "" } else { ", " };
+                    suffix.push_str(&format!(" ixscan({}{sep}{})", ix.index, ix.desc));
                 }
                 if block.columnar {
                     suffix.push_str(" exec=columnar");

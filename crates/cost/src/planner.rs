@@ -28,6 +28,11 @@
 //! cheaper, and both prices are kept on the plan for `EXPLAIN`. The index
 //! licenses stay either way: they are the rows access's plan.
 //!
+//! An early-stop `ORDER BY key-prefix LIMIT k` block is neither priced
+//! nor licensed columnar: its scan is the walk over the `Limit`'s
+//! ordered index ([`plan_output`]), which runs on rows and stops after
+//! `k` rows.
+//!
 //! Two provable caps tighten the estimates: a join whose equality keys
 //! cover a candidate key of the incoming table emits at most the outer
 //! side (each outer partial matches at most one row), and a block
@@ -38,8 +43,8 @@
 //! Without statistics (before `ANALYZE`) the planner builds the *fixed*
 //! plan: the `FROM` order, [`PlannerOptions::join`] on every join step,
 //! [`PlannerOptions::distinct`] for every `DISTINCT` and set operation,
-//! and no index or columnar license. A fixed plan carries no estimates
-//! ([`PhysicalPlan::estimated`] is false).
+//! and no index or columnar license but the early-stop walk. A fixed
+//! plan carries no estimates ([`PhysicalPlan::estimated`] is false).
 
 use crate::estimate::Estimator;
 use crate::physical::{
@@ -47,7 +52,7 @@ use crate::physical::{
     OutputOp, PhysNode, PhysicalPlan,
 };
 use crate::price::{encoded_price, rows_price, Fetch, Step};
-use crate::sarg::{find_index_probe, find_index_sarg, IndexProbe};
+use crate::sarg::{find_index_probe, find_index_sarg, IndexProbe, IndexSarg};
 use crate::stats::Statistics;
 use std::collections::BTreeSet;
 use uniq_plan::{BScalar, BoundAggItem, BoundExpr, BoundOutput, BoundQuery, BoundSpec};
@@ -69,9 +74,10 @@ pub struct PlannerOptions {
     /// node instead.
     pub distinct: DistinctMethod,
     /// Grant the `ORDER BY key-prefix LIMIT k` early-stop license (see
-    /// [`OutputOp::Limit`]), with or without statistics. Off = always
-    /// scan, sort and cut: the oracle the early-stopping path is tested
-    /// against, and the E23 baseline.
+    /// [`OutputOp::Limit`]), with or without statistics: the block's scan
+    /// becomes the walk over the licensed index ([`BlockPlan::ixscan`]).
+    /// Off = always scan, sort and cut: the oracle the early-stopping
+    /// path is tested against, and the E23 baseline.
     pub early_stop: bool,
 }
 
@@ -108,16 +114,19 @@ pub fn plan_query(
 /// [`PlannerOptions::early_stop`] is set and the `ORDER BY` columns are
 /// an ascending prefix of an ordered index on a plain single-table
 /// block, the sort is dropped entirely and the limit carries an
-/// early-stop license: the executor walks the index in order and stops
-/// after `k` emitted rows.
+/// early-stop license naming that index. The block's scan is then the
+/// walk over it ([`BlockPlan::ixscan`]): bounded by the sarg the block's
+/// conjuncts give on that index, or the whole index when they give
+/// none, in key order, stopping after `k` rows have passed.
 pub fn plan_output(
     output: &BoundOutput,
     stats: Option<&Statistics>,
     options: PlannerOptions,
 ) -> PhysicalPlan {
-    let early_stop = early_stop_license(output).filter(|_| options.early_stop);
+    let walk = early_stop_license(output).filter(|_| options.early_stop);
+    let early_stop = walk.as_ref().map(|sarg| sarg.index.clone());
     let mut planner = Planner::new(stats, options);
-    planner.walk = early_stop.as_ref().and(output.limit).map(|k| k as f64);
+    planner.walk = walk;
     let (root, body_est) = planner.plan_node(&output.body);
     let mut est = body_est;
     let mut out_ops: Vec<OutputOp> = Vec::new();
@@ -220,8 +229,9 @@ fn agg_item_label(output: &BoundOutput, item: &BoundAggItem) -> String {
 /// prefix of an ordered (B-tree) index's column list — walking that
 /// index in canonical order (`NULL`s first, matching the engine's total
 /// order) yields rows already sorted, so the scan may stop as soon as
-/// `k` rows pass the residual filter. The license is that index's name.
-fn early_stop_license(output: &BoundOutput) -> Option<String> {
+/// `k` rows pass the block's conjuncts. The license is the walk: the
+/// sarg those conjuncts give on that index, or the whole index.
+fn early_stop_license(output: &BoundOutput) -> Option<IndexSarg> {
     output.limit?;
     if output.agg.is_some() || output.order_by.is_empty() {
         return None;
@@ -243,9 +253,22 @@ fn early_stop_license(output: &BoundOutput) -> Option<String> {
         }
         cols.push(attr - range.start);
     }
-    (table.schema.indexes.iter())
-        .find(|def| def.ordered && def.columns.starts_with(&cols))
-        .map(|def| def.name.clone())
+    let def =
+        (table.schema.indexes.iter()).find(|def| def.ordered && def.columns.starts_with(&cols))?;
+    // Only conjuncts on the walked index's columns, so that no other
+    // index's sarg outscores the walk's own.
+    let on_walk = |c: &&BoundExpr| {
+        constrained_column(spec, 0, c).is_some_and(|(col, _)| def.columns.contains(&col))
+    };
+    let conjuncts: Vec<&BoundExpr> = (spec.predicate.iter())
+        .flat_map(|p| p.conjuncts())
+        .filter(on_walk)
+        .collect();
+    let sarg = find_index_sarg(spec, 0, &conjuncts).filter(|s| s.index == def.name);
+    Some(sarg.unwrap_or_else(|| IndexSarg {
+        index: def.name.clone(),
+        ..IndexSarg::default()
+    }))
 }
 
 struct Planner<'a> {
@@ -253,10 +276,10 @@ struct Planner<'a> {
     est: Option<Estimator<'a>>,
     ops: Vec<OpInfo>,
     options: PlannerOptions,
-    /// The `Limit`'s `k` of an early-stop output: its block's rows
-    /// access walks the ordered index for at most `k` rows, which is
-    /// what its price reads.
-    walk: Option<f64>,
+    /// The early-stop walk of an `ORDER BY … LIMIT k` output (see
+    /// [`plan_output`]): its block's scan, run on rows, neither licensed
+    /// columnar nor priced.
+    walk: Option<IndexSarg>,
 }
 
 impl<'a> Planner<'a> {
@@ -358,8 +381,8 @@ impl<'a> Planner<'a> {
 
     /// The fixed plan of a block: the `FROM` order,
     /// [`PlannerOptions::join`] on every step and
-    /// [`PlannerOptions::distinct`] for `DISTINCT`, with no index or
-    /// columnar license. The plan of delta term `delta` (see
+    /// [`PlannerOptions::distinct`] for `DISTINCT`, and no license but
+    /// an early-stop walk. The plan of delta term `delta` (see
     /// [`plan_delta`]) starts at that position, has no `DISTINCT` and
     /// probes on every step whose equalities cover an index or a key.
     fn fixed_block(&mut self, spec: &BoundSpec, delta: Option<usize>) -> BlockPlan {
@@ -411,7 +434,7 @@ impl<'a> Planner<'a> {
             project,
             distinct,
             columnar: false,
-            ixscan: None,
+            ixscan: self.walk.take(),
             price: None,
         }
     }
@@ -471,6 +494,7 @@ impl<'a> Planner<'a> {
     /// The index licenses stay on the plan either way: they are the rows
     /// access's choice, for `query_row_path` and a stale column store.
     fn plan_block(&mut self, est: Estimator, spec: &BoundSpec) -> (BlockPlan, f64) {
+        let walk = self.walk.take();
         let n = spec.from.len();
         let conjuncts: Vec<&BoundExpr> = spec
             .predicate
@@ -510,8 +534,9 @@ impl<'a> Planner<'a> {
         // or cross kernel). Tracked alongside the greedy loop so the
         // verdict reflects the order actually chosen; the verdict never
         // feeds back into order or method, so a plan is the same whether
-        // or not a column store serves it.
-        let mut covered = conjuncts.iter().all(|c| columnar_conjunct(spec, c));
+        // or not a column store serves it. A walked block runs on rows,
+        // where its walk stops after `k` rows: never covered nor priced.
+        let mut covered = walk.is_none() && conjuncts.iter().all(|c| columnar_conjunct(spec, c));
 
         // Each join step's choices and its estimates for the access
         // prices; its operator is registered once the access is chosen.
@@ -674,24 +699,19 @@ impl<'a> Planner<'a> {
         // encoded; with one, the cheaper of the two prices wins.
         let indexed = ixscan.is_some() || steps.iter().any(|c| c.ix.is_some());
         let price = (covered && indexed).then(|| {
-            // An early-stop walk reads at most the limit's rows.
-            let walk = self.walk.unwrap_or(f64::INFINITY);
             let scan = Step {
                 rows: raw[order[0]],
                 filters: own(order[0]),
                 kept: scan_est,
                 input: 0.0,
-                index: scan_fetch.map(|f| Fetch {
-                    rows: f.rows.min(walk),
-                    ..f
-                }),
+                index: scan_fetch,
             };
             let priced: Vec<Step> = std::iter::once(scan)
                 .chain(steps.iter().map(|c| c.step))
                 .collect();
             AccessPrices {
                 encoded_ns: encoded_price(&priced, materialized).ceil() as u64,
-                index_ns: rows_price(&priced, out_est.min(walk)).ceil() as u64,
+                index_ns: rows_price(&priced, out_est).ceil() as u64,
             }
         });
         let columnar = covered && price.is_none_or(|p| p.encoded_ns < p.index_ns);
@@ -735,7 +755,7 @@ impl<'a> Planner<'a> {
                 project,
                 distinct,
                 columnar,
-                ixscan,
+                ixscan: walk.or(ixscan),
                 price,
             },
             final_est,
@@ -1158,6 +1178,39 @@ mod tests {
         // Without a sargable conjunct the scan stays full.
         let p2 = plan_on(&db, "SELECT S.SNAME FROM SUPPLIER S");
         assert!(block(&p2).ixscan.is_none());
+    }
+
+    /// The early stop's walk is its block's scan in fixed and cost-based
+    /// plans alike: bounded by the sarg the block's conjuncts give on the
+    /// walked index, or over the whole index, and neither columnar nor
+    /// priced, under the `Limit` that names the index and no `Sort`.
+    #[test]
+    fn the_early_stop_walk_is_the_blocks_scan_bounded_by_its_own_sarg() {
+        let mut db = indexed_supplier_db();
+        db.run_script("CREATE INDEX IDX_S_CITY ON SUPPLIER (SCITY);")
+            .unwrap();
+        let stats = Statistics::collect(&db);
+        for (filter, walk) in [
+            ("S.SNO >= 3", " ixscan(IDX_S_SNO, SNO>=3)"),
+            ("S.SCITY = 'Toronto'", " ixscan(IDX_S_SNO)"),
+            // The city index's sarg would outscore the range on SNO.
+            (
+                "S.SCITY = 'Toronto' AND S.SNO >= 3",
+                " ixscan(IDX_S_SNO, SNO>=3)",
+            ),
+        ] {
+            let sql = format!("SELECT S.SNO FROM SUPPLIER S WHERE {filter} ORDER BY S.SNO LIMIT 2");
+            let ast = uniq_sql::parse_full_query(&sql).unwrap();
+            let output = uniq_plan::bind_output(db.catalog(), &ast).unwrap();
+            for stats in [None, Some(&stats)] {
+                let p = plan_output(&output, stats, PlannerOptions::default());
+                assert!(!block(&p).columnar && block(&p).price.is_none(), "{p:?}");
+                let text = p.render(0, None);
+                let scan = text.lines().find(|l| l.contains("Scan SUPPLIER")).unwrap();
+                assert!(scan.ends_with(walk), "{text}");
+                assert!(text.contains("early-stop(IDX_S_SNO)") && !text.contains("Sort"));
+            }
+        }
     }
 
     #[test]

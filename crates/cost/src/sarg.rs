@@ -25,7 +25,8 @@ use uniq_sql::CmpOp;
 
 /// A sargable access path for one table's initial scan: point constants
 /// for the leading index columns, plus an optional range on the next.
-#[derive(Debug, Clone, PartialEq)]
+/// An early-stop walk without either covers the whole index.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct IndexSarg {
     /// Name of the matched index.
     pub index: String,
@@ -43,7 +44,7 @@ pub struct IndexSarg {
     /// Upper bound on the column after the prefix.
     pub high: Option<(BScalar, bool)>,
     /// Human-readable predicate fragment, e.g. `SNO=3,PNO>=2` — what
-    /// `EXPLAIN` prints inside `ixscan(…)`.
+    /// `EXPLAIN` prints inside `ixscan(…)`; empty for the whole index.
     pub desc: String,
 }
 

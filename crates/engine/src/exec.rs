@@ -17,8 +17,10 @@
 //!   when the key's domain is small and hash them otherwise, and only
 //!   output rows are decoded;
 //! * **rows** — the stored rows, otherwise. The scan may go through a
-//!   planned index; a join step probes a planned index, re-scans the
-//!   table (nested loop), hashes borrowed values or forms a cross product;
+//!   planned index; under an early-stop `LIMIT k` that scan is the walk
+//!   that hands over the first `k` passing rows in key order, so no
+//!   sort runs. A join step probes a planned index, re-scans the table
+//!   (nested loop), hashes borrowed values or forms a cross product;
 //!   every conjunct is evaluated on the rows the tuple's ids point to,
 //!   and only output rows are copied. This access is the reference the
 //!   agreement suites check the encoded one against.
@@ -133,38 +135,39 @@ impl<'a> Executor<'a> {
     /// query, recording the actual cardinalities of its [`OutputOp`]s
     /// too.
     ///
-    /// An `ORDER BY key-prefix LIMIT k` whose plan names a live index for
-    /// the early stop walks it in order and stops after `k` emitted rows
-    /// (booking `early_stops` / `topk_rows_examined`).
-    /// Otherwise the body runs, an aggregate groups it — on code words
-    /// under the encoded access, with the proof-elided zero-hash
-    /// one-pass where licensed — and the rows are sorted (engine total
-    /// order, `NULL`s first) and cut.
+    /// The body runs, an aggregate groups it — on code words under the
+    /// encoded access, with the proof-elided zero-hash one-pass where
+    /// licensed — and the rows are sorted (engine total order, `NULL`s
+    /// first) and cut. Under an early-stop `Limit` whose index the live
+    /// catalog still holds, the block's scan is the walk over that index
+    /// (see [`BlockPlan::ixscan`]): it stops once `k` rows have passed
+    /// and hands them over in order, so no sort runs.
     pub fn run_output(&mut self, output: &BoundOutput, plan: &PhysicalPlan) -> Result<Vec<Row>> {
         if let Some(plain) = output.as_plain() {
             return self.run_with_plan(plain, plan);
         }
         self.actuals = vec![0; plan.ops.len()];
 
-        if let Some(rows) = self.early_stop_topk(output, plan)? {
-            self.record_output(plan, |op| matches!(op, OutputOp::Limit { .. }), rows.len());
-            self.stats.rows_output += rows.len() as u64;
-            return Ok(rows);
-        }
-
-        let mut rows = match &output.agg {
-            Some(agg) => {
-                let body = match (output.body.as_spec(), &plan.root) {
-                    (Some(spec), PhysNode::Block(bp)) => self.block(spec, bp, None)?,
-                    _ => Block::Rows(self.exec_query(&output.body, &plan.root)?),
-                };
-                self.aggregate(agg, body)?
-            }
-            None => self.exec_query(&output.body, &plan.root)?,
+        let index = plan.output.iter().find_map(|op| match op {
+            OutputOp::Limit { early_stop, .. } => early_stop.as_ref(),
+            _ => None,
+        });
+        let walk = match (output.limit, output.body.as_spec(), index) {
+            (Some(k), Some(spec), Some(index)) if self.index_fresh(&spec.from[0], index) => Some(k),
+            _ => None,
+        };
+        let body = match (output.body.as_spec(), &plan.root) {
+            (Some(spec), PhysNode::Block(bp)) => self.block(spec, bp, None, walk)?,
+            _ => Block::Rows(self.exec_query(&output.body, &plan.root)?),
+        };
+        let mut rows = match (&output.agg, body) {
+            (Some(agg), body) => self.aggregate(agg, body)?,
+            (None, Block::Encoded(enc, ids)) => enc.materialize(&ids, &mut self.stats),
+            (None, Block::Rows(rows)) => rows,
         };
         self.record_output(plan, |op| matches!(op, OutputOp::Agg { .. }), rows.len());
 
-        if !output.order_by.is_empty() {
+        if !output.order_by.is_empty() && walk.is_none() {
             self.sort_rows(&mut rows, &output.order_by)?;
             self.record_output(plan, |op| matches!(op, OutputOp::Sort { .. }), rows.len());
         }
@@ -176,64 +179,6 @@ impl<'a> Executor<'a> {
 
         self.stats.rows_output += rows.len() as u64;
         Ok(rows)
-    }
-
-    /// Serve `ORDER BY key-prefix LIMIT k` by walking the ordered index
-    /// the plan's `Limit` names, in canonical key order (`NULL`s first —
-    /// exactly the engine's sort order), and stopping as soon as `k` rows
-    /// pass the residual filter. `Ok(None)` means the plan names no index
-    /// or the live catalog no longer holds its definition: the caller
-    /// scans, sorts and truncates instead, so a dropped index costs
-    /// speed, never rows.
-    fn early_stop_topk(
-        &mut self,
-        output: &BoundOutput,
-        plan: &PhysicalPlan,
-    ) -> Result<Option<Vec<Row>>> {
-        let index = plan.output.iter().find_map(|op| match op {
-            OutputOp::Limit {
-                early_stop: Some(index),
-                ..
-            } => Some(index),
-            _ => None,
-        });
-        let (Some(k), Some(index), Some(spec), PhysNode::Block(bp)) =
-            (output.limit, index, output.body.as_spec(), &plan.root)
-        else {
-            return Ok(None);
-        };
-        let table = &spec.from[0];
-        if !plan_matches(bp, spec) || !self.index_fresh(table, index) {
-            return Ok(None);
-        }
-        let db = self.db;
-        let unbounded = Bound::Unbounded;
-        let mut ids = db.index_walk(&table.schema.name, index, &[], unbounded, unbounded)?;
-        self.stats.ix_probes += 1;
-        let rows = Rows::new(db, spec, &bp.order, None)?;
-        let mut out: Vec<Row> = Vec::new();
-        let mut examined = 0u64;
-        while (out.len() as u64) < k {
-            let Some(r) = ids.next() else { break };
-            let tuple = [r as u32];
-            examined += 1;
-            self.stats.rows_scanned += 1;
-            if let Some(pred) = &spec.predicate {
-                if self.eval(pred, &rows.scope(&tuple, None))? != Tri::True {
-                    continue;
-                }
-            }
-            out.push(rows.project(spec, &tuple)?);
-        }
-        self.stats.topk_rows_examined += examined;
-        if ids.next().is_some() {
-            self.stats.early_stops += 1;
-        }
-        // The scan stopped at the k-th row it emitted, so the scan and
-        // the projection emitted exactly the rows returned.
-        self.record(bp.scan, out.len());
-        self.record(bp.project, out.len());
-        Ok(Some(out))
     }
 
     /// Stable sort by the output positions in `order` under the engine
@@ -328,7 +273,7 @@ impl<'a> Executor<'a> {
         bp: &BlockPlan,
         slices: Option<&[TableRows<'a>]>,
     ) -> Result<Vec<Row>> {
-        Ok(match self.block(spec, bp, slices)? {
+        Ok(match self.block(spec, bp, slices, None)? {
             Block::Encoded(enc, ids) => enc.materialize(&ids, &mut self.stats),
             Block::Rows(rows) => rows,
         })
@@ -338,12 +283,14 @@ impl<'a> Executor<'a> {
     /// and `DISTINCT`, through the encoded access when the block's
     /// license holds and the store is fresh, through the stored rows
     /// otherwise. The choice is made before any counter moves.
-    /// `slices` makes the block a delta term (see [`Executor::block_rows`]).
+    /// `slices` makes the block a delta term (see [`Executor::block_rows`]);
+    /// `walk` is an early-stop `Limit`'s `k` (see [`Executor::run_output`]).
     fn block(
         &mut self,
         spec: &BoundSpec,
         bp: &BlockPlan,
         slices: Option<&[TableRows<'a>]>,
+        walk: Option<u64>,
     ) -> Result<Block<'a>> {
         if !plan_matches(bp, spec) {
             return Err(plan_mismatch());
@@ -359,7 +306,7 @@ impl<'a> Executor<'a> {
 
         let mut ids = match &encoded {
             Some(enc) => enc.scan(&mut self.stats),
-            None => self.scan(spec, bp, &rows, &levels[0])?,
+            None => self.scan(spec, bp, &rows, &levels[0], walk)?,
         };
         self.record(bp.scan, ids.len());
         for (k, step) in (1..).zip(&bp.joins) {
@@ -399,18 +346,19 @@ impl<'a> Executor<'a> {
     /// The rows access's scan: through the planned index while the live
     /// catalog still holds its definition, over every stored row
     /// otherwise. The level's conjuncts filter either way; the index
-    /// only narrows which rows are visited.
+    /// only narrows which rows are visited, and under `walk` orders them.
     fn scan(
         &mut self,
         spec: &BoundSpec,
         bp: &BlockPlan,
         rows: &Rows<'_>,
         conjuncts: &[&BoundExpr],
+        walk: Option<u64>,
     ) -> Result<Vec<u32>> {
         let table = &spec.from[bp.order[0]];
         let mut out = Vec::new();
         match (bp.ixscan.as_ref()).filter(|sarg| self.index_fresh(table, &sarg.index)) {
-            Some(sarg) => self.ix_scan(table, sarg, rows, conjuncts, &mut out)?,
+            Some(sarg) => self.ix_scan(table, sarg, rows, conjuncts, walk, &mut out)?,
             None => {
                 for r in 0..rows.tables[0].len() {
                     self.read(rows, &mut out, r, conjuncts)?;
@@ -690,14 +638,18 @@ impl<'a> Executor<'a> {
     }
 
     /// Serve a block's scan through its planned index: walk the rows
-    /// the sarg's point prefix and bounds select, reading each posting in
-    /// place, into `out` like [`Executor::scan`].
+    /// the sarg's point prefix and bounds select, in key order, reading
+    /// each posting in place, into `out` like [`Executor::scan`]. Under
+    /// the early stop (`walk` is the `Limit`'s `k`) the walk ends once
+    /// `k` rows have passed the conjuncts, and books the rows it examined
+    /// (and an early stop when its range went on) instead of probe steps.
     fn ix_scan(
         &mut self,
         table: &FromTable,
         sarg: &IndexSarg,
         rows: &Rows<'_>,
         conjuncts: &[&BoundExpr],
+        walk: Option<u64>,
         out: &mut Vec<u32>,
     ) -> Result<()> {
         // Resolve the probe scalars (host variables bind now). A NULL
@@ -737,10 +689,18 @@ impl<'a> Executor<'a> {
         self.stats.ix_probes += 1;
         let mut fetched = 0;
         for r in positions {
+            // The walk has its `k` rows and its range goes on.
+            if Some(out.len() as u64) == walk {
+                self.stats.early_stops += 1;
+                break;
+            }
             fetched += 1;
             self.read(rows, out, r, conjuncts)?;
         }
-        self.stats.probe_steps += if sarg.unique { 1 } else { fetched + 1 };
+        match walk {
+            Some(_) => self.stats.topk_rows_examined += fetched,
+            None => self.stats.probe_steps += if sarg.unique { 1 } else { fetched + 1 },
+        }
         Ok(())
     }
 

@@ -60,11 +60,10 @@ pub struct ExecStats {
     /// distinct-set insert; the key-elided one-pass and the global
     /// (no `GROUP BY`) single group book zero — the gaps E23 measures.
     pub agg_rows: u64,
-    /// Early terminations taken: an `ORDER BY key-prefix LIMIT k` query
-    /// served from an ordered index that stopped before exhausting the
-    /// table.
+    /// Early terminations taken: an `ORDER BY key-prefix LIMIT k` walk
+    /// of an ordered index that stopped before its range ended.
     pub early_stops: u64,
-    /// Rows examined by an early-stopping Top-K index scan before it
+    /// Rows examined by an early-stopping Top-K index walk before it
     /// cut off — the "rows-examined ≈ k" proof E23 asserts against the
     /// full table size.
     pub topk_rows_examined: u64,

@@ -14,6 +14,10 @@
 //!   served answer (covered blocks on the kernels) and the same plan
 //!   run with no column store (`Session::query_row_path`).
 //!
+//! A fixed-seed loop generates early-stop walks: `ORDER BY` an index
+//! prefix with a bound on the index's leading column, served analyzed
+//! and not, on the row path and unoptimized.
+//!
 //! Comparisons are multiset comparisons. When a `LIMIT` is generated,
 //! the query's `ORDER BY` covers *all* output columns, so the surviving
 //! multiset is deterministic and the comparison stays exact; without a
@@ -26,6 +30,7 @@ use std::collections::HashMap;
 use uniqueness::catalog::Row;
 use uniqueness::engine::Session;
 use uniqueness::plan::HostVars;
+use uniqueness::types::Value;
 use uniqueness::workload::random_instance;
 use uniqueness::workload::rng::SplitMix64;
 
@@ -304,6 +309,105 @@ proptest! {
                 fast.stats.sort_comparisons,
                 base.stats.sort_comparisons
             );
+        }
+    }
+}
+
+/// Generated early-stop walks over random instances whose walked column
+/// holds `NULL`s, under a one- or a two-column ordered index beside an
+/// index on another column: `ORDER BY` an ascending index prefix, a
+/// bound on the index's leading column (none, a comparison, `BETWEEN`,
+/// or a host variable bound to a value or to `NULL`), an optional
+/// conjunct on another column, and `LIMIT` 0, 1, 3 or past the table.
+/// Served analyzed and unanalyzed and on the row path, the walk sorts
+/// nothing and returns the unoptimized plan's sequence of `ORDER BY`
+/// keys, and its rows where that order is total.
+#[test]
+fn generated_early_stop_walks_agree_on_every_path() {
+    let ints: Vec<Value> = (0..=6).map(Value::Int).collect();
+    let names: Vec<Value> = ["Acme", "B", "Globex", "Initech", "Z"]
+        .map(Value::str)
+        .to_vec();
+    let walks: [(&[&str], &[Value]); 3] = [
+        (&["BUDGET"], &ints),
+        (&["BUDGET", "SNO"], &ints),
+        (&["SNAME", "SNO"], &names),
+    ];
+    let output = ["SNO", "SNAME", "BUDGET", "SCITY"];
+    let others = [
+        "S.SCITY = 'Toronto'",
+        "S.SNO > 8",
+        "S.SNO <> 3",
+        "S.SNAME IS NULL",
+    ];
+    let ops = ["=", "<", "<=", ">", ">="];
+    let mut rng = SplitMix64::seed_from_u64(0x3A1C_2028);
+    for instance in 0..48 {
+        let (columns, values) = walks[instance % walks.len()];
+        let mut db = random_instance(rng.next_u64(), 12, 0, 0).unwrap();
+        // A second index, which a `SCITY` conjunct's sarg picks, so the
+        // walk's own index must still serve the order.
+        let ddl = format!(
+            "CREATE INDEX IX_WALK ON SUPPLIER ({}); CREATE INDEX IX_CITY ON SUPPLIER (SCITY);",
+            columns.join(", ")
+        );
+        db.run_script(&ddl).unwrap();
+        let n = db.rows(&"SUPPLIER".into()).unwrap().len();
+        let unanalyzed = Session::new(db.clone());
+        let analyzed = Session::new(db).with_cost_based();
+        for _ in 0..12 {
+            let lead = columns[0];
+            let order = &columns[..rng.gen_range(1..=columns.len())];
+            let mut hv = HostVars::new();
+            let mut filter: Vec<String> = Vec::new();
+            let op = *pick(&mut rng, &ops);
+            match rng.gen_range(0..4u32) {
+                0 => {}
+                1 => filter.push(format!("S.{lead} {op} {}", pick(&mut rng, values))),
+                2 => {
+                    let (lo, hi) = (pick(&mut rng, values), pick(&mut rng, values));
+                    filter.push(format!("S.{lead} BETWEEN {lo} AND {hi}"));
+                }
+                _ => {
+                    let v = pick(&mut rng, values).clone();
+                    hv.set("V", if rng.gen_bool(0.3) { Value::Null } else { v });
+                    filter.push(format!("S.{lead} {op} :V"));
+                }
+            }
+            if rng.gen_bool(0.4) {
+                filter.push(pick(&mut rng, &others).to_string());
+            }
+            let limit = *pick(&mut rng, &[0, 1, 3, n + 1]);
+            let sql = format!(
+                "SELECT S.{} FROM SUPPLIER S{}{} ORDER BY {} LIMIT {limit}",
+                output.join(", S."),
+                if filter.is_empty() { "" } else { " WHERE " },
+                filter.join(" AND "),
+                order.join(", "),
+            );
+            let at: Vec<usize> = (order.iter())
+                .map(|c| output.iter().position(|o| o == c).unwrap())
+                .collect();
+            let keys = |rows: &[Row]| -> Vec<Row> {
+                (rows.iter())
+                    .map(|r| at.iter().map(|&p| r[p].clone()).collect())
+                    .collect()
+            };
+            let want = unanalyzed.query_unoptimized(&sql, &hv).unwrap().rows;
+            assert!(want.len() <= limit, "{sql}");
+            let total = order.contains(&"SNO");
+            for (path, got) in [
+                ("served analyzed", analyzed.query_with(&sql, &hv)),
+                ("served unanalyzed", unanalyzed.query_with(&sql, &hv)),
+                ("row path", analyzed.query_row_path(&sql, &hv)),
+            ] {
+                let got = got.unwrap_or_else(|e| panic!("{path} failed on {sql}: {e}"));
+                assert_eq!(keys(&got.rows), keys(&want), "{path}: {sql} {hv:?}");
+                if total {
+                    assert_eq!(got.rows, want, "{path}: {sql} {hv:?}");
+                }
+                assert_eq!(got.stats.sorts, 0, "{path} walks: {sql} {:?}", got.stats);
+            }
         }
     }
 }

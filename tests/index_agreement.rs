@@ -587,27 +587,30 @@ fn a_unique_point_lookup_keeps_its_index_scan_and_no_columnar_license() {
     assert!(price.index_ns < price.encoded_ns, "{price:?}");
 }
 
-/// The `ORDER BY key LIMIT k` early stop walks its index before the
-/// block's access is consulted, so its block is priced at the limit's
-/// `k` rows, not the range scan's estimate: it keeps the plan it had
-/// before the choice was priced, the index scan on rows under a
-/// licensed early-stop `Limit` with no `Sort`. Without the early stop
-/// the same block is priced at its whole range and served encoded.
+/// The `ORDER BY key LIMIT k` early stop is its block's scan: the walk
+/// over the licensed index, bounded by the sarg the block's conjuncts
+/// give on it, runs on rows and is neither licensed columnar nor priced,
+/// under a licensed early-stop `Limit` with no `Sort`. Without the early
+/// stop the same block is priced at its whole range and served encoded.
 #[test]
-fn the_early_stop_block_is_priced_at_the_limits_rows_and_keeps_its_plan() {
+fn the_early_stop_block_walks_its_sarg_on_rows_and_is_not_priced() {
     let db = perfbench_shaped(2_000);
     let stats = Statistics::collect(&db);
     let sql = "SELECT S.SNO, S.SNAME FROM SUPPLIER S WHERE S.SNO <= 17 ORDER BY S.SNO LIMIT 10";
     let plan = served_plan(&db, &stats, sql);
     let b = blocks(&plan.root)[0];
-    assert!(b.ixscan.is_some() && !b.columnar, "{plan:?}");
-    assert!(b.price.is_some_and(|p| p.index_ns < p.encoded_ns));
+    let walk = b.ixscan.as_ref().expect("the walk is the block's scan");
+    assert_eq!(
+        (walk.index.as_str(), walk.desc.as_str()),
+        ("IDX_S_SNO", "SNO<=17")
+    );
+    assert!(!b.columnar && b.price.is_none(), "{plan:?}");
     assert!(plan.output.iter().any(|op| matches!(
         op,
         OutputOp::Limit {
-            early_stop: Some(_),
+            early_stop: Some(index),
             ..
-        }
+        } if index == "IDX_S_SNO"
     )));
     assert!(!plan
         .output
@@ -621,6 +624,93 @@ fn the_early_stop_block_is_priced_at_the_limits_rows_and_keeps_its_plan() {
     let scanned = plan_output(&bound, Some(&stats), off);
     let b = blocks(&scanned.root)[0];
     assert!(b.ixscan.is_some() && b.columnar, "{scanned:?}");
+}
+
+/// The early-stop walk reads only the range its own predicate gives on
+/// the walked index: on perfbench's data, analyzed and not, each
+/// statement reads exactly the rows it returns (`rows_scanned` and
+/// `topk_rows_examined`), sorts nothing, probes the index once, and
+/// answers like the scan-sort-cut oracle (`with_agg_elision(false)`)
+/// and the unoptimized plan, row for row in order. A host variable
+/// bound to `NULL` bounds the walk to nothing.
+#[test]
+fn the_early_stop_walk_reads_only_its_sargs_range() {
+    let db = perfbench_shaped(2_000);
+    let top = |filter: &str| {
+        format!("SELECT S.SNO, S.SNAME FROM SUPPLIER S WHERE {filter} ORDER BY S.SNO LIMIT 10")
+    };
+    let hv = HostVars::new();
+    let cases = [
+        (top("S.SNO = 5"), hv.clone(), 1),
+        (top("S.SNO <= 5"), hv.clone(), 5),
+        (top("S.SNO >= 1500"), hv.clone(), 10),
+        (top("S.SNO BETWEEN 1990 AND 1995"), hv.clone(), 6),
+        (top("S.SNO >= :K"), HostVars::new().with("K", 1500), 10),
+        (
+            top("S.SNO >= :K"),
+            HostVars::new().with("K", Value::Null),
+            0,
+        ),
+    ];
+    for session in [
+        Session::new(db.clone()),
+        Session::new(db.clone()).with_cost_based(),
+    ] {
+        let oracle = session.clone().with_agg_elision(false);
+        for (sql, hv, rows) in &cases {
+            let out = session.query_with(sql, hv).unwrap();
+            let s = &out.stats;
+            assert_eq!(out.rows.len(), *rows, "{sql}");
+            assert_eq!(
+                (s.rows_scanned, s.topk_rows_examined),
+                (*rows as u64, *rows as u64),
+                "{sql}: {s:?}"
+            );
+            assert_eq!(s.sorts, 0, "{sql}: {s:?}");
+            assert_eq!(s.ix_probes, u64::from(*rows > 0), "{sql}: {s:?}");
+            assert_eq!(out.rows, oracle.query_with(sql, hv).unwrap().rows, "{sql}");
+            assert_eq!(
+                out.rows,
+                session.query_unoptimized(sql, hv).unwrap().rows,
+                "{sql}"
+            );
+        }
+        // Shape 7 of perfbench's `oltp` keeps its walk: ten rows, then a stop.
+        let out = session.query(&top("S.SNO <= 17")).unwrap();
+        let s = &out.stats;
+        assert_eq!(
+            (out.rows.len(), s.rows_scanned, s.topk_rows_examined),
+            (10, 10, 10)
+        );
+        assert_eq!((s.early_stops, s.probe_steps, s.sorts), (1, 0, 0), "{s:?}");
+    }
+}
+
+/// EXPLAIN names the access that runs: an analyzed early-stop block
+/// whose filter the encoded kernels would cover shows the walk of its
+/// index on the scan line, no columnar license, dictionary marker or
+/// price, and is served on rows.
+#[test]
+fn an_early_stop_block_explains_the_walk_it_serves() {
+    let session = Session::new(perfbench_shaped(2_000)).with_cost_based();
+    let sql = "SELECT S.SNO FROM SUPPLIER S WHERE S.SCITY = 'Toronto' ORDER BY S.SNO LIMIT 3";
+    let text = session.explain(sql).unwrap();
+    let scan = text
+        .lines()
+        .find(|l| l.contains("Scan SUPPLIER AS S"))
+        .expect(&text);
+    assert!(scan.ends_with(" ixscan(IDX_S_SNO)"), "{text}");
+    for marker in ["exec=columnar", "enc=dict", "price("] {
+        assert!(!text.contains(marker), "{text}");
+    }
+    assert!(text.contains("early-stop(IDX_S_SNO)"), "{text}");
+    let out = session.query(sql).unwrap();
+    assert_eq!(
+        (out.rows.len(), out.stats.vector_ops, out.stats.sorts),
+        (3, 0, 0),
+        "{:?}",
+        out.stats
+    );
 }
 
 /// Sorted rows of one statement served, on the row path and unoptimized,
